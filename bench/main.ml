@@ -12,8 +12,8 @@
             ablation-ports ablation-registers plan micro
    Flags: -j N (worker-pool size; default UAS_JOBS or the core count),
           --timings (per-pass span/counter summary at exit),
-          --interp ref|fast|native (interpreter tier for
-          verification/profiling; native JIT-compiles each kernel),
+          --interp ref|fast (interpreter tier for
+          verification/profiling),
           --json FILE (write the perf-trajectory document there),
           --validate off|probe (translation-validate every rewrite),
           --exact-ii off|check|report (second II oracle: validate the
@@ -499,23 +499,6 @@ let micro () =
        let compiled = Fast_interp.compile p in
        Test.make ~name:"interp-fast skipjack (16 blocks)"
          (Staged.stage (fun () -> ignore (Fast_interp.run compiled w))));
-      (let w =
-         Sj.workload_mem ~key:(Sj.random_key ~seed:1)
-           (Sj.random_words ~seed:2 64)
-       in
-       (* prepared outside the staged closure: the timed row measures
-          kernel execution, with compile time amortized by the memo and
-          the cmxs store.  If the toolchain is missing the native rows
-          honestly measure the fast tier they degrade to. *)
-       match Native_interp.prepare p with
-       | Ok nc ->
-         Test.make ~name:"interp-native skipjack (16 blocks)"
-           (Staged.stage (fun () -> ignore (Native_interp.run nc w)))
-       | Error m ->
-         Fmt.epr "interp-native skipjack: degraded to fast tier (%s)@." m;
-         let compiled = Fast_interp.compile p in
-         Test.make ~name:"interp-native skipjack (16 blocks)"
-           (Staged.stage (fun () -> ignore (Fast_interp.run compiled w))));
       (let module Iir = Uas_bench_suite.Iir in
        let ip = Iir.iir ~channels:4 in
        let w =
@@ -530,21 +513,7 @@ let micro () =
        in
        let compiled = Fast_interp.compile ip in
        Test.make ~name:"interp-fast iir (4 channels)"
-         (Staged.stage (fun () -> ignore (Fast_interp.run compiled w))));
-      (let module Iir = Uas_bench_suite.Iir in
-       let ip = Iir.iir ~channels:4 in
-       let w =
-         Iir.workload (Iir.random_signal ~seed:3 (4 * Iir.points_per_channel))
-       in
-       match Native_interp.prepare ip with
-       | Ok nc ->
-         Test.make ~name:"interp-native iir (4 channels)"
-           (Staged.stage (fun () -> ignore (Native_interp.run nc w)))
-       | Error m ->
-         Fmt.epr "interp-native iir: degraded to fast tier (%s)@." m;
-         let compiled = Fast_interp.compile ip in
-         Test.make ~name:"interp-native iir (4 channels)"
-           (Staged.stage (fun () -> ignore (Fast_interp.run compiled w)))) ]
+         (Staged.stage (fun () -> ignore (Fast_interp.run compiled w)))) ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
@@ -598,7 +567,6 @@ let () =
   | Ok o ->
     if o.Uas_core.Cli.o_version then begin
       Fmt.pr "%s@." Uas_runtime.Build_info.version_string;
-      Fmt.pr "%s@." (Uas_runtime.Build_info.jit_version_line ());
       exit 0
     end;
     (* a malformed UAS_JOBS, UAS_FAULT or UAS_INTERP fails up front,

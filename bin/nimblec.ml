@@ -329,10 +329,8 @@ let interp_arg =
     & opt (some tier_conv) None
     & info [ "interp" ] ~docv:"TIER"
         ~doc:
-          "Interpreter tier: $(b,ref) (the tree-walking reference), \
-           $(b,fast) (slot-compiled; the default) or $(b,native) (JIT: \
-           compiled to machine code via ocamlopt + Dynlink, degrading to \
-           $(b,fast) if no toolchain is available).  All produce \
+          "Interpreter tier: $(b,ref) (the tree-walking reference) \
+           or $(b,fast) (slot-compiled; the default).  Both produce \
            bit-identical results and profiles.")
 
 (* the flag sets the process-wide default, so every execution path —
@@ -788,16 +786,9 @@ let () =
   (match Uas_ir.Fast_interp.env_tier_error () with
   | None -> ()
   | Some m -> runtime_error "%s" m);
-  let version =
-    (* the toolchain fingerprint probe forks a subprocess; only pay for
-       it when the version is actually being printed *)
-    if Array.exists (String.equal "--version") Sys.argv then
-      Uas_runtime.Build_info.version_string ^ "\n"
-      ^ Uas_runtime.Build_info.jit_version_line ()
-    else Uas_runtime.Build_info.version_string
-  in
   let info =
-    Cmd.info "nimblec" ~version ~doc:"Unroll-and-squash loop pipelining flow"
+    Cmd.info "nimblec" ~version:Uas_runtime.Build_info.version_string
+      ~doc:"Unroll-and-squash loop pipelining flow"
   in
   exit
     (Cmd.eval

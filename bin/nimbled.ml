@@ -132,7 +132,7 @@ let interp_arg =
     & info [ "interp" ] ~docv:"TIER"
         ~doc:
           "Default interpreter tier for requests that do not name one: \
-           $(b,ref), $(b,fast) or $(b,native)")
+           $(b,ref) or $(b,fast)")
 
 let fault_arg =
   Arg.(

@@ -122,11 +122,6 @@ let find name : benchmark option =
    an otherwise-normal run. *)
 let stall_fuel = 64
 
-let tier_name = function
-  | Fast_interp.Ref -> "ref"
-  | Fast -> "fast"
-  | Native -> "native"
-
 let corrupt_result (r : Interp.result) : Interp.result =
   match r.Interp.outputs with
   | [] -> r
@@ -143,23 +138,18 @@ let corrupt_result (r : Interp.result) : Interp.result =
     instrumentation span naming the tier. *)
 let run_tier ?fuel (tier : Fast_interp.tier) (p : Stmt.program)
     (w : Interp.workload) : Interp.result =
-  let span =
-    match tier with
-    | Fast_interp.Ref -> "interp.run.ref"
-    | Fast -> "interp.run.fast"
-    | Native -> "interp.run.native"
-  in
-  Uas_runtime.Instrument.span span (fun () ->
-      match Uas_runtime.Fault.hit ~label:(tier_name tier) "interp.run" with
-      | None -> Native_interp.run_tier ?fuel tier p w
+  let name = Fast_interp.tier_name tier in
+  Uas_runtime.Instrument.span ("interp.run." ^ name) (fun () ->
+      match Uas_runtime.Fault.hit ~label:name "interp.run" with
+      | None -> Fast_interp.run_tier ?fuel tier p w
       | Some Uas_runtime.Fault.Raise ->
         raise
           (Uas_runtime.Fault.Injected
              { site = "interp.run"; kind = Uas_runtime.Fault.Raise })
       | Some Uas_runtime.Fault.Stall ->
-        Native_interp.run_tier ~fuel:stall_fuel tier p w
+        Fast_interp.run_tier ~fuel:stall_fuel tier p w
       | Some Uas_runtime.Fault.Corrupt ->
-        corrupt_result (Native_interp.run_tier ?fuel tier p w))
+        corrupt_result (Fast_interp.run_tier ?fuel tier p w))
 
 (** Does an interpreter result reproduce the benchmark's host
     reference outputs exactly? *)

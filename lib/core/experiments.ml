@@ -12,7 +12,6 @@ module Parallel = Uas_runtime.Parallel
 module Instrument = Uas_runtime.Instrument
 module Fault = Uas_runtime.Fault
 module Fast_interp = Uas_ir.Fast_interp
-module Native_interp = Uas_ir.Native_interp
 module Cu = Uas_pass.Cu
 module Diag = Uas_pass.Diag
 module Sched = Uas_dfg.Sched
@@ -50,11 +49,6 @@ type normalized = {
   n_efficiency : float;  (** speedup / area *)
   n_operator_share : float;  (** operators as a fraction of area (Fig 6.4) *)
 }
-
-let tier_label = function
-  | Fast_interp.Ref -> "ref"
-  | Fast -> "fast"
-  | Native -> "native"
 
 (* One (benchmark, version) cell: the version's pass pipeline
    (transform + quick synthesis) plus interpreter-replay verification —
@@ -99,30 +93,13 @@ let build_cell ?after ?(validate = false) ?(exact = Sched.Exact_off) ~target
     let verified =
       (not verify)
       || Instrument.span "pass.verify" (fun () ->
-             (* resolve the unit's native artifact up front so a
-                compile/load failure degrades the cell (incident
-                footnote, fast tier) rather than failing it *)
-             let native =
-               match (tier : Fast_interp.tier) with
-               | Ref | Fast -> None
-               | Native -> (
-                 match Cu.native cu with
-                 | Ok nc -> Some nc
-                 | Error m ->
-                   incident "native jit unavailable: %s; degraded to fast \
-                             tier" m;
-                   None)
-             in
              let run ?fuel () =
-               match ((tier : Fast_interp.tier), native) with
-               | Ref, _ ->
+               match (tier : Fast_interp.tier) with
+               | Ref ->
                  Instrument.span "interp.run.ref" (fun () ->
                      Uas_ir.Interp.run ?fuel built.Nimble.bv_program
                        b.Registry.b_workload)
-               | Native, Some nc ->
-                 Instrument.span "interp.run.native" (fun () ->
-                     Native_interp.run ?fuel nc b.Registry.b_workload)
-               | (Fast | Native), None | Fast, Some _ ->
+               | Fast ->
                  (* reuse (or create) the unit's compiled artifact *)
                  let compiled = Cu.compiled cu in
                  Instrument.span "interp.run.fast" (fun () ->
@@ -131,7 +108,9 @@ let build_cell ?after ?(validate = false) ?(exact = Sched.Exact_off) ~target
              match
                (* the [interp.run] fault site, tier-labeled like
                   [Registry.run_tier] *)
-               match Fault.hit ~label:(tier_label tier) "interp.run" with
+               match
+                 Fault.hit ~label:(Fast_interp.tier_name tier) "interp.run"
+               with
                | None -> run ()
                | Some Fault.Raise ->
                  raise

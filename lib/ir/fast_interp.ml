@@ -21,19 +21,18 @@ open Types
 
 (* --- interpreter tiers --- *)
 
-type tier = Ref | Fast | Native
+type tier = Ref | Fast
 
-let tier_name = function Ref -> "ref" | Fast -> "fast" | Native -> "native"
+let tier_name = function Ref -> "ref" | Fast -> "fast"
 
 let tier_of_string s =
   match String.lowercase_ascii s with
   | "ref" | "reference" -> Some Ref
   | "fast" -> Some Fast
-  | "native" -> Some Native
   | _ -> None
 
 let env_var = "UAS_INTERP"
-let valid_tiers = "ref, fast or native"
+let valid_tiers = "ref or fast"
 
 (* An unknown tier name in the environment is a configuration error
    the CLIs report up front (exit 1, like a malformed UAS_JOBS) — not
@@ -517,12 +516,9 @@ let run_program ?fuel (p : Stmt.program) (w : Interp.workload) :
   run ?fuel (compile p) w
 
 (** Run on the given tier: the reference interpreter, or compile+run on
-    the fast tier.  [Native] also runs the fast tier here: the JIT
-    lives above this module ([Native_interp] depends on it), so this
-    dispatcher can only degrade; production paths route through
-    [Native_interp.run_tier], which handles all three. *)
+    the fast tier. *)
 let run_tier ?fuel (t : tier) (p : Stmt.program) (w : Interp.workload) :
     Interp.result =
   match t with
   | Ref -> Interp.run ?fuel p w
-  | Fast | Native -> run_program ?fuel p w
+  | Fast -> run_program ?fuel p w

@@ -18,19 +18,18 @@
 type tier =
   | Ref  (** the tree-walking reference interpreter ({!Interp.run}) *)
   | Fast  (** this compile-to-closure tier *)
-  | Native
-      (** the JIT tier ([Native_interp]): codegen to OCaml, compile
-          out-of-process, load via Dynlink *)
 
+(** ["ref"] or ["fast"]: the one spelling every CLI, log line, fault
+    label and trajectory field uses. *)
 val tier_name : tier -> string
 
-(** ["ref"]/["reference"], ["fast"] or ["native"] (case-insensitive). *)
+(** ["ref"]/["reference"] or ["fast"] (case-insensitive). *)
 val tier_of_string : string -> tier option
 
 (** The [UAS_INTERP] environment variable name. *)
 val env_var : string
 
-(** The valid tier names, for diagnostics: ["ref, fast or native"]. *)
+(** The valid tier names, for diagnostics: ["ref or fast"]. *)
 val valid_tiers : string
 
 (** [Some message] if {!env_var} is set to an unknown tier name — the
@@ -69,9 +68,8 @@ val run : ?fuel:int -> compiled -> Interp.workload -> Interp.result
 (** Compile and run in one step (no artifact reuse). *)
 val run_program : ?fuel:int -> Stmt.program -> Interp.workload -> Interp.result
 
-(** Run on the given tier: {!Interp.run}, or {!run_program}.  [Native]
-    degrades to the fast tier here (the JIT lives above this module);
-    production paths use [Native_interp.run_tier], which dispatches
-    all three. *)
+(** Run on the given tier: {!Interp.run}, or {!run_program}.  The one
+    tier dispatcher; production paths reach it through
+    [Registry.run_tier]. *)
 val run_tier :
   ?fuel:int -> tier -> Stmt.program -> Interp.workload -> Interp.result

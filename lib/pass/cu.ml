@@ -45,7 +45,6 @@ type t = {
   mutable c_exact : Uas_dfg.Sched.exact option;
   mutable c_report : Uas_hw.Estimate.report option;
   mutable c_compiled : Fast_interp.compiled option;
-  mutable c_native : (Native_interp.compiled, string) result option;
   mutable c_hits : int;
   mutable c_misses : int;
   (* canonical program text (the Pp round-trip form), memoized because
@@ -76,7 +75,6 @@ let make p ~outer_index ~inner_index =
     c_exact = None;
     c_report = None;
     c_compiled = None;
-    c_native = None;
     c_hits = 0;
     c_misses = 0;
     c_text = None;
@@ -104,7 +102,6 @@ let with_program ?(preserves = []) ?outer_index ?inner_index cu p =
     c_exact = None;
     c_report = None;
     c_compiled = None;
-    c_native = None;
     c_text = None }
 
 (* One memoized lookup: serve the cache or compute-and-fill, keeping
@@ -302,26 +299,3 @@ let store_put cu ~kind ~context payload =
       match Store.write s ~kind ~key payload with
       | Ok () -> ()
       | Error msg -> store_incident cu ~kind ("write failed: " ^ msg)
-
-(* The native-JIT artifact, memoized like [compiled].  Refusals memoize
-   too — a program the JIT cannot serve degrades once, not per run.
-   Store-corruption messages land in the incident log under the cmxs
-   kind; Native_interp handles the store traffic itself (its key folds
-   in the compiler fingerprint, which is outside [store_key]'s
-   grammar). *)
-let native cu =
-  match cu.c_native with
-  | Some r ->
-    cu.c_hits <- cu.c_hits + 1;
-    Instrument.incr "cu.native-hit";
-    r
-  | None ->
-    cu.c_misses <- cu.c_misses + 1;
-    Instrument.incr "cu.native-miss";
-    let r =
-      Native_interp.prepare
-        ~on_store_bad:(fun msg -> store_incident cu ~kind:"cmxs" msg)
-        cu.cu_program
-    in
-    cu.c_native <- Some r;
-    r

@@ -106,16 +106,6 @@ val set_report : t -> Uas_hw.Estimate.report -> unit
     counters. *)
 val compiled : t -> Fast_interp.compiled
 
-(** The program prepared for the native JIT tier (codegen + ocamlopt +
-    Dynlink, store-backed; see {!Uas_ir.Native_interp}), built on first
-    demand and cached like {!compiled}: invalidated by
-    {!with_program}, counted through the
-    [cu.native-hit]/[cu.native-miss] counters.  [Error reason] — the
-    program cannot run natively — memoizes too, so a cell degrades
-    once, not per run; store corruption lands in the incident log
-    under the [cmxs] kind. *)
-val native : t -> (Uas_ir.Native_interp.compiled, string) result
-
 (** {2 Cache introspection (tests, counters)} *)
 
 (** Is this analysis currently cached? *)

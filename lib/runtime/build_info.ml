@@ -4,50 +4,3 @@ let package_version = "0.8.0"
 let version_string =
   Printf.sprintf "unroll_and_squash %s (trajectory schema v%d)"
     package_version Trajectory.version
-
-(* ---------- native-JIT toolchain identity ---------- *)
-
-let jit_ocamlfind_env_var = "UAS_JIT_OCAMLFIND"
-
-let jit_ocamlfind () =
-  match Sys.getenv_opt jit_ocamlfind_env_var with
-  | Some s when String.trim s <> "" -> s
-  | _ -> "ocamlfind"
-
-let jit_compile_flags = "-shared -w -a -package fmt"
-let fingerprint_mutex = Mutex.create ()
-let fingerprint_memo : string option ref = ref None
-
-(* Probe `ocamlfind ocamlopt -version` once per process.  The result
-   is folded into the cmxs store key, so a toolchain upgrade (or an
-   unavailable toolchain) can never serve a stale compiled module. *)
-let compiler_fingerprint () =
-  Mutex.protect fingerprint_mutex @@ fun () ->
-  match !fingerprint_memo with
-  | Some f -> f
-  | None ->
-    let version =
-      let tmp = Filename.temp_file "uas-ocamlopt" ".ver" in
-      Fun.protect ~finally:(fun () ->
-          try Sys.remove tmp with Sys_error _ -> ())
-      @@ fun () ->
-      let cmd =
-        Printf.sprintf "%s ocamlopt -version > %s 2>/dev/null"
-          (Filename.quote (jit_ocamlfind ()))
-          (Filename.quote tmp)
-      in
-      if Sys.command cmd <> 0 then None
-      else
-        match In_channel.with_open_bin tmp In_channel.input_all with
-        | s -> ( match String.trim s with "" -> None | v -> Some v)
-        | exception Sys_error _ -> None
-    in
-    let f =
-      match version with
-      | Some v -> Printf.sprintf "ocamlopt %s %s" v jit_compile_flags
-      | None -> Printf.sprintf "ocamlopt unavailable %s" jit_compile_flags
-    in
-    fingerprint_memo := Some f;
-    f
-
-let jit_version_line () = "jit: " ^ compiler_fingerprint ()

@@ -8,27 +8,3 @@ val package_version : string
 (** The one-line [--version] string: package name, package version and
     the trajectory JSON schema version. *)
 val version_string : string
-
-(** Environment variable overriding the [ocamlfind] binary the native
-    JIT tier invokes (default ["ocamlfind"]); pointing it at a
-    non-existent command simulates a missing toolchain. *)
-val jit_ocamlfind_env_var : string
-
-(** The ocamlfind command the JIT uses, honoring
-    {!jit_ocamlfind_env_var}. *)
-val jit_ocamlfind : unit -> string
-
-(** The fixed flag set passed to [ocamlfind ocamlopt] when compiling a
-    generated kernel to a [.cmxs]. *)
-val jit_compile_flags : string
-
-(** The native-compiler fingerprint: [ocamlopt <version> <flags>], or
-    [ocamlopt unavailable <flags>] when the toolchain cannot be
-    probed.  Memoized per process (the probe forks a subprocess);
-    folded into the cmxs store key so a toolchain change invalidates
-    cached compiled modules. *)
-val compiler_fingerprint : unit -> string
-
-(** The [--version] line describing the JIT toolchain:
-    ["jit: " ^ compiler_fingerprint ()]. *)
-val jit_version_line : unit -> string

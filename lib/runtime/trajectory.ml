@@ -18,10 +18,8 @@ let schema = "uas-bench-trajectory"
    v5: the "store" key (artifact-store hit/miss/latency counters when
    a cache is installed via UAS_CACHE/--cache; null otherwise — no
    directory path, so snapshots stay machine-independent).
-   v6: the native JIT tier — "interp_tier" may now be "native",
-   micro targets gain per-tier interp-native rows, and the counter
-   dump gains the jit.* family (compile/memo/store traffic) with the
-   jit.compile span.
+   v6: a third interpreter tier, since retired; documents of every
+   later version have the v5 shape plus the v7 keys.
    v7: the "daemon" key (nimbled service counters — admitted, shed,
    timed-out, degraded, drained, queue depth, request latency — when
    the document comes from a daemon run; null otherwise), and the

@@ -295,7 +295,8 @@ let test_tier_of_string () =
   check "reference" (Some Fast_interp.Ref);
   check "fast" (Some Fast_interp.Fast);
   check "FAST" (Some Fast_interp.Fast);
-  check "turbo" None
+  check "turbo" None;
+  check "native" None
 
 let test_run_tier_dispatch () =
   let p = Helpers.fg_loop ~m:3 ~n:3 in

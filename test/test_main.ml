@@ -20,7 +20,6 @@ let () =
       ("fault", Test_fault.suite);
       ("differential", Test_differential.suite);
       ("fast-interp", Test_fast_interp.suite);
-      ("native-interp", Test_native_interp.suite);
       ("bitwidth", Test_bitwidth.suite);
       ("c-export", Test_c_export.suite);
       ("goldens", Test_goldens.suite);

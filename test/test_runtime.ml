@@ -407,6 +407,7 @@ let test_cli_parse_interp_json () =
     { defaults with Cli.o_json = Some "out.json" };
   ignore (check_error "--interp without value" [ "--interp" ]);
   ignore (check_error "--interp junk" [ "--interp"; "turbo" ]);
+  ignore (check_error "--interp native" [ "--interp"; "native" ]);
   ignore (check_error "--json without value" [ "--json" ])
 
 let test_cli_rejects_unknown_target () =

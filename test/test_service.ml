@@ -189,7 +189,7 @@ let test_request_roundtrip () =
         (Handler.W_estimate
            { Handler.e_bench = "iir";
              e_verify = true;
-             e_tier = Fi.tier_of_string "native";
+             e_tier = Fi.tier_of_string "fast";
              e_validate = true;
              e_exact = Sched.Exact_report;
              e_budget_s = Some 2.5 });
@@ -219,6 +219,8 @@ let test_request_roundtrip () =
   reject "unknown option key"
     { Protocol.tag = Protocol.Sweep; body = "iir\nfrobnicate=yes" };
   reject "bad tier" { Protocol.tag = Protocol.Sweep; body = "iir\ntier=slow" };
+  reject "retired tier"
+    { Protocol.tag = Protocol.Sweep; body = "iir\ntier=native" };
   reject "bad budget"
     { Protocol.tag = Protocol.Sweep; body = "iir\nbudget=-1" };
   reject "reply tag as request"
@@ -520,8 +522,7 @@ let local_sweep_render (b : R.benchmark) =
        b.R.b_program ~outer_index:b.R.b_outer_index
        ~inner_index:b.R.b_inner_index)
 
-let tiers () =
-  List.filter_map Fi.tier_of_string [ "ref"; "fast"; "native" ]
+let tiers () = [ Fi.Ref; Fi.Fast ]
 
 let test_sweep_identity_exhaustive () =
   with_server (fun socket ->
