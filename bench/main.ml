@@ -1,30 +1,7 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation, plus Bechamel wall-clock microbenchmarks of the
    compiler passes themselves and two ablations of the hardware model.
-
-   Usage:
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe -- table-6.2 figure-6.3 ...
-     dune exec bench/main.exe -- -j 4 --timings table-6.2
-     dune exec bench/main.exe -- --json BENCH_sweep.json table-6.2 micro
-   Targets: table-1.1 table-6.1 table-6.2 table-6.3 figure-2 figure-2.4
-            figure-4 figure-6.1 figure-6.2 figure-6.3 figure-6.4
-            ablation-ports ablation-registers plan micro
-   Flags: -j N (worker-pool size; default UAS_JOBS or the core count),
-          --timings (per-pass span/counter summary at exit),
-          --interp ref|fast (interpreter tier for
-          verification/profiling),
-          --json FILE (write the perf-trajectory document there),
-          --validate off|probe (translation-validate every rewrite),
-          --exact-ii off|check|report (second II oracle: validate the
-          heuristic schedules, or also certify the optimal II per cell),
-          --task-timeout SECS / --retries N (pool supervision),
-          --fault PLAN (arm the fault-injection registry; testing),
-          --cache DIR (persistent artifact store; default UAS_CACHE),
-          --cache-verify (recompute and compare against cached artifacts),
-          --cache-warm (re-run every requested target after the cold pass,
-          recording "<target> (warm)" wall-clock),
-          --version (print the build version line and exit) *)
+   `dune exec bench/main.exe -- --help` lists the targets and flags. *)
 
 open Uas_ir
 module S = Uas_bench_suite
@@ -33,88 +10,74 @@ module N = Uas_core.Nimble
 module P = Uas_core.Planner
 module Instrument = Uas_runtime.Instrument
 module Trajectory = Uas_runtime.Trajectory
+module Session = Uas_cli.Session
 
 let header title = Fmt.pr "@.==== %s ====@." title
 
-(* -j N from the command line; None lets the pool pick UAS_JOBS or the
-   core count *)
-let jobs : int option ref = ref None
+(* One pass over the requested targets.  [traj] is the perf-trajectory
+   document the pass records into: [None] on the --cache-warm leg, so
+   nothing is recorded twice.  [rows] is Table 6.2, the expensive part
+   (50 transformed programs, each replayed in the interpreter):
+   computed at most once per pass, fanned out over the domain pool, and
+   shared by every target that reads it. *)
+type run = {
+  session : Session.t;
+  traj : Trajectory.t option;
+  rows : E.bench_row list Lazy.t;
+}
 
-(* the fault-tolerance knobs (--validate / --task-timeout / --retries) *)
-let validate : bool ref = ref false
-let task_timeout : float option ref = ref None
-let retries : int option ref = ref None
+let incident traj ~site ~cell ~message =
+  Option.iter (fun t -> Trajectory.add_incident t ~site ~cell ~message) traj
 
-(* --exact-ii off|check|report: the second II oracle per sweep cell *)
-let exact : Uas_dfg.Sched.exact_mode ref = ref Uas_dfg.Sched.Exact_off
+(* Degraded cells and skips land in the trajectory's incident log. *)
+let table_rows (session : Session.t) traj =
+  let r =
+    E.table_6_2 ~verify:true ~validate:session.Session.validate
+      ~exact:session.Session.exact ?jobs:session.Session.jobs
+      ?timeout_s:session.Session.task_timeout
+      ?retries:session.Session.retries ()
+  in
+  List.iter
+    (fun (row : E.bench_row) ->
+      let bench = row.E.br_benchmark.S.Registry.b_name in
+      List.iter
+        (fun (c : E.cell) ->
+          (match (traj, c.E.c_gap) with
+          | Some t, Some (hii, e) ->
+            let module Sched = Uas_dfg.Sched in
+            let optimal =
+              match (e.Sched.e_status, e.Sched.e_schedule) with
+              | Sched.Exact_optimal, Some w -> Some w.Sched.s_ii
+              | _ -> None
+            in
+            Trajectory.add_gap t
+              { Trajectory.g_benchmark = bench;
+                g_version = N.version_name c.E.c_version;
+                g_heuristic_ii = hii;
+                g_optimal_ii = optimal;
+                g_proved_ii = e.Sched.e_proved;
+                g_gap = Option.map (fun o -> hii - o) optimal;
+                g_status = Sched.exact_status_name e.Sched.e_status;
+                g_expansions = e.Sched.e_expansions }
+          | _ -> ());
+          List.iter
+            (fun d ->
+              incident traj ~site:"sweep"
+                ~cell:(bench ^ "/" ^ N.version_name c.E.c_version)
+                ~message:(Uas_pass.Diag.to_string d))
+            c.E.c_incidents)
+        row.E.br_cells;
+      List.iter
+        (fun (s : E.skip) ->
+          incident traj ~site:"sweep"
+            ~cell:(bench ^ "/" ^ N.version_name s.E.s_version)
+            ~message:("skipped: " ^ Uas_pass.Diag.to_string s.E.s_diag))
+        row.E.br_skipped)
+    r;
+  r
 
-(* the perf-trajectory document of this run (--json); microbenchmarks
-   record their estimates here as named metrics *)
-let trajectory : Trajectory.t option ref = ref None
-
-let metric ~name ~value ~unit_label =
-  match !trajectory with
-  | Some t -> Trajectory.add_metric t ~name ~value ~unit_label
-  | None -> ()
-
-let incident ~site ~cell ~message =
-  match !trajectory with
-  | Some t -> Trajectory.add_incident t ~site ~cell ~message
-  | None -> ()
-
-(* Table 6.2 is the expensive part (50 transformed programs, each
-   replayed in the interpreter); computed once — fanned out over the
-   domain pool — and shared.  Degraded cells and skips land in the
-   trajectory's incident log. *)
-let rows_cache : E.bench_row list option ref = ref None
-
-let rows () =
-  match !rows_cache with
-  | Some r -> r
-  | None ->
-    let r =
-      E.table_6_2 ~verify:true ~validate:!validate ~exact:!exact ?jobs:!jobs
-        ?timeout_s:!task_timeout ?retries:!retries ()
-    in
-    rows_cache := Some r;
-    List.iter
-      (fun (row : E.bench_row) ->
-        let bench = row.E.br_benchmark.S.Registry.b_name in
-        List.iter
-          (fun (c : E.cell) ->
-            (match (!trajectory, c.E.c_gap) with
-            | Some t, Some (hii, e) ->
-              let module Sched = Uas_dfg.Sched in
-              let optimal =
-                match (e.Sched.e_status, e.Sched.e_schedule) with
-                | Sched.Exact_optimal, Some w -> Some w.Sched.s_ii
-                | _ -> None
-              in
-              Trajectory.add_gap t
-                { Trajectory.g_benchmark = bench;
-                  g_version = N.version_name c.E.c_version;
-                  g_heuristic_ii = hii;
-                  g_optimal_ii = optimal;
-                  g_proved_ii = e.Sched.e_proved;
-                  g_gap = Option.map (fun o -> hii - o) optimal;
-                  g_status = Sched.exact_status_name e.Sched.e_status;
-                  g_expansions = e.Sched.e_expansions }
-            | _ -> ());
-            List.iter
-              (fun d ->
-                incident ~site:"sweep"
-                  ~cell:(bench ^ "/" ^ N.version_name c.E.c_version)
-                  ~message:(Uas_pass.Diag.to_string d))
-              c.E.c_incidents)
-          row.E.br_cells;
-        List.iter
-          (fun (s : E.skip) ->
-            incident ~site:"sweep"
-              ~cell:(bench ^ "/" ^ N.version_name s.E.s_version)
-              ~message:("skipped: " ^ Uas_pass.Diag.to_string s.E.s_diag))
-          row.E.br_skipped)
-      r;
-    r
+let make_run session traj =
+  { session; traj; rows = lazy (table_rows session traj) }
 
 (* --- Table 1.1 --- *)
 
@@ -212,37 +175,37 @@ let figure_4 () =
 
 (* --- Tables 6.2/6.3 and figures 6.1-6.4 --- *)
 
-let table_6_2 () =
+let table_6_2 run =
   header "Table 6.2";
-  Fmt.pr "%a@." E.pp_table_6_2 (rows ())
+  Fmt.pr "%a@." E.pp_table_6_2 (Lazy.force run.rows)
 
-let table_6_3 () =
+let table_6_3 run =
   header "Table 6.3";
-  Fmt.pr "%a@." E.pp_table_6_3 (rows ())
+  Fmt.pr "%a@." E.pp_table_6_3 (Lazy.force run.rows)
 
-let figure_6_1 () =
+let figure_6_1 run =
   header "Figure 6.1: speedup factor";
   Fmt.pr "%a@."
     (E.pp_series ~unit_label:"speedup vs original")
-    (E.figure_6_1 (rows ()))
+    (E.figure_6_1 (Lazy.force run.rows))
 
-let figure_6_2 () =
+let figure_6_2 run =
   header "Figure 6.2: area increase factor";
   Fmt.pr "%a@."
     (E.pp_series ~unit_label:"area vs original")
-    (E.figure_6_2 (rows ()))
+    (E.figure_6_2 (Lazy.force run.rows))
 
-let figure_6_3 () =
+let figure_6_3 run =
   header "Figure 6.3: efficiency factor (speedup/area) — higher is better";
   Fmt.pr "%a@."
     (E.pp_series ~unit_label:"speedup/area")
-    (E.figure_6_3 (rows ()))
+    (E.figure_6_3 (Lazy.force run.rows))
 
-let figure_6_4 () =
+let figure_6_4 run =
   header "Figure 6.4: operators as percent of the area";
   Fmt.pr "%a@."
     (E.pp_series ~unit_label:"% of area")
-    (E.figure_6_4 (rows ()))
+    (E.figure_6_4 (Lazy.force run.rows))
 
 (* --- ablations --- *)
 
@@ -283,7 +246,8 @@ let ablation_registers () =
 
 (* --- the §2 composition: jam to fill the datapath, squash on top --- *)
 
-let combined () =
+let combined run =
+  let s = run.session in
   header
     "Combined jam+squash (§2: \"quadruples the performance but only \
      doubles the area\")";
@@ -297,12 +261,12 @@ let combined () =
           N.Combined (2, 4); N.Combined (4, 2) ]
       in
       let probe =
-        if !validate then Some b.S.Registry.b_workload else None
+        if s.Session.validate then Some b.S.Registry.b_workload else None
       in
       let outcomes =
-        N.sweep ~versions ?jobs:!jobs ?validate:probe
-          ?timeout_s:!task_timeout ?retries:!retries b.S.Registry.b_program
-          ~outer_index:b.S.Registry.b_outer_index
+        N.sweep ~versions ?jobs:s.Session.jobs ?validate:probe
+          ?timeout_s:s.Session.task_timeout ?retries:s.Session.retries
+          b.S.Registry.b_program ~outer_index:b.S.Registry.b_outer_index
           ~inner_index:b.S.Registry.b_inner_index
       in
       let rows = N.successes outcomes in
@@ -334,7 +298,7 @@ let combined () =
             (fun d ->
               Fmt.pr "degraded: %-12s — %a@." (N.version_name v)
                 Uas_pass.Diag.pp d;
-              incident ~site:"combined"
+              incident run.traj ~site:"combined"
                 ~cell:(b.S.Registry.b_name ^ "/" ^ N.version_name v)
                 ~message:(Uas_pass.Diag.to_string d))
             ds)
@@ -418,18 +382,19 @@ let plan_rows_for_trajectory (plan : P.plan) : Trajectory.plan_row list =
           pr_skipped = Some (Uas_pass.Diag.to_string d) })
     plan.P.p_rows
 
-let plan_target () =
+let plan_target run =
+  let s = run.session in
   header "Transform plans: rewrite sequences ending in squash, ranked by \
           the cost model";
   List.iter
     (fun (b : S.Registry.benchmark) ->
       let probe =
-        if !validate then Some b.S.Registry.b_workload else None
+        if s.Session.validate then Some b.S.Registry.b_workload else None
       in
       let plan =
-        P.plan ?jobs:!jobs ?validate:probe ~exact:!exact
-          ?timeout_s:!task_timeout ?retries:!retries b.S.Registry.b_program
-          ~outer_index:b.S.Registry.b_outer_index
+        P.plan ?jobs:s.Session.jobs ?validate:probe ~exact:s.Session.exact
+          ?timeout_s:s.Session.task_timeout ?retries:s.Session.retries
+          b.S.Registry.b_program ~outer_index:b.S.Registry.b_outer_index
           ~inner_index:b.S.Registry.b_inner_index
           ~benchmark:b.S.Registry.b_name
       in
@@ -438,12 +403,12 @@ let plan_target () =
         (fun (row : P.row) ->
           List.iter
             (fun d ->
-              incident ~site:"plan"
+              incident run.traj ~site:"plan"
                 ~cell:(plan.P.p_benchmark ^ "/" ^ row.P.r_candidate.P.c_label)
                 ~message:(Uas_pass.Diag.to_string d))
             row.P.r_incidents)
         plan.P.p_rows;
-      match !trajectory with
+      match run.traj with
       | Some t ->
         Trajectory.add_plan t ~benchmark:plan.P.p_benchmark
           ~objective:(P.objective_name plan.P.p_objective)
@@ -456,7 +421,7 @@ let plan_target () =
 
 (* --- Bechamel microbenchmarks of the passes --- *)
 
-let micro () =
+let micro run =
   header "Microbenchmarks: wall-clock time of the compiler passes";
   (* NB: [open Bechamel] would shadow the [S] alias with Bechamel.S *)
   let module Sj = Uas_bench_suite.Skipjack in
@@ -531,136 +496,111 @@ let micro () =
           match Analyze.OLS.estimates ols with
           | Some [ t ] ->
             Fmt.pr "  %-34s %12.1f ns/run@." name t;
-            metric ~name:("micro." ^ name) ~value:t ~unit_label:"ns/run"
+            Option.iter
+              (fun traj ->
+                Trajectory.add_metric traj ~name:("micro." ^ name) ~value:t
+                  ~unit_label:"ns/run")
+              run.traj
           | Some _ | None -> Fmt.pr "  %-34s (no estimate)@." name)
         results)
     tests
 
+let plain f (_ : run) = f ()
+
 let targets =
-  [ ("table-1.1", table_1_1);
-    ("table-6.1", table_6_1);
+  [ ("table-1.1", plain table_1_1);
+    ("table-6.1", plain table_6_1);
     ("table-6.2", table_6_2);
     ("table-6.3", table_6_3);
-    ("figure-2", figure_2);
-    ("figure-2.4", figure_2_4);
-    ("figure-4", figure_4);
+    ("figure-2", plain figure_2);
+    ("figure-2.4", plain figure_2_4);
+    ("figure-4", plain figure_4);
     ("figure-6.1", figure_6_1);
     ("figure-6.2", figure_6_2);
     ("figure-6.3", figure_6_3);
     ("figure-6.4", figure_6_4);
     ("combined", combined);
-    ("ablation-ports", ablation_ports);
-    ("ablation-registers", ablation_registers);
-    ("ablation-width", ablation_width);
+    ("ablation-ports", plain ablation_ports);
+    ("ablation-registers", plain ablation_registers);
+    ("ablation-width", plain ablation_width);
     ("plan", plan_target);
     ("micro", micro) ]
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* validate the whole command line before running anything: a typo'd
-     target used to surface only after the (expensive) targets before
-     it had already run *)
-  match Uas_core.Cli.parse ~available:(List.map fst targets) args with
-  | Error msg ->
-    Fmt.epr "%s@." msg;
-    exit 1
-  | Ok o ->
-    if o.Uas_core.Cli.o_version then begin
-      Fmt.pr "%s@." Uas_runtime.Build_info.version_string;
-      exit 0
-    end;
-    (* a malformed UAS_JOBS, UAS_FAULT or UAS_INTERP fails up front,
-       not as a backtrace out of the first pool dispatch (or a silent
-       tier fallback) *)
-    (match Uas_runtime.Parallel.default_jobs_result () with
-    | Ok _ -> ()
-    | Error m ->
-      Fmt.epr "%s@." m;
-      exit 1);
-    (match Uas_runtime.Fault.env_error () with
-    | None -> ()
-    | Some m ->
-      Fmt.epr "%s: %s@." Uas_runtime.Fault.env_var m;
-      exit 1);
-    (match Fast_interp.env_tier_error () with
-    | None -> ()
-    | Some m ->
-      Fmt.epr "%s@." m;
-      exit 1);
-    (match o.Uas_core.Cli.o_fault with
-    | None -> ()
-    | Some plan -> (
-      match Uas_runtime.Fault.arm plan with
-      | Ok () -> ()
-      | Error m ->
-        Fmt.epr "--fault: %s@." m;
-        exit 1));
-    (* the persistent artifact store: --cache DIR, or UAS_CACHE; an
-       unopenable directory is a user error, not a degradation *)
-    (match
-       match o.Uas_core.Cli.o_cache with
-       | Some d -> Some d
-       | None -> Sys.getenv_opt Uas_runtime.Store.env_var
-     with
-    | None -> ()
-    | Some dir -> (
-      match Uas_runtime.Store.open_dir dir with
-      | Ok s -> Uas_runtime.Store.install s
-      | Error m ->
-        Fmt.epr "--cache: %s@." m;
-        exit 1));
-    if o.Uas_core.Cli.o_cache_verify then Uas_runtime.Store.set_verify true;
-    jobs := o.Uas_core.Cli.o_jobs;
-    validate := o.Uas_core.Cli.o_validate;
-    exact := o.Uas_core.Cli.o_exact;
-    task_timeout := o.Uas_core.Cli.o_task_timeout;
-    retries := o.Uas_core.Cli.o_retries;
-    (match o.Uas_core.Cli.o_interp with
-    | Some tier -> Fast_interp.set_default_tier tier
-    | None -> ());
-    (* --json embeds the span/counter breakdown, so it implies the
-       instrumentation --timings turns on *)
-    if o.Uas_core.Cli.o_timings || o.Uas_core.Cli.o_json <> None then
-      Instrument.set_enabled true;
-    let traj =
-      Trajectory.make
-        ~interp_tier:(Fast_interp.tier_name (Fast_interp.default_tier ()))
-        ~jobs:o.Uas_core.Cli.o_jobs ()
-    in
-    trajectory := Some traj;
-    let requested =
-      match o.Uas_core.Cli.o_targets with
-      | [] -> List.map fst targets
-      | names -> names
-    in
+let prog = "bench"
+
+let main session json cache_warm requested =
+  Session.start ~prog session;
+  ignore (Session.open_store ~prog session);
+  (* --json embeds the span/counter breakdown, so it implies the
+     instrumentation --timings turns on *)
+  if Option.is_some json then Instrument.set_enabled true;
+  let traj =
+    Trajectory.make
+      ~interp_tier:(Fast_interp.tier_name (Fast_interp.default_tier ()))
+      ~jobs:session.Session.jobs ()
+  in
+  let requested =
+    match requested with [] -> List.map fst targets | names -> names
+  in
+  let pass run suffix =
     List.iter
       (fun name ->
-        let (), wall_s = Trajectory.time (List.assoc name targets) in
-        Trajectory.add_target traj ~name ~wall_s)
-      requested;
-    if o.Uas_core.Cli.o_cache_warm then begin
-      (* the warm leg: drop the in-process table memo so the second
-         pass really goes through the persistent store, and silence
-         the trajectory refs so metrics/plans/gaps/incidents are not
-         recorded twice — only the "<target> (warm)" wall-clock rows
-         land in the document *)
-      rows_cache := None;
-      trajectory := None;
-      List.iter
-        (fun name ->
-          let (), wall_s = Trajectory.time (List.assoc name targets) in
-          Trajectory.add_target traj ~name:(name ^ " (warm)") ~wall_s)
-        requested
-    end;
-    if o.Uas_core.Cli.o_timings then begin
-      header "timings";
-      Fmt.pr "%a" Instrument.pp_summary ()
-    end;
-    (match o.Uas_core.Cli.o_json with
-    | Some file -> Trajectory.write_file traj file
-    | None -> ());
-    (* hit rates and latency on stderr, so clean stdout stays
-       byte-identical to the committed goldens *)
-    match Uas_runtime.Store.installed () with
-    | Some s -> Fmt.epr "%a@." Uas_runtime.Store.pp_stats s
-    | None -> ()
+        let (), wall_s =
+          Trajectory.time (fun () -> List.assoc name targets run)
+        in
+        Trajectory.add_target traj ~name:(name ^ suffix) ~wall_s)
+      requested
+  in
+  pass (make_run session (Some traj)) "";
+  (* the warm leg: a fresh run drops the in-process Table 6.2, so the
+     second pass really goes through the persistent store, and records
+     only the "<target> (warm)" wall-clock rows *)
+  if cache_warm then pass (make_run session None) " (warm)";
+  if session.Session.timings then begin
+    header "timings";
+    Fmt.pr "%a" Instrument.pp_summary ()
+  end;
+  Option.iter (Trajectory.write_file traj) json;
+  (* hit rates and latency on stderr, so clean stdout stays
+     byte-identical to the committed goldens *)
+  Session.report_store ()
+
+let () =
+  let open Cmdliner in
+  let targets_arg =
+    let names = List.map (fun (name, _) -> (name, name)) targets in
+    Arg.(
+      value
+      & pos_all (enum names) []
+      & info [] ~docv:"TARGET"
+          ~doc:
+            ("Each target is " ^ doc_alts_enum names
+           ^ "; they run in the order given (default: all of them)."))
+  in
+  let json_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:
+            "Write the perf-trajectory document (per-target wall-clock, \
+             microbenchmark metrics, span breakdown) to FILE")
+  in
+  let cache_warm_arg =
+    Arg.(
+      value & flag
+      & info [ "cache-warm" ]
+          ~doc:
+            "Re-run every requested target after the cold pass, \
+             recording \"<target> (warm)\" wall-clock")
+  in
+  let info =
+    Cmd.info prog ~version:Uas_runtime.Build_info.version_string
+      ~doc:"Regenerate the tables and figures of the paper's evaluation"
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v info
+          Term.(
+            const main $ Session.term $ json_arg $ cache_warm_arg
+            $ targets_arg)))

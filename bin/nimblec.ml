@@ -16,45 +16,9 @@ module P = Uas_core.Planner
 module Cu = Uas_pass.Cu
 module Diag = Uas_pass.Diag
 module Rewrite = Uas_transform.Rewrite
-module Parallel = Uas_runtime.Parallel
-module Fault = Uas_runtime.Fault
+module Session = Uas_cli.Session
 
-(* A runtime configuration problem (malformed UAS_JOBS / UAS_FAULT /
-   --fault) exits with a structured diagnostic, never a backtrace. *)
-let runtime_error fmt =
-  Format.kasprintf
-    (fun msg ->
-      Fmt.epr "nimblec: %a@." Diag.pp (Diag.errorf ~pass:"runtime" "%s" msg);
-      exit 1)
-    fmt
-
-(* --fault PLAN arms the injection registry for this invocation; the
-   plan is validated here so a typo is a diagnostic, not a surprise. *)
-let arm_fault = function
-  | None -> ()
-  | Some plan -> (
-    match Fault.arm plan with
-    | Ok () -> ()
-    | Error m -> runtime_error "--fault: %s" m)
-
-(* --cache DIR (or UAS_CACHE) opens and installs the persistent
-   artifact store before the command body runs; an unopenable
-   directory is a structured diagnostic, not a backtrace. *)
-let init_cache cache verify =
-  (match cache with
-  | None -> ()
-  | Some dir -> (
-    match Uas_runtime.Store.open_dir dir with
-    | Ok s -> Uas_runtime.Store.install s
-    | Error m -> runtime_error "--cache: %s" m));
-  if verify then Uas_runtime.Store.set_verify true
-
-(* After a store-consulting command: the hit-rate line, on stderr so
-   the table output stays byte-identical with and without a cache. *)
-let report_store_stats () =
-  match Uas_runtime.Store.installed () with
-  | Some s -> Fmt.epr "%a@." Uas_runtime.Store.pp_stats s
-  | None -> ()
+let prog = "nimblec"
 
 let find_benchmark name =
   match S.Registry.find name with
@@ -156,21 +120,6 @@ let parse_version s =
 let bench_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker-pool size for the version sweep (default: \
-              $(b,UAS_JOBS) or the core count; 1 = sequential)")
-
-let timings_arg =
-  Arg.(
-    value & flag
-    & info [ "timings" ]
-        ~doc:"Record per-pass wall-clock spans and counters and print the \
-              summary table at the end")
-
 (* [-v] only: subcommands inherit the group's [--version] from
    Cmdliner, and a second long option of the same name is a hard
    Invalid_argument at eval time *)
@@ -182,100 +131,6 @@ let version_arg =
         ~doc:
           "original | pipelined | squash:N | jam:N | jam:J+squash:K | \
            flatten+squash:N (the deep-nest route)")
-
-let validate_arg =
-  let mode_conv = Arg.enum [ ("off", false); ("probe", true) ] in
-  Arg.(
-    value
-    & opt mode_conv false
-    & info [ "validate" ] ~docv:"MODE"
-        ~doc:
-          "Translation validation of every rewrite: $(b,off) (the \
-           default) or $(b,probe) (replay the benchmark workload on \
-           both interpreter tiers after each rewrite; a miscompiling \
-           rewrite degrades its cell to the last-known-good program \
-           instead of propagating a wrong one)")
-
-let exact_arg =
-  let mode_conv =
-    Arg.enum
-      [ ("off", Uas_dfg.Sched.Exact_off);
-        ("check", Uas_dfg.Sched.Exact_check);
-        ("report", Uas_dfg.Sched.Exact_report) ]
-  in
-  Arg.(
-    value
-    & opt mode_conv Uas_dfg.Sched.Exact_off
-    & info [ "exact-ii" ] ~docv:"MODE"
-        ~doc:
-          "Second II oracle per cell: $(b,off) (the default), \
-           $(b,check) (validate every heuristic schedule against the \
-           raw constraint system), or $(b,report) (also certify the \
-           optimal II of pipelined cells by exact branch-and-bound and \
-           footnote the heuristic-vs-optimal gap)")
-
-let task_timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "task-timeout" ] ~docv:"SECS"
-        ~doc:
-          "Per-task wall-clock budget for the worker pool; an \
-           overrunning task is marked timed out and its cell skipped \
-           instead of hanging the sweep")
-
-let retries_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "retries" ] ~docv:"N"
-        ~doc:"Retry budget for retryable (injected-fault) task failures")
-
-let fault_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "fault" ] ~docv:"PLAN"
-        ~doc:
-          "Arm the deterministic fault-injection registry (testing; \
-           same grammar as $(b,UAS_FAULT): site[=label]:kind:nth,...)")
-
-let cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ] ~docv:"DIR"
-        ~env:(Cmd.Env.info Uas_runtime.Store.env_var)
-        ~doc:
-          "Persistent content-addressed artifact store: schedules, \
-           exact-II certificates, hardware estimates and planner rows \
-           are looked up here before being recomputed (see \
-           docs/CACHING.md)")
-
-let cache_verify_arg =
-  Arg.(
-    value & flag
-    & info [ "cache-verify" ]
-        ~doc:
-          "Recompute every artifact and compare it against the cached \
-           copy; a mismatch is an incident and the entry is replaced")
-
-(* --task-timeout / --retries bounds checked once, up front, through
-   the shared validator (Uas_runtime.Budget) — same ranges and the
-   same diagnostic as bench/main.exe and nimbled *)
-let check_supervision timeout_s retries =
-  (match timeout_s with
-  | Some t -> (
-    match Uas_runtime.Budget.check_timeout ~flag:"--task-timeout" t with
-    | Ok _ -> ()
-    | Error m -> runtime_error "%s" m)
-  | None -> ());
-  match retries with
-  | Some n -> (
-    match Uas_runtime.Budget.check_retries ~flag:"--retries" n with
-    | Ok _ -> ()
-    | Error m -> runtime_error "%s" m)
-  | None -> ()
 
 (* --server ADDR: serve the request from a nimbled daemon.  When the
    daemon is unreachable (bounded retries with exponential backoff and
@@ -309,35 +164,6 @@ let serve_or_local ~addr work ~local =
   | Uas_service.Client.Rejected m | Uas_service.Client.Unreachable m ->
     service_incident addr m;
     local ()
-
-let interp_arg =
-  let tier_conv =
-    let parse s =
-      match Uas_ir.Fast_interp.tier_of_string s with
-      | Some t -> Ok t
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "expected %s, got %s"
-               Uas_ir.Fast_interp.valid_tiers s))
-    in
-    let print ppf t = Fmt.string ppf (Uas_ir.Fast_interp.tier_name t) in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt (some tier_conv) None
-    & info [ "interp" ] ~docv:"TIER"
-        ~doc:
-          "Interpreter tier: $(b,ref) (the tree-walking reference) \
-           or $(b,fast) (slot-compiled; the default).  Both produce \
-           bit-identical results and profiles.")
-
-(* the flag sets the process-wide default, so every execution path —
-   verification, profiling, direct runs — follows it *)
-let set_interp = function
-  | Some tier -> Uas_ir.Fast_interp.set_default_tier tier
-  | None -> ()
 
 (* --- list --- *)
 
@@ -373,26 +199,24 @@ let show_cmd =
 (* --- estimate --- *)
 
 let estimate_cmd =
-  let run name verify jobs timings dump_after interp validate exact timeout_s
-      retries fault cache cache_verify server =
-    set_interp interp;
-    check_supervision timeout_s retries;
-    arm_fault fault;
+  let run name verify dump_after server (s : Session.t) =
+    Session.start ~prog s;
     let local () =
-      init_cache cache cache_verify;
-      if timings then Uas_runtime.Instrument.set_enabled true;
+      ignore (Session.open_store ~prog s);
       let b = find_benchmark name in
       let after = dump_hook_of dump_after in
       (* dumping from pool domains would interleave: force sequential *)
-      let jobs = if Option.is_some after then Some 1 else jobs in
+      let jobs = if Option.is_some after then Some 1 else s.Session.jobs in
       let row =
-        E.run_benchmark ~verify ~validate ~exact ?jobs ?timeout_s ?retries
-          ?after b
+        E.run_benchmark ~verify ~validate:s.Session.validate
+          ~exact:s.Session.exact ?jobs ?timeout_s:s.Session.task_timeout
+          ?retries:s.Session.retries ?after b
       in
       Fmt.pr "%a@." E.pp_table_6_2 [ row ];
       Fmt.pr "%a@." E.pp_table_6_3 [ row ];
-      if timings then Fmt.pr "%a" Uas_runtime.Instrument.pp_summary ();
-      report_store_stats ()
+      if s.Session.timings then
+        Fmt.pr "%a" Uas_runtime.Instrument.pp_summary ();
+      Session.report_store ()
     in
     match server with
     | None -> local ()
@@ -401,9 +225,9 @@ let estimate_cmd =
         (Uas_service.Handler.W_estimate
            { Uas_service.Handler.e_bench = name;
              e_verify = verify;
-             e_tier = interp;
-             e_validate = validate;
-             e_exact = exact;
+             e_tier = s.Session.tier;
+             e_validate = s.Session.validate;
+             e_exact = s.Session.exact;
              e_budget_s = None })
         ~local
   in
@@ -418,16 +242,14 @@ let estimate_cmd =
     (Cmd.info "estimate"
        ~doc:"Estimate all paper versions of a benchmark (Table 6.2/6.3 rows)")
     Term.(
-      const run $ bench_arg $ verify $ jobs_arg $ timings_arg
-      $ dump_after_arg $ interp_arg $ validate_arg $ exact_arg
-      $ task_timeout_arg $ retries_arg $ fault_arg $ cache_arg
-      $ cache_verify_arg $ server_arg)
+      const run $ bench_arg $ verify $ dump_after_arg $ server_arg
+      $ Session.term)
 
 (* --- run --- *)
 
 let run_cmd =
-  let run name version interp =
-    set_interp interp;
+  let run name version s =
+    Session.start ~prog s;
     let tier = Uas_ir.Fast_interp.default_tier () in
     let b = find_benchmark name in
     let built =
@@ -455,7 +277,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Execute a (transformed) benchmark and verify its outputs")
-    Term.(const run $ bench_arg $ version_arg $ interp_arg)
+    Term.(const run $ bench_arg $ version_arg $ Session.tier_only)
 
 (* --- dfg --- *)
 
@@ -620,34 +442,32 @@ let objective_arg =
            $(b,area) (area rows), or $(b,ratio) (speedup per area, the \
            Figure 6.3 efficiency metric; the default)")
 
-let plan_benchmark ?jobs ?(validate = false) ?exact ?timeout_s ?retries
-    ~objective (b : S.Registry.benchmark) =
-  let probe = if validate then Some b.S.Registry.b_workload else None in
-  let plan =
-    P.plan ?jobs ~objective ?validate:probe ?exact ?timeout_s ?retries
-      b.S.Registry.b_program ~outer_index:b.S.Registry.b_outer_index
-      ~inner_index:b.S.Registry.b_inner_index ~benchmark:b.S.Registry.b_name
-  in
-  Fmt.pr "%a@." P.pp plan
-
 let plan_cmd =
-  let run name objective jobs validate exact timeout_s retries fault cache
-      cache_verify server =
-    check_supervision timeout_s retries;
-    arm_fault fault;
-    let cache_ready = ref false in
-    let local_cache () =
-      if not !cache_ready then begin
-        cache_ready := true;
-        init_cache cache cache_verify
-      end
-    in
+  let run name objective server (s : Session.t) =
+    Session.start ~prog s;
+    (* the store opens with the first local plan: a daemon that serves
+       every benchmark never needs it *)
+    let local_ran = ref false in
     (* one request (or local fallback) per benchmark, so a daemon that
        fails mid-list degrades only the affected benchmark *)
-    let plan_one b =
+    let plan_one (b : S.Registry.benchmark) =
       let local () =
-        local_cache ();
-        plan_benchmark ?jobs ~validate ~exact ?timeout_s ?retries ~objective b
+        if not !local_ran then begin
+          local_ran := true;
+          ignore (Session.open_store ~prog s)
+        end;
+        let probe =
+          if s.Session.validate then Some b.S.Registry.b_workload else None
+        in
+        let plan =
+          P.plan ?jobs:s.Session.jobs ~objective ?validate:probe
+            ~exact:s.Session.exact ?timeout_s:s.Session.task_timeout
+            ?retries:s.Session.retries b.S.Registry.b_program
+            ~outer_index:b.S.Registry.b_outer_index
+            ~inner_index:b.S.Registry.b_inner_index
+            ~benchmark:b.S.Registry.b_name
+        in
+        Fmt.pr "%a@." P.pp plan
       in
       match server with
       | None -> local ()
@@ -656,15 +476,19 @@ let plan_cmd =
           (Uas_service.Handler.W_plan
              { Uas_service.Handler.p_bench = b.S.Registry.b_name;
                p_objective = objective;
-               p_validate = validate;
-               p_exact = exact;
+               p_validate = s.Session.validate;
+               p_exact = s.Session.exact;
                p_budget_s = None })
           ~local
     in
     (match name with
     | Some name -> plan_one (find_benchmark name)
     | None -> List.iter plan_one (S.Registry.all () @ S.Registry.extras ()));
-    if !cache_ready then report_store_stats ()
+    if !local_ran then begin
+      if s.Session.timings then
+        Fmt.pr "%a" Uas_runtime.Instrument.pp_summary ();
+      Session.report_store ()
+    end
   in
   let bench_opt =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCHMARK")
@@ -673,10 +497,7 @@ let plan_cmd =
     (Cmd.info "plan"
        ~doc:"Rank rewrite sequences ending in squash by the cost model \
              (all benchmarks when none is named)")
-    Term.(
-      const run $ bench_opt $ objective_arg $ jobs_arg $ validate_arg
-      $ exact_arg $ task_timeout_arg $ retries_arg $ fault_arg $ cache_arg
-      $ cache_verify_arg $ server_arg)
+    Term.(const run $ bench_opt $ objective_arg $ server_arg $ Session.term)
 
 (* --- daemon: control verbs against a nimbled instance --- *)
 
@@ -685,7 +506,7 @@ let daemon_cmd =
     let addr =
       match server with
       | Some addr -> addr
-      | None -> runtime_error "daemon %s requires --server ADDR" action
+      | None -> Session.failf ~prog "daemon %s requires --server ADDR" action
     in
     let request =
       match action with
@@ -694,8 +515,8 @@ let daemon_cmd =
       | "stats" -> Uas_service.Handler.Stats
       | "drain" -> Uas_service.Handler.Drain
       | other ->
-        runtime_error "unknown daemon action %s (hello|health|stats|drain)"
-          other
+        Session.failf ~prog
+          "unknown daemon action %s (hello|health|stats|drain)" other
     in
     match
       Uas_service.Client.call ?attempts addr
@@ -730,8 +551,8 @@ let daemon_cmd =
 (* --- profile --- *)
 
 let profile_cmd =
-  let run interp =
-    set_interp interp;
+  let run s =
+    Session.start ~prog s;
     Fmt.pr "%-28s %8s %12s %9s@." "benchmark" "# loops" "# loops>1%" "total %";
     List.iter
       (fun (r : S.Profile.row) ->
@@ -741,57 +562,17 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile" ~doc:"Run the Table 1.1 loop-profiling study")
-    Term.(const run $ interp_arg)
-
-(* `nimblec --plan` at the top level plans every registry benchmark —
-   the one-shot planner entry; without it, the group prints its help. *)
-let default_term =
-  let run plan_flag objective jobs validate exact timeout_s retries fault
-      cache cache_verify =
-    if plan_flag then begin
-      check_supervision timeout_s retries;
-      arm_fault fault;
-      init_cache cache cache_verify;
-      List.iter
-        (plan_benchmark ?jobs ~validate ~exact ?timeout_s ?retries ~objective)
-        (S.Registry.all () @ S.Registry.extras ());
-      report_store_stats ();
-      `Ok ()
-    end
-    else `Help (`Pager, None)
-  in
-  let plan_flag =
-    Arg.(
-      value & flag
-      & info [ "plan" ]
-          ~doc:"Rank rewrite sequences ending in squash by the cost model, \
-                for every benchmark (see also the $(b,plan) subcommand)")
-  in
-  Term.(
-    ret
-      (const run $ plan_flag $ objective_arg $ jobs_arg $ validate_arg
-      $ exact_arg $ task_timeout_arg $ retries_arg $ fault_arg $ cache_arg
-      $ cache_verify_arg))
+    Term.(const run $ Session.tier_only)
 
 let () =
-  (* a malformed UAS_JOBS, UAS_FAULT or UAS_INTERP is a diagnostic up
-     front, not an Invalid_argument backtrace out of the first pool
-     dispatch (or a silent tier fallback) *)
-  (match Parallel.default_jobs_result () with
-  | Ok _ -> ()
-  | Error m -> runtime_error "%s" m);
-  (match Fault.env_error () with
-  | None -> ()
-  | Some m -> runtime_error "%s: %s" Fault.env_var m);
-  (match Uas_ir.Fast_interp.env_tier_error () with
-  | None -> ()
-  | Some m -> runtime_error "%s" m);
   let info =
-    Cmd.info "nimblec" ~version:Uas_runtime.Build_info.version_string
+    Cmd.info prog ~version:Uas_runtime.Build_info.version_string
       ~doc:"Unroll-and-squash loop pipelining flow"
   in
   exit
     (Cmd.eval
-       (Cmd.group ~default:default_term info
+       (Cmd.group
+          ~default:Term.(ret (const (`Help (`Pager, None))))
+          info
           [ list_cmd; show_cmd; estimate_cmd; run_cmd; dfg_cmd; plan_cmd;
             profile_cmd; compile_cmd; export_cmd; daemon_cmd ]))

@@ -1,8 +1,10 @@
-(* One validator for the supervision budget flags, shared by nimblec,
-   bench/main.exe and nimbled so the three CLIs cannot drift: the same
-   nonsensical value (0, negative, NaN, absurdly large) is rejected
-   with the same diagnostic everywhere, and the diagnostic always
-   names the valid range — the UAS_JOBS / UAS_FAULT precedent. *)
+(* One validator for the supervision budget values, behind the
+   --task-timeout / --retries / --request-budget / --drain-timeout
+   converters of Uas_cli.Session and the daemon's per-request budget=
+   key, so a nonsensical value (0, negative, NaN, absurdly large) is
+   rejected with the same diagnostic everywhere, and the diagnostic
+   always names the valid range — the UAS_JOBS / UAS_FAULT
+   precedent. *)
 
 let timeout_max_s = 86_400.0
 let retries_max = 100
@@ -10,31 +12,21 @@ let retries_max = 100
 let timeout_range = Printf.sprintf "finite seconds in (0, %.0f]" timeout_max_s
 let retries_range = Printf.sprintf "an integer in [0, %d]" retries_max
 
-let check_timeout ~flag t =
-  if Float.is_nan t || not (Float.is_finite t) then
-    Error
-      (Printf.sprintf "%s %s is not a finite duration; expected %s" flag
-         (string_of_float t) timeout_range)
-  else if t <= 0.0 || t > timeout_max_s then
-    Error
-      (Printf.sprintf "%s %g is out of range; expected %s" flag t
-         timeout_range)
-  else Ok t
-
 let timeout_of_string ~flag s =
   match float_of_string_opt (String.trim s) with
   | None ->
     Error
       (Printf.sprintf "%s %S is not a number; expected %s" flag s
          timeout_range)
-  | Some t -> check_timeout ~flag t
-
-let check_retries ~flag n =
-  if n < 0 || n > retries_max then
+  | Some t when not (Float.is_finite t) ->
     Error
-      (Printf.sprintf "%s %d is out of range; expected %s" flag n
-         retries_range)
-  else Ok n
+      (Printf.sprintf "%s %s is not a finite duration; expected %s" flag
+         (string_of_float t) timeout_range)
+  | Some t when t <= 0.0 || t > timeout_max_s ->
+    Error
+      (Printf.sprintf "%s %g is out of range; expected %s" flag t
+         timeout_range)
+  | Some t -> Ok t
 
 let retries_of_string ~flag s =
   match int_of_string_opt (String.trim s) with
@@ -42,4 +34,8 @@ let retries_of_string ~flag s =
     Error
       (Printf.sprintf "%s %S is not an integer; expected %s" flag s
          retries_range)
-  | Some n -> check_retries ~flag n
+  | Some n when n < 0 || n > retries_max ->
+    Error
+      (Printf.sprintf "%s %d is out of range; expected %s" flag n
+         retries_range)
+  | Some n -> Ok n

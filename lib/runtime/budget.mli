@@ -1,15 +1,17 @@
-(** Shared validation of the supervision budget flags.
+(** Shared validation of the supervision budget values.
 
     [--task-timeout], [--retries] and the daemon budgets
-    ([--request-budget], [--drain-timeout]) are parsed by every CLI
-    through this one module, so a nonsensical value (0, negative, NaN,
-    infinite, absurdly large) is rejected with the same structured
-    diagnostic everywhere — the diagnostic always names the valid
-    range, matching the [UAS_JOBS]/[UAS_FAULT] precedent.
+    ([--request-budget], [--drain-timeout]) are parsed by the
+    converters of [Uas_cli.Session], and the daemon's per-request
+    [budget=] key by its request parser, all through this one module:
+    a nonsensical value (0, negative, NaN, infinite, absurdly large) is
+    rejected with the same structured diagnostic everywhere, and the
+    diagnostic always names the valid range, matching the
+    [UAS_JOBS]/[UAS_FAULT] precedent.
 
     All functions take the flag name being validated ([~flag]) so the
     message points at the exact spelling the user typed
-    ([--task-timeout] vs [--request-budget] vs [UAS_TIMEOUT]). *)
+    ([--task-timeout] vs [--request-budget] vs [budget]). *)
 
 (** Upper bound accepted for any wall budget: one day, in seconds. *)
 val timeout_max_s : float
@@ -22,14 +24,9 @@ val timeout_range : string
 
 val retries_range : string
 
-(** Accepts finite [t] with [0 < t <= timeout_max_s]. *)
-val check_timeout : flag:string -> float -> (float, string) result
-
-(** {!check_timeout} after parsing; a non-numeric string is its own
-    diagnostic. *)
+(** Accepts finite [t] with [0 < t <= timeout_max_s]; a non-numeric
+    string is its own diagnostic. *)
 val timeout_of_string : flag:string -> string -> (float, string) result
 
 (** Accepts [0 <= n <= retries_max]. *)
-val check_retries : flag:string -> int -> (int, string) result
-
 val retries_of_string : flag:string -> string -> (int, string) result

@@ -1,11 +1,12 @@
 (* The runtime subsystem: the Domain pool (ordering, exception
    propagation, UAS_JOBS), the pass instrumentation registry (spans,
-   counters, thread safety, JSON), and the bench-harness CLI parser. *)
+   counters, thread safety, JSON), and the shared command-line session
+   term. *)
 
 module Parallel = Uas_runtime.Parallel
 module Instrument = Uas_runtime.Instrument
 module Fault = Uas_runtime.Fault
-module Cli = Uas_core.Cli
+module Session = Uas_cli.Session
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
@@ -339,114 +340,86 @@ let test_instrument_thread_safe () =
   Instrument.reset ();
   Instrument.set_enabled false
 
-(* --- the bench-harness target parser --- *)
+(* --- the shared command surface (Uas_cli.Session) --- *)
 
-let available = [ "table-6.2"; "figure-2"; "micro" ]
+let base =
+  { Session.jobs = None;
+    tier = None;
+    fault = None;
+    cache = None;
+    cache_verify = false;
+    task_timeout = None;
+    retries = None;
+    validate = false;
+    exact = Uas_dfg.Sched.Exact_off;
+    timings = false }
 
-let ok_options =
-  Alcotest.testable
-    (fun ppf (o : Cli.options) ->
-      Fmt.pf ppf "{jobs=%a; timings=%b; interp=%a; json=%a; targets=[%s]}"
-        Fmt.(option int)
-        o.Cli.o_jobs o.Cli.o_timings
-        Fmt.(option (of_to_string Uas_ir.Fast_interp.tier_name))
-        o.Cli.o_interp
-        Fmt.(option string)
-        o.Cli.o_json
-        (String.concat " " o.Cli.o_targets))
-    ( = )
+(* [Session.term] on [args] with an empty environment: the session, or
+   Cmdliner's parse error joined onto one line *)
+let eval_session args =
+  let err = Buffer.create 256 in
+  let err_ppf = Format.formatter_of_buffer err in
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "t") Session.term in
+  let result =
+    Cmdliner.Cmd.eval_value ~help:quiet ~err:err_ppf ~env:(fun _ -> None)
+      ~argv:(Array.of_list ("t" :: args))
+      cmd
+  in
+  Format.pp_print_flush err_ppf ();
+  match result with
+  | Ok (`Ok s) -> Ok s
+  | Ok (`Help | `Version) | Error _ ->
+    Error
+      (String.split_on_char '\n' (Buffer.contents err)
+      |> List.map String.trim |> String.concat " ")
 
-let check_ok msg args expected =
-  match Cli.parse ~available args with
-  | Ok o -> Alcotest.check ok_options msg expected o
-  | Error e -> Alcotest.failf "%s: unexpected parse error %s" msg e
-
-let check_error msg args =
-  match Cli.parse ~available args with
-  | Ok _ -> Alcotest.failf "%s: expected an error" msg
-  | Error e -> e
-
-let defaults =
-  { Cli.o_jobs = None;
-    o_timings = false;
-    o_interp = None;
-    o_json = None;
-    o_validate = false;
-    o_exact = Uas_dfg.Sched.Exact_off;
-    o_task_timeout = None;
-    o_retries = None;
-    o_fault = None;
-    o_cache = None;
-    o_cache_verify = false;
-    o_cache_warm = false;
-    o_version = false;
-    o_targets = [] }
-
-let test_cli_parse () =
-  check_ok "no args" [] defaults;
-  check_ok "targets in order" [ "micro"; "table-6.2" ]
-    { defaults with Cli.o_targets = [ "micro"; "table-6.2" ] };
-  check_ok "flags anywhere"
-    [ "-j"; "4"; "table-6.2"; "--timings" ]
-    { defaults with
-      Cli.o_jobs = Some 4;
-      o_timings = true;
-      o_targets = [ "table-6.2" ] };
-  check_ok "--jobs alias" [ "--jobs"; "2" ]
-    { defaults with Cli.o_jobs = Some 2 }
-
-let test_cli_parse_interp_json () =
-  check_ok "--interp ref"
-    [ "--interp"; "ref"; "micro" ]
-    { defaults with
-      Cli.o_interp = Some Uas_ir.Fast_interp.Ref;
-      o_targets = [ "micro" ] };
-  check_ok "--interp fast" [ "--interp"; "fast" ]
-    { defaults with Cli.o_interp = Some Uas_ir.Fast_interp.Fast };
-  check_ok "--json file" [ "--json"; "out.json" ]
-    { defaults with Cli.o_json = Some "out.json" };
-  ignore (check_error "--interp without value" [ "--interp" ]);
-  ignore (check_error "--interp junk" [ "--interp"; "turbo" ]);
-  ignore (check_error "--interp native" [ "--interp"; "native" ]);
-  ignore (check_error "--json without value" [ "--json" ])
-
-let test_cli_rejects_unknown_target () =
-  let e = check_error "typo" [ "table-6.2"; "tabel-6.3" ] in
-  Alcotest.(check bool) "names the bad target" true
-    (contains ~affix:"tabel-6.3" e);
-  Alcotest.(check bool) "lists the valid targets" true
-    (contains ~affix:"table-6.2" e
-    && contains ~affix:"micro" e)
-
-let test_cli_rejects_bad_jobs () =
-  ignore (check_error "-j without value" [ "-j" ]);
-  ignore (check_error "-j 0" [ "-j"; "0" ]);
-  ignore (check_error "-j noise" [ "-j"; "lots" ])
-
-let test_cli_parse_fault_flags () =
-  check_ok "--validate off" [ "--validate"; "off" ] defaults;
-  check_ok "--validate probe" [ "--validate"; "probe" ]
-    { defaults with Cli.o_validate = true };
-  check_ok "--task-timeout" [ "--task-timeout"; "2.5" ]
-    { defaults with Cli.o_task_timeout = Some 2.5 };
-  check_ok "--retries" [ "--retries"; "3" ]
-    { defaults with Cli.o_retries = Some 3 };
-  check_ok "--fault"
-    [ "--fault"; "pass.run:raise:1" ]
-    { defaults with Cli.o_fault = Some "pass.run:raise:1" };
-  check_ok "--exact-ii off" [ "--exact-ii"; "off" ] defaults;
-  check_ok "--exact-ii check" [ "--exact-ii"; "check" ]
-    { defaults with Cli.o_exact = Uas_dfg.Sched.Exact_check };
-  check_ok "--exact-ii report" [ "--exact-ii"; "report" ]
-    { defaults with Cli.o_exact = Uas_dfg.Sched.Exact_report };
-  ignore (check_error "--validate junk" [ "--validate"; "maybe" ]);
-  ignore (check_error "--validate without value" [ "--validate" ]);
-  ignore (check_error "--exact-ii junk" [ "--exact-ii"; "always" ]);
-  ignore (check_error "--exact-ii without value" [ "--exact-ii" ]);
-  ignore (check_error "--task-timeout 0" [ "--task-timeout"; "0" ]);
-  ignore (check_error "--task-timeout noise" [ "--task-timeout"; "soon" ]);
-  ignore (check_error "--retries -1" [ "--retries"; "-1" ]);
-  ignore (check_error "--fault without value" [ "--fault" ])
+let test_session_flags () =
+  List.iter
+    (fun (args, expected) ->
+      let name = String.concat " " args in
+      match eval_session args with
+      | Ok s -> Alcotest.(check bool) (name ^ " parses") true (s = expected)
+      | Error e -> Alcotest.failf "%s rejected: %s" name e)
+    [ ([], base);
+      ([ "-j"; "4" ], { base with Session.jobs = Some 4 });
+      ([ "--jobs"; "2" ], { base with Session.jobs = Some 2 });
+      ( [ "--interp"; "ref" ],
+        { base with Session.tier = Some Uas_ir.Fast_interp.Ref } );
+      ( [ "--interp"; "fast" ],
+        { base with Session.tier = Some Uas_ir.Fast_interp.Fast } );
+      ( [ "--fault"; "pass.run:raise:1" ],
+        { base with Session.fault = Some "pass.run:raise:1" } );
+      ( [ "--cache"; "/tmp/uas-store" ],
+        { base with Session.cache = Some "/tmp/uas-store" } );
+      ([ "--cache-verify" ], { base with Session.cache_verify = true });
+      ( [ "--task-timeout"; "2.5" ],
+        { base with Session.task_timeout = Some 2.5 } );
+      ([ "--retries"; "0" ], { base with Session.retries = Some 0 });
+      ([ "--validate"; "probe" ], { base with Session.validate = true });
+      ( [ "--exact-ii"; "report" ],
+        { base with Session.exact = Uas_dfg.Sched.Exact_report } );
+      ([ "--timings" ], { base with Session.timings = true }) ];
+  (* every rejection is a parse error naming the valid values; -j takes
+     the UAS_JOBS wording *)
+  List.iter
+    (fun (args, affix) ->
+      let name = String.concat " " args in
+      match eval_session args with
+      | Ok _ -> Alcotest.failf "%s accepted" name
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S in %S" name affix e)
+          true (contains ~affix e))
+    [ ([ "-j"; "0" ], "must be a positive integer");
+      ([ "-j"; "lots" ], "must be a positive integer");
+      ([ "--interp"; "native" ], Uas_ir.Fast_interp.valid_tiers);
+      ([ "--interp"; "turbo" ], Uas_ir.Fast_interp.valid_tiers);
+      ([ "--validate"; "maybe" ], "probe");
+      ([ "--exact-ii"; "always" ], "report");
+      ([ "--task-timeout"; "0" ], Uas_runtime.Budget.timeout_range);
+      ([ "--task-timeout"; "nan" ], Uas_runtime.Budget.timeout_range);
+      ([ "--retries"; "1000" ], Uas_runtime.Budget.retries_range) ]
 
 (* The shared budget-flag validator behind nimblec, bench/main.exe and
    nimbled: nonsensical values are structured diagnostics that name
@@ -488,18 +461,6 @@ let test_budget_validator () =
     [ ("negative", "-1"); ("beyond the cap", "1000"); ("noise", "many");
       ("fractional", "1.5") ]
 
-let test_cli_parse_cache_flags () =
-  check_ok "--cache dir"
-    [ "--cache"; "/tmp/uas-store" ]
-    { defaults with Cli.o_cache = Some "/tmp/uas-store" };
-  check_ok "--cache-verify" [ "--cache-verify" ]
-    { defaults with Cli.o_cache_verify = true };
-  check_ok "--cache-warm" [ "--cache-warm" ]
-    { defaults with Cli.o_cache_warm = true };
-  check_ok "--version" [ "--version" ]
-    { defaults with Cli.o_version = true };
-  ignore (check_error "--cache without value" [ "--cache" ])
-
 let suite =
   [ Alcotest.test_case "Parallel.map = List.map" `Quick
       test_map_matches_sequential;
@@ -532,15 +493,6 @@ let suite =
       test_instrument_records;
     Alcotest.test_case "Instrument under the pool" `Quick
       test_instrument_thread_safe;
-    Alcotest.test_case "bench CLI: parse" `Quick test_cli_parse;
-    Alcotest.test_case "bench CLI: --interp/--json" `Quick
-      test_cli_parse_interp_json;
-    Alcotest.test_case "bench CLI: unknown target" `Quick
-      test_cli_rejects_unknown_target;
-    Alcotest.test_case "bench CLI: bad -j" `Quick test_cli_rejects_bad_jobs;
+    Alcotest.test_case "session term: shared flags" `Quick test_session_flags;
     Alcotest.test_case "shared budget-flag validator" `Quick
-      test_budget_validator;
-    Alcotest.test_case "bench CLI: fault-tolerance flags" `Quick
-      test_cli_parse_fault_flags;
-    Alcotest.test_case "bench CLI: cache flags" `Quick
-      test_cli_parse_cache_flags ]
+      test_budget_validator ]
