@@ -256,57 +256,47 @@ let combined run =
   List.iter
     (fun (b : S.Registry.benchmark) ->
       Fmt.pr "@.%s@." b.S.Registry.b_name;
-      let versions =
-        [ N.Original; N.Jammed 2; N.Squashed 4; N.Combined (2, 2);
-          N.Combined (2, 4); N.Combined (4, 2) ]
+      let row =
+        E.run_benchmark ~verify:false ~validate:s.Session.validate
+          ~versions:
+            [ N.Original; N.Jammed 2; N.Squashed 4; N.Combined (2, 2);
+              N.Combined (2, 4); N.Combined (4, 2) ]
+          ?jobs:s.Session.jobs ?timeout_s:s.Session.task_timeout
+          ?retries:s.Session.retries b
       in
-      let probe =
-        if s.Session.validate then Some b.S.Registry.b_workload else None
-      in
-      let outcomes =
-        N.sweep ~versions ?jobs:s.Session.jobs ?validate:probe
-          ?timeout_s:s.Session.task_timeout ?retries:s.Session.retries
-          b.S.Registry.b_program ~outer_index:b.S.Registry.b_outer_index
-          ~inner_index:b.S.Registry.b_inner_index
-      in
-      let rows = N.successes outcomes in
-      let base =
-        List.find_map
-          (fun (v, _, r) -> if v = N.Original then Some r else None)
-          rows
-      in
-      (match base with
+      (match
+         List.find_opt (fun c -> c.E.c_version = N.Original) row.E.br_cells
+       with
       | None -> ()
-      | Some base ->
+      | Some { E.c_report = base; _ } ->
         List.iter
-          (fun (v, _, (r : Uas_hw.Estimate.report)) ->
-            let speedup =
-              float_of_int base.Uas_hw.Estimate.r_total_cycles
-              /. float_of_int r.Uas_hw.Estimate.r_total_cycles
-            in
-            let area =
-              float_of_int r.Uas_hw.Estimate.r_area_rows
-              /. float_of_int base.Uas_hw.Estimate.r_area_rows
-            in
-            Fmt.pr "%-18s %6d %8d %9.2f %8.2f %10.2f@." (N.version_name v)
-              r.Uas_hw.Estimate.r_ii r.Uas_hw.Estimate.r_area_rows speedup
-              area (speedup /. area))
-          rows);
+          (fun (c : E.cell) ->
+            let r = c.E.c_report in
+            Fmt.pr "%-18s %6d %8d %9.2f %8.2f %10.2f@."
+              (N.version_name c.E.c_version)
+              r.Uas_hw.Estimate.r_ii r.Uas_hw.Estimate.r_area_rows
+              (Uas_hw.Estimate.speedup ~base r)
+              (Uas_hw.Estimate.area_factor ~base r)
+              (Uas_hw.Estimate.efficiency ~base r))
+          row.E.br_cells);
       List.iter
-        (fun (v, ds) ->
+        (fun (c : E.cell) ->
           List.iter
             (fun d ->
-              Fmt.pr "degraded: %-12s — %a@." (N.version_name v)
+              Fmt.pr "degraded: %-12s — %a@."
+                (N.version_name c.E.c_version)
                 Uas_pass.Diag.pp d;
               incident run.traj ~site:"combined"
-                ~cell:(b.S.Registry.b_name ^ "/" ^ N.version_name v)
+                ~cell:(b.S.Registry.b_name ^ "/" ^ N.version_name c.E.c_version)
                 ~message:(Uas_pass.Diag.to_string d))
-            ds)
-        (N.degraded outcomes);
+            c.E.c_incidents)
+        row.E.br_cells;
       List.iter
-        (fun (v, d) ->
-          Fmt.pr "skipped: %-12s — %a@." (N.version_name v) Uas_pass.Diag.pp d)
-        (N.skipped outcomes))
+        (fun (sk : E.skip) ->
+          Fmt.pr "skipped: %-12s — %a@."
+            (N.version_name sk.E.s_version)
+            Uas_pass.Diag.pp sk.E.s_diag)
+        row.E.br_skipped)
     (S.Registry.all ())
 
 let ablation_width () =
@@ -358,7 +348,7 @@ let plan_rows_for_trajectory (plan : P.plan) : Trajectory.plan_row list =
         incr rank;
         let speedup, ratio =
           match plan.P.p_baseline with
-          | Some base -> (P.speedup ~base r, P.ratio ~base r)
+          | Some base -> (Uas_hw.Estimate.speedup ~base r, P.ratio ~base r)
           | None -> (1.0, 1.0)
         in
         { Trajectory.pr_rank = !rank;

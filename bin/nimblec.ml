@@ -212,8 +212,7 @@ let estimate_cmd =
           ~exact:s.Session.exact ?jobs ?timeout_s:s.Session.task_timeout
           ?retries:s.Session.retries ?after b
       in
-      Fmt.pr "%a@." E.pp_table_6_2 [ row ];
-      Fmt.pr "%a@." E.pp_table_6_3 [ row ];
+      print_string (Uas_service.Handler.render_estimate row);
       if s.Session.timings then
         Fmt.pr "%a" Uas_runtime.Instrument.pp_summary ();
       Session.report_store ()
@@ -259,7 +258,8 @@ let run_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let result =
-      S.Registry.run_tier tier built.N.bv_program b.S.Registry.b_workload
+      S.Registry.run_tier tier (Uas_ir.Fast_interp.Source built.N.bv_program)
+        b.S.Registry.b_workload
     in
     let dt = Unix.gettimeofday () -. t0 in
     Fmt.pr
@@ -467,7 +467,7 @@ let plan_cmd =
             ~inner_index:b.S.Registry.b_inner_index
             ~benchmark:b.S.Registry.b_name
         in
-        Fmt.pr "%a@." P.pp plan
+        print_string (Uas_service.Handler.render_plan plan)
       in
       match server with
       | None -> local ()

@@ -1,5 +1,5 @@
 (* nimbled — the fault-tolerant compilation daemon.  Serves
-   sweep/plan/estimate requests from nimblec --server clients over a
+   estimate and plan requests from nimblec --server clients over a
    Unix-domain socket, with bounded admission, per-request wall
    budgets, per-connection fault isolation, graceful drain on
    SIGTERM/DRAIN and crash recovery on restart (docs/SERVICE.md).
@@ -136,7 +136,7 @@ let () =
       ~man:
         [ `S Manpage.s_description;
           `P
-            "Serves sweep, plan and estimate requests over a \
+            "Serves estimate and plan requests over a \
              Unix-domain socket with bounded admission (overload sheds \
              with BUSY + retry-after), per-request wall budgets, \
              per-connection fault isolation, graceful drain on SIGTERM \

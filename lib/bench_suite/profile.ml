@@ -300,7 +300,9 @@ let profile_app ?tier (a : app) : row =
   let tier =
     match tier with Some t -> t | None -> Fast_interp.default_tier ()
   in
-  let result = Registry.run_tier tier a.program a.workload in
+  let result =
+    Registry.run_tier tier (Fast_interp.Source a.program) a.workload
+  in
   let reports = Interp.loop_reports result in
   let hot = List.filter (fun r -> r.Interp.lr_fraction > 0.01) reports in
   (* drop hot loops nested inside another hot loop *)

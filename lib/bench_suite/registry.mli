@@ -53,7 +53,7 @@ val stall_fuel : int
 val run_tier :
   ?fuel:int ->
   Fast_interp.tier ->
-  Stmt.program ->
+  Fast_interp.code ->
   Interp.workload ->
   Interp.result
 

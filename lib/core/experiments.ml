@@ -8,7 +8,8 @@
 module Registry = Uas_bench_suite.Registry
 module Estimate = Uas_hw.Estimate
 module Datapath = Uas_hw.Datapath
-module Parallel = Uas_runtime.Parallel
+module Pass = Uas_pass.Pass
+module Stages = Uas_pass.Stages
 module Instrument = Uas_runtime.Instrument
 module Fault = Uas_runtime.Fault
 module Fast_interp = Uas_ir.Fast_interp
@@ -57,17 +58,12 @@ type normalized = {
    compilation unit, both interpreter tiers copy the workload's input
    arrays, and the benchmark record is only read.
 
-   The whole cell runs inside a fault scope named
-   "<benchmark>/<version>", so a labeled fault spec lands on one exact
-   cell at any pool size.  A verification run that goes wrong — stuck,
-   out of fuel, an injected interpreter fault, outputs differing from
-   the host reference — marks the cell unverified with an incident; it
-   never aborts the sweep. *)
-let build_cell ?after ?(validate = false) ?(exact = Sched.Exact_off) ~target
-    ~verify ~tier (b : Registry.benchmark) (v : Nimble.version) :
-    (cell, skip) result =
-  Fault.with_scope (b.Registry.b_name ^ "/" ^ Nimble.version_name v)
-  @@ fun () ->
+   A verification run that goes wrong — stuck, out of fuel, an
+   injected interpreter fault, outputs differing from the host
+   reference — marks the cell unverified with an incident; it never
+   aborts the sweep. *)
+let build_cell ?after ~validate ~exact ~target ~verify ~tier
+    (b : Registry.benchmark) (v : Nimble.version) : (cell, skip) result =
   let probe = if validate then Some b.Registry.b_workload else None in
   match
     Nimble.run_version_cu ~target ?after ?validate:probe ~exact
@@ -76,13 +72,6 @@ let build_cell ?after ?(validate = false) ?(exact = Sched.Exact_off) ~target
   with
   | Error d -> Error { s_version = v; s_diag = d }
   | Ok (cu, built, report) ->
-    let gap =
-      if exact = Sched.Exact_report && Nimble.pipelined v then
-        match (Cu.schedule cu, Cu.exact cu) with
-        | Some s, Some e -> Some (s.Sched.s_ii, e)
-        | _ -> None
-      else None
-    in
     let incidents = ref (Cu.incidents cu) in
     let incident fmt =
       Fmt.kstr
@@ -93,31 +82,12 @@ let build_cell ?after ?(validate = false) ?(exact = Sched.Exact_off) ~target
     let verified =
       (not verify)
       || Instrument.span "pass.verify" (fun () ->
-             let run ?fuel () =
+             let code : Fast_interp.code =
                match (tier : Fast_interp.tier) with
-               | Ref ->
-                 Instrument.span "interp.run.ref" (fun () ->
-                     Uas_ir.Interp.run ?fuel built.Nimble.bv_program
-                       b.Registry.b_workload)
-               | Fast ->
-                 (* reuse (or create) the unit's compiled artifact *)
-                 let compiled = Cu.compiled cu in
-                 Instrument.span "interp.run.fast" (fun () ->
-                     Fast_interp.run ?fuel compiled b.Registry.b_workload)
+               | Ref -> Source built.Nimble.bv_program
+               | Fast -> Compiled (Cu.compiled cu)
              in
-             match
-               (* the [interp.run] fault site, tier-labeled like
-                  [Registry.run_tier] *)
-               match
-                 Fault.hit ~label:(Fast_interp.tier_name tier) "interp.run"
-               with
-               | None -> run ()
-               | Some Fault.Raise ->
-                 raise
-                   (Fault.Injected { site = "interp.run"; kind = Fault.Raise })
-               | Some Fault.Stall -> run ~fuel:Registry.stall_fuel ()
-               | Some Fault.Corrupt -> Registry.corrupt_result (run ())
-             with
+             match Registry.run_tier tier code b.Registry.b_workload with
              | result -> (
                match Registry.check_result b result with
                | Ok () -> true
@@ -139,40 +109,46 @@ let build_cell ?after ?(validate = false) ?(exact = Sched.Exact_off) ~target
       { c_version = v;
         c_report = report;
         c_verified = verified;
-        c_gap = gap;
+        c_gap = Stages.gap ~exact ~pipelined:(Nimble.pipelined v) cu;
         c_incidents = !incidents }
 
-let row_of_results b results =
-  { br_benchmark = b;
-    br_cells = List.filter_map Result.to_option results;
-    br_skipped =
-      List.filter_map
-        (function Ok _ -> None | Error s -> Some s)
-        results }
+(* Every requested (benchmark, version) cell as one flat pool fan-out,
+   each in a fault scope named "<benchmark>/<version>"; a task the pool
+   gives up on becomes a skipped cell.  The input-ordered results are
+   regrouped benchmark-major. *)
+let run_rows ?(target = Datapath.default) ?(verify = true) ?tier
+    ?(validate = false) ?(exact = Sched.Exact_off) ?jobs ?timeout_s ?retries
+    ?after (benches : (Registry.benchmark * Nimble.version list) list) :
+    bench_row list =
+  let tier =
+    match tier with Some t -> t | None -> Fast_interp.default_tier ()
+  in
+  let cells =
+    Pass.fan_out ?jobs ?timeout_s ?retries
+      ~scope:(fun ((b : Registry.benchmark), v) ->
+        b.Registry.b_name ^ "/" ^ Nimble.version_name v)
+      ~failed:(fun (_, v) d -> Error { s_version = v; s_diag = d })
+      (fun (b, v) ->
+        build_cell ?after ~validate ~exact ~target ~verify ~tier b v)
+      (List.concat_map (fun (b, vs) -> List.map (fun v -> (b, v)) vs) benches)
+  in
+  let rec regroup cells = function
+    | [] -> []
+    | (b, vs) :: rest ->
+      let n = List.length vs in
+      let mine = List.filteri (fun i _ -> i < n) cells in
+      { br_benchmark = b;
+        br_cells = List.filter_map Result.to_option mine;
+        br_skipped =
+          List.filter_map (function Ok _ -> None | Error s -> Some s) mine }
+      :: regroup (List.filteri (fun i _ -> i >= n) cells) rest
+  in
+  regroup cells benches
 
-(* A task the pool itself gave up on — uncaught exception after
-   retries, wall-budget timeout — becomes a skipped cell, so one bad
-   (benchmark, version) can never abort the table. *)
-let skip_of_failure v (tf : Parallel.Task_failure.t) : skip =
-  Instrument.incr "sweep.task-failures";
-  { s_version = v;
-    s_diag = Diag.errorf ~pass:"task" "%s" (Parallel.Task_failure.to_message tf)
-  }
-
-(** Run the full Table 6.2 sweep for one benchmark, versions fanned out
-    over the domain pool.  [verify] replays every transformed program
-    in the interpreter against the host reference (slower; on by
-    default).  [validate] translation-validates every rewrite on the
-    benchmark workload (degrading cells whose rewrites miscompile).
-    [timeout_s]/[retries] supervise the pool tasks
-    ({!Uas_runtime.Parallel.map_results}).  [after] observes the
-    compilation unit after every pass (nimblec's [--dump-after]);
-    dumping interleaves across domains, so pass [jobs:1] with it.
-    [tier] picks the verification interpreter (default: the
-    process-wide {!Fast_interp.default_tier}). *)
-let run_benchmark ?(target = Datapath.default) ?(verify = true) ?tier
-    ?(validate = false) ?exact ?versions ?jobs ?timeout_s ?retries ?after
-    (b : Registry.benchmark) : bench_row =
+(** Run the full Table 6.2 sweep for one benchmark: the one-benchmark
+    case of {!table_6_2}'s fan-out. *)
+let run_benchmark ?target ?verify ?tier ?validate ?exact ?versions ?jobs
+    ?timeout_s ?retries ?after (b : Registry.benchmark) : bench_row =
   let versions =
     match versions with
     | Some vs -> vs
@@ -186,47 +162,18 @@ let run_benchmark ?(target = Datapath.default) ?(verify = true) ?tier
       in
       Nimble.versions_for ~depth
   in
-  let tier =
-    match tier with Some t -> t | None -> Fast_interp.default_tier ()
-  in
-  row_of_results b
-    (Parallel.map_results ?jobs ?timeout_s ?retries
-       (build_cell ?after ~validate ?exact ~target ~verify ~tier b)
-       versions
-    |> List.map2
-         (fun v -> function
-           | Ok r -> r | Error tf -> Error (skip_of_failure v tf))
-         versions)
+  List.hd
+    (run_rows ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s ?retries
+       ?after [ (b, versions) ])
 
 (** Table 6.2 over the whole suite.  All (benchmark, version) cells —
     ~50 independent build+estimate+verify tasks — go through one flat
     pool fan-out, so the hot path scales with the core count instead of
     running strictly sequentially. *)
-let table_6_2 ?(target = Datapath.default) ?(verify = true) ?tier
-    ?(validate = false) ?exact ?jobs ?timeout_s ?retries () : bench_row list =
-  let tier =
-    match tier with Some t -> t | None -> Fast_interp.default_tier ()
-  in
-  let benches = Registry.all () in
-  let versions = Nimble.paper_versions in
-  let tasks =
-    List.concat_map (fun b -> List.map (fun v -> (b, v)) versions) benches
-  in
-  let cells =
-    Parallel.map_results ?jobs ?timeout_s ?retries
-      (fun (b, v) -> build_cell ~validate ?exact ~target ~verify ~tier b v)
-      tasks
-    |> List.map2
-         (fun (_, v) -> function
-           | Ok r -> r | Error tf -> Error (skip_of_failure v tf))
-         tasks
-  in
-  (* regroup the flat, input-ordered cell list benchmark-major *)
-  let nv = List.length versions in
-  List.mapi
-    (fun bi b ->
-      row_of_results b (List.filteri (fun i _ -> i / nv = bi) cells))
-    benches
+let table_6_2 ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s ?retries
+    () : bench_row list =
+  run_rows ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s ?retries
+    (List.map (fun b -> (b, Nimble.paper_versions)) (Registry.all ()))
 
 (** Normalize one benchmark row against its original version
     (Table 6.3). *)
@@ -238,22 +185,16 @@ let normalize (row : bench_row) : normalized list =
     | Some c -> c.c_report
     | None -> invalid_arg "normalize: no original version"
   in
-  let f = float_of_int in
   List.map
     (fun c ->
       let r = c.c_report in
-      let speedup =
-        f base.Estimate.r_total_cycles /. f (max 1 r.Estimate.r_total_cycles)
-      in
-      let area = f r.Estimate.r_area_rows /. f (max 1 base.Estimate.r_area_rows) in
-      let regs =
-        f r.Estimate.r_registers /. f (max 1 base.Estimate.r_registers)
-      in
       { n_version = c.c_version;
-        n_speedup = speedup;
-        n_area = area;
-        n_registers = regs;
-        n_efficiency = speedup /. area;
+        n_speedup = Estimate.speedup ~base r;
+        n_area = Estimate.area_factor ~base r;
+        n_registers =
+          float_of_int r.Estimate.r_registers
+          /. float_of_int (max 1 base.Estimate.r_registers);
+        n_efficiency = Estimate.efficiency ~base r;
         n_operator_share = Estimate.operator_area_fraction r })
     row.br_cells
 

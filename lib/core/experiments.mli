@@ -46,25 +46,24 @@ type normalized = {
   n_operator_share : float;  (** Fig 6.4: operators / area *)
 }
 
-(** One benchmark's Table 6.2 sweep, versions fanned out over a
-    [Uas_runtime.Parallel] pool of [jobs] domains (default: [UAS_JOBS]
-    or the core count; cells are input-ordered and bit-identical to a
-    sequential run).  [verify] replays every version in the interpreter
-    (on by default).  [after] observes the compilation unit after every
-    pipeline pass (pass [jobs:1] with it — output hooks interleave
-    across domains).  [tier] picks the verification interpreter
-    (default {!Uas_ir.Fast_interp.default_tier}); the fast tier reuses
-    each compilation unit's memoized compiled program and produces
+(** One benchmark's Table 6.2 sweep: the one-benchmark case of
+    {!table_6_2}, versions fanned out over a pool of [jobs] domains
+    (default: [UAS_JOBS] or the core count; cells are input-ordered and
+    bit-identical to a sequential run).  [verify] replays every
+    version in the interpreter (on by default).  [after] observes the
+    compilation unit after every pipeline pass (pass [jobs:1] with it —
+    output hooks interleave across domains).  [tier] picks the
+    verification interpreter (default
+    {!Uas_ir.Fast_interp.default_tier}); the fast tier reuses each
+    compilation unit's memoized compiled program and produces
     bit-identical cells.
 
-    Fault tolerance: every cell runs inside a
-    [Uas_runtime.Fault.with_scope] frame named
-    ["<benchmark>/<version>"]; [validate] translation-validates each
-    rewrite on the benchmark workload (a miscompiling rewrite degrades
-    its cell instead of propagating a wrong program);
-    [timeout_s]/[retries] supervise the pool
-    ({!Uas_runtime.Parallel.map_results}), and a task the pool gives up
-    on surfaces as a skipped cell with a [task] diagnostic.  A
+    Fault tolerance: the cells go through {!Uas_pass.Pass.fan_out},
+    each in a fault scope named ["<benchmark>/<version>"]; a task the
+    pool gives up on surfaces as a skipped cell with a [task]
+    diagnostic.  [validate] translation-validates each rewrite on the
+    benchmark workload (a miscompiling rewrite degrades its cell
+    instead of propagating a wrong program).  A
     verification run that goes stuck or out of fuel marks its cell
     unverified with an incident — it never aborts the sweep.
 

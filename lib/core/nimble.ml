@@ -17,9 +17,7 @@
 open Uas_ir
 module Estimate = Uas_hw.Estimate
 module Datapath = Uas_hw.Datapath
-module Parallel = Uas_runtime.Parallel
 module Instrument = Uas_runtime.Instrument
-module Fault = Uas_runtime.Fault
 module Cu = Uas_pass.Cu
 module Diag = Uas_pass.Diag
 module Pass = Uas_pass.Pass
@@ -102,11 +100,8 @@ let transform_passes ?validate (version : version) : Pass.t list =
     the optional exact-II oracle, estimate report. *)
 let estimate_passes ?(target = Datapath.default)
     ?(exact = Uas_dfg.Sched.Exact_off) (version : version) : Pass.t list =
-  let pipelined = pipelined version in
-  [ Stages.dfg_build ~target ();
-    Stages.schedule ~target ~pipelined ();
-    Stages.exact_ii ~target ~pipelined ~mode:exact ();
-    Stages.estimate ~target ~pipelined ~name:(version_name version) () ]
+  Stages.quick_synthesis ~target ~pipelined:(pipelined version) ~exact
+    ~name:(version_name version)
 
 let built_of_cu version cu =
   { bv_version = version;
@@ -190,21 +185,10 @@ let run_version ?target ?after ?validate (p : Stmt.program) ~outer_index
 let sweep ?(target = Datapath.default) ?(versions = paper_versions) ?jobs
     ?validate ?timeout_s ?retries (p : Stmt.program) ~outer_index ~inner_index
     : (version * outcome) list =
-  Parallel.map_results ?jobs ?timeout_s ?retries
-    (fun v ->
-      Fault.with_scope (version_name v) (fun () ->
-          run_version ~target ?validate p ~outer_index ~inner_index v))
+  Pass.fan_out ?jobs ?timeout_s ?retries ~scope:version_name
+    ~failed:(fun v d -> (v, Skipped d))
+    (fun v -> (v, run_version ~target ?validate p ~outer_index ~inner_index v))
     versions
-  |> List.map2
-       (fun v -> function
-         | Ok outcome -> (v, outcome)
-         | Error tf ->
-           Instrument.incr "sweep.task-failures";
-           ( v,
-             Skipped
-               (Diag.errorf ~pass:"task" "%s"
-                  (Parallel.Task_failure.to_message tf)) ))
-       versions
 
 (** The successfully built rows of a sweep (degraded cells included —
     their reports describe the last-known-good program), in sweep
@@ -224,15 +208,6 @@ let skipped (rows : (version * outcome) list) : (version * Diag.t) list =
       | v, Skipped d -> Some (v, d) | _, (Built _ | Degraded _) -> None)
     rows
 
-(** The degraded versions of a sweep with their incident logs. *)
-let degraded (rows : (version * outcome) list) : (version * Diag.t list) list
-    =
-  List.filter_map
-    (function
-      | v, Degraded (_, _, ds) -> Some (v, ds)
-      | _, (Built _ | Skipped _) -> None)
-    rows
-
 (** Kernel selection: the version maximizing speedup per area (the
     efficiency metric of Figure 6.3), given the original's report as
     the baseline. *)
@@ -246,17 +221,7 @@ let select_best (rows : (version * built * Estimate.report) list) :
   match baseline with
   | None -> None
   | Some base ->
-    let efficiency (r : Estimate.report) =
-      let speedup =
-        float_of_int base.Estimate.r_total_cycles
-        /. float_of_int (max 1 r.Estimate.r_total_cycles)
-      in
-      let area_factor =
-        float_of_int r.Estimate.r_area_rows
-        /. float_of_int (max 1 base.Estimate.r_area_rows)
-      in
-      speedup /. area_factor
-    in
+    let efficiency = Estimate.efficiency ~base in
     List.fold_left
       (fun best row ->
         let _, _, r = row in

@@ -120,13 +120,10 @@ val run_version :
     sequential run; every version is reported — illegal factors as
     [Skipped] with their diagnostic, never silently dropped.
 
-    Fault tolerance: each version runs inside a
-    {!Uas_runtime.Fault.with_scope} frame named after it; [timeout_s]
-    and [retries] are handed to {!Uas_runtime.Parallel.map_results}, and
-    a task the pool gives up on (uncaught exception after retries,
-    wall-budget timeout) comes back [Skipped] with a [task] diagnostic
-    instead of aborting the sweep ([sweep.task-failures] counts them).
-    [validate] as in {!transform_passes}. *)
+    Fault tolerance: the versions go through {!Uas_pass.Pass.fan_out},
+    each in a fault scope named after it; a task the pool gives up on
+    comes back [Skipped] with its [task] diagnostic.  [validate] as in
+    {!transform_passes}. *)
 val sweep :
   ?target:Uas_hw.Datapath.t ->
   ?versions:version list ->
@@ -147,10 +144,6 @@ val successes :
 
 (** The skipped versions with their diagnostics, in sweep order. *)
 val skipped : (version * outcome) list -> (version * Uas_pass.Diag.t) list
-
-(** The degraded versions with their incident logs, in sweep order. *)
-val degraded :
-  (version * outcome) list -> (version * Uas_pass.Diag.t list) list
 
 (** The version maximizing speedup per area over the [Original]
     baseline; [None] without a baseline. *)

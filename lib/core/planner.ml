@@ -15,9 +15,6 @@
 
 module Estimate = Uas_hw.Estimate
 module Datapath = Uas_hw.Datapath
-module Parallel = Uas_runtime.Parallel
-module Instrument = Uas_runtime.Instrument
-module Fault = Uas_runtime.Fault
 module Cu = Uas_pass.Cu
 module Diag = Uas_pass.Diag
 module Pass = Uas_pass.Pass
@@ -264,29 +261,19 @@ let run_candidate ?validate ?(exact = Uas_dfg.Sched.Exact_off) ~target
   match cached with
   | Some row -> row
   | None ->
+    let pipelined = c.c_pipelined in
     let passes =
       (Stages.analyze :: rewrite_passes ?validate c)
-      @ [ Stages.dfg_build ~target ();
-          Stages.schedule ~target ~pipelined:c.c_pipelined ();
-          Stages.exact_ii ~target ~pipelined:c.c_pipelined ~mode:exact ();
-          Stages.estimate ~target ~pipelined:c.c_pipelined ~name:c.c_label ()
-        ]
+      @ Stages.quick_synthesis ~target ~pipelined ~exact ~name:c.c_label
     in
     let row =
       match Pass.run cu passes with
       | Ok cu -> (
         match Cu.report cu with
         | Some r ->
-          let gap =
-            if exact = Uas_dfg.Sched.Exact_report && c.c_pipelined then
-              match (Cu.schedule cu, Cu.exact cu) with
-              | Some s, Some e -> Some (s.Uas_dfg.Sched.s_ii, e)
-              | _ -> None
-            else None
-          in
           { r_candidate = c;
             r_outcome = Ok r;
-            r_gap = gap;
+            r_gap = Stages.gap ~exact ~pipelined cu;
             r_incidents = Cu.incidents cu }
         | None -> assert false (* the estimate pass always sets the report *)
         )
@@ -298,15 +285,7 @@ let run_candidate ?validate ?(exact = Uas_dfg.Sched.Exact_off) ~target
 
 (* ---- metrics and ranking ---- *)
 
-let speedup ~(base : Estimate.report) (r : Estimate.report) =
-  float_of_int base.Estimate.r_total_cycles
-  /. float_of_int (max 1 r.Estimate.r_total_cycles)
-
-let area_factor ~(base : Estimate.report) (r : Estimate.report) =
-  float_of_int r.Estimate.r_area_rows
-  /. float_of_int (max 1 base.Estimate.r_area_rows)
-
-let ratio ~base r = speedup ~base r /. area_factor ~base r
+let ratio = Estimate.efficiency
 
 (* Smaller key ranks first; ties break deterministically on II, cycles,
    area, and finally the label, so plan tables are reproducible across
@@ -345,27 +324,15 @@ let plan ?(target = Datapath.default) ?jobs ?(objective = Ratio)
     candidates ~factors ~depth ()
   in
   let rows =
-    Parallel.map_results ?jobs ?timeout_s ?retries
-      (fun c ->
-        Fault.with_scope
-          (benchmark ^ "/" ^ c.c_label)
-          (fun () ->
-            run_candidate ?validate ?exact ~target p ~outer_index ~inner_index
-              c))
+    Pass.fan_out ?jobs ?timeout_s ?retries
+      ~scope:(fun c -> benchmark ^ "/" ^ c.c_label)
+      ~failed:(fun c d ->
+        { r_candidate = c;
+          r_outcome = Error d;
+          r_gap = None;
+          r_incidents = [] })
+      (run_candidate ?validate ?exact ~target p ~outer_index ~inner_index)
       cands
-    |> List.map2
-         (fun c -> function
-           | Ok row -> row
-           | Error tf ->
-             Instrument.incr "plan.task-failures";
-             { r_candidate = c;
-               r_outcome =
-                 Error
-                   (Diag.errorf ~pass:"task" "%s"
-                      (Parallel.Task_failure.to_message tf));
-               r_gap = None;
-               r_incidents = [] })
-         cands
   in
   let baseline =
     List.find_map
@@ -412,7 +379,7 @@ let pp ppf (plan : plan) =
         incr rank;
         let sp, rt =
           match plan.p_baseline with
-          | Some base -> (speedup ~base r, ratio ~base r)
+          | Some base -> (Estimate.speedup ~base r, ratio ~base r)
           | None -> (1.0, 1.0)
         in
         Fmt.pf ppf "%-4d %-28s %4d %6d %6d %8d %8d %7.2f %7.2f@." !rank

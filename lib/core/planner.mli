@@ -65,8 +65,9 @@ type plan = {
     fan out over the domain pool ([jobs]) like sweep versions; ranking
     is deterministic (ties break on II, cycles, area, label).
 
-    Fault tolerance: each candidate runs inside a
-    [Uas_runtime.Fault.with_scope] frame named ["<benchmark>/<label>"];
+    Fault tolerance: the candidates go through
+    {!Uas_pass.Pass.fan_out}, each in a fault scope named
+    ["<benchmark>/<label>"];
     [validate] translation-validates every rewrite on the probe
     workload (a rejected rewrite degrades the candidate to its
     last-known-good program, logged in [r_incidents]);
@@ -96,13 +97,8 @@ val plan :
     satisfies the predicate; [None] when every match was skipped. *)
 val rank_of : plan -> (candidate -> bool) -> int option
 
-(** The relative metrics of the ranking, against the original design's
-    report. *)
-val speedup : base:Estimate.report -> Estimate.report -> float
-
-val area_factor : base:Estimate.report -> Estimate.report -> float
-
-(** [speedup /. area_factor] — the Figure 6.3 efficiency metric. *)
+(** The [ratio] objective against the original design's report:
+    {!Uas_hw.Estimate.efficiency}, the Figure 6.3 metric. *)
 val ratio : base:Estimate.report -> Estimate.report -> float
 
 (** The ranked plan table, skipped candidates footnoted with their

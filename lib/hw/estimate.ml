@@ -180,6 +180,14 @@ let operator_area_fraction (r : report) : float =
   if r.r_area_rows = 0 then 0.0
   else float_of_int r.r_operator_rows /. float_of_int r.r_area_rows
 
+let speedup ~(base : report) (r : report) =
+  float_of_int base.r_total_cycles /. float_of_int (max 1 r.r_total_cycles)
+
+let area_factor ~(base : report) (r : report) =
+  float_of_int r.r_area_rows /. float_of_int (max 1 base.r_area_rows)
+
+let efficiency ~base r = speedup ~base r /. area_factor ~base r
+
 (* ---- serialization (artifact store) ---- *)
 
 let cost_model_version = 1

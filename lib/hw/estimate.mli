@@ -96,6 +96,20 @@ val kernel :
 (** Operators as a fraction of total area (Figure 6.4). *)
 val operator_area_fraction : report -> float
 
+(** {2 Relative metrics (Table 6.3, Figure 6.3)}
+
+    Every comparison against a baseline design goes through these, so
+    the tables, the planner ranking and kernel selection agree. *)
+
+(** Total-cycle speedup of [r] over [base]. *)
+val speedup : base:report -> report -> float
+
+(** Area-row increase of [r] over [base]. *)
+val area_factor : base:report -> report -> float
+
+(** [speedup /. area_factor] — the Figure 6.3 efficiency metric. *)
+val efficiency : base:report -> report -> float
+
 (** {2 Serialization (artifact store)} *)
 
 (** Version of the area/delay cost model; hashed into every estimate

@@ -515,10 +515,14 @@ let run_program ?fuel (p : Stmt.program) (w : Interp.workload) :
     Interp.result =
   run ?fuel (compile p) w
 
-(** Run on the given tier: the reference interpreter, or compile+run on
-    the fast tier. *)
-let run_tier ?fuel (t : tier) (p : Stmt.program) (w : Interp.workload) :
+type code = Source of Stmt.program | Compiled of compiled
+
+(** Run on the given tier: the reference interpreter, or the fast tier
+    (compiling a [Source] first). *)
+let run_tier ?fuel (t : tier) (code : code) (w : Interp.workload) :
     Interp.result =
-  match t with
-  | Ref -> Interp.run ?fuel p w
-  | Fast -> run_program ?fuel p w
+  match (t, code) with
+  | Ref, Source p -> Interp.run ?fuel p w
+  | Ref, Compiled c -> Interp.run ?fuel c.c_program w
+  | Fast, Source p -> run_program ?fuel p w
+  | Fast, Compiled c -> run ?fuel c w

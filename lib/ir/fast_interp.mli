@@ -68,8 +68,11 @@ val run : ?fuel:int -> compiled -> Interp.workload -> Interp.result
 (** Compile and run in one step (no artifact reuse). *)
 val run_program : ?fuel:int -> Stmt.program -> Interp.workload -> Interp.result
 
-(** Run on the given tier: {!Interp.run}, or {!run_program}.  The one
-    tier dispatcher; production paths reach it through
-    [Registry.run_tier]. *)
-val run_tier :
-  ?fuel:int -> tier -> Stmt.program -> Interp.workload -> Interp.result
+(** What a tier runs: a program, or one already compiled for the fast
+    tier (a compilation unit's memoized artifact, reused as is). *)
+type code = Source of Stmt.program | Compiled of compiled
+
+(** Run on the given tier: {!Interp.run}, or {!run} (compiling a
+    [Source] first).  The one tier dispatcher; production paths reach
+    it through [Registry.run_tier]. *)
+val run_tier : ?fuel:int -> tier -> code -> Interp.workload -> Interp.result

@@ -42,3 +42,17 @@ let run ?after cu passes =
   List.fold_left
     (fun acc p -> match acc with Error _ -> acc | Ok cu -> run_one ?after cu p)
     (Ok cu) passes
+
+let fan_out ?jobs ?timeout_s ?retries ~scope ~failed f inputs =
+  Uas_runtime.Parallel.map_results ?jobs ?timeout_s ?retries
+    (fun x -> Uas_runtime.Fault.with_scope (scope x) (fun () -> f x))
+    inputs
+  |> List.map2
+       (fun x -> function
+         | Ok y -> y
+         | Error tf ->
+           Instrument.incr "sweep.task-failures";
+           failed x
+             (Diag.errorf ~pass:"task" "%s"
+                (Uas_runtime.Parallel.Task_failure.to_message tf)))
+       inputs

@@ -32,3 +32,22 @@ type hook = pass:string -> Cu.t -> unit
     missing nest, non-kernel loop, ...) are converted via
     {!Diag.of_exn}, anything else propagates with its backtrace. *)
 val run : ?after:hook -> Cu.t -> t list -> (Cu.t, Diag.t) result
+
+(** The one supervised fan-out under every pipeline driver (the
+    sweep, Table 6.2, the planner): [f] over [inputs] on the
+    supervised {!Uas_runtime.Parallel} pool of [jobs] domains, each
+    task inside a {!Uas_runtime.Fault.with_scope} frame named
+    [scope x], results in input order.  A task the pool gives up on
+    (uncaught exception after [retries], [timeout_s] wall-budget
+    overrun) becomes [failed x d], [d] a [task] diagnostic, and
+    counts once in [sweep.task-failures] — one bad cell never aborts
+    the fan-out. *)
+val fan_out :
+  ?jobs:int ->
+  ?timeout_s:float ->
+  ?retries:int ->
+  scope:('a -> string) ->
+  failed:('a -> Diag.t -> 'b) ->
+  ('a -> 'b) ->
+  'a list ->
+  'b list

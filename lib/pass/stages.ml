@@ -250,5 +250,20 @@ let estimate ?(target = Datapath.default) ~pipelined ?name () =
       Cu.set_report cu report;
       Ok cu)
 
+(* The quick-synthesis tail every driver runs after its rewrites: the
+   sweep's versions and the planner's candidates estimate alike. *)
+let quick_synthesis ~target ~pipelined ~exact ~name =
+  [ dfg_build ~target ();
+    schedule ~target ~pipelined ();
+    exact_ii ~target ~pipelined ~mode:exact ();
+    estimate ~target ~pipelined ~name () ]
+
+let gap ~exact ~pipelined cu =
+  if exact = Uas_dfg.Sched.Exact_report && pipelined then
+    match (Cu.schedule cu, Cu.exact cu) with
+    | Some s, Some e -> Some (s.Uas_dfg.Sched.s_ii, e)
+    | _ -> None
+  else None
+
 let names =
   [ "loop-nest"; "legality"; "dfg-build"; "schedule"; "exact-ii"; "estimate" ]

@@ -48,6 +48,25 @@ val exact_ii :
     [Uas_hw.Estimate.kernel]. *)
 val estimate : ?target:Datapath.t -> pipelined:bool -> ?name:string -> unit -> Pass.t
 
+(** The quick-synthesis pipeline
+    [dfg-build; schedule; exact-ii; estimate] — what every driver runs
+    after a version's or a candidate's rewrites. *)
+val quick_synthesis :
+  target:Datapath.t ->
+  pipelined:bool ->
+  exact:Uas_dfg.Sched.exact_mode ->
+  name:string ->
+  Pass.t list
+
+(** After {!quick_synthesis} in [Exact_report] mode on a pipelined
+    kernel: the heuristic II next to the exact oracle's verdict (a
+    [gap:] footer, {!Uas_dfg.Sched.pp_gap}); [None] otherwise. *)
+val gap :
+  exact:Uas_dfg.Sched.exact_mode ->
+  pipelined:bool ->
+  Cu.t ->
+  (int * Uas_dfg.Sched.exact) option
+
 (** Every stage name above, in canonical pipeline order.  nimblec's
     [--dump-after] accepts these plus every registered rewrite name. *)
 val names : string list

@@ -18,7 +18,6 @@
    message the daemon sends back as ERR), never exceptions. *)
 
 module E = Uas_core.Experiments
-module N = Uas_core.Nimble
 module P = Uas_core.Planner
 module Registry = Uas_bench_suite.Registry
 module Diag = Uas_pass.Diag
@@ -36,16 +35,6 @@ type estimate_opts = {
   e_budget_s : float option;
 }
 
-type sweep_opts = {
-  s_bench : string;
-  s_validate : bool;
-  s_tier : Fast_interp.tier option;
-      (* accepted for request symmetry; the sweep pipeline is
-         execution-free, so the tier cannot change its output — which
-         is exactly what the byte-identity property demonstrates *)
-  s_budget_s : float option;
-}
-
 type plan_opts = {
   p_bench : string;
   p_objective : P.objective;
@@ -54,26 +43,20 @@ type plan_opts = {
   p_budget_s : float option;
 }
 
-type work =
-  | W_estimate of estimate_opts
-  | W_sweep of sweep_opts
-  | W_plan of plan_opts
+type work = W_estimate of estimate_opts | W_plan of plan_opts
 
 type request = Hello of string | Work of work | Stats | Health | Drain
 
 let work_name = function
   | W_estimate _ -> "estimate"
-  | W_sweep _ -> "sweep"
   | W_plan _ -> "plan"
 
 let bench_name = function
   | W_estimate o -> o.e_bench
-  | W_sweep o -> o.s_bench
   | W_plan o -> o.p_bench
 
 let budget_s = function
   | W_estimate o -> o.e_budget_s
-  | W_sweep o -> o.s_budget_s
   | W_plan o -> o.p_budget_s
 
 (* ---- body rendering (client side) ---- *)
@@ -90,10 +73,6 @@ let work_body w =
         Printf.sprintf "exact=%s" (Sched.exact_mode_name o.e_exact) ]
       @ opt_line "tier" (Option.map Fast_interp.tier_name o.e_tier)
       @ opt_line "budget" (Option.map string_of_float o.e_budget_s)
-    | W_sweep o ->
-      [ Printf.sprintf "validate=%b" o.s_validate ]
-      @ opt_line "tier" (Option.map Fast_interp.tier_name o.s_tier)
-      @ opt_line "budget" (Option.map string_of_float o.s_budget_s)
     | W_plan o ->
       [ Printf.sprintf "objective=%s" (P.objective_name o.p_objective);
         Printf.sprintf "validate=%b" o.p_validate;
@@ -111,7 +90,6 @@ let to_frame : request -> Protocol.frame = function
     let tag =
       match w with
       | W_estimate _ -> Protocol.Estimate
-      | W_sweep _ -> Protocol.Sweep
       | W_plan _ -> Protocol.Plan
     in
     { Protocol.tag; body = work_body w }
@@ -204,24 +182,6 @@ let parse_estimate body =
         Ok { o with e_budget_s = b }
       | _ -> Error (Printf.sprintf "unknown ESTIMATE key %S" k))
 
-let parse_sweep body =
-  let* bench, kvs = split_body body in
-  let init =
-    { s_bench = bench; s_validate = false; s_tier = None; s_budget_s = None }
-  in
-  fold_kvs init kvs ~on_kv:(fun o k v ->
-      match k with
-      | "validate" ->
-        let* b = parse_bool ~key:k v in
-        Ok { o with s_validate = b }
-      | "tier" ->
-        let* t = parse_tier v in
-        Ok { o with s_tier = t }
-      | "budget" ->
-        let* b = parse_budget v in
-        Ok { o with s_budget_s = b }
-      | _ -> Error (Printf.sprintf "unknown SWEEP key %S" k))
-
 let parse_plan body =
   let* bench, kvs = split_body body in
   let init =
@@ -256,9 +216,6 @@ let parse (f : Protocol.frame) : (request, string) result =
   | Protocol.Estimate ->
     let* o = parse_estimate f.Protocol.body in
     Ok (Work (W_estimate o))
-  | Protocol.Sweep ->
-    let* o = parse_sweep f.Protocol.body in
-    Ok (Work (W_sweep o))
   | Protocol.Plan ->
     let* o = parse_plan f.Protocol.body in
     Ok (Work (W_plan o))
@@ -269,32 +226,12 @@ let parse (f : Protocol.frame) : (request, string) result =
 
 (* ---- rendering ---- *)
 
-(* Exactly nimblec's estimate output: two tables, each terminated by
-   [Fmt.pr "%a@."]. *)
+(* nimblec prints its local results through these too, so a served
+   reply and a local run are one rendering. *)
 let render_estimate (row : E.bench_row) =
   Fmt.str "%a@.%a@." E.pp_table_6_2 [ row ] E.pp_table_6_3 [ row ]
 
-(* Exactly nimblec's plan output. *)
 let render_plan (plan : P.plan) = Fmt.str "%a@." P.pp plan
-
-(* The sweep rendering the byte-identity property pins: one line per
-   (version, outcome), in sweep order. *)
-let render_sweep (outcomes : (N.version * N.outcome) list) =
-  let line (v, outcome) =
-    let name = N.version_name v in
-    match outcome with
-    | N.Built (_, r) ->
-      Printf.sprintf "%-20s ii=%d len=%d area=%d cycles=%d" name
-        r.Uas_hw.Estimate.r_ii r.Uas_hw.Estimate.r_sched_len
-        r.Uas_hw.Estimate.r_area_rows r.Uas_hw.Estimate.r_total_cycles
-    | N.Degraded (_, r, ds) ->
-      Printf.sprintf "%-20s ii=%d len=%d area=%d cycles=%d degraded:%d" name
-        r.Uas_hw.Estimate.r_ii r.Uas_hw.Estimate.r_sched_len
-        r.Uas_hw.Estimate.r_area_rows r.Uas_hw.Estimate.r_total_cycles
-        (List.length ds)
-    | N.Skipped d -> Printf.sprintf "%-20s skipped: %s" name (Diag.to_string d)
-  in
-  String.concat "\n" (List.map line outcomes) ^ "\n"
 
 (* ---- incident accounting (the "degraded" daemon counter) ---- *)
 
@@ -311,9 +248,6 @@ let plan_incidents (plan : P.plan) =
   List.fold_left
     (fun acc (r : P.row) -> acc + List.length r.P.r_incidents)
     0 plan.P.p_rows
-
-let sweep_incidents outcomes =
-  List.length (N.skipped outcomes) + List.length (N.degraded outcomes)
 
 (* ---- execution ---- *)
 
@@ -336,15 +270,6 @@ let find_benchmark name =
                (fun (b : Registry.benchmark) -> b.Registry.b_name)
                (Registry.all () @ Registry.extras ()))))
 
-let sweep_versions (b : Registry.benchmark) =
-  (* mirror run_benchmark's depth-appropriate default *)
-  let depth =
-    Option.value ~default:2
-      (Uas_analysis.Loop_nest.depth_at b.Registry.b_program
-         b.Registry.b_outer_index)
-  in
-  N.versions_for ~depth
-
 (* [execute] returns the rendered payload with the request's incident
    count, or a one-line error.  Nothing escapes as an exception: a
    structured diagnostic, an injected fault or any other exception all
@@ -362,17 +287,6 @@ let execute ?(limits = no_limits) (w : work) : (string * int, string) result =
           ?timeout_s:l_timeout_s ?retries:l_retries b
       in
       Ok (render_estimate row, estimate_incidents row)
-    | W_sweep o ->
-      let probe = if o.s_validate then Some b.Registry.b_workload else None in
-      let outcomes =
-        N.sweep
-          ~versions:(sweep_versions b)
-          ?jobs:l_jobs ?validate:probe ?timeout_s:l_timeout_s
-          ?retries:l_retries b.Registry.b_program
-          ~outer_index:b.Registry.b_outer_index
-          ~inner_index:b.Registry.b_inner_index
-      in
-      Ok (render_sweep outcomes, sweep_incidents outcomes)
     | W_plan o ->
       let probe = if o.p_validate then Some b.Registry.b_workload else None in
       let plan =

@@ -21,16 +21,6 @@ type estimate_opts = {
   e_budget_s : float option;  (** per-request wall budget override *)
 }
 
-type sweep_opts = {
-  s_bench : string;
-  s_validate : bool;
-  s_tier : Uas_ir.Fast_interp.tier option;
-      (** accepted for request symmetry; the sweep pipeline is
-          execution-free, so the tier cannot change its output — which
-          is exactly what the byte-identity property demonstrates *)
-  s_budget_s : float option;
-}
-
 type plan_opts = {
   p_bench : string;
   p_objective : Uas_core.Planner.objective;
@@ -39,10 +29,7 @@ type plan_opts = {
   p_budget_s : float option;
 }
 
-type work =
-  | W_estimate of estimate_opts
-  | W_sweep of sweep_opts
-  | W_plan of plan_opts
+type work = W_estimate of estimate_opts | W_plan of plan_opts
 
 type request = Hello of string | Work of work | Stats | Health | Drain
 
@@ -62,16 +49,11 @@ val parse : Protocol.frame -> (request, string) result
     The exact bytes the daemon serves — and the exact bytes the local
     paths print, which is what makes the CI goldens one set. *)
 
-(** nimblec's estimate output: Table 6.2 then Table 6.3. *)
+(** The estimate output: Table 6.2 then Table 6.3. *)
 val render_estimate : Uas_core.Experiments.bench_row -> string
 
-(** nimblec's plan output. *)
+(** The plan output (one ranked table). *)
 val render_plan : Uas_core.Planner.plan -> string
-
-(** One line per (version, outcome), in sweep order — the rendering
-    the daemon-vs-[Nimble.sweep] byte-identity property pins. *)
-val render_sweep :
-  (Uas_core.Nimble.version * Uas_core.Nimble.outcome) list -> string
 
 (** {2 Execution} *)
 
@@ -84,12 +66,6 @@ type limits = {
 }
 
 val no_limits : limits
-
-(** The version set a [SWEEP] explores: depth-aware, mirroring
-    [Experiments.run_benchmark] (a deep nest adds the flatten+squash
-    route) — what the byte-identity property compares against. *)
-val sweep_versions :
-  Uas_bench_suite.Registry.benchmark -> Uas_core.Nimble.version list
 
 (** Run one work request through the Cu pipeline and render its reply
     payload, returning the payload with the request's incident count

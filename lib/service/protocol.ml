@@ -26,7 +26,6 @@ let max_header_len = 256
 
 type tag =
   | Hello
-  | Sweep
   | Plan
   | Estimate
   | Stats
@@ -38,7 +37,6 @@ type tag =
 
 let tag_name = function
   | Hello -> "HELLO"
-  | Sweep -> "SWEEP"
   | Plan -> "PLAN"
   | Estimate -> "ESTIMATE"
   | Stats -> "STATS"
@@ -49,7 +47,7 @@ let tag_name = function
   | Reply_busy -> "BUSY"
 
 let all_tags =
-  [ Hello; Sweep; Plan; Estimate; Stats; Health; Drain; Reply_ok; Reply_err;
+  [ Hello; Plan; Estimate; Stats; Health; Drain; Reply_ok; Reply_err;
     Reply_busy ]
 
 let tag_of_string s =

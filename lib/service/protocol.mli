@@ -5,8 +5,8 @@
     {v
     frame  = header LF body
     header = "uas/" proto SP tag SP len SP md5hex
-    tag    = "HELLO" | "SWEEP" | "PLAN" | "ESTIMATE" | "STATS"
-           | "HEALTH" | "DRAIN" | "OK" | "ERR" | "BUSY"
+    tag    = "HELLO" | "PLAN" | "ESTIMATE" | "STATS" | "HEALTH"
+           | "DRAIN" | "OK" | "ERR" | "BUSY"
     len    = decimal byte count of body (bounded)
     md5hex = 32 hex chars, MD5 of body
     body   = len bytes, uninterpreted at this layer
@@ -27,7 +27,6 @@ val default_max_frame : int
 
 type tag =
   | Hello
-  | Sweep
   | Plan
   | Estimate
   | Stats

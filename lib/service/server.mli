@@ -1,5 +1,5 @@
 (** The nimbled engine: a Unix-domain-socket daemon serving
-    sweep/plan/estimate requests through the Cu pipeline with bounded
+    estimate and plan requests through the Cu pipeline with bounded
     admission, per-request wall budgets, per-connection fault
     isolation, graceful drain and crash recovery.
 

@@ -301,11 +301,16 @@ let test_tier_of_string () =
 let test_run_tier_dispatch () =
   let p = Helpers.fg_loop ~m:3 ~n:3 in
   let w = Helpers.random_workload p in
-  let a = Fast_interp.run_tier Fast_interp.Ref p w in
-  let b = Fast_interp.run_tier Fast_interp.Fast p w in
-  match Interp.diff_results a b with
-  | None -> ()
-  | Some d -> Alcotest.failf "tiers diverge: %s" d
+  let a = Fast_interp.run_tier Fast_interp.Ref (Fast_interp.Source p) w in
+  let compiled = Fast_interp.Compiled (Fast_interp.compile p) in
+  List.iter
+    (fun (name, b) ->
+      match Interp.diff_results a b with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s diverges from ref: %s" name d)
+    [ ("fast", Fast_interp.run_tier Fast_interp.Fast (Fast_interp.Source p) w);
+      ("fast compiled", Fast_interp.run_tier Fast_interp.Fast compiled w);
+      ("ref compiled", Fast_interp.run_tier Fast_interp.Ref compiled w) ]
 
 (* the satellite fix: a missing output array must be reported with the
    benchmark name and the outputs the run actually produced *)

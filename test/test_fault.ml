@@ -13,6 +13,7 @@ module Pass = Uas_pass.Pass
 module Stages = Uas_pass.Stages
 module E = Uas_core.Experiments
 module N = Uas_core.Nimble
+module P = Uas_core.Planner
 module R = Uas_bench_suite.Registry
 
 let cu_of p = Cu.make p ~outer_index:"i" ~inner_index:"j"
@@ -314,6 +315,75 @@ let test_validate_off_on_byte_identical () =
   Alcotest.(check string)
     "identical tables" (render false) (render true)
 
+(* --- the one fan-out: a pool task that gives up is one task skip --- *)
+
+(* [parallel.task=N:raise:1] with no retries: the task at input index N
+   fails in the pool itself.  Table 6.2 rows and plans both show
+   exactly that one [error[task]] skip; every other row is the clean
+   run's. *)
+
+let task_diag (d : Diag.t) = String.equal d.Diag.d_pass "task"
+
+let check_task_diag (d : Diag.t) =
+  let m = Diag.to_string d in
+  Alcotest.(check string) "an error[task] diagnostic" "error[task]"
+    (String.sub m 0 (min 11 (String.length m)))
+
+let test_task_failure_benchmark () =
+  reset ();
+  Fun.protect ~finally:reset (fun () ->
+      let b = iir () in
+      let clean = E.run_benchmark ~verify:true ~jobs:2 b in
+      arm_or_fail "parallel.task=3:raise:1";
+      let faulted = E.run_benchmark ~verify:true ~jobs:2 ~retries:0 b in
+      let failed = List.nth N.paper_versions 3 in
+      (match
+         List.filter (fun s -> task_diag s.E.s_diag) faulted.E.br_skipped
+       with
+      | [ s ] ->
+        Alcotest.(check string) "the failed task's version"
+          (N.version_name failed) (N.version_name s.E.s_version);
+        check_task_diag s.E.s_diag
+      | skips ->
+        Alcotest.failf "expected one task skip, got %d" (List.length skips));
+      Alcotest.(check bool) "other skips are the clean run's" true
+        (List.filter (fun s -> not (task_diag s.E.s_diag)) faulted.E.br_skipped
+        = clean.E.br_skipped);
+      Alcotest.(check bool) "other cells are the clean run's" true
+        (faulted.E.br_cells
+        = List.filter (fun c -> c.E.c_version <> failed) clean.E.br_cells))
+
+let test_task_failure_plan () =
+  reset ();
+  Fun.protect ~finally:reset (fun () ->
+      let b = iir () in
+      let plan () =
+        P.plan ~jobs:2 ~retries:0 b.R.b_program ~outer_index:b.R.b_outer_index
+          ~inner_index:b.R.b_inner_index ~benchmark:b.R.b_name
+      in
+      let clean = plan () in
+      arm_or_fail "parallel.task=2:raise:1";
+      let faulted = plan () in
+      let failed = (List.nth (P.candidates ()) 2).P.c_label in
+      let task_row (r : P.row) =
+        match r.P.r_outcome with Error d -> task_diag d | Ok _ -> false
+      in
+      (match List.filter task_row faulted.P.p_rows with
+      | [ { P.r_candidate; r_outcome = Error d; _ } ] ->
+        Alcotest.(check string) "the failed task's candidate" failed
+          r_candidate.P.c_label;
+        check_task_diag d
+      | rows ->
+        Alcotest.failf "expected one task skip, got %d" (List.length rows));
+      let others (p : P.plan) =
+        List.filter
+          (fun (r : P.row) ->
+            not (String.equal r.P.r_candidate.P.c_label failed))
+          p.P.p_rows
+      in
+      Alcotest.(check bool) "other rows are the clean run's" true
+        (others faulted = others clean))
+
 let suite =
   [ QCheck_alcotest.to_alcotest test_injection_never_escapes;
     Alcotest.test_case "injected faults render by site" `Quick
@@ -333,4 +403,8 @@ let suite =
     Alcotest.test_case "poisoned store entry recovers" `Quick
       test_store_poisoned_entry_recovers;
     Alcotest.test_case "validate on/off byte-identical when clean" `Quick
-      test_validate_off_on_byte_identical ]
+      test_validate_off_on_byte_identical;
+    Alcotest.test_case "task failure: one skip in a benchmark row" `Quick
+      test_task_failure_benchmark;
+    Alcotest.test_case "task failure: one skip in a plan" `Quick
+      test_task_failure_plan ]

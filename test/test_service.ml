@@ -11,7 +11,7 @@ module Client = Uas_service.Client
 module Server = Uas_service.Server
 module Fault = Uas_runtime.Fault
 module Fi = Uas_ir.Fast_interp
-module N = Uas_core.Nimble
+module E = Uas_core.Experiments
 module P = Uas_core.Planner
 module Sched = Uas_dfg.Sched
 module R = Uas_bench_suite.Registry
@@ -60,12 +60,14 @@ let raw_connect socket =
   Unix.connect fd (Unix.ADDR_UNIX socket);
   (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
-let sweep_work ?tier ?budget bench =
-  Handler.W_sweep
-    { Handler.s_bench = bench;
-      s_validate = false;
-      s_tier = tier;
-      s_budget_s = budget }
+let estimate_work ?tier ?(verify = false) ?(validate = false) ?budget bench =
+  Handler.W_estimate
+    { Handler.e_bench = bench;
+      e_verify = verify;
+      e_tier = tier;
+      e_validate = validate;
+      e_exact = Sched.Exact_off;
+      e_budget_s = budget }
 
 let local_render work =
   match Handler.execute work with
@@ -79,7 +81,7 @@ let reset_faults () =
 (* --- protocol: round-trips --- *)
 
 let all_tags =
-  [ Protocol.Hello; Protocol.Sweep; Protocol.Plan; Protocol.Estimate;
+  [ Protocol.Hello; Protocol.Plan; Protocol.Estimate;
     Protocol.Stats; Protocol.Health; Protocol.Drain; Protocol.Reply_ok;
     Protocol.Reply_err; Protocol.Reply_busy ]
 
@@ -113,7 +115,7 @@ let test_frame_stream () =
   let oc = Unix.out_channel_of_descr wr in
   let frames =
     [ { Protocol.tag = Protocol.Hello; body = "client" };
-      { Protocol.tag = Protocol.Sweep; body = "iir\nvalidate=false" };
+      { Protocol.tag = Protocol.Estimate; body = "iir\nvalidate=false" };
       { Protocol.tag = Protocol.Reply_ok; body = "payload\nwith lines\n" } ]
   in
   List.iter (Protocol.write_frame oc) frames;
@@ -149,23 +151,35 @@ let check_error name expected s =
     Alcotest.(check string) name expected tag
 
 let test_typed_errors () =
-  let good = Protocol.encode { Protocol.tag = Protocol.Sweep; body = "iir" } in
+  let good =
+    Protocol.encode { Protocol.tag = Protocol.Estimate; body = "iir" }
+  in
   check_error "empty input" "closed" "";
-  check_error "header cut mid-line" "truncated" "uas/1 SWEEP 3";
+  check_error "header cut mid-line" "truncated" "uas/1 ESTIMATE 3";
   check_error "body shorter than declared" "truncated"
     (String.sub good 0 (String.length good - 2));
   check_error "future protocol version" "version"
-    "uas/9 SWEEP 3 00000000000000000000000000000000\niir";
+    "uas/9 ESTIMATE 3 00000000000000000000000000000000\niir";
   check_error "not a frame at all" "garbage" "GET / HTTP/1.0\r\n\r\n";
   check_error "unknown tag" "garbage"
     "uas/1 FROB 3 00000000000000000000000000000000\niir";
+  (* the retired SWEEP verb: a well-formed frame whose tag no longer
+     exists is an unknown tag, not a backtrace *)
+  (match
+     Protocol.decode
+       ("uas/1 SWEEP 3 " ^ Digest.to_hex (Digest.string "iir") ^ "\niir")
+   with
+  | Error (Protocol.Garbage m) ->
+    Alcotest.(check bool) "SWEEP is an unknown tag" true
+      (Astring_contains.contains ~sub:"unknown tag" m)
+  | _ -> Alcotest.fail "SWEEP frame: expected Garbage");
   check_error "unparsable length" "garbage"
-    "uas/1 SWEEP nope 00000000000000000000000000000000\niir";
+    "uas/1 ESTIMATE nope 00000000000000000000000000000000\niir";
   (* a declared length beyond the cap is refused before any body read *)
   (match
      Protocol.decode ~max_len:64
        (Protocol.encode
-          { Protocol.tag = Protocol.Sweep; body = String.make 100 'a' })
+          { Protocol.tag = Protocol.Estimate; body = String.make 100 'a' })
    with
   | Error (Protocol.Oversized { len = 100; max = 64 }) -> ()
   | Error e -> Alcotest.failf "oversized: got %s" (Protocol.error_message e)
@@ -193,7 +207,8 @@ let test_request_roundtrip () =
              e_validate = true;
              e_exact = Sched.Exact_report;
              e_budget_s = Some 2.5 });
-      Handler.Work (sweep_work ~tier:(Option.get (Fi.tier_of_string "ref")) "fir");
+      Handler.Work
+        (estimate_work ~tier:(Option.get (Fi.tier_of_string "ref")) "fir");
       Handler.Work
         (Handler.W_plan
            { Handler.p_bench = "des-mem";
@@ -215,14 +230,15 @@ let test_request_roundtrip () =
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "%s: expected a parse error" name
   in
-  reject "empty work body" { Protocol.tag = Protocol.Sweep; body = "" };
+  reject "empty work body" { Protocol.tag = Protocol.Estimate; body = "" };
   reject "unknown option key"
-    { Protocol.tag = Protocol.Sweep; body = "iir\nfrobnicate=yes" };
-  reject "bad tier" { Protocol.tag = Protocol.Sweep; body = "iir\ntier=slow" };
+    { Protocol.tag = Protocol.Estimate; body = "iir\nfrobnicate=yes" };
+  reject "bad tier"
+    { Protocol.tag = Protocol.Estimate; body = "iir\ntier=slow" };
   reject "retired tier"
-    { Protocol.tag = Protocol.Sweep; body = "iir\ntier=native" };
+    { Protocol.tag = Protocol.Estimate; body = "iir\ntier=native" };
   reject "bad budget"
-    { Protocol.tag = Protocol.Sweep; body = "iir\nbudget=-1" };
+    { Protocol.tag = Protocol.Estimate; body = "iir\nbudget=-1" };
   reject "reply tag as request"
     { Protocol.tag = Protocol.Reply_ok; body = "" }
 
@@ -298,7 +314,9 @@ let test_estimate_identity () =
 
 let test_unknown_benchmark_rejected () =
   with_server (fun socket ->
-      match Client.serve_work ~seed:0 socket (sweep_work "no-such-bench") with
+      match
+        Client.serve_work ~seed:0 socket (estimate_work "no-such-bench")
+      with
       | Client.Rejected m ->
         Alcotest.(check bool) "names the known benchmarks" true
           (Astring_contains.contains ~sub:"unknown benchmark" m)
@@ -316,7 +334,7 @@ let concurrent_clients jobs () =
     (fun socket ->
       let benches = [ "iir"; "des-hw"; "skipjack-hw"; "des-mem" ] in
       let expected =
-        List.map (fun b -> local_render (sweep_work b)) benches
+        List.map (fun b -> local_render (estimate_work b)) benches
       in
       let results = Array.make (List.length benches) None in
       let threads =
@@ -325,7 +343,7 @@ let concurrent_clients jobs () =
             Thread.create
               (fun () ->
                 results.(i) <- Some (Client.serve_work ~seed:i socket
-                                       (sweep_work b)))
+                                       (estimate_work b)))
               ())
           benches
       in
@@ -347,16 +365,16 @@ let concurrent_clients jobs () =
 let test_shed_under_load () =
   reset_faults ();
   Fun.protect ~finally:reset_faults (fun () ->
-      (* the first sweep stalls 0.4 s in the dispatcher; queue depth 1
+      (* the first estimate stalls 0.4 s in the dispatcher; queue depth 1
          means the second waits and the third sheds *)
-      (match Fault.arm "service.request=sweep:stall:1" with
+      (match Fault.arm "service.request=estimate:stall:1" with
       | Ok () -> ()
       | Error m -> Alcotest.failf "arm: %s" m);
       Fault.set_stall_cap 0.4;
       with_server
         ~configure:(fun c -> { c with Server.c_queue_depth = 1 })
         (fun socket ->
-          let frame = Handler.to_frame (Handler.Work (sweep_work "iir")) in
+          let frame = Handler.to_frame (Handler.Work (estimate_work "iir")) in
           let fd1, ic1, oc1 = raw_connect socket in
           Protocol.write_frame oc1 frame;
           Thread.delay 0.15 (* the dispatcher picks it up and stalls *);
@@ -385,7 +403,7 @@ let test_shed_under_load () =
           (match Protocol.read_frame ic2 with
           | Ok { Protocol.tag = Protocol.Reply_ok; body } ->
             Alcotest.(check string) "queued request is served intact"
-              (local_render (sweep_work "iir")) body
+              (local_render (estimate_work "iir")) body
           | Ok f ->
             Alcotest.failf "expected OK on conn2, got %s"
               (Protocol.tag_name f.tag)
@@ -400,14 +418,14 @@ let test_shed_under_load () =
 let test_drain_with_inflight () =
   reset_faults ();
   Fun.protect ~finally:reset_faults (fun () ->
-      (match Fault.arm "service.request=sweep:stall:1" with
+      (match Fault.arm "service.request=estimate:stall:1" with
       | Ok () -> ()
       | Error m -> Alcotest.failf "arm: %s" m);
       Fault.set_stall_cap 0.4;
       with_server (fun socket ->
           let fd1, ic1, oc1 = raw_connect socket in
           Protocol.write_frame oc1
-            (Handler.to_frame (Handler.Work (sweep_work "iir")));
+            (Handler.to_frame (Handler.Work (estimate_work "iir")));
           Thread.delay 0.15 (* in flight, stalling *);
           let fd2, ic2, oc2 = raw_connect socket in
           Protocol.write_frame oc2 (Handler.to_frame Handler.Drain);
@@ -416,7 +434,7 @@ let test_drain_with_inflight () =
              acceptor lives, unreachable once it stops *)
           (match
              Client.call ~attempts:1 ~seed:0 socket
-               (Handler.to_frame (Handler.Work (sweep_work "des-hw")))
+               (Handler.to_frame (Handler.Work (estimate_work "des-hw")))
            with
           | Client.Served _ -> Alcotest.fail "admitted during drain"
           | Client.Rejected _ | Client.Unreachable _ -> ());
@@ -462,10 +480,10 @@ let test_protocol_error_contained () =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       ignore oc;
       (* ...and the daemon keeps serving everyone else *)
-      match Client.serve_work ~seed:0 socket (sweep_work "iir") with
+      match Client.serve_work ~seed:0 socket (estimate_work "iir") with
       | Client.Served payload ->
         Alcotest.(check string) "daemon survives garbage"
-          (local_render (sweep_work "iir")) payload
+          (local_render (estimate_work "iir")) payload
       | Client.Rejected m | Client.Unreachable m ->
         Alcotest.failf "daemon degraded beyond the offender: %s" m)
 
@@ -474,14 +492,14 @@ let test_disconnect_contained () =
       (* enqueue a request, then vanish before the reply *)
       let fd, _ic, oc = raw_connect socket in
       Protocol.write_frame oc
-        (Handler.to_frame (Handler.Work (sweep_work "iir")));
+        (Handler.to_frame (Handler.Work (estimate_work "iir")));
       Unix.close fd;
       Thread.delay 0.3;
       (* the daemon is still healthy and still serving *)
       (match Client.call ~seed:0 socket (Handler.to_frame Handler.Health) with
       | Client.Served _ -> ()
       | _ -> Alcotest.fail "daemon unhealthy after a disconnect");
-      match Client.serve_work ~seed:0 socket (sweep_work "des-hw") with
+      match Client.serve_work ~seed:0 socket (estimate_work "des-hw") with
       | Client.Served _ -> ()
       | Client.Rejected m | Client.Unreachable m ->
         Alcotest.failf "daemon degraded beyond the disconnect: %s" m)
@@ -492,48 +510,44 @@ let test_request_budget () =
          the daemon survives and the abandoned worker cannot wedge it *)
       (match
          Client.serve_work ~seed:0 socket
-           (sweep_work ~budget:0.0005 "des-mem")
+           (estimate_work ~budget:0.0005 "des-mem")
        with
       | Client.Rejected m ->
         Alcotest.(check bool) "budget overrun is a typed timeout" true
           (Astring_contains.contains ~sub:"timed out" m)
       | Client.Served _ -> Alcotest.fail "served inside an impossible budget"
       | Client.Unreachable m -> Alcotest.failf "daemon died: %s" m);
-      match Client.serve_work ~seed:0 socket (sweep_work "iir") with
+      match Client.serve_work ~seed:0 socket (estimate_work "iir") with
       | Client.Served payload ->
         Alcotest.(check string) "daemon serves after a timeout"
-          (local_render (sweep_work "iir")) payload
+          (local_render (estimate_work "iir")) payload
       | Client.Rejected m | Client.Unreachable m ->
         Alcotest.failf "daemon degraded after a timeout: %s" m)
 
 (* --- the byte-identity property ---
 
-   Daemon-served SWEEP output is byte-identical to in-process
-   [Nimble.sweep] for every registry benchmark on all three
-   interpreter tiers (the sweep pipeline is execution-free, so the
-   tier provably cannot change its bytes): exhaustive over the
-   product, plus a pinned-seed QCheck pass over random
-   (benchmark, tier, validate) combinations. *)
+   Daemon-served verified ESTIMATE output is byte-identical to the
+   in-process [Experiments.run_benchmark] rendering for every registry
+   benchmark on both interpreter tiers (every cell is replayed on the
+   requested tier, and the tiers agree bit for bit, so the tier cannot
+   change the bytes): exhaustive over the product, plus a pinned-seed
+   QCheck pass over random (benchmark, tier, validate) combinations. *)
 
-let local_sweep_render (b : R.benchmark) =
-  Handler.render_sweep
-    (N.sweep
-       ~versions:(Handler.sweep_versions b)
-       b.R.b_program ~outer_index:b.R.b_outer_index
-       ~inner_index:b.R.b_inner_index)
+let local_estimate_render ?(validate = false) (b : R.benchmark) =
+  Handler.render_estimate (E.run_benchmark ~verify:true ~validate b)
 
 let tiers () = [ Fi.Ref; Fi.Fast ]
 
-let test_sweep_identity_exhaustive () =
+let test_estimate_identity_exhaustive () =
   with_server (fun socket ->
       List.iter
         (fun (b : R.benchmark) ->
-          let expected = local_sweep_render b in
+          let expected = local_estimate_render b in
           List.iter
             (fun tier ->
               match
                 Client.serve_work ~seed:0 socket
-                  (sweep_work ~tier b.R.b_name)
+                  (estimate_work ~tier ~verify:true b.R.b_name)
               with
               | Client.Served payload ->
                 Alcotest.(check string)
@@ -546,7 +560,7 @@ let test_sweep_identity_exhaustive () =
             (tiers ()))
         (R.all () @ R.extras ()))
 
-let test_sweep_identity_property () =
+let test_estimate_identity_property () =
   let seed =
     match Sys.getenv_opt "QCHECK_SEED" with
     | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 421)
@@ -567,19 +581,20 @@ let test_sweep_identity_property () =
               (int_bound (Array.length tiers - 1))
               bool)
       in
-      let prop (bi, ti, _validate) =
+      let prop (bi, ti, validate) =
         let b = benches.(bi) in
         match
-          Client.serve_work ~seed:0 socket (sweep_work ~tier:tiers.(ti) b.R.b_name)
+          Client.serve_work ~seed:0 socket
+            (estimate_work ~tier:tiers.(ti) ~verify:true ~validate b.R.b_name)
         with
         | Client.Served payload ->
-          String.equal payload (local_sweep_render b)
+          String.equal payload (local_estimate_render ~validate b)
         | Client.Rejected _ | Client.Unreachable _ -> false
       in
       QCheck.Test.check_exn
         ~rand:(Random.State.make [| seed |])
         (QCheck.Test.make ~count:15
-           ~name:"daemon sweep is byte-identical to Nimble.sweep" arb prop))
+           ~name:"daemon estimate is byte-identical to run_benchmark" arb prop))
 
 let suite =
   [ Alcotest.test_case "frame round-trips every tag" `Quick
@@ -613,7 +628,7 @@ let suite =
       test_disconnect_contained;
     Alcotest.test_case "request budget times out with a typed ERR" `Quick
       test_request_budget;
-    Alcotest.test_case "sweep identity: every benchmark, all tiers" `Slow
-      test_sweep_identity_exhaustive;
-    Alcotest.test_case "sweep identity: pinned-seed property" `Quick
-      test_sweep_identity_property ]
+    Alcotest.test_case "estimate identity: every benchmark, all tiers" `Slow
+      test_estimate_identity_exhaustive;
+    Alcotest.test_case "estimate identity: pinned-seed property" `Quick
+      test_estimate_identity_property ]
