@@ -22,6 +22,7 @@ let header title = Fmt.pr "@.==== %s ====@." title
    shared by every target that reads it. *)
 type run = {
   session : Session.t;
+  ctx : Uas_runtime.Ctx.t;
   traj : Trajectory.t option;
   rows : E.bench_row list Lazy.t;
 }
@@ -30,9 +31,9 @@ let incident traj ~site ~cell ~message =
   Option.iter (fun t -> Trajectory.add_incident t ~site ~cell ~message) traj
 
 (* Degraded cells and skips land in the trajectory's incident log. *)
-let table_rows (session : Session.t) traj =
+let table_rows (session : Session.t) ctx traj =
   let r =
-    E.table_6_2 ~verify:true ~validate:session.Session.validate
+    E.table_6_2 ~ctx ~verify:true ~validate:session.Session.validate
       ~exact:session.Session.exact ?jobs:session.Session.jobs
       ?timeout_s:session.Session.task_timeout
       ?retries:session.Session.retries ()
@@ -76,12 +77,12 @@ let table_rows (session : Session.t) traj =
     r;
   r
 
-let make_run session traj =
-  { session; traj; rows = lazy (table_rows session traj) }
+let make_run session ctx traj =
+  { session; ctx; traj; rows = lazy (table_rows session ctx traj) }
 
 (* --- Table 1.1 --- *)
 
-let table_1_1 () =
+let table_1_1 run =
   header "Table 1.1: program execution time in loops";
   Fmt.pr "%-28s %8s %12s %10s   %s@." "benchmark" "# loops" "# loops>1%"
     "total %" "(paper: loops/hot/%)";
@@ -91,7 +92,7 @@ let table_1_1 () =
       Fmt.pr "%-28s %8d %12d %9.0f%%   (%d/%d/%d%%)@." r.S.Profile.row_app
         r.S.Profile.loops r.S.Profile.hot_loops r.S.Profile.hot_percent pl ph
         pp)
-    (S.Profile.table ())
+    (S.Profile.table ~ctx:run.ctx ())
 
 (* --- Table 6.1 --- *)
 
@@ -257,7 +258,7 @@ let combined run =
     (fun (b : S.Registry.benchmark) ->
       Fmt.pr "@.%s@." b.S.Registry.b_name;
       let row =
-        E.run_benchmark ~verify:false ~validate:s.Session.validate
+        E.run_benchmark ~ctx:run.ctx ~verify:false ~validate:s.Session.validate
           ~versions:
             [ N.Original; N.Jammed 2; N.Squashed 4; N.Combined (2, 2);
               N.Combined (2, 4); N.Combined (4, 2) ]
@@ -382,7 +383,8 @@ let plan_target run =
         if s.Session.validate then Some b.S.Registry.b_workload else None
       in
       let plan =
-        P.plan ?jobs:s.Session.jobs ?validate:probe ~exact:s.Session.exact
+        P.plan ~ctx:run.ctx ?jobs:s.Session.jobs ?validate:probe
+          ~exact:s.Session.exact
           ?timeout_s:s.Session.task_timeout ?retries:s.Session.retries
           b.S.Registry.b_program ~outer_index:b.S.Registry.b_outer_index
           ~inner_index:b.S.Registry.b_inner_index
@@ -498,7 +500,7 @@ let micro run =
 let plain f (_ : run) = f ()
 
 let targets =
-  [ ("table-1.1", plain table_1_1);
+  [ ("table-1.1", table_1_1);
     ("table-6.1", plain table_6_1);
     ("table-6.2", table_6_2);
     ("table-6.3", table_6_3);
@@ -519,13 +521,14 @@ let targets =
 let prog = "bench"
 
 let main session json cache_warm requested =
-  Session.start ~prog session;
-  ignore (Session.open_store ~prog session);
-  (* --json embeds the span/counter breakdown, so it implies the
-     instrumentation --timings turns on *)
-  if Option.is_some json then Instrument.set_enabled true;
+  (* --json embeds the span/counter breakdown, so it records into a sink
+     as --timings does *)
+  let traced =
+    { session with Session.timings = session.Session.timings || json <> None }
+  in
+  let ctx = Session.open_store ~prog session (Session.start ~prog traced) in
   let traj =
-    Trajectory.make
+    Trajectory.make ~ctx
       ~interp_tier:(Fast_interp.tier_name (Fast_interp.default_tier ()))
       ~jobs:session.Session.jobs ()
   in
@@ -541,19 +544,19 @@ let main session json cache_warm requested =
         Trajectory.add_target traj ~name:(name ^ suffix) ~wall_s)
       requested
   in
-  pass (make_run session (Some traj)) "";
+  pass (make_run session ctx (Some traj)) "";
   (* the warm leg: a fresh run drops the in-process Table 6.2, so the
      second pass really goes through the persistent store, and records
      only the "<target> (warm)" wall-clock rows *)
-  if cache_warm then pass (make_run session None) " (warm)";
+  if cache_warm then pass (make_run session ctx None) " (warm)";
   if session.Session.timings then begin
     header "timings";
-    Fmt.pr "%a" Instrument.pp_summary ()
+    Fmt.pr "%a" Instrument.pp_summary ctx.trace
   end;
   Option.iter (Trajectory.write_file traj) json;
   (* hit rates and latency on stderr, so clean stdout stays
      byte-identical to the committed goldens *)
-  Session.report_store ()
+  Session.report_store ctx
 
 let () =
   let open Cmdliner in

@@ -200,22 +200,22 @@ let show_cmd =
 
 let estimate_cmd =
   let run name verify dump_after server (s : Session.t) =
-    Session.start ~prog s;
+    let ctx = Session.start ~prog s in
     let local () =
-      ignore (Session.open_store ~prog s);
+      let ctx = Session.open_store ~prog s ctx in
       let b = find_benchmark name in
       let after = dump_hook_of dump_after in
       (* dumping from pool domains would interleave: force sequential *)
       let jobs = if Option.is_some after then Some 1 else s.Session.jobs in
       let row =
-        E.run_benchmark ~verify ~validate:s.Session.validate
+        E.run_benchmark ~ctx ~verify ~validate:s.Session.validate
           ~exact:s.Session.exact ?jobs ?timeout_s:s.Session.task_timeout
           ?retries:s.Session.retries ?after b
       in
       print_string (Uas_service.Handler.render_estimate row);
       if s.Session.timings then
-        Fmt.pr "%a" Uas_runtime.Instrument.pp_summary ();
-      Session.report_store ()
+        Fmt.pr "%a" Uas_runtime.Instrument.pp_summary ctx.trace;
+      Session.report_store ctx
     in
     match server with
     | None -> local ()
@@ -248,7 +248,7 @@ let estimate_cmd =
 
 let run_cmd =
   let run name version s =
-    Session.start ~prog s;
+    let ctx = Session.start ~prog s in
     let tier = Uas_ir.Fast_interp.default_tier () in
     let b = find_benchmark name in
     let built =
@@ -258,7 +258,8 @@ let run_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let result =
-      S.Registry.run_tier tier (Uas_ir.Fast_interp.Source built.N.bv_program)
+      S.Registry.run_tier ctx tier
+        (Uas_ir.Fast_interp.Source built.N.bv_program)
         b.S.Registry.b_workload
     in
     let dt = Unix.gettimeofday () -. t0 in
@@ -444,23 +445,20 @@ let objective_arg =
 
 let plan_cmd =
   let run name objective server (s : Session.t) =
-    Session.start ~prog s;
+    let ctx = Session.start ~prog s in
     (* the store opens with the first local plan: a daemon that serves
        every benchmark never needs it *)
-    let local_ran = ref false in
+    let local_ctx = lazy (Session.open_store ~prog s ctx) in
     (* one request (or local fallback) per benchmark, so a daemon that
        fails mid-list degrades only the affected benchmark *)
     let plan_one (b : S.Registry.benchmark) =
       let local () =
-        if not !local_ran then begin
-          local_ran := true;
-          ignore (Session.open_store ~prog s)
-        end;
+        let ctx = Lazy.force local_ctx in
         let probe =
           if s.Session.validate then Some b.S.Registry.b_workload else None
         in
         let plan =
-          P.plan ?jobs:s.Session.jobs ~objective ?validate:probe
+          P.plan ~ctx ?jobs:s.Session.jobs ~objective ?validate:probe
             ~exact:s.Session.exact ?timeout_s:s.Session.task_timeout
             ?retries:s.Session.retries b.S.Registry.b_program
             ~outer_index:b.S.Registry.b_outer_index
@@ -484,10 +482,10 @@ let plan_cmd =
     (match name with
     | Some name -> plan_one (find_benchmark name)
     | None -> List.iter plan_one (S.Registry.all () @ S.Registry.extras ()));
-    if !local_ran then begin
+    if Lazy.is_val local_ctx then begin
       if s.Session.timings then
-        Fmt.pr "%a" Uas_runtime.Instrument.pp_summary ();
-      Session.report_store ()
+        Fmt.pr "%a" Uas_runtime.Instrument.pp_summary ctx.trace;
+      Session.report_store (Lazy.force local_ctx)
     end
   in
   let bench_opt =
@@ -552,13 +550,13 @@ let daemon_cmd =
 
 let profile_cmd =
   let run s =
-    Session.start ~prog s;
+    let ctx = Session.start ~prog s in
     Fmt.pr "%-28s %8s %12s %9s@." "benchmark" "# loops" "# loops>1%" "total %";
     List.iter
       (fun (r : S.Profile.row) ->
         Fmt.pr "%-28s %8d %12d %8.0f%%@." r.S.Profile.row_app
           r.S.Profile.loops r.S.Profile.hot_loops r.S.Profile.hot_percent)
-      (S.Profile.table ())
+      (S.Profile.table ~ctx ())
   in
   Cmd.v
     (Cmd.info "profile" ~doc:"Run the Table 1.1 loop-profiling study")

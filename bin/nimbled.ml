@@ -84,10 +84,10 @@ let max_frame_arg =
 
 let serve (s : Session.t) socket pidfile queue request_budget drain_timeout
     json max_frame =
-  Session.start ~prog s;
+  let ctx = Session.open_store ~prog s (Session.start ~prog s) in
   (* reopen and verify the store before admitting anyone: a restart
      after SIGKILL must prove the cache survived *)
-  (match Session.open_store ~prog s with
+  (match ctx.store with
   | None -> ()
   | Some store ->
     let objects, bytes = Store.scan store in
@@ -99,7 +99,7 @@ let serve (s : Session.t) socket pidfile queue request_budget drain_timeout
     | None -> ()
     | Some file ->
       let traj =
-        Trajectory.make
+        Trajectory.make ~ctx
           ~interp_tier:
             (Uas_ir.Fast_interp.tier_name (Uas_ir.Fast_interp.default_tier ()))
           ~jobs:s.Session.jobs ()
@@ -123,7 +123,7 @@ let serve (s : Session.t) socket pidfile queue request_budget drain_timeout
       c_log = log;
       c_on_drained = on_drained }
   in
-  match Server.run cfg with
+  match Server.run ~ctx cfg with
   | Ok () ->
     log "drained; exiting 0";
     exit 0

@@ -296,12 +296,12 @@ let static_loop_count (p : Stmt.program) : int =
     selects the interpreter; both tiers produce identical profiles, so
     the row is tier-independent — the fast default just gets it
     sooner. *)
-let profile_app ?tier (a : app) : row =
+let profile_app ?(ctx = Uas_runtime.Ctx.default ()) ?tier (a : app) : row =
   let tier =
     match tier with Some t -> t | None -> Fast_interp.default_tier ()
   in
   let result =
-    Registry.run_tier tier (Fast_interp.Source a.program) a.workload
+    Registry.run_tier ctx tier (Fast_interp.Source a.program) a.workload
   in
   let reports = Interp.loop_reports result in
   let hot = List.filter (fun r -> r.Interp.lr_fraction > 0.01) reports in
@@ -327,4 +327,4 @@ let profile_app ?tier (a : app) : row =
     hot_percent = 100.0 *. covered;
     paper = (a.paper_loops, a.paper_hot, a.paper_percent) }
 
-let table () : row list = List.map profile_app (all ())
+let table ?ctx () : row list = List.map (profile_app ?ctx) (all ())

@@ -36,7 +36,7 @@ val static_loop_count : Stmt.program -> int
 (** [tier] selects the interpreter (default
     {!Fast_interp.default_tier}); the profile, and hence the row, is
     bit-identical on either tier. *)
-val profile_app : ?tier:Fast_interp.tier -> app -> row
+val profile_app : ?ctx:Uas_runtime.Ctx.t -> ?tier:Fast_interp.tier -> app -> row
 
 (** The full Table 1.1. *)
-val table : unit -> row list
+val table : ?ctx:Uas_runtime.Ctx.t -> unit -> row list

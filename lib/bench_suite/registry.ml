@@ -2,6 +2,9 @@
    location, workloads, and a host-reference output for verification. *)
 
 open Uas_ir
+module Ctx = Uas_runtime.Ctx
+module Fault = Uas_runtime.Fault
+module Instrument = Uas_runtime.Instrument
 
 type benchmark = {
   b_name : string;              (** Table 6.1 name, e.g. "Skipjack-mem" *)
@@ -136,19 +139,16 @@ let corrupt_result (r : Interp.result) : Interp.result =
 
 (** Run [p] on [w] on the chosen interpreter tier, under an
     instrumentation span naming the tier. *)
-let run_tier ?fuel (tier : Fast_interp.tier) (code : Fast_interp.code)
-    (w : Interp.workload) : Interp.result =
+let run_tier (ctx : Ctx.t) ?fuel (tier : Fast_interp.tier)
+    (code : Fast_interp.code) (w : Interp.workload) : Interp.result =
   let name = Fast_interp.tier_name tier in
-  Uas_runtime.Instrument.span ("interp.run." ^ name) (fun () ->
-      match Uas_runtime.Fault.hit ~label:name "interp.run" with
+  Instrument.span ctx.trace ("interp.run." ^ name) (fun () ->
+      match Fault.hit ctx.faults ~scope:ctx.scope ~label:name "interp.run" with
       | None -> Fast_interp.run_tier ?fuel tier code w
-      | Some Uas_runtime.Fault.Raise ->
-        raise
-          (Uas_runtime.Fault.Injected
-             { site = "interp.run"; kind = Uas_runtime.Fault.Raise })
-      | Some Uas_runtime.Fault.Stall ->
-        Fast_interp.run_tier ~fuel:stall_fuel tier code w
-      | Some Uas_runtime.Fault.Corrupt ->
+      | Some Fault.Raise ->
+        raise (Fault.Injected { site = "interp.run"; kind = Fault.Raise })
+      | Some Fault.Stall -> Fast_interp.run_tier ~fuel:stall_fuel tier code w
+      | Some Fault.Corrupt ->
         corrupt_result (Fast_interp.run_tier ?fuel tier code w))
 
 (** Does an interpreter result reproduce the benchmark's host
@@ -193,4 +193,5 @@ let check_against_reference ?tier (b : benchmark) (p : Stmt.program) :
   let tier =
     match tier with Some t -> t | None -> Fast_interp.default_tier ()
   in
-  check_result b (run_tier tier (Fast_interp.Source p) b.b_workload)
+  check_result b
+    (run_tier (Ctx.default ()) tier (Fast_interp.Source p) b.b_workload)

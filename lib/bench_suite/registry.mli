@@ -43,7 +43,7 @@ val corrupt_result : Interp.result -> Interp.result
 val stall_fuel : int
 
 (** Run a program on a workload on the chosen interpreter tier, under
-    an [interp.run.ref]/[interp.run.fast] instrumentation span.
+    an [interp.run.ref]/[interp.run.fast] span of the context's sink.
 
     This is the [interp.run] fault-injection site (label: ["ref"] or
     ["fast"]): [raise] throws [Fault.Injected], [stall] runs with a
@@ -51,6 +51,7 @@ val stall_fuel : int
     [corrupt] perturbs the first output value — the scenarios the
     sweep's verification must absorb as unverified/skipped cells. *)
 val run_tier :
+  Uas_runtime.Ctx.t ->
   ?fuel:int ->
   Fast_interp.tier ->
   Fast_interp.code ->

@@ -3,7 +3,9 @@ module Fast_interp = Uas_ir.Fast_interp
 module Sched = Uas_dfg.Sched
 module Diag = Uas_pass.Diag
 module Budget = Uas_runtime.Budget
+module Ctx = Uas_runtime.Ctx
 module Fault = Uas_runtime.Fault
+module Instrument = Uas_runtime.Instrument
 module Store = Uas_runtime.Store
 
 type t = {
@@ -195,40 +197,44 @@ let failf ~prog ?(pass = "runtime") fmt =
       exit 1)
     fmt
 
-let start ~prog s =
+let start ~prog s : Ctx.t =
   (* a malformed environment is a diagnostic up front, not an
      Invalid_argument out of the first pool dispatch or a silent tier
      fallback *)
   (match Uas_runtime.Parallel.default_jobs_result () with
   | Ok _ -> ()
   | Error m -> failf ~prog "%s" m);
-  (match Fault.env_error () with
-  | None -> ()
-  | Some m -> failf ~prog "%s: %s" Fault.env_var m);
+  let parse_faults source = function
+    | None -> Fault.none
+    | Some plan -> (
+      match Fault.parse plan with
+      | Ok f -> f
+      | Error m -> failf ~prog "%s: %s" source m)
+  in
+  let env_faults = parse_faults Fault.env_var (Sys.getenv_opt Fault.env_var) in
   (match Fast_interp.env_tier_error () with
   | None -> ()
   | Some m -> failf ~prog "%s" m);
-  (match s.fault with
-  | None -> ()
-  | Some plan -> (
-    match Fault.arm plan with
-    | Ok () -> ()
-    | Error m -> failf ~prog "--fault: %s" m));
+  let faults =
+    if Option.is_some s.fault then parse_faults "--fault" s.fault
+    else env_faults
+  in
   Option.iter Fast_interp.set_default_tier s.tier;
-  if s.timings then Uas_runtime.Instrument.set_enabled true
+  { Ctx.store = None;
+    cache_verify = s.cache_verify;
+    faults;
+    trace = (if s.timings then Instrument.create () else Instrument.off);
+    scope = [] }
 
-let open_store ~prog s =
-  if s.cache_verify then Store.set_verify true;
+let open_store ~prog s (ctx : Ctx.t) =
   match s.cache with
-  | None -> None
+  | None -> ctx
   | Some dir -> (
     match Store.open_dir dir with
-    | Ok store ->
-      Store.install store;
-      Some store
+    | Ok store -> { ctx with store = Some store }
     | Error m -> failf ~prog "--cache: %s" m)
 
-let report_store () =
-  match Store.installed () with
+let report_store (ctx : Ctx.t) =
+  match ctx.store with
   | Some s -> Fmt.epr "%a@." Store.pp_stats s
   | None -> ()

@@ -49,19 +49,19 @@ val seconds : flag:string -> float Cmdliner.Arg.conv
 val failf :
   prog:string -> ?pass:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-(** Reject a malformed [UAS_JOBS], [UAS_FAULT] or [UAS_INTERP], arm
-    [--fault], set the process-wide interpreter tier and, with
-    [--timings], enable instrumentation.  Any problem is a {!failf}
-    diagnostic. *)
-val start : prog:string -> t -> unit
+(** Reject a malformed [UAS_JOBS], [UAS_FAULT] or [UAS_INTERP], set
+    the process-wide interpreter tier, and return the run context: the
+    fault plan of [--fault] (else [UAS_FAULT], else none), a recording
+    instrumentation sink with [--timings], [--cache-verify], no store
+    and no scope.  Any problem is a {!failf} diagnostic. *)
+val start : prog:string -> t -> Uas_runtime.Ctx.t
 
-(** Open and install the [--cache] store (returned for callers that
-    inspect it) and apply [--cache-verify].  Kept apart from {!start}
-    because [nimblec --server] opens the store only when it falls back
-    to local compilation.  An unopenable directory is a {!failf}
-    diagnostic. *)
-val open_store : prog:string -> t -> Uas_runtime.Store.t option
+(** The context with the [--cache] store opened (unchanged without
+    one).  Kept apart from {!start} because [nimblec --server] opens
+    the store only when it falls back to local compilation.  An
+    unopenable directory is a {!failf} diagnostic. *)
+val open_store : prog:string -> t -> Uas_runtime.Ctx.t -> Uas_runtime.Ctx.t
 
-(** The installed store's hit-rate line, on stderr so stdout stays
+(** The context's store hit-rate line, on stderr so stdout stays
     byte-identical with and without a store. *)
-val report_store : unit -> unit
+val report_store : Uas_runtime.Ctx.t -> unit

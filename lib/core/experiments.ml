@@ -11,6 +11,7 @@ module Datapath = Uas_hw.Datapath
 module Pass = Uas_pass.Pass
 module Stages = Uas_pass.Stages
 module Instrument = Uas_runtime.Instrument
+module Ctx = Uas_runtime.Ctx
 module Fault = Uas_runtime.Fault
 module Fast_interp = Uas_ir.Fast_interp
 module Cu = Uas_pass.Cu
@@ -62,11 +63,11 @@ type normalized = {
    injected interpreter fault, outputs differing from the host
    reference — marks the cell unverified with an incident; it never
    aborts the sweep. *)
-let build_cell ?after ~validate ~exact ~target ~verify ~tier
+let build_cell ctx ?after ~validate ~exact ~target ~verify ~tier
     (b : Registry.benchmark) (v : Nimble.version) : (cell, skip) result =
   let probe = if validate then Some b.Registry.b_workload else None in
   match
-    Nimble.run_version_cu ~target ?after ?validate:probe ~exact
+    Nimble.run_version_cu ~ctx ~target ?after ?validate:probe ~exact
       b.Registry.b_program ~outer_index:b.Registry.b_outer_index
       ~inner_index:b.Registry.b_inner_index v
   with
@@ -81,13 +82,13 @@ let build_cell ?after ~validate ~exact ~target ~verify ~tier
     in
     let verified =
       (not verify)
-      || Instrument.span "pass.verify" (fun () ->
+      || Instrument.span ctx.Ctx.trace "pass.verify" (fun () ->
              let code : Fast_interp.code =
                match (tier : Fast_interp.tier) with
                | Ref -> Source built.Nimble.bv_program
                | Fast -> Compiled (Cu.compiled cu)
              in
-             match Registry.run_tier tier code b.Registry.b_workload with
+             match Registry.run_tier ctx tier code b.Registry.b_workload with
              | result -> (
                match Registry.check_result b result with
                | Ok () -> true
@@ -100,9 +101,8 @@ let build_cell ?after ~validate ~exact ~target ~verify ~tier
              | exception Uas_ir.Interp.Out_of_fuel ->
                incident "verification run out of fuel";
                false
-             | exception Fault.Injected { site; kind } ->
-               incident "injected fault at site %s (kind %s)" site
-                 (Fault.kind_name kind);
+             | exception (Fault.Injected _ as e) ->
+               incident "%s" (Printexc.to_string e);
                false)
     in
     Ok
@@ -116,7 +116,7 @@ let build_cell ?after ~validate ~exact ~target ~verify ~tier
    each in a fault scope named "<benchmark>/<version>"; a task the pool
    gives up on becomes a skipped cell.  The input-ordered results are
    regrouped benchmark-major. *)
-let run_rows ?(target = Datapath.default) ?(verify = true) ?tier
+let run_rows ?ctx ?(target = Datapath.default) ?(verify = true) ?tier
     ?(validate = false) ?(exact = Sched.Exact_off) ?jobs ?timeout_s ?retries
     ?after (benches : (Registry.benchmark * Nimble.version list) list) :
     bench_row list =
@@ -124,12 +124,12 @@ let run_rows ?(target = Datapath.default) ?(verify = true) ?tier
     match tier with Some t -> t | None -> Fast_interp.default_tier ()
   in
   let cells =
-    Pass.fan_out ?jobs ?timeout_s ?retries
+    Pass.fan_out ?ctx ?jobs ?timeout_s ?retries
       ~scope:(fun ((b : Registry.benchmark), v) ->
         b.Registry.b_name ^ "/" ^ Nimble.version_name v)
       ~failed:(fun (_, v) d -> Error { s_version = v; s_diag = d })
-      (fun (b, v) ->
-        build_cell ?after ~validate ~exact ~target ~verify ~tier b v)
+      (fun ctx (b, v) ->
+        build_cell ctx ?after ~validate ~exact ~target ~verify ~tier b v)
       (List.concat_map (fun (b, vs) -> List.map (fun v -> (b, v)) vs) benches)
   in
   let rec regroup cells = function
@@ -147,7 +147,7 @@ let run_rows ?(target = Datapath.default) ?(verify = true) ?tier
 
 (** Run the full Table 6.2 sweep for one benchmark: the one-benchmark
     case of {!table_6_2}'s fan-out. *)
-let run_benchmark ?target ?verify ?tier ?validate ?exact ?versions ?jobs
+let run_benchmark ?ctx ?target ?verify ?tier ?validate ?exact ?versions ?jobs
     ?timeout_s ?retries ?after (b : Registry.benchmark) : bench_row =
   let versions =
     match versions with
@@ -163,16 +163,16 @@ let run_benchmark ?target ?verify ?tier ?validate ?exact ?versions ?jobs
       Nimble.versions_for ~depth
   in
   List.hd
-    (run_rows ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s ?retries
-       ?after [ (b, versions) ])
+    (run_rows ?ctx ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s
+       ?retries ?after [ (b, versions) ])
 
 (** Table 6.2 over the whole suite.  All (benchmark, version) cells —
     ~50 independent build+estimate+verify tasks — go through one flat
     pool fan-out, so the hot path scales with the core count instead of
     running strictly sequentially. *)
-let table_6_2 ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s ?retries
-    () : bench_row list =
-  run_rows ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s ?retries
+let table_6_2 ?ctx ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s
+    ?retries () : bench_row list =
+  run_rows ?ctx ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s ?retries
     (List.map (fun b -> (b, Nimble.paper_versions)) (Registry.all ()))
 
 (** Normalize one benchmark row against its original version

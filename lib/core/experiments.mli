@@ -58,8 +58,9 @@ type normalized = {
     compilation unit's memoized compiled program and produces
     bit-identical cells.
 
-    Fault tolerance: the cells go through {!Uas_pass.Pass.fan_out},
-    each in a fault scope named ["<benchmark>/<version>"]; a task the
+    Fault tolerance: the cells go through {!Uas_pass.Pass.fan_out}
+    under [ctx] (default {!Uas_runtime.Ctx.default}), each in a fault
+    scope named ["<benchmark>/<version>"]; a task the
     pool gives up on surfaces as a skipped cell with a [task]
     diagnostic.  [validate] translation-validates each rewrite on the
     benchmark workload (a miscompiling rewrite degrades its cell
@@ -73,6 +74,7 @@ type normalized = {
     certifies (or brackets, under budget exhaustion) the optimal II of
     the pipelined cells and fills {!cell.c_gap}. *)
 val run_benchmark :
+  ?ctx:Uas_runtime.Ctx.t ->
   ?target:Datapath.t ->
   ?verify:bool ->
   ?tier:Uas_ir.Fast_interp.tier ->
@@ -90,6 +92,7 @@ val run_benchmark :
     pool task, so the full table scales with the core count.  Fault
     tolerance as in {!run_benchmark}. *)
 val table_6_2 :
+  ?ctx:Uas_runtime.Ctx.t ->
   ?target:Datapath.t ->
   ?verify:bool ->
   ?tier:Uas_ir.Fast_interp.tier ->

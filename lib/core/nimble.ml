@@ -144,10 +144,10 @@ type outcome =
 (** Transform + quick-synthesis pipeline for one version, keeping the
     final compilation unit (whose memoized artifacts — notably the
     fast-interpreter compilation — downstream verification reuses). *)
-let run_version_cu ?(target = Datapath.default) ?after ?validate ?exact
+let run_version_cu ?ctx ?(target = Datapath.default) ?after ?validate ?exact
     (p : Stmt.program) ~outer_index ~inner_index (version : version) :
     (Cu.t * built * Estimate.report, Diag.t) result =
-  let cu = Cu.make p ~outer_index ~inner_index in
+  let cu = Cu.make ?ctx p ~outer_index ~inner_index in
   let passes =
     transform_passes ?validate version @ estimate_passes ~target ?exact version
   in
@@ -159,21 +159,13 @@ let run_version_cu ?(target = Datapath.default) ?after ?validate ?exact
       (* the estimate pass always sets the report artifact *)
       assert false)
   | Error d ->
-    Instrument.incr "sweep.illegal-versions";
+    Instrument.incr (Cu.ctx cu).trace "sweep.illegal-versions";
     Error d
 
 let outcome_of_cu_result = function
   | Ok (cu, b, r) -> (
     match Cu.incidents cu with [] -> Built (b, r) | ds -> Degraded (b, r, ds))
   | Error d -> Skipped d
-
-(** Transform + quick-synthesis pipeline for one version, end to
-    end. *)
-let run_version ?target ?after ?validate (p : Stmt.program) ~outer_index
-    ~inner_index (version : version) : outcome =
-  outcome_of_cu_result
-    (run_version_cu ?target ?after ?validate p ~outer_index ~inner_index
-       version)
 
 (** Build and estimate every requested version of a benchmark nest,
     fanning the independent versions out over the domain pool.  Every
@@ -182,12 +174,16 @@ let run_version ?target ?after ?validate (p : Stmt.program) ~outer_index
     the pass that rejected it — a task the pool itself gives up on
     (uncaught exception after retries, wall-budget timeout) becomes
     [Skipped] too, so no single bad cell can abort the sweep. *)
-let sweep ?(target = Datapath.default) ?(versions = paper_versions) ?jobs
+let sweep ?ctx ?(target = Datapath.default) ?(versions = paper_versions) ?jobs
     ?validate ?timeout_s ?retries (p : Stmt.program) ~outer_index ~inner_index
     : (version * outcome) list =
-  Pass.fan_out ?jobs ?timeout_s ?retries ~scope:version_name
+  Pass.fan_out ?ctx ?jobs ?timeout_s ?retries ~scope:version_name
     ~failed:(fun v d -> (v, Skipped d))
-    (fun v -> (v, run_version ~target ?validate p ~outer_index ~inner_index v))
+    (fun ctx v ->
+      ( v,
+        outcome_of_cu_result
+          (run_version_cu ~ctx ~target ?validate p ~outer_index ~inner_index v)
+      ))
     versions
 
 (** The successfully built rows of a sweep (degraded cells included —

@@ -89,10 +89,12 @@ type outcome =
 (** Run one version's full pipeline (transform + quick synthesis),
     returning the final compilation unit alongside the built version —
     callers that go on to execute the program can reuse the unit's
-    memoized {!Uas_pass.Cu.compiled} artifact.  [validate] as in
+    memoized {!Uas_pass.Cu.compiled} artifact.  The unit is made with
+    [ctx] (default {!Uas_runtime.Ctx.default}).  [validate] as in
     {!transform_passes}; validation failures leave the result [Ok] with
     incidents on the unit. *)
 val run_version_cu :
+  ?ctx:Uas_runtime.Ctx.t ->
   ?target:Uas_hw.Datapath.t ->
   ?after:Uas_pass.Pass.hook ->
   ?validate:Uas_ir.Interp.workload ->
@@ -103,28 +105,18 @@ val run_version_cu :
   version ->
   (Uas_pass.Cu.t * built * Uas_hw.Estimate.report, Uas_pass.Diag.t) result
 
-(** Run one version's full pipeline (transform + quick synthesis). *)
-val run_version :
-  ?target:Uas_hw.Datapath.t ->
-  ?after:Uas_pass.Pass.hook ->
-  ?validate:Uas_ir.Interp.workload ->
-  Stmt.program ->
-  outer_index:string ->
-  inner_index:string ->
-  version ->
-  outcome
-
 (** Build and estimate every requested version, fanned out over a
     [Uas_runtime.Parallel] pool of [jobs] domains (default: [UAS_JOBS]
     or the core count).  Results are input-ordered and identical to a
     sequential run; every version is reported — illegal factors as
     [Skipped] with their diagnostic, never silently dropped.
 
-    Fault tolerance: the versions go through {!Uas_pass.Pass.fan_out},
-    each in a fault scope named after it; a task the pool gives up on
-    comes back [Skipped] with its [task] diagnostic.  [validate] as in
-    {!transform_passes}. *)
+    Fault tolerance: the versions go through {!Uas_pass.Pass.fan_out}
+    under [ctx], each in a fault scope named after it; a task the pool
+    gives up on comes back [Skipped] with its [task] diagnostic.
+    [validate] as in {!transform_passes}. *)
 val sweep :
+  ?ctx:Uas_runtime.Ctx.t ->
   ?target:Uas_hw.Datapath.t ->
   ?versions:version list ->
   ?jobs:int ->

@@ -241,9 +241,9 @@ let row_context ?validate ~exact ~target ~outer_index ~inner_index
     "exact-effort=" ^ string_of_int Uas_dfg.Sched.default_exact_effort ]
 
 let run_candidate ?validate ?(exact = Uas_dfg.Sched.Exact_off) ~target
-    (p : Uas_ir.Stmt.program) ~outer_index ~inner_index (c : candidate) : row
-    =
-  let cu = Cu.make p ~outer_index ~inner_index in
+    (p : Uas_ir.Stmt.program) ~outer_index ~inner_index ctx (c : candidate) :
+    row =
+  let cu = Cu.make ~ctx p ~outer_index ~inner_index in
   let kind = "plan-row" in
   let context =
     row_context ?validate ~exact ~target ~outer_index ~inner_index c
@@ -313,7 +313,7 @@ let rank_key objective ~base (row : row) =
     versions; each runs inside a fault scope named
     ["<benchmark>/<label>"], and a task the pool gives up on ranks last
     with a [task] diagnostic instead of aborting the plan. *)
-let plan ?(target = Datapath.default) ?jobs ?(objective = Ratio)
+let plan ?ctx ?(target = Datapath.default) ?jobs ?(objective = Ratio)
     ?(factors = default_factors) ?validate ?exact ?timeout_s ?retries
     (p : Uas_ir.Stmt.program) ~outer_index ~inner_index ~benchmark : plan =
   let cands =
@@ -324,7 +324,7 @@ let plan ?(target = Datapath.default) ?jobs ?(objective = Ratio)
     candidates ~factors ~depth ()
   in
   let rows =
-    Pass.fan_out ?jobs ?timeout_s ?retries
+    Pass.fan_out ?ctx ?jobs ?timeout_s ?retries
       ~scope:(fun c -> benchmark ^ "/" ^ c.c_label)
       ~failed:(fun c d ->
         { r_candidate = c;

@@ -66,7 +66,8 @@ type plan = {
     is deterministic (ties break on II, cycles, area, label).
 
     Fault tolerance: the candidates go through
-    {!Uas_pass.Pass.fan_out}, each in a fault scope named
+    {!Uas_pass.Pass.fan_out} under [ctx] (default
+    {!Uas_runtime.Ctx.default}), each in a fault scope named
     ["<benchmark>/<label>"];
     [validate] translation-validates every rewrite on the probe
     workload (a rejected rewrite degrades the candidate to its
@@ -79,6 +80,7 @@ type plan = {
     [Exact_report] additionally certifies the optimal II of pipelined
     candidates and fills [r_gap]. *)
 val plan :
+  ?ctx:Uas_runtime.Ctx.t ->
   ?target:Datapath.t ->
   ?jobs:int ->
   ?objective:objective ->

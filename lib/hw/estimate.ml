@@ -94,47 +94,30 @@ let kernel_detail ?(target = Datapath.default) (p : Stmt.program) ~index :
     raise
       (Not_a_kernel
          (Printf.sprintf "kernel %s body is not a single basic block" index));
-  Uas_runtime.Instrument.span "dfg-build" (fun () ->
-      Build.build_detailed ~delay_of:target.Datapath.delay_of
-        ~inner_index:l.index l.body)
+  Build.build_detailed ~delay_of:target.Datapath.delay_of ~inner_index:l.index
+    l.body
 
 (** Stage 2: schedule the kernel DFG under the target's port budget.
     The returned note, when present, says the modulo scheduler's effort
-    budget ran out and the non-overlapped fallback was substituted
-    (counted as [sched.effort-degraded]). *)
+    budget ran out and the non-overlapped fallback was substituted. *)
 let kernel_schedule_note ?(target = Datapath.default) ?(pipelined = true)
     (detail : Build.detailed) : Sched.schedule * string option =
   let cfg = Datapath.sched_config target in
-  Uas_runtime.Instrument.span "schedule" (fun () ->
-      if pipelined then begin
-        let s, note = Sched.modulo_schedule_note ~cfg detail.Build.d_graph in
-        if Option.is_some note then
-          Uas_runtime.Instrument.incr "sched.effort-degraded";
-        (s, note)
-      end
-      else (Sched.list_schedule ~cfg detail.Build.d_graph, None))
+  if pipelined then Sched.modulo_schedule_note ~cfg detail.Build.d_graph
+  else (Sched.list_schedule ~cfg detail.Build.d_graph, None)
 
 let kernel_schedule ?target ?pipelined (detail : Build.detailed) :
     Sched.schedule =
   fst (kernel_schedule_note ?target ?pipelined detail)
 
-(** The exact second oracle on a kernel DFG: {!Uas_dfg.Sched.optimal_schedule}
-    under a [schedule.exact] span, with the verdict and search size
-    published as [sched.exact.*] counters.  [witness] (typically the
-    heuristic schedule) caps the search and keeps a budget-exhausted
-    run bracketed instead of unknown. *)
+(** The exact second oracle on a kernel DFG:
+    {!Uas_dfg.Sched.optimal_schedule} under the target's port budget.
+    [witness] (typically the heuristic schedule) caps the search and
+    keeps a budget-exhausted run bracketed instead of unknown. *)
 let kernel_exact ?(target = Datapath.default) ?effort ?witness
     (detail : Build.detailed) : Sched.exact =
   let cfg = Datapath.sched_config target in
-  Uas_runtime.Instrument.span "schedule.exact" (fun () ->
-      let e =
-        Sched.optimal_schedule ~cfg ?effort ?witness detail.Build.d_graph
-      in
-      Uas_runtime.Instrument.incr
-        ("sched.exact." ^ Sched.exact_status_name e.Sched.e_status);
-      Uas_runtime.Instrument.incr ~by:e.Sched.e_expansions
-        "sched.exact.expansions";
-      e)
+  Sched.optimal_schedule ~cfg ?effort ?witness detail.Build.d_graph
 
 (** Stage 3: derive the report from the DFG and its schedule. *)
 let assemble ?(target = Datapath.default) ?(pipelined = true) ?name
@@ -170,7 +153,6 @@ let assemble ?(target = Datapath.default) ?(pipelined = true) ?name
     original designs of Table 6.2 use [pipelined:false]. *)
 let kernel ?(target = Datapath.default) ?(pipelined = true) ?name
     (p : Stmt.program) ~index : report =
-  Uas_runtime.Instrument.span "estimate" @@ fun () ->
   let detail = kernel_detail ~target p ~index in
   let sched = kernel_schedule ~target ~pipelined detail in
   assemble ~target ~pipelined ?name p ~index detail sched

@@ -48,8 +48,7 @@ val kernel_schedule :
 
 (** [kernel_schedule] plus the degradation note: [Some message] when
     the modulo scheduler's effort budget ran out and the
-    non-overlapped fallback was substituted (also counted as
-    [sched.effort-degraded]). *)
+    non-overlapped fallback was substituted. *)
 val kernel_schedule_note :
   ?target:Datapath.t ->
   ?pipelined:bool ->
@@ -57,10 +56,8 @@ val kernel_schedule_note :
   Uas_dfg.Sched.schedule * string option
 
 (** The exact second II oracle ({!Uas_dfg.Sched.optimal_schedule})
-    on a kernel DFG, run under a [schedule.exact] instrumentation span;
-    the verdict lands in the [sched.exact.<status>] counters and the
-    branch-and-bound size in [sched.exact.expansions].  [witness]
-    (typically the heuristic schedule) caps the search. *)
+    on a kernel DFG.  [witness] (typically the heuristic schedule) caps
+    the search. *)
 val kernel_exact :
   ?target:Datapath.t ->
   ?effort:int ->

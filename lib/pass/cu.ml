@@ -7,6 +7,7 @@ module Loop_nest = Uas_analysis.Loop_nest
 module Def_use_a = Uas_analysis.Def_use
 module Dependence = Uas_analysis.Dependence
 module Induction = Uas_analysis.Induction
+module Ctx = Uas_runtime.Ctx
 module Instrument = Uas_runtime.Instrument
 module Store = Uas_runtime.Store
 
@@ -30,6 +31,7 @@ type def_use = {
 type liveness = { lv_live_out : Stmt.Sset.t; lv_max_live : int }
 
 type t = {
+  cu_ctx : Ctx.t;
   cu_program : Stmt.program;
   cu_outer : string;
   cu_inner : string;
@@ -61,8 +63,9 @@ type t = {
   mutable c_incidents : Diag.t list;
 }
 
-let make p ~outer_index ~inner_index =
-  { cu_program = p;
+let make ?(ctx = Ctx.default ()) p ~outer_index ~inner_index =
+  { cu_ctx = ctx;
+    cu_program = p;
     cu_outer = outer_index;
     cu_inner = inner_index;
     c_nest = None;
@@ -81,6 +84,7 @@ let make p ~outer_index ~inner_index =
     c_trail = [];
     c_incidents = [] }
 
+let ctx cu = cu.cu_ctx
 let program cu = cu.cu_program
 let outer_index cu = cu.cu_outer
 let inner_index cu = cu.cu_inner
@@ -110,11 +114,11 @@ let memo cu get set compute =
   match get cu with
   | Some v ->
     cu.c_hits <- cu.c_hits + 1;
-    Instrument.incr "cu.analysis-hit";
+    Instrument.incr cu.cu_ctx.trace "cu.analysis-hit";
     v
   | None ->
     cu.c_misses <- cu.c_misses + 1;
-    Instrument.incr "cu.analysis-miss";
+    Instrument.incr cu.cu_ctx.trace "cu.analysis-miss";
     let v = compute cu in
     set cu (Some v);
     v
@@ -170,13 +174,13 @@ let compiled cu =
   match cu.c_compiled with
   | Some c ->
     cu.c_hits <- cu.c_hits + 1;
-    Instrument.incr "cu.compiled-hit";
+    Instrument.incr cu.cu_ctx.trace "cu.compiled-hit";
     c
   | None ->
     cu.c_misses <- cu.c_misses + 1;
-    Instrument.incr "cu.compiled-miss";
+    Instrument.incr cu.cu_ctx.trace "cu.compiled-miss";
     let c =
-      Instrument.span "interp.compile" (fun () ->
+      Instrument.span cu.cu_ctx.trace "interp.compile" (fun () ->
           Fast_interp.compile cu.cu_program)
     in
     cu.c_compiled <- Some c;
@@ -193,7 +197,7 @@ let hits cu = cu.c_hits
 let misses cu = cu.c_misses
 
 let add_incident cu d =
-  Instrument.incr "cu.incident";
+  Instrument.incr cu.cu_ctx.trace "cu.incident";
   cu.c_incidents <- d :: cu.c_incidents
 
 let incidents cu = List.rev cu.c_incidents
@@ -223,10 +227,10 @@ let push_trail cu label = cu.c_trail <- label :: cu.c_trail
    own sites model cache corruption and must leave keys alone, or an
    injected read fault could never find the entry it is meant to
    corrupt. *)
-let content_fault_plan () =
-  match Uas_runtime.Fault.plan () with
-  | None -> ""
-  | Some p ->
+let content_fault_plan cu =
+  match Uas_runtime.Fault.to_string cu.cu_ctx.faults with
+  | "" -> ""
+  | p ->
     String.split_on_char ',' p
     |> List.filter (fun spec ->
            let s = String.trim spec in
@@ -240,7 +244,7 @@ let store_key cu ~kind ~context =
     (("store-format=" ^ string_of_int Store.format_version)
      :: ("kind=" ^ kind)
      :: ("trail=" ^ String.concat ";" (trail cu))
-     :: ("fault=" ^ content_fault_plan ())
+     :: ("fault=" ^ content_fault_plan cu)
      :: context
     @ [ canonical_text cu ])
 
@@ -257,45 +261,43 @@ let store_undecodable cu ~kind =
   store_incident cu ~kind "undecodable payload; recomputing"
 
 let store_get cu ~kind ~context : string option =
-  match Store.installed () with
+  let { Ctx.store; cache_verify; faults; trace; scope } = cu.cu_ctx in
+  match store with
   | None -> None
-  | Some s ->
-    if Store.verify_mode () then
-      (* verify mode: always recompute; [store_put] then compares *)
+  | Some _ when cache_verify ->
+    (* verify mode: always recompute; [store_put] then compares *)
+    None
+  | Some s -> (
+    let key = store_key cu ~kind ~context in
+    match Store.read ~faults ~scope s ~kind ~key with
+    | Store.Hit payload ->
+      Instrument.incr trace "cu.store-hit";
+      Some payload
+    | Store.Miss ->
+      Instrument.incr trace "cu.store-miss";
       None
-    else (
-      match Store.read s ~kind ~key:(store_key cu ~kind ~context) with
-      | Store.Hit payload ->
-        Instrument.incr "cu.store-hit";
-        Some payload
-      | Store.Miss ->
-        Instrument.incr "cu.store-miss";
-        None
-      | Store.Bad msg ->
-        Instrument.incr "cu.store-miss";
-        store_incident cu ~kind (msg ^ "; recomputing");
-        None)
+    | Store.Bad msg ->
+      Instrument.incr trace "cu.store-miss";
+      store_incident cu ~kind (msg ^ "; recomputing");
+      None)
 
 let store_put cu ~kind ~context payload =
-  match Store.installed () with
+  let { Ctx.store; cache_verify; faults; trace; scope } = cu.cu_ctx in
+  match store with
   | None -> ()
-  | Some s ->
+  | Some s -> (
     let key = store_key cu ~kind ~context in
-    if Store.verify_mode () then (
-      (match Store.read s ~kind ~key with
+    if cache_verify then (
+      match Store.read ~faults ~scope s ~kind ~key with
       | Store.Hit cached when String.equal cached payload ->
-        Instrument.incr "cu.store-verify-ok"
+        Instrument.incr trace "cu.store-verify-ok"
       | Store.Hit _ ->
-        Instrument.incr "cu.store-verify-mismatch";
+        Instrument.incr trace "cu.store-verify-mismatch";
         store_incident cu ~kind
           "verify: cached artifact differs from recomputation; entry \
            replaced"
       | Store.Miss -> ()
       | Store.Bad msg -> store_incident cu ~kind (msg ^ "; entry replaced"));
-      match Store.write s ~kind ~key payload with
-      | Ok () -> ()
-      | Error msg -> store_incident cu ~kind ("write failed: " ^ msg))
-    else
-      match Store.write s ~kind ~key payload with
-      | Ok () -> ()
-      | Error msg -> store_incident cu ~kind ("write failed: " ^ msg)
+    match Store.write ~faults ~scope s ~kind ~key payload with
+    | Ok () -> ()
+    | Error msg -> store_incident cu ~kind ("write failed: " ^ msg))

@@ -11,8 +11,9 @@
     A unit is confined to one domain: the sweep engine builds a fresh
     unit per (benchmark, version) task, so the mutable caches need no
     locking.  Cache traffic is visible through {!hits}/{!misses} and,
-    when instrumentation is enabled, the [cu.analysis-hit]/
-    [cu.analysis-miss] counters. *)
+    in the unit's run context ({!ctx}, which every pass, rewrite and
+    store hook reads), the [cu.analysis-hit]/[cu.analysis-miss]
+    counters. *)
 
 open Uas_ir
 module Loop_nest = Uas_analysis.Loop_nest
@@ -42,8 +43,14 @@ type liveness = {
 type t
 
 (** A fresh unit with an empty cache.  [outer_index]/[inner_index]
-    locate the kernel nest (as in {!Uas_core.Nimble.build_version}). *)
-val make : Stmt.program -> outer_index:string -> inner_index:string -> t
+    locate the kernel nest (as in {!Uas_core.Nimble.build_version});
+    [ctx] defaults to {!Uas_runtime.Ctx.default}. *)
+val make :
+  ?ctx:Uas_runtime.Ctx.t -> Stmt.program -> outer_index:string ->
+  inner_index:string -> t
+
+(** The run context the unit was made with; {!with_program} keeps it. *)
+val ctx : t -> Uas_runtime.Ctx.t
 
 val program : t -> Stmt.program
 val outer_index : t -> string
@@ -137,8 +144,8 @@ val incidents : t -> Diag.t list
     canonical program text (the {!Uas_ir.Pp} round-trip form), the
     rewrite trail that produced it, the caller's [context] parts
     (datapath fingerprint, effort budgets, cost-model version) and the
-    store format version.  All hooks are no-ops when no store is
-    installed; lookups count as [cu.store-hit]/[cu.store-miss], and a
+    store format version.  All hooks are no-ops when the unit's context
+    has no store; lookups count as [cu.store-hit]/[cu.store-miss], and a
     bad or undecodable entry is a miss plus an incident (pass
     ["store"]) — never a wrong answer. *)
 
@@ -156,11 +163,11 @@ val push_trail : t -> string -> unit
     (exposed for tests and external poisoning). *)
 val store_key : t -> kind:string -> context:string list -> string
 
-(** Look the artifact up in the installed store.  [None] on a miss, a
+(** Look the artifact up in the context's store.  [None] on a miss, a
     bad entry (incident logged), verify mode, or no store. *)
 val store_get : t -> kind:string -> context:string list -> string option
 
-(** Publish the artifact.  In verify mode ([--cache-verify]) the fresh
+(** Publish the artifact.  In verify mode ([cache_verify]) the fresh
     payload is first compared against the cached bytes: a mismatch
     logs an incident and counts [cu.store-verify-mismatch], then the
     recomputed value replaces the entry. *)

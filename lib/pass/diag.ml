@@ -70,9 +70,7 @@ let of_exn ~pass ?loop (exn : exn) : t option =
   let err fmt = Fmt.kstr (fun m -> Some (errorf ~pass ?loop "%s" m)) fmt in
   match exn with
   | Failed d -> Some d
-  | Uas_runtime.Fault.Injected { site; kind } ->
-    err "injected fault at site %s (kind %s)" site
-      (Uas_runtime.Fault.kind_name kind)
+  | Uas_runtime.Fault.Injected _ -> err "%s" (Printexc.to_string exn)
   | Uas_hw.Estimate.Not_a_kernel m -> err "not a hardware kernel: %s" m
   | Uas_ir.Types.Ir_error m -> err "%s" m
   | Not_found -> err "no loop nest with the requested outer index"

@@ -2,8 +2,8 @@
 
     A pass is a named step from compilation unit to compilation unit
     that either succeeds or stops the pipeline with a structured
-    {!Diag.t}.  The runner wraps every pass in a
-    [Uas_runtime.Instrument] span named [pass.<name>] — so [--timings]
+    {!Diag.t}.  The runner wraps every pass in a span named
+    [pass.<name>] of the unit's instrumentation sink — so [--timings]
     covers each pipeline stage uniformly — translates the known
     layer-local exceptions into diagnostics ({!Diag.of_exn}), and calls
     an optional [after] hook with the unit each pass produced (the
@@ -34,20 +34,21 @@ type hook = pass:string -> Cu.t -> unit
 val run : ?after:hook -> Cu.t -> t list -> (Cu.t, Diag.t) result
 
 (** The one supervised fan-out under every pipeline driver (the
-    sweep, Table 6.2, the planner): [f] over [inputs] on the
-    supervised {!Uas_runtime.Parallel} pool of [jobs] domains, each
-    task inside a {!Uas_runtime.Fault.with_scope} frame named
-    [scope x], results in input order.  A task the pool gives up on
-    (uncaught exception after [retries], [timeout_s] wall-budget
-    overrun) becomes [failed x d], [d] a [task] diagnostic, and
-    counts once in [sweep.task-failures] — one bad cell never aborts
-    the fan-out. *)
+    sweep, Table 6.2, the planner), and the one place a cell's task
+    starts: [f (Ctx.in_scope ctx (scope x)) x] for every input on the
+    supervised {!Uas_runtime.Parallel} pool of [jobs] domains, results
+    in input order.  [ctx] defaults to {!Uas_runtime.Ctx.default}.  A
+    task the pool gives up on (uncaught exception after [retries],
+    [timeout_s] wall-budget overrun) becomes [failed x d], [d] a [task]
+    diagnostic, and counts once in [sweep.task-failures] — one bad cell
+    never aborts the fan-out. *)
 val fan_out :
+  ?ctx:Uas_runtime.Ctx.t ->
   ?jobs:int ->
   ?timeout_s:float ->
   ?retries:int ->
   scope:('a -> string) ->
   failed:('a -> Diag.t -> 'b) ->
-  ('a -> 'b) ->
+  (Uas_runtime.Ctx.t -> 'a -> 'b) ->
   'a list ->
   'b list

@@ -10,6 +10,9 @@ module Loop_nest = Uas_analysis.Loop_nest
 module Legality = Uas_analysis.Legality
 module Estimate = Uas_hw.Estimate
 module Datapath = Uas_hw.Datapath
+module Instrument = Uas_runtime.Instrument
+
+let trace cu = (Cu.ctx cu).Uas_runtime.Ctx.trace
 
 let analyze =
   Pass.v "loop-nest" (fun cu ->
@@ -37,15 +40,17 @@ let legality ~ds =
           (Diag.errorf ~pass:"legality" ~loop:(Cu.outer_index cu)
              "factor %d: %a" ds Legality.pp_verdict verdict))
 
-(* ensure-style artifact accessors *)
+(* ensure-style artifact accessors; each computation runs under its
+   own span ([dfg-build], [schedule], [schedule.exact]) *)
 
 let ensure_dfg ~target cu =
   match Cu.dfg cu with
   | Some d -> d
   | None ->
     let d =
-      Estimate.kernel_detail ~target (Cu.program cu)
-        ~index:(Cu.inner_index cu)
+      Instrument.span (trace cu) "dfg-build" (fun () ->
+          Estimate.kernel_detail ~target (Cu.program cu)
+            ~index:(Cu.inner_index cu))
     in
     Cu.set_dfg cu d;
     d
@@ -122,14 +127,17 @@ let ensure_schedule ~target ~pipelined cu =
       Cu.set_schedule cu s;
       s
     | None ->
+      let detail = ensure_dfg ~target cu in
       let s, note =
-        Estimate.kernel_schedule_note ~target ~pipelined
-          (ensure_dfg ~target cu)
+        Instrument.span (trace cu) "schedule" (fun () ->
+            Estimate.kernel_schedule_note ~target ~pipelined detail)
       in
       (* an exhausted effort budget degrades the cell, it never hangs
          the sweep: the note becomes a footnoted incident on the unit *)
       (match note with
-      | Some m -> Cu.add_incident cu (Diag.errorf ~pass:"schedule" "%s" m)
+      | Some m ->
+        Instrument.incr (trace cu) "sched.effort-degraded";
+        Cu.add_incident cu (Diag.errorf ~pass:"schedule" "%s" m)
       | None -> ());
       Cu.store_put cu ~kind:"schedule" ~context (schedule_payload (s, note));
       Cu.set_schedule cu s;
@@ -156,7 +164,14 @@ let ensure_exact ~target ~pipelined cu =
       e
     | None ->
       let witness = ensure_schedule ~target ~pipelined cu in
-      let e = Estimate.kernel_exact ~target ~witness (ensure_dfg ~target cu) in
+      let detail = ensure_dfg ~target cu in
+      let e =
+        Instrument.span (trace cu) "schedule.exact" (fun () ->
+            Estimate.kernel_exact ~target ~witness detail)
+      in
+      Instrument.incr (trace cu)
+        ("sched.exact." ^ Uas_dfg.Sched.exact_status_name e.e_status);
+      Instrument.incr ~by:e.e_expansions (trace cu) "sched.exact.expansions";
       Cu.store_put cu ~kind:"exact" ~context
         (Uas_dfg.Sched.exact_to_string e);
       Cu.set_exact cu e;

@@ -1,4 +1,4 @@
-(* The deterministic fault-injection registry behind the chaos tests.
+(* Deterministic fault plans behind the chaos tests.
 
    A fault plan is a comma-separated list of specs, each
    [site[=label]:kind:nth]: the [nth] matching hit of the named
@@ -8,11 +8,11 @@
    label pins a scope (the sweep engine publishes one scope per
    (benchmark, version) cell) replays exactly at any pool size.
 
-   The registry is written to be armed once (from the environment at
-   program start, or from a --fault flag before the run begins) and
-   then hit from every domain of the worker pool: the per-spec hit
-   counters are atomics, the scope stack and the cancellation flag are
-   domain-local. *)
+   A plan is an immutable value parsed once (Session.start reads the
+   environment and the --fault flag) and then hit from every domain of
+   the worker pool: the per-spec hit counters are atomics, the scope
+   comes from the caller's run context, and only the pool's
+   cancellation flag is domain-local. *)
 
 let env_var = "UAS_FAULT"
 
@@ -49,10 +49,12 @@ let () =
 
 let is_injected = function Injected _ -> true | _ -> false
 
-(* ---- the armed plan ---- *)
+(* ---- plans ---- *)
 
-let specs : spec list ref = ref []
-let armed_plan : string option ref = ref None
+type t = { text : string; specs : spec list }
+
+let none = { text = ""; specs = [] }
+let to_string t = t.text
 
 let parse_spec s : (spec, string) result =
   match String.split_on_char ':' (String.trim s) with
@@ -89,19 +91,18 @@ let parse_spec s : (spec, string) result =
                        stall, corrupt)"
          s)
 
-let arm plan : (unit, string) result =
+(* Every parse builds fresh spec records, so each plan value counts its
+   own hits. *)
+let parse text : (t, string) result =
   let parts =
     List.filter
       (fun s -> not (String.equal (String.trim s) ""))
-      (String.split_on_char ',' plan)
+      (String.split_on_char ',' text)
   in
   if parts = [] then Error "empty fault plan"
   else
     let rec go acc = function
-      | [] ->
-        specs := List.rev acc;
-        armed_plan := Some plan;
-        Ok ()
+      | [] -> Ok { text; specs = List.rev acc }
       | p :: rest -> (
         match parse_spec p with
         | Ok sp -> go (sp :: acc) rest
@@ -109,36 +110,7 @@ let arm plan : (unit, string) result =
     in
     go [] parts
 
-let clear () =
-  specs := [];
-  armed_plan := None
-
-let plan () = !armed_plan
-let active () = !specs <> []
-
-(* The environment plan is armed at module-initialization time; a
-   malformed value is remembered (not raised — module init must not
-   crash) for the CLIs to render as a user error. *)
-let env_arm_error : string option ref = ref None
-
-let () =
-  match Sys.getenv_opt env_var with
-  | None -> ()
-  | Some plan -> (
-    match arm plan with Ok () -> () | Error m -> env_arm_error := Some m)
-
-let env_error () = !env_arm_error
-
-(* ---- domain-local scope and cancellation ---- *)
-
-let scope_key : string list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
-
-let with_scope label f =
-  let old = Domain.DLS.get scope_key in
-  Domain.DLS.set scope_key (label :: old);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set scope_key old) f
-
-let scopes () = Domain.DLS.get scope_key
+(* ---- domain-local cancellation ---- *)
 
 let cancel_key : bool Atomic.t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -152,22 +124,22 @@ let cancel_requested () =
 
 (* ---- hitting a site ---- *)
 
-let matches sp ~site ~label =
+let matches sp ~scope ~site ~label =
   String.equal sp.sp_site site
   &&
   match sp.sp_label with
   | None -> true
   | Some want ->
     (match label with Some got -> String.equal want got | None -> false)
-    || List.exists (String.equal want) (scopes ())
+    || List.exists (String.equal want) scope
 
-let hit ?label site : kind option =
-  match !specs with
+let hit t ~scope ?label site : kind option =
+  match t.specs with
   | [] -> None
   | sps ->
     List.find_map
       (fun sp ->
-        if matches sp ~site ~label then
+        if matches sp ~scope ~site ~label then
           let n = Atomic.fetch_and_add sp.sp_count 1 + 1 in
           if n = sp.sp_nth then Some sp.sp_kind else None
         else None)
@@ -194,11 +166,17 @@ let stall ~site () =
   in
   spin ()
 
+(* For sites that degrade instead of raising: act out a fired kind
+   ([stall] spins first) and return the injected fault's message. *)
+let absorb ~site kind =
+  (if kind = Stall then try stall ~site () with Injected _ -> ());
+  Printexc.to_string (Injected { site; kind })
+
 (* The one-line site helper for code that cannot act on [Corrupt]
    (there is nothing generic to corrupt): every kind degenerates to an
    exception, except [Stall], which spins first. *)
-let raise_if_armed ?label site =
-  match hit ?label site with
+let raise_if_armed t ~scope ?label site =
+  match hit t ~scope ?label site with
   | None -> ()
   | Some Stall -> stall ~site ()
   | Some ((Raise | Corrupt) as k) -> raise (Injected { site; kind = k })

@@ -8,10 +8,11 @@
     the fault, exactly once; counting is per spec and purely
     counter-based — no seeds, no randomness — so a plan replays exactly
     on a sequential run.  A spec may pin a [label]: it then matches
-    only hits whose own label equals it, or hits made inside a
-    {!with_scope} frame carrying it (the sweep engine opens one scope
-    per (benchmark, version) cell, e.g. ["Skipjack-mem/squash(4)"]),
-    which makes a fault land on one specific cell at any pool size.
+    only hits whose own label equals it, or hits made under a scope
+    carrying it (the sweep engine runs each (benchmark, version) cell
+    in its own scope, e.g. ["Skipjack-mem/squash(4)"], through
+    {!Ctx.in_scope}), which makes a fault land on one specific cell at
+    any pool size.
 
     Sites wired through the stack: [parallel.task] (label: input
     index), [pass.run] (label: pass name), [rewrite.apply] (label:
@@ -32,16 +33,15 @@
     return a deterministically-perturbed result (sites that have
     nothing to corrupt treat it as [raise]).
 
-    The plan comes from the [UAS_FAULT] environment variable (armed at
-    program start) or a CLI [--fault] flag ({!arm}). *)
+    A plan is a value: the CLIs parse the [UAS_FAULT] environment
+    variable and the [--fault] flag in [Session.start] and carry the
+    result in their run context ({!Ctx.t}); each parse has its own hit
+    counters. *)
 
-(** The environment variable consulted at startup: ["UAS_FAULT"]. *)
+(** The environment variable [Session.start] reads: ["UAS_FAULT"]. *)
 val env_var : string
 
 type kind = Raise | Stall | Corrupt
-
-val kind_name : kind -> string
-val kind_of_string : string -> kind option
 
 (** The exception a fired [raise]/[stall] spec throws.  The pass
     runner's diagnostics layer renders it, so an injected fault
@@ -50,32 +50,20 @@ exception Injected of { site : string; kind : kind }
 
 val is_injected : exn -> bool
 
-(** Parse and install a plan, replacing any armed one (hit counters
-    restart).  [Error] describes the first malformed spec. *)
-val arm : string -> (unit, string) result
+(** A parsed plan with its hit counters. *)
+type t
 
-(** Drop the armed plan (tests). *)
-val clear : unit -> unit
+(** The empty plan: no site ever fires. *)
+val none : t
 
-(** The armed plan string, when one is installed. *)
-val plan : unit -> string option
+(** Parse a plan with fresh hit counters.  [Error] describes the first
+    malformed spec. *)
+val parse : string -> (t, string) result
 
-(** Is any spec armed?  (Cheap; sites bail out immediately when not.) *)
-val active : unit -> bool
+(** The plan text as parsed; [""] for {!none}. *)
+val to_string : t -> string
 
-(** The parse error of a malformed [UAS_FAULT] environment value, if
-    there was one at startup.  Module initialization never crashes; the
-    CLIs check this and exit 1 with the message. *)
-val env_error : unit -> string option
-
-(** {2 Scopes and cancellation (domain-local)} *)
-
-(** [with_scope label f] runs [f] with [label] pushed on the calling
-    domain's scope stack; spec labels match active scopes. *)
-val with_scope : string -> (unit -> 'a) -> 'a
-
-(** The calling domain's scope stack, innermost first. *)
-val scopes : unit -> string list
+(** {2 Cancellation (domain-local)} *)
 
 (** Install (or clear) the calling domain's cancellation flag — set by
     the {!Parallel} pool around each task so its watchdog can cancel a
@@ -88,20 +76,25 @@ val cancel_requested : unit -> bool
 
 (** {2 Sites} *)
 
-(** [hit ?label site] advances every matching spec's counter and
-    returns the kind to inject when one fired.  [None] means proceed
-    normally (the overwhelmingly common case: one list check). *)
-val hit : ?label:string -> string -> kind option
+(** [hit t ~scope ?label site] advances every spec of [t] matching the
+    site, its label or one of the [scope] labels, and returns the kind
+    to inject when one fired.  [None] means proceed normally (the
+    overwhelmingly common case: one list check). *)
+val hit : t -> scope:string list -> ?label:string -> string -> kind option
 
-(** [raise_if_armed ?label site] is {!hit} for sites that cannot act on
-    [Corrupt]: [raise]/[corrupt] throw {!Injected}, [stall] spins via
-    {!stall} first. *)
-val raise_if_armed : ?label:string -> string -> unit
+(** [raise_if_armed] is {!hit} for sites that cannot act on [Corrupt]:
+    [raise]/[corrupt] throw {!Injected}, [stall] spins via {!stall}
+    first. *)
+val raise_if_armed : t -> scope:string list -> ?label:string -> string -> unit
 
 (** Spin until {!cancel_requested} or the stall cap (default 1s)
     expires, then raise {!Injected} with kind [Stall].  Sleeps in 2ms
     slices, so a watchdog-cancelled stall ends promptly. *)
 val stall : site:string -> unit -> 'a
+
+(** For sites that degrade instead of raising: {!stall} first when
+    [kind] is [Stall], then the message {!Injected} renders to. *)
+val absorb : site:string -> kind -> string
 
 (** Override the unsupervised-stall give-up cap, in seconds (tests). *)
 val set_stall_cap : float -> unit

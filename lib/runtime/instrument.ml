@@ -1,70 +1,74 @@
-(* Thread-safe pass instrumentation.  The registry is two hashtables
-   behind one mutex; entries are immutable records replaced wholesale,
-   so a snapshot under the lock is consistent without copying.  The
-   enabled flag is an [Atomic] read on the fast path — a disabled span
-   costs one load. *)
-
-let enabled = Atomic.make false
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
+(* Thread-safe pass instrumentation.  A sink is two hashtables behind
+   one mutex; entries are immutable records replaced wholesale, so a
+   snapshot under the lock is consistent without copying.  A span on the
+   [off] sink is a direct call, and its tables stay empty. *)
 
 type span_stat = { calls : int; total_s : float; max_s : float }
 
-let lock = Mutex.create ()
-let span_tbl : (string, span_stat) Hashtbl.t = Hashtbl.create 32
-let counter_tbl : (string, int) Hashtbl.t = Hashtbl.create 32
+type t = {
+  on : bool;
+  lock : Mutex.t;
+  span_tbl : (string, span_stat) Hashtbl.t;
+  counter_tbl : (string, int) Hashtbl.t;
+}
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let create () =
+  { on = true;
+    lock = Mutex.create ();
+    span_tbl = Hashtbl.create 32;
+    counter_tbl = Hashtbl.create 32 }
 
-let record name dt =
-  with_lock (fun () ->
+let off = { (create ()) with on = false }
+
+let with_lock t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+let record t name dt =
+  with_lock t (fun () ->
       let prev =
-        match Hashtbl.find_opt span_tbl name with
+        match Hashtbl.find_opt t.span_tbl name with
         | Some s -> s
         | None -> { calls = 0; total_s = 0.0; max_s = 0.0 }
       in
-      Hashtbl.replace span_tbl name
+      Hashtbl.replace t.span_tbl name
         { calls = prev.calls + 1;
           total_s = prev.total_s +. dt;
           max_s = Float.max prev.max_s dt })
 
-let span name f =
-  if not (Atomic.get enabled) then f ()
+let span t name f =
+  if not t.on then f ()
   else begin
     let t0 = Unix.gettimeofday () in
-    Fun.protect ~finally:(fun () -> record name (Unix.gettimeofday () -. t0)) f
+    let finally () = record t name (Unix.gettimeofday () -. t0) in
+    Fun.protect ~finally f
   end
 
-let incr ?(by = 1) name =
-  if Atomic.get enabled then
-    with_lock (fun () ->
+let incr ?(by = 1) t name =
+  if t.on then
+    with_lock t (fun () ->
         let prev =
-          match Hashtbl.find_opt counter_tbl name with Some v -> v | None -> 0
+          match Hashtbl.find_opt t.counter_tbl name with Some v -> v | None -> 0
         in
-        Hashtbl.replace counter_tbl name (prev + by))
+        Hashtbl.replace t.counter_tbl name (prev + by))
 
-let reset () =
-  with_lock (fun () ->
-      Hashtbl.reset span_tbl;
-      Hashtbl.reset counter_tbl)
+let snapshot t tbl =
+  with_lock t (fun () ->
+      Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl [])
 
-let spans () =
-  with_lock (fun () ->
-      Hashtbl.fold (fun name s acc -> (name, s) :: acc) span_tbl [])
+let spans t =
+  snapshot t t.span_tbl
   |> List.sort (fun (na, a) (nb, b) ->
          match Float.compare b.total_s a.total_s with
          | 0 -> String.compare na nb
          | c -> c)
 
-let counters () =
-  with_lock (fun () ->
-      Hashtbl.fold (fun name v acc -> (name, v) :: acc) counter_tbl [])
+let counters t =
+  snapshot t t.counter_tbl
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let pp_summary ppf () =
-  let sp = spans () and cs = counters () in
+let pp_summary ppf t =
+  let sp = spans t and cs = counters t in
   if sp = [] && cs = [] then
     Fmt.pf ppf "(no instrumentation recorded — was --timings on?)@\n"
   else begin
@@ -98,7 +102,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let to_json () =
+let to_json t =
   let span_fields =
     List.map
       (fun (name, s) ->
@@ -108,12 +112,12 @@ let to_json () =
           (1000.0 *. s.total_s)
           (1000.0 *. s.total_s /. float_of_int (max 1 s.calls))
           (1000.0 *. s.max_s))
-      (spans ())
+      (spans t)
   in
   let counter_fields =
     List.map
       (fun (name, v) -> Printf.sprintf "\"%s\":%d" (json_escape name) v)
-      (counters ())
+      (counters t)
   in
   Printf.sprintf "{\"spans\":{%s},\"counters\":{%s}}"
     (String.concat "," span_fields)

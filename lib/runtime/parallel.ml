@@ -16,7 +16,7 @@
      out.  A task that ignores cancellation costs its worker, never the
      pool: remaining tasks drain through the other workers and the
      stuck domain is abandoned at exit instead of joined;
-   - a retryable failure (by default: an injected fault) is retried up
+   - an injected fault is retried up
      to [retries] times with exponential backoff before the task is
      declared failed. *)
 
@@ -68,19 +68,19 @@ let slot_resolved s = match s with Pending -> false | Done _ | Failed _ -> true
 let site = "parallel.task"
 
 (* One attempt cycle for one input: the fault-injection site, then the
-   task itself, retried while the failure is retryable. *)
-let run_task ~retries ~retry_backoff_s ~retryable f x ~label :
+   task itself, retried while the failure is an injected fault. *)
+let run_task (ctx : Ctx.t) ~retries ~retry_backoff_s f x ~label :
     ('b, Task_failure.t) result =
   let rec attempt k =
     match
-      Fault.raise_if_armed ~label site;
+      Fault.raise_if_armed ctx.faults ~scope:ctx.scope ~label site;
       f x
     with
     | v -> Ok v
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      if k <= retries && retryable e then begin
-        Instrument.incr "pool.retries";
+      if k <= retries && Fault.is_injected e then begin
+        Instrument.incr ctx.trace "pool.retries";
         if retry_backoff_s > 0.0 then
           Unix.sleepf (retry_backoff_s *. float_of_int (1 lsl (k - 1)));
         attempt (k + 1)
@@ -89,13 +89,13 @@ let run_task ~retries ~retry_backoff_s ~retryable f x ~label :
   in
   attempt 1
 
-let map_results ?jobs ?timeout_s ?(retries = 0) ?(retry_backoff_s = 0.01)
-    ?(retryable = Fault.is_injected) (f : 'a -> 'b) (xs : 'a list) :
+let map_results ?(ctx = Ctx.default ()) ?jobs ?timeout_s ?(retries = 0)
+    ?(retry_backoff_s = 0.01) (f : 'a -> 'b) (xs : 'a list) :
     ('b, Task_failure.t) result list =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Parallel.map_results: jobs must be >= 1";
   if retries < 0 then invalid_arg "Parallel.map_results: retries must be >= 0";
-  let run_task = run_task ~retries ~retry_backoff_s ~retryable f in
+  let run_task = run_task ctx ~retries ~retry_backoff_s f in
   let items = Array.of_list xs in
   let n = Array.length items in
   if n = 0 then []
@@ -155,7 +155,7 @@ let map_results ?jobs ?timeout_s ?(retries = 0) ?(retry_backoff_s = 0.01)
                               (Task_failure.Timed_out
                                  { elapsed_s = now -. t0; budget_s }))
                        then begin
-                         Instrument.incr "pool.timed-out";
+                         Instrument.incr ctx.trace "pool.timed-out";
                          Atomic.set cancels.(w) true
                        end
                      | _ -> ())
@@ -194,7 +194,7 @@ let map_results ?jobs ?timeout_s ?(retries = 0) ?(retry_backoff_s = 0.01)
             else
               (* stuck past its budget and deaf to cancellation: the
                  domain is leaked rather than hanging the pool *)
-              Instrument.incr "pool.abandoned-workers"
+              Instrument.incr ctx.trace "pool.abandoned-workers"
           in
           wait_join ())
         helpers;

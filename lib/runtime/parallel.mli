@@ -15,13 +15,14 @@
     supervised variant: each input gets a per-cell
     [('b, Task_failure.t) result], a wall budget turns an overrunning
     task into [Timed_out] (via a watchdog domain) instead of hanging
-    the pool, and retryable failures — injected faults, by default —
+    the pool, and retryable failures — injected faults —
     are retried with exponential backoff.
 
     Tasks must not touch shared mutable state; every pass in this
     repository is pure (all its refs are function-local), which is what
     makes the fan-out sound.  Each task runs at the fault-injection
-    site [parallel.task] (label: decimal input index) with the worker's
+    site [parallel.task] (label: decimal input index) of the caller's
+    context with the worker's
     cancellation flag installed via {!Fault.set_cancel}, so a
     cooperative stall ends as soon as the watchdog times the task
     out. *)
@@ -57,10 +58,12 @@ module Task_failure : sig
   val pp : t Fmt.t
 end
 
-(** [map_results ?jobs ?timeout_s ?retries ?retry_backoff_s ?retryable
-    f xs] runs [f] over [xs] on the pool and returns one
+(** [map_results ?ctx ?jobs ?timeout_s ?retries ?retry_backoff_s f xs]
+    runs [f] over [xs] on the pool and returns one
     [('b, Task_failure.t) result] per input, in input order — no
-    exception ever escapes.
+    exception ever escapes.  [ctx] (default {!Ctx.default}) supplies the
+    [parallel.task] fault plan and scope and the sink of the [pool.*]
+    counters.
 
     - [timeout_s]: per-task wall budget.  When set, a watchdog domain
       polls running tasks, marks overrunners [Timed_out] and raises
@@ -69,17 +72,17 @@ end
       remaining tasks drain through the other workers and the stuck
       domain is abandoned (counted as ["pool.abandoned-workers"])
       rather than joined.
-    - [retries] (default 0): extra attempts for a failure that
-      satisfies [retryable] (default {!Fault.is_injected}), with
-      backoff [retry_backoff_s * 2^(attempt-1)] (default base 10ms)
-      between attempts.  Retries count as ["pool.retries"], timeouts as
+    - [retries] (default 0): extra attempts for an injected fault
+      ({!Fault.is_injected}), with backoff
+      [retry_backoff_s * 2^(attempt-1)] (default base 10ms) between
+      attempts.  Retries count as ["pool.retries"], timeouts as
       ["pool.timed-out"]. *)
 val map_results :
+  ?ctx:Ctx.t ->
   ?jobs:int ->
   ?timeout_s:float ->
   ?retries:int ->
   ?retry_backoff_s:float ->
-  ?retryable:(exn -> bool) ->
   ('a -> 'b) ->
   'a list ->
   ('b, Task_failure.t) result list

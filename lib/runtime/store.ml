@@ -227,18 +227,13 @@ let decode ~kind ~key contents : (string, string) result =
 
 type read_result = Hit of string | Miss | Bad of string
 
-let injected_msg site kind =
-  Printf.sprintf "injected fault at site %s (kind %s)" site (Fault.kind_name kind)
-
-let read t ~kind ~key =
+let read ?(faults = Fault.none) ?(scope = []) t ~kind ~key =
   let t0 = Unix.gettimeofday () in
-  let fire = Fault.hit ~label:kind "store.read" in
+  let fire = Fault.hit faults ~scope ~label:kind "store.read" in
   let result =
     match fire with
-    | Some Fault.Raise -> Bad (injected_msg "store.read" Fault.Raise)
-    | Some Fault.Stall -> (
-      try Fault.stall ~site:"store.read" ()
-      with Fault.Injected _ -> Bad (injected_msg "store.read" Fault.Stall))
+    | Some ((Fault.Raise | Fault.Stall) as k) ->
+      Bad (Fault.absorb ~site:"store.read" k)
     | (None | Some Fault.Corrupt) as fire -> (
       let path = object_path t ~kind ~key in
       match
@@ -342,20 +337,17 @@ let evict_sweep t =
            publish in flight): racing it could tear an entry out from
            under a reader, so skip this sweep — the next over-budget
            write retries — and record the incident *)
-        Atomic.incr t.evict_skipped;
-        Instrument.incr "store.evict-skipped")
+        Atomic.incr t.evict_skipped)
 
 (* ---- write ---- *)
 
-let write t ~kind ~key payload =
+let write ?(faults = Fault.none) ?(scope = []) t ~kind ~key payload =
   let t0 = Unix.gettimeofday () in
-  let fire = Fault.hit ~label:kind "store.write" in
+  let fire = Fault.hit faults ~scope ~label:kind "store.write" in
   let result =
     match fire with
-    | Some Fault.Raise -> Error (injected_msg "store.write" Fault.Raise)
-    | Some Fault.Stall -> (
-      try Fault.stall ~site:"store.write" ()
-      with Fault.Injected _ -> Error (injected_msg "store.write" Fault.Stall))
+    | Some ((Fault.Raise | Fault.Stall) as k) ->
+      Error (Fault.absorb ~site:"store.write" k)
     | (None | Some Fault.Corrupt) as fire -> (
       let entry = encode ~kind ~key payload in
       let entry =
@@ -470,12 +462,9 @@ let pp_stats ppf t =
 
 (* ---- the installed store ---- *)
 
-(* written once at CLI startup, before the worker pool spawns; workers
-   only ever read it *)
+(* the process store of callers that pass no run context; read only by
+   [Ctx.default] *)
 let installed_ref : t option ref = ref None
 let install s = installed_ref := Some s
 let installed () = !installed_ref
 let uninstall () = installed_ref := None
-let verify_ref = Atomic.make false
-let set_verify b = Atomic.set verify_ref b
-let verify_mode () = Atomic.get verify_ref

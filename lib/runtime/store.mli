@@ -28,14 +28,14 @@
     is serialized by an advisory fcntl lock on [<dir>/lock]: publishes
     hold it briefly (blocking) around the rename, eviction tries it
     non-blocking and — losing the race to another process — degrades to
-    skipping the sweep with an incident
-    ({!stats.st_evict_skipped}, counter [store.evict-skipped]), never
-    an error and never a half-removed entry.
+    skipping the sweep with an incident ({!stats.st_evict_skipped}),
+    never an error and never a half-removed entry.
 
     Fault injection: the [store.read] and [store.write] sites (label =
-    artifact kind) are handled {e inside} this module — an injected
-    read fault surfaces as {!Bad}, an injected write fault as [Error],
-    and nothing ever escapes as an exception. *)
+    artifact kind) of the caller's plan are handled {e inside} this
+    module — an injected read fault surfaces as {!Bad}, an injected
+    write fault as [Error], and nothing ever escapes as an exception.
+    A run reaches its store through its context ({!Ctx.t}). *)
 
 (** The environment variable naming the store directory: ["UAS_CACHE"].
     CLIs consult it when no [--cache] flag is given. *)
@@ -79,13 +79,19 @@ type read_result =
           bits, header/kind/key mismatch, injected fault); callers must
           treat it as a miss and record an incident *)
 
-val read : t -> kind:string -> key:string -> read_result
+(** [faults]/[scope] (default: none) drive the [store.read] site. *)
+val read :
+  ?faults:Fault.t -> ?scope:string list -> t -> kind:string -> key:string ->
+  read_result
 
 (** [write t ~kind ~key payload] publishes the entry atomically
     (write-then-rename) and runs the eviction sweep when over budget.
-    [Error] (filesystem trouble or an injected fault) means the entry
-    was not (correctly) published; callers degrade to an incident. *)
-val write : t -> kind:string -> key:string -> string -> (unit, string) result
+    [Error] (filesystem trouble or an injected fault at the
+    [store.write] site of [faults]) means the entry was not (correctly)
+    published; callers degrade to an incident. *)
+val write :
+  ?faults:Fault.t -> ?scope:string list -> t -> kind:string -> key:string ->
+  string -> (unit, string) result
 
 (** {2 Statistics}
 
@@ -115,8 +121,7 @@ val scan : t -> int * int
 (** Run one eviction sweep right now, through the same cross-process
     trylock as the over-budget write path: when another process holds
     the store lock the sweep is skipped with an incident
-    ([st_evict_skipped], counter ["store.evict-skipped"]), never an
-    error. *)
+    ([st_evict_skipped]), never an error. *)
 val evict_now : t -> unit
 
 (** Hits over all lookups ([hits + misses + bad]); [0.] when none. *)
@@ -131,18 +136,11 @@ val pp_stats : Format.formatter -> t -> unit
 
 (** {2 The installed store}
 
-    Process-global, installed once at CLI startup before any worker
-    domain spawns; [Cu] load/save hooks consult it. *)
+    The store of callers that pass no run context (the [bench/perf]
+    harness), read by {!Ctx.default} at call time. *)
 
 val install : t -> unit
 val installed : unit -> t option
 
-(** Remove the installed store (tests). *)
+(** Remove the installed store. *)
 val uninstall : unit -> unit
-
-(** Verify mode ([--cache-verify]): loads always recompute, and saves
-    compare the fresh artifact against the cached bytes — a mismatch is
-    surfaced by the caller as an incident and the entry is replaced. *)
-val set_verify : bool -> unit
-
-val verify_mode : unit -> bool

@@ -66,6 +66,7 @@ type gap_row = {
 }
 
 type t = {
+  ctx : Ctx.t;  (** source of the fault plan, store and instrumentation *)
   interp_tier : string;
   jobs : int option;
   mutable daemon_json : string option;
@@ -78,8 +79,9 @@ type t = {
   mutable rev_gaps : gap_row list;
 }
 
-let make ~interp_tier ~jobs () =
-  { interp_tier;
+let make ~ctx ~interp_tier ~jobs () =
+  { ctx;
+    interp_tier;
     jobs;
     daemon_json = None;
     rev_targets = [];
@@ -162,12 +164,12 @@ let to_json t =
     match t.jobs with None -> "null" | Some n -> string_of_int n
   in
   let fault_plan_json =
-    match Fault.plan () with
-    | None -> "null"
-    | Some p -> Printf.sprintf "\"%s\"" (esc p)
+    match Fault.to_string t.ctx.faults with
+    | "" -> "null"
+    | p -> Printf.sprintf "\"%s\"" (esc p)
   in
   let store_json =
-    match Store.installed () with
+    match t.ctx.store with
     | None -> "null"
     | Some s -> Store.stats_json s
   in
@@ -183,7 +185,7 @@ let to_json t =
     (String.concat "," (List.map plan_json (plans t)))
     (String.concat "," (List.map gap_json (gaps t)))
     (String.concat "," (List.map incident_json (incidents t)))
-    (Instrument.to_json ())
+    (Instrument.to_json t.ctx.trace)
 
 let write_file t path =
   let oc = open_out path in

@@ -38,10 +38,10 @@
       "instrumentation": { "spans": {...}, "counters": {...} } }
     v}
 
-    [fault_plan] echoes the armed {!Fault} plan (null on a clean run,
+    [fault_plan] echoes the context's {!Fault} plan (null on a clean run,
     so clean snapshots are unchanged by-key from v2 apart from the
     version bump and the empty [incidents] array).  [store] echoes the
-    installed {!Store}'s counters — null when no artifact cache is
+    context's {!Store} counters — null when no artifact cache is
     configured, and never the cache directory path.  [daemon] (v7)
     echoes the [nimbled] service counters when the document comes from
     a daemon run — null from the plain CLIs.  Incidents record
@@ -56,7 +56,9 @@ val version : int
 
 type t
 
-val make : interp_tier:string -> jobs:int option -> unit -> t
+(** A document of the run with context [ctx]: its fault plan, store and
+    instrumentation sink are echoed by {!to_json}. *)
+val make : ctx:Ctx.t -> interp_tier:string -> jobs:int option -> unit -> t
 
 (** Attach the daemon counter object (a pre-rendered JSON object, the
     [Store.stats_json] convention) to the document's ["daemon"] key.

@@ -24,7 +24,6 @@ module Diag = Uas_pass.Diag
 module Fast_interp = Uas_ir.Fast_interp
 module Sched = Uas_dfg.Sched
 module Budget = Uas_runtime.Budget
-module Fault = Uas_runtime.Fault
 
 type estimate_opts = {
   e_bench : string;
@@ -275,14 +274,15 @@ let find_benchmark name =
    structured diagnostic, an injected fault or any other exception all
    land in [Error] — the daemon turns that into one ERR reply and
    lives on. *)
-let execute ?(limits = no_limits) (w : work) : (string * int, string) result =
+let execute ?ctx ?(limits = no_limits) (w : work) :
+    (string * int, string) result =
   let { l_jobs; l_timeout_s; l_retries } = limits in
   match
     let* b = find_benchmark (bench_name w) in
     match w with
     | W_estimate o ->
       let row =
-        E.run_benchmark ~verify:o.e_verify ?tier:o.e_tier
+        E.run_benchmark ?ctx ~verify:o.e_verify ?tier:o.e_tier
           ~validate:o.e_validate ~exact:o.e_exact ?jobs:l_jobs
           ?timeout_s:l_timeout_s ?retries:l_retries b
       in
@@ -290,7 +290,7 @@ let execute ?(limits = no_limits) (w : work) : (string * int, string) result =
     | W_plan o ->
       let probe = if o.p_validate then Some b.Registry.b_workload else None in
       let plan =
-        P.plan ?jobs:l_jobs ~objective:o.p_objective ?validate:probe
+        P.plan ?ctx ?jobs:l_jobs ~objective:o.p_objective ?validate:probe
           ~exact:o.p_exact ?timeout_s:l_timeout_s ?retries:l_retries
           b.Registry.b_program ~outer_index:b.Registry.b_outer_index
           ~inner_index:b.Registry.b_inner_index ~benchmark:b.Registry.b_name
@@ -299,8 +299,6 @@ let execute ?(limits = no_limits) (w : work) : (string * int, string) result =
   with
   | result -> result
   | exception Diag.Failed d -> Error (Diag.to_string d)
-  | exception Fault.Injected { site; kind } ->
-    Error
-      (Printf.sprintf "injected fault at site %s (kind %s)" site
-         (Fault.kind_name kind))
-  | exception e -> Error (Printexc.to_string e)
+  | exception e ->
+    (* an injected fault renders through its registered printer *)
+    Error (Printexc.to_string e)

@@ -72,4 +72,8 @@ val no_limits : limits
     (skipped or degraded cells — the daemon's [degraded] counter).
     [Error] is a one-line message: unknown benchmark, a structured
     diagnostic, or an injected fault.  Never raises. *)
-val execute : ?limits:limits -> work -> (string * int, string) result
+val execute :
+  ?ctx:Uas_runtime.Ctx.t ->
+  ?limits:limits ->
+  work ->
+  (string * int, string) result

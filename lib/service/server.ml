@@ -27,6 +27,7 @@
      work, removes socket and pidfile, and [run] returns [Ok ()] — the
      daemon exits 0. *)
 
+module Ctx = Uas_runtime.Ctx
 module Fault = Uas_runtime.Fault
 module Store = Uas_runtime.Store
 
@@ -71,6 +72,7 @@ type job = { j_work : Handler.work; j_peer : peer; j_enqueued_at : float }
 
 type t = {
   cfg : config;
+  ctx : Ctx.t;  (** the daemon's run context, shared by every request *)
   metrics : Metrics.t;
   listen_fd : Unix.file_descr;
   queue : job Queue.t;
@@ -81,6 +83,9 @@ type t = {
   inflight : int Atomic.t;
   started_at : float;
 }
+
+(* A [service.*] fault site of the daemon's plan. *)
+let hit st ?label site = Fault.hit st.ctx.faults ~scope:st.ctx.scope ?label site
 
 (* ---- connection plumbing ---- *)
 
@@ -122,13 +127,11 @@ let send st peer (frame : Protocol.frame) =
             Atomic.incr st.metrics.Metrics.disconnects;
             close_peer peer
         in
-        match Fault.hit ~label:(Protocol.tag_name frame.Protocol.tag)
-                "service.reply"
-        with
-        | Some Fault.Raise -> close_peer peer
-        | Some Fault.Stall ->
-          (try Fault.stall ~site:"service.reply" ()
-           with Fault.Injected _ -> close_peer peer)
+        let label = Protocol.tag_name frame.Protocol.tag in
+        match hit st ~label "service.reply" with
+        | Some ((Fault.Raise | Fault.Stall) as k) ->
+          ignore (Fault.absorb ~site:"service.reply" k);
+          close_peer peer
         | Some Fault.Corrupt ->
           (* flip the last wire byte: the header checksum no longer
              matches the body, and the client degrades instead of
@@ -155,7 +158,7 @@ let queue_depth st =
 
 let stats_payload st =
   let store =
-    match Store.installed () with
+    match st.ctx.store with
     | None -> "null"
     | Some s -> Store.stats_json s
   in
@@ -230,26 +233,13 @@ let admit st peer w =
 
 (* ---- request execution ---- *)
 
-let injected_msg site kind =
-  Printf.sprintf "injected fault at site %s (kind %s)" site
-    (Fault.kind_name kind)
-
 (* The service.request fault site (label = request verb), then the
    handler.  [corrupt] has nothing to corrupt before execution and is
    documented as raise-equivalent here. *)
-let exec_with_faults st w =
-  match Fault.hit ~label:(Handler.work_name w) "service.request" with
-  | Some Fault.Raise -> Error (injected_msg "service.request" Fault.Raise)
-  | Some Fault.Corrupt -> Error (injected_msg "service.request" Fault.Corrupt)
-  | Some Fault.Stall -> (
-    try Fault.stall ~site:"service.request" ()
-    with Fault.Injected _ -> Error (injected_msg "service.request" Fault.Stall))
+let exec_with_faults st w ~budget =
+  match hit st ~label:(Handler.work_name w) "service.request" with
+  | Some kind -> Error (Fault.absorb ~site:"service.request" kind)
   | None ->
-    let budget =
-      match Handler.budget_s w with
-      | Some b -> Some b
-      | None -> st.cfg.c_request_budget_s
-    in
     let limits =
       (* the request budget caps each nested cell too, so the PR 5
          pool watchdog enforces most of the budget from inside *)
@@ -257,13 +247,12 @@ let exec_with_faults st w =
       let cell_timeout =
         match (base.Handler.l_timeout_s, budget) with
         | Some t, Some b -> Some (Float.min t b)
-        | (Some _ as t), None -> t
-        | None, (Some _ as b) -> b
-        | None, None -> None
+        | t, None -> t
+        | None, b -> b
       in
       { base with Handler.l_timeout_s = cell_timeout }
     in
-    Handler.execute ~limits w
+    Handler.execute ~ctx:st.ctx ~limits w
 
 type exec_failure = Timed_out of string | Failed of string
 
@@ -274,13 +263,11 @@ type exec_failure = Timed_out of string | Failed of string
    and abandons the worker (whose budget-capped cells wind it down). *)
 let supervised_execute st w : (string * int, exec_failure) result =
   let budget =
-    match Handler.budget_s w with
-    | Some b -> Some b
-    | None -> st.cfg.c_request_budget_s
+    match Handler.budget_s w with None -> st.cfg.c_request_budget_s | b -> b
   in
   match budget with
   | None -> (
-    match exec_with_faults st w with
+    match exec_with_faults st w ~budget:None with
     | Ok r -> Ok r
     | Error m -> Error (Failed m))
   | Some b ->
@@ -289,7 +276,7 @@ let supervised_execute st w : (string * int, exec_failure) result =
       Thread.create
         (fun () ->
           let r =
-            match exec_with_faults st w with
+            match exec_with_faults st w ~budget:(Some b) with
             | Ok r -> `Ok r
             | Error m -> `Err m
           in
@@ -513,14 +500,12 @@ let accept_loop st =
       | _, _, _ -> (
         match Unix.accept st.listen_fd with
         | fd, _ ->
-          (match Fault.hit "service.accept" with
+          (match hit st "service.accept" with
           | Some kind ->
             (* any injected kind refuses this one connection: raise
                and corrupt drop it now, stall holds it for the stall
                cap first — either way the daemon keeps accepting *)
-            (if kind = Fault.Stall then
-               try Fault.stall ~site:"service.accept" ()
-               with Fault.Injected _ -> ());
+            ignore (Fault.absorb ~site:"service.accept" kind);
             Atomic.incr st.metrics.Metrics.disconnects;
             (try Unix.close fd with Unix.Unix_error _ -> ())
           | None ->
@@ -535,7 +520,7 @@ let accept_loop st =
 
 (* ---- the daemon ---- *)
 
-let run (cfg : config) : (unit, string) result =
+let run ?(ctx = Ctx.default ()) (cfg : config) : (unit, string) result =
   (* a peer that vanishes mid-write must cost one EPIPE, not the
      process *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -562,6 +547,7 @@ let run (cfg : config) : (unit, string) result =
           (fun () -> output_string oc (string_of_int (Unix.getpid ()) ^ "\n")));
       let st =
         { cfg;
+          ctx;
           metrics = Metrics.create ();
           listen_fd;
           queue = Queue.create ();
@@ -609,7 +595,7 @@ let run (cfg : config) : (unit, string) result =
       end;
       (* store writes are synchronous (write-then-rename); nothing is
          buffered, so "flush" is a final stats line *)
-      (match Store.installed () with
+      (match ctx.store with
       | Some s -> cfg.c_log (Format.asprintf "%a" Store.pp_stats s)
       | None -> ());
       cfg.c_log

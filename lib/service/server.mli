@@ -31,8 +31,11 @@ type config = {
     signal handlers, silent log. *)
 val default_config : socket:string -> config
 
-(** Bind, recover stale state, serve until drained.  [Error] covers a
-    live daemon already owning the socket or pidfile and bind
+(** Bind, recover stale state, serve until drained.  Every request
+    runs under [ctx] (default {!Uas_runtime.Ctx.default}): its store
+    backs the cells and STATS, its fault plan arms the [service.*]
+    sites and the cells alike, counted across requests.  [Error] covers
+    a live daemon already owning the socket or pidfile and bind
     failures; after a successful bind the daemon never returns
     [Error] — faults degrade requests, not the process. *)
-val run : config -> (unit, string) result
+val run : ?ctx:Uas_runtime.Ctx.t -> config -> (unit, string) result

@@ -574,7 +574,10 @@ let apply ?(params = default_params) t cu : (Cu.t, Diag.t) result =
         Cu.push_trail cu' (trail_label t params);
         cu')
     @@ guard t.rw_name cu (fun () ->
-        match Fault.hit ~label:t.rw_name "rewrite.apply" with
+        let ctx = Cu.ctx cu in
+        match
+          Fault.hit ctx.faults ~scope:ctx.scope ~label:t.rw_name "rewrite.apply"
+        with
         | None -> t.rw_apply params cu
         | Some Fault.Stall -> Fault.stall ~site:"rewrite.apply" ()
         | Some Fault.Raise ->
@@ -615,7 +618,7 @@ let validated_apply ?(params = default_params) ~probe t cu :
   match apply ~params t cu with
   | Error _ as e -> e
   | Ok cu' ->
-    Instrument.span "rewrite.validate" (fun () ->
+    Instrument.span (Cu.ctx cu).trace "rewrite.validate" (fun () ->
         let verdict =
           match probe_runs (Cu.program cu') probe with
           | Error m -> Some m
@@ -645,7 +648,7 @@ let validated_apply ?(params = default_params) ~probe t cu :
         | None -> Ok cu'
         | Some reason ->
           (* degrade: keep the last-known-good unit and log why *)
-          Instrument.incr "rewrite.validation-failed";
+          Instrument.incr (Cu.ctx cu).trace "rewrite.validation-failed";
           let d =
             Diag.errorf ~pass:t.rw_name ~loop:(Cu.outer_index cu)
               "validation failed, rewrite not applied: %s" reason

@@ -8,6 +8,19 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* --- run contexts --- *)
+
+(* A run context with no store, fault plan or sink unless given. *)
+let ctx ?store ?(cache_verify = false) ?plan ?trace () =
+  let faults =
+    match Option.map Uas_runtime.Fault.parse plan with
+    | None -> Uas_runtime.Fault.none
+    | Some (Ok f) -> f
+    | Some (Error m) -> Alcotest.failf "bad fault plan: %s" m
+  in
+  { (Uas_runtime.Ctx.default ()) with store; cache_verify; faults;
+    trace = Option.value trace ~default:Uas_runtime.Instrument.off }
+
 (* --- reference programs --- *)
 
 (* Figure 2.1: the f/g nested loop.  f and g are modeled as 1-cycle

@@ -157,11 +157,11 @@ let test_dump_after_dfg_is_dot () =
       | None -> ()
   in
   (match
-     N.run_version ~after (simple ()) ~outer_index:"i" ~inner_index:"j"
+     N.run_version_cu ~after (simple ()) ~outer_index:"i" ~inner_index:"j"
        N.Pipelined
    with
-  | N.Built _ | N.Degraded _ -> ()
-  | N.Skipped d -> Alcotest.failf "pipelined on simple skipped: %a" Diag.pp d);
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "pipelined on simple skipped: %a" Diag.pp d);
   match !seen_dot with
   | None -> Alcotest.fail "hook never saw a DFG artifact"
   | Some dot ->
@@ -172,11 +172,11 @@ let test_hook_sees_every_pass () =
   let order = ref [] in
   let after ~pass _cu = order := pass :: !order in
   (match
-     N.run_version ~after (simple ()) ~outer_index:"i" ~inner_index:"j"
+     N.run_version_cu ~after (simple ()) ~outer_index:"i" ~inner_index:"j"
        (N.Combined (2, 2))
    with
-  | N.Built _ | N.Degraded _ -> ()
-  | N.Skipped d -> Alcotest.failf "combined skipped: %a" Diag.pp d);
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "combined skipped: %a" Diag.pp d);
   Alcotest.(check (list string))
     "pass order of the combined pipeline"
     [ "loop-nest"; "jam"; "squash"; "dfg-build"; "schedule"; "exact-ii";
@@ -186,29 +186,22 @@ let test_hook_sees_every_pass () =
 (* --- instrumentation --- *)
 
 let test_runner_spans () =
-  Instrument.reset ();
-  Instrument.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Instrument.set_enabled false;
-      Instrument.reset ())
-    (fun () ->
-      (match
-         N.run_version (simple ()) ~outer_index:"i" ~inner_index:"j"
-           (N.Squashed 2)
-       with
-      | N.Built _ | N.Degraded _ -> ()
-      | N.Skipped d -> Alcotest.failf "squash(2) skipped: %a" Diag.pp d);
-      let spans = List.map fst (Instrument.spans ()) in
-      List.iter
-        (fun s ->
-          Alcotest.(check bool) (s ^ " span recorded") true
-            (List.mem s spans))
-        [ "pass.loop-nest"; "pass.squash"; "pass.dfg-build"; "pass.schedule";
-          "pass.estimate" ];
-      let counters = Instrument.counters () in
-      Alcotest.(check bool) "analysis cache counters recorded" true
-        (List.mem_assoc "cu.analysis-miss" counters))
+  let trace = Instrument.create () in
+  (match
+     N.run_version_cu ~ctx:(Helpers.ctx ~trace ()) (simple ())
+       ~outer_index:"i" ~inner_index:"j" (N.Squashed 2)
+   with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "squash(2) skipped: %a" Diag.pp d);
+  let spans = List.map fst (Instrument.spans trace) in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " span recorded") true (List.mem s spans))
+    [ "pass.loop-nest"; "pass.squash"; "pass.dfg-build"; "pass.schedule";
+      "pass.estimate" ];
+  let counters = Instrument.counters trace in
+  Alcotest.(check bool) "analysis cache counters recorded" true
+    (List.mem_assoc "cu.analysis-miss" counters)
 
 let suite =
   [ Alcotest.test_case "cu memoization" `Quick test_cu_memoization;

@@ -117,10 +117,7 @@ let test_default_jobs_result () =
 
 (* --- the supervised pool --- *)
 
-let arm_or_fail plan =
-  match Fault.arm plan with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "bad fault plan %S: %s" plan m
+let faulty plan = Helpers.ctx ~plan ()
 
 let test_map_results_per_cell () =
   let f x = if x = 3 then raise (Boom x) else x * 2 in
@@ -153,20 +150,16 @@ let test_map_results_per_cell () =
    resolved, so the pool drains — at any size, including a single
    worker. *)
 let test_map_results_timeout_drains () =
-  Fault.clear ();
   Fault.set_stall_cap 10.0 (* far past the budget: the watchdog must act *);
   Fun.protect
-    ~finally:(fun () ->
-      Fault.clear ();
-      Fault.set_stall_cap 1.0)
+    ~finally:(fun () -> Fault.set_stall_cap 1.0)
     (fun () ->
       List.iter
         (fun jobs ->
-          arm_or_fail "parallel.task=2:stall:1";
           let rs =
-            Parallel.map_results ~jobs ~timeout_s:0.1 succ (List.init 5 Fun.id)
+            Parallel.map_results ~ctx:(faulty "parallel.task=2:stall:1") ~jobs
+              ~timeout_s:0.1 succ (List.init 5 Fun.id)
           in
-          Fault.clear ();
           List.iteri
             (fun i r ->
               match r with
@@ -186,159 +179,159 @@ let test_map_results_timeout_drains () =
 
 (* An injected fault is retryable: with a retry budget the task
    succeeds on its second attempt (the spec fires exactly once) and the
-   retry is counted. *)
+   retry is counted in the context's sink. *)
 let test_map_results_retries_injected () =
-  Fault.clear ();
-  Instrument.set_enabled true;
-  Instrument.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Fault.clear ();
-      Instrument.reset ();
-      Instrument.set_enabled false)
-    (fun () ->
-      arm_or_fail "parallel.task=1:raise:1";
-      let rs =
-        Parallel.map_results ~jobs:2 ~retries:1 ~retry_backoff_s:0.001 succ
-          (List.init 4 Fun.id)
-      in
-      List.iteri
-        (fun i r ->
-          match r with
-          | Ok y -> Alcotest.(check int) "value" (i + 1) y
-          | Error tf ->
-            Alcotest.failf "input %d not retried: %s" i
-              (Parallel.Task_failure.to_message tf))
-        rs;
-      match List.assoc_opt "pool.retries" (Instrument.counters ()) with
-      | Some n -> Alcotest.(check int) "one retry recorded" 1 n
-      | None -> Alcotest.fail "pool.retries not counted")
+  let trace = Instrument.create () in
+  let rs =
+    Parallel.map_results
+      ~ctx:(Helpers.ctx ~plan:"parallel.task=1:raise:1" ~trace ())
+      ~jobs:2 ~retries:1 ~retry_backoff_s:0.001 succ (List.init 4 Fun.id)
+  in
+  List.iteri
+    (fun i r ->
+      match r with
+      | Ok y -> Alcotest.(check int) "value" (i + 1) y
+      | Error tf ->
+        Alcotest.failf "input %d not retried: %s" i
+          (Parallel.Task_failure.to_message tf))
+    rs;
+  match List.assoc_opt "pool.retries" (Instrument.counters trace) with
+  | Some n -> Alcotest.(check int) "one retry recorded" 1 n
+  | None -> Alcotest.fail "pool.retries not counted"
 
 (* Without a retry budget the injected fault surfaces as that cell's
    Raised failure, attempts = 1. *)
 let test_map_results_injected_not_retried () =
-  Fault.clear ();
-  Fun.protect ~finally:Fault.clear (fun () ->
-      arm_or_fail "parallel.task=1:raise:1";
-      let rs = Parallel.map_results ~jobs:2 succ (List.init 4 Fun.id) in
-      match List.nth rs 1 with
-      | Error (Parallel.Task_failure.Raised { exn; attempts; _ }) ->
-        Alcotest.(check bool) "injected" true (Fault.is_injected exn);
-        Alcotest.(check int) "no retries" 1 attempts
-      | Ok _ -> Alcotest.fail "expected the injected failure"
-      | Error tf ->
-        Alcotest.failf "unexpected failure: %s"
-          (Parallel.Task_failure.to_message tf))
+  let rs =
+    Parallel.map_results ~ctx:(faulty "parallel.task=1:raise:1") ~jobs:2 succ
+      (List.init 4 Fun.id)
+  in
+  match List.nth rs 1 with
+  | Error (Parallel.Task_failure.Raised { exn; attempts; _ }) ->
+    Alcotest.(check bool) "injected" true (Fault.is_injected exn);
+    Alcotest.(check int) "no retries" 1 attempts
+  | Ok _ -> Alcotest.fail "expected the injected failure"
+  | Error tf ->
+    Alcotest.failf "unexpected failure: %s"
+      (Parallel.Task_failure.to_message tf)
 
-(* --- the fault registry --- *)
+(* --- fault plans --- *)
 
 let test_fault_grammar () =
-  Fault.clear ();
   List.iter
     (fun bad ->
-      match Fault.arm bad with
-      | Ok () -> Alcotest.failf "accepted malformed plan %S" bad
+      match Fault.parse bad with
+      | Ok _ -> Alcotest.failf "accepted malformed plan %S" bad
       | Error _ -> ())
     [ ""; "nonsense"; "pass.run:raise"; "pass.run:explode:1";
       "pass.run:raise:0"; "pass.run:raise:x"; ":raise:1" ];
-  Alcotest.(check bool) "nothing armed after failures" false (Fault.active ());
-  arm_or_fail "pass.run:raise:2,rewrite.apply:corrupt:1";
-  Alcotest.(check bool) "armed" true (Fault.active ());
-  Alcotest.(check (option string))
-    "plan echoed" (Some "pass.run:raise:2,rewrite.apply:corrupt:1")
-    (Fault.plan ());
-  Fault.clear ();
-  Alcotest.(check bool) "cleared" false (Fault.active ());
-  Alcotest.(check (option string)) "no plan" None (Fault.plan ())
+  Alcotest.(check bool) "the empty plan never fires" true
+    (Fault.hit Fault.none ~scope:[] "pass.run" = None);
+  Alcotest.(check string) "the empty plan echoes nothing" ""
+    (Fault.to_string Fault.none);
+  Alcotest.(check string)
+    "plan echoed" "pass.run:raise:2,rewrite.apply:corrupt:1"
+    (Fault.to_string (faulty "pass.run:raise:2,rewrite.apply:corrupt:1").faults)
 
 let test_fault_nth_counting () =
-  Fault.clear ();
-  Fun.protect ~finally:Fault.clear (fun () ->
-      arm_or_fail "pass.run:raise:2";
-      Alcotest.(check bool) "1st hit clean" true (Fault.hit "pass.run" = None);
-      (match Fault.hit "pass.run" with
-      | Some Fault.Raise -> ()
-      | _ -> Alcotest.fail "2nd hit must fire");
-      Alcotest.(check bool) "3rd hit clean (fires exactly once)" true
-        (Fault.hit "pass.run" = None);
-      Alcotest.(check bool) "other site never matches" true
-        (Fault.hit "rewrite.apply" = None))
+  let plan = "pass.run:raise:2" in
+  let f = (faulty plan).faults in
+  let hit ?(f = f) site = Fault.hit f ~scope:[] site in
+  Alcotest.(check bool) "1st hit clean" true (hit "pass.run" = None);
+  (match hit "pass.run" with
+  | Some Fault.Raise -> ()
+  | _ -> Alcotest.fail "2nd hit must fire");
+  Alcotest.(check bool) "3rd hit clean (fires exactly once)" true
+    (hit "pass.run" = None);
+  Alcotest.(check bool) "other site never matches" true
+    (hit "rewrite.apply" = None);
+  (* a second parse of the same text counts from zero *)
+  let g = (faulty plan).faults in
+  Alcotest.(check bool) "fresh counters: 1st hit clean" true
+    (hit ~f:g "pass.run" = None);
+  Alcotest.(check bool) "fresh counters: 2nd hit fires" true
+    (hit ~f:g "pass.run" = Some Fault.Raise)
 
+(* A spec pinned to a label fires on hits carrying it, or on hits made
+   under a context scoped to it — which is how a spec lands on one
+   (benchmark, version) cell — and never in a sibling context. *)
 let test_fault_label_and_scope () =
-  Fault.clear ();
-  Fun.protect ~finally:Fault.clear (fun () ->
-      arm_or_fail "rewrite.apply=squash:raise:1";
-      Alcotest.(check bool) "other label no match" true
-        (Fault.hit ~label:"jam" "rewrite.apply" = None);
-      Alcotest.(check bool) "unlabelled hit no match" true
-        (Fault.hit "rewrite.apply" = None);
-      (* a scope frame carries the label to unlabelled hits inside it,
-         which is how a spec lands on one (benchmark, version) cell *)
-      (match
-         Fault.with_scope "squash" (fun () -> Fault.hit "rewrite.apply")
-       with
-      | Some Fault.Raise -> ()
-      | _ -> Alcotest.fail "scope label must match");
-      Alcotest.(check (list string)) "scope popped" [] (Fault.scopes ()))
+  let module Ctx = Uas_runtime.Ctx in
+  let ctx = faulty "rewrite.apply=IIR/squash(2):raise:1" in
+  let hit ?label (c : Ctx.t) =
+    Fault.hit c.faults ~scope:c.scope ?label "rewrite.apply"
+  in
+  let cell = Ctx.in_scope ctx "IIR/squash(2)" in
+  let sibling = Ctx.in_scope ctx "IIR/jam(2)" in
+  List.iter
+    (fun (name, fired) -> Alcotest.(check bool) name false fired)
+    [ ("other label", hit ~label:"jam" ctx <> None);
+      ("no scope", hit ctx <> None);
+      ("sibling scope", hit ~label:"squash" sibling <> None);
+      ("nested in a sibling", hit (Ctx.in_scope sibling "squash") <> None) ];
+  Alcotest.(check bool) "fires in the pinned scope" true
+    (hit ~label:"squash" cell = Some Fault.Raise);
+  Alcotest.(check bool) "fires exactly once" true
+    (hit ~label:"squash" cell = None);
+  Alcotest.(check (list string))
+    "scopes nest innermost first; the parent keeps none"
+    [ "inner"; "IIR/squash(2)" ]
+    ((Ctx.in_scope cell "inner").scope @ ctx.scope)
 
 (* --- Instrument --- *)
 
 let test_instrument_disabled_is_noop () =
-  Instrument.set_enabled false;
-  Instrument.reset ();
   Alcotest.(check int) "span runs the thunk" 42
-    (Instrument.span "noop" (fun () -> 42));
-  Instrument.incr "noop-counter";
+    (Instrument.span Instrument.off "noop" (fun () -> 42));
+  Instrument.incr Instrument.off "noop-counter";
   Alcotest.(check bool) "nothing recorded" true
-    (Instrument.spans () = [] && Instrument.counters () = [])
+    (Instrument.spans Instrument.off = []
+    && Instrument.counters Instrument.off = [])
 
 let test_instrument_records () =
-  Instrument.set_enabled true;
-  Instrument.reset ();
+  let t = Instrument.create () in
   for _ = 1 to 5 do
-    ignore (Instrument.span "pass-a" (fun () -> Sys.opaque_identity 1))
+    ignore (Instrument.span t "pass-a" (fun () -> Sys.opaque_identity 1))
   done;
-  Instrument.incr "cells";
-  Instrument.incr ~by:4 "cells";
-  (match List.assoc_opt "pass-a" (Instrument.spans ()) with
+  Instrument.incr t "cells";
+  Instrument.incr ~by:4 t "cells";
+  (match List.assoc_opt "pass-a" (Instrument.spans t) with
   | None -> Alcotest.fail "span pass-a missing"
   | Some s ->
     Alcotest.(check int) "calls" 5 s.Instrument.calls;
     Alcotest.(check bool) "total >= max" true
       (s.Instrument.total_s >= s.Instrument.max_s));
   Alcotest.(check (list (pair string int)))
-    "counter" [ ("cells", 5) ] (Instrument.counters ());
+    "counter" [ ("cells", 5) ] (Instrument.counters t);
   (* spans record through exceptions too *)
-  (try Instrument.span "pass-b" (fun () -> failwith "x") with Failure _ -> ());
-  (match List.assoc_opt "pass-b" (Instrument.spans ()) with
+  (try Instrument.span t "pass-b" (fun () -> failwith "x")
+   with Failure _ -> ());
+  (match List.assoc_opt "pass-b" (Instrument.spans t) with
   | Some s -> Alcotest.(check int) "exceptional call counted" 1 s.Instrument.calls
   | None -> Alcotest.fail "span pass-b missing");
-  let json = Instrument.to_json () in
+  let json = Instrument.to_json t in
   Alcotest.(check bool) "json mentions spans and counters" true
     (contains ~affix:"\"pass-a\"" json
     && contains ~affix:"\"cells\":5" json);
-  Instrument.reset ();
-  Instrument.set_enabled false
+  Alcotest.(check bool) "a second sink records apart" true
+    (Instrument.spans (Instrument.create ()) = [])
 
 let test_instrument_thread_safe () =
-  Instrument.set_enabled true;
-  Instrument.reset ();
+  let t = Instrument.create () in
   let _ =
     Parallel.map ~jobs:4
       (fun i ->
-        Instrument.span "par-span" (fun () -> Sys.opaque_identity i)
+        Instrument.span t "par-span" (fun () -> Sys.opaque_identity i)
         |> ignore;
-        Instrument.incr "par-count";
+        Instrument.incr t "par-count";
         i)
       (List.init 200 Fun.id)
   in
-  (match List.assoc_opt "par-span" (Instrument.spans ()) with
+  (match List.assoc_opt "par-span" (Instrument.spans t) with
   | Some s -> Alcotest.(check int) "all spans recorded" 200 s.Instrument.calls
   | None -> Alcotest.fail "par-span missing");
   Alcotest.(check (list (pair string int)))
-    "all increments recorded" [ ("par-count", 200) ] (Instrument.counters ());
-  Instrument.reset ();
-  Instrument.set_enabled false
+    "all increments recorded" [ ("par-count", 200) ] (Instrument.counters t)
 
 (* --- the shared command surface (Uas_cli.Session) --- *)
 

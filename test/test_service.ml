@@ -28,11 +28,11 @@ let fresh_socket () =
 
 (* Start a server on a fresh socket, run [f socket], then drain and
    assert the daemon exited cleanly ([run] returned [Ok ()]). *)
-let with_server ?(configure = fun c -> c) f =
+let with_server ?ctx ?(configure = fun c -> c) f =
   let socket = fresh_socket () in
   let cfg = configure (Server.default_config ~socket) in
   let result = ref None in
-  let th = Thread.create (fun () -> result := Some (Server.run cfg)) () in
+  let th = Thread.create (fun () -> result := Some (Server.run ?ctx cfg)) () in
   let rec wait n =
     if Sys.file_exists socket then ()
     else if n > 500 then Alcotest.fail "server did not come up"
@@ -73,10 +73,6 @@ let local_render work =
   match Handler.execute work with
   | Ok (payload, _) -> payload
   | Error m -> Alcotest.failf "local execute failed: %s" m
-
-let reset_faults () =
-  Fault.clear ();
-  Fault.set_stall_cap 1.0
 
 (* --- protocol: round-trips --- *)
 
@@ -360,18 +356,57 @@ let concurrent_clients jobs () =
           | None -> Alcotest.failf "%s: no outcome" b)
         benches)
 
+(* --- live daemon: one run context per server --- *)
+
+(* Two daemons in one process, one with a fault plan pinned to the IIR
+   squash(2) cell and one without, each answering a verified IIR
+   estimate at the same time: the plan fires in its own server only.
+   Both servers run that cell in the scope the spec pins, so a plan
+   shared between them could fire in either. *)
+let test_two_servers_own_contexts () =
+  let work = estimate_work ~verify:true "iir" in
+  let faulted = ref None and clean = ref None in
+  let ask socket seed slot =
+    Thread.create
+      (fun () -> slot := Some (Client.serve_work ~seed socket work))
+      ()
+  in
+  with_server
+    ~ctx:(Helpers.ctx ~plan:"rewrite.apply=IIR/squash(2):raise:1" ())
+    (fun faulted_socket ->
+      with_server (fun clean_socket ->
+          List.iter Thread.join
+            [ ask faulted_socket 0 faulted; ask clean_socket 1 clean ]));
+  let payload = function
+    | Some (Client.Served p) -> p
+    | Some (Client.Rejected m | Client.Unreachable m) ->
+      Alcotest.failf "not served: %s" m
+    | None -> Alcotest.fail "no outcome"
+  in
+  Alcotest.(check string) "the clean server's reply = local"
+    (local_render work) (payload !clean);
+  let lines sub =
+    List.filter (Astring_contains.contains ~sub)
+      (String.split_on_char '\n' (payload !faulted))
+  in
+  (* Table 6.3 repeats Table 6.2's footers *)
+  Alcotest.(check int) "one skip, footnoted in both tables" 2
+    (List.length (lines "skipped:"));
+  Alcotest.(check int) "the skip is the injected squash(2) fault" 2
+    (List.length
+       (List.filter
+          (Astring_contains.contains ~sub:"injected fault")
+          (lines "skipped: squash(2)")))
+
 (* --- live daemon: shedding under load --- *)
 
 let test_shed_under_load () =
-  reset_faults ();
-  Fun.protect ~finally:reset_faults (fun () ->
+  Fun.protect ~finally:(fun () -> Fault.set_stall_cap 1.0) (fun () ->
       (* the first estimate stalls 0.4 s in the dispatcher; queue depth 1
          means the second waits and the third sheds *)
-      (match Fault.arm "service.request=estimate:stall:1" with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "arm: %s" m);
       Fault.set_stall_cap 0.4;
       with_server
+        ~ctx:(Helpers.ctx ~plan:"service.request=estimate:stall:1" ())
         ~configure:(fun c -> { c with Server.c_queue_depth = 1 })
         (fun socket ->
           let frame = Handler.to_frame (Handler.Work (estimate_work "iir")) in
@@ -416,13 +451,11 @@ let test_shed_under_load () =
 (* --- live daemon: drain with in-flight work --- *)
 
 let test_drain_with_inflight () =
-  reset_faults ();
-  Fun.protect ~finally:reset_faults (fun () ->
-      (match Fault.arm "service.request=estimate:stall:1" with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "arm: %s" m);
+  Fun.protect ~finally:(fun () -> Fault.set_stall_cap 1.0) (fun () ->
       Fault.set_stall_cap 0.4;
-      with_server (fun socket ->
+      with_server
+        ~ctx:(Helpers.ctx ~plan:"service.request=estimate:stall:1" ())
+        (fun socket ->
           let fd1, ic1, oc1 = raw_connect socket in
           Protocol.write_frame oc1
             (Handler.to_frame (Handler.Work (estimate_work "iir")));
@@ -618,6 +651,8 @@ let suite =
       (concurrent_clients 1);
     Alcotest.test_case "4 concurrent clients at jobs 4" `Quick
       (concurrent_clients 4);
+    Alcotest.test_case "two servers, two contexts, no cross-talk" `Quick
+      test_two_servers_own_contexts;
     Alcotest.test_case "overload sheds BUSY with retry-after" `Quick
       test_shed_under_load;
     Alcotest.test_case "drain finishes in-flight work" `Quick

@@ -53,8 +53,8 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-let counter name =
-  match List.assoc_opt name (Instrument.counters ()) with
+let counter trace name =
+  match List.assoc_opt name (Instrument.counters trace) with
   | Some n -> n
   | None -> 0
 
@@ -275,134 +275,125 @@ let render row = Fmt.str "%a%a" E.pp_table_6_2 [ row ] E.pp_table_6_3 [ row ]
 
 let versions = [ N.Original; N.Pipelined; N.Squashed 2; N.Jammed 2 ]
 
-let with_store ?max_bytes f =
-  let s = open_fresh ?max_bytes () in
-  Store.install s;
-  Instrument.set_enabled true;
-  Instrument.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Store.uninstall ();
-      Store.set_verify false;
-      Instrument.reset ();
-      Instrument.set_enabled false)
-    (fun () -> f s)
+(* One IIR row on [store], with the counters of a fresh sink. *)
+let run_row ?exact ?(cache_verify = false) store =
+  let trace = Instrument.create () in
+  let row =
+    E.run_benchmark
+      ~ctx:(Helpers.ctx ~store ~cache_verify ~trace ())
+      ~versions ?exact ~jobs:1 (iir ())
+  in
+  (row, counter trace)
 
 let test_warm_run_identical_and_served () =
-  with_store (fun s ->
-      let cold = render (E.run_benchmark ~versions ~jobs:1 (iir ())) in
-      Alcotest.(check bool) "cold run populated the store" true
-        ((Store.stats s).Store.st_writes > 0);
-      Instrument.reset ();
-      let warm = render (E.run_benchmark ~versions ~jobs:1 (iir ())) in
-      Alcotest.(check string) "warm byte-identical to cold" cold warm;
-      let hits = counter "cu.store-hit" and misses = counter "cu.store-miss" in
-      Alcotest.(check bool)
-        (Printf.sprintf "warm artifacts served from the store (%d/%d)" hits
-           (hits + misses))
-        true
-        (hits > 0 && misses = 0))
+  let s = open_fresh () in
+  let cold, _ = run_row s in
+  Alcotest.(check bool) "cold run populated the store" true
+    ((Store.stats s).Store.st_writes > 0);
+  let warm, counter = run_row s in
+  Alcotest.(check string) "warm byte-identical to cold" (render cold)
+    (render warm);
+  let hits = counter "cu.store-hit" and misses = counter "cu.store-miss" in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm artifacts served from the store (%d/%d)" hits
+       (hits + misses))
+    true
+    (hits > 0 && misses = 0)
 
 (* Exact_report exercises all three artifact kinds the stages cache:
    schedule, exact certificate, and hardware estimate. *)
 let test_warm_exact_report_identical () =
-  with_store (fun _s ->
-      let run () =
-        render
-          (E.run_benchmark ~versions ~exact:Sd.Exact_report ~jobs:1 (iir ()))
-      in
-      let cold = run () in
-      Instrument.reset ();
-      let warm = run () in
-      Alcotest.(check string) "warm byte-identical to cold" cold warm;
-      Alcotest.(check bool) "no warm misses" true
-        (counter "cu.store-hit" > 0 && counter "cu.store-miss" = 0))
+  let s = open_fresh () in
+  let cold, _ = run_row ~exact:Sd.Exact_report s in
+  let warm, counter = run_row ~exact:Sd.Exact_report s in
+  Alcotest.(check string) "warm byte-identical to cold" (render cold)
+    (render warm);
+  Alcotest.(check bool) "no warm misses" true
+    (counter "cu.store-hit" > 0 && counter "cu.store-miss" = 0)
 
 let test_verify_mode_clean () =
-  with_store (fun _s ->
-      let cold = render (E.run_benchmark ~versions ~jobs:1 (iir ())) in
-      Store.set_verify true;
-      let again = render (E.run_benchmark ~versions ~jobs:1 (iir ())) in
-      Alcotest.(check string) "verify run byte-identical" cold again;
-      Alcotest.(check bool) "recomputations matched the cache" true
-        (counter "cu.store-verify-ok" > 0);
-      Alcotest.(check int) "no mismatches" 0 (counter "cu.store-verify-mismatch"))
+  let s = open_fresh () in
+  let cold, _ = run_row s in
+  let again, counter = run_row ~cache_verify:true s in
+  Alcotest.(check string) "verify run byte-identical" (render cold)
+    (render again);
+  Alcotest.(check bool) "recomputations matched the cache" true
+    (counter "cu.store-verify-ok" > 0);
+  Alcotest.(check int) "no mismatches" 0 (counter "cu.store-verify-mismatch")
 
 (* Poison a cached report (valid header, wrong content: the lie a
    checksum cannot catch) — verify mode recomputes, flags the
    mismatch as an incident, and replaces the entry. *)
 let test_verify_mode_catches_poisoned_entry () =
-  with_store (fun s ->
-      let cold = render (E.run_benchmark ~versions ~jobs:1 (iir ())) in
-      let reports_dir =
-        Filename.concat (Filename.concat (Store.dir s) "objects") "report"
-      in
-      let poisoned = ref 0 in
-      List.iter
-        (fun path ->
-          if Helpers.contains ~sub:reports_dir path then begin
-            let contents = read_file path in
-            (* rewrite the payload under a truthful header *)
-            match String.index_opt contents '\n' with
-            | None -> ()
-            | Some _ ->
-              let sep = "\n--\n" in
-              let rec find i =
-                if i + 4 > String.length contents then None
-                else if String.equal (String.sub contents i 4) sep then Some i
-                else find (i + 1)
-              in
-              (match find 0 with
-              | None -> ()
-              | Some i ->
-                let header = String.sub contents 0 i in
-                let payload =
-                  String.sub contents (i + 4)
-                    (String.length contents - i - 4)
-                in
-                let payload' = payload ^ "-poisoned" in
-                let header' =
-                  header
-                  |> String.split_on_char '\n'
-                  |> List.map (fun line ->
-                         if String.length line > 4
-                            && String.equal (String.sub line 0 4) "md5 "
-                         then
-                           "md5 " ^ Digest.to_hex (Digest.string payload')
-                         else if
-                           String.length line > 4
-                           && String.equal (String.sub line 0 4) "len "
-                         then "len " ^ string_of_int (String.length payload')
-                         else line)
-                  |> String.concat "\n"
-                in
-                write_file path (header' ^ sep ^ payload');
-                incr poisoned)
-          end)
-        (object_files s);
-      Alcotest.(check bool) "some reports poisoned" true (!poisoned > 0);
-      Store.set_verify true;
-      let row = E.run_benchmark ~versions ~jobs:1 (iir ()) in
-      Store.set_verify false;
-      Alcotest.(check string)
-        "cells still computed fresh (byte-identical body)" cold
-        (render
-           { row with
-             E.br_cells =
-               List.map
-                 (fun c -> { c with E.c_incidents = [] })
-                 row.E.br_cells });
-      Alcotest.(check bool) "mismatch counted" true
-        (counter "cu.store-verify-mismatch" > 0);
-      Alcotest.(check bool) "mismatch is an incident" true
-        (List.exists
-           (fun (c : E.cell) ->
-             List.exists
-               (fun d ->
-                 Helpers.contains ~sub:"differs from recomputation"
-                   (Uas_pass.Diag.to_string d))
-               c.E.c_incidents)
-           row.E.br_cells))
+  let s = open_fresh () in
+  let cold = render (fst (run_row s)) in
+  let reports_dir =
+    Filename.concat (Filename.concat (Store.dir s) "objects") "report"
+  in
+  let poisoned = ref 0 in
+  List.iter
+    (fun path ->
+      if Helpers.contains ~sub:reports_dir path then begin
+        let contents = read_file path in
+        (* rewrite the payload under a truthful header *)
+        match String.index_opt contents '\n' with
+        | None -> ()
+        | Some _ ->
+          let sep = "\n--\n" in
+          let rec find i =
+            if i + 4 > String.length contents then None
+            else if String.equal (String.sub contents i 4) sep then Some i
+            else find (i + 1)
+          in
+          (match find 0 with
+          | None -> ()
+          | Some i ->
+            let header = String.sub contents 0 i in
+            let payload =
+              String.sub contents (i + 4)
+                (String.length contents - i - 4)
+            in
+            let payload' = payload ^ "-poisoned" in
+            let header' =
+              header
+              |> String.split_on_char '\n'
+              |> List.map (fun line ->
+                     if String.length line > 4
+                        && String.equal (String.sub line 0 4) "md5 "
+                     then
+                       "md5 " ^ Digest.to_hex (Digest.string payload')
+                     else if
+                       String.length line > 4
+                       && String.equal (String.sub line 0 4) "len "
+                     then "len " ^ string_of_int (String.length payload')
+                     else line)
+              |> String.concat "\n"
+            in
+            write_file path (header' ^ sep ^ payload');
+            incr poisoned)
+      end)
+    (object_files s);
+  Alcotest.(check bool) "some reports poisoned" true (!poisoned > 0);
+  let row, counter = run_row ~cache_verify:true s in
+  Alcotest.(check string)
+    "cells still computed fresh (byte-identical body)" cold
+    (render
+       { row with
+         E.br_cells =
+           List.map
+             (fun c -> { c with E.c_incidents = [] })
+             row.E.br_cells });
+  Alcotest.(check bool) "mismatch counted" true
+    (counter "cu.store-verify-mismatch" > 0);
+  Alcotest.(check bool) "mismatch is an incident" true
+    (List.exists
+       (fun (c : E.cell) ->
+         List.exists
+           (fun d ->
+             Helpers.contains ~sub:"differs from recomputation"
+               (Uas_pass.Diag.to_string d))
+           c.E.c_incidents)
+       row.E.br_cells)
 
 (* --- multi-process locking --- *)
 
@@ -435,12 +426,6 @@ let spawn_lock_holder lock_path =
 
 let test_evict_skips_under_foreign_lock () =
   let s = open_fresh ~max_bytes:4096 () in
-  Instrument.set_enabled true;
-  Instrument.reset ();
-  Fun.protect ~finally:(fun () ->
-      Instrument.reset ();
-      Instrument.set_enabled false)
-  @@ fun () ->
   let payload = String.make 200 'x' in
   for i = 1 to 40 do
     match
@@ -456,8 +441,6 @@ let test_evict_skips_under_foreign_lock () =
       let st = Store.stats s in
       Alcotest.(check int) "sweep skipped, not an error" (before + 1)
         st.Store.st_evict_skipped;
-      Alcotest.(check bool) "skip is an incident counter" true
-        (counter "store.evict-skipped" > 0);
       let rendered = Format.asprintf "%a" Store.pp_stats s in
       Alcotest.(check bool) "pp_stats reports the skip" true
         (Helpers.contains ~sub:"skipped" rendered));
