@@ -34,7 +34,7 @@ let incident traj ~site ~cell ~message =
 let table_rows (session : Session.t) ctx traj =
   let r =
     E.table_6_2 ~ctx ~verify:true ~validate:session.Session.validate
-      ~exact:session.Session.exact ?jobs:session.Session.jobs
+      ?jobs:session.Session.jobs
       ?timeout_s:session.Session.task_timeout
       ?retries:session.Session.retries ()
   in
@@ -43,24 +43,6 @@ let table_rows (session : Session.t) ctx traj =
       let bench = row.E.br_benchmark.S.Registry.b_name in
       List.iter
         (fun (c : E.cell) ->
-          (match (traj, c.E.c_gap) with
-          | Some t, Some (hii, e) ->
-            let module Sched = Uas_dfg.Sched in
-            let optimal =
-              match (e.Sched.e_status, e.Sched.e_schedule) with
-              | Sched.Exact_optimal, Some w -> Some w.Sched.s_ii
-              | _ -> None
-            in
-            Trajectory.add_gap t
-              { Trajectory.g_benchmark = bench;
-                g_version = N.version_name c.E.c_version;
-                g_heuristic_ii = hii;
-                g_optimal_ii = optimal;
-                g_proved_ii = e.Sched.e_proved;
-                g_gap = Option.map (fun o -> hii - o) optimal;
-                g_status = Sched.exact_status_name e.Sched.e_status;
-                g_expansions = e.Sched.e_expansions }
-          | _ -> ());
           List.iter
             (fun d ->
               incident traj ~site:"sweep"
@@ -384,7 +366,6 @@ let plan_target run =
       in
       let plan =
         P.plan ~ctx:run.ctx ?jobs:s.Session.jobs ?validate:probe
-          ~exact:s.Session.exact
           ?timeout_s:s.Session.task_timeout ?retries:s.Session.retries
           b.S.Registry.b_program ~outer_index:b.S.Registry.b_outer_index
           ~inner_index:b.S.Registry.b_inner_index
@@ -553,7 +534,11 @@ let main session json cache_warm requested =
     header "timings";
     Fmt.pr "%a" Instrument.pp_summary ctx.trace
   end;
-  Option.iter (Trajectory.write_file traj) json;
+  Option.iter
+    (fun file ->
+      Session.write_output ~prog ~what:"--json" file
+        (Trajectory.to_json traj ^ "\n"))
+    json;
   (* hit rates and latency on stderr, so clean stdout stays
      byte-identical to the committed goldens *)
   Session.report_store ctx

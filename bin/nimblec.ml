@@ -208,9 +208,9 @@ let estimate_cmd =
       (* dumping from pool domains would interleave: force sequential *)
       let jobs = if Option.is_some after then Some 1 else s.Session.jobs in
       let row =
-        E.run_benchmark ~ctx ~verify ~validate:s.Session.validate
-          ~exact:s.Session.exact ?jobs ?timeout_s:s.Session.task_timeout
-          ?retries:s.Session.retries ?after b
+        E.run_benchmark ~ctx ~verify ~validate:s.Session.validate ?jobs
+          ?timeout_s:s.Session.task_timeout ?retries:s.Session.retries ?after
+          b
       in
       print_string (Uas_service.Handler.render_estimate row);
       if s.Session.timings then
@@ -222,12 +222,10 @@ let estimate_cmd =
     | Some addr ->
       serve_or_local ~addr
         (Uas_service.Handler.W_estimate
-           { Uas_service.Handler.e_bench = name;
+           { (Uas_service.Handler.estimate_opts name) with
              e_verify = verify;
              e_tier = s.Session.tier;
-             e_validate = s.Session.validate;
-             e_exact = s.Session.exact;
-             e_budget_s = None })
+             e_validate = s.Session.validate })
         ~local
   in
   let verify =
@@ -295,7 +293,8 @@ let dfg_cmd =
     in
     (match dot_path with
     | Some path ->
-      Uas_dfg.Dot.write_file ~name:b.S.Registry.b_name g ~path;
+      Session.write_output ~prog ~what:"--dot" path
+        (Uas_dfg.Dot.to_dot ~name:b.S.Registry.b_name g);
       Fmt.pr "wrote %s@." path
     | None -> Fmt.pr "%a@." Uas_dfg.Graph.pp g);
     Fmt.pr "RecMII=%d ResMII=%d critical-path=%d@."
@@ -323,8 +322,9 @@ let export_cmd =
         ~outer_index:b.S.Registry.b_outer_index
         ~inner_index:b.S.Registry.b_inner_index (parse_version version)
     in
-    Uas_ir.C_export.write_standalone built.N.bv_program
-      ~workload:b.S.Registry.b_workload ~path;
+    Session.write_output ~prog ~what:"export" path
+      (Uas_ir.C_export.standalone built.N.bv_program
+         ~workload:b.S.Registry.b_workload);
     Fmt.pr "wrote %s (compile with `cc %s && ./a.out`)@." path path
   in
   let path =
@@ -459,7 +459,7 @@ let plan_cmd =
         in
         let plan =
           P.plan ~ctx ?jobs:s.Session.jobs ~objective ?validate:probe
-            ~exact:s.Session.exact ?timeout_s:s.Session.task_timeout
+            ?timeout_s:s.Session.task_timeout
             ?retries:s.Session.retries b.S.Registry.b_program
             ~outer_index:b.S.Registry.b_outer_index
             ~inner_index:b.S.Registry.b_inner_index
@@ -475,7 +475,6 @@ let plan_cmd =
              { Uas_service.Handler.p_bench = b.S.Registry.b_name;
                p_objective = objective;
                p_validate = s.Session.validate;
-               p_exact = s.Session.exact;
                p_budget_s = None })
           ~local
     in

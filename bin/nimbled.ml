@@ -105,7 +105,8 @@ let serve (s : Session.t) socket pidfile queue request_budget drain_timeout
           ~jobs:s.Session.jobs ()
       in
       Trajectory.set_daemon_json traj daemon_json;
-      Trajectory.write_file traj file;
+      Session.write_output ~prog ~what:"--json" file
+        (Trajectory.to_json traj ^ "\n");
       log (Printf.sprintf "wrote %s" file)
   in
   let cfg =

@@ -1,6 +1,5 @@
 open Cmdliner
 module Fast_interp = Uas_ir.Fast_interp
-module Sched = Uas_dfg.Sched
 module Diag = Uas_pass.Diag
 module Budget = Uas_runtime.Budget
 module Ctx = Uas_runtime.Ctx
@@ -17,7 +16,6 @@ type t = {
   task_timeout : float option;
   retries : int option;
   validate : bool;
-  exact : Sched.exact_mode;
   timings : bool;
 }
 
@@ -30,7 +28,6 @@ let default =
     task_timeout = None;
     retries = None;
     validate = false;
-    exact = Sched.Exact_off;
     timings = false }
 
 (* --- converters: every range check happens at parse time --- *)
@@ -95,8 +92,8 @@ let cache_arg =
         ~env:(Cmd.Env.info Store.env_var)
         ~doc:
           "Persistent content-addressed artifact store: schedules, \
-           exact-II certificates, hardware estimates and planner rows are \
-           looked up here before being recomputed (see docs/CACHING.md)")
+           hardware estimates and planner rows are looked up here before \
+           being recomputed (see docs/CACHING.md)")
 
 let cache_verify_arg =
   Arg.(
@@ -138,23 +135,6 @@ let validate_arg =
            interpreter tiers after each rewrite; a miscompiling rewrite \
            degrades its cell to the last-known-good program)")
 
-let exact_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("off", Sched.Exact_off);
-             ("check", Sched.Exact_check);
-             ("report", Sched.Exact_report) ])
-        Sched.Exact_off
-    & info [ "exact-ii" ] ~docv:"MODE"
-        ~doc:
-          "Second II oracle per cell: $(b,off) (the default), $(b,check) \
-           (validate every heuristic schedule against the raw constraint \
-           system), or $(b,report) (also certify the optimal II of \
-           pipelined cells by exact branch-and-bound and footnote the \
-           heuristic-vs-optimal gap)")
-
 let timings_arg =
   Arg.(
     value & flag
@@ -185,8 +165,8 @@ let runtime =
     $ cache_verify_arg $ task_timeout_arg $ retries_arg)
 
 let term =
-  let make s validate exact timings = { s with validate; exact; timings } in
-  Term.(const make $ runtime $ validate_arg $ exact_arg $ timings_arg)
+  let make s validate timings = { s with validate; timings } in
+  Term.(const make $ runtime $ validate_arg $ timings_arg)
 
 (* --- start-up --- *)
 
@@ -196,6 +176,14 @@ let failf ~prog ?(pass = "runtime") fmt =
       Fmt.epr "%s: %a@." prog Diag.pp (Diag.errorf ~pass "%s" msg);
       exit 1)
     fmt
+
+let write_output ~prog ~what path contents =
+  match
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc contents)
+  with
+  | () -> ()
+  | exception Sys_error m -> failf ~prog "%s: %s" what m
 
 let start ~prog s : Ctx.t =
   (* a malformed environment is a diagnostic up front, not an

@@ -20,7 +20,6 @@ type t = {
   task_timeout : float option;  (** [--task-timeout SECS] *)
   retries : int option;  (** [--retries N] *)
   validate : bool;  (** [--validate probe] *)
-  exact : Uas_dfg.Sched.exact_mode;  (** [--exact-ii off|check|report] *)
   timings : bool;  (** [--timings] *)
 }
 
@@ -32,8 +31,8 @@ val tier_only : t Cmdliner.Term.t
     [--cache-verify], [--task-timeout] and [--retries] ([nimbled]). *)
 val runtime : t Cmdliner.Term.t
 
-(** {!runtime} plus the compile flags [--validate], [--exact-ii] and
-    [--timings] ([nimblec estimate]/[plan] and [bench/main.exe]). *)
+(** {!runtime} plus the compile flags [--validate] and [--timings]
+    ([nimblec estimate]/[plan] and [bench/main.exe]). *)
 val term : t Cmdliner.Term.t
 
 (** An integer of at least [min]; [expect] names the range in the
@@ -48,6 +47,11 @@ val seconds : flag:string -> float Cmdliner.Arg.conv
     and exits 1.  [pass] defaults to ["runtime"]. *)
 val failf :
   prog:string -> ?pass:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
+
+(** Write [contents] to the file [path]; an unwritable path is a
+    {!failf} diagnostic naming [what] (the flag or command) and the
+    file. *)
+val write_output : prog:string -> what:string -> string -> string -> unit
 
 (** Reject a malformed [UAS_JOBS], [UAS_FAULT] or [UAS_INTERP], set
     the process-wide interpreter tier, and return the run context: the

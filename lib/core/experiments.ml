@@ -23,9 +23,7 @@ type cell = {
   c_report : Estimate.report;
   c_verified : bool;  (** outputs match the host reference *)
   c_gap : (int * Sched.exact) option;
-      (** with [--exact-ii report] on a pipelined version: the
-          heuristic II next to the exact oracle's verdict — rendered as
-          [gap:] table footers *)
+      (** always [None]; kept only for the frozen perf harness *)
   c_incidents : Diag.t list;
       (** non-fatal trouble the cell degraded around: rewrites rejected
           by translation validation, verification runs that went stuck
@@ -63,11 +61,11 @@ type normalized = {
    injected interpreter fault, outputs differing from the host
    reference — marks the cell unverified with an incident; it never
    aborts the sweep. *)
-let build_cell ctx ?after ~validate ~exact ~target ~verify ~tier
+let build_cell ctx ?after ~validate ~target ~verify ~tier
     (b : Registry.benchmark) (v : Nimble.version) : (cell, skip) result =
   let probe = if validate then Some b.Registry.b_workload else None in
   match
-    Nimble.run_version_cu ~ctx ~target ?after ?validate:probe ~exact
+    Nimble.run_version_cu ~ctx ~target ?after ?validate:probe
       b.Registry.b_program ~outer_index:b.Registry.b_outer_index
       ~inner_index:b.Registry.b_inner_index v
   with
@@ -109,7 +107,7 @@ let build_cell ctx ?after ~validate ~exact ~target ~verify ~tier
       { c_version = v;
         c_report = report;
         c_verified = verified;
-        c_gap = Stages.gap ~exact ~pipelined:(Nimble.pipelined v) cu;
+        c_gap = None;
         c_incidents = !incidents }
 
 (* Every requested (benchmark, version) cell as one flat pool fan-out,
@@ -117,8 +115,8 @@ let build_cell ctx ?after ~validate ~exact ~target ~verify ~tier
    gives up on becomes a skipped cell.  The input-ordered results are
    regrouped benchmark-major. *)
 let run_rows ?ctx ?(target = Datapath.default) ?(verify = true) ?tier
-    ?(validate = false) ?(exact = Sched.Exact_off) ?jobs ?timeout_s ?retries
-    ?after (benches : (Registry.benchmark * Nimble.version list) list) :
+    ?(validate = false) ?jobs ?timeout_s ?retries ?after
+    (benches : (Registry.benchmark * Nimble.version list) list) :
     bench_row list =
   let tier =
     match tier with Some t -> t | None -> Fast_interp.default_tier ()
@@ -129,7 +127,7 @@ let run_rows ?ctx ?(target = Datapath.default) ?(verify = true) ?tier
         b.Registry.b_name ^ "/" ^ Nimble.version_name v)
       ~failed:(fun (_, v) d -> Error { s_version = v; s_diag = d })
       (fun ctx (b, v) ->
-        build_cell ctx ?after ~validate ~exact ~target ~verify ~tier b v)
+        build_cell ctx ?after ~validate ~target ~verify ~tier b v)
       (List.concat_map (fun (b, vs) -> List.map (fun v -> (b, v)) vs) benches)
   in
   let rec regroup cells = function
@@ -147,7 +145,7 @@ let run_rows ?ctx ?(target = Datapath.default) ?(verify = true) ?tier
 
 (** Run the full Table 6.2 sweep for one benchmark: the one-benchmark
     case of {!table_6_2}'s fan-out. *)
-let run_benchmark ?ctx ?target ?verify ?tier ?validate ?exact ?versions ?jobs
+let run_benchmark ?ctx ?target ?verify ?tier ?validate ?versions ?jobs
     ?timeout_s ?retries ?after (b : Registry.benchmark) : bench_row =
   let versions =
     match versions with
@@ -163,16 +161,16 @@ let run_benchmark ?ctx ?target ?verify ?tier ?validate ?exact ?versions ?jobs
       Nimble.versions_for ~depth
   in
   List.hd
-    (run_rows ?ctx ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s
+    (run_rows ?ctx ?target ?verify ?tier ?validate ?jobs ?timeout_s
        ?retries ?after [ (b, versions) ])
 
 (** Table 6.2 over the whole suite.  All (benchmark, version) cells —
     ~50 independent build+estimate+verify tasks — go through one flat
     pool fan-out, so the hot path scales with the core count instead of
     running strictly sequentially. *)
-let table_6_2 ?ctx ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s
-    ?retries () : bench_row list =
-  run_rows ?ctx ?target ?verify ?tier ?validate ?exact ?jobs ?timeout_s ?retries
+let table_6_2 ?ctx ?target ?verify ?tier ?validate ?jobs ?timeout_s ?retries
+    () : bench_row list =
+  run_rows ?ctx ?target ?verify ?tier ?validate ?jobs ?timeout_s ?retries
     (List.map (fun b -> (b, Nimble.paper_versions)) (Registry.all ()))
 
 (** Normalize one benchmark row against its original version
@@ -263,20 +261,6 @@ let pp_version ppf v = Fmt.string ppf (Nimble.version_name v)
    per version a pass rejected.  Both empty (and silent) when every
    version built cleanly — the clean table output is byte-identical to
    the pre-fault-tolerance printers. *)
-(* One "gap: <version> — <verdict>" footnote per cell that ran the
-   exact oracle (silent in off/check modes, so the default table output
-   is byte-identical to the pre-oracle printers). *)
-let pp_gaps ppf (cells : cell list) =
-  List.iter
-    (fun c ->
-      match c.c_gap with
-      | None -> ()
-      | Some gap ->
-        Fmt.pf ppf "  gap: %-12s — %a@\n"
-          (Nimble.version_name c.c_version)
-          Sched.pp_gap gap)
-    cells
-
 let pp_degraded ppf (cells : cell list) =
   List.iter
     (fun c ->
@@ -312,7 +296,6 @@ let pp_table_6_2 ppf (rows : bench_row list) =
             r.Estimate.r_mem_refs
             (if c.c_verified then "yes" else "NO"))
         row.br_cells;
-      pp_gaps ppf row.br_cells;
       pp_degraded ppf row.br_cells;
       pp_skipped ppf row.br_skipped)
     rows

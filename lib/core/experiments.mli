@@ -13,10 +13,8 @@ type cell = {
   c_report : Estimate.report;
   c_verified : bool;  (** outputs match the host reference *)
   c_gap : (int * Uas_dfg.Sched.exact) option;
-      (** with [exact = Exact_report] on a pipelined version: the
-          heuristic II next to the exact oracle's verdict, rendered as
-          a [gap:] footer via {!Uas_dfg.Sched.pp_gap}; [None] in
-          off/check modes and on non-pipelined cells *)
+      (** always [None]; kept only so the frozen perf harness
+          ([bench/perf]) compiles *)
   c_incidents : Uas_pass.Diag.t list;
       (** non-fatal trouble the cell degraded around (rewrites rejected
           by translation validation, verification runs gone stuck/out
@@ -66,20 +64,13 @@ type normalized = {
     benchmark workload (a miscompiling rewrite degrades its cell
     instead of propagating a wrong program).  A
     verification run that goes stuck or out of fuel marks its cell
-    unverified with an incident — it never aborts the sweep.
-
-    [exact] (default [Exact_off]) runs the second II oracle per cell:
-    [Exact_check] validates every heuristic schedule with
-    {!Uas_dfg.Sched.check_schedule}, [Exact_report] additionally
-    certifies (or brackets, under budget exhaustion) the optimal II of
-    the pipelined cells and fills {!cell.c_gap}. *)
+    unverified with an incident — it never aborts the sweep. *)
 val run_benchmark :
   ?ctx:Uas_runtime.Ctx.t ->
   ?target:Datapath.t ->
   ?verify:bool ->
   ?tier:Uas_ir.Fast_interp.tier ->
   ?validate:bool ->
-  ?exact:Uas_dfg.Sched.exact_mode ->
   ?versions:Nimble.version list ->
   ?jobs:int ->
   ?timeout_s:float ->
@@ -97,7 +88,6 @@ val table_6_2 :
   ?verify:bool ->
   ?tier:Uas_ir.Fast_interp.tier ->
   ?validate:bool ->
-  ?exact:Uas_dfg.Sched.exact_mode ->
   ?jobs:int ->
   ?timeout_s:float ->
   ?retries:int ->
@@ -138,11 +128,6 @@ val pp_version : Nimble.version Fmt.t
 (** The [degraded: <version> — <diagnostic>] footer lines of a row's
     cells (one per incident; silent on clean cells). *)
 val pp_degraded : cell list Fmt.t
-
-(** The [gap: <version> — <verdict>] footer lines of a row's cells
-    (one per cell that ran the exact oracle; silent otherwise, so the
-    default table output is unchanged). *)
-val pp_gaps : cell list Fmt.t
 
 val pp_table_6_2 : bench_row list Fmt.t
 val pp_table_6_3 : bench_row list Fmt.t

@@ -97,10 +97,10 @@ let transform_passes ?validate (version : version) : Pass.t list =
       Rewrite.pass ~factor:ds ?validate "squash" ])
 
 (** The quick-synthesis pipeline of a version (§5.2): DFG, schedule,
-    the optional exact-II oracle, estimate report. *)
-let estimate_passes ?(target = Datapath.default)
-    ?(exact = Uas_dfg.Sched.Exact_off) (version : version) : Pass.t list =
-  Stages.quick_synthesis ~target ~pipelined:(pipelined version) ~exact
+    estimate report. *)
+let estimate_passes ?(target = Datapath.default) (version : version) :
+    Pass.t list =
+  Stages.quick_synthesis ~target ~pipelined:(pipelined version)
     ~name:(version_name version)
 
 let built_of_cu version cu =
@@ -144,12 +144,12 @@ type outcome =
 (** Transform + quick-synthesis pipeline for one version, keeping the
     final compilation unit (whose memoized artifacts — notably the
     fast-interpreter compilation — downstream verification reuses). *)
-let run_version_cu ?ctx ?(target = Datapath.default) ?after ?validate ?exact
+let run_version_cu ?ctx ?(target = Datapath.default) ?after ?validate
     (p : Stmt.program) ~outer_index ~inner_index (version : version) :
     (Cu.t * built * Estimate.report, Diag.t) result =
   let cu = Cu.make ?ctx p ~outer_index ~inner_index in
   let passes =
-    transform_passes ?validate version @ estimate_passes ~target ?exact version
+    transform_passes ?validate version @ estimate_passes ~target version
   in
   match Pass.run ?after cu passes with
   | Ok cu -> (

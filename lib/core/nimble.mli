@@ -48,15 +48,9 @@ val pipelined : version -> bool
 val transform_passes :
   ?validate:Uas_ir.Interp.workload -> version -> Uas_pass.Pass.t list
 
-(** The quick-synthesis pipeline:
-    [dfg-build; schedule; exact-ii; estimate].  [exact] selects how
-    much exact scheduling the [exact-ii] pass runs (default:
-    {!Uas_dfg.Sched.Exact_off}, a no-op). *)
+(** The quick-synthesis pipeline: [dfg-build; schedule; estimate]. *)
 val estimate_passes :
-  ?target:Uas_hw.Datapath.t ->
-  ?exact:Uas_dfg.Sched.exact_mode ->
-  version ->
-  Uas_pass.Pass.t list
+  ?target:Uas_hw.Datapath.t -> version -> Uas_pass.Pass.t list
 
 (** Apply one version to the nest identified by [outer_index] by
     running its transformation pipeline.  [after] observes the
@@ -98,7 +92,6 @@ val run_version_cu :
   ?target:Uas_hw.Datapath.t ->
   ?after:Uas_pass.Pass.hook ->
   ?validate:Uas_ir.Interp.workload ->
-  ?exact:Uas_dfg.Sched.exact_mode ->
   Stmt.program ->
   outer_index:string ->
   inner_index:string ->

@@ -84,8 +84,7 @@ type row = {
   r_candidate : candidate;
   r_outcome : (Estimate.report, Diag.t) result;
   r_gap : (int * Uas_dfg.Sched.exact) option;
-      (** with [exact = Exact_report] on a pipelined candidate: the
-          heuristic II next to the exact oracle's verdict *)
+      (** always [None]; kept only for the frozen perf harness *)
   r_incidents : Diag.t list;
 }
 
@@ -106,8 +105,8 @@ let rewrite_passes ?validate (c : candidate) : Pass.t list =
 
 (* ---- plan-row serialization (artifact store) ----
 
-   A whole scored row — outcome (report or diagnostic), optional gap
-   verdict, incident list — round-trips through a versioned line-based
+   A whole scored row — outcome (report or diagnostic) and incident
+   list — round-trips through a versioned line-based
    form, so a warm [plan] run replays every footnote byte-identically
    without running a single pass pipeline. *)
 
@@ -161,16 +160,11 @@ let diag_of_atom s : Diag.t option =
 
 let row_payload (row : row) =
   let b = Buffer.create 256 in
-  Buffer.add_string b "plan-row 1\n";
+  Buffer.add_string b "plan-row 2\n";
   (match row.r_outcome with
   | Ok r ->
     Buffer.add_string b ("outcome ok " ^ Estimate.report_to_string r ^ "\n")
   | Error d -> Buffer.add_string b ("outcome err " ^ diag_atom d ^ "\n"));
-  (match row.r_gap with
-  | None -> Buffer.add_string b "gap -\n"
-  | Some (hii, e) ->
-    Buffer.add_string b
-      (Printf.sprintf "gap %d %s\n" hii (Uas_dfg.Sched.exact_to_string e)));
   List.iter
     (fun d -> Buffer.add_string b ("incident " ^ diag_atom d ^ "\n"))
     row.r_incidents;
@@ -185,7 +179,7 @@ let row_of_payload (c : candidate) payload : row option =
     else None
   in
   match String.split_on_char '\n' payload with
-  | "plan-row 1" :: outcome_l :: gap_l :: rest ->
+  | "plan-row 2" :: outcome_l :: rest ->
     let* outcome =
       match strip ~prefix:"outcome ok " outcome_l with
       | Some r_s -> Option.map Result.ok (Estimate.report_of_string r_s)
@@ -193,18 +187,6 @@ let row_of_payload (c : candidate) payload : row option =
         match strip ~prefix:"outcome err " outcome_l with
         | Some d_s -> Option.map Result.error (diag_of_atom d_s)
         | None -> None)
-    in
-    let* gap =
-      if String.equal gap_l "gap -" then Some None
-      else
-        let* g_s = strip ~prefix:"gap " gap_l in
-        let* i = String.index_opt g_s ' ' in
-        let* hii = int_of_string_opt (String.sub g_s 0 i) in
-        let* e =
-          Uas_dfg.Sched.exact_of_string
-            (String.sub g_s (i + 1) (String.length g_s - i - 1))
-        in
-        Some (Some (hii, e))
     in
     let rec incs acc = function
       | [] | [ "" ] -> Some (List.rev acc)
@@ -217,15 +199,15 @@ let row_of_payload (c : candidate) payload : row option =
     Some
       { r_candidate = c;
         r_outcome = outcome;
-        r_gap = gap;
+        r_gap = None;
         r_incidents = incidents }
   | _ -> None
 
 (* everything a scored row depends on besides the benchmark program
    text (which Cu.store_key hashes): the candidate, the kernel
-   location, the datapath, oracle modes and effort budgets, whether
+   location, the datapath, the effort budgets, whether
    rewrites are translation-validated, and the cost-model version *)
-let row_context ?validate ~exact ~target ~outer_index ~inner_index
+let row_context ?validate ~target ~outer_index ~inner_index
     (c : candidate) =
   [ "target=" ^ Datapath.fingerprint target;
     "outer=" ^ outer_index;
@@ -234,19 +216,18 @@ let row_context ?validate ~exact ~target ~outer_index ~inner_index
     "seq=" ^ String.concat "+" c.c_sequence;
     "ds=" ^ string_of_int c.c_ds;
     "pipelined=" ^ string_of_bool c.c_pipelined;
-    "exact=" ^ Uas_dfg.Sched.exact_mode_name exact;
     "validate=" ^ string_of_bool (Option.is_some validate);
     "cost-model=" ^ string_of_int Estimate.cost_model_version;
     "effort=" ^ string_of_int Uas_dfg.Sched.default_effort;
     "exact-effort=" ^ string_of_int Uas_dfg.Sched.default_exact_effort ]
 
-let run_candidate ?validate ?(exact = Uas_dfg.Sched.Exact_off) ~target
+let run_candidate ?validate ~target
     (p : Uas_ir.Stmt.program) ~outer_index ~inner_index ctx (c : candidate) :
     row =
   let cu = Cu.make ~ctx p ~outer_index ~inner_index in
   let kind = "plan-row" in
   let context =
-    row_context ?validate ~exact ~target ~outer_index ~inner_index c
+    row_context ?validate ~target ~outer_index ~inner_index c
   in
   let cached =
     match Cu.store_get cu ~kind ~context with
@@ -261,10 +242,10 @@ let run_candidate ?validate ?(exact = Uas_dfg.Sched.Exact_off) ~target
   match cached with
   | Some row -> row
   | None ->
-    let pipelined = c.c_pipelined in
     let passes =
       (Stages.analyze :: rewrite_passes ?validate c)
-      @ Stages.quick_synthesis ~target ~pipelined ~exact ~name:c.c_label
+      @ Stages.quick_synthesis ~target ~pipelined:c.c_pipelined
+          ~name:c.c_label
     in
     let row =
       match Pass.run cu passes with
@@ -273,7 +254,7 @@ let run_candidate ?validate ?(exact = Uas_dfg.Sched.Exact_off) ~target
         | Some r ->
           { r_candidate = c;
             r_outcome = Ok r;
-            r_gap = Stages.gap ~exact ~pipelined cu;
+            r_gap = None;
             r_incidents = Cu.incidents cu }
         | None -> assert false (* the estimate pass always sets the report *)
         )
@@ -314,7 +295,7 @@ let rank_key objective ~base (row : row) =
     ["<benchmark>/<label>"], and a task the pool gives up on ranks last
     with a [task] diagnostic instead of aborting the plan. *)
 let plan ?ctx ?(target = Datapath.default) ?jobs ?(objective = Ratio)
-    ?(factors = default_factors) ?validate ?exact ?timeout_s ?retries
+    ?(factors = default_factors) ?validate ?timeout_s ?retries
     (p : Uas_ir.Stmt.program) ~outer_index ~inner_index ~benchmark : plan =
   let cands =
     let depth =
@@ -331,7 +312,7 @@ let plan ?ctx ?(target = Datapath.default) ?jobs ?(objective = Ratio)
           r_outcome = Error d;
           r_gap = None;
           r_incidents = [] })
-      (run_candidate ?validate ?exact ~target p ~outer_index ~inner_index)
+      (run_candidate ?validate ~target p ~outer_index ~inner_index)
       cands
   in
   let baseline =
@@ -387,14 +368,6 @@ let pp ppf (plan : plan) =
           r.Estimate.r_sched_len r.Estimate.r_area_rows
           r.Estimate.r_total_cycles sp rt
       | Error _ -> ())
-    plan.p_rows;
-  List.iter
-    (fun row ->
-      match row.r_gap with
-      | None -> ()
-      | Some gap ->
-        Fmt.pf ppf "gap: %s — %a@." row.r_candidate.c_label
-          Uas_dfg.Sched.pp_gap gap)
     plan.p_rows;
   List.iter
     (fun row ->

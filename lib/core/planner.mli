@@ -45,9 +45,8 @@ type row = {
   r_candidate : candidate;
   r_outcome : (Estimate.report, Diag.t) result;
   r_gap : (int * Uas_dfg.Sched.exact) option;
-      (** with [exact = Exact_report] on a pipelined candidate: the
-          heuristic II next to the exact oracle's verdict, rendered as
-          a [gap:] footer via {!Uas_dfg.Sched.pp_gap} *)
+      (** always [None]; kept only so the frozen perf harness
+          ([bench/perf]) compiles *)
   r_incidents : Diag.t list;
       (** rewrites translation validation rejected along this
           candidate's sequence — the report then describes the
@@ -73,12 +72,7 @@ type plan = {
     workload (a rejected rewrite degrades the candidate to its
     last-known-good program, logged in [r_incidents]);
     [timeout_s]/[retries] supervise the pool, and a task the pool gives
-    up on ranks last with a [task] diagnostic.
-
-    [exact] (default [Exact_off]) runs the second II oracle per
-    candidate: [Exact_check] validates the heuristic schedules,
-    [Exact_report] additionally certifies the optimal II of pipelined
-    candidates and fills [r_gap]. *)
+    up on ranks last with a [task] diagnostic. *)
 val plan :
   ?ctx:Uas_runtime.Ctx.t ->
   ?target:Datapath.t ->
@@ -86,7 +80,6 @@ val plan :
   ?objective:objective ->
   ?factors:int list ->
   ?validate:Uas_ir.Interp.workload ->
-  ?exact:Uas_dfg.Sched.exact_mode ->
   ?timeout_s:float ->
   ?retries:int ->
   Uas_ir.Stmt.program ->

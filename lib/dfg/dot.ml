@@ -47,12 +47,3 @@ let to_dot ?(name = "dfg") (g : Graph.t) : string =
     g.Graph.edges;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-(** Write the dot rendering to a file. *)
-let write_file ?name (g : Graph.t) ~path : unit =
-  let oc = open_out path in
-  (try output_string oc (to_dot ?name g)
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  close_out oc

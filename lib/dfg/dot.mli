@@ -4,6 +4,3 @@
 
 (** Render in dot syntax. *)
 val to_dot : ?name:string -> Graph.t -> string
-
-(** Write [to_dot] to a file. *)
-val write_file : ?name:string -> Graph.t -> path:string -> unit

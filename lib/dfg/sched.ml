@@ -5,18 +5,19 @@
      iteration (the *original*, non-overlapped execution: the next
      iteration starts only when the current one finishes, so II equals
      the schedule length);
-   - [modulo_schedule]: iterative modulo scheduling for pipelined
-     execution: II = max(RecMII, ResMII) when the greedy placement
-     succeeds, growing II otherwise until it does (Rau-style IMS with a
-     bounded retry budget per II and an overall effort budget that
-     degrades to the list schedule instead of burning minutes);
-   - [optimal_schedule]: the exact oracle — a budgeted branch-and-bound
+   - [optimal_schedule]: the exact search — a budgeted branch-and-bound
      over the modulo reservation table that proves candidate IIs
      infeasible or returns a witness, so the first feasible II is
      certified optimal;
-   - [check_schedule]: the validity checker both backends (and the test
-     suites) use as a shared post-condition, written directly from the
-     constraint system rather than from either scheduler. *)
+   - [modulo_schedule]: the pipelined schedule, from one II search: a
+     greedy constraint-relaxation placement at max(RecMII, ResMII),
+     which is optimal when it succeeds, else the exact search's
+     certified optimum (placed greedily once more at that II, or the
+     exact witness); only an exhausted exact budget walks the greedy
+     placement upward, with a note;
+   - [check_schedule]: the validity checker every backend (and the
+     test suites) use as a shared post-condition, written directly
+     from the constraint system rather than from either scheduler. *)
 
 open Uas_ir
 
@@ -272,60 +273,9 @@ let try_modulo (cfg : config) (g : Graph.t) ~effort ~ii : int array option =
     | Some _ | None -> None
   end
 
-(* Generous enough that every benchmark × version of the paper suite
-   completes its full II search (the worst, Skipjack-mem jam(16), needs
-   a few million relaxations with the incremental solver); a graph that
-   would burn seconds instead degrades to the list schedule with a
-   note. *)
-let default_effort = 50_000_000
-
-(** Iterative modulo scheduling with the degradation note: find the
-    smallest feasible II at or above the recurrence/resource lower
-    bound.  Always succeeds — the acyclic list-schedule length is a
-    feasible fallback; when the [effort] budget (total edge relaxations
-    across the whole II search) runs out first, the fallback is
-    returned with a note saying so. *)
-let modulo_schedule_note ?(cfg = default_config) ?(effort = default_effort)
-    (g : Graph.t) : schedule * string option =
-  if Graph.node_count g = 0 then
-    ({ s_ii = 1; s_times = [||]; s_length = 1 }, None)
-  else begin
-    let fallback = list_schedule ~cfg g in
-    let lower = min_ii cfg g in
-    let fuel = ref effort in
-    let rec search ii =
-      if ii >= fallback.s_length then
-        ({ fallback with s_ii = max 1 fallback.s_length }, None)
-      else
-        match try_modulo cfg g ~effort:fuel ~ii with
-        | Some times ->
-          ({ s_ii = ii; s_times = times; s_length = makespan g times }, None)
-        | None -> search (ii + 1)
-        | exception Out_of_effort ->
-          ( { fallback with s_ii = max 1 fallback.s_length },
-            Some
-              (Printf.sprintf
-                 "modulo scheduling effort budget exhausted at II=%d; \
-                  degraded to the non-overlapped schedule (II=%d)"
-                 ii fallback.s_length) )
-    in
-    search lower
-  end
-
-(** Iterative modulo scheduling: find the smallest feasible II at or
-    above the recurrence/resource lower bound.  Always succeeds — the
-    acyclic list-schedule length is a feasible fallback. *)
-let modulo_schedule ?cfg ?effort (g : Graph.t) : schedule =
-  fst (modulo_schedule_note ?cfg ?effort g)
-
 (* ---- the exact backend ---- *)
 
-type exact_status = Exact_optimal | Exact_feasible | Exact_unknown
-
-let exact_status_name = function
-  | Exact_optimal -> "optimal"
-  | Exact_feasible -> "feasible"
-  | Exact_unknown -> "unknown"
+type exact_status = Exact_optimal | Exact_unknown
 
 type exact = {
   e_status : exact_status;
@@ -746,22 +696,44 @@ let decide (cfg : config) (g : Graph.t) ~effort ~expansions ~ii =
     end
   end
 
-(* The exact search visits every II the heuristic visits, but each with
-   a full branch-and-bound rather than one greedy descent; the shared
-   relaxation budget is sized so all paper cells certify in well under
-   a second each. *)
+(* Sized so every paper cell certifies its optimum in well under a
+   second: the hardest refutations (DES-mem pipelined, squash(2),
+   jam(2)) need a few thousand expansions. *)
 let default_exact_effort = 80_000_000
 
-(** The exact II oracle: iterate the candidate II upward from [min_ii],
+(* Decide the IIs from [lower] upward until one is feasible (certified
+   optimal: every smaller II was refuted) or [effort] runs out.  [cap]
+   is a known-feasible II (the list-schedule length), so the search
+   always ends with a witness unless the budget runs out first. *)
+let exact_search cfg g ~effort ~lower ~cap : exact =
+  let fuel = ref effort in
+  let expansions = ref 0 in
+  let result status sched ~proved ~exhausted =
+    { e_status = status;
+      e_schedule = sched;
+      e_min_ii = lower;
+      e_proved = proved;
+      e_expansions = !expansions;
+      e_effort_exhausted = exhausted }
+  in
+  let rec search ii =
+    if ii > cap then result Exact_unknown None ~proved:ii ~exhausted:false
+    else
+      match decide cfg g ~effort:fuel ~expansions ~ii with
+      | `Feasible s -> result Exact_optimal (Some s) ~proved:ii ~exhausted:false
+      | `Infeasible -> search (ii + 1)
+      | exception Out_of_effort ->
+        result Exact_unknown None ~proved:ii ~exhausted:true
+  in
+  search lower
+
+(** The exact II search: iterate the candidate II upward from [min_ii],
     proving each infeasible or returning a witness schedule, so the
-    first feasible II is certified optimal.  [witness], when given (the
-    heuristic's schedule), caps the search and is reported as a
-    non-certified fallback ([Exact_feasible]) if the [effort] budget
-    runs out mid-proof; with no witness the result degrades to
-    [Exact_unknown].  Deterministic: the budget counts edge
-    relaxations, not wall-clock. *)
+    first feasible II is certified optimal; [Exact_unknown] when the
+    [effort] budget runs out first.  Deterministic: the budget counts
+    edge relaxations, not wall-clock. *)
 let optimal_schedule ?(cfg = default_config)
-    ?(effort = default_exact_effort) ?witness (g : Graph.t) : exact =
+    ?(effort = default_exact_effort) (g : Graph.t) : exact =
   let lower = min_ii cfg g in
   if Graph.node_count g = 0 then
     { e_status = Exact_optimal;
@@ -770,90 +742,90 @@ let optimal_schedule ?(cfg = default_config)
       e_proved = 1;
       e_expansions = 0;
       e_effort_exhausted = false }
-  else begin
-    let fallback = list_schedule ~cfg g in
+  else
     (* the list schedule is a valid modulo schedule at II = its length
-       (rows coincide with absolute cycles), so the search always
-       terminates with a witness *)
-    let cap =
-      match witness with
-      | Some (w : schedule) -> max lower (min w.s_ii fallback.s_length)
-      | None -> max lower fallback.s_length
-    in
+       (rows coincide with absolute cycles) *)
+    exact_search cfg g ~effort ~lower
+      ~cap:(max lower (list_schedule ~cfg g).s_length)
+
+(* ---- the II search ---- *)
+
+(* Generous enough that every benchmark × version of the paper suite
+   schedules without degrading; a graph that would burn seconds instead
+   degrades to the list schedule with a note. *)
+let default_effort = 50_000_000
+
+(** The pipelined schedule with its note.  One greedy placement at
+    [min_ii]: success is optimal by definition.  Otherwise the exact
+    search certifies the optimum, and the greedy placement is tried
+    once at that II (it keeps the greedy issue times where it
+    succeeds), else the exact witness is taken.  Only when the exact
+    budget runs out does the search walk the greedy placement upward
+    from the smallest unrefuted II, noting that the result is not
+    proven optimal.  An II at or above the acyclic list-schedule length
+    takes the list schedule itself, and exhausting the greedy [effort]
+    budget degrades to it with a note. *)
+let modulo_schedule_note ?(cfg = default_config) ?(effort = default_effort)
+    ?(exact_effort = default_exact_effort) (g : Graph.t) :
+    schedule * string option =
+  if Graph.node_count g = 0 then
+    ({ s_ii = 1; s_times = [||]; s_length = 1 }, None)
+  else begin
+    let lower = min_ii cfg g in
     let fuel = ref effort in
-    let expansions = ref 0 in
-    let finish ~proved ~exhausted =
-      let valid_witness =
-        match witness with
-        | Some w when w.s_ii >= proved -> (
-          match check_schedule ~cfg g w with Ok () -> Some w | Error _ -> None)
-        | _ -> None
-      in
-      match valid_witness with
-      | Some w ->
-        { e_status = Exact_feasible;
-          e_schedule = Some w;
-          e_min_ii = lower;
-          e_proved = proved;
-          e_expansions = !expansions;
-          e_effort_exhausted = exhausted }
-      | None ->
-        { e_status = Exact_unknown;
-          e_schedule = None;
-          e_min_ii = lower;
-          e_proved = proved;
-          e_expansions = !expansions;
-          e_effort_exhausted = exhausted }
+    let current = ref lower in
+    let fallback = lazy (list_schedule ~cfg g) in
+    let non_overlapped () =
+      let f = Lazy.force fallback in
+      { f with s_ii = max 1 f.s_length }
     in
-    let rec search ii =
-      if ii > cap then finish ~proved:ii ~exhausted:false
-      else
-        match decide cfg g ~effort:fuel ~expansions ~ii with
-        | `Feasible s ->
-          { e_status = Exact_optimal;
-            e_schedule = Some s;
-            e_min_ii = lower;
-            e_proved = ii;
-            e_expansions = !expansions;
-            e_effort_exhausted = false }
-        | `Infeasible -> search (ii + 1)
-        | exception Out_of_effort -> finish ~proved:ii ~exhausted:true
+    let place ii =
+      current := ii;
+      Option.map
+        (fun t -> { s_ii = ii; s_times = t; s_length = makespan g t })
+        (try_modulo cfg g ~effort:fuel ~ii)
     in
-    search lower
+    (* at or above the list-schedule length, the list schedule itself *)
+    let greedy ii =
+      if ii >= (Lazy.force fallback).s_length then Some (non_overlapped ())
+      else place ii
+    in
+    try
+      match place lower with
+      | Some s -> (s, None)
+      | None -> (
+        let cap = max lower (Lazy.force fallback).s_length in
+        let e = exact_search cfg g ~effort:exact_effort ~lower ~cap in
+        match e.e_schedule with
+        | Some w when w.s_ii > lower ->
+          (Option.value ~default:w (greedy w.s_ii), None)
+        | Some w -> (w, None)
+        | None ->
+          let rec walk ii =
+            match greedy ii with Some s -> s | None -> walk (ii + 1)
+          in
+          let s = walk e.e_proved in
+          ( s,
+            Some
+              (Printf.sprintf
+                 "II %d not proven optimal: exact budget exhausted at II %d"
+                 s.s_ii e.e_proved) ))
+    with Out_of_effort ->
+      let f = non_overlapped () in
+      ( f,
+        Some
+          (Printf.sprintf
+             "modulo scheduling effort budget exhausted at II=%d; degraded \
+              to the non-overlapped schedule (II=%d)"
+             !current f.s_ii) )
   end
 
-(* ---- reporting ---- *)
+let modulo_schedule ?cfg ?effort ?exact_effort (g : Graph.t) : schedule =
+  fst (modulo_schedule_note ?cfg ?effort ?exact_effort g)
 
-type exact_mode = Exact_off | Exact_check | Exact_report
-
-let exact_mode_name = function
-  | Exact_off -> "off"
-  | Exact_check -> "check"
-  | Exact_report -> "report"
-
-let exact_mode_of_string = function
-  | "off" -> Some Exact_off
-  | "check" -> Some Exact_check
-  | "report" -> Some Exact_report
-  | _ -> None
-
-(** Render the heuristic-vs-exact story of one cell, as the table
-    footnotes print it. *)
-let pp_gap ppf ((heuristic_ii : int), (e : exact)) =
-  match (e.e_status, e.e_schedule) with
-  | Exact_optimal, Some w ->
-    let gap = heuristic_ii - w.s_ii in
-    if gap < 0 then
-      Fmt.pf ppf
-        "SOUNDNESS VIOLATION: heuristic II %d below certified optimum %d"
-        heuristic_ii w.s_ii
-    else
-      Fmt.pf ppf "optimal II %d, gap %d (certified, %d expansions)" w.s_ii gap
-        e.e_expansions
-  | Exact_feasible, Some w ->
-    Fmt.pf ppf "optimal II in [%d, %d], gap <= %d (budget)" e.e_proved w.s_ii
-      (heuristic_ii - e.e_proved)
-  | _ -> Fmt.pf ppf "gap unknown (budget)"
+(* Kept only so the frozen perf harness (bench/perf) still compiles:
+   its traced replica names the deleted exact-II pass's off mode. *)
+type exact_mode = Exact_off
 
 (** Number of hardware registers implied by a schedule: one per register
     source / move node, plus, for every produced value, the number of
@@ -904,24 +876,7 @@ let pp_schedule ppf s =
 
 let ( let* ) = Option.bind
 
-let exact_status_of_name = function
-  | "optimal" -> Some Exact_optimal
-  | "feasible" -> Some Exact_feasible
-  | "unknown" -> Some Exact_unknown
-  | _ -> None
-
-let strip_field ~name s =
-  let prefix = name ^ "=" in
-  let np = String.length prefix in
-  if String.length s >= np && String.equal (String.sub s 0 np) prefix then
-    Some (String.sub s np (String.length s - np))
-  else None
-
-let int_field ~name s =
-  let* v = strip_field ~name s in
-  int_of_string_opt v
-
-(* a schedule as one space-free token, so it embeds in the exact form *)
+(* a schedule as one space-free token *)
 let sched_atom s =
   Printf.sprintf "ii:%d;len:%d;times:%s" s.s_ii s.s_length
     (String.concat "," (List.map string_of_int (Array.to_list s.s_times)))
@@ -957,37 +912,4 @@ let schedule_to_string s = "sched 1 " ^ sched_atom s
 let schedule_of_string str =
   match String.split_on_char ' ' str with
   | [ "sched"; "1"; atom ] -> sched_of_atom atom
-  | _ -> None
-
-let exact_to_string e =
-  Printf.sprintf "exact 1 status=%s min=%d proved=%d exp=%d exh=%b sched=%s"
-    (exact_status_name e.e_status)
-    e.e_min_ii e.e_proved e.e_expansions e.e_effort_exhausted
-    (match e.e_schedule with None -> "-" | Some s -> sched_atom s)
-
-let exact_of_string str =
-  match String.split_on_char ' ' str with
-  | [ "exact"; "1"; st_f; min_f; proved_f; exp_f; exh_f; sched_f ] ->
-    let* status = Option.bind (strip_field ~name:"status" st_f) exact_status_of_name in
-    let* min_ii = int_field ~name:"min" min_f in
-    let* proved = int_field ~name:"proved" proved_f in
-    let* expansions = int_field ~name:"exp" exp_f in
-    let* exhausted =
-      Option.bind (strip_field ~name:"exh" exh_f) bool_of_string_opt
-    in
-    let* sched_s = strip_field ~name:"sched" sched_f in
-    let* sched =
-      if String.equal sched_s "-" then Some None
-      else
-        match sched_of_atom sched_s with
-        | Some s -> Some (Some s)
-        | None -> None
-    in
-    Some
-      { e_status = status;
-        e_schedule = sched;
-        e_min_ii = min_ii;
-        e_proved = proved;
-        e_expansions = expansions;
-        e_effort_exhausted = exhausted }
   | _ -> None

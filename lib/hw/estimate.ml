@@ -98,26 +98,18 @@ let kernel_detail ?(target = Datapath.default) (p : Stmt.program) ~index :
     l.body
 
 (** Stage 2: schedule the kernel DFG under the target's port budget.
-    The returned note, when present, says the modulo scheduler's effort
-    budget ran out and the non-overlapped fallback was substituted. *)
+    The returned note, when present, says a scheduling budget ran out
+    (see {!Uas_dfg.Sched.modulo_schedule_note}). *)
 let kernel_schedule_note ?(target = Datapath.default) ?(pipelined = true)
-    (detail : Build.detailed) : Sched.schedule * string option =
+    ?exact_effort (detail : Build.detailed) : Sched.schedule * string option =
   let cfg = Datapath.sched_config target in
-  if pipelined then Sched.modulo_schedule_note ~cfg detail.Build.d_graph
+  if pipelined then
+    Sched.modulo_schedule_note ~cfg ?exact_effort detail.Build.d_graph
   else (Sched.list_schedule ~cfg detail.Build.d_graph, None)
 
 let kernel_schedule ?target ?pipelined (detail : Build.detailed) :
     Sched.schedule =
   fst (kernel_schedule_note ?target ?pipelined detail)
-
-(** The exact second oracle on a kernel DFG:
-    {!Uas_dfg.Sched.optimal_schedule} under the target's port budget.
-    [witness] (typically the heuristic schedule) caps the search and
-    keeps a budget-exhausted run bracketed instead of unknown. *)
-let kernel_exact ?(target = Datapath.default) ?effort ?witness
-    (detail : Build.detailed) : Sched.exact =
-  let cfg = Datapath.sched_config target in
-  Sched.optimal_schedule ~cfg ?effort ?witness detail.Build.d_graph
 
 (** Stage 3: derive the report from the DFG and its schedule. *)
 let assemble ?(target = Datapath.default) ?(pipelined = true) ?name

@@ -46,24 +46,16 @@ val kernel_schedule :
   Uas_dfg.Build.detailed ->
   Uas_dfg.Sched.schedule
 
-(** [kernel_schedule] plus the degradation note: [Some message] when
-    the modulo scheduler's effort budget ran out and the
-    non-overlapped fallback was substituted. *)
+(** [kernel_schedule] plus the schedule's note: [Some message] when a
+    scheduling budget ran out — the greedy one (the non-overlapped
+    fallback was substituted) or the exact one (the II is not proven
+    optimal).  [exact_effort] is the exact search's budget. *)
 val kernel_schedule_note :
   ?target:Datapath.t ->
   ?pipelined:bool ->
+  ?exact_effort:int ->
   Uas_dfg.Build.detailed ->
   Uas_dfg.Sched.schedule * string option
-
-(** The exact second II oracle ({!Uas_dfg.Sched.optimal_schedule})
-    on a kernel DFG.  [witness] (typically the heuristic schedule) caps
-    the search. *)
-val kernel_exact :
-  ?target:Datapath.t ->
-  ?effort:int ->
-  ?witness:Uas_dfg.Sched.schedule ->
-  Uas_dfg.Build.detailed ->
-  Uas_dfg.Sched.exact
 
 (** Derive the report from a kernel DFG and its schedule.
     @raise Not_a_kernel when the trip counts are dynamic. *)

@@ -97,12 +97,6 @@ val dfg : t -> Uas_dfg.Build.detailed option
 val set_dfg : t -> Uas_dfg.Build.detailed -> unit
 val schedule : t -> Uas_dfg.Sched.schedule option
 val set_schedule : t -> Uas_dfg.Sched.schedule -> unit
-
-(** The exact-II oracle's verdict ({!Uas_pass.Stages.exact_ii}):
-    memoized like the schedule, invalidated by {!with_program}. *)
-val exact : t -> Uas_dfg.Sched.exact option
-
-val set_exact : t -> Uas_dfg.Sched.exact -> unit
 val report : t -> Uas_hw.Estimate.report option
 val set_report : t -> Uas_hw.Estimate.report -> unit
 
@@ -139,8 +133,8 @@ val incidents : t -> Diag.t list
 (** {2 The persistent artifact store}
 
     Load/save hooks over {!Uas_runtime.Store}: every expensive artifact
-    (kernel schedule, exact-II certificate, hardware estimate, planner
-    row) is keyed by a content hash of its full provenance — the
+    (kernel schedule, hardware estimate, planner row) is keyed by a
+    content hash of its full provenance — the
     canonical program text (the {!Uas_ir.Pp} round-trip form), the
     rewrite trail that produced it, the caller's [context] parts
     (datapath fingerprint, effort budgets, cost-model version) and the

@@ -41,7 +41,7 @@ let legality ~ds =
              "factor %d: %a" ds Legality.pp_verdict verdict))
 
 (* ensure-style artifact accessors; each computation runs under its
-   own span ([dfg-build], [schedule], [schedule.exact]) *)
+   own span ([dfg-build], [schedule]) *)
 
 let ensure_dfg ~target cu =
   match Cu.dfg cu with
@@ -57,8 +57,8 @@ let ensure_dfg ~target cu =
 
 (* ---- persistent-store payloads and contexts ----
 
-   The schedule payload carries the degradation note alongside the
-   schedule itself, so a warm run replays the effort-exhausted incident
+   The schedule payload carries the schedule's note alongside the
+   schedule itself, so a warm run replays a budget-exhausted incident
    and renders footers byte-identical to the cold run.  The context
    lists hash everything the computation depends on besides the program
    text and rewrite trail (which Cu.store_key adds): which loop is the
@@ -92,21 +92,35 @@ let schedule_of_payload payload =
     | Some note, Some s -> Some (s, note)
     | _ -> None)
 
-let schedule_context ~target ~pipelined cu =
+let schedule_context ?(exact_effort = Uas_dfg.Sched.default_exact_effort)
+    ~target ~pipelined cu =
   [ "target=" ^ Datapath.fingerprint target;
     "kernel=" ^ Cu.inner_index cu;
     "pipelined=" ^ string_of_bool pipelined;
-    "effort=" ^ string_of_int Uas_dfg.Sched.default_effort ]
+    "effort=" ^ string_of_int Uas_dfg.Sched.default_effort;
+    "exact-effort=" ^ string_of_int exact_effort ]
 
-let exact_context ~target ~pipelined cu =
-  schedule_context ~target ~pipelined cu
-  @ [ "exact-effort=" ^ string_of_int Uas_dfg.Sched.default_exact_effort ]
+(* Every schedule returned, fresh or from the store, is checked against
+   the raw constraint system; a violation is an incident on the unit. *)
+let check_schedule ~target cu detail s =
+  match
+    Uas_dfg.Sched.check_schedule
+      ~cfg:(Datapath.sched_config target)
+      detail.Uas_dfg.Build.d_graph s
+  with
+  | Ok () -> ()
+  | Error msgs ->
+    List.iter
+      (fun m ->
+        Cu.add_incident cu
+          (Diag.errorf ~pass:"schedule" "schedule invalid: %s" m))
+      msgs
 
-let ensure_schedule ~target ~pipelined cu =
+let ensure_schedule ?exact_effort ~target ~pipelined cu =
   match Cu.schedule cu with
   | Some s -> s
   | None -> (
-    let context = schedule_context ~target ~pipelined cu in
+    let context = schedule_context ?exact_effort ~target ~pipelined cu in
     let cached =
       match Cu.store_get cu ~kind:"schedule" ~context with
       | None -> None
@@ -117,114 +131,50 @@ let ensure_schedule ~target ~pipelined cu =
           Cu.store_undecodable cu ~kind:"schedule";
           None)
     in
-    match cached with
-    | Some (s, note) ->
-      (* replay the degradation note, so a warm cell footnotes exactly
-         like the cold one did *)
-      (match note with
-      | Some m -> Cu.add_incident cu (Diag.errorf ~pass:"schedule" "%s" m)
-      | None -> ());
-      Cu.set_schedule cu s;
-      s
-    | None ->
-      let detail = ensure_dfg ~target cu in
-      let s, note =
-        Instrument.span (trace cu) "schedule" (fun () ->
-            Estimate.kernel_schedule_note ~target ~pipelined detail)
-      in
-      (* an exhausted effort budget degrades the cell, it never hangs
-         the sweep: the note becomes a footnoted incident on the unit *)
-      (match note with
-      | Some m ->
-        Instrument.incr (trace cu) "sched.effort-degraded";
-        Cu.add_incident cu (Diag.errorf ~pass:"schedule" "%s" m)
-      | None -> ());
-      Cu.store_put cu ~kind:"schedule" ~context (schedule_payload (s, note));
-      Cu.set_schedule cu s;
-      s)
-
-let ensure_exact ~target ~pipelined cu =
-  match Cu.exact cu with
-  | Some e -> e
-  | None -> (
-    let context = exact_context ~target ~pipelined cu in
-    let cached =
-      match Cu.store_get cu ~kind:"exact" ~context with
-      | None -> None
-      | Some payload -> (
-        match Uas_dfg.Sched.exact_of_string payload with
-        | Some _ as ok -> ok
-        | None ->
-          Cu.store_undecodable cu ~kind:"exact";
-          None)
+    let detail = ensure_dfg ~target cu in
+    let s =
+      match cached with
+      | Some (s, note) ->
+        (* replay the note, so a warm cell footnotes exactly like the
+           cold one did *)
+        (match note with
+        | Some m -> Cu.add_incident cu (Diag.errorf ~pass:"schedule" "%s" m)
+        | None -> ());
+        s
+      | None ->
+        let s, note =
+          Instrument.span (trace cu) "schedule" (fun () ->
+              Estimate.kernel_schedule_note ~target ~pipelined ?exact_effort
+                detail)
+        in
+        (* an exhausted budget degrades the cell, it never hangs the
+           sweep: the note becomes a footnoted incident on the unit *)
+        (match note with
+        | Some m ->
+          Instrument.incr (trace cu) "sched.effort-degraded";
+          Cu.add_incident cu (Diag.errorf ~pass:"schedule" "%s" m)
+        | None -> ());
+        Cu.store_put cu ~kind:"schedule" ~context (schedule_payload (s, note));
+        s
     in
-    match cached with
-    | Some e ->
-      Cu.set_exact cu e;
-      e
-    | None ->
-      let witness = ensure_schedule ~target ~pipelined cu in
-      let detail = ensure_dfg ~target cu in
-      let e =
-        Instrument.span (trace cu) "schedule.exact" (fun () ->
-            Estimate.kernel_exact ~target ~witness detail)
-      in
-      Instrument.incr (trace cu)
-        ("sched.exact." ^ Uas_dfg.Sched.exact_status_name e.e_status);
-      Instrument.incr ~by:e.e_expansions (trace cu) "sched.exact.expansions";
-      Cu.store_put cu ~kind:"exact" ~context
-        (Uas_dfg.Sched.exact_to_string e);
-      Cu.set_exact cu e;
-      e)
+    check_schedule ~target cu detail s;
+    Cu.set_schedule cu s;
+    s)
 
 let dfg_build ?(target = Datapath.default) () =
   Pass.v "dfg-build" (fun cu ->
       ignore (ensure_dfg ~target cu);
       Ok cu)
 
-let schedule ?(target = Datapath.default) ~pipelined () =
+let schedule ?(target = Datapath.default) ?exact_effort ~pipelined () =
   Pass.v "schedule" (fun cu ->
-      ignore (ensure_schedule ~target ~pipelined cu);
+      ignore (ensure_schedule ?exact_effort ~target ~pipelined cu);
       Ok cu)
 
-(* ["exact-ii"]: the second oracle.  In [Exact_check] the heuristic
-   schedule is validated against the raw constraint system; in
-   [Exact_report] the exact backend additionally certifies (or
-   brackets) the optimal II of a pipelined kernel.  An invalid
-   heuristic schedule or a heuristic II below the certified optimum is
-   a soundness incident on the unit — the pass itself never fails, so
-   a sweep always completes with the evidence footnoted. *)
-let exact_ii ?(target = Datapath.default) ~pipelined
-    ~(mode : Uas_dfg.Sched.exact_mode) () =
-  Pass.v "exact-ii" (fun cu ->
-      (match mode with
-      | Uas_dfg.Sched.Exact_off -> ()
-      | Exact_check | Exact_report ->
-        let detail = ensure_dfg ~target cu in
-        let sched = ensure_schedule ~target ~pipelined cu in
-        let cfg = Datapath.sched_config target in
-        (match
-           Uas_dfg.Sched.check_schedule ~cfg detail.Uas_dfg.Build.d_graph
-             sched
-         with
-        | Ok () -> ()
-        | Error msgs ->
-          List.iter
-            (fun m ->
-              Cu.add_incident cu
-                (Diag.errorf ~pass:"exact-ii"
-                   "heuristic schedule invalid: %s" m))
-            msgs);
-        if mode = Exact_report && pipelined then begin
-          let e = ensure_exact ~target ~pipelined cu in
-          if sched.Uas_dfg.Sched.s_ii < e.Uas_dfg.Sched.e_proved then
-            Cu.add_incident cu
-              (Diag.errorf ~pass:"exact-ii"
-                 "SOUNDNESS VIOLATION: heuristic II %d below the exact \
-                  oracle's proven bound %d"
-                 sched.Uas_dfg.Sched.s_ii e.Uas_dfg.Sched.e_proved)
-        end);
-      Ok cu)
+(* Kept only for the frozen perf harness: the deleted exact-II pass,
+   now a no-op. *)
+let exact_ii ~pipelined:_ ~mode:(_ : Uas_dfg.Sched.exact_mode) () =
+  Pass.v "exact-ii" (fun cu -> Ok cu)
 
 let estimate ?(target = Datapath.default) ~pipelined ?name () =
   Pass.v "estimate" (fun cu ->
@@ -267,18 +217,9 @@ let estimate ?(target = Datapath.default) ~pipelined ?name () =
 
 (* The quick-synthesis tail every driver runs after its rewrites: the
    sweep's versions and the planner's candidates estimate alike. *)
-let quick_synthesis ~target ~pipelined ~exact ~name =
+let quick_synthesis ~target ~pipelined ~name =
   [ dfg_build ~target ();
     schedule ~target ~pipelined ();
-    exact_ii ~target ~pipelined ~mode:exact ();
     estimate ~target ~pipelined ~name () ]
 
-let gap ~exact ~pipelined cu =
-  if exact = Uas_dfg.Sched.Exact_report && pipelined then
-    match (Cu.schedule cu, Cu.exact cu) with
-    | Some s, Some e -> Some (s.Uas_dfg.Sched.s_ii, e)
-    | _ -> None
-  else None
-
-let names =
-  [ "loop-nest"; "legality"; "dfg-build"; "schedule"; "exact-ii"; "estimate" ]
+let names = [ "loop-nest"; "legality"; "dfg-build"; "schedule"; "estimate" ]

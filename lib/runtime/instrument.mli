@@ -12,8 +12,8 @@
     pipeline pass ([pass.loop-nest], [pass.squash], [pass.jam],
     [pass.dfg-build], [pass.schedule], [pass.estimate], plus
     [pass.verify] around interpreter replay).  The quick-synthesis
-    stages' inner [dfg-build]/[schedule]/[schedule.exact] spans remain
-    for finer-grained attribution, and the compilation unit publishes
+    stages' inner [dfg-build]/[schedule] spans remain for
+    finer-grained attribution, and the compilation unit publishes
     [cu.analysis-hit]/[cu.analysis-miss] counters. *)
 
 type t

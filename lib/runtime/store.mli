@@ -1,7 +1,7 @@
 (** Persistent content-addressed artifact store.
 
-    Expensive compilation artifacts (kernel schedules, exact-II
-    certificates, hardware estimates, planner rows) are serialized and
+    Expensive compilation artifacts (kernel schedules, hardware
+    estimates, planner rows) are serialized and
     keyed by a content hash of their full provenance: canonical program
     text, rewrite trail, tool parameters, cost-model version and the
     store format version.  Same key, same bytes — so a warm cache run

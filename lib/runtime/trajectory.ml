@@ -13,8 +13,8 @@ let schema = "uas-bench-trajectory"
 (* v2: the "plans" array (ranked planner tables per benchmark).
    v3: the "incidents" array (faults recovered, cells degraded or
    skipped during the run) and the "fault_plan" key.
-   v4: the "gaps" array (heuristic vs exact-oracle II per
-   benchmark × version, from --exact-ii report).
+   v4: the "gaps" array (heuristic vs exact-search II per
+   benchmark × version; dropped in v8).
    v5: the "store" key (artifact-store hit/miss/latency counters when
    a cache is installed via UAS_CACHE/--cache; null otherwise — no
    directory path, so snapshots stay machine-independent).
@@ -24,8 +24,11 @@ let schema = "uas-bench-trajectory"
    timed-out, degraded, drained, queue depth, request latency — when
    the document comes from a daemon run; null otherwise), and the
    "store" object gains "evict_skipped" (cross-process eviction sweeps
-   skipped because another process held the store lock). *)
-let version = 7
+   skipped because another process held the store lock).
+   v8: the "gaps" array is gone — every pipelined II comes from one
+   search that certifies it, so there is no second scheduler to
+   compare against. *)
+let version = 8
 
 type target = { t_name : string; t_wall_s : float }
 type metric = { m_name : string; m_value : float; m_unit : string }
@@ -54,17 +57,6 @@ type plan = {
   pl_rows : plan_row list;
 }
 
-type gap_row = {
-  g_benchmark : string;
-  g_version : string;
-  g_heuristic_ii : int;
-  g_optimal_ii : int option;  (** [None] unless certified optimal *)
-  g_proved_ii : int;  (** every II below was refuted exhaustively *)
-  g_gap : int option;  (** heuristic - optimal; [None] when uncertified *)
-  g_status : string;  (** "optimal" | "feasible" | "unknown" *)
-  g_expansions : int;  (** branch-and-bound nodes expanded *)
-}
-
 type t = {
   ctx : Ctx.t;  (** source of the fault plan, store and instrumentation *)
   interp_tier : string;
@@ -76,7 +68,6 @@ type t = {
   mutable rev_metrics : metric list;
   mutable rev_plans : plan list;
   mutable rev_incidents : incident list;
-  mutable rev_gaps : gap_row list;
 }
 
 let make ~ctx ~interp_tier ~jobs () =
@@ -87,8 +78,7 @@ let make ~ctx ~interp_tier ~jobs () =
     rev_targets = [];
     rev_metrics = [];
     rev_plans = [];
-    rev_incidents = [];
-    rev_gaps = [] }
+    rev_incidents = [] }
 
 let set_daemon_json t json = t.daemon_json <- Some json
 
@@ -108,8 +98,6 @@ let add_incident t ~site ~cell ~message =
   t.rev_incidents <-
     { i_site = site; i_cell = cell; i_message = message } :: t.rev_incidents
 
-let add_gap t (g : gap_row) = t.rev_gaps <- g :: t.rev_gaps
-
 (** [time f] runs [f ()] and returns its result with the elapsed
     wall-clock seconds. *)
 let time f =
@@ -121,7 +109,6 @@ let targets t = List.rev t.rev_targets
 let metrics t = List.rev t.rev_metrics
 let plans t = List.rev t.rev_plans
 let incidents t = List.rev t.rev_incidents
-let gaps t = List.rev t.rev_gaps
 
 let esc = Instrument.json_escape
 
@@ -152,14 +139,6 @@ let to_json t =
     Printf.sprintf "{\"site\":\"%s\",\"cell\":\"%s\",\"message\":\"%s\"}"
       (esc i.i_site) (esc i.i_cell) (esc i.i_message)
   in
-  let opt_int = function None -> "null" | Some n -> string_of_int n in
-  let gap_json (g : gap_row) =
-    Printf.sprintf
-      "{\"benchmark\":\"%s\",\"version\":\"%s\",\"heuristic_ii\":%d,\"optimal_ii\":%s,\"proved_ii\":%d,\"gap\":%s,\"status\":\"%s\",\"expansions\":%d}"
-      (esc g.g_benchmark) (esc g.g_version) g.g_heuristic_ii
-      (opt_int g.g_optimal_ii) g.g_proved_ii (opt_int g.g_gap)
-      (esc g.g_status) g.g_expansions
-  in
   let jobs_json =
     match t.jobs with None -> "null" | Some n -> string_of_int n
   in
@@ -177,20 +156,11 @@ let to_json t =
     match t.daemon_json with None -> "null" | Some j -> j
   in
   Printf.sprintf
-    "{\"schema\":\"%s\",\"version\":%d,\"interp_tier\":\"%s\",\"jobs\":%s,\"fault_plan\":%s,\"store\":%s,\"daemon\":%s,\"targets\":[%s],\"metrics\":[%s],\"plans\":[%s],\"gaps\":[%s],\"incidents\":[%s],\"instrumentation\":%s}"
+    "{\"schema\":\"%s\",\"version\":%d,\"interp_tier\":\"%s\",\"jobs\":%s,\"fault_plan\":%s,\"store\":%s,\"daemon\":%s,\"targets\":[%s],\"metrics\":[%s],\"plans\":[%s],\"incidents\":[%s],\"instrumentation\":%s}"
     (esc schema) version (esc t.interp_tier) jobs_json fault_plan_json
     store_json daemon_json
     (String.concat "," (List.map target_json (targets t)))
     (String.concat "," (List.map metric_json (metrics t)))
     (String.concat "," (List.map plan_json (plans t)))
-    (String.concat "," (List.map gap_json (gaps t)))
     (String.concat "," (List.map incident_json (incidents t)))
     (Instrument.to_json t.ctx.trace)
-
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_json t);
-      output_char oc '\n')

@@ -4,10 +4,10 @@
     planner tables, the interpreter tier and pool size, and the
     {!Instrument} span/counter breakdown.
 
-    Schema (version 7; no timestamps, so snapshots diff cleanly):
+    Schema (version 8; no timestamps, so snapshots diff cleanly):
     {v
     { "schema": "uas-bench-trajectory",
-      "version": 7,
+      "version": 8,
       "interp_tier": "fast",
       "jobs": null | N,
       "fault_plan": null | "site:kind:nth,...",
@@ -27,11 +27,6 @@
                               "speedup": x, "ratio": x,
                               "skipped": null | "diagnostic"}, ... ] },
                  ... ],
-      "gaps": [ {"benchmark": "...", "version": "...",
-                 "heuristic_ii": n, "optimal_ii": null | n,
-                 "proved_ii": n, "gap": null | n,
-                 "status": "optimal" | "feasible" | "unknown",
-                 "expansions": n}, ... ],
       "incidents": [ {"site": "sweep" | "plan" | "validate" | ...,
                       "cell": "<benchmark>/<version>",
                       "message": "diagnostic"}, ... ],
@@ -45,11 +40,8 @@
     configured, and never the cache directory path.  [daemon] (v7)
     echoes the [nimbled] service counters when the document comes from
     a daemon run — null from the plain CLIs.  Incidents record
-    every cell the run degraded or skipped non-fatally.  Gaps record
-    the second II oracle's verdict per benchmark × version
-    ([--exact-ii report]): [gap] is [heuristic_ii - optimal_ii] when
-    the optimum was certified, null when the budget ran out with the
-    optimum only bracketed in [[proved_ii, heuristic_ii]]. *)
+    every cell the run degraded or skipped non-fatally.  (v8 dropped
+    the v4 ["gaps"] array.) *)
 
 val schema : string
 val version : int
@@ -103,22 +95,6 @@ type incident = { i_site : string; i_cell : string; i_message : string }
     rendered diagnostic). *)
 val add_incident : t -> site:string -> cell:string -> message:string -> unit
 
-(** One row of the gaps array: the heuristic II of a pipelined
-    (benchmark, version) cell next to the exact oracle's verdict. *)
-type gap_row = {
-  g_benchmark : string;
-  g_version : string;
-  g_heuristic_ii : int;
-  g_optimal_ii : int option;  (** [None] unless certified optimal *)
-  g_proved_ii : int;  (** every II below was refuted exhaustively *)
-  g_gap : int option;  (** heuristic - optimal; [None] when uncertified *)
-  g_status : string;  (** "optimal" | "feasible" | "unknown" *)
-  g_expansions : int;  (** branch-and-bound nodes expanded *)
-}
-
-(** Record one exact-oracle gap row. *)
-val add_gap : t -> gap_row -> unit
-
 (** [time f] runs [f ()], returning its result and the elapsed
     wall-clock seconds. *)
 val time : (unit -> 'a) -> 'a * float
@@ -130,10 +106,7 @@ val targets : t -> target list
 val metrics : t -> metric list
 val plans : t -> plan list
 val incidents : t -> incident list
-val gaps : t -> gap_row list
 
 (** The full document, keys in schema order. *)
 val to_json : t -> string
 
-(** Write {!to_json} (newline-terminated) to [path]. *)
-val write_file : t -> string -> unit

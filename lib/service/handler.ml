@@ -12,7 +12,7 @@
    line:
 
      <benchmark>\n
-     key=value\n ...        tier|verify|validate|exact|objective|budget
+     key=value\n ...        tier|verify|validate|objective|budget
 
    Unknown keys and malformed values are parse errors (a one-line
    message the daemon sends back as ERR), never exceptions. *)
@@ -22,7 +22,6 @@ module P = Uas_core.Planner
 module Registry = Uas_bench_suite.Registry
 module Diag = Uas_pass.Diag
 module Fast_interp = Uas_ir.Fast_interp
-module Sched = Uas_dfg.Sched
 module Budget = Uas_runtime.Budget
 
 type estimate_opts = {
@@ -30,7 +29,7 @@ type estimate_opts = {
   e_verify : bool;
   e_tier : Fast_interp.tier option;
   e_validate : bool;
-  e_exact : Sched.exact_mode;
+  e_exact : Uas_dfg.Sched.exact_mode;  (* ignored; for bench/perf only *)
   e_budget_s : float option;
 }
 
@@ -38,7 +37,6 @@ type plan_opts = {
   p_bench : string;
   p_objective : P.objective;
   p_validate : bool;
-  p_exact : Sched.exact_mode;
   p_budget_s : float option;
 }
 
@@ -68,14 +66,12 @@ let work_body w =
     match w with
     | W_estimate o ->
       [ Printf.sprintf "verify=%b" o.e_verify;
-        Printf.sprintf "validate=%b" o.e_validate;
-        Printf.sprintf "exact=%s" (Sched.exact_mode_name o.e_exact) ]
+        Printf.sprintf "validate=%b" o.e_validate ]
       @ opt_line "tier" (Option.map Fast_interp.tier_name o.e_tier)
       @ opt_line "budget" (Option.map string_of_float o.e_budget_s)
     | W_plan o ->
       [ Printf.sprintf "objective=%s" (P.objective_name o.p_objective);
-        Printf.sprintf "validate=%b" o.p_validate;
-        Printf.sprintf "exact=%s" (Sched.exact_mode_name o.p_exact) ]
+        Printf.sprintf "validate=%b" o.p_validate ]
       @ opt_line "budget" (Option.map string_of_float o.p_budget_s)
   in
   String.concat "\n" (bench :: kvs)
@@ -121,11 +117,6 @@ let parse_tier v =
   | Some t -> Ok (Some t)
   | None -> Error (Printf.sprintf "tier expects %s, got %S" Fast_interp.valid_tiers v)
 
-let parse_exact v =
-  match Sched.exact_mode_of_string v with
-  | Some m -> Ok m
-  | None -> Error (Printf.sprintf "exact expects off, check or report, got %S" v)
-
 let parse_objective v =
   match P.objective_of_string v with
   | Some o -> Ok o
@@ -152,17 +143,17 @@ let fold_kvs ~on_kv init kvs =
       on_kv acc k v)
     (Ok init) kvs
 
+let estimate_opts bench =
+  { e_bench = bench;
+    e_verify = false;
+    e_tier = None;
+    e_validate = false;
+    e_exact = Uas_dfg.Sched.Exact_off;
+    e_budget_s = None }
+
 let parse_estimate body =
   let* bench, kvs = split_body body in
-  let init =
-    { e_bench = bench;
-      e_verify = false;
-      e_tier = None;
-      e_validate = false;
-      e_exact = Sched.Exact_off;
-      e_budget_s = None }
-  in
-  fold_kvs init kvs ~on_kv:(fun o k v ->
+  fold_kvs (estimate_opts bench) kvs ~on_kv:(fun o k v ->
       match k with
       | "verify" ->
         let* b = parse_bool ~key:k v in
@@ -173,9 +164,6 @@ let parse_estimate body =
       | "tier" ->
         let* t = parse_tier v in
         Ok { o with e_tier = t }
-      | "exact" ->
-        let* m = parse_exact v in
-        Ok { o with e_exact = m }
       | "budget" ->
         let* b = parse_budget v in
         Ok { o with e_budget_s = b }
@@ -187,7 +175,6 @@ let parse_plan body =
     { p_bench = bench;
       p_objective = P.Ratio;
       p_validate = false;
-      p_exact = Sched.Exact_off;
       p_budget_s = None }
   in
   fold_kvs init kvs ~on_kv:(fun o k v ->
@@ -198,9 +185,6 @@ let parse_plan body =
       | "validate" ->
         let* b = parse_bool ~key:k v in
         Ok { o with p_validate = b }
-      | "exact" ->
-        let* m = parse_exact v in
-        Ok { o with p_exact = m }
       | "budget" ->
         let* b = parse_budget v in
         Ok { o with p_budget_s = b }
@@ -283,7 +267,7 @@ let execute ?ctx ?(limits = no_limits) (w : work) :
     | W_estimate o ->
       let row =
         E.run_benchmark ?ctx ~verify:o.e_verify ?tier:o.e_tier
-          ~validate:o.e_validate ~exact:o.e_exact ?jobs:l_jobs
+          ~validate:o.e_validate ?jobs:l_jobs
           ?timeout_s:l_timeout_s ?retries:l_retries b
       in
       Ok (render_estimate row, estimate_incidents row)
@@ -291,7 +275,7 @@ let execute ?ctx ?(limits = no_limits) (w : work) :
       let probe = if o.p_validate then Some b.Registry.b_workload else None in
       let plan =
         P.plan ?ctx ?jobs:l_jobs ~objective:o.p_objective ?validate:probe
-          ~exact:o.p_exact ?timeout_s:l_timeout_s ?retries:l_retries
+          ?timeout_s:l_timeout_s ?retries:l_retries
           b.Registry.b_program ~outer_index:b.Registry.b_outer_index
           ~inner_index:b.Registry.b_inner_index ~benchmark:b.Registry.b_name
       in

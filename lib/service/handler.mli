@@ -6,7 +6,7 @@
     A work body is line-oriented:
     {v
     <benchmark>
-    key=value ...     tier|verify|validate|exact|objective|budget
+    key=value ...     tier|verify|validate|objective|budget
     v}
     Unknown keys and malformed values are one-line parse errors (the
     daemon replies ERR), never exceptions. *)
@@ -18,6 +18,8 @@ type estimate_opts = {
       (** verification tier; [None] follows the daemon's default *)
   e_validate : bool;
   e_exact : Uas_dfg.Sched.exact_mode;
+      (** ignored, never sent; kept only so the frozen perf harness
+          ([bench/perf]) compiles *)
   e_budget_s : float option;  (** per-request wall budget override *)
 }
 
@@ -25,11 +27,14 @@ type plan_opts = {
   p_bench : string;
   p_objective : Uas_core.Planner.objective;
   p_validate : bool;
-  p_exact : Uas_dfg.Sched.exact_mode;
   p_budget_s : float option;
 }
 
 type work = W_estimate of estimate_opts | W_plan of plan_opts
+
+(** The options of a bare estimate body naming only [bench]: no
+    verification, the daemon's tier, no validation, no budget. *)
+val estimate_opts : string -> estimate_opts
 
 type request = Hello of string | Work of work | Stats | Health | Drain
 

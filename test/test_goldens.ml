@@ -1,40 +1,62 @@
-(* Golden initiation intervals for the full benchmark suite at the
-   paper's default sizes and target.  These pin the behaviour of the
-   whole stack — benchmarks, DFG construction, memory disambiguation,
-   recurrence analysis and the modulo scheduler — so an accidental
-   regression in any layer shows up as a changed II.
+(* The committed goldens under ci/goldens/ are the one source of truth
+   for the rendered tables: Table 6.2, the estimate renders and the plan
+   renders are recomputed here and compared byte for byte, so a drift
+   in any layer — benchmarks, DFG construction, memory disambiguation,
+   recurrence analysis, the II search, the cost model — fails
+   [dune runtest], not only CI.
 
-   If a deliberate improvement shifts a value, update the table AND the
+   A deliberate change re-baselines the golden file AND the
    corresponding discussion in EXPERIMENTS.md. *)
 
 module S = Uas_bench_suite
-module N = Uas_core.Nimble
+module E = Uas_core.Experiments
+module P = Uas_core.Planner
+module Handler = Uas_service.Handler
 
-(* (benchmark, [original; pipelined; squash 2/4/8/16; jam 2/4/8/16]) *)
-let golden_iis =
-  [ ("Skipjack-mem", [ 33; 21; 11; 6; 4; 4; 21; 23; 41; 72 ]);
-    ("Skipjack-hw", [ 28; 17; 9; 5; 3; 2; 17; 17; 17; 17 ]);
-    ("DES-mem", [ 17; 17; 9; 5; 5; 5; 17; 19; 36; 72 ]);
-    ("DES-hw", [ 14; 14; 7; 4; 2; 1; 14; 14; 14; 14 ]);
-    ("IIR", [ 70; 10; 5; 3; 2; 1; 10; 10; 12; 24 ]) ]
+let golden file =
+  In_channel.with_open_bin (Filename.concat "../ci/goldens" file)
+    In_channel.input_all
 
-let test_golden_iis () =
+let check_golden file rendered =
+  Alcotest.(check string) ("ci/goldens/" ^ file) (golden file) rendered
+
+let execute work =
+  match Handler.execute work with
+  | Ok (rendered, _) -> rendered
+  | Error m -> Alcotest.failf "execute: %s" m
+
+(* what [bench/main.exe table-6.2] prints, its banner included *)
+let test_table_6_2 () =
+  check_golden "table-6.2.txt"
+    (Fmt.str "@.==== Table 6.2 ====@.%a@." E.pp_table_6_2
+       (E.table_6_2 ~verify:true ()))
+
+(* what [nimblec estimate BENCH] prints ([--verify] for wavelet3) *)
+let test_estimates () =
   List.iter
-    (fun (b : S.Registry.benchmark) ->
-      let expected = List.assoc b.S.Registry.b_name golden_iis in
-      let rows =
-        N.sweep b.S.Registry.b_program
-          ~outer_index:b.S.Registry.b_outer_index
-          ~inner_index:b.S.Registry.b_inner_index
-        |> N.successes
-      in
-      let got =
-        List.map (fun (_, _, r) -> r.Uas_hw.Estimate.r_ii) rows
-      in
-      Alcotest.(check (list int))
-        (b.S.Registry.b_name ^ " initiation intervals")
-        expected got)
-    (S.Registry.all ())
+    (fun (bench, verify, file) ->
+      check_golden file
+        (execute
+           (Handler.W_estimate
+              { (Handler.estimate_opts bench) with e_verify = verify })))
+    [ ("iir", false, "estimate-iir.txt");
+      ("des-hw", false, "estimate-des-hw.txt");
+      ("skipjack-hw", false, "estimate-skipjack-hw.txt");
+      ("wavelet3", true, "wavelet3-estimate.txt") ]
+
+(* what [nimblec plan BENCH] prints *)
+let test_plans () =
+  List.iter
+    (fun (bench, file) ->
+      check_golden file
+        (execute
+           (Handler.W_plan
+              { Handler.p_bench = bench;
+                p_objective = P.Ratio;
+                p_validate = false;
+                p_budget_s = None })))
+    [ ("skipjack-mem", "plan-skipjack-mem.txt");
+      ("wavelet3", "plan-wavelet3.txt") ]
 
 (* spot checks of the structural counts that drive the area story *)
 let test_golden_structure () =
@@ -54,5 +76,8 @@ let test_golden_structure () =
   check "iir" ~mem:2 ~ops:42 (S.Registry.iir ())
 
 let suite =
-  [ Alcotest.test_case "golden IIs" `Slow test_golden_iis;
+  [ Alcotest.test_case "Table 6.2 render is its golden" `Slow test_table_6_2;
+    Alcotest.test_case "estimate renders are their goldens" `Slow
+      test_estimates;
+    Alcotest.test_case "plan renders are their goldens" `Slow test_plans;
     Alcotest.test_case "golden structure" `Quick test_golden_structure ]

@@ -179,8 +179,7 @@ let test_hook_sees_every_pass () =
   | Error d -> Alcotest.failf "combined skipped: %a" Diag.pp d);
   Alcotest.(check (list string))
     "pass order of the combined pipeline"
-    [ "loop-nest"; "jam"; "squash"; "dfg-build"; "schedule"; "exact-ii";
-      "estimate" ]
+    [ "loop-nest"; "jam"; "squash"; "dfg-build"; "schedule"; "estimate" ]
     (List.rev !order)
 
 (* --- instrumentation --- *)

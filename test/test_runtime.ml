@@ -344,7 +344,6 @@ let base =
     task_timeout = None;
     retries = None;
     validate = false;
-    exact = Uas_dfg.Sched.Exact_off;
     timings = false }
 
 (* [Session.term] on [args] with an empty environment: the session, or
@@ -390,8 +389,6 @@ let test_session_flags () =
         { base with Session.task_timeout = Some 2.5 } );
       ([ "--retries"; "0" ], { base with Session.retries = Some 0 });
       ([ "--validate"; "probe" ], { base with Session.validate = true });
-      ( [ "--exact-ii"; "report" ],
-        { base with Session.exact = Uas_dfg.Sched.Exact_report } );
       ([ "--timings" ], { base with Session.timings = true }) ];
   (* every rejection is a parse error naming the valid values; -j takes
      the UAS_JOBS wording *)
@@ -409,7 +406,8 @@ let test_session_flags () =
       ([ "--interp"; "native" ], Uas_ir.Fast_interp.valid_tiers);
       ([ "--interp"; "turbo" ], Uas_ir.Fast_interp.valid_tiers);
       ([ "--validate"; "maybe" ], "probe");
-      ([ "--exact-ii"; "always" ], "report");
+      (* the deleted second-oracle flag is an unknown option *)
+      ([ "--exact-ii"; "report" ], "unknown option");
       ([ "--task-timeout"; "0" ], Uas_runtime.Budget.timeout_range);
       ([ "--task-timeout"; "nan" ], Uas_runtime.Budget.timeout_range);
       ([ "--retries"; "1000" ], Uas_runtime.Budget.retries_range) ]

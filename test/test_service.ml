@@ -13,7 +13,6 @@ module Fault = Uas_runtime.Fault
 module Fi = Uas_ir.Fast_interp
 module E = Uas_core.Experiments
 module P = Uas_core.Planner
-module Sched = Uas_dfg.Sched
 module R = Uas_bench_suite.Registry
 
 (* --- fixtures --- *)
@@ -62,11 +61,10 @@ let raw_connect socket =
 
 let estimate_work ?tier ?(verify = false) ?(validate = false) ?budget bench =
   Handler.W_estimate
-    { Handler.e_bench = bench;
+    { (Handler.estimate_opts bench) with
       e_verify = verify;
       e_tier = tier;
       e_validate = validate;
-      e_exact = Sched.Exact_off;
       e_budget_s = budget }
 
 let local_render work =
@@ -196,13 +194,8 @@ let test_request_roundtrip () =
       Handler.Health;
       Handler.Drain;
       Handler.Work
-        (Handler.W_estimate
-           { Handler.e_bench = "iir";
-             e_verify = true;
-             e_tier = Fi.tier_of_string "fast";
-             e_validate = true;
-             e_exact = Sched.Exact_report;
-             e_budget_s = Some 2.5 });
+        (estimate_work ~tier:(Option.get (Fi.tier_of_string "fast"))
+           ~verify:true ~validate:true ~budget:2.5 "iir");
       Handler.Work
         (estimate_work ~tier:(Option.get (Fi.tier_of_string "ref")) "fir");
       Handler.Work
@@ -210,7 +203,6 @@ let test_request_roundtrip () =
            { Handler.p_bench = "des-mem";
              p_objective = P.Ratio;
              p_validate = false;
-             p_exact = Sched.Exact_check;
              p_budget_s = None }) ]
   in
   List.iter
@@ -236,7 +228,18 @@ let test_request_roundtrip () =
   reject "bad budget"
     { Protocol.tag = Protocol.Estimate; body = "iir\nbudget=-1" };
   reject "reply tag as request"
-    { Protocol.tag = Protocol.Reply_ok; body = "" }
+    { Protocol.tag = Protocol.Reply_ok; body = "" };
+  (* the deleted exact-II modes: [exact=] is the unknown-key error *)
+  List.iter
+    (fun (tag, verb) ->
+      match Handler.parse { Protocol.tag; body = "iir\nexact=report" } with
+      | Error m ->
+        Alcotest.(check string)
+          (verb ^ " exact= is an unknown key")
+          (Printf.sprintf "unknown %s key \"exact\"" verb)
+          m
+      | Ok _ -> Alcotest.failf "%s: exact= accepted" verb)
+    [ (Protocol.Estimate, "ESTIMATE"); (Protocol.Plan, "PLAN") ]
 
 (* --- client backoff determinism --- *)
 
@@ -292,15 +295,7 @@ let test_live_verbs () =
 
 let test_estimate_identity () =
   with_server (fun socket ->
-      let work =
-        Handler.W_estimate
-          { Handler.e_bench = "iir";
-            e_verify = false;
-            e_tier = None;
-            e_validate = false;
-            e_exact = Sched.Exact_off;
-            e_budget_s = None }
-      in
+      let work = estimate_work "iir" in
       match Client.serve_work ~seed:0 socket work with
       | Client.Served payload ->
         Alcotest.(check string) "daemon estimate = in-process estimate"
