@@ -421,9 +421,10 @@ let micro run =
                   nest.Uas_analysis.Loop_nest.inner_body)));
       Test.make ~name:"legality check (ds=8)"
         (Staged.stage (fun () -> ignore (Uas_analysis.Legality.check nest ~ds:8)));
-      (* the two interpreter tiers head to head, on an integer kernel
-         (Skipjack) and a float one (IIR); the ref/fast ns-per-run pairs
-         land in the --json trajectory as the recorded speedup *)
+      (* the compiled interpreter against its reference oracle, on an
+         integer kernel (Skipjack) and a float one (IIR); the ref/fast
+         ns-per-run pairs land in the --json trajectory as the recorded
+         speedup *)
       (let w =
          Sj.workload_mem ~key:(Sj.random_key ~seed:1)
            (Sj.random_words ~seed:2 64)
@@ -508,11 +509,7 @@ let main session json cache_warm requested =
     { session with Session.timings = session.Session.timings || json <> None }
   in
   let ctx = Session.open_store ~prog session (Session.start ~prog traced) in
-  let traj =
-    Trajectory.make ~ctx
-      ~interp_tier:(Fast_interp.tier_name (Fast_interp.default_tier ()))
-      ~jobs:session.Session.jobs ()
-  in
+  let traj = Trajectory.make ~ctx ~jobs:session.Session.jobs () in
   let requested =
     match requested with [] -> List.map fst targets | names -> names
   in

@@ -224,7 +224,6 @@ let estimate_cmd =
         (Uas_service.Handler.W_estimate
            { (Uas_service.Handler.estimate_opts name) with
              e_verify = verify;
-             e_tier = s.Session.tier;
              e_validate = s.Session.validate })
         ~local
   in
@@ -245,9 +244,8 @@ let estimate_cmd =
 (* --- run --- *)
 
 let run_cmd =
-  let run name version s =
-    let ctx = Session.start ~prog s in
-    let tier = Uas_ir.Fast_interp.default_tier () in
+  let run name version =
+    let ctx = Session.start ~prog Session.default in
     let b = find_benchmark name in
     let built =
       build_or_exit b.S.Registry.b_program
@@ -256,16 +254,14 @@ let run_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let result =
-      S.Registry.run_tier ctx tier
-        (Uas_ir.Fast_interp.Source built.N.bv_program)
+      S.Registry.run ctx
+        (Uas_ir.Fast_interp.compile built.N.bv_program)
         b.S.Registry.b_workload
     in
     let dt = Unix.gettimeofday () -. t0 in
     Fmt.pr
-      "executed %d statements in %.3fs on the %s tier (estimated %d kernel \
-       cycles)@."
+      "executed %d statements in %.3fs (estimated %d kernel cycles)@."
       result.Uas_ir.Interp.profile.Uas_ir.Interp.stmts_executed dt
-      (Uas_ir.Fast_interp.tier_name tier)
       result.Uas_ir.Interp.profile.Uas_ir.Interp.total_cycles;
     match S.Registry.check_result b result with
     | Ok () -> Fmt.pr "outputs match the host reference: yes@."
@@ -276,7 +272,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Execute a (transformed) benchmark and verify its outputs")
-    Term.(const run $ bench_arg $ version_arg $ Session.tier_only)
+    Term.(const run $ bench_arg $ version_arg)
 
 (* --- dfg --- *)
 
@@ -548,8 +544,8 @@ let daemon_cmd =
 (* --- profile --- *)
 
 let profile_cmd =
-  let run s =
-    let ctx = Session.start ~prog s in
+  let run () =
+    let ctx = Session.start ~prog Session.default in
     Fmt.pr "%-28s %8s %12s %9s@." "benchmark" "# loops" "# loops>1%" "total %";
     List.iter
       (fun (r : S.Profile.row) ->
@@ -559,7 +555,7 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile" ~doc:"Run the Table 1.1 loop-profiling study")
-    Term.(const run $ Session.tier_only)
+    Term.(const run $ const ())
 
 let () =
   let info =

@@ -98,12 +98,7 @@ let serve (s : Session.t) socket pidfile queue request_budget drain_timeout
     match json with
     | None -> ()
     | Some file ->
-      let traj =
-        Trajectory.make ~ctx
-          ~interp_tier:
-            (Uas_ir.Fast_interp.tier_name (Uas_ir.Fast_interp.default_tier ()))
-          ~jobs:s.Session.jobs ()
-      in
+      let traj = Trajectory.make ~ctx ~jobs:s.Session.jobs () in
       Trajectory.set_daemon_json traj daemon_json;
       Session.write_output ~prog ~what:"--json" file
         (Trajectory.to_json traj ^ "\n");

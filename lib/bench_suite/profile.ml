@@ -292,17 +292,9 @@ let static_loop_count (p : Stmt.program) : int =
 
 (** Run one app under the profiler and produce its Table 1.1 row.  Only
     outermost hot loops are counted (nested hot loops are covered by
-    their parent, as in the paper's per-loop accounting).  [tier]
-    selects the interpreter; both tiers produce identical profiles, so
-    the row is tier-independent — the fast default just gets it
-    sooner. *)
-let profile_app ?(ctx = Uas_runtime.Ctx.default ()) ?tier (a : app) : row =
-  let tier =
-    match tier with Some t -> t | None -> Fast_interp.default_tier ()
-  in
-  let result =
-    Registry.run_tier ctx tier (Fast_interp.Source a.program) a.workload
-  in
+    their parent, as in the paper's per-loop accounting). *)
+let profile_app ?(ctx = Uas_runtime.Ctx.default ()) (a : app) : row =
+  let result = Registry.run ctx (Fast_interp.compile a.program) a.workload in
   let reports = Interp.loop_reports result in
   let hot = List.filter (fun r -> r.Interp.lr_fraction > 0.01) reports in
   (* drop hot loops nested inside another hot loop *)

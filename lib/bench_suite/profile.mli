@@ -33,10 +33,9 @@ type row = {
 
 val static_loop_count : Stmt.program -> int
 
-(** [tier] selects the interpreter (default
-    {!Fast_interp.default_tier}); the profile, and hence the row, is
-    bit-identical on either tier. *)
-val profile_app : ?ctx:Uas_runtime.Ctx.t -> ?tier:Fast_interp.tier -> app -> row
+(** Profile one app on the compiled interpreter (its profile is
+    bit-identical to {!Interp.run}'s). *)
+val profile_app : ?ctx:Uas_runtime.Ctx.t -> app -> row
 
 (** The full Table 1.1. *)
 val table : ?ctx:Uas_runtime.Ctx.t -> unit -> row list

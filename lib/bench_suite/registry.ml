@@ -118,11 +118,11 @@ let find name : benchmark option =
     (fun b -> String.lowercase_ascii b.b_name = String.lowercase_ascii name)
     (all () @ extras ())
 
-(* The [interp.run] fault-injection site (label: tier name).  The
-   [stall] kind exhausts the fuel budget instead of spinning — the run
-   surfaces as [Out_of_fuel], exactly what a runaway interpretation
-   looks like to callers; [corrupt] perturbs the first output value of
-   an otherwise-normal run. *)
+(* The [interp.run] fault-injection site.  The [stall] kind exhausts
+   the fuel budget instead of spinning — the run surfaces as
+   [Out_of_fuel], exactly what a runaway interpretation looks like to
+   callers; [corrupt] perturbs the first output value of an
+   otherwise-normal run. *)
 let stall_fuel = 64
 
 let corrupt_result (r : Interp.result) : Interp.result =
@@ -137,19 +137,16 @@ let corrupt_result (r : Interp.result) : Interp.result =
         | Types.VFloat x -> Types.VFloat (x +. 1.0));
     { r with Interp.outputs = (name, vs) :: rest }
 
-(** Run [p] on [w] on the chosen interpreter tier, under an
-    instrumentation span naming the tier. *)
-let run_tier (ctx : Ctx.t) ?fuel (tier : Fast_interp.tier)
-    (code : Fast_interp.code) (w : Interp.workload) : Interp.result =
-  let name = Fast_interp.tier_name tier in
-  Instrument.span ctx.trace ("interp.run." ^ name) (fun () ->
-      match Fault.hit ctx.faults ~scope:ctx.scope ~label:name "interp.run" with
-      | None -> Fast_interp.run_tier ?fuel tier code w
+(** Run compiled code on [w] under an [interp.run] span. *)
+let run (ctx : Ctx.t) ?fuel (c : Fast_interp.compiled) (w : Interp.workload)
+    : Interp.result =
+  Instrument.span ctx.trace "interp.run" (fun () ->
+      match Fault.hit ctx.faults ~scope:ctx.scope "interp.run" with
+      | None -> Fast_interp.run ?fuel c w
       | Some Fault.Raise ->
         raise (Fault.Injected { site = "interp.run"; kind = Fault.Raise })
-      | Some Fault.Stall -> Fast_interp.run_tier ~fuel:stall_fuel tier code w
-      | Some Fault.Corrupt ->
-        corrupt_result (Fast_interp.run_tier ?fuel tier code w))
+      | Some Fault.Stall -> Fast_interp.run ~fuel:stall_fuel c w
+      | Some Fault.Corrupt -> corrupt_result (Fast_interp.run ?fuel c w))
 
 (** Does an interpreter result reproduce the benchmark's host
     reference outputs exactly? *)
@@ -186,12 +183,7 @@ let check_result (b : benchmark) (r : Interp.result) : (unit, string) result =
   | Some msg -> Error msg
 
 (** Does running [p] on the benchmark's workload reproduce the host
-    reference outputs exactly?  [tier] picks the interpreter (default:
-    the process-wide {!Fast_interp.default_tier}). *)
-let check_against_reference ?tier (b : benchmark) (p : Stmt.program) :
+    reference outputs exactly? *)
+let check_against_reference (b : benchmark) (p : Stmt.program) :
     (unit, string) result =
-  let tier =
-    match tier with Some t -> t | None -> Fast_interp.default_tier ()
-  in
-  check_result b
-    (run_tier (Ctx.default ()) tier (Fast_interp.Source p) b.b_workload)
+  check_result b (run (Ctx.default ()) (Fast_interp.compile p) b.b_workload)

@@ -42,19 +42,19 @@ val corrupt_result : Interp.result -> Interp.result
     under (so the run deterministically raises [Interp.Out_of_fuel]). *)
 val stall_fuel : int
 
-(** Run a program on a workload on the chosen interpreter tier, under
-    an [interp.run.ref]/[interp.run.fast] span of the context's sink.
+(** Run compiled code on a workload under an [interp.run] span of the
+    context's sink.
 
-    This is the [interp.run] fault-injection site (label: ["ref"] or
-    ["fast"]): [raise] throws [Fault.Injected], [stall] runs with a
-    tiny fuel budget so the run surfaces as [Interp.Out_of_fuel], and
-    [corrupt] perturbs the first output value — the scenarios the
-    sweep's verification must absorb as unverified/skipped cells. *)
-val run_tier :
+    This is the [interp.run] fault-injection site (no label; pin a
+    cell with a scope): [raise] throws [Fault.Injected], [stall] runs
+    with a tiny fuel budget so the run surfaces as
+    [Interp.Out_of_fuel], and [corrupt] perturbs the first output
+    value — the scenarios the sweep's verification must absorb as
+    unverified/skipped cells. *)
+val run :
   Uas_runtime.Ctx.t ->
   ?fuel:int ->
-  Fast_interp.tier ->
-  Fast_interp.code ->
+  Fast_interp.compiled ->
   Interp.workload ->
   Interp.result
 
@@ -63,8 +63,6 @@ val run_tier :
     benchmark name and the outputs that were actually produced. *)
 val check_result : benchmark -> Interp.result -> (unit, string) result
 
-(** Does running [p] on the benchmark workload reproduce the host
-    reference bit-for-bit?  [tier] defaults to
-    {!Fast_interp.default_tier}. *)
-val check_against_reference :
-  ?tier:Fast_interp.tier -> benchmark -> Stmt.program -> (unit, string) result
+(** Does running [p] (compiled) on the benchmark workload reproduce
+    the host reference bit-for-bit? *)
+val check_against_reference : benchmark -> Stmt.program -> (unit, string) result

@@ -17,7 +17,7 @@
 
    A host implementation mirrors the IR operation-for-operation
    ([>>] is [asr], [&] is [land], [^] is [lxor]) so verification can
-   require bit-identical integers across both interpreter tiers. *)
+   require bit-identical integers from both interpreters. *)
 
 open Uas_ir
 module B = Builder

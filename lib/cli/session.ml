@@ -1,5 +1,4 @@
 open Cmdliner
-module Fast_interp = Uas_ir.Fast_interp
 module Diag = Uas_pass.Diag
 module Budget = Uas_runtime.Budget
 module Ctx = Uas_runtime.Ctx
@@ -9,7 +8,6 @@ module Store = Uas_runtime.Store
 
 type t = {
   jobs : int option;
-  tier : Fast_interp.tier option;
   fault : string option;
   cache : string option;
   cache_verify : bool;
@@ -21,7 +19,6 @@ type t = {
 
 let default =
   { jobs = None;
-    tier = None;
     fault = None;
     cache = None;
     cache_verify = false;
@@ -43,16 +40,6 @@ let int_at_least min ~expect =
 let seconds ~flag =
   Arg.conv' ~docv:"SECS" (Budget.timeout_of_string ~flag, Format.pp_print_float)
 
-let tier_conv =
-  let parse s =
-    match Fast_interp.tier_of_string s with
-    | Some t -> Ok t
-    | None ->
-      Error (Printf.sprintf "expected %s, got %s" Fast_interp.valid_tiers s)
-  in
-  Arg.conv' ~docv:"TIER"
-    (parse, fun ppf t -> Fmt.string ppf (Fast_interp.tier_name t))
-
 (* --- one term per flag --- *)
 
 let jobs_arg =
@@ -64,16 +51,6 @@ let jobs_arg =
           "Worker-pool size for sweeps and plans (default: $(b,UAS_JOBS) \
            or the core count; 1 = sequential).  The output is \
            byte-identical for every N.")
-
-let interp_arg =
-  Arg.(
-    value
-    & opt (some tier_conv) None
-    & info [ "interp" ] ~docv:"TIER"
-        ~doc:
-          "Interpreter tier: $(b,ref) (the tree-walking reference) or \
-           $(b,fast) (slot-compiled; the default, or $(b,UAS_INTERP)).  \
-           Both produce bit-identical results and profiles.")
 
 let fault_arg =
   Arg.(
@@ -131,9 +108,10 @@ let validate_arg =
     & info [ "validate" ] ~docv:"MODE"
         ~doc:
           "Translation validation of every rewrite: $(b,off) (the default) \
-           or $(b,probe) (replay the benchmark workload on both \
-           interpreter tiers after each rewrite; a miscompiling rewrite \
-           degrades its cell to the last-known-good program)")
+           or $(b,probe) (replay the benchmark workload on the compiled \
+           interpreter and its reference oracle after each rewrite; a \
+           miscompiling rewrite degrades its cell to the last-known-good \
+           program)")
 
 let timings_arg =
   Arg.(
@@ -145,15 +123,10 @@ let timings_arg =
 
 (* --- the session terms --- *)
 
-let tier_only =
-  let make tier = { default with tier } in
-  Term.(const make $ interp_arg)
-
 let runtime =
-  let make jobs tier fault cache cache_verify task_timeout retries =
+  let make jobs fault cache cache_verify task_timeout retries =
     { default with
       jobs;
-      tier;
       fault;
       cache;
       cache_verify;
@@ -161,7 +134,7 @@ let runtime =
       retries }
   in
   Term.(
-    const make $ jobs_arg $ interp_arg $ fault_arg $ cache_arg
+    const make $ jobs_arg $ fault_arg $ cache_arg
     $ cache_verify_arg $ task_timeout_arg $ retries_arg)
 
 let term =
@@ -187,8 +160,7 @@ let write_output ~prog ~what path contents =
 
 let start ~prog s : Ctx.t =
   (* a malformed environment is a diagnostic up front, not an
-     Invalid_argument out of the first pool dispatch or a silent tier
-     fallback *)
+     Invalid_argument out of the first pool dispatch *)
   (match Uas_runtime.Parallel.default_jobs_result () with
   | Ok _ -> ()
   | Error m -> failf ~prog "%s" m);
@@ -200,14 +172,10 @@ let start ~prog s : Ctx.t =
       | Error m -> failf ~prog "%s: %s" source m)
   in
   let env_faults = parse_faults Fault.env_var (Sys.getenv_opt Fault.env_var) in
-  (match Fast_interp.env_tier_error () with
-  | None -> ()
-  | Some m -> failf ~prog "%s" m);
   let faults =
     if Option.is_some s.fault then parse_faults "--fault" s.fault
     else env_faults
   in
-  Option.iter Fast_interp.set_default_tier s.tier;
   { Ctx.store = None;
     cache_verify = s.cache_verify;
     faults;

@@ -5,14 +5,13 @@
 
     Each shared flag is declared here and nowhere else, and its range
     check lives in its converter, so a bad value ([-j 0],
-    [--task-timeout nan], [--interp turbo]) is the same parse error,
+    [--task-timeout nan], [--validate maybe]) is the same parse error,
     with the same message, on every binary. *)
 
 type t = {
   jobs : int option;
       (** [-j]/[--jobs]: worker-pool size; [None] defers to [UAS_JOBS]
           or the core count *)
-  tier : Uas_ir.Fast_interp.tier option;  (** [--interp ref|fast] *)
   fault : string option;
       (** [--fault PLAN]: a fault plan in the [UAS_FAULT] grammar *)
   cache : string option;  (** [--cache DIR], or [UAS_CACHE] *)
@@ -23,12 +22,12 @@ type t = {
   timings : bool;  (** [--timings] *)
 }
 
-(** [--interp] alone, every other field at its default ([nimblec run]
-    and [nimblec profile]). *)
-val tier_only : t Cmdliner.Term.t
+(** Every field at its default: the session of [nimblec run] and
+    [nimblec profile], which take no session flags. *)
+val default : t
 
-(** The runtime flags: [-j], [--interp], [--fault], [--cache],
-    [--cache-verify], [--task-timeout] and [--retries] ([nimbled]). *)
+(** The runtime flags: [-j], [--fault], [--cache], [--cache-verify],
+    [--task-timeout] and [--retries] ([nimbled]). *)
 val runtime : t Cmdliner.Term.t
 
 (** {!runtime} plus the compile flags [--validate] and [--timings]
@@ -53,11 +52,11 @@ val failf :
     file. *)
 val write_output : prog:string -> what:string -> string -> string -> unit
 
-(** Reject a malformed [UAS_JOBS], [UAS_FAULT] or [UAS_INTERP], set
-    the process-wide interpreter tier, and return the run context: the
-    fault plan of [--fault] (else [UAS_FAULT], else none), a recording
-    instrumentation sink with [--timings], [--cache-verify], no store
-    and no scope.  Any problem is a {!failf} diagnostic. *)
+(** Reject a malformed [UAS_JOBS] or [UAS_FAULT] and return the run
+    context: the fault plan of [--fault] (else [UAS_FAULT], else none),
+    a recording instrumentation sink with [--timings],
+    [--cache-verify], no store and no scope.  Any problem is a {!failf}
+    diagnostic. *)
 val start : prog:string -> t -> Uas_runtime.Ctx.t
 
 (** The context with the [--cache] store opened (unchanged without

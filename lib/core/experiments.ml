@@ -13,7 +13,6 @@ module Stages = Uas_pass.Stages
 module Instrument = Uas_runtime.Instrument
 module Ctx = Uas_runtime.Ctx
 module Fault = Uas_runtime.Fault
-module Fast_interp = Uas_ir.Fast_interp
 module Cu = Uas_pass.Cu
 module Diag = Uas_pass.Diag
 module Sched = Uas_dfg.Sched
@@ -54,14 +53,14 @@ type normalized = {
    (transform + quick synthesis) plus interpreter-replay verification —
    the independent unit of work the pool fans out.  Nothing here
    touches shared mutable state: each pipeline run builds its own
-   compilation unit, both interpreter tiers copy the workload's input
+   compilation unit, the interpreter copies the workload's input
    arrays, and the benchmark record is only read.
 
    A verification run that goes wrong — stuck, out of fuel, an
    injected interpreter fault, outputs differing from the host
    reference — marks the cell unverified with an incident; it never
    aborts the sweep. *)
-let build_cell ctx ?after ~validate ~target ~verify ~tier
+let build_cell ctx ?after ~validate ~target ~verify
     (b : Registry.benchmark) (v : Nimble.version) : (cell, skip) result =
   let probe = if validate then Some b.Registry.b_workload else None in
   match
@@ -70,7 +69,7 @@ let build_cell ctx ?after ~validate ~target ~verify ~tier
       ~inner_index:b.Registry.b_inner_index v
   with
   | Error d -> Error { s_version = v; s_diag = d }
-  | Ok (cu, built, report) ->
+  | Ok (cu, _, report) ->
     let incidents = ref (Cu.incidents cu) in
     let incident fmt =
       Fmt.kstr
@@ -81,12 +80,7 @@ let build_cell ctx ?after ~validate ~target ~verify ~tier
     let verified =
       (not verify)
       || Instrument.span ctx.Ctx.trace "pass.verify" (fun () ->
-             let code : Fast_interp.code =
-               match (tier : Fast_interp.tier) with
-               | Ref -> Source built.Nimble.bv_program
-               | Fast -> Compiled (Cu.compiled cu)
-             in
-             match Registry.run_tier ctx tier code b.Registry.b_workload with
+             match Registry.run ctx (Cu.compiled cu) b.Registry.b_workload with
              | result -> (
                match Registry.check_result b result with
                | Ok () -> true
@@ -114,20 +108,17 @@ let build_cell ctx ?after ~validate ~target ~verify ~tier
    each in a fault scope named "<benchmark>/<version>"; a task the pool
    gives up on becomes a skipped cell.  The input-ordered results are
    regrouped benchmark-major. *)
-let run_rows ?ctx ?(target = Datapath.default) ?(verify = true) ?tier
+let run_rows ?ctx ?(target = Datapath.default) ?(verify = true)
     ?(validate = false) ?jobs ?timeout_s ?retries ?after
     (benches : (Registry.benchmark * Nimble.version list) list) :
     bench_row list =
-  let tier =
-    match tier with Some t -> t | None -> Fast_interp.default_tier ()
-  in
   let cells =
     Pass.fan_out ?ctx ?jobs ?timeout_s ?retries
       ~scope:(fun ((b : Registry.benchmark), v) ->
         b.Registry.b_name ^ "/" ^ Nimble.version_name v)
       ~failed:(fun (_, v) d -> Error { s_version = v; s_diag = d })
       (fun ctx (b, v) ->
-        build_cell ctx ?after ~validate ~target ~verify ~tier b v)
+        build_cell ctx ?after ~validate ~target ~verify b v)
       (List.concat_map (fun (b, vs) -> List.map (fun v -> (b, v)) vs) benches)
   in
   let rec regroup cells = function
@@ -145,7 +136,7 @@ let run_rows ?ctx ?(target = Datapath.default) ?(verify = true) ?tier
 
 (** Run the full Table 6.2 sweep for one benchmark: the one-benchmark
     case of {!table_6_2}'s fan-out. *)
-let run_benchmark ?ctx ?target ?verify ?tier ?validate ?versions ?jobs
+let run_benchmark ?ctx ?target ?verify ?validate ?versions ?jobs
     ?timeout_s ?retries ?after (b : Registry.benchmark) : bench_row =
   let versions =
     match versions with
@@ -161,16 +152,16 @@ let run_benchmark ?ctx ?target ?verify ?tier ?validate ?versions ?jobs
       Nimble.versions_for ~depth
   in
   List.hd
-    (run_rows ?ctx ?target ?verify ?tier ?validate ?jobs ?timeout_s
+    (run_rows ?ctx ?target ?verify ?validate ?jobs ?timeout_s
        ?retries ?after [ (b, versions) ])
 
 (** Table 6.2 over the whole suite.  All (benchmark, version) cells —
     ~50 independent build+estimate+verify tasks — go through one flat
     pool fan-out, so the hot path scales with the core count instead of
     running strictly sequentially. *)
-let table_6_2 ?ctx ?target ?verify ?tier ?validate ?jobs ?timeout_s ?retries
-    () : bench_row list =
-  run_rows ?ctx ?target ?verify ?tier ?validate ?jobs ?timeout_s ?retries
+let table_6_2 ?ctx ?target ?verify ?validate ?jobs ?timeout_s ?retries () :
+    bench_row list =
+  run_rows ?ctx ?target ?verify ?validate ?jobs ?timeout_s ?retries
     (List.map (fun b -> (b, Nimble.paper_versions)) (Registry.all ()))
 
 (** Normalize one benchmark row against its original version

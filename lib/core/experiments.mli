@@ -48,13 +48,11 @@ type normalized = {
     {!table_6_2}, versions fanned out over a pool of [jobs] domains
     (default: [UAS_JOBS] or the core count; cells are input-ordered and
     bit-identical to a sequential run).  [verify] replays every
-    version in the interpreter (on by default).  [after] observes the
-    compilation unit after every pipeline pass (pass [jobs:1] with it —
-    output hooks interleave across domains).  [tier] picks the
-    verification interpreter (default
-    {!Uas_ir.Fast_interp.default_tier}); the fast tier reuses each
-    compilation unit's memoized compiled program and produces
-    bit-identical cells.
+    version's compiled program ({!Uas_pass.Cu.compiled}, memoized in
+    the compilation unit) against the host reference (on by default).
+    [after] observes the compilation unit after every pipeline pass
+    (pass [jobs:1] with it — output hooks interleave across
+    domains).
 
     Fault tolerance: the cells go through {!Uas_pass.Pass.fan_out}
     under [ctx] (default {!Uas_runtime.Ctx.default}), each in a fault
@@ -69,7 +67,6 @@ val run_benchmark :
   ?ctx:Uas_runtime.Ctx.t ->
   ?target:Datapath.t ->
   ?verify:bool ->
-  ?tier:Uas_ir.Fast_interp.tier ->
   ?validate:bool ->
   ?versions:Nimble.version list ->
   ?jobs:int ->
@@ -86,7 +83,6 @@ val table_6_2 :
   ?ctx:Uas_runtime.Ctx.t ->
   ?target:Datapath.t ->
   ?verify:bool ->
-  ?tier:Uas_ir.Fast_interp.tier ->
   ?validate:bool ->
   ?jobs:int ->
   ?timeout_s:float ->

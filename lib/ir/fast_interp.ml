@@ -1,4 +1,4 @@
-(* The slot-compiled fast interpreter tier.
+(* The slot-compiled interpreter: the one every production path runs.
 
    [compile] translates a program once into a tree of OCaml closures
    over a slot-indexed runtime environment (Slots): scalars live in a
@@ -10,54 +10,14 @@
    [run] builds a fresh mutable state, so one compilation serves every
    workload of a sweep (and may be shared across domains).
 
-   The tier is observationally identical to the reference interpreter
-   (Interp) — outputs, final scalars, the full cycle/trip/mem-ref
-   profile, and the same [Interp.Stuck] messages and
-   [Interp.Out_of_fuel] cutoffs, in the same evaluation order.  The
-   differential test suite and [Interp.diff_results] hold it to that
-   contract bit-for-bit. *)
+   It is observationally identical to the reference interpreter
+   (Interp, which stays the oracle) — outputs, final scalars, the full
+   cycle/trip/mem-ref profile, and the same [Interp.Stuck] messages
+   and [Interp.Out_of_fuel] cutoffs, in the same evaluation order.
+   The differential test suite and [Interp.diff_results] hold it to
+   that contract bit-for-bit. *)
 
 open Types
-
-(* --- interpreter tiers --- *)
-
-type tier = Ref | Fast
-
-let tier_name = function Ref -> "ref" | Fast -> "fast"
-
-let tier_of_string s =
-  match String.lowercase_ascii s with
-  | "ref" | "reference" -> Some Ref
-  | "fast" -> Some Fast
-  | _ -> None
-
-let env_var = "UAS_INTERP"
-let valid_tiers = "ref or fast"
-
-(* An unknown tier name in the environment is a configuration error
-   the CLIs report up front (exit 1, like a malformed UAS_JOBS) — not
-   something to silently fall back from. *)
-let env_tier_error () =
-  match Sys.getenv_opt env_var with
-  | None -> None
-  | Some s -> (
-    match tier_of_string s with
-    | Some _ -> None
-    | None ->
-      Some (Printf.sprintf "%s expects %s, got %s" env_var valid_tiers s))
-
-(* The process-wide default tier: what the production paths (benchmark
-   verification, the Table 1.1 profiler, nimblec run) use when no tier
-   is passed explicitly.  Set once at CLI startup (--interp) or via
-   UAS_INTERP; an Atomic so pool domains read it safely. *)
-let default =
-  Atomic.make
-    (match Option.bind (Sys.getenv_opt env_var) tier_of_string with
-    | Some t -> t
-    | None -> Fast)
-
-let default_tier () = Atomic.get default
-let set_default_tier t = Atomic.set default t
 
 (* --- runtime state (one per run) --- *)
 
@@ -514,15 +474,3 @@ let run ?(fuel = Interp.default_fuel) (c : compiled) (w : Interp.workload) :
 let run_program ?fuel (p : Stmt.program) (w : Interp.workload) :
     Interp.result =
   run ?fuel (compile p) w
-
-type code = Source of Stmt.program | Compiled of compiled
-
-(** Run on the given tier: the reference interpreter, or the fast tier
-    (compiling a [Source] first). *)
-let run_tier ?fuel (t : tier) (code : code) (w : Interp.workload) :
-    Interp.result =
-  match (t, code) with
-  | Ref, Source p -> Interp.run ?fuel p w
-  | Ref, Compiled c -> Interp.run ?fuel c.c_program w
-  | Fast, Source p -> run_program ?fuel p w
-  | Fast, Compiled c -> run ?fuel c w

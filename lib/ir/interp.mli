@@ -64,7 +64,7 @@ val diff_profiles : profile -> profile -> string option
 
 (** First difference between two complete results — outputs, final
     scalars, then profile.  [None] means bit-for-bit identical (the
-    contract the fast tier is held to). *)
+    contract {!Fast_interp} is held to). *)
 val diff_results : result -> result -> string option
 
 type loop_report = {

@@ -1,9 +1,9 @@
-(* Dense integer slot resolution for the fast interpreter tier.
+(* Dense integer slot resolution for the compiled interpreter.
 
    The reference interpreter resolves every scalar, array and ROM
    access through string-keyed hashtables on the hot path.  This
    module assigns each name a dense integer slot once per program, so
-   the compiled tier (Fast_interp) can hold the runtime environment in
+   the compiled interpreter (Fast_interp) can hold the runtime environment in
    plain arrays indexed by slot.
 
    Scalar slots cover the declared scalars (params then locals, in

@@ -1,4 +1,4 @@
-(** Dense integer slot resolution for the fast interpreter tier.
+(** Dense integer slot resolution for the compiled interpreter.
 
     Maps every scalar, array and ROM name of a program to a dense
     integer slot so {!Fast_interp} can replace the reference

@@ -100,11 +100,11 @@ val set_schedule : t -> Uas_dfg.Sched.schedule -> unit
 val report : t -> Uas_hw.Estimate.report option
 val set_report : t -> Uas_hw.Estimate.report -> unit
 
-(** The program compiled for the fast interpreter tier, built on first
-    demand (under an [interp.compile] instrumentation span) and cached
-    like the analyses: invalidated by {!with_program}, counted through
-    {!hits}/{!misses} and the [cu.compiled-hit]/[cu.compiled-miss]
-    counters. *)
+(** The program compiled for {!Fast_interp} (what verification runs),
+    built on first demand (under an [interp.compile] instrumentation
+    span) and cached like the analyses: invalidated by
+    {!with_program}, counted through {!hits}/{!misses} and the
+    [cu.compiled-hit]/[cu.compiled-miss] counters. *)
 val compiled : t -> Fast_interp.compiled
 
 (** {2 Cache introspection (tests, counters)} *)

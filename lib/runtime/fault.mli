@@ -16,7 +16,7 @@
 
     Sites wired through the stack: [parallel.task] (label: input
     index), [pass.run] (label: pass name), [rewrite.apply] (label:
-    rewrite name), [interp.run] (label: interpreter tier),
+    rewrite name), [interp.run] (no label: pin it with a cell scope),
     [store.read] and [store.write] (label: artifact kind — [schedule],
     [report], [plan-row]).  The store sites are absorbed
     inside {!Uas_runtime.Store}: a read fault classifies the lookup as

@@ -1,7 +1,7 @@
 (* The perf-trajectory collector behind bench/main.exe --json: one
    schema-stable JSON document per harness run, recording what ran
    (targets with wall-clock), what was measured (named metrics), how it
-   was configured (interpreter tier, pool size) and, when
+   was configured (pool size, fault plan, store) and, when
    instrumentation is enabled, the full span/counter breakdown.
 
    The schema is versioned and deliberately free of timestamps and
@@ -27,8 +27,10 @@ let schema = "uas-bench-trajectory"
    skipped because another process held the store lock).
    v8: the "gaps" array is gone — every pipelined II comes from one
    search that certifies it, so there is no second scheduler to
-   compare against. *)
-let version = 8
+   compare against.
+   v9: the interpreter-tier key is gone — verification always runs
+   the compiled interpreter, so there is no tier to record. *)
+let version = 9
 
 type target = { t_name : string; t_wall_s : float }
 type metric = { m_name : string; m_value : float; m_unit : string }
@@ -59,7 +61,6 @@ type plan = {
 
 type t = {
   ctx : Ctx.t;  (** source of the fault plan, store and instrumentation *)
-  interp_tier : string;
   jobs : int option;
   mutable daemon_json : string option;
       (** pre-rendered daemon counter object (the [Store.stats_json]
@@ -70,9 +71,8 @@ type t = {
   mutable rev_incidents : incident list;
 }
 
-let make ~ctx ~interp_tier ~jobs () =
+let make ~ctx ~jobs () =
   { ctx;
-    interp_tier;
     jobs;
     daemon_json = None;
     rev_targets = [];
@@ -156,8 +156,8 @@ let to_json t =
     match t.daemon_json with None -> "null" | Some j -> j
   in
   Printf.sprintf
-    "{\"schema\":\"%s\",\"version\":%d,\"interp_tier\":\"%s\",\"jobs\":%s,\"fault_plan\":%s,\"store\":%s,\"daemon\":%s,\"targets\":[%s],\"metrics\":[%s],\"plans\":[%s],\"incidents\":[%s],\"instrumentation\":%s}"
-    (esc schema) version (esc t.interp_tier) jobs_json fault_plan_json
+    "{\"schema\":\"%s\",\"version\":%d,\"jobs\":%s,\"fault_plan\":%s,\"store\":%s,\"daemon\":%s,\"targets\":[%s],\"metrics\":[%s],\"plans\":[%s],\"incidents\":[%s],\"instrumentation\":%s}"
+    (esc schema) version jobs_json fault_plan_json
     store_json daemon_json
     (String.concat "," (List.map target_json (targets t)))
     (String.concat "," (List.map metric_json (metrics t)))

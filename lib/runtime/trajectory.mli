@@ -1,14 +1,13 @@
 (** The perf-trajectory document behind [bench/main.exe --json FILE]:
     a schema-stable JSON record of one harness run — per-target
     wall-clock, named metrics (e.g. microbenchmark ns/run), ranked
-    planner tables, the interpreter tier and pool size, and the
+    planner tables, the pool size, and the
     {!Instrument} span/counter breakdown.
 
-    Schema (version 8; no timestamps, so snapshots diff cleanly):
+    Schema (version 9; no timestamps, so snapshots diff cleanly):
     {v
     { "schema": "uas-bench-trajectory",
-      "version": 8,
-      "interp_tier": "fast",
+      "version": 9,
       "jobs": null | N,
       "fault_plan": null | "site:kind:nth,...",
       "store": null | {"hits": n, "misses": n, "bad": n, "writes": n,
@@ -41,7 +40,7 @@
     echoes the [nimbled] service counters when the document comes from
     a daemon run — null from the plain CLIs.  Incidents record
     every cell the run degraded or skipped non-fatally.  (v8 dropped
-    the v4 ["gaps"] array.) *)
+    the v4 ["gaps"] array; v9 dropped the interpreter-tier key.) *)
 
 val schema : string
 val version : int
@@ -50,7 +49,7 @@ type t
 
 (** A document of the run with context [ctx]: its fault plan, store and
     instrumentation sink are echoed by {!to_json}. *)
-val make : ctx:Ctx.t -> interp_tier:string -> jobs:int option -> unit -> t
+val make : ctx:Ctx.t -> jobs:int option -> unit -> t
 
 (** Attach the daemon counter object (a pre-rendered JSON object, the
     [Store.stats_json] convention) to the document's ["daemon"] key.

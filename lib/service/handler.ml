@@ -12,7 +12,7 @@
    line:
 
      <benchmark>\n
-     key=value\n ...        tier|verify|validate|objective|budget
+     key=value\n ...        verify|validate|objective|budget
 
    Unknown keys and malformed values are parse errors (a one-line
    message the daemon sends back as ERR), never exceptions. *)
@@ -21,13 +21,12 @@ module E = Uas_core.Experiments
 module P = Uas_core.Planner
 module Registry = Uas_bench_suite.Registry
 module Diag = Uas_pass.Diag
-module Fast_interp = Uas_ir.Fast_interp
 module Budget = Uas_runtime.Budget
 
 type estimate_opts = {
   e_bench : string;
   e_verify : bool;
-  e_tier : Fast_interp.tier option;
+  e_tier : unit option;  (* ignored; for bench/perf only *)
   e_validate : bool;
   e_exact : Uas_dfg.Sched.exact_mode;  (* ignored; for bench/perf only *)
   e_budget_s : float option;
@@ -67,7 +66,6 @@ let work_body w =
     | W_estimate o ->
       [ Printf.sprintf "verify=%b" o.e_verify;
         Printf.sprintf "validate=%b" o.e_validate ]
-      @ opt_line "tier" (Option.map Fast_interp.tier_name o.e_tier)
       @ opt_line "budget" (Option.map string_of_float o.e_budget_s)
     | W_plan o ->
       [ Printf.sprintf "objective=%s" (P.objective_name o.p_objective);
@@ -111,11 +109,6 @@ let parse_bool ~key v =
   match bool_of_string_opt v with
   | Some b -> Ok b
   | None -> Error (Printf.sprintf "%s expects true or false, got %S" key v)
-
-let parse_tier v =
-  match Fast_interp.tier_of_string v with
-  | Some t -> Ok (Some t)
-  | None -> Error (Printf.sprintf "tier expects %s, got %S" Fast_interp.valid_tiers v)
 
 let parse_objective v =
   match P.objective_of_string v with
@@ -161,9 +154,6 @@ let parse_estimate body =
       | "validate" ->
         let* b = parse_bool ~key:k v in
         Ok { o with e_validate = b }
-      | "tier" ->
-        let* t = parse_tier v in
-        Ok { o with e_tier = t }
       | "budget" ->
         let* b = parse_budget v in
         Ok { o with e_budget_s = b }
@@ -266,9 +256,8 @@ let execute ?ctx ?(limits = no_limits) (w : work) :
     match w with
     | W_estimate o ->
       let row =
-        E.run_benchmark ?ctx ~verify:o.e_verify ?tier:o.e_tier
-          ~validate:o.e_validate ?jobs:l_jobs
-          ?timeout_s:l_timeout_s ?retries:l_retries b
+        E.run_benchmark ?ctx ~verify:o.e_verify ~validate:o.e_validate
+          ?jobs:l_jobs ?timeout_s:l_timeout_s ?retries:l_retries b
       in
       Ok (render_estimate row, estimate_incidents row)
     | W_plan o ->

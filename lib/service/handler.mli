@@ -6,7 +6,7 @@
     A work body is line-oriented:
     {v
     <benchmark>
-    key=value ...     tier|verify|validate|objective|budget
+    key=value ...     verify|validate|objective|budget
     v}
     Unknown keys and malformed values are one-line parse errors (the
     daemon replies ERR), never exceptions. *)
@@ -14,8 +14,9 @@
 type estimate_opts = {
   e_bench : string;
   e_verify : bool;
-  e_tier : Uas_ir.Fast_interp.tier option;
-      (** verification tier; [None] follows the daemon's default *)
+  e_tier : unit option;
+      (** ignored, never sent; kept only so the frozen perf harness
+          ([bench/perf]) compiles *)
   e_validate : bool;
   e_exact : Uas_dfg.Sched.exact_mode;
       (** ignored, never sent; kept only so the frozen perf harness
@@ -33,7 +34,7 @@ type plan_opts = {
 type work = W_estimate of estimate_opts | W_plan of plan_opts
 
 (** The options of a bare estimate body naming only [bench]: no
-    verification, the daemon's tier, no validation, no budget. *)
+    verification, no validation, no budget. *)
 val estimate_opts : string -> estimate_opts
 
 type request = Hello of string | Work of work | Stats | Health | Drain

@@ -11,8 +11,8 @@
    transform module registers its failure exception's renderer), so no
    transform failure ever reaches a driver as a backtrace.
 
-   The registry maps stable names ("squash", "jam", "interchange", ...)
-   to rewrites; [pass] converts a registered rewrite into a pipeline
+   The registry, a constant list, maps stable names ("squash", "jam",
+   "interchange", ...) to rewrites; [pass] converts one into a pipeline
    [Pass.t], which is how nimblec, the sweep engine, and the planner
    reach every transformation. *)
 
@@ -471,21 +471,13 @@ let squash =
 
 (* ---- the registry ---- *)
 
-let registry : t list ref = ref []
+let registry =
+  [ interchange; tiling; peel; fusion; distribute; flatten; hoist; ifconv;
+    scalarize; scalar_opts; expand; pipeline_sw; unroll; jam; squash ]
 
-let register t =
-  if List.exists (fun r -> String.equal r.rw_name t.rw_name) !registry then
-    invalid_arg (Fmt.str "Rewrite.register: duplicate name %s" t.rw_name);
-  registry := !registry @ [ t ]
-
-let () =
-  List.iter register
-    [ interchange; tiling; peel; fusion; distribute; flatten; hoist; ifconv;
-      scalarize; scalar_opts; expand; pipeline_sw; unroll; jam; squash ]
-
-let all () = !registry
-let names () = List.map (fun r -> r.rw_name) !registry
-let find n = List.find_opt (fun r -> String.equal r.rw_name n) !registry
+let all () = registry
+let names () = List.map (fun r -> r.rw_name) registry
+let find n = List.find_opt (fun r -> String.equal r.rw_name n) registry
 
 let get n =
   match find n with
@@ -599,8 +591,9 @@ let apply ?(params = default_params) t cu : (Cu.t, Diag.t) result =
 
 let validation_fuel = Interp.default_fuel
 
-(* Run both interpreter tiers on the probe; any runtime error is a
-   validation verdict, not an escaping exception. *)
+(* Run the reference oracle and the compiled interpreter on the probe;
+   any runtime error is a validation verdict, not an escaping
+   exception. *)
 let probe_runs (p : Stmt.program) probe =
   match
     let ref_r = Interp.run ~fuel:validation_fuel p probe in
@@ -623,8 +616,8 @@ let validated_apply ?(params = default_params) ~probe t cu :
           match probe_runs (Cu.program cu') probe with
           | Error m -> Some m
           | Ok (post_ref, post_fast) -> (
-            (* tier differential: the two interpreters must agree
-               bit-for-bit on the transformed program *)
+            (* the differential: the compiled interpreter must agree
+               bit-for-bit with its oracle on the transformed program *)
             match Interp.diff_results post_ref post_fast with
             | Some m -> Some (Printf.sprintf "interpreter tiers disagree: %s" m)
             | None -> (

@@ -11,7 +11,7 @@
     [check] answers the legality question alone; [apply] always checks
     first.
 
-    Registered names (registration order): interchange, tiling, peel,
+    Names (catalog order): interchange, tiling, peel,
     fusion, distribute, flatten, hoist, ifconv, scalarize, scalar-opts,
     expand, pipeline-sw, unroll, jam, squash. *)
 
@@ -71,11 +71,12 @@ val check : ?params:params -> t -> Cu.t -> Diag.t option
 val apply : ?params:params -> t -> Cu.t -> (Cu.t, Diag.t) result
 
 (** {!apply} followed by translation validation on the [probe]
-    workload: both interpreter tiers run the transformed program and
-    must agree bit-for-bit ([Interp.diff_results]), and the rewrite
-    must preserve the program's outputs ([Interp.diff_outputs] against
-    a pre-rewrite reference run — profiles legitimately change under a
-    rewrite, outputs never).
+    workload: the reference oracle {!Uas_ir.Interp} and the compiled
+    interpreter both run the transformed program and must agree
+    bit-for-bit ([Interp.diff_results]), and the rewrite must preserve
+    the program's outputs ([Interp.diff_outputs] against a pre-rewrite
+    reference run — profiles legitimately change under a rewrite,
+    outputs never).
 
     On a validation failure — including a probe run going [Stuck] or
     out of fuel — the rewrite is {e not} applied: the pre-rewrite unit
@@ -93,13 +94,10 @@ val validated_apply :
 
 (** {2 Registry} *)
 
-(** Add a rewrite; @raise Invalid_argument on a duplicate name. *)
-val register : t -> unit
-
-(** Every registered rewrite, in registration order. *)
+(** Every rewrite, in catalog order (a constant list). *)
 val all : unit -> t list
 
-(** Registered names, in registration order — these are also valid
+(** The rewrite names, in catalog order — these are also valid
     [--dump-after] selectors in nimblec. *)
 val names : unit -> string list
 

@@ -172,7 +172,7 @@ let test_registry_benchmarks_identical () =
 let test_registry_check_fast_tier () =
   List.iter
     (fun (b : R.benchmark) ->
-      match R.check_against_reference ~tier:Fast_interp.Fast b b.R.b_program with
+      match R.check_against_reference b b.R.b_program with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: fast-tier check failed: %s" b.R.b_name e)
     (R.all () @ R.extras ())
@@ -285,33 +285,6 @@ let test_fuel_parity () =
         (runs_with fuel (fun fuel -> Fast_interp.run_program ~fuel p w)))
     [ 1; 2; full - 1; full; full + 1 ]
 
-(* --- tier plumbing ------------------------------------------------- *)
-
-let test_tier_of_string () =
-  let check s expected =
-    Alcotest.(check bool) s true (Fast_interp.tier_of_string s = expected)
-  in
-  check "ref" (Some Fast_interp.Ref);
-  check "reference" (Some Fast_interp.Ref);
-  check "fast" (Some Fast_interp.Fast);
-  check "FAST" (Some Fast_interp.Fast);
-  check "turbo" None;
-  check "native" None
-
-let test_run_tier_dispatch () =
-  let p = Helpers.fg_loop ~m:3 ~n:3 in
-  let w = Helpers.random_workload p in
-  let a = Fast_interp.run_tier Fast_interp.Ref (Fast_interp.Source p) w in
-  let compiled = Fast_interp.Compiled (Fast_interp.compile p) in
-  List.iter
-    (fun (name, b) ->
-      match Interp.diff_results a b with
-      | None -> ()
-      | Some d -> Alcotest.failf "%s diverges from ref: %s" name d)
-    [ ("fast", Fast_interp.run_tier Fast_interp.Fast (Fast_interp.Source p) w);
-      ("fast compiled", Fast_interp.run_tier Fast_interp.Fast compiled w);
-      ("ref compiled", Fast_interp.run_tier Fast_interp.Ref compiled w) ]
-
 (* the satellite fix: a missing output array must be reported with the
    benchmark name and the outputs the run actually produced *)
 let test_registry_missing_output_message () =
@@ -319,7 +292,7 @@ let test_registry_missing_output_message () =
   let b' =
     { b with R.b_reference = [ ("data_missing", [| Types.VInt 0 |]) ] }
   in
-  match R.check_against_reference ~tier:Fast_interp.Fast b' b.R.b_program with
+  match R.check_against_reference b' b.R.b_program with
   | Ok () -> Alcotest.fail "expected a missing-output error"
   | Error msg ->
     let has sub =
@@ -332,26 +305,52 @@ let test_registry_missing_output_message () =
     has "data_missing";
     has "data_out"
 
-(* the experiments path: table cells must verify identically on either
-   tier (the sweep runs verification on the fast tier by default) *)
+(* the experiments path: run_benchmark verifies on the compiled
+   interpreter; every cell must get the verdict the reference oracle
+   gives the same built program *)
 let test_run_benchmark_tiers_agree () =
   let module E = Uas_core.Experiments in
   let b = R.skipjack_mem ~m:8 () in
-  let row tier =
-    (E.run_benchmark ~verify:true ~tier ~versions:fast_versions ~jobs:2 b)
-      .E.br_cells
+  let cells =
+    (E.run_benchmark ~verify:true ~versions:fast_versions ~jobs:2 b).E.br_cells
   in
-  let fast = row Fast_interp.Fast and reference = row Fast_interp.Ref in
-  Alcotest.(check int) "cell count" (List.length reference) (List.length fast);
-  List.iter2
-    (fun (c1 : E.cell) (c2 : E.cell) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s verified on both tiers"
-           (N.version_name c1.E.c_version))
-        true
-        (c1.E.c_verified && c2.E.c_verified);
-      Alcotest.(check bool) "same report" true (c1.E.c_report = c2.E.c_report))
-    reference fast
+  Alcotest.(check int) "cell count" (List.length fast_versions)
+    (List.length cells);
+  List.iter
+    (fun (c : E.cell) ->
+      let msg = N.version_name c.E.c_version in
+      let built =
+        N.build_version b.R.b_program ~outer_index:b.R.b_outer_index
+          ~inner_index:b.R.b_inner_index c.E.c_version
+      in
+      let reference = Interp.run built.N.bv_program b.R.b_workload in
+      Alcotest.(check bool) (msg ^ " verified on the fast tier") true
+        c.E.c_verified;
+      Alcotest.(check bool) (msg ^ " verified on the reference tier") true
+        (R.check_result b reference = Ok ()))
+    cells
+
+(* every Table 6.2 cell: the 50 programs verification replays, on the
+   reference oracle and the compiled interpreter *)
+let test_table_6_2_cells_parity () =
+  let cells =
+    List.concat_map
+      (fun (b : R.benchmark) ->
+        List.map
+          (fun v ->
+            let msg = b.R.b_name ^ "/" ^ N.version_name v in
+            match
+              N.build_version_result b.R.b_program
+                ~outer_index:b.R.b_outer_index ~inner_index:b.R.b_inner_index v
+            with
+            | Ok built -> check_parity ~msg built.N.bv_program b.R.b_workload
+            | Error d ->
+              Alcotest.failf "%s did not build: %s" msg
+                (Uas_pass.Diag.to_string d))
+          N.paper_versions)
+      (R.all ())
+  in
+  Alcotest.(check int) "cells compared" 50 (List.length cells)
 
 let suite =
   [ QCheck_alcotest.to_alcotest test_qcheck_fast_tier_bit_identical;
@@ -369,9 +368,9 @@ let suite =
     Alcotest.test_case "undeclared loop index parity" `Quick
       test_undeclared_index_parity;
     Alcotest.test_case "Out_of_fuel parity" `Quick test_fuel_parity;
-    Alcotest.test_case "tier_of_string" `Quick test_tier_of_string;
-    Alcotest.test_case "run_tier dispatch" `Quick test_run_tier_dispatch;
     Alcotest.test_case "missing output error names benchmark" `Quick
       test_registry_missing_output_message;
     Alcotest.test_case "run_benchmark: ref and fast tiers agree" `Slow
-      test_run_benchmark_tiers_agree ]
+      test_run_benchmark_tiers_agree;
+    Alcotest.test_case "tier parity: all 50 Table 6.2 cells" `Slow
+      test_table_6_2_cells_parity ]

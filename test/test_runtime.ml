@@ -337,7 +337,6 @@ let test_instrument_thread_safe () =
 
 let base =
   { Session.jobs = None;
-    tier = None;
     fault = None;
     cache = None;
     cache_verify = false;
@@ -376,10 +375,6 @@ let test_session_flags () =
     [ ([], base);
       ([ "-j"; "4" ], { base with Session.jobs = Some 4 });
       ([ "--jobs"; "2" ], { base with Session.jobs = Some 2 });
-      ( [ "--interp"; "ref" ],
-        { base with Session.tier = Some Uas_ir.Fast_interp.Ref } );
-      ( [ "--interp"; "fast" ],
-        { base with Session.tier = Some Uas_ir.Fast_interp.Fast } );
       ( [ "--fault"; "pass.run:raise:1" ],
         { base with Session.fault = Some "pass.run:raise:1" } );
       ( [ "--cache"; "/tmp/uas-store" ],
@@ -401,16 +396,17 @@ let test_session_flags () =
         Alcotest.(check bool)
           (Printf.sprintf "%s: %S in %S" name affix e)
           true (contains ~affix e))
-    [ ([ "-j"; "0" ], "must be a positive integer");
-      ([ "-j"; "lots" ], "must be a positive integer");
-      ([ "--interp"; "native" ], Uas_ir.Fast_interp.valid_tiers);
-      ([ "--interp"; "turbo" ], Uas_ir.Fast_interp.valid_tiers);
-      ([ "--validate"; "maybe" ], "probe");
-      (* the deleted second-oracle flag is an unknown option *)
-      ([ "--exact-ii"; "report" ], "unknown option");
-      ([ "--task-timeout"; "0" ], Uas_runtime.Budget.timeout_range);
-      ([ "--task-timeout"; "nan" ], Uas_runtime.Budget.timeout_range);
-      ([ "--retries"; "1000" ], Uas_runtime.Budget.retries_range) ]
+    ([ ([ "-j"; "0" ], "must be a positive integer");
+       ([ "-j"; "lots" ], "must be a positive integer");
+       ([ "--validate"; "maybe" ], "probe");
+       ([ "--task-timeout"; "0" ], Uas_runtime.Budget.timeout_range);
+       ([ "--task-timeout"; "nan" ], Uas_runtime.Budget.timeout_range);
+       ([ "--retries"; "1000" ], Uas_runtime.Budget.retries_range) ]
+    (* the deleted flags (the second II oracle, the interpreter tier)
+       are unknown options *)
+    @ List.map
+        (fun (flag, value) -> ([ "--" ^ flag; value ], "unknown option"))
+        [ ("exact-ii", "report"); ("interp", "ref") ])
 
 (* The shared budget-flag validator behind nimblec, bench/main.exe and
    nimbled: nonsensical values are structured diagnostics that name

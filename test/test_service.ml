@@ -10,7 +10,6 @@ module Handler = Uas_service.Handler
 module Client = Uas_service.Client
 module Server = Uas_service.Server
 module Fault = Uas_runtime.Fault
-module Fi = Uas_ir.Fast_interp
 module E = Uas_core.Experiments
 module P = Uas_core.Planner
 module R = Uas_bench_suite.Registry
@@ -59,11 +58,10 @@ let raw_connect socket =
   Unix.connect fd (Unix.ADDR_UNIX socket);
   (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
-let estimate_work ?tier ?(verify = false) ?(validate = false) ?budget bench =
+let estimate_work ?(verify = false) ?(validate = false) ?budget bench =
   Handler.W_estimate
     { (Handler.estimate_opts bench) with
       e_verify = verify;
-      e_tier = tier;
       e_validate = validate;
       e_budget_s = budget }
 
@@ -194,10 +192,8 @@ let test_request_roundtrip () =
       Handler.Health;
       Handler.Drain;
       Handler.Work
-        (estimate_work ~tier:(Option.get (Fi.tier_of_string "fast"))
-           ~verify:true ~validate:true ~budget:2.5 "iir");
-      Handler.Work
-        (estimate_work ~tier:(Option.get (Fi.tier_of_string "ref")) "fir");
+        (estimate_work ~verify:true ~validate:true ~budget:2.5 "iir");
+      Handler.Work (estimate_work "fir");
       Handler.Work
         (Handler.W_plan
            { Handler.p_bench = "des-mem";
@@ -221,14 +217,18 @@ let test_request_roundtrip () =
   reject "empty work body" { Protocol.tag = Protocol.Estimate; body = "" };
   reject "unknown option key"
     { Protocol.tag = Protocol.Estimate; body = "iir\nfrobnicate=yes" };
-  reject "bad tier"
-    { Protocol.tag = Protocol.Estimate; body = "iir\ntier=slow" };
-  reject "retired tier"
-    { Protocol.tag = Protocol.Estimate; body = "iir\ntier=native" };
   reject "bad budget"
     { Protocol.tag = Protocol.Estimate; body = "iir\nbudget=-1" };
   reject "reply tag as request"
     { Protocol.tag = Protocol.Reply_ok; body = "" };
+  (* the deleted interpreter tiers: [tier=] is the unknown-key error *)
+  (match
+     Handler.parse { Protocol.tag = Protocol.Estimate; body = "iir\ntier=ref" }
+   with
+  | Error m ->
+    Alcotest.(check string) "tier is an unknown key"
+      "unknown ESTIMATE key \"tier\"" m
+  | Ok _ -> Alcotest.fail "tier= accepted");
   (* the deleted exact-II modes: [exact=] is the unknown-key error *)
   List.iter
     (fun (tag, verb) ->
@@ -556,36 +556,25 @@ let test_request_budget () =
 
    Daemon-served verified ESTIMATE output is byte-identical to the
    in-process [Experiments.run_benchmark] rendering for every registry
-   benchmark on both interpreter tiers (every cell is replayed on the
-   requested tier, and the tiers agree bit for bit, so the tier cannot
-   change the bytes): exhaustive over the product, plus a pinned-seed
-   QCheck pass over random (benchmark, tier, validate) combinations. *)
+   benchmark, plus a pinned-seed QCheck pass over random (benchmark,
+   validate) combinations. *)
 
 let local_estimate_render ?(validate = false) (b : R.benchmark) =
   Handler.render_estimate (E.run_benchmark ~verify:true ~validate b)
-
-let tiers () = [ Fi.Ref; Fi.Fast ]
 
 let test_estimate_identity_exhaustive () =
   with_server (fun socket ->
       List.iter
         (fun (b : R.benchmark) ->
-          let expected = local_estimate_render b in
-          List.iter
-            (fun tier ->
-              match
-                Client.serve_work ~seed:0 socket
-                  (estimate_work ~tier ~verify:true b.R.b_name)
-              with
-              | Client.Served payload ->
-                Alcotest.(check string)
-                  (Printf.sprintf "%s on %s tier" b.R.b_name
-                     (Fi.tier_name tier))
-                  expected payload
-              | Client.Rejected m | Client.Unreachable m ->
-                Alcotest.failf "%s/%s not served: %s" b.R.b_name
-                  (Fi.tier_name tier) m)
-            (tiers ()))
+          match
+            Client.serve_work ~seed:0 socket
+              (estimate_work ~verify:true b.R.b_name)
+          with
+          | Client.Served payload ->
+            Alcotest.(check string) b.R.b_name (local_estimate_render b)
+              payload
+          | Client.Rejected m | Client.Unreachable m ->
+            Alcotest.failf "%s not served: %s" b.R.b_name m)
         (R.all () @ R.extras ()))
 
 let test_estimate_identity_property () =
@@ -596,24 +585,17 @@ let test_estimate_identity_property () =
   in
   with_server (fun socket ->
       let benches = Array.of_list (R.all () @ R.extras ()) in
-      let tiers = Array.of_list (tiers ()) in
       let arb =
         QCheck.make
-          ~print:(fun (bi, ti, v) ->
-            Printf.sprintf "%s/%s validate=%b" benches.(bi).R.b_name
-              (Fi.tier_name tiers.(ti))
-              v)
-          QCheck.Gen.(
-            triple
-              (int_bound (Array.length benches - 1))
-              (int_bound (Array.length tiers - 1))
-              bool)
+          ~print:(fun (bi, v) ->
+            Printf.sprintf "%s validate=%b" benches.(bi).R.b_name v)
+          QCheck.Gen.(pair (int_bound (Array.length benches - 1)) bool)
       in
-      let prop (bi, ti, validate) =
+      let prop (bi, validate) =
         let b = benches.(bi) in
         match
           Client.serve_work ~seed:0 socket
-            (estimate_work ~tier:tiers.(ti) ~verify:true ~validate b.R.b_name)
+            (estimate_work ~verify:true ~validate b.R.b_name)
         with
         | Client.Served payload ->
           String.equal payload (local_estimate_render ~validate b)
@@ -658,7 +640,7 @@ let suite =
       test_disconnect_contained;
     Alcotest.test_case "request budget times out with a typed ERR" `Quick
       test_request_budget;
-    Alcotest.test_case "estimate identity: every benchmark, all tiers" `Slow
+    Alcotest.test_case "estimate identity: every benchmark" `Slow
       test_estimate_identity_exhaustive;
     Alcotest.test_case "estimate identity: pinned-seed property" `Quick
       test_estimate_identity_property ]
