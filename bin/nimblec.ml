@@ -388,10 +388,12 @@ let compile_cmd =
         ~inner_index:inner (parse_version version)
     in
     Fmt.pr "%a@." Uas_ir.Pp.pp_program built.N.bv_program;
-    if estimate_flag then begin
-      let r = N.estimate built in
-      Fmt.pr "// %a@." Uas_hw.Estimate.pp_report r
-    end
+    if estimate_flag then
+      match N.estimate_result built with
+      | Ok r -> Fmt.pr "// %a@." Uas_hw.Estimate.pp_report r
+      | Error d ->
+        Fmt.epr "nimblec: %a@." Diag.pp d;
+        exit 1
   in
   let path =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")

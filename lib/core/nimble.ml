@@ -131,6 +131,14 @@ let estimate ?(target = Datapath.default) (b : built) : Estimate.report =
     ~name:(version_name b.bv_version)
     b.bv_program ~index:b.bv_kernel_index
 
+let estimate_result ?target (b : built) : (Estimate.report, Diag.t) result =
+  match estimate ?target b with
+  | r -> Ok r
+  | exception Estimate.Not_a_kernel m ->
+    Error
+      (Diag.errorf ~pass:"estimate" ~loop:b.bv_kernel_index
+         "not a hardware kernel: %s" m)
+
 (** Per-version result of a sweep: the built program with its report;
     built but degraded (one or more rewrites failed validation and were
     not applied — the report describes the last-known-good program, the

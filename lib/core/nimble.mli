@@ -71,6 +71,14 @@ val build_version :
 
 val estimate : ?target:Uas_hw.Datapath.t -> built -> Uas_hw.Estimate.report
 
+(** [estimate], with a program the estimator cannot model (a kernel
+    loop with dynamic bounds) as an [estimate] diagnostic on the kernel
+    loop instead of [Estimate.Not_a_kernel]. *)
+val estimate_result :
+  ?target:Uas_hw.Datapath.t ->
+  built ->
+  (Uas_hw.Estimate.report, Uas_pass.Diag.t) result
+
 (** Per-version sweep result: built with its report; built but
     [Degraded] (translation validation rejected one or more rewrites —
     the report describes the last-known-good program, the diagnostics

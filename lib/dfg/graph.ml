@@ -109,48 +109,142 @@ let critical_path (g : t) : int =
     order;
   Array.fold_left max 0 finish
 
+(* Strongly connected components by Tarjan's algorithm, iteratively —
+   an explicit stack of (node, successors still to visit) frames — so a
+   jammed graph of thousands of nodes cannot overflow the call stack.
+   Returns every node's component index and the component count. *)
+let components (g : t) : int array * int =
+  let n = node_count g in
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let comp = Array.make n (-1) and on_stack = Array.make n false in
+  let stack = ref [] and next = ref 0 and count = ref 0 in
+  let enter v =
+    index.(v) <- !next;
+    low.(v) <- !next;
+    incr next;
+    stack := v :: !stack;
+    on_stack.(v) <- true
+  in
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then begin
+      enter root;
+      let frames = ref [ (root, g.succs.(root)) ] in
+      while !frames <> [] do
+        match !frames with
+        | (v, (w, _) :: rest) :: up ->
+          frames := (v, rest) :: up;
+          if index.(w) < 0 then begin
+            enter w;
+            frames := (w, g.succs.(w)) :: !frames
+          end
+          else if on_stack.(w) then low.(v) <- min low.(v) index.(w)
+        | (v, []) :: up ->
+          frames := up;
+          (match up with
+          | (u, _) :: _ -> low.(u) <- min low.(u) low.(v)
+          | [] -> ());
+          if low.(v) = index.(v) then begin
+            let rec pop () =
+              match !stack with
+              | w :: tl ->
+                stack := tl;
+                on_stack.(w) <- false;
+                comp.(w) <- !count;
+                if w <> v then pop ()
+              | [] -> assert false
+            in
+            pop ();
+            incr count
+          end
+        | [] -> assert false
+      done
+    end
+  done;
+  (comp, !count)
+
 (** Total delay around the heaviest recurrence per unit distance:
     max over cycles C of ceil(delay(C) / distance(C)).  0 when the graph
-    has no recurrence.  Computed by binary search on II: II is feasible
-    iff the graph with edge weights delay(src) - II*distance has no
-    positive-weight cycle (Bellman-Ford). *)
+    has no recurrence.  Every cycle lies inside one strongly connected
+    component, so the bound is the maximum over the components that
+    have an internal edge.  Per component, a binary search on II: II
+    is feasible iff the component with edge weights
+    delay(src) - II*distance has no positive-weight cycle
+    (Bellman-Ford).  A component that is already feasible at the best
+    bound found so far cannot raise it and costs one probe. *)
 let recurrence_mii (g : t) : int =
-  let n = node_count g in
-  if n = 0 then 0
-  else begin
-    let has_positive_cycle ii =
-      (* Bellman-Ford longest-path from a virtual source: simple paths
-         have at most n-1 edges, so if the values still change after
-         n+1 relaxation passes, a positive-weight cycle exists *)
-      let dist = Array.make n 0 in
-      let pass () =
-        List.fold_left
-          (fun changed e ->
-            let w = delay g e.e_src - (ii * e.e_distance) in
-            if dist.(e.e_src) + w > dist.(e.e_dst) then begin
-              dist.(e.e_dst) <- dist.(e.e_src) + w;
-              true
-            end
-            else changed)
-          false g.edges
-      in
-      let rec go k = if not (pass ()) then false else k > n || go (k + 1) in
-      go 0
-    in
-    let max_ii =
-      Array.fold_left (fun a nd -> a + max 1 (g.delay_of nd.kind)) 1 g.nodes
-    in
-    if not (has_positive_cycle 0) then 0
-    else begin
-      (* smallest ii in [1, max_ii] without a positive cycle *)
-      let lo = ref 1 and hi = ref max_ii in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if has_positive_cycle mid then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    end
-  end
+  let comp, count = components g in
+  let internal = Array.make count [] in
+  List.iter
+    (fun e ->
+      let c = comp.(e.e_src) in
+      if c = comp.(e.e_dst) then internal.(c) <- e :: internal.(c))
+    g.edges;
+  (* local node numbering inside each component *)
+  let local = Array.make (node_count g) 0 and size = Array.make count 0 in
+  Array.iteri
+    (fun v c ->
+      local.(v) <- size.(c);
+      size.(c) <- size.(c) + 1)
+    comp;
+  let bound = Array.make count 1 in
+  Array.iter
+    (fun nd ->
+      let c = comp.(nd.id) in
+      bound.(c) <- bound.(c) + max 1 (g.delay_of nd.kind))
+    g.nodes;
+  (* no II is feasible (a positive cycle of distance 0, which a
+     well-formed DFG never has): the whole graph's search bound *)
+  let unbounded = Array.fold_left ( + ) 1 bound - count in
+  let best = ref 0 in
+  (try
+     Array.iteri
+       (fun c edges ->
+         if edges <> [] then begin
+           let n = size.(c) in
+           let edges = Array.of_list edges in
+           let src = Array.map (fun e -> local.(e.e_src)) edges
+           and dst = Array.map (fun e -> local.(e.e_dst)) edges
+           and w0 = Array.map (fun e -> delay g e.e_src) edges
+           and dist = Array.map (fun e -> e.e_distance) edges in
+           let m = Array.length edges in
+           let value = Array.make n 0 in
+           let has_positive_cycle ii =
+             (* longest paths from a virtual source: simple paths have
+                at most n-1 edges, so values still changing after n+1
+                relaxation passes mean a positive-weight cycle *)
+             Array.fill value 0 n 0;
+             let pass () =
+               let changed = ref false in
+               for k = 0 to m - 1 do
+                 let x = value.(src.(k)) + w0.(k) - (ii * dist.(k)) in
+                 if x > value.(dst.(k)) then begin
+                   value.(dst.(k)) <- x;
+                   changed := true
+                 end
+               done;
+               !changed
+             in
+             let rec go k =
+               if not (pass ()) then false else k > n || go (k + 1)
+             in
+             go 0
+           in
+           if has_positive_cycle !best then begin
+             (* smallest ii in (best, bound] without a positive cycle *)
+             let hi = bound.(c) in
+             if !best >= hi then raise Exit;
+             let lo = ref (!best + 1) and hi = ref hi in
+             while !lo < !hi do
+               let mid = (!lo + !hi) / 2 in
+               if has_positive_cycle mid then lo := mid + 1 else hi := mid
+             done;
+             if !lo = bound.(c) && has_positive_cycle !lo then raise Exit;
+             best := !lo
+           end
+         end)
+       internal;
+     !best
+   with Exit -> unbounded)
 
 let pp ppf (g : t) =
   Fmt.pf ppf "dfg: %d nodes, %d edges@\n" (node_count g) (List.length g.edges);

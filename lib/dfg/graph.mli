@@ -48,7 +48,17 @@ val topo_order : t -> int list
 val critical_path : t -> int
 
 (** max over cycles of ceil(delay/distance); 0 without recurrences.
-    The recurrence-constrained lower bound on a pipelined II. *)
+    The recurrence-constrained lower bound on a pipelined II.
+
+    Computed per strongly connected component (Tarjan, iterative):
+    only a component with an internal edge can hold a cycle, and each
+    runs a binary search of Bellman-Ford feasibility probes over its
+    own nodes and edges, up to its own [1 + Σ max 1 delay].  Its search
+    starts at the best bound found so far, so a component that cannot
+    raise it — every further copy of an unroll-and-jam body — costs
+    one probe.  A positive-delay cycle of distance 0 (a malformed DFG)
+    admits no II; the result is then the whole graph's search bound
+    [1 + Σ max 1 delay]. *)
 val recurrence_mii : t -> int
 
 val pp : t Fmt.t

@@ -148,54 +148,92 @@ exception Out_of_effort
 
 exception Blocked
 
+(* The work queue of {!relax_up}, allocated once per placement and
+   reused by every re-solve: a FIFO ring over node ids and the
+   in-queue flags.  Each node is queued at most once, so [n] cells plus
+   one for the round sentinel suffice. *)
+type relax_queue = {
+  ring : int array;
+  inq : bool array;
+  mutable head : int;
+  mutable len : int;
+}
+
+let relax_queue n =
+  { ring = Array.make (n + 1) 0; inq = Array.make n false; head = 0; len = 0 }
+
+let push q i =
+  let k = q.head + q.len in
+  q.ring.(if k >= Array.length q.ring then k - Array.length q.ring else k) <- i;
+  q.len <- q.len + 1
+
+let pop q =
+  let i = q.ring.(q.head) in
+  q.head <- (if q.head + 1 = Array.length q.ring then 0 else q.head + 1);
+  q.len <- q.len - 1;
+  i
+
+(* Queue a seed of the next {!relax_up}. *)
+let seed q i =
+  if not q.inq.(i) then begin
+    push q i;
+    q.inq.(i) <- true
+  end
+
+(* The out-edges of one dequeued node, whose time is [ti]. *)
+let rec relax_edges effort q t ti = function
+  | [] -> ()
+  | (j, w) :: rest ->
+    decr effort;
+    if !effort < 0 then raise Out_of_effort;
+    if ti + w > t.(j) then begin
+      t.(j) <- ti + w;
+      seed q j
+    end;
+    relax_edges effort q t ti rest
+
 (* Raise [t] in place to the least fixpoint of t(dst) >= t(src) + w at
-   or above its starting values, revisiting what [seeds] reach.
-   Queue-based Bellman-Ford with round sentinels: nodes still active
-   after [max_rounds] rounds mean a positive cycle (the II is
+   or above its starting values, revisiting what the seeded nodes
+   reach.  Queue-based Bellman-Ford with round sentinels: nodes still
+   active after [max_rounds] rounds mean a positive cycle (the II is
    infeasible) — the fixpoint is unique, so this computes exactly what
    a pass-based relaxation would, only incrementally.  Returns [false]
-   on positive cycle.  Every edge relaxation costs one unit of
-   [effort]; exhausting the budget raises {!Out_of_effort}. *)
-let relax_up ~effort ~max_rounds (adj : (int * int) list array)
-    (t : int array) (seeds : int list) : bool =
-  let q = Queue.create () in
-  let inq = Array.make (Array.length t) false in
-  List.iter
-    (fun i ->
-      if not inq.(i) then begin
-        Queue.add i q;
-        inq.(i) <- true
-      end)
-    seeds;
-  Queue.add (-1) q;
+   on positive cycle.  Either way the queue is left empty for the next
+   call.  Every edge relaxation costs one unit of [effort]; exhausting
+   the budget raises {!Out_of_effort}, after which the caller abandons
+   the queue. *)
+let relax_up ~effort ~max_rounds (q : relax_queue)
+    (adj : (int * int) list array) (t : int array) : bool =
+  push q (-1);
   let rounds = ref 0 in
   try
-    while Queue.length q > 1 do
-      let i = Queue.pop q in
+    while q.len > 1 do
+      let i = pop q in
       if i = -1 then begin
         incr rounds;
         if !rounds > max_rounds then raise Blocked;
-        Queue.add (-1) q
+        push q (-1)
       end
       else begin
-        inq.(i) <- false;
-        let ti = t.(i) in
-        List.iter
-          (fun (j, w) ->
-            decr effort;
-            if !effort < 0 then raise Out_of_effort;
-            if ti + w > t.(j) then begin
-              t.(j) <- ti + w;
-              if not inq.(j) then begin
-                Queue.add j q;
-                inq.(j) <- true
-              end
-            end)
-          adj.(i)
+        q.inq.(i) <- false;
+        relax_edges effort q t t.(i) adj.(i)
       end
     done;
+    q.len <- 0;
     true
-  with Blocked -> false
+  with Blocked ->
+    while q.len > 0 do
+      let i = pop q in
+      if i >= 0 then q.inq.(i) <- false
+    done;
+    false
+
+(* {!relax_up} seeded with every node. *)
+let relax_all ~effort ~max_rounds q adj t =
+  for i = 0 to Array.length t - 1 do
+    seed q i
+  done;
+  relax_up ~effort ~max_rounds q adj t
 
 (* Weighted successor / predecessor adjacency at a fixed II: the edge
    src -> dst of distance d contributes t(dst) >= t(src) + delay(src)
@@ -221,57 +259,56 @@ let mem_nodes_of (g : Graph.t) : int list =
    incrementally (the re-solved fixpoint is identical to a from-scratch
    solve, because the old fixpoint dominates every lower bound except
    the bumped one), so dependences stay satisfied.  Bounded retries
-   keep it total. *)
+   keep it total.  A bump allocates nothing: the row counts, the queue
+   and its flags are made once per placement. *)
 let try_modulo (cfg : config) (g : Graph.t) ~effort ~ii : int array option =
   let n = Graph.node_count g in
-  let mem_nodes = mem_nodes_of g in
+  let mem = Array.of_list (mem_nodes_of g) in
   let adj = succ_adj g ~ii in
   let t = Array.make n 0 in
+  let q = relax_queue n in
   let max_rounds = n + 1 in
-  let budget = ref (64 + (List.length mem_nodes * ii * 4)) in
-  if not (relax_up ~effort ~max_rounds adj t (List.init n Fun.id)) then None
-  else begin
-    let rec solve () =
-      (* most-loaded oversubscribed modulo slot, if any *)
-      let slots = Array.make ii [] in
-      List.iter
-        (fun i ->
-          let s = ((t.(i) mod ii) + ii) mod ii in
-          slots.(s) <- i :: slots.(s))
-        mem_nodes;
-      let offender = ref None in
-      Array.iter
-        (fun nodes ->
-          if List.length nodes > cfg.mem_ports then begin
-            (* bump the latest-scheduled op in the slot: it has the most
-               slack left before wrapping all the way around *)
-            let latest =
-              List.fold_left
-                (fun best i ->
-                  match best with
-                  | None -> Some i
-                  | Some b -> if t.(i) > t.(b) then Some i else best)
-                None nodes
-            in
-            match (!offender, latest) with
-            | None, Some i -> offender := Some i
-            | _ -> ()
-          end)
-        slots;
-      match !offender with
-      | None -> Some t
-      | Some i ->
-        decr budget;
-        if !budget <= 0 then None
-        else begin
-          t.(i) <- t.(i) + 1;
-          if relax_up ~effort ~max_rounds adj t [ i ] then solve () else None
-        end
-    in
-    match solve () with
-    | Some t when feasible g ~ii t -> Some t
-    | Some _ | None -> None
-  end
+  let budget = ref (64 + (Array.length mem * ii * 4)) in
+  let rows = Array.make ii 0 in
+  let row i = ((t.(i) mod ii) + ii) mod ii in
+  (* the op to bump: in the lowest oversubscribed modulo row, the
+     latest-issued memory op — it has the most slack left before
+     wrapping all the way around — ties to the highest node id; -1 when
+     every row fits the ports *)
+  let offender () =
+    Array.fill rows 0 ii 0;
+    for a = 0 to Array.length mem - 1 do
+      let r = row mem.(a) in
+      rows.(r) <- rows.(r) + 1
+    done;
+    let r = ref 0 in
+    while !r < ii && rows.(!r) <= cfg.mem_ports do
+      incr r
+    done;
+    let latest = ref (-1) in
+    if !r < ii then
+      for a = 0 to Array.length mem - 1 do
+        let i = mem.(a) in
+        if row i = !r && (!latest < 0 || t.(i) >= t.(!latest)) then latest := i
+      done;
+    !latest
+  in
+  let rec solve () =
+    let i = offender () in
+    if i < 0 then true
+    else begin
+      decr budget;
+      !budget > 0
+      && begin
+        t.(i) <- t.(i) + 1;
+        seed q i;
+        relax_up ~effort ~max_rounds q adj t && solve ()
+      end
+    end
+  in
+  if relax_all ~effort ~max_rounds q adj t && solve () && feasible g ~ii t then
+    Some t
+  else None
 
 (* ---- the exact backend ---- *)
 
@@ -415,11 +452,11 @@ let decide (cfg : config) (g : Graph.t) ~effort ~expansions ~ii =
   let mem_idx = Array.make n (-1) in
   Array.iteri (fun a i -> mem_idx.(i) <- a) mem;
   let adj = succ_adj g ~ii in
-  let all_nodes = List.init n Fun.id in
+  let q = relax_queue n in
   let asap = Array.make n 0 in
   let round_up t r = t + ((((r - t) mod ii) + ii) mod ii) in
   (* a positive cycle at this II is infeasible outright *)
-  if not (relax_up ~effort ~max_rounds:(n + 1) adj asap all_nodes) then
+  if not (relax_all ~effort ~max_rounds:(n + 1) q adj asap) then
     `Infeasible
   else begin
     (* L.(a).(b): longest memory-free walk between memory endpoints.
@@ -577,7 +614,7 @@ let decide (cfg : config) (g : Graph.t) ~effort ~expansions ~ii =
           for a = 0 to m - 1 do
             t.(mem.(a)) <- residue.(a) + (ii * (k.(a) + !shift))
           done;
-          if not (relax_up ~effort ~max_rounds:(n + 1) adj t all_nodes) then
+          if not (relax_all ~effort ~max_rounds:(n + 1) q adj t) then
             None
           else begin
             let s = { s_ii = ii; s_times = t; s_length = makespan g t } in

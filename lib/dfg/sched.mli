@@ -93,6 +93,20 @@ val modulo_schedule_note :
     (edge relaxations). *)
 val default_effort : int
 
+(** Raised by {!try_modulo} when its [effort] runs out. *)
+exception Out_of_effort
+
+(** The greedy placement {!modulo_schedule} runs at one II: issue times
+    from the least fixpoint of the dependence constraints, and while a
+    modulo row holds more memory ops than the ports, bump the latest op
+    of the lowest such row (ties to the highest node id) one cycle and
+    re-solve incrementally.  [None] when the II has a positive cycle or
+    the [64 + 4 · memory ops · ii] bumps run out.  Every edge
+    relaxation takes one unit from [effort].
+    @raise Out_of_effort when [effort] runs out. *)
+val try_modulo :
+  config -> Graph.t -> effort:int ref -> ii:int -> int array option
+
 (** Kept only so the frozen perf harness ([bench/perf]) compiles: the
     mode of the deleted exact-II pass, which now does nothing. *)
 type exact_mode = Exact_off

@@ -99,6 +99,14 @@ let tokenize (src : string) : lexed list =
     else if is_digit c then begin
       (* integer or float literal; hex with 0x *)
       let start = !i in
+      (* a malformed or out-of-range literal is an error at its start *)
+      let literal what conv text =
+        match conv text with
+        | Some v -> v
+        | None ->
+          let msg = Printf.sprintf "bad %s literal %S" what text in
+          raise (Parse_error { line = l0; col = c0; msg })
+      in
       if c = '0' && (peek 1 = Some 'x' || peek 1 = Some 'X') then begin
         advance ();
         advance ();
@@ -110,7 +118,11 @@ let tokenize (src : string) : lexed list =
         do
           advance ()
         done;
-        emit (INT (int_of_string (String.sub src start (!i - start)))) l0 c0
+        emit
+          (INT
+             (literal "integer" int_of_string_opt
+                (String.sub src start (!i - start))))
+          l0 c0
       end
       else begin
         let is_float = ref false in
@@ -133,8 +145,9 @@ let tokenize (src : string) : lexed list =
           done
         end;
         let text = String.sub src start (!i - start) in
-        if !is_float then emit (FLOAT (float_of_string text)) l0 c0
-        else emit (INT (int_of_string text)) l0 c0
+        if !is_float then
+          emit (FLOAT (literal "float" float_of_string_opt text)) l0 c0
+        else emit (INT (literal "integer" int_of_string_opt text)) l0 c0
       end
     end
     else if is_ident_start c then begin

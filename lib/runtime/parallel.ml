@@ -8,14 +8,18 @@
      by a compare-and-set from [Pending] — a worker that finishes a
      task the watchdog already marked [Timed_out] loses the race and
      its late result is discarded;
-   - the watchdog is one extra domain, spawned only when a wall budget
-     is requested.  It polls each worker's published (task, start-time)
-     pair, marks overrunners [Timed_out] and raises the worker's
-     cancellation flag so cooperative code (the fault harness's stall,
-     long-running passes that poll [Fault.cancel_requested]) can bail
-     out.  A task that ignores cancellation costs its worker, never the
-     pool: remaining tasks drain through the other workers and the
-     stuck domain is abandoned at exit instead of joined;
+   - workers other than the caller run on helper domains that outlive
+     the fan-out: a helper waits in a small idle set for the next job
+     instead of being joined (see [helper_loop]);
+   - under a wall budget every worker is a helper and the calling
+     domain is the watchdog.  It polls each worker's published
+     (task, start-time) pair, marks overrunners [Timed_out] and raises
+     the worker's cancellation flag so cooperative code (the fault
+     harness's stall, long-running passes that poll
+     [Fault.cancel_requested]) can bail out.  A task that ignores
+     cancellation costs its helper, never the pool or the caller: the
+     remaining tasks drain through the other workers, and the stuck
+     helper rejoins the idle set whenever it finishes;
    - an injected fault is retried up
      to [retries] times with exponential backoff before the task is
      declared failed. *)
@@ -89,6 +93,62 @@ let run_task (ctx : Ctx.t) ~retries ~retry_backoff_s f x ~label :
   in
   attempt 1
 
+(* ---- helper domains, kept across fan-outs ---- *)
+
+(* A helper is a domain that runs one job, then waits in the idle set
+   for the next.  Spawning and joining fresh domains for every fan-out
+   stops OCaml 5.1 from reusing the major heap, so helpers are kept;
+   but an idle domain still takes part in every stop-the-world minor
+   collection, so at most [idle_cap] of them wait, and a helper whose
+   job ends while the set is full exits.  The set holds idle domains
+   and nothing else: no result can depend on it.  [lock] guards the set
+   and every helper's [job]. *)
+type helper = {
+  wake : Condition.t;
+  mutable job : ((unit -> unit) * (unit -> unit)) option;
+}
+
+let lock = Mutex.create ()
+let idle : helper list ref = ref []
+let idle_cap = max 1 (Domain.recommended_domain_count () - 1)
+
+(* Runs with [lock] held; returns with it released.  A job is [run],
+   which must not raise, then [finished], called with [lock] held once
+   the helper is back in the idle set (or about to exit), so a caller
+   it wakes never finds its helper still busy. *)
+let rec helper_loop h =
+  match h.job with
+  | None ->
+    Condition.wait h.wake lock;
+    helper_loop h
+  | Some (run, finished) ->
+    h.job <- None;
+    Mutex.unlock lock;
+    run ();
+    Mutex.lock lock;
+    let keep = List.length !idle < idle_cap in
+    if keep then idle := h :: !idle;
+    finished ();
+    if keep then helper_loop h else Mutex.unlock lock
+
+(* Start a job on an idle helper, or on a new one when none is idle. *)
+let on_helper (ctx : Ctx.t) ~run ~finished =
+  Mutex.lock lock;
+  match !idle with
+  | h :: rest ->
+    idle := rest;
+    h.job <- Some (run, finished);
+    Condition.signal h.wake;
+    Mutex.unlock lock
+  | [] ->
+    Mutex.unlock lock;
+    Instrument.incr ctx.trace "pool.spawned";
+    let h = { wake = Condition.create (); job = Some (run, finished) } in
+    ignore
+      (Domain.spawn (fun () ->
+           Mutex.lock lock;
+           helper_loop h))
+
 let map_results ?(ctx = Ctx.default ()) ?jobs ?timeout_s ?(retries = 0)
     ?(retry_backoff_s = 0.01) (f : 'a -> 'b) (xs : 'a list) :
     ('b, Task_failure.t) result list =
@@ -100,109 +160,97 @@ let map_results ?(ctx = Ctx.default ()) ?jobs ?timeout_s ?(retries = 0)
   let n = Array.length items in
   if n = 0 then []
   else if min jobs n <= 1 && timeout_s = None then
-    (* sequential, unsupervised: no pool, no watchdog, no atomics *)
+    (* sequential, unsupervised: no helper, no watchdog, no atomics *)
     List.mapi (fun i x -> run_task x ~label:(string_of_int i)) xs
   else begin
     let workers = min jobs n in
     let slots = Array.init n (fun _ -> Atomic.make Pending) in
     let next = Atomic.make 0 in
     (* per-worker supervision state: the running (task, start) pair the
-       watchdog polls, the cancellation flag it raises, and the
-       completion flag the join phase waits on *)
+       watchdog polls and the cancellation flag it raises *)
     let current = Array.init workers (fun _ -> Atomic.make None) in
     let cancels = Array.init workers (fun _ -> Atomic.make false) in
-    let finished = Array.init workers (fun _ -> Atomic.make false) in
-    let worker w () =
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          Atomic.set cancels.(w) false;
-          Fault.set_cancel (Some cancels.(w));
-          Atomic.set current.(w) (Some (i, Unix.gettimeofday ()));
-          let outcome = run_task items.(i) ~label:(string_of_int i) in
-          Atomic.set current.(w) None;
-          Fault.set_cancel None;
-          let resolved =
-            match outcome with Ok v -> Done v | Error tf -> Failed tf
-          in
-          (* the watchdog may have resolved the slot [Timed_out] while
-             we ran: first write wins, a late result is dropped *)
-          ignore (Atomic.compare_and_set slots.(i) Pending resolved);
-          go ()
-        end
-      in
-      go ();
-      Atomic.set finished.(w) true
+    let rec worker w () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        Atomic.set cancels.(w) false;
+        Fault.set_cancel (Some cancels.(w));
+        Atomic.set current.(w) (Some (i, Unix.gettimeofday ()));
+        let outcome = run_task items.(i) ~label:(string_of_int i) in
+        Atomic.set current.(w) None;
+        Fault.set_cancel None;
+        let resolved =
+          match outcome with Ok v -> Done v | Error tf -> Failed tf
+        in
+        (* the watchdog may have resolved the slot [Timed_out] while
+           we ran: first write wins, a late result is dropped *)
+        ignore (Atomic.compare_and_set slots.(i) Pending resolved);
+        worker w ()
+      end
     in
-    let stop_watchdog = Atomic.make false in
-    let watchdog =
-      match timeout_s with
-      | None -> None
-      | Some budget_s ->
-        Some
-          (Domain.spawn (fun () ->
-               let poll = Float.min 0.005 (Float.max 0.001 (budget_s /. 4.0)) in
-               while not (Atomic.get stop_watchdog) do
-                 Unix.sleepf poll;
-                 let now = Unix.gettimeofday () in
-                 Array.iteri
-                   (fun w cur ->
-                     match Atomic.get cur with
-                     | Some (i, t0) when now -. t0 > budget_s ->
-                       if
-                         Atomic.compare_and_set slots.(i) Pending
-                           (Failed
-                              (Task_failure.Timed_out
-                                 { elapsed_s = now -. t0; budget_s }))
-                       then begin
-                         Instrument.incr ctx.trace "pool.timed-out";
-                         Atomic.set cancels.(w) true
-                       end
-                     | _ -> ())
-                   current
-               done))
+    (* under a wall budget every worker is a helper and the caller is
+       the watchdog; otherwise the caller is worker 0.  [running]
+       counts the helpers still at work, guarded by [lock] *)
+    let first = if timeout_s = None then 1 else 0 in
+    let running = ref (workers - first) and all_done = Condition.create () in
+    for w = first to workers - 1 do
+      on_helper ctx ~run:(worker w) ~finished:(fun () ->
+          decr running;
+          Condition.signal all_done)
+    done;
+    let helpers_running () =
+      Mutex.lock lock;
+      let r = !running in
+      Mutex.unlock lock;
+      r
     in
-    let helpers =
-      List.init (workers - 1) (fun k -> (k + 1, Domain.spawn (worker (k + 1))))
-    in
-    worker 0 ();
-    (match watchdog with
+    (match timeout_s with
     | None ->
-      (* unsupervised: every worker terminates (tasks may raise but not
-         stall), so a plain join drains the pool *)
-      List.iter (fun (_, d) -> Domain.join d) helpers
-    | Some wd ->
-      (* supervised: wait for every slot to resolve — each Pending slot
-         belongs to a running worker, which either finishes it or gets
-         timed out by the watchdog — then join the workers that
-         completed and abandon any that ignored cancellation *)
+      (* every worker terminates (tasks may raise but not stall), so
+         waiting drains the pool *)
+      worker 0 ();
+      Mutex.lock lock;
+      while !running > 0 do
+        Condition.wait all_done lock
+      done;
+      Mutex.unlock lock
+    | Some budget_s ->
+      (* the watchdog polls each worker's (task, start) pair, marks
+         overrunners [Timed_out] and raises their cancellation flag,
+         until every slot is resolved — each Pending slot belongs to a
+         running worker, which either finishes it or gets timed out.
+         Then it waits briefly for the workers to return; one deaf to
+         cancellation is left to finish on its own, and rejoins the
+         idle set when it does. *)
       let all_resolved () =
         Array.for_all (fun s -> slot_resolved (Atomic.get s)) slots
       in
       while not (all_resolved ()) do
-        Unix.sleepf 0.001
+        Unix.sleepf 0.001;
+        let now = Unix.gettimeofday () in
+        Array.iteri
+          (fun w cur ->
+            match Atomic.get cur with
+            | Some (i, t0) when now -. t0 > budget_s ->
+              if
+                Atomic.compare_and_set slots.(i) Pending
+                  (Failed
+                     (Task_failure.Timed_out
+                        { elapsed_s = now -. t0; budget_s }))
+              then begin
+                Instrument.incr ctx.trace "pool.timed-out";
+                Atomic.set cancels.(w) true
+              end
+            | _ -> ())
+          current
       done;
-      List.iter
-        (fun (w, d) ->
-          let deadline = Unix.gettimeofday () +. 0.5 in
-          let rec wait_join () =
-            if Atomic.get finished.(w) then Domain.join d
-            else if Unix.gettimeofday () < deadline then begin
-              Unix.sleepf 0.002;
-              wait_join ()
-            end
-            else
-              (* stuck past its budget and deaf to cancellation: the
-                 domain is leaked rather than hanging the pool *)
-              Instrument.incr ctx.trace "pool.abandoned-workers"
-          in
-          wait_join ())
-        helpers;
-      Atomic.set stop_watchdog true;
-      Domain.join wd);
-    (match watchdog with
-    | Some _ -> ()
-    | None -> Atomic.set stop_watchdog true);
+      let deadline = Unix.gettimeofday () +. 0.5 in
+      while helpers_running () > 0 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.002
+      done;
+      let stuck = helpers_running () in
+      if stuck > 0 then
+        Instrument.incr ~by:stuck ctx.trace "pool.abandoned-workers");
     List.init n (fun i ->
         match Atomic.get slots.(i) with
         | Done v -> Ok v

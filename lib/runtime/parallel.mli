@@ -6,7 +6,11 @@
     independently — so the pool is deliberately simple: an atomic
     work-queue index over an immutable input array, one worker per
     domain, results written to disjoint slots.  Results always come
-    back in input order.
+    back in input order.  The worker domains other than the caller are
+    helpers kept across calls: when a call ends they wait for the next
+    one, at most [max 1 (Domain.recommended_domain_count () - 1)] of
+    them (the rest exit), and a call that finds none idle spawns one,
+    counted as ["pool.spawned"].
 
     Two entry points share that machinery.  {!map} is observably
     [List.map] — an exception raised by a task is captured with its
@@ -14,9 +18,9 @@
     wins) after the remaining tasks drain.  {!map_results} is the
     supervised variant: each input gets a per-cell
     [('b, Task_failure.t) result], a wall budget turns an overrunning
-    task into [Timed_out] (via a watchdog domain) instead of hanging
-    the pool, and retryable failures — injected faults —
-    are retried with exponential backoff.
+    task into [Timed_out] (the calling domain is the watchdog) instead
+    of hanging the pool, and retryable failures — injected faults — are
+    retried with exponential backoff.
 
     Tasks must not touch shared mutable state; every pass in this
     repository is pure (all its refs are function-local), which is what
@@ -65,13 +69,14 @@ end
     [parallel.task] fault plan and scope and the sink of the [pool.*]
     counters.
 
-    - [timeout_s]: per-task wall budget.  When set, a watchdog domain
-      polls running tasks, marks overrunners [Timed_out] and raises
-      their worker's cancellation flag ({!Fault.cancel_requested}).  A
-      task deaf to cancellation costs its worker, never the pool:
-      remaining tasks drain through the other workers and the stuck
-      domain is abandoned (counted as ["pool.abandoned-workers"])
-      rather than joined.
+    - [timeout_s]: per-task wall budget.  When set, every worker runs
+      on a helper and the calling domain polls the running tasks, marks
+      overrunners [Timed_out] and raises their worker's cancellation
+      flag ({!Fault.cancel_requested}).  A task deaf to cancellation
+      costs its worker, never the pool: remaining tasks drain through
+      the other workers, the call returns without it (counted as
+      ["pool.abandoned-workers"]), and its helper rejoins the idle set
+      when the task ends.
     - [retries] (default 0): extra attempts for an injected fault
       ({!Fault.is_injected}), with backoff
       [retry_backoff_s * 2^(attempt-1)] (default base 10ms) between

@@ -140,8 +140,39 @@ let test_skipped_footer_rendered () =
   Alcotest.(check bool) "footer carries the diagnostic" true
     (Helpers.contains ~sub:"error[squash]" rendered)
 
+(* A kernel loop whose bounds depend on the outer index builds, but
+   the estimator cannot model it: that is an [estimate] diagnostic on
+   the kernel loop, not an escaping exception. *)
+let test_dynamic_kernel_bound_diagnostic () =
+  let p =
+    Uas_ir.Parser.program_of_string
+      {|program p {
+  in int a[64];
+  out int b[64];
+  int i; int j; int acc;
+  for (i = 0; i < 8; i++) {
+    acc = 0;
+    for (j = i; j < 8; j++) { acc = acc + a[i * 8 + j]; }
+    b[i] = acc;
+  }
+}|}
+  in
+  let built =
+    N.build_version p ~outer_index:"i" ~inner_index:"j" N.Pipelined
+  in
+  match N.estimate_result built with
+  | Ok _ -> Alcotest.fail "expected an estimate diagnostic"
+  | Error d ->
+    Alcotest.(check string) "pass" "estimate" d.Uas_pass.Diag.d_pass;
+    Alcotest.(check (option string)) "loop" (Some "j")
+      d.Uas_pass.Diag.d_loc.Uas_pass.Diag.loc_loop;
+    Alcotest.(check bool) "names the cause" true
+      (Helpers.contains ~sub:"not a hardware kernel" d.Uas_pass.Diag.d_message)
+
 let suite =
   [ Alcotest.test_case "version names" `Quick test_version_names;
+    Alcotest.test_case "dynamic kernel bound: estimate diagnostic" `Quick
+      test_dynamic_kernel_bound_diagnostic;
     Alcotest.test_case "combined versions verified" `Slow
       test_combined_version_verified;
     Alcotest.test_case "combined beats jam alone" `Quick

@@ -178,6 +178,19 @@ let test_comments_and_hex () =
   | [ Stmt.Assign ("x", Expr.Int 255) ] -> ()
   | _ -> Alcotest.fail "unexpected parse"
 
+(* A malformed or out-of-range numeric literal is a Parse_error at the
+   literal's first character, never a Failure from the conversion. *)
+let test_bad_literals () =
+  List.iter
+    (fun (lit, col) ->
+      let src = Printf.sprintf "program p {\n  int x;\n  x = %s;\n}" lit in
+      match Parser.program_of_string src with
+      | exception Parser.Parse_error e ->
+        Alcotest.(check (pair int int)) ("position of " ^ lit) (3, col)
+          (e.line, e.col)
+      | _ -> Alcotest.failf "expected a parse error for %s" lit)
+    [ ("1e", 7); ("0x", 7); ("99999999999999999999", 7) ]
+
 let suite =
   [ Alcotest.test_case "expression precedence" `Quick test_expr_precedence;
     QCheck_alcotest.to_alcotest test_expr_roundtrip_qcheck;
@@ -188,4 +201,5 @@ let suite =
       test_transformed_roundtrips;
     Alcotest.test_case "hand-written source" `Quick test_hand_written_source;
     Alcotest.test_case "error positions" `Quick test_error_positions;
-    Alcotest.test_case "comments and hex" `Quick test_comments_and_hex ]
+    Alcotest.test_case "comments and hex" `Quick test_comments_and_hex;
+    Alcotest.test_case "bad numeric literals" `Quick test_bad_literals ]

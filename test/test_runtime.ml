@@ -448,6 +448,91 @@ let test_budget_validator () =
     [ ("negative", "-1"); ("beyond the cap", "1000"); ("noise", "many");
       ("fractional", "1.5") ]
 
+(* --- helpers kept across fan-outs --- *)
+
+let idle_cap = max 1 (Domain.recommended_domain_count () - 1)
+
+let spawned trace =
+  Option.value ~default:0
+    (List.assoc_opt "pool.spawned" (Instrument.counters trace))
+
+(* Sequential fan-outs reuse their helpers: 200 calls at two jobs spawn
+   at most the idle cap of domains in total. *)
+let test_pool_reuses_helpers () =
+  let trace = Instrument.create () in
+  let ctx = Helpers.ctx ~trace () in
+  let xs = List.init 8 Fun.id in
+  for _ = 1 to 200 do
+    let rs = Parallel.map_results ~ctx ~jobs:2 succ xs in
+    Alcotest.(check (list int)) "results" (List.map succ xs)
+      (List.map (function Ok y -> y | Error _ -> -1) rs)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d spawned, cap %d" (spawned trace) idle_cap)
+    true
+    (spawned trace <= idle_cap)
+
+(* Two domains fanning out at once share the helper set and both get
+   their results in input order. *)
+let test_pool_concurrent_callers () =
+  let caller k () =
+    let xs = List.init 40 (fun i -> (k * 1000) + i) in
+    let f x =
+      (* uneven work, so the two callers' tasks interleave *)
+      let r = ref x in
+      for _ = 1 to (x mod 7) * 2000 do
+        r := (!r * 31) + 7
+      done;
+      ignore (Sys.opaque_identity !r);
+      x * 2
+    in
+    List.for_all
+      (fun _ ->
+        List.map (function Ok y -> y | Error _ -> -1)
+          (Parallel.map_results ~jobs:2 f xs)
+        = List.map (fun x -> x * 2) xs)
+      (List.init 25 Fun.id)
+  in
+  let other = Domain.spawn (caller 1) in
+  let mine = caller 2 () in
+  Alcotest.(check bool) "this domain's results in order" true mine;
+  Alcotest.(check bool) "the other domain's results in order" true
+    (Domain.join other)
+
+(* A task deaf to cancellation still comes back Timed_out; the call
+   returns without its helper, and the next fan-outs complete — without
+   spawning once the stalled task has ended. *)
+let test_pool_after_abandoned_worker () =
+  let trace = Instrument.create () in
+  let rs =
+    Parallel.map_results ~ctx:(Helpers.ctx ~trace ()) ~jobs:2 ~timeout_s:0.05
+      (fun x ->
+        if x = 2 then Unix.sleepf 0.6;
+        x + 1)
+      (List.init 5 Fun.id)
+  in
+  List.iteri
+    (fun i r ->
+      match r with
+      | Ok y -> Alcotest.(check int) "value" (i + 1) y
+      | Error (Parallel.Task_failure.Timed_out _) ->
+        Alcotest.(check int) "the stalled input" 2 i
+      | Error tf ->
+        Alcotest.failf "unexpected failure: %s"
+          (Parallel.Task_failure.to_message tf))
+    rs;
+  Alcotest.(check (option int)) "one worker abandoned" (Some 1)
+    (List.assoc_opt "pool.abandoned-workers" (Instrument.counters trace));
+  let xs = List.init 6 Fun.id in
+  Alcotest.(check (list int)) "next fan-out" (List.map succ xs)
+    (Parallel.map ~jobs:2 succ xs);
+  Unix.sleepf 1.0 (* the stalled task has ended *);
+  let trace = Instrument.create () in
+  for _ = 1 to 20 do
+    ignore (Parallel.map_results ~ctx:(Helpers.ctx ~trace ()) ~jobs:2 succ xs)
+  done;
+  Alcotest.(check int) "no spawn once the helpers are idle" 0 (spawned trace)
+
 let suite =
   [ Alcotest.test_case "Parallel.map = List.map" `Quick
       test_map_matches_sequential;
@@ -470,6 +555,12 @@ let suite =
       test_map_results_retries_injected;
     Alcotest.test_case "map_results injected fault is per-cell" `Quick
       test_map_results_injected_not_retried;
+    Alcotest.test_case "pool helpers reused across fan-outs" `Quick
+      test_pool_reuses_helpers;
+    Alcotest.test_case "pool shared by two calling domains" `Quick
+      test_pool_concurrent_callers;
+    Alcotest.test_case "pool after an abandoned worker" `Quick
+      test_pool_after_abandoned_worker;
     Alcotest.test_case "Fault plan grammar" `Quick test_fault_grammar;
     Alcotest.test_case "Fault nth counting" `Quick test_fault_nth_counting;
     Alcotest.test_case "Fault labels and scopes" `Quick

@@ -388,6 +388,304 @@ let test_oracle_confirms () =
     (Printf.sprintf "%d cases with the optimum above min_ii (need 10)" !refuted)
     true (!refuted >= 10)
 
+(* --- the II search's previous code, kept as oracles ---
+
+   [recurrence_mii] binary-searched the whole graph, and [try_modulo]
+   rebuilt its modulo rows as lists on every bump, with a fresh queue
+   per re-solve.  The per-component RecMII and the allocation-free
+   placement must agree with them exactly: the same bound, the same
+   issue times, and the same edge relaxations spent. *)
+
+let old_recurrence_mii (g : D.Graph.t) : int =
+  let n = D.Graph.node_count g in
+  if n = 0 then 0
+  else begin
+    let has_positive_cycle ii =
+      let dist = Array.make n 0 in
+      let pass () =
+        List.fold_left
+          (fun changed (e : D.Graph.edge) ->
+            let w = D.Graph.delay g e.e_src - (ii * e.e_distance) in
+            if dist.(e.e_src) + w > dist.(e.e_dst) then begin
+              dist.(e.e_dst) <- dist.(e.e_src) + w;
+              true
+            end
+            else changed)
+          false g.D.Graph.edges
+      in
+      let rec go k = if not (pass ()) then false else k > n || go (k + 1) in
+      go 0
+    in
+    let max_ii =
+      Array.fold_left
+        (fun a (nd : D.Graph.node) -> a + max 1 (g.D.Graph.delay_of nd.kind))
+        1 g.D.Graph.nodes
+    in
+    if not (has_positive_cycle 0) then 0
+    else begin
+      let lo = ref 1 and hi = ref max_ii in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if has_positive_cycle mid then lo := mid + 1 else hi := mid
+      done;
+      !lo
+    end
+  end
+
+exception Old_blocked
+
+let old_relax_up ~effort ~max_rounds (adj : (int * int) list array)
+    (t : int array) (seeds : int list) : bool =
+  let q = Queue.create () in
+  let inq = Array.make (Array.length t) false in
+  List.iter
+    (fun i ->
+      if not inq.(i) then begin
+        Queue.add i q;
+        inq.(i) <- true
+      end)
+    seeds;
+  Queue.add (-1) q;
+  let rounds = ref 0 in
+  try
+    while Queue.length q > 1 do
+      let i = Queue.pop q in
+      if i = -1 then begin
+        incr rounds;
+        if !rounds > max_rounds then raise Old_blocked;
+        Queue.add (-1) q
+      end
+      else begin
+        inq.(i) <- false;
+        let ti = t.(i) in
+        List.iter
+          (fun (j, w) ->
+            decr effort;
+            if !effort < 0 then raise Sd.Out_of_effort;
+            if ti + w > t.(j) then begin
+              t.(j) <- ti + w;
+              if not inq.(j) then begin
+                Queue.add j q;
+                inq.(j) <- true
+              end
+            end)
+          adj.(i)
+      end
+    done;
+    true
+  with Old_blocked -> false
+
+let old_try_modulo (cfg : Sd.config) (g : D.Graph.t) ~effort ~ii :
+    int array option =
+  let n = D.Graph.node_count g in
+  let is_mem i = Opinfo.uses_memory_port (D.Graph.node g i).D.Graph.kind in
+  let mem_nodes = List.filter is_mem (List.init n Fun.id) in
+  let adj = Array.make n [] in
+  List.iter
+    (fun (e : D.Graph.edge) ->
+      let w = D.Graph.delay g e.e_src - (ii * e.e_distance) in
+      adj.(e.e_src) <- (e.e_dst, w) :: adj.(e.e_src))
+    g.D.Graph.edges;
+  let t = Array.make n 0 in
+  let max_rounds = n + 1 in
+  let budget = ref (64 + (List.length mem_nodes * ii * 4)) in
+  let feasible t =
+    List.for_all
+      (fun (e : D.Graph.edge) ->
+        t.(e.e_dst)
+        >= t.(e.e_src) + D.Graph.delay g e.e_src - (ii * e.e_distance))
+      g.D.Graph.edges
+  in
+  if not (old_relax_up ~effort ~max_rounds adj t (List.init n Fun.id)) then None
+  else begin
+    let rec solve () =
+      let slots = Array.make ii [] in
+      List.iter
+        (fun i ->
+          let s = ((t.(i) mod ii) + ii) mod ii in
+          slots.(s) <- i :: slots.(s))
+        mem_nodes;
+      let offender = ref None in
+      Array.iter
+        (fun nodes ->
+          if List.length nodes > cfg.Sd.mem_ports then begin
+            let latest =
+              List.fold_left
+                (fun best i ->
+                  match best with
+                  | None -> Some i
+                  | Some b -> if t.(i) > t.(b) then Some i else best)
+                None nodes
+            in
+            match (!offender, latest) with
+            | None, Some i -> offender := Some i
+            | _ -> ()
+          end)
+        slots;
+      match !offender with
+      | None -> Some t
+      | Some i ->
+        decr budget;
+        if !budget <= 0 then None
+        else begin
+          t.(i) <- t.(i) + 1;
+          if old_relax_up ~effort ~max_rounds adj t [ i ] then solve ()
+          else None
+        end
+    in
+    match solve () with
+    | Some t when feasible t -> Some t
+    | Some _ | None -> None
+  end
+
+(* Both placements at [ii] with the same effort: the issue times (or
+   [None]) and the effort left over must match. *)
+let placements_agree cfg g ~ii =
+  let run place =
+    let effort = ref 5_000_000 in
+    let r =
+      match place cfg g ~effort ~ii with
+      | r -> Some r
+      | exception Sd.Out_of_effort -> None
+    in
+    (r, !effort)
+  in
+  run Sd.try_modulo = run old_try_modulo
+
+(* Random DFGs from small parts.  A part has 1–8 nodes of mixed delays
+   (loads 2, stores 1, adds 1, multiplies 2, divides 8, moves and
+   constants 0), distance-0 edges from lower to higher ids, and carried
+   edges of distance 1–3 anywhere, self-loops included; one part in
+   eight also gets a distance-0 back edge, a cycle of distance 0 (of
+   delay 0 when it runs through moves and constants only).  A graph is
+   one part, 2–6 disjoint copies of one part (an unroll-and-jam body),
+   or 2–4 different parts joined by a few edges (several components). *)
+let gen_part =
+  let open QCheck.Gen in
+  let* n = int_range 1 8 in
+  let* kinds =
+    list_repeat n
+      (frequency
+         [ (4, return Opinfo.Op_load);
+           (2, return Opinfo.Op_store);
+           (3, return (Opinfo.Op_binop Types.Add));
+           (1, return (Opinfo.Op_binop Types.Mul));
+           (1, return (Opinfo.Op_binop Types.Div));
+           (2, return Opinfo.Op_move);
+           (1, return Opinfo.Op_const) ])
+  in
+  let* forward = list_repeat (n * n) (float_bound_exclusive 1.0) in
+  let* carried =
+    list_size (int_range 0 4)
+      (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_range 1 3))
+  in
+  let* back =
+    frequency
+      [ (7, return None);
+        (1, map Option.some (pair (int_bound (n - 1)) (int_bound (n - 1)))) ]
+  in
+  let forward =
+    List.concat
+      (List.mapi
+         (fun i p ->
+           let a = i / n and b = i mod n in
+           if a < b && p < 0.4 then [ (a, b, 0) ] else [])
+         forward)
+  in
+  let back =
+    match back with
+    | Some (a, b) when a < b -> [ (b, a, 0) ]
+    | Some _ | None -> []
+  in
+  return (kinds, forward @ carried @ back)
+
+let gen_dfg =
+  let open QCheck.Gen in
+  let shift k = List.map (fun (a, b, d) -> (a + k, b + k, d)) in
+  let* parts =
+    frequency
+      [ (2, map (fun p -> [ p ]) gen_part);
+        (2, let* p = gen_part in
+            let* copies = int_range 2 6 in
+            return (List.init copies (fun _ -> p)));
+        (2, list_size (int_range 2 4) gen_part) ]
+  in
+  let kinds, edges, n =
+    List.fold_left
+      (fun (ks, es, base) (k, e) ->
+        (ks @ k, es @ shift base e, base + List.length k))
+      ([], [], 0) parts
+  in
+  let* links =
+    list_size (int_range 0 3)
+      (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_range 0 2))
+  in
+  (* a link of distance 0 only runs forward, so it closes no cycle *)
+  let links = List.filter (fun (a, b, d) -> d > 0 || a < b) links in
+  let nodes =
+    List.mapi
+      (fun id kind -> { D.Graph.id; kind; label = Printf.sprintf "n%d" id })
+      kinds
+  in
+  let edges =
+    List.sort_uniq compare (edges @ links)
+    |> List.map (fun (e_src, e_dst, e_distance) ->
+           { D.Graph.e_src; e_dst; e_distance })
+  in
+  return (D.Graph.create nodes edges)
+
+let arb_dfg = QCheck.make ~print:(Fmt.str "%a" D.Graph.pp) gen_dfg
+
+let test_qcheck_recurrence_mii_oracle =
+  QCheck.Test.make ~name:"RecMII per component = whole-graph search"
+    ~count:2000 arb_dfg (fun g ->
+      D.Graph.recurrence_mii g = old_recurrence_mii g)
+
+let test_qcheck_try_modulo_oracle =
+  QCheck.Test.make ~name:"greedy placement = list-based placement"
+    ~count:1000
+    QCheck.(triple arb_dfg (int_range 1 2) (int_range 0 3))
+    (fun (g, mem_ports, above) ->
+      let cfg = { Sd.mem_ports } in
+      D.Graph.node_count g = 0
+      || placements_agree cfg g ~ii:(Sd.min_ii cfg g + above))
+
+(* Every DFG of Table 6.2 (the 50 Registry.all x paper_versions
+   cells): the same RecMII, and the same placement at every II from
+   [min_ii] up to the one the scheduler settles on. *)
+let test_table_6_2_oracles () =
+  let module N = Uas_core.Nimble in
+  let module R = Uas_bench_suite.Registry in
+  let cfg = Uas_hw.Datapath.(sched_config default) in
+  let cells = ref 0 in
+  List.iter
+    (fun (b : R.benchmark) ->
+      List.iter
+        (fun v ->
+          let msg = b.R.b_name ^ "/" ^ N.version_name v in
+          match
+            N.run_version_cu b.R.b_program ~outer_index:b.R.b_outer_index
+              ~inner_index:b.R.b_inner_index v
+          with
+          | Error d ->
+            Alcotest.failf "%s did not build: %s" msg
+              (Uas_pass.Diag.to_string d)
+          | Ok (cu, _, _) -> (
+            match (Uas_pass.Cu.dfg cu, Uas_pass.Cu.schedule cu) with
+            | Some d, Some s ->
+              incr cells;
+              let g = d.D.Build.d_graph in
+              Alcotest.(check int) (msg ^ " RecMII") (old_recurrence_mii g)
+                (D.Graph.recurrence_mii g);
+              for ii = Sd.min_ii cfg g to max (Sd.min_ii cfg g) s.Sd.s_ii do
+                if not (placements_agree cfg g ~ii) then
+                  Alcotest.failf "%s: placements differ at II %d" msg ii
+              done
+            | _ -> Alcotest.failf "%s: no DFG or schedule on the unit" msg))
+        N.paper_versions)
+    (R.all ());
+  Alcotest.(check int) "cells compared" 50 !cells
+
 let suite =
   [ Alcotest.test_case "checker accepts all backends" `Quick
       test_check_accepts_backends;
@@ -406,4 +704,8 @@ let suite =
       test_not_proven_note;
     QCheck_alcotest.to_alcotest test_qcheck_exact_brackets;
     Alcotest.test_case "independent oracle confirms every II" `Quick
-      test_oracle_confirms ]
+      test_oracle_confirms;
+    QCheck_alcotest.to_alcotest test_qcheck_recurrence_mii_oracle;
+    QCheck_alcotest.to_alcotest test_qcheck_try_modulo_oracle;
+    Alcotest.test_case "Table 6.2 DFGs: RecMII and placements match" `Slow
+      test_table_6_2_oracles ]
