@@ -35,8 +35,7 @@ let table_rows (session : Session.t) ctx traj =
   let r =
     E.table_6_2 ~ctx ~verify:true ~validate:session.Session.validate
       ?jobs:session.Session.jobs
-      ?timeout_s:session.Session.task_timeout
-      ?retries:session.Session.retries ()
+      ?timeout_s:session.Session.task_timeout ()
   in
   List.iter
     (fun (row : E.bench_row) ->
@@ -244,8 +243,7 @@ let combined run =
           ~versions:
             [ N.Original; N.Jammed 2; N.Squashed 4; N.Combined (2, 2);
               N.Combined (2, 4); N.Combined (4, 2) ]
-          ?jobs:s.Session.jobs ?timeout_s:s.Session.task_timeout
-          ?retries:s.Session.retries b
+          ?jobs:s.Session.jobs ?timeout_s:s.Session.task_timeout b
       in
       (match
          List.find_opt (fun c -> c.E.c_version = N.Original) row.E.br_cells
@@ -366,8 +364,8 @@ let plan_target run =
       in
       let plan =
         P.plan ~ctx:run.ctx ?jobs:s.Session.jobs ?validate:probe
-          ?timeout_s:s.Session.task_timeout ?retries:s.Session.retries
-          b.S.Registry.b_program ~outer_index:b.S.Registry.b_outer_index
+          ?timeout_s:s.Session.task_timeout b.S.Registry.b_program
+          ~outer_index:b.S.Registry.b_outer_index
           ~inner_index:b.S.Registry.b_inner_index
           ~benchmark:b.S.Registry.b_name
       in

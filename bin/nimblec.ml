@@ -133,9 +133,9 @@ let version_arg =
            flatten+squash:N (the deep-nest route)")
 
 (* --server ADDR: serve the request from a nimbled daemon.  When the
-   daemon is unreachable (bounded retries with exponential backoff and
-   deterministic jitter exhausted) or rejects the request, nimblec
-   falls back to local in-process compilation with an incident
+   daemon is unreachable (bounded connection attempts with exponential
+   backoff and deterministic jitter exhausted) or rejects the request,
+   nimblec falls back to local in-process compilation with an incident
    footnote on stderr — the stdout bytes are identical either way. *)
 let server_arg =
   Arg.(
@@ -209,8 +209,7 @@ let estimate_cmd =
       let jobs = if Option.is_some after then Some 1 else s.Session.jobs in
       let row =
         E.run_benchmark ~ctx ~verify ~validate:s.Session.validate ?jobs
-          ?timeout_s:s.Session.task_timeout ?retries:s.Session.retries ?after
-          b
+          ?timeout_s:s.Session.task_timeout ?after b
       in
       print_string (Uas_service.Handler.render_estimate row);
       if s.Session.timings then
@@ -457,8 +456,7 @@ let plan_cmd =
         in
         let plan =
           P.plan ~ctx ?jobs:s.Session.jobs ~objective ?validate:probe
-            ?timeout_s:s.Session.task_timeout
-            ?retries:s.Session.retries b.S.Registry.b_program
+            ?timeout_s:s.Session.task_timeout b.S.Registry.b_program
             ~outer_index:b.S.Registry.b_outer_index
             ~inner_index:b.S.Registry.b_inner_index
             ~benchmark:b.S.Registry.b_name

@@ -110,8 +110,7 @@ let serve (s : Session.t) socket pidfile queue request_budget drain_timeout
       c_queue_depth = queue;
       c_limits =
         { Handler.l_jobs = s.Session.jobs;
-          l_timeout_s = s.Session.task_timeout;
-          l_retries = s.Session.retries };
+          l_timeout_s = s.Session.task_timeout };
       c_request_budget_s = request_budget;
       c_drain_timeout_s = drain_timeout;
       c_max_frame = max_frame;

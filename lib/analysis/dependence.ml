@@ -41,12 +41,6 @@ let sym_equal xs ys =
        (fun (v, a) (w, b) -> String.equal v w && a = b)
        xs ys
 
-let pp_syms ppf syms =
-  List.iter
-    (fun (s, c) ->
-      if c = 1 then Fmt.pf ppf " + %s" s else Fmt.pf ppf " + %d*%s" c s)
-    syms
-
 type affine = {
   ci : int;  (** coefficient of the outer index *)
   cj : int;  (** coefficient of the inner index *)
@@ -56,9 +50,6 @@ type affine = {
 }
 
 let affine_const n = { ci = 0; cj = 0; c0 = n; sym = [] }
-
-let pp_affine ppf a =
-  Fmt.pf ppf "%d*i + %d*j + %d%a" a.ci a.cj a.c0 pp_syms a.sym
 
 (* Unique straight-line definitions usable for substitution when
    extracting affine forms: scalars assigned exactly once in [pre] and
@@ -291,11 +282,6 @@ type level_affine = {
   la_const : int;
   la_sym : (string * int) list;
 }
-
-let pp_level_affine ppf a =
-  Fmt.pf ppf "[%a] + %d%a"
-    Fmt.(list ~sep:(any ", ") int)
-    a.la_coeffs a.la_const pp_syms a.la_sym
 
 (** Affine form of [e] over all levels of a depth-d nest.  Scalars
     defined anywhere inside the nest (other than the indices) are

@@ -18,7 +18,6 @@ type affine = {
 }
 
 val affine_const : int -> affine
-val pp_affine : affine Fmt.t
 
 (** Affine form of an index expression in the pair's indices, chasing
     unique pre-header definitions; [None] when unrecognizable. *)
@@ -58,8 +57,6 @@ type level_affine = {
   la_const : int;
   la_sym : (string * int) list;
 }
-
-val pp_level_affine : level_affine Fmt.t
 
 (** Affine form of an index expression over all levels of a nest;
     conservative ([None]) when the expression reads any scalar defined

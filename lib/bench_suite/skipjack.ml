@@ -234,23 +234,6 @@ let decrypt_block ~(key : int array) (w1, w2, w3, w4) =
   done;
   !w
 
-(** Decrypt [m] blocks stored as 4 words each. *)
-let decrypt_stream ~(key : int array) (words : int array) : int array =
-  let m = Array.length words / 4 in
-  let out = Array.make (Array.length words) 0 in
-  for i = 0 to m - 1 do
-    let w1, w2, w3, w4 =
-      decrypt_block ~key
-        (words.(4 * i), words.((4 * i) + 1), words.((4 * i) + 2),
-         words.((4 * i) + 3))
-    in
-    out.(4 * i) <- w1;
-    out.((4 * i) + 1) <- w2;
-    out.((4 * i) + 2) <- w3;
-    out.((4 * i) + 3) <- w4
-  done;
-  out
-
 (* key-byte index for backward round kk, slot s: (4*kk + s) mod 10 *)
 let cv_index_back s =
   let open B in

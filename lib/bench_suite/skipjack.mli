@@ -20,7 +20,6 @@ val encrypt_stream : key:int array -> int array -> int array
 
 val g_unpermute : key:int array -> k:int -> int -> int
 val decrypt_block : key:int array -> int * int * int * int -> int * int * int * int
-val decrypt_stream : key:int array -> int array -> int array
 
 (** Skipjack-mem: F-table and key schedule in memory (inner-loop
     loads). *)

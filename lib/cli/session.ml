@@ -12,7 +12,6 @@ type t = {
   cache : string option;
   cache_verify : bool;
   task_timeout : float option;
-  retries : int option;
   validate : bool;
   timings : bool;
 }
@@ -23,7 +22,6 @@ let default =
     cache = None;
     cache_verify = false;
     task_timeout = None;
-    retries = None;
     validate = false;
     timings = false }
 
@@ -90,17 +88,6 @@ let task_timeout_arg =
            task is marked timed out and its cell skipped instead of \
            hanging the sweep")
 
-let retries_arg =
-  let retries =
-    Arg.conv' ~docv:"N"
-      (Budget.retries_of_string ~flag:"--retries", Format.pp_print_int)
-  in
-  Arg.(
-    value
-    & opt (some retries) None
-    & info [ "retries" ] ~docv:"N"
-        ~doc:"Retry budget for retryable (injected-fault) task failures")
-
 let validate_arg =
   Arg.(
     value
@@ -124,18 +111,12 @@ let timings_arg =
 (* --- the session terms --- *)
 
 let runtime =
-  let make jobs fault cache cache_verify task_timeout retries =
-    { default with
-      jobs;
-      fault;
-      cache;
-      cache_verify;
-      task_timeout;
-      retries }
+  let make jobs fault cache cache_verify task_timeout =
+    { default with jobs; fault; cache; cache_verify; task_timeout }
   in
   Term.(
-    const make $ jobs_arg $ fault_arg $ cache_arg
-    $ cache_verify_arg $ task_timeout_arg $ retries_arg)
+    const make $ jobs_arg $ fault_arg $ cache_arg $ cache_verify_arg
+    $ task_timeout_arg)
 
 let term =
   let make s validate timings = { s with validate; timings } in

@@ -17,7 +17,6 @@ type t = {
   cache : string option;  (** [--cache DIR], or [UAS_CACHE] *)
   cache_verify : bool;  (** [--cache-verify] *)
   task_timeout : float option;  (** [--task-timeout SECS] *)
-  retries : int option;  (** [--retries N] *)
   validate : bool;  (** [--validate probe] *)
   timings : bool;  (** [--timings] *)
 }
@@ -26,8 +25,8 @@ type t = {
     [nimblec profile], which take no session flags. *)
 val default : t
 
-(** The runtime flags: [-j], [--fault], [--cache], [--cache-verify],
-    [--task-timeout] and [--retries] ([nimbled]). *)
+(** The runtime flags: [-j], [--fault], [--cache], [--cache-verify]
+    and [--task-timeout] ([nimbled]). *)
 val runtime : t Cmdliner.Term.t
 
 (** {!runtime} plus the compile flags [--validate] and [--timings]

@@ -109,11 +109,11 @@ let build_cell ctx ?after ~validate ~target ~verify
    gives up on becomes a skipped cell.  The input-ordered results are
    regrouped benchmark-major. *)
 let run_rows ?ctx ?(target = Datapath.default) ?(verify = true)
-    ?(validate = false) ?jobs ?timeout_s ?retries ?after
+    ?(validate = false) ?jobs ?timeout_s ?after
     (benches : (Registry.benchmark * Nimble.version list) list) :
     bench_row list =
   let cells =
-    Pass.fan_out ?ctx ?jobs ?timeout_s ?retries
+    Pass.fan_out ?ctx ?jobs ?timeout_s
       ~scope:(fun ((b : Registry.benchmark), v) ->
         b.Registry.b_name ^ "/" ^ Nimble.version_name v)
       ~failed:(fun (_, v) d -> Error { s_version = v; s_diag = d })
@@ -137,7 +137,7 @@ let run_rows ?ctx ?(target = Datapath.default) ?(verify = true)
 (** Run the full Table 6.2 sweep for one benchmark: the one-benchmark
     case of {!table_6_2}'s fan-out. *)
 let run_benchmark ?ctx ?target ?verify ?validate ?versions ?jobs
-    ?timeout_s ?retries ?after (b : Registry.benchmark) : bench_row =
+    ?timeout_s ?after (b : Registry.benchmark) : bench_row =
   let versions =
     match versions with
     | Some vs -> vs
@@ -152,16 +152,16 @@ let run_benchmark ?ctx ?target ?verify ?validate ?versions ?jobs
       Nimble.versions_for ~depth
   in
   List.hd
-    (run_rows ?ctx ?target ?verify ?validate ?jobs ?timeout_s
-       ?retries ?after [ (b, versions) ])
+    (run_rows ?ctx ?target ?verify ?validate ?jobs ?timeout_s ?after
+       [ (b, versions) ])
 
 (** Table 6.2 over the whole suite.  All (benchmark, version) cells —
     ~50 independent build+estimate+verify tasks — go through one flat
     pool fan-out, so the hot path scales with the core count instead of
     running strictly sequentially. *)
-let table_6_2 ?ctx ?target ?verify ?validate ?jobs ?timeout_s ?retries () :
+let table_6_2 ?ctx ?target ?verify ?validate ?jobs ?timeout_s () :
     bench_row list =
-  run_rows ?ctx ?target ?verify ?validate ?jobs ?timeout_s ?retries
+  run_rows ?ctx ?target ?verify ?validate ?jobs ?timeout_s
     (List.map (fun b -> (b, Nimble.paper_versions)) (Registry.all ()))
 
 (** Normalize one benchmark row against its original version
@@ -243,8 +243,6 @@ let figure_2_4 ~cycles : (string * usage_cell list) list =
   [ ("unroll-and-jam(2)", jam); ("unroll-and-squash(2)", squash) ]
 
 (* --- pretty-printed tables (consumed by bench/main.exe and the CLI) --- *)
-
-let pp_version ppf v = Fmt.string ppf (Nimble.version_name v)
 
 (* The footers shared by the Table 6.2/6.3 printers: one
    "degraded: <version> — <diagnostic>" line per incident a cell

@@ -71,7 +71,6 @@ val run_benchmark :
   ?versions:Nimble.version list ->
   ?jobs:int ->
   ?timeout_s:float ->
-  ?retries:int ->
   ?after:Uas_pass.Pass.hook ->
   Registry.benchmark ->
   bench_row
@@ -86,7 +85,6 @@ val table_6_2 :
   ?validate:bool ->
   ?jobs:int ->
   ?timeout_s:float ->
-  ?retries:int ->
   unit ->
   bench_row list
 
@@ -118,8 +116,6 @@ type usage_cell = {
 
 (** Figure 2.4: jam vs squash operator occupancy on the f/g example. *)
 val figure_2_4 : cycles:int -> (string * usage_cell list) list
-
-val pp_version : Nimble.version Fmt.t
 
 (** The [degraded: <version> — <diagnostic>] footer lines of a row's
     cells (one per incident; silent on clean cells). *)

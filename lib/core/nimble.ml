@@ -179,13 +179,13 @@ let outcome_of_cu_result = function
     fanning the independent versions out over the domain pool.  Every
     version gets an outcome: [Built] with its report, [Degraded] when
     validation rejected a rewrite, or [Skipped] with the diagnostic of
-    the pass that rejected it — a task the pool itself gives up on
-    (uncaught exception after retries, wall-budget timeout) becomes
+    the pass that rejected it — a task the pool itself gives up on (an
+    uncaught exception or injected fault, a wall-budget timeout) becomes
     [Skipped] too, so no single bad cell can abort the sweep. *)
 let sweep ?ctx ?(target = Datapath.default) ?(versions = paper_versions) ?jobs
-    ?validate ?timeout_s ?retries (p : Stmt.program) ~outer_index ~inner_index
-    : (version * outcome) list =
-  Pass.fan_out ?ctx ?jobs ?timeout_s ?retries ~scope:version_name
+    ?validate ?timeout_s (p : Stmt.program) ~outer_index ~inner_index :
+    (version * outcome) list =
+  Pass.fan_out ?ctx ?jobs ?timeout_s ~scope:version_name
     ~failed:(fun v d -> (v, Skipped d))
     (fun ctx v ->
       ( v,

@@ -123,7 +123,6 @@ val sweep :
   ?jobs:int ->
   ?validate:Uas_ir.Interp.workload ->
   ?timeout_s:float ->
-  ?retries:int ->
   Stmt.program ->
   outer_index:string ->
   inner_index:string ->

@@ -295,7 +295,7 @@ let rank_key objective ~base (row : row) =
     ["<benchmark>/<label>"], and a task the pool gives up on ranks last
     with a [task] diagnostic instead of aborting the plan. *)
 let plan ?ctx ?(target = Datapath.default) ?jobs ?(objective = Ratio)
-    ?(factors = default_factors) ?validate ?timeout_s ?retries
+    ?(factors = default_factors) ?validate ?timeout_s
     (p : Uas_ir.Stmt.program) ~outer_index ~inner_index ~benchmark : plan =
   let cands =
     let depth =
@@ -305,7 +305,7 @@ let plan ?ctx ?(target = Datapath.default) ?jobs ?(objective = Ratio)
     candidates ~factors ~depth ()
   in
   let rows =
-    Pass.fan_out ?ctx ?jobs ?timeout_s ?retries
+    Pass.fan_out ?ctx ?jobs ?timeout_s
       ~scope:(fun c -> benchmark ^ "/" ^ c.c_label)
       ~failed:(fun c d ->
         { r_candidate = c;

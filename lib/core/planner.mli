@@ -71,8 +71,9 @@ type plan = {
     [validate] translation-validates every rewrite on the probe
     workload (a rejected rewrite degrades the candidate to its
     last-known-good program, logged in [r_incidents]);
-    [timeout_s]/[retries] supervise the pool, and a task the pool gives
-    up on ranks last with a [task] diagnostic. *)
+    [timeout_s] is the pool's per-task wall budget, and a task the pool
+    gives up on (an uncaught exception, an injected fault included, or
+    a timeout) ranks last with a [task] diagnostic. *)
 val plan :
   ?ctx:Uas_runtime.Ctx.t ->
   ?target:Datapath.t ->
@@ -81,7 +82,6 @@ val plan :
   ?factors:int list ->
   ?validate:Uas_ir.Interp.workload ->
   ?timeout_s:float ->
-  ?retries:int ->
   Uas_ir.Stmt.program ->
   outer_index:string ->
   inner_index:string ->

@@ -258,9 +258,9 @@ let mem_nodes_of (g : Graph.t) : int list =
    resolved by bumping the latest offender's lower bound and re-solving
    incrementally (the re-solved fixpoint is identical to a from-scratch
    solve, because the old fixpoint dominates every lower bound except
-   the bumped one), so dependences stay satisfied.  Bounded retries
-   keep it total.  A bump allocates nothing: the row counts, the queue
-   and its flags are made once per placement. *)
+   the bumped one), so dependences stay satisfied.  A bounded number
+   of bumps keeps it total.  A bump allocates nothing: the row counts,
+   the queue and its flags are made once per placement. *)
 let try_modulo (cfg : config) (g : Graph.t) ~effort ~ii : int array option =
   let n = Graph.node_count g in
   let mem = Array.of_list (mem_nodes_of g) in
@@ -900,9 +900,6 @@ let register_estimate (g : Graph.t) (s : schedule) : int =
       if g.Graph.succs.(i) <> [] then regs := !regs + windows)
   done;
   !regs
-
-let pp_schedule ppf s =
-  Fmt.pf ppf "II=%d length=%d" s.s_ii s.s_length
 
 (* ---- serialization (the artifact store's stable forms) ----
 

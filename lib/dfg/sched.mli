@@ -116,8 +116,6 @@ type exact_mode = Exact_off
     expansion). *)
 val register_estimate : Graph.t -> schedule -> int
 
-val pp_schedule : schedule Fmt.t
-
 (** {2 Serialization (artifact store)}
 
     A versioned, all-integer, single-line textual form.  [*_of_string]

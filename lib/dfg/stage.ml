@@ -81,15 +81,6 @@ let partition ?(delay_of = Opinfo.default_delay) ~stages (stmts : Stmt.t list)
       let lo = bounds.(k) and hi = bounds.(k + 1) in
       Array.to_list (Array.sub arr lo (hi - lo)))
 
-(** Maximum slice delay of a partition (the stage-imbalance bound on
-    the squashed II). *)
-let max_stage_delay ?(delay_of = Opinfo.default_delay)
-    (slices : Stmt.t list list) : int =
-  List.fold_left
-    (fun m slice ->
-      max m (List.fold_left (fun a s -> max a (stmt_delay ~delay_of s)) 0 slice))
-    0 slices
-
 (** Sum-of-delays per slice, for reporting. *)
 let stage_costs ?(delay_of = Opinfo.default_delay) (slices : Stmt.t list list)
     : int list =

@@ -17,9 +17,5 @@ val partition :
   Stmt.t list ->
   Stmt.t list list
 
-(** Largest single-statement delay over the slices. *)
-val max_stage_delay :
-  ?delay_of:(Opinfo.op_kind -> int) -> Stmt.t list list -> int
-
 (** Sum of statement delays per slice. *)
 val stage_costs : ?delay_of:(Opinfo.op_kind -> int) -> Stmt.t list list -> int list

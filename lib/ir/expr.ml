@@ -68,12 +68,6 @@ let arrays_loaded e =
        (fun acc e -> match e with Load (a, _) -> Sset.add a acc | _ -> acc)
        Sset.empty e)
 
-let roms_used e =
-  Sset.elements
-    (fold
-       (fun acc e -> match e with Rom (r, _) -> Sset.add r acc | _ -> acc)
-       Sset.empty e)
-
 (** Number of memory references (loads) in [e]. *)
 let load_count e =
   fold (fun n e -> match e with Load _ -> n + 1 | _ -> n) 0 e
@@ -90,16 +84,6 @@ let subst_vars subst e =
 
 (** Rename variables with a total renaming function. *)
 let rename rn e = subst_vars (fun v -> Some (Var (rn v))) e
-
-(** All [Load] index expressions of array [a] occurring in [e]. *)
-let load_indices a e =
-  List.rev
-    (fold
-       (fun acc e ->
-         match e with
-         | Load (a', i) when String.equal a a' -> i :: acc
-         | _ -> acc)
-       [] e)
 
 let truth n = if n then 1 else 0
 

@@ -39,9 +39,6 @@ val mem_var : var -> t -> bool
 (** Arrays loaded from (no duplicates). *)
 val arrays_loaded : t -> array_id list
 
-(** ROMs looked up (no duplicates). *)
-val roms_used : t -> rom_id list
-
 (** Number of memory loads. *)
 val load_count : t -> int
 
@@ -52,9 +49,6 @@ val subst_vars : (var -> t option) -> t -> t
 
 (** Rename every variable occurrence. *)
 val rename : (var -> var) -> t -> t
-
-(** Index expressions of loads from array [a]. *)
-val load_indices : array_id -> t -> t list
 
 (** Evaluate a binary operator on values.
     @raise Ir_error on type mismatch or division by zero. *)

@@ -276,20 +276,6 @@ let diff_outputs (a : result) (b : result) : string option =
   in
   List.find_map check a.outputs
 
-let profiles_equal (a : profile) (b : profile) : bool =
-  a.total_cycles = b.total_cycles
-  && a.stmts_executed = b.stmts_executed
-  && a.mem_refs = b.mem_refs
-  && Hashtbl.length a.loops = Hashtbl.length b.loops
-  && Hashtbl.fold
-       (fun path (la : loop_stats) ok ->
-         ok
-         &&
-         match Hashtbl.find_opt b.loops path with
-         | Some lb -> la.trips = lb.trips && la.cycles = lb.cycles
-         | None -> false)
-       a.loops true
-
 (** Describe the first difference between two profiles, for test
     diagnostics. *)
 let diff_profiles (a : profile) (b : profile) : string option =

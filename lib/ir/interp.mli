@@ -55,10 +55,6 @@ val outputs_equal : result -> result -> bool
 (** Human-readable description of the first output difference. *)
 val diff_outputs : result -> result -> string option
 
-(** Bit-for-bit equality of profiles: cycles, statements, memory
-    references and every per-loop trip/cycle count. *)
-val profiles_equal : profile -> profile -> bool
-
 (** Human-readable description of the first profile difference. *)
 val diff_profiles : profile -> profile -> string option
 

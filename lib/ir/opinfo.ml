@@ -25,8 +25,6 @@ type op_kind =
   | Op_move         (** register-to-register move (squash rotation) *)
   | Op_const        (** constant source *)
 
-let equal_op_kind (a : op_kind) (b : op_kind) = a = b
-
 let op_kind_name = function
   | Op_binop o -> Printf.sprintf "binop(%s)" (binop_name o)
   | Op_unop o -> Printf.sprintf "unop(%s)" (unop_name o)

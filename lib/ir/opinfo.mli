@@ -16,7 +16,6 @@ type op_kind =
   | Op_move  (** register-to-register move (squash rotation) *)
   | Op_const  (** constant source *)
 
-val equal_op_kind : op_kind -> op_kind -> bool
 val op_kind_name : op_kind -> string
 
 (** Latency in clock cycles (0 for moves and constants). *)

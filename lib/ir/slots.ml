@@ -1,8 +1,8 @@
 (* Dense integer slot resolution for the compiled interpreter.
 
-   The reference interpreter resolves every scalar, array and ROM
-   access through string-keyed hashtables on the hot path.  This
-   module assigns each name a dense integer slot once per program, so
+   The reference interpreter resolves every scalar and array access
+   through string-keyed hashtables on the hot path.  This module
+   assigns each name a dense integer slot once per program, so
    the compiled interpreter (Fast_interp) can hold the runtime environment in
    plain arrays indexed by slot.
 
@@ -20,10 +20,7 @@ type t = {
   scalar_names : var array;  (* slot -> name; declared scalars first *)
   declared : int;  (* slots [0, declared) are declared scalars *)
   scalar_index : (var, int) Hashtbl.t;
-  array_names : array_id array;  (* slot -> name, declaration order *)
-  array_index : (array_id, int) Hashtbl.t;
-  rom_names : rom_id array;
-  rom_index : (rom_id, int) Hashtbl.t;
+  array_index : (array_id, int) Hashtbl.t;  (* declaration order *)
 }
 
 let of_program (p : Stmt.program) : t =
@@ -46,32 +43,18 @@ let of_program (p : Stmt.program) : t =
   (* on a (degenerate) duplicated name the later declaration wins,
      matching the reference interpreter's [Hashtbl.replace] *)
   let array_index = Hashtbl.create 8 in
-  let array_names =
-    Array.of_list (List.map (fun (d : Stmt.array_decl) -> d.a_name) p.arrays)
-  in
-  Array.iteri (fun i a -> Hashtbl.replace array_index a i) array_names;
-  let rom_index = Hashtbl.create 8 in
-  let rom_names =
-    Array.of_list (List.map (fun (r : Stmt.rom_decl) -> r.r_name) p.roms)
-  in
-  Array.iteri (fun i r -> Hashtbl.replace rom_index r i) rom_names;
-  { scalar_names; declared; scalar_index; array_names; array_index;
-    rom_names; rom_index }
+  List.iteri
+    (fun i (d : Stmt.array_decl) -> Hashtbl.replace array_index d.a_name i)
+    p.arrays;
+  { scalar_names; declared; scalar_index; array_index }
 
 let scalar_count t = Array.length t.scalar_names
 let declared_count t = t.declared
 let scalar_slot t v = Hashtbl.find_opt t.scalar_index v
-let scalar_name t slot = t.scalar_names.(slot)
 
 (** Is the slot a declared scalar (always present in the environment),
     as opposed to an undeclared loop index (present only after its loop
     first executed)? *)
 let scalar_is_declared t slot = slot < t.declared
 
-let array_count t = Array.length t.array_names
 let array_slot t a = Hashtbl.find_opt t.array_index a
-let array_name t slot = t.array_names.(slot)
-
-let rom_count t = Array.length t.rom_names
-let rom_slot t r = Hashtbl.find_opt t.rom_index r
-let rom_name t slot = t.rom_names.(slot)

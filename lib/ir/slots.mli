@@ -1,6 +1,6 @@
 (** Dense integer slot resolution for the compiled interpreter.
 
-    Maps every scalar, array and ROM name of a program to a dense
+    Maps every scalar and array name of a program to a dense
     integer slot so {!Fast_interp} can replace the reference
     interpreter's string-keyed hashtables with array indexing.
 
@@ -24,7 +24,6 @@ val scalar_count : t -> int
 val declared_count : t -> int
 
 val scalar_slot : t -> var -> int option
-val scalar_name : t -> int -> var
 
 (** [true] for declared scalars; [false] for undeclared loop indices,
     which only enter the environment when their loop first executes. *)
@@ -32,12 +31,4 @@ val scalar_is_declared : t -> int -> bool
 
 (** {2 Arrays (declaration order)} *)
 
-val array_count : t -> int
 val array_slot : t -> array_id -> int option
-val array_name : t -> int -> array_id
-
-(** {2 ROMs (declaration order)} *)
-
-val rom_count : t -> int
-val rom_slot : t -> rom_id -> int option
-val rom_name : t -> int -> rom_id

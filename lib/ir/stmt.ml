@@ -128,12 +128,6 @@ let uses stmts =
 (** All scalars referenced (read or written). *)
 let scalars stmts = Sset.union (defs stmts) (uses stmts)
 
-(** Arrays loaded from / stored to. *)
-let arrays_read stmts =
-  fold_exprs
-    (fun acc e -> List.fold_left (fun s a -> Sset.add a s) acc (Expr.arrays_loaded e))
-    Sset.empty stmts
-
 let arrays_written stmts =
   fold_list
     (fun acc s -> match s with Store (a, _, _) -> Sset.add a acc | _ -> acc)
@@ -190,8 +184,6 @@ let lookup_scalar_ty p v =
   | None -> None
 
 let lookup_array p a = List.find_opt (fun d -> String.equal d.a_name a) p.arrays
-
-let lookup_rom p r = List.find_opt (fun d -> String.equal d.r_name r) p.roms
 
 (** Declare additional locals, ignoring names already declared. *)
 let add_locals p vars =

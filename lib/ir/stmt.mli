@@ -78,7 +78,6 @@ val uses : t list -> Sset.t
 (** [defs ∪ uses]. *)
 val scalars : t list -> Sset.t
 
-val arrays_read : t list -> Sset.t
 val arrays_written : t list -> Sset.t
 
 (** Loads plus stores — the §6.1 memory-reference count. *)
@@ -101,7 +100,6 @@ val size : t list -> int
 val scalar_decls : program -> (var * ty) list
 val lookup_scalar_ty : program -> var -> ty option
 val lookup_array : program -> array_id -> array_decl option
-val lookup_rom : program -> rom_id -> rom_decl option
 
 (** Declare more locals, skipping names already declared. *)
 val add_locals : program -> (var * ty) list -> program

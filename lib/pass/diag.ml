@@ -5,9 +5,6 @@ type severity = Error | Warning | Note
 
 type loc = { loc_loop : string option; loc_stmt : string option }
 
-let no_loc = { loc_loop = None; loc_stmt = None }
-let loop_loc i = { loc_loop = Some i; loc_stmt = None }
-
 type t = {
   d_severity : severity;
   d_pass : string;
@@ -42,7 +39,6 @@ let make severity ~pass ?loop ?stmt fmt =
     fmt
 
 let errorf ~pass ?loop ?stmt fmt = make Error ~pass ?loop ?stmt fmt
-let warningf ~pass ?loop ?stmt fmt = make Warning ~pass ?loop ?stmt fmt
 
 exception Failed of t
 

@@ -12,9 +12,6 @@ type severity = Error | Warning | Note
     variable) and/or a pretty-printed statement. *)
 type loc = { loc_loop : string option; loc_stmt : string option }
 
-val no_loc : loc
-val loop_loc : string -> loc
-
 type t = {
   d_severity : severity;
   d_pass : string;  (** name of the pass that reported it *)
@@ -32,13 +29,6 @@ val to_string : t -> string
 (** Build a diagnostic with a format string, e.g.
     [errorf ~pass:"squash" ~loop:"i" "illegal at factor %d" ds]. *)
 val errorf :
-  pass:string ->
-  ?loop:string ->
-  ?stmt:string ->
-  ('a, Format.formatter, unit, t) format4 ->
-  'a
-
-val warningf :
   pass:string ->
   ?loop:string ->
   ?stmt:string ->

@@ -47,9 +47,8 @@ let run ?after cu passes =
     (fun acc p -> match acc with Error _ -> acc | Ok cu -> run_one ?after cu p)
     (Ok cu) passes
 
-let fan_out ?(ctx = Ctx.default ()) ?jobs ?timeout_s ?retries ~scope ~failed f
-    inputs =
-  Uas_runtime.Parallel.map_results ~ctx ?jobs ?timeout_s ?retries
+let fan_out ?(ctx = Ctx.default ()) ?jobs ?timeout_s ~scope ~failed f inputs =
+  Uas_runtime.Parallel.map_results ~ctx ?jobs ?timeout_s
     (fun x -> f (Ctx.in_scope ctx (scope x)) x)
     inputs
   |> List.map2

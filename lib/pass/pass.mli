@@ -38,15 +38,14 @@ val run : ?after:hook -> Cu.t -> t list -> (Cu.t, Diag.t) result
     starts: [f (Ctx.in_scope ctx (scope x)) x] for every input on the
     supervised {!Uas_runtime.Parallel} pool of [jobs] domains, results
     in input order.  [ctx] defaults to {!Uas_runtime.Ctx.default}.  A
-    task the pool gives up on (uncaught exception after [retries],
-    [timeout_s] wall-budget overrun) becomes [failed x d], [d] a [task]
-    diagnostic, and counts once in [sweep.task-failures] — one bad cell
-    never aborts the fan-out. *)
+    task the pool gives up on (an uncaught exception, an injected fault
+    included, or a [timeout_s] wall-budget overrun) becomes
+    [failed x d], [d] a [task] diagnostic, and counts once in
+    [sweep.task-failures] — one bad cell never aborts the fan-out. *)
 val fan_out :
   ?ctx:Uas_runtime.Ctx.t ->
   ?jobs:int ->
   ?timeout_s:float ->
-  ?retries:int ->
   scope:('a -> string) ->
   failed:('a -> Diag.t -> 'b) ->
   (Uas_runtime.Ctx.t -> 'a -> 'b) ->

@@ -1,5 +1,5 @@
 (* One validator for the supervision budget values, behind the
-   --task-timeout / --retries / --request-budget / --drain-timeout
+   --task-timeout / --request-budget / --drain-timeout
    converters of Uas_cli.Session and the daemon's per-request budget=
    key, so a nonsensical value (0, negative, NaN, absurdly large) is
    rejected with the same diagnostic everywhere, and the diagnostic
@@ -7,10 +7,8 @@
    precedent. *)
 
 let timeout_max_s = 86_400.0
-let retries_max = 100
 
 let timeout_range = Printf.sprintf "finite seconds in (0, %.0f]" timeout_max_s
-let retries_range = Printf.sprintf "an integer in [0, %d]" retries_max
 
 let timeout_of_string ~flag s =
   match float_of_string_opt (String.trim s) with
@@ -27,15 +25,3 @@ let timeout_of_string ~flag s =
       (Printf.sprintf "%s %g is out of range; expected %s" flag t
          timeout_range)
   | Some t -> Ok t
-
-let retries_of_string ~flag s =
-  match int_of_string_opt (String.trim s) with
-  | None ->
-    Error
-      (Printf.sprintf "%s %S is not an integer; expected %s" flag s
-         retries_range)
-  | Some n when n < 0 || n > retries_max ->
-    Error
-      (Printf.sprintf "%s %d is out of range; expected %s" flag n
-         retries_range)
-  | Some n -> Ok n

@@ -1,6 +1,6 @@
 (** Shared validation of the supervision budget values.
 
-    [--task-timeout], [--retries] and the daemon budgets
+    [--task-timeout] and the daemon budgets
     ([--request-budget], [--drain-timeout]) are parsed by the
     converters of [Uas_cli.Session], and the daemon's per-request
     [budget=] key by its request parser, all through this one module:
@@ -9,24 +9,16 @@
     diagnostic always names the valid range, matching the
     [UAS_JOBS]/[UAS_FAULT] precedent.
 
-    All functions take the flag name being validated ([~flag]) so the
+    The validator takes the flag name being validated ([~flag]) so the
     message points at the exact spelling the user typed
     ([--task-timeout] vs [--request-budget] vs [budget]). *)
 
 (** Upper bound accepted for any wall budget: one day, in seconds. *)
 val timeout_max_s : float
 
-(** Upper bound accepted for [--retries]. *)
-val retries_max : int
-
-(** Human rendering of the valid ranges (for help strings). *)
+(** Human rendering of the valid range (for help strings). *)
 val timeout_range : string
-
-val retries_range : string
 
 (** Accepts finite [t] with [0 < t <= timeout_max_s]; a non-numeric
     string is its own diagnostic. *)
 val timeout_of_string : flag:string -> string -> (float, string) result
-
-(** Accepts [0 <= n <= retries_max]. *)
-val retries_of_string : flag:string -> string -> (int, string) result

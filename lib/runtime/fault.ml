@@ -47,8 +47,6 @@ let () =
            (kind_name kind))
     | _ -> None)
 
-let is_injected = function Injected _ -> true | _ -> false
-
 (* ---- plans ---- *)
 
 type t = { text : string; specs : spec list }

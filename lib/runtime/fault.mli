@@ -48,8 +48,6 @@ type kind = Raise | Stall | Corrupt
     surfaces as a structured [Diag] — never a backtrace. *)
 exception Injected of { site : string; kind : kind }
 
-val is_injected : exn -> bool
-
 (** A parsed plan with its hit counters. *)
 type t
 

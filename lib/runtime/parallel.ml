@@ -20,9 +20,10 @@
      cancellation costs its helper, never the pool or the caller: the
      remaining tasks drain through the other workers, and the stuck
      helper rejoins the idle set whenever it finishes;
-   - an injected fault is retried up
-     to [retries] times with exponential backoff before the task is
-     declared failed. *)
+   - a task that raises, an injected fault included, fails its own cell
+     and nothing else: there is no retry;
+   - a helper that cannot be spawned (OCaml 5.1's limit of 128 domains)
+     leaves its tasks to the workers already running. *)
 
 let jobs_env_var = "UAS_JOBS"
 
@@ -42,24 +43,15 @@ let default_jobs () =
 
 module Task_failure = struct
   type t =
-    | Raised of {
-        exn : exn;
-        backtrace : Printexc.raw_backtrace;
-        attempts : int;
-      }
+    | Raised of { exn : exn }
     | Timed_out of { elapsed_s : float; budget_s : float }
 
   let to_message = function
-    | Raised { exn; attempts; _ } ->
-      if attempts > 1 then
-        Printf.sprintf "task failed after %d attempts: %s" attempts
-          (Printexc.to_string exn)
-      else Printf.sprintf "task failed: %s" (Printexc.to_string exn)
+    | Raised { exn } ->
+      Printf.sprintf "task failed: %s" (Printexc.to_string exn)
     | Timed_out { elapsed_s; budget_s } ->
       Printf.sprintf "task timed out after %.2fs (budget %.2fs)" elapsed_s
         budget_s
-
-  let pp ppf t = Fmt.string ppf (to_message t)
 end
 
 type 'b slot =
@@ -71,27 +63,14 @@ let slot_resolved s = match s with Pending -> false | Done _ | Failed _ -> true
 
 let site = "parallel.task"
 
-(* One attempt cycle for one input: the fault-injection site, then the
-   task itself, retried while the failure is an injected fault. *)
-let run_task (ctx : Ctx.t) ~retries ~retry_backoff_s f x ~label :
-    ('b, Task_failure.t) result =
-  let rec attempt k =
-    match
-      Fault.raise_if_armed ctx.faults ~scope:ctx.scope ~label site;
-      f x
-    with
-    | v -> Ok v
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      if k <= retries && Fault.is_injected e then begin
-        Instrument.incr ctx.trace "pool.retries";
-        if retry_backoff_s > 0.0 then
-          Unix.sleepf (retry_backoff_s *. float_of_int (1 lsl (k - 1)));
-        attempt (k + 1)
-      end
-      else Error (Task_failure.Raised { exn = e; backtrace = bt; attempts = k })
-  in
-  attempt 1
+(* One input: the fault-injection site, then the task itself. *)
+let run_task (ctx : Ctx.t) f x ~label : ('b, Task_failure.t) result =
+  match
+    Fault.raise_if_armed ctx.faults ~scope:ctx.scope ~label site;
+    f x
+  with
+  | v -> Ok v
+  | exception e -> Error (Task_failure.Raised { exn = e })
 
 (* ---- helper domains, kept across fan-outs ---- *)
 
@@ -112,6 +91,11 @@ let lock = Mutex.create ()
 let idle : helper list ref = ref []
 let idle_cap = max 1 (Domain.recommended_domain_count () - 1)
 
+(* OCaml 5.1 runs at most 128 domains, the main one included; one call
+   asks for at most this many helpers, leaving a spare for a caller
+   that is not the main domain. *)
+let helper_cap = 126
+
 (* Runs with [lock] held; returns with it released.  A job is [run],
    which must not raise, then [finished], called with [lock] held once
    the helper is back in the idle set (or about to exit), so a caller
@@ -131,7 +115,8 @@ let rec helper_loop h =
     finished ();
     if keep then helper_loop h else Mutex.unlock lock
 
-(* Start a job on an idle helper, or on a new one when none is idle. *)
+(* Start a job on an idle helper, or on a new one when none is idle.
+   [false] when no domain could be spawned: the job never runs. *)
 let on_helper (ctx : Ctx.t) ~run ~finished =
   Mutex.lock lock;
   match !idle with
@@ -139,23 +124,26 @@ let on_helper (ctx : Ctx.t) ~run ~finished =
     idle := rest;
     h.job <- Some (run, finished);
     Condition.signal h.wake;
-    Mutex.unlock lock
-  | [] ->
     Mutex.unlock lock;
-    Instrument.incr ctx.trace "pool.spawned";
+    true
+  | [] -> (
+    Mutex.unlock lock;
     let h = { wake = Condition.create (); job = Some (run, finished) } in
-    ignore
-      (Domain.spawn (fun () ->
-           Mutex.lock lock;
-           helper_loop h))
+    match
+      Domain.spawn (fun () ->
+          Mutex.lock lock;
+          helper_loop h)
+    with
+    | _ ->
+      Instrument.incr ctx.trace "pool.spawned";
+      true
+    | exception Failure _ -> false)
 
-let map_results ?(ctx = Ctx.default ()) ?jobs ?timeout_s ?(retries = 0)
-    ?(retry_backoff_s = 0.01) (f : 'a -> 'b) (xs : 'a list) :
-    ('b, Task_failure.t) result list =
+let map_results ?(ctx = Ctx.default ()) ?jobs ?timeout_s (f : 'a -> 'b)
+    (xs : 'a list) : ('b, Task_failure.t) result list =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Parallel.map_results: jobs must be >= 1";
-  if retries < 0 then invalid_arg "Parallel.map_results: retries must be >= 0";
-  let run_task = run_task ctx ~retries ~retry_backoff_s f in
+  let run_task = run_task ctx f in
   let items = Array.of_list xs in
   let n = Array.length items in
   if n = 0 then []
@@ -163,7 +151,10 @@ let map_results ?(ctx = Ctx.default ()) ?jobs ?timeout_s ?(retries = 0)
     (* sequential, unsupervised: no helper, no watchdog, no atomics *)
     List.mapi (fun i x -> run_task x ~label:(string_of_int i)) xs
   else begin
-    let workers = min jobs n in
+    (* under a wall budget every worker is a helper and the caller is
+       the watchdog; otherwise the caller is worker 0 *)
+    let first = if timeout_s = None then 1 else 0 in
+    let workers = min (min jobs n) (helper_cap + first) in
     let slots = Array.init n (fun _ -> Atomic.make Pending) in
     let next = Atomic.make 0 in
     (* per-worker supervision state: the running (task, start) pair the
@@ -188,15 +179,20 @@ let map_results ?(ctx = Ctx.default ()) ?jobs ?timeout_s ?(retries = 0)
         worker w ()
       end
     in
-    (* under a wall budget every worker is a helper and the caller is
-       the watchdog; otherwise the caller is worker 0.  [running]
-       counts the helpers still at work, guarded by [lock] *)
-    let first = if timeout_s = None then 1 else 0 in
+    (* [running] counts the helpers still at work, guarded by [lock] *)
     let running = ref (workers - first) and all_done = Condition.create () in
     for w = first to workers - 1 do
-      on_helper ctx ~run:(worker w) ~finished:(fun () ->
-          decr running;
-          Condition.signal all_done)
+      if
+        not
+          (on_helper ctx ~run:(worker w) ~finished:(fun () ->
+               decr running;
+               Condition.signal all_done))
+      then begin
+        (* its tasks stay in the queue for the running workers *)
+        Mutex.lock lock;
+        decr running;
+        Mutex.unlock lock
+      end
     done;
     let helpers_running () =
       Mutex.lock lock;
@@ -204,7 +200,12 @@ let map_results ?(ctx = Ctx.default ()) ?jobs ?timeout_s ?(retries = 0)
       Mutex.unlock lock;
       r
     in
-    (match timeout_s with
+    (* under a wall budget with no helper started at all, the caller
+       runs the tasks itself, unsupervised *)
+    let budget =
+      if first = 0 && helpers_running () = 0 then None else timeout_s
+    in
+    (match budget with
     | None ->
       (* every worker terminates (tasks may raise but not stall), so
          waiting drains the pool *)
@@ -257,21 +258,3 @@ let map_results ?(ctx = Ctx.default ()) ?jobs ?timeout_s ?(retries = 0)
         | Failed tf -> Error tf
         | Pending -> assert false)
   end
-
-let map ?jobs (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  let results = map_results ?jobs f xs in
-  (* fail like a sequential run: the earliest failed input's exception,
-     with its original backtrace *)
-  List.iter
-    (function
-      | Error (Task_failure.Raised { exn; backtrace; _ }) ->
-        Printexc.raise_with_backtrace exn backtrace
-      | Error (Task_failure.Timed_out _ as tf) ->
-        (* unreachable: [map] never sets a wall budget *)
-        failwith (Task_failure.to_message tf)
-      | Ok _ -> ())
-    results;
-  List.map (function Ok v -> v | Error _ -> assert false) results
-
-let map_reduce ?jobs ~map:fm ~reduce ~init xs =
-  List.fold_left reduce init (map ?jobs fm xs)

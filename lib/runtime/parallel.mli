@@ -12,15 +12,14 @@
     them (the rest exit), and a call that finds none idle spawns one,
     counted as ["pool.spawned"].
 
-    Two entry points share that machinery.  {!map} is observably
-    [List.map] — an exception raised by a task is captured with its
-    backtrace and re-raised in the caller (the input-order first one
-    wins) after the remaining tasks drain.  {!map_results} is the
-    supervised variant: each input gets a per-cell
-    [('b, Task_failure.t) result], a wall budget turns an overrunning
-    task into [Timed_out] (the calling domain is the watchdog) instead
-    of hanging the pool, and retryable failures — injected faults — are
-    retried with exponential backoff.
+    {!map_results} is the one entry point, and it is supervised: each
+    input gets a per-cell [('b, Task_failure.t) result], so a task that
+    raises (an injected fault included) fails its own cell and nothing
+    else, and a wall budget turns an overrunning task into [Timed_out]
+    (the calling domain is the watchdog) instead of hanging the pool.
+    One call asks for at most 126 helpers, below OCaml 5.1's limit of
+    128 domains; a helper that cannot be spawned (other domains alive)
+    leaves its tasks to the workers already running.
 
     Tasks must not touch shared mutable state; every pass in this
     repository is pure (all its refs are function-local), which is what
@@ -47,68 +46,36 @@ val default_jobs : unit -> int
 (** Why a supervised task produced no result. *)
 module Task_failure : sig
   type t =
-    | Raised of {
-        exn : exn;
-        backtrace : Printexc.raw_backtrace;
-        attempts : int;  (** total attempts made, [>= 1] *)
-      }
-        (** The task raised on its last attempt (after exhausting any
-            retry budget). *)
+    | Raised of { exn : exn }  (** The task raised. *)
     | Timed_out of { elapsed_s : float; budget_s : float }
         (** The watchdog resolved the slot after the task overran its
             wall budget; any late result from the task is discarded. *)
 
   val to_message : t -> string
-  val pp : t Fmt.t
 end
 
-(** [map_results ?ctx ?jobs ?timeout_s ?retries ?retry_backoff_s f xs]
-    runs [f] over [xs] on the pool and returns one
-    [('b, Task_failure.t) result] per input, in input order — no
-    exception ever escapes.  [ctx] (default {!Ctx.default}) supplies the
-    [parallel.task] fault plan and scope and the sink of the [pool.*]
-    counters.
+(** [map_results ?ctx ?jobs ?timeout_s f xs] runs [f] over [xs] on a
+    pool of [jobs] workers (default [default_jobs ()]; never more than
+    [List.length xs]) and returns one [('b, Task_failure.t) result] per
+    input, in input order — no exception ever escapes.  [jobs = 1]
+    without a wall budget runs sequentially in the calling domain.
+    [ctx] (default {!Ctx.default}) supplies the [parallel.task] fault
+    plan and scope and the sink of the [pool.*] counters.
 
-    - [timeout_s]: per-task wall budget.  When set, every worker runs
-      on a helper and the calling domain polls the running tasks, marks
-      overrunners [Timed_out] and raises their worker's cancellation
-      flag ({!Fault.cancel_requested}).  A task deaf to cancellation
-      costs its worker, never the pool: remaining tasks drain through
-      the other workers, the call returns without it (counted as
-      ["pool.abandoned-workers"]), and its helper rejoins the idle set
-      when the task ends.
-    - [retries] (default 0): extra attempts for an injected fault
-      ({!Fault.is_injected}), with backoff
-      [retry_backoff_s * 2^(attempt-1)] (default base 10ms) between
-      attempts.  Retries count as ["pool.retries"], timeouts as
-      ["pool.timed-out"]. *)
+    [timeout_s] is a per-task wall budget.  When set, every worker runs
+    on a helper and the calling domain polls the running tasks, marks
+    overrunners [Timed_out] (counted as ["pool.timed-out"]) and raises
+    their worker's cancellation flag ({!Fault.cancel_requested}).  A
+    task deaf to cancellation costs its worker, never the pool:
+    remaining tasks drain through the other workers, the call returns
+    without it (counted as ["pool.abandoned-workers"]), and its helper
+    rejoins the idle set when the task ends.  When not one helper can
+    be spawned, the caller runs the tasks itself and the budget is not
+    enforced. *)
 val map_results :
   ?ctx:Ctx.t ->
   ?jobs:int ->
   ?timeout_s:float ->
-  ?retries:int ->
-  ?retry_backoff_s:float ->
   ('a -> 'b) ->
   'a list ->
   ('b, Task_failure.t) result list
-
-(** [map ?jobs f xs] is [List.map f xs] computed by a pool of [jobs]
-    domains (default [default_jobs ()]; never more than
-    [List.length xs]).  [jobs = 1] runs sequentially in the calling
-    domain with no pool at all.  Results are in input order.  If one or
-    more applications of [f] raise, the remaining tasks still run and
-    the exception of the earliest failed *input* is re-raised with its
-    original backtrace. *)
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [map_reduce ?jobs ~map ~reduce ~init xs] maps over the pool, then
-    folds the results left-to-right in input order:
-    [List.fold_left reduce init (map ?jobs map xs)] — deterministic
-    even when [reduce] is not commutative. *)
-val map_reduce :
-  ?jobs:int ->
-  map:('a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a list ->
-  'acc

@@ -336,7 +336,7 @@ let evict_sweep t =
         (* another process holds the store lock (its own sweep or
            publish in flight): racing it could tear an entry out from
            under a reader, so skip this sweep — the next over-budget
-           write retries — and record the incident *)
+           write tries again — and record the incident *)
         Atomic.incr t.evict_skipped)
 
 (* ---- write ---- *)

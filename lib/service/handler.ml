@@ -227,10 +227,9 @@ let plan_incidents (plan : P.plan) =
 type limits = {
   l_jobs : int option;  (** pool width for the request's cells *)
   l_timeout_s : float option;  (** per-cell wall budget (PR 5 watchdog) *)
-  l_retries : int option;
 }
 
-let no_limits = { l_jobs = None; l_timeout_s = None; l_retries = None }
+let no_limits = { l_jobs = None; l_timeout_s = None }
 
 let find_benchmark name =
   match Registry.find name with
@@ -250,22 +249,22 @@ let find_benchmark name =
    lives on. *)
 let execute ?ctx ?(limits = no_limits) (w : work) :
     (string * int, string) result =
-  let { l_jobs; l_timeout_s; l_retries } = limits in
+  let { l_jobs; l_timeout_s } = limits in
   match
     let* b = find_benchmark (bench_name w) in
     match w with
     | W_estimate o ->
       let row =
         E.run_benchmark ?ctx ~verify:o.e_verify ~validate:o.e_validate
-          ?jobs:l_jobs ?timeout_s:l_timeout_s ?retries:l_retries b
+          ?jobs:l_jobs ?timeout_s:l_timeout_s b
       in
       Ok (render_estimate row, estimate_incidents row)
     | W_plan o ->
       let probe = if o.p_validate then Some b.Registry.b_workload else None in
       let plan =
         P.plan ?ctx ?jobs:l_jobs ~objective:o.p_objective ?validate:probe
-          ?timeout_s:l_timeout_s ?retries:l_retries
-          b.Registry.b_program ~outer_index:b.Registry.b_outer_index
+          ?timeout_s:l_timeout_s b.Registry.b_program
+          ~outer_index:b.Registry.b_outer_index
           ~inner_index:b.Registry.b_inner_index ~benchmark:b.Registry.b_name
       in
       Ok (render_plan plan, plan_incidents plan)

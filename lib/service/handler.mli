@@ -68,7 +68,6 @@ val render_plan : Uas_core.Planner.plan -> string
 type limits = {
   l_jobs : int option;
   l_timeout_s : float option;  (** per-cell wall budget (PR 5 watchdog) *)
-  l_retries : int option;
 }
 
 val no_limits : limits

@@ -35,7 +35,7 @@ type config = {
   c_socket : string;
   c_pidfile : string option;
   c_queue_depth : int;
-  c_limits : Handler.limits;  (** jobs / per-cell timeout / retries *)
+  c_limits : Handler.limits;  (** jobs / per-cell timeout *)
   c_request_budget_s : float option;
       (** default per-request wall budget; a request's [budget=] key
           overrides it downward or upward *)

@@ -12,7 +12,7 @@ type config = {
   c_socket : string;  (** Unix-domain socket path *)
   c_pidfile : string option;
   c_queue_depth : int;  (** admission bound; beyond it requests shed *)
-  c_limits : Handler.limits;  (** jobs / per-cell timeout / retries *)
+  c_limits : Handler.limits;  (** jobs / per-cell timeout *)
   c_request_budget_s : float option;
       (** default per-request wall budget; a request's [budget=] key
           overrides it *)

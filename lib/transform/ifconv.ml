@@ -63,11 +63,6 @@ let convert_if ~fresh (c : Expr.t) (t : Stmt.t list) (e : Stmt.t list) :
     Some (Stmt.Assign (cvar, c) :: selects)
   | _ -> None
 
-(** Names of the shadow/condition temporaries [apply] may introduce for
-    a program, so they can be declared.  (Internal helper exposed for
-    tests.) *)
-let shadow_name v = v ^ "@ifc"
-
 (** If-convert every convertible conditional in [p] (bottom-up). *)
 let apply (p : Stmt.program) : Stmt.program =
   let counter = ref 0 in

@@ -8,7 +8,3 @@ open Uas_ir
 (** Convert every convertible conditional, bottom-up; unconvertible
     ones (stores/loops in arms) are left in place. *)
 val apply : Stmt.program -> Stmt.program
-
-(** Shadow-name convention for converted variables (exposed for
-    tests). *)
-val shadow_name : string -> string

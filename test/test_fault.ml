@@ -286,10 +286,9 @@ let test_validate_off_on_byte_identical () =
 
 (* --- the one fan-out: a pool task that gives up is one task skip --- *)
 
-(* [parallel.task=N:raise:1] with no retries: the task at input index N
-   fails in the pool itself.  Table 6.2 rows and plans both show
-   exactly that one [error[task]] skip; every other row is the clean
-   run's. *)
+(* [parallel.task=N:raise:1]: the task at input index N fails in the
+   pool itself.  Table 6.2 rows and plans both show exactly that one
+   [error[task]] skip; every other row is the clean run's. *)
 
 let task_diag (d : Diag.t) = String.equal d.Diag.d_pass "task"
 
@@ -303,7 +302,7 @@ let test_task_failure_benchmark () =
   let clean = E.run_benchmark ~verify:true ~jobs:2 b in
   let faulted =
     E.run_benchmark ~ctx:(faulty "parallel.task=3:raise:1") ~verify:true
-      ~jobs:2 ~retries:0 b
+      ~jobs:2 b
   in
   let failed = List.nth N.paper_versions 3 in
   (match List.filter (fun s -> task_diag s.E.s_diag) faulted.E.br_skipped with
@@ -323,7 +322,7 @@ let test_task_failure_benchmark () =
 let test_task_failure_plan () =
   let b = iir () in
   let plan ?ctx () =
-    P.plan ?ctx ~jobs:2 ~retries:0 b.R.b_program
+    P.plan ?ctx ~jobs:2 b.R.b_program
       ~outer_index:b.R.b_outer_index ~inner_index:b.R.b_inner_index
       ~benchmark:b.R.b_name
   in

@@ -1,5 +1,5 @@
-(* The runtime subsystem: the Domain pool (ordering, exception
-   propagation, UAS_JOBS), the pass instrumentation registry (spans,
+(* The runtime subsystem: the Domain pool (ordering, per-cell
+   failures, UAS_JOBS), the pass instrumentation registry (spans,
    counters, thread safety, JSON), and the shared command-line session
    term. *)
 
@@ -15,6 +15,14 @@ let contains ~affix s =
 
 (* --- Parallel --- *)
 
+(* The values of an all-[Ok] fan-out; a failed cell fails the test. *)
+let oks rs =
+  List.map
+    (function
+      | Ok y -> y
+      | Error tf -> Alcotest.fail (Parallel.Task_failure.to_message tf))
+    rs
+
 let test_map_matches_sequential () =
   let xs = List.init 100 Fun.id in
   let f x = (x * x) + 1 in
@@ -24,12 +32,14 @@ let test_map_matches_sequential () =
       Alcotest.(check (list int))
         (Printf.sprintf "jobs=%d" jobs)
         expected
-        (Parallel.map ~jobs f xs))
+        (oks (Parallel.map_results ~jobs f xs)))
     [ 1; 2; 4; 8; 101 ]
 
 let test_map_empty_and_singleton () =
-  Alcotest.(check (list int)) "empty" [] (Parallel.map ~jobs:4 succ []);
-  Alcotest.(check (list int)) "singleton" [ 2 ] (Parallel.map ~jobs:4 succ [ 1 ])
+  Alcotest.(check (list int)) "empty" []
+    (oks (Parallel.map_results ~jobs:4 succ []));
+  Alcotest.(check (list int)) "singleton" [ 2 ]
+    (oks (Parallel.map_results ~jobs:4 succ [ 1 ]))
 
 let test_map_preserves_order_under_skew () =
   (* earlier items do more work than later ones, so a pool that
@@ -44,24 +54,14 @@ let test_map_preserves_order_under_skew () =
     ignore !acc;
     x
   in
-  Alcotest.(check (list int)) "input order" xs (Parallel.map ~jobs:4 f xs)
+  Alcotest.(check (list int)) "input order" xs
+    (oks (Parallel.map_results ~jobs:4 f xs))
 
 exception Boom of int
 
-let test_map_reraises_first_input_failure () =
-  let f x = if x = 3 || x = 7 then raise (Boom x) else x in
-  List.iter
-    (fun jobs ->
-      match Parallel.map ~jobs f (List.init 10 Fun.id) with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom n ->
-        Alcotest.(check int)
-          (Printf.sprintf "first input-order failure (jobs=%d)" jobs)
-          3 n)
-    [ 1; 4 ]
-
 let test_map_failure_still_completes_rest () =
-  (* a failing task never cancels its siblings: the pool drains *)
+  (* a failing task never cancels its siblings: the pool drains, and
+     the failure stays in its own cell *)
   let completed = Atomic.make 0 in
   let f x =
     if x = 0 then failwith "first"
@@ -70,23 +70,64 @@ let test_map_failure_still_completes_rest () =
       x
     end
   in
-  (match Parallel.map ~jobs:4 f (List.init 8 Fun.id) with
-  | _ -> Alcotest.fail "expected the failure to re-raise"
-  | exception Failure m -> Alcotest.(check string) "earliest failure" "first" m);
+  (match Parallel.map_results ~jobs:4 f (List.init 8 Fun.id) with
+  | Error (Parallel.Task_failure.Raised { exn = Failure m }) :: rest ->
+    Alcotest.(check string) "the failed cell" "first" m;
+    Alcotest.(check (list int)) "its siblings" (List.init 7 succ) (oks rest)
+  | _ -> Alcotest.fail "expected the first cell to fail");
   Alcotest.(check int) "remaining tasks completed" 7 (Atomic.get completed)
 
-let test_map_reduce () =
-  let total =
-    Parallel.map_reduce ~jobs:4 ~map:Fun.id ~reduce:( + ) ~init:0
-      (List.init 100 succ)
+(* A fan-out wider than OCaml 5.1's 128 domains: the helpers asked for
+   are capped, so every task comes back [Ok], supervised or not. *)
+let test_map_results_past_domain_limit () =
+  let xs = List.init 200 Fun.id in
+  let f x =
+    Unix.sleepf 0.2;
+    x
   in
-  Alcotest.(check int) "sum 1..100" 5050 total;
-  (* non-commutative reduce still folds in input order *)
-  let concat =
-    Parallel.map_reduce ~jobs:4 ~map:string_of_int ~reduce:( ^ ) ~init:""
-      [ 1; 2; 3; 4; 5 ]
+  Alcotest.(check (list int)) "unsupervised" xs
+    (oks (Parallel.map_results ~jobs:200 f xs));
+  Alcotest.(check (list int)) "under a wall budget" xs
+    (oks (Parallel.map_results ~jobs:200 ~timeout_s:10.0 f xs))
+
+(* With every domain slot taken, no helper can be spawned: the tasks
+   run on the workers that exist (the caller, or an idle helper) and
+   nothing escapes, supervised or not.  The nested calls run while the
+   outer call holds the idle helpers, so they find none at all and
+   their caller runs the tasks itself. *)
+let test_map_results_spawn_failure () =
+  let release = Atomic.make false in
+  let rec fill acc =
+    match
+      Domain.spawn (fun () ->
+          while not (Atomic.get release) do
+            Unix.sleepf 0.005
+          done)
+    with
+    | d -> fill (d :: acc)
+    | exception Failure _ -> acc
   in
-  Alcotest.(check string) "ordered fold" "12345" concat
+  let blockers = fill [] in
+  let xs = List.init 8 Fun.id in
+  let results =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set release true;
+        List.iter Domain.join blockers)
+      (fun () ->
+        [ Parallel.map_results ~jobs:4 succ xs;
+          Parallel.map_results ~jobs:4 ~timeout_s:10.0 succ xs;
+          Parallel.map_results ~jobs:8 ~timeout_s:10.0
+            (fun x ->
+              List.nth
+                (oks (Parallel.map_results ~jobs:4 ~timeout_s:10.0 succ xs))
+                x)
+            xs ])
+  in
+  List.iter
+    (fun rs ->
+      Alcotest.(check (list int)) "every task ran" (List.map succ xs) (oks rs))
+    results
 
 let test_default_jobs_env () =
   Unix.putenv Parallel.jobs_env_var "3";
@@ -135,11 +176,9 @@ let test_map_results_per_cell () =
               (Printf.sprintf "input %d succeeded (jobs=%d)" i jobs)
               true (i <> 3);
             Alcotest.(check int) "value" (i * 2) y
-          | Error (Parallel.Task_failure.Raised { exn = Boom n; attempts; _ })
-            ->
+          | Error (Parallel.Task_failure.Raised { exn = Boom n }) ->
             Alcotest.(check int) "the failing input" 3 i;
-            Alcotest.(check int) "its payload" 3 n;
-            Alcotest.(check int) "single attempt without retries" 1 attempts
+            Alcotest.(check int) "its payload" 3 n
           | Error tf ->
             Alcotest.failf "unexpected failure: %s"
               (Parallel.Task_failure.to_message tf))
@@ -177,39 +216,15 @@ let test_map_results_timeout_drains () =
             rs)
         [ 1; 4 ])
 
-(* An injected fault is retryable: with a retry budget the task
-   succeeds on its second attempt (the spec fires exactly once) and the
-   retry is counted in the context's sink. *)
-let test_map_results_retries_injected () =
-  let trace = Instrument.create () in
-  let rs =
-    Parallel.map_results
-      ~ctx:(Helpers.ctx ~plan:"parallel.task=1:raise:1" ~trace ())
-      ~jobs:2 ~retries:1 ~retry_backoff_s:0.001 succ (List.init 4 Fun.id)
-  in
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok y -> Alcotest.(check int) "value" (i + 1) y
-      | Error tf ->
-        Alcotest.failf "input %d not retried: %s" i
-          (Parallel.Task_failure.to_message tf))
-    rs;
-  match List.assoc_opt "pool.retries" (Instrument.counters trace) with
-  | Some n -> Alcotest.(check int) "one retry recorded" 1 n
-  | None -> Alcotest.fail "pool.retries not counted"
-
-(* Without a retry budget the injected fault surfaces as that cell's
-   Raised failure, attempts = 1. *)
+(* An injected fault surfaces as that cell's Raised failure, like any
+   other exception: there is no retry. *)
 let test_map_results_injected_not_retried () =
   let rs =
     Parallel.map_results ~ctx:(faulty "parallel.task=1:raise:1") ~jobs:2 succ
       (List.init 4 Fun.id)
   in
   match List.nth rs 1 with
-  | Error (Parallel.Task_failure.Raised { exn; attempts; _ }) ->
-    Alcotest.(check bool) "injected" true (Fault.is_injected exn);
-    Alcotest.(check int) "no retries" 1 attempts
+  | Error (Parallel.Task_failure.Raised { exn = Fault.Injected _ }) -> ()
   | Ok _ -> Alcotest.fail "expected the injected failure"
   | Error tf ->
     Alcotest.failf "unexpected failure: %s"
@@ -319,7 +334,7 @@ let test_instrument_records () =
 let test_instrument_thread_safe () =
   let t = Instrument.create () in
   let _ =
-    Parallel.map ~jobs:4
+    Parallel.map_results ~jobs:4
       (fun i ->
         Instrument.span t "par-span" (fun () -> Sys.opaque_identity i)
         |> ignore;
@@ -341,7 +356,6 @@ let base =
     cache = None;
     cache_verify = false;
     task_timeout = None;
-    retries = None;
     validate = false;
     timings = false }
 
@@ -382,7 +396,6 @@ let test_session_flags () =
       ([ "--cache-verify" ], { base with Session.cache_verify = true });
       ( [ "--task-timeout"; "2.5" ],
         { base with Session.task_timeout = Some 2.5 } );
-      ([ "--retries"; "0" ], { base with Session.retries = Some 0 });
       ([ "--validate"; "probe" ], { base with Session.validate = true });
       ([ "--timings" ], { base with Session.timings = true }) ];
   (* every rejection is a parse error naming the valid values; -j takes
@@ -400,13 +413,12 @@ let test_session_flags () =
        ([ "-j"; "lots" ], "must be a positive integer");
        ([ "--validate"; "maybe" ], "probe");
        ([ "--task-timeout"; "0" ], Uas_runtime.Budget.timeout_range);
-       ([ "--task-timeout"; "nan" ], Uas_runtime.Budget.timeout_range);
-       ([ "--retries"; "1000" ], Uas_runtime.Budget.retries_range) ]
-    (* the deleted flags (the second II oracle, the interpreter tier)
-       are unknown options *)
+       ([ "--task-timeout"; "nan" ], Uas_runtime.Budget.timeout_range) ]
+    (* the deleted flags (the second II oracle, the interpreter tier,
+       the task retry budget) are unknown options *)
     @ List.map
         (fun (flag, value) -> ([ "--" ^ flag; value ], "unknown option"))
-        [ ("exact-ii", "report"); ("interp", "ref") ])
+        [ ("exact-ii", "report"); ("interp", "ref"); ("retries", "1") ])
 
 (* The shared budget-flag validator behind nimblec, bench/main.exe and
    nimbled: nonsensical values are structured diagnostics that name
@@ -416,9 +428,6 @@ let test_budget_validator () =
   (match Budget.timeout_of_string ~flag:"--task-timeout" "2.5" with
   | Ok t -> Alcotest.(check (float 0.0)) "valid timeout" 2.5 t
   | Error m -> Alcotest.failf "valid timeout rejected: %s" m);
-  (match Budget.retries_of_string ~flag:"--retries" "0" with
-  | Ok n -> Alcotest.(check int) "zero retries is valid" 0 n
-  | Error m -> Alcotest.failf "zero retries rejected: %s" m);
   let reject_timeout name s =
     match Budget.timeout_of_string ~flag:"--task-timeout" s with
     | Ok _ -> Alcotest.failf "%s: accepted %s" name s
@@ -432,21 +441,7 @@ let test_budget_validator () =
   List.iter
     (fun (name, s) -> reject_timeout name s)
     [ ("zero", "0"); ("negative", "-3"); ("nan", "nan");
-      ("infinite", "inf"); ("beyond the cap", "1e9"); ("noise", "soon") ];
-  let reject_retries name s =
-    match Budget.retries_of_string ~flag:"--retries" s with
-    | Ok _ -> Alcotest.failf "%s: accepted %s" name s
-    | Error m ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s names the flag and range" name)
-        true
-        (Astring_contains.contains ~sub:"--retries" m
-        && Astring_contains.contains ~sub:Budget.retries_range m)
-  in
-  List.iter
-    (fun (name, s) -> reject_retries name s)
-    [ ("negative", "-1"); ("beyond the cap", "1000"); ("noise", "many");
-      ("fractional", "1.5") ]
+      ("infinite", "inf"); ("beyond the cap", "1e9"); ("noise", "soon") ]
 
 (* --- helpers kept across fan-outs --- *)
 
@@ -525,7 +520,7 @@ let test_pool_after_abandoned_worker () =
     (List.assoc_opt "pool.abandoned-workers" (Instrument.counters trace));
   let xs = List.init 6 Fun.id in
   Alcotest.(check (list int)) "next fan-out" (List.map succ xs)
-    (Parallel.map ~jobs:2 succ xs);
+    (oks (Parallel.map_results ~jobs:2 succ xs));
   Unix.sleepf 1.0 (* the stalled task has ended *);
   let trace = Instrument.create () in
   for _ = 1 to 20 do
@@ -534,25 +529,24 @@ let test_pool_after_abandoned_worker () =
   Alcotest.(check int) "no spawn once the helpers are idle" 0 (spawned trace)
 
 let suite =
-  [ Alcotest.test_case "Parallel.map = List.map" `Quick
+  [ Alcotest.test_case "map_results = List.map" `Quick
       test_map_matches_sequential;
-    Alcotest.test_case "Parallel.map edge sizes" `Quick
+    Alcotest.test_case "map_results edge sizes" `Quick
       test_map_empty_and_singleton;
-    Alcotest.test_case "Parallel.map order under skew" `Quick
+    Alcotest.test_case "map_results order under skew" `Quick
       test_map_preserves_order_under_skew;
-    Alcotest.test_case "Parallel.map re-raises first failure" `Quick
-      test_map_reraises_first_input_failure;
-    Alcotest.test_case "Parallel.map failure drains siblings" `Quick
+    Alcotest.test_case "map_results failure drains siblings" `Quick
       test_map_failure_still_completes_rest;
-    Alcotest.test_case "Parallel.map_reduce" `Quick test_map_reduce;
+    Alcotest.test_case "map_results past the domain limit" `Quick
+      test_map_results_past_domain_limit;
+    Alcotest.test_case "map_results when no helper spawns" `Quick
+      test_map_results_spawn_failure;
     Alcotest.test_case "UAS_JOBS parsing" `Quick test_default_jobs_env;
     Alcotest.test_case "UAS_JOBS result API" `Quick test_default_jobs_result;
     Alcotest.test_case "map_results per-cell outcomes" `Quick
       test_map_results_per_cell;
     Alcotest.test_case "map_results timeout drains the pool" `Quick
       test_map_results_timeout_drains;
-    Alcotest.test_case "map_results retries injected faults" `Quick
-      test_map_results_retries_injected;
     Alcotest.test_case "map_results injected fault is per-cell" `Quick
       test_map_results_injected_not_retried;
     Alcotest.test_case "pool helpers reused across fan-outs" `Quick

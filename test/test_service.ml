@@ -260,7 +260,7 @@ let test_backoff_schedule () =
   Alcotest.(check bool) "different seed decorrelates" true (a <> c)
 
 let test_client_unreachable () =
-  (* nobody listening: bounded retries, then a typed giving-up *)
+  (* nobody listening: bounded attempts, then a typed giving-up *)
   match
     Client.call ~attempts:2 ~base_s:0.001 ~seed:7 "/nonexistent/nimbled.sock"
       (Handler.to_frame Handler.Health)
