@@ -6,12 +6,14 @@
    scalarization, scalar cleanup, interchange — the §4.2 rewrites that
    widen squash's applicability or shrink its kernel) followed by
    squash at DS in {2, 4, 8}; the two untransformed designs (original,
-   pipelined) anchor the ranking.  Every candidate runs the same
-   memoized pass pipeline the sweep engine uses — analyze, the rewrite
-   passes from the registry, then dfg-build/schedule/estimate — fanned
-   out over the domain pool.  An illegal candidate keeps its diagnostic
-   and ranks below every estimated one, so a plan table always accounts
-   for the full search space. *)
+   pipelined) anchor the ranking.  Candidates run the pass pipeline the
+   sweep engine uses — analyze, the rewrite passes from the registry,
+   then dfg-build/schedule/estimate — in two fan-outs over the domain
+   pool: each candidate's analysis and enabling prefix is its own, but
+   the squash and quick synthesis are shared by every candidate whose
+   prefix reaches the same program (see [plan]).  An illegal candidate
+   keeps its diagnostic and ranks below every estimated one, so a plan
+   table always accounts for the full search space. *)
 
 module Estimate = Uas_hw.Estimate
 module Datapath = Uas_hw.Datapath
@@ -94,14 +96,6 @@ type plan = {
   p_baseline : Estimate.report option;  (** the original design's report *)
   p_rows : row list;  (** ranked, best first; skipped candidates last *)
 }
-
-let rewrite_passes ?validate (c : candidate) : Pass.t list =
-  List.map
-    (fun name ->
-      if String.equal name "squash" then
-        Rewrite.pass ~factor:c.c_ds ?validate "squash"
-      else Rewrite.pass ?validate name)
-    c.c_sequence
 
 (* ---- plan-row serialization (artifact store) ----
 
@@ -221,48 +215,87 @@ let row_context ?validate ~target ~outer_index ~inner_index
     "effort=" ^ string_of_int Uas_dfg.Sched.default_effort;
     "exact-effort=" ^ string_of_int Uas_dfg.Sched.default_exact_effort ]
 
-let run_candidate ?validate ~target
-    (p : Uas_ir.Stmt.program) ~outer_index ~inner_index ctx (c : candidate) :
-    row =
+(* The candidate's rewrites split before the final squash: the enabling
+   prefix (every rewrite but the squash) and the squash factor, [None]
+   on the baselines. *)
+let split_squash (c : candidate) =
+  match List.rev c.c_sequence with
+  | "squash" :: rev_prefix -> (List.rev rev_prefix, Some c.c_ds)
+  | _ -> (c.c_sequence, None)
+
+(* Phase 1's answer for one candidate: a finished row (served from the
+   store, or its prefix failed), or its unit after the enabling prefix,
+   together with the original unit and context its plan row is stored
+   under. *)
+type prefixed =
+  | Row of row
+  | Prefixed of {
+      p_row_unit : Cu.t;
+      p_context : string list;
+      p_unit : Cu.t;
+      p_incidents : Diag.t list;
+          (* [p_unit]'s, read before phase 2 can log more on it *)
+    }
+
+let error_row c d =
+  { r_candidate = c; r_outcome = Error d; r_gap = None; r_incidents = [] }
+
+let prefix_candidate ?validate ~target (p : Uas_ir.Stmt.program) ~outer_index
+    ~inner_index ctx (c : candidate) : prefixed =
   let cu = Cu.make ~ctx p ~outer_index ~inner_index in
-  let kind = "plan-row" in
-  let context =
-    row_context ?validate ~target ~outer_index ~inner_index c
-  in
+  let context = row_context ?validate ~target ~outer_index ~inner_index c in
   let cached =
-    match Cu.store_get cu ~kind ~context with
+    match Cu.store_get cu ~kind:"plan-row" ~context with
     | None -> None
     | Some payload -> (
       match row_of_payload c payload with
       | Some _ as ok -> ok
       | None ->
-        Cu.store_undecodable cu ~kind;
+        Cu.store_undecodable cu ~kind:"plan-row";
         None)
   in
   match cached with
-  | Some row -> row
-  | None ->
+  | Some row -> Row row
+  | None -> (
+    let prefix, _ = split_squash c in
     let passes =
-      (Stages.analyze :: rewrite_passes ?validate c)
-      @ Stages.quick_synthesis ~target ~pipelined:c.c_pipelined
-          ~name:c.c_label
+      Stages.analyze
+      :: List.map (fun name -> Rewrite.pass ?validate name) prefix
     in
-    let row =
-      match Pass.run cu passes with
-      | Ok cu -> (
-        match Cu.report cu with
-        | Some r ->
-          { r_candidate = c;
-            r_outcome = Ok r;
-            r_gap = None;
-            r_incidents = Cu.incidents cu }
-        | None -> assert false (* the estimate pass always sets the report *)
-        )
-      | Error d ->
-        { r_candidate = c; r_outcome = Error d; r_gap = None; r_incidents = [] }
-    in
-    Cu.store_put cu ~kind ~context (row_payload row);
-    row
+    match Pass.run cu passes with
+    | Ok u ->
+      Prefixed
+        { p_row_unit = cu;
+          p_context = context;
+          p_unit = u;
+          p_incidents = Cu.incidents u }
+    | Error d ->
+      let row = error_row c d in
+      Cu.store_put cu ~kind:"plan-row" ~context (row_payload row);
+      Row row)
+
+(* Phase 2 for one group: squash the first member's prefixed unit and
+   quick-synthesize it.  The answer is the outcome plus the incidents
+   this evaluation added on top of that member's prefix incidents. *)
+let evaluate ?validate ~target ((c : candidate), u) =
+  let squash =
+    match split_squash c with
+    | _, Some factor -> [ Rewrite.pass ~factor ?validate "squash" ]
+    | _, None -> []
+  in
+  let passes =
+    squash
+    @ Stages.quick_synthesis ~target ~pipelined:c.c_pipelined ~name:c.c_label
+  in
+  (* a rewrite that degrades logs on its input unit, so count first *)
+  let before = List.length (Cu.incidents u) in
+  match Pass.run u passes with
+  | Error d -> (Error d, [])
+  | Ok final -> (
+    match Cu.report final with
+    | Some r ->
+      (Ok r, List.filteri (fun i _ -> i >= before) (Cu.incidents final))
+    | None -> assert false (* the estimate pass always sets the report *))
 
 (* ---- metrics and ranking ---- *)
 
@@ -288,12 +321,22 @@ let rank_key objective ~base (row : row) =
         r.Estimate.r_area_rows,
         row.r_candidate.c_label ) )
 
+(* What squash and quick synthesis compute from: the prefixed program,
+   its kernel nest, the squash factor and the scheduling mode. *)
+let group_key (c : candidate) u =
+  ( Cu.canonical_text u,
+    Cu.outer_index u,
+    Cu.inner_index u,
+    snd (split_squash c),
+    c.c_pipelined )
+
 (** Score every candidate of the search space on the benchmark nest and
     rank by [objective] (default: [Ratio], the Figure 6.3 efficiency
-    metric).  Candidates fan out over the domain pool like sweep
-    versions; each runs inside a fault scope named
-    ["<benchmark>/<label>"], and a task the pool gives up on ranks last
-    with a [task] diagnostic instead of aborting the plan. *)
+    metric).  Phase 1 fans out one task per candidate, in the scope
+    ["<benchmark>/<label>"]; phase 2 one task per distinct {!group_key},
+    in its first member's scope, and every member shares its outcome.
+    A task the pool gives up on ranks last with a [task] diagnostic
+    instead of aborting the plan. *)
 let plan ?ctx ?(target = Datapath.default) ?jobs ?(objective = Ratio)
     ?(factors = default_factors) ?validate ?timeout_s
     (p : Uas_ir.Stmt.program) ~outer_index ~inner_index ~benchmark : plan =
@@ -304,16 +347,53 @@ let plan ?ctx ?(target = Datapath.default) ?jobs ?(objective = Ratio)
     in
     candidates ~factors ~depth ()
   in
-  let rows =
-    Pass.fan_out ?ctx ?jobs ?timeout_s
-      ~scope:(fun c -> benchmark ^ "/" ^ c.c_label)
-      ~failed:(fun c d ->
-        { r_candidate = c;
-          r_outcome = Error d;
-          r_gap = None;
-          r_incidents = [] })
-      (run_candidate ?validate ~target p ~outer_index ~inner_index)
+  let scope c = benchmark ^ "/" ^ c.c_label in
+  let prefixed =
+    Pass.fan_out ?ctx ?jobs ?timeout_s ~scope
+      ~failed:(fun c d -> Row (error_row c d))
+      (prefix_candidate ?validate ~target p ~outer_index ~inner_index)
       cands
+  in
+  let groups =
+    List.fold_left2
+      (fun groups c -> function
+        | Row _ -> groups
+        | Prefixed { p_unit = u; _ } ->
+          let key = group_key c u in
+          if List.mem_assoc key groups then groups else (key, (c, u)) :: groups)
+      [] cands prefixed
+    |> List.rev
+  in
+  (* the unit already carries its member's scoped context *)
+  let outcomes =
+    Pass.fan_out ?ctx ?jobs ?timeout_s
+      ~scope:(fun (_, (c, _)) -> scope c)
+      ~failed:(fun _ d -> Error d)
+      (fun _ (_, first) -> Ok (evaluate ?validate ~target first))
+      groups
+    |> List.map2 (fun (key, _) o -> (key, o)) groups
+  in
+  let rows =
+    List.map2
+      (fun c -> function
+        | Row row -> row
+        | Prefixed { p_row_unit; p_context; p_unit; p_incidents } -> (
+          match List.assoc (group_key c p_unit) outcomes with
+          | Error d -> error_row c d (* the pool gave up: never stored *)
+          | Ok (outcome, added) ->
+            let row =
+              match outcome with
+              | Ok r ->
+                { r_candidate = c;
+                  r_outcome = Ok { r with Estimate.r_name = c.c_label };
+                  r_gap = None;
+                  r_incidents = p_incidents @ added }
+              | Error d -> error_row c d
+            in
+            Cu.store_put p_row_unit ~kind:"plan-row" ~context:p_context
+              (row_payload row);
+            row))
+      cands prefixed
   in
   let baseline =
     List.find_map

@@ -2,9 +2,10 @@
     sequences ending in unroll-and-squash (enabling prefixes from the
     {!Uas_transform.Rewrite} registry × DS in [{2, 4, 8}]), score each
     with the §5.2 quick-synthesis estimate on the sweep engine's
-    memoized pass pipeline, and rank by an objective.  Illegal
-    candidates keep their diagnostics and rank last, so the table
-    accounts for the whole search space. *)
+    memoized pass pipeline, and rank by an objective.  Candidates whose
+    enabling prefixes reach the same program share one squash and one
+    quick synthesis.  Illegal candidates keep their diagnostics and
+    rank last, so the table accounts for the whole search space. *)
 
 module Estimate = Uas_hw.Estimate
 module Datapath = Uas_hw.Datapath
@@ -60,20 +61,32 @@ type plan = {
   p_rows : row list;  (** ranked, best first; skipped candidates last *)
 }
 
-(** Score every candidate on the benchmark nest and rank.  Candidates
-    fan out over the domain pool ([jobs]) like sweep versions; ranking
-    is deterministic (ties break on II, cycles, area, label).
+(** Score every candidate on the benchmark nest and rank.  Ranking is
+    deterministic (ties break on II, cycles, area, label), and so is
+    the work shared between candidates, at any pool size [jobs].
 
-    Fault tolerance: the candidates go through
-    {!Uas_pass.Pass.fan_out} under [ctx] (default
-    {!Uas_runtime.Ctx.default}), each in a fault scope named
-    ["<benchmark>/<label>"];
+    The work runs in two {!Uas_pass.Pass.fan_out}s under [ctx]
+    (default {!Uas_runtime.Ctx.default}).  Phase 1 has one task per
+    candidate, in the fault scope ["<benchmark>/<label>"]: the
+    plan-row store lookup, analysis and the enabling prefix (every
+    rewrite but the final squash).  Phase 2 has one task per distinct
+    (canonical program text, outer index, inner index, squash factor,
+    pipelined) key: squash and quick synthesis on the first member's
+    unit, in its scope.  Every member's row gets the group's outcome,
+    with the report named after the member's own label, and its own
+    prefix incidents followed by the group's.  Plan rows are stored
+    under the unprefixed program, so a warm plan runs neither phase's
+    passes.
+
     [validate] translation-validates every rewrite on the probe
     workload (a rejected rewrite degrades the candidate to its
     last-known-good program, logged in [r_incidents]);
     [timeout_s] is the pool's per-task wall budget, and a task the pool
     gives up on (an uncaught exception, an injected fault included, or
-    a timeout) ranks last with a [task] diagnostic. *)
+    a timeout) ranks last with a [task] diagnostic.  A fault that
+    skips a phase-1 task skips one row; one that fires in phase 2,
+    which runs in the first member's scope, skips every row of the
+    group. *)
 val plan :
   ?ctx:Uas_runtime.Ctx.t ->
   ?target:Datapath.t ->

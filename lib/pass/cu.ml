@@ -51,11 +51,6 @@ type t = {
   (* canonical program text (the Pp round-trip form), memoized because
      every store key hashes it; reset by [with_program] *)
   mutable c_text : string option;
-  (* the rewrite trail: labels of every rewrite applied so far, newest
-     first — the provenance half of the store key.  Survives
-     [with_program] (it is how this unit's program came to be); pushed
-     by Rewrite.apply after each successful application *)
-  mutable c_trail : string list;
   (* non-fatal trouble logged while building this unit (validation
      mismatches, recovered faults); survives [with_program] because it
      is the unit's history, not an analysis of its program *)
@@ -79,7 +74,6 @@ let make ?(ctx = Ctx.default ()) p ~outer_index ~inner_index =
     c_hits = 0;
     c_misses = 0;
     c_text = None;
-    c_trail = [];
     c_incidents = [] }
 
 let ctx cu = cu.cu_ctx
@@ -207,14 +201,6 @@ let canonical_text cu =
     cu.c_text <- Some t;
     t
 
-let trail cu = List.rev cu.c_trail
-let push_trail cu label = cu.c_trail <- label :: cu.c_trail
-
-(* The one key-construction point: every part of an artifact's
-   provenance — store format version, artifact kind, the rewrite trail
-   that produced this program, caller context (datapath fingerprint,
-   effort budgets, cost-model version, ...) and the canonical program
-   text itself — goes through the same hash. *)
 (* Fault specs at non-store sites change what a cell computes (an
    injected raise skips it, an injected corruption rewrites it), so
    they are part of an artifact's provenance — keying them keeps a
@@ -234,11 +220,17 @@ let content_fault_plan cu =
              && String.equal (String.sub s 0 6) "store."))
     |> String.concat ","
 
+(* The one key-construction point: everything an artifact is computed
+   from — store format version, artifact kind, the content fault plan,
+   caller context (datapath fingerprint, kernel index, effort budgets,
+   cost-model version, ...) and the canonical program text — goes
+   through the same hash.  How the program was reached is not part of
+   it, so two rewrite sequences that produce the same program share its
+   artifacts. *)
 let store_key cu ~kind ~context =
   Store.key
     (("store-format=" ^ string_of_int Store.format_version)
      :: ("kind=" ^ kind)
-     :: ("trail=" ^ String.concat ";" (trail cu))
      :: ("fault=" ^ content_fault_plan cu)
      :: context
     @ [ canonical_text cu ])

@@ -134,24 +134,18 @@ val incidents : t -> Diag.t list
 
     Load/save hooks over {!Uas_runtime.Store}: every expensive artifact
     (kernel schedule, hardware estimate, planner row) is keyed by a
-    content hash of its full provenance — the
+    content hash of what it is computed from — the
     canonical program text (the {!Uas_ir.Pp} round-trip form), the
-    rewrite trail that produced it, the caller's [context] parts
-    (datapath fingerprint, effort budgets, cost-model version) and the
-    store format version.  All hooks are no-ops when the unit's context
-    has no store; lookups count as [cu.store-hit]/[cu.store-miss], and a
-    bad or undecodable entry is a miss plus an incident (pass
-    ["store"]) — never a wrong answer. *)
+    caller's [context] parts (datapath fingerprint, kernel index,
+    effort budgets, cost-model version) and the store format version,
+    but not the rewrites that produced the program.  All hooks are
+    no-ops when the unit's context has no store; lookups count as
+    [cu.store-hit]/[cu.store-miss], and a bad or undecodable entry is a
+    miss plus an incident (pass ["store"]) — never a wrong answer. *)
 
 (** The program's canonical text ({!Uas_ir.Pp.program_to_string}),
     memoized; reset by {!with_program}. *)
 val canonical_text : t -> string
-
-(** The rewrite trail, oldest first: one label per successfully applied
-    rewrite (pushed by [Rewrite.apply]).  Survives {!with_program}. *)
-val trail : t -> string list
-
-val push_trail : t -> string -> unit
 
 (** The full cache key an artifact of [kind] would be stored under
     (exposed for tests and external poisoning). *)

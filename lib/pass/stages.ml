@@ -61,8 +61,8 @@ let ensure_dfg ~target cu =
    schedule itself, so a warm run replays a budget-exhausted incident
    and renders footers byte-identical to the cold run.  The context
    lists hash everything the computation depends on besides the program
-   text and rewrite trail (which Cu.store_key adds): which loop is the
-   kernel, the datapath, the pipelining flag, effort budgets and — for
+   text (which Cu.store_key adds): which loop is the kernel, the
+   datapath, the pipelining flag, effort budgets and — for
    reports — the cost-model version and the report name. *)
 
 let schedule_payload (s, note) =

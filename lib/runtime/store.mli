@@ -2,9 +2,9 @@
 
     Expensive compilation artifacts (kernel schedules, hardware
     estimates, planner rows) are serialized and
-    keyed by a content hash of their full provenance: canonical program
-    text, rewrite trail, tool parameters, cost-model version and the
-    store format version.  Same key, same bytes — so a warm cache run
+    keyed by a content hash of what they are computed from: canonical
+    program text, tool parameters, cost-model version and the store
+    format version.  Same key, same bytes — so a warm cache run
     is byte-identical to a cold one, and a stale or corrupted entry can
     only ever be a {e miss} (plus a [Cu] incident), never a wrong
     answer.

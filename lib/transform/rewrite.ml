@@ -543,29 +543,11 @@ let corrupt_program (p : Stmt.program) : Stmt.program =
   in
   { p with Stmt.body = go p.Stmt.body }
 
-(* The label a successful application leaves on the unit's rewrite
-   trail — name plus the present parameters, rendered deterministically
-   — which the artifact store hashes as provenance. *)
-let trail_label t params =
-  let parts =
-    List.filter_map Fun.id
-      [ Option.map (fun v -> "target=" ^ v) params.target;
-        Option.map (fun v -> "factor=" ^ string_of_int v) params.factor;
-        Option.map (fun v -> "cut=" ^ string_of_int v) params.cut ]
-  in
-  match parts with
-  | [] -> t.rw_name
-  | ps -> t.rw_name ^ "{" ^ String.concat "," ps ^ "}"
-
 let apply ?(params = default_params) t cu : (Cu.t, Diag.t) result =
   match check ~params t cu with
   | Some d -> Error d
   | None ->
-    Result.map
-      (fun cu' ->
-        Cu.push_trail cu' (trail_label t params);
-        cu')
-    @@ guard t.rw_name cu (fun () ->
+    guard t.rw_name cu (fun () ->
         let ctx = Cu.ctx cu in
         match
           Fault.hit ctx.faults ~scope:ctx.scope ~label:t.rw_name "rewrite.apply"

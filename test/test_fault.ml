@@ -346,6 +346,47 @@ let test_task_failure_plan () =
   Alcotest.(check bool) "other rows are the clean run's" true
     (others faulted = others clean)
 
+(* A fault pinned to the first candidate of a squash group fires where
+   the group is evaluated, once, so it skips every candidate that
+   shares the program: on IIR, the hoist, if-conversion and
+   scalarization prefixes leave the kernel as squash(4) sees it. *)
+let test_group_fault_plan () =
+  let b = iir () in
+  let plan ?ctx () =
+    P.plan ?ctx ~jobs:2 b.R.b_program
+      ~outer_index:b.R.b_outer_index ~inner_index:b.R.b_inner_index
+      ~benchmark:b.R.b_name
+  in
+  let clean = plan () in
+  let faulted =
+    plan ~ctx:(faulty "rewrite.apply=IIR/squash(4):raise:1") ()
+  in
+  let group =
+    [ "hoist+squash(4)"; "ifconv+squash(4)"; "scalarize+squash(4)";
+      "squash(4)" ]
+  in
+  let injected (r : P.row) =
+    match r.P.r_outcome with
+    | Error d ->
+      Helpers.contains ~sub:"injected fault at site rewrite.apply"
+        (Diag.to_string d)
+    | Ok _ -> false
+  in
+  Alcotest.(check (list string))
+    "the group's rows are skipped" group
+    (List.sort compare
+       (List.filter_map
+          (fun (r : P.row) ->
+            if injected r then Some r.P.r_candidate.P.c_label else None)
+          faulted.P.p_rows));
+  let others (p : P.plan) =
+    List.filter
+      (fun (r : P.row) -> not (List.mem r.P.r_candidate.P.c_label group))
+      p.P.p_rows
+  in
+  Alcotest.(check bool) "other rows are the clean run's" true
+    (others faulted = others clean)
+
 let suite =
   [ QCheck_alcotest.to_alcotest test_injection_never_escapes;
     Alcotest.test_case "injected faults render by site" `Quick
@@ -369,4 +410,6 @@ let suite =
     Alcotest.test_case "task failure: one skip in a benchmark row" `Quick
       test_task_failure_benchmark;
     Alcotest.test_case "task failure: one skip in a plan" `Quick
-      test_task_failure_plan ]
+      test_task_failure_plan;
+    Alcotest.test_case "squash fault skips the candidate's group" `Quick
+      test_group_fault_plan ]

@@ -296,6 +296,112 @@ let test_planner_ranks_skipjack () =
   Alcotest.(check bool) "pp renders" true
     (String.length (Fmt.str "%a" P.pp plan) > 0)
 
+(* The planner evaluates each distinct prefixed program once and shares
+   the outcome across the candidates that reach it.  The oracle is the
+   per-candidate path that sharing replaces: a fresh unit, analyze, the
+   whole sequence, then quick synthesis, in the candidate's own fault
+   scope.  Every plan row must equal it, outcome and incident list. *)
+let oracle_row ~ctx ?validate (b : R.benchmark) (c : P.candidate) =
+  let ctx = Uas_runtime.Ctx.in_scope ctx (b.R.b_name ^ "/" ^ c.P.c_label) in
+  let cu =
+    Cu.make ~ctx b.R.b_program ~outer_index:b.R.b_outer_index
+      ~inner_index:b.R.b_inner_index
+  in
+  let rewrites =
+    List.map
+      (fun name ->
+        if String.equal name "squash" then
+          Rw.pass ~factor:c.P.c_ds ?validate name
+        else Rw.pass ?validate name)
+      c.P.c_sequence
+  in
+  let passes =
+    (Stages.analyze :: rewrites)
+    @ Stages.quick_synthesis ~target:Uas_hw.Datapath.default
+        ~pipelined:c.P.c_pipelined ~name:c.P.c_label
+  in
+  match Pass.run cu passes with
+  | Ok cu -> (Ok (Option.get (Cu.report cu)), Cu.incidents cu)
+  | Error d -> (Error d, [])
+
+let render_outcome (outcome, incidents) =
+  String.concat "\n"
+    ((match outcome with
+     | Ok r -> "ok " ^ Uas_hw.Estimate.report_to_string r
+     | Error d -> "error " ^ Diag.to_string d)
+    :: List.map (fun d -> "incident " ^ Diag.to_string d) incidents)
+
+(* the search space [P.plan] explores on the benchmark's nest *)
+let candidates_of (b : R.benchmark) =
+  let depth =
+    Option.value ~default:2
+      (Uas_analysis.Loop_nest.depth_at b.R.b_program b.R.b_outer_index)
+  in
+  P.candidates ~depth ()
+
+(* the oracle once per (benchmark, fault plan, validate mode), then a
+   plan at each pool size against it *)
+let check_plan_against_oracle ?plan:fault_plan ~validate (b : R.benchmark) =
+  let probe = if validate then Some b.R.b_workload else None in
+  let oracle =
+    let ctx = Helpers.ctx ?plan:fault_plan () in
+    List.map
+      (fun c ->
+        (c.P.c_label, render_outcome (oracle_row ~ctx ?validate:probe b c)))
+      (candidates_of b)
+  in
+  List.iter
+    (fun jobs ->
+      let planned =
+        P.plan ~ctx:(Helpers.ctx ?plan:fault_plan ()) ~jobs ?validate:probe
+          b.R.b_program ~outer_index:b.R.b_outer_index
+          ~inner_index:b.R.b_inner_index ~benchmark:b.R.b_name
+      in
+      Alcotest.(check (list string))
+        (b.R.b_name ^ ": one row per candidate")
+        (List.sort compare (List.map fst oracle))
+        (List.sort compare
+           (List.map (fun r -> r.P.r_candidate.P.c_label) planned.P.p_rows));
+      List.iter
+        (fun (r : P.row) ->
+          let label = r.P.r_candidate.P.c_label in
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s (jobs %d, validate %b)" b.R.b_name label
+               jobs validate)
+            (List.assoc label oracle)
+            (render_outcome (r.P.r_outcome, r.P.r_incidents)))
+        planned.P.p_rows)
+    [ 1; 2 ]
+
+let test_planner_matches_oracle () =
+  List.iter
+    (fun b ->
+      List.iter
+        (fun validate -> check_plan_against_oracle ~validate b)
+        [ false; true ])
+    (R.all () @ R.extras ())
+
+(* A corrupted enabling rewrite that validation rolls back leaves its
+   candidate on the unprefixed program, so it shares the plain squash
+   candidate's evaluation; its own incident must still be its own.
+   Without validation the corrupted program is a group of its own. *)
+let test_planner_shared_rows_keep_incidents () =
+  List.iter
+    (fun b ->
+      let hoisted =
+        List.find
+          (fun c -> c.P.c_ds = 4 && List.mem "hoist" c.P.c_sequence)
+          (candidates_of b)
+      in
+      let plan =
+        Printf.sprintf "rewrite.apply=%s/%s:corrupt:1" b.R.b_name
+          hoisted.P.c_label
+      in
+      List.iter
+        (fun validate -> check_plan_against_oracle ~plan ~validate b)
+        [ true; false ])
+    [ R.iir (); R.wavelet3 () ]
+
 let suite =
   [ Alcotest.test_case "registry names" `Quick test_registry_names;
     Alcotest.test_case "registry lookup and duplicates" `Quick
@@ -324,4 +430,8 @@ let suite =
       test_planner_objective_parsing;
     Alcotest.test_case "planner search space" `Quick test_planner_search_space;
     Alcotest.test_case "planner ranks Skipjack (DS=4 beats DS=1)" `Slow
-      test_planner_ranks_skipjack ]
+      test_planner_ranks_skipjack;
+    Alcotest.test_case "planner rows = per-candidate oracle" `Slow
+      test_planner_matches_oracle;
+    Alcotest.test_case "planner shared rows keep own incidents" `Slow
+      test_planner_shared_rows_keep_incidents ]

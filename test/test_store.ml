@@ -12,6 +12,7 @@ module Sd = D.Sched
 module Store = Uas_runtime.Store
 module Instrument = Uas_runtime.Instrument
 module E = Uas_core.Experiments
+module P = Uas_core.Planner
 module N = Uas_core.Nimble
 module R = Uas_bench_suite.Registry
 
@@ -286,6 +287,44 @@ let test_warm_run_identical_and_served () =
     true
     (hits > 0 && misses = 0)
 
+(* One IIR plan on [store] (storeless by default), with the span table
+   and counters of a fresh sink. *)
+let plan_iir ?store () =
+  let b = iir () in
+  let trace = Instrument.create () in
+  let plan =
+    P.plan ~ctx:(Helpers.ctx ?store ~trace ()) ~jobs:1 b.R.b_program
+      ~outer_index:b.R.b_outer_index ~inner_index:b.R.b_inner_index
+      ~benchmark:b.R.b_name
+  in
+  let calls name =
+    match List.assoc_opt name (Instrument.spans trace) with
+    | Some st -> st.Instrument.calls
+    | None -> 0
+  in
+  (plan, calls, counter trace)
+
+(* IIR's enabling prefixes reach two distinct programs, so a cold plan
+   squashes and schedules each once per factor; a warm plan is served
+   whole from its plan rows, which stay keyed by the unprefixed program
+   (keying them by the prefixed one would miss every row). *)
+let test_plan_shares_work_and_warm_hits () =
+  let _, calls, _ = plan_iir () in
+  Alcotest.(check int) "schedules: 2 baselines + 2 programs x 3 factors" 8
+    (calls "schedule");
+  Alcotest.(check int) "squashes: 2 programs x 3 factors" 6
+    (calls "pass.squash");
+  let s = open_fresh () in
+  let cold, _, _ = plan_iir ~store:s () in
+  let warm, calls, counter = plan_iir ~store:s () in
+  Alcotest.(check string) "warm plan byte-identical to cold"
+    (Fmt.str "%a" P.pp cold) (Fmt.str "%a" P.pp warm);
+  Alcotest.(check int) "warm: no squash" 0 (calls "pass.squash");
+  Alcotest.(check int) "warm: no schedule" 0 (calls "schedule");
+  Alcotest.(check int) "warm: every row a plan-row hit"
+    (List.length warm.P.p_rows) (counter "cu.store-hit");
+  Alcotest.(check int) "warm: no miss" 0 (counter "cu.store-miss")
+
 (* IIR jam(8)'s greedy placement fails at its lower bound, so a tiny
    exact budget leaves its II unproven: the schedule's note becomes an
    incident, and a warm run replays it byte for byte from the store. *)
@@ -515,6 +554,8 @@ let suite =
       test_warm_run_identical_and_served;
     Alcotest.test_case "warm run replays a not-proven note" `Quick
       test_warm_not_proven_note_replayed;
+    Alcotest.test_case "plan shares work, warm plan all hits" `Quick
+      test_plan_shares_work_and_warm_hits;
     Alcotest.test_case "verify mode: clean cache, no incidents" `Quick
       test_verify_mode_clean;
     Alcotest.test_case "verify mode: poisoned entry flagged" `Quick
