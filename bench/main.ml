@@ -14,6 +14,17 @@ module Session = Uas_cli.Session
 
 let header title = Fmt.pr "@.==== %s ====@." title
 
+(* The quick-synthesis report of one version of a nest on [target]:
+   the version's pass pipeline, as every sweep cell runs it. *)
+let report ?target p ~outer_index ~inner_index v =
+  match N.run_version_cu ?target p ~outer_index ~inner_index v with
+  | Ok (_, _, r) -> r
+  | Error d -> Uas_pass.Diag.fail d
+
+let benchmark_report ?target (b : S.Registry.benchmark) v =
+  report ?target b.S.Registry.b_program ~outer_index:b.S.Registry.b_outer_index
+    ~inner_index:b.S.Registry.b_inner_index v
+
 (* One pass over the requested targets.  [traj] is the perf-trajectory
    document the pass records into: [None] on the --cache-warm leg, so
    nothing is recorded twice.  [rows] is Table 6.2, the expensive part
@@ -98,15 +109,12 @@ let figure_2 () =
   Fmt.pr "--- unroll-and-squash by 2 (Figure 2.3) ---@.%a@." Pp.pp_program
     sq.Uas_transform.Squash.program;
   (* the headline claim: same throughput as jam, without doubling ops *)
-  let ii q index pipelined =
-    (Uas_hw.Estimate.kernel ~pipelined q ~index).Uas_hw.Estimate.r_ii
+  let ii v =
+    (report p ~outer_index:"i" ~inner_index:"j" v).Uas_hw.Estimate.r_ii
   in
-  Fmt.pr "original:  II=%d (non-pipelined schedule)@." (ii p "j" false);
-  Fmt.pr "jam(2):    II=%d, operators x2@."
-    (ii jam.Uas_transform.Unroll_and_jam.program "j" true);
-  Fmt.pr "squash(2): II=%d, operators unchanged@."
-    (ii sq.Uas_transform.Squash.program sq.Uas_transform.Squash.new_inner_index
-       true)
+  Fmt.pr "original:  II=%d (non-pipelined schedule)@." (ii N.Original);
+  Fmt.pr "jam(2):    II=%d, operators x2@." (ii (N.Jammed 2));
+  Fmt.pr "squash(2): II=%d, operators unchanged@." (ii (N.Squashed 2))
 
 (* --- Figure 2.4 --- *)
 
@@ -196,12 +204,9 @@ let ablation_ports () =
   Fmt.pr "%-14s %8s %8s %8s@." "benchmark" "1 port" "2 ports" "4 ports";
   List.iter
     (fun (b : S.Registry.benchmark) ->
-      let built =
-        N.build_version b.S.Registry.b_program
-          ~outer_index:b.S.Registry.b_outer_index
-          ~inner_index:b.S.Registry.b_inner_index (N.Squashed 8)
+      let ii target =
+        (benchmark_report ~target b (N.Squashed 8)).Uas_hw.Estimate.r_ii
       in
-      let ii target = (N.estimate ~target built).Uas_hw.Estimate.r_ii in
       Fmt.pr "%-14s %8d %8d %8d@." b.S.Registry.b_name
         (ii Uas_hw.Datapath.single_port)
         (ii Uas_hw.Datapath.default)
@@ -215,12 +220,9 @@ let ablation_registers () =
   Fmt.pr "%-14s %12s %12s@." "benchmark" "1 reg/row" "4 regs/row";
   List.iter
     (fun (b : S.Registry.benchmark) ->
-      let built =
-        N.build_version b.S.Registry.b_program
-          ~outer_index:b.S.Registry.b_outer_index
-          ~inner_index:b.S.Registry.b_inner_index (N.Squashed 16)
+      let area target =
+        (benchmark_report ~target b (N.Squashed 16)).Uas_hw.Estimate.r_area_rows
       in
-      let area target = (N.estimate ~target built).Uas_hw.Estimate.r_area_rows in
       Fmt.pr "%-14s %12d %12d@." b.S.Registry.b_name
         (area Uas_hw.Datapath.default)
         (area Uas_hw.Datapath.packed_registers))
@@ -411,7 +413,8 @@ let micro run =
         (Staged.stage (fun () ->
              ignore (Uas_transform.Unroll_and_jam.apply p nest ~ds:8)));
       Test.make ~name:"estimate skipjack kernel"
-        (Staged.stage (fun () -> ignore (Uas_hw.Estimate.kernel p ~index:"j")));
+        (Staged.stage (fun () ->
+             ignore (report p ~outer_index:"i" ~inner_index:"j" N.Pipelined)));
       Test.make ~name:"dfg build skipjack body"
         (Staged.stage (fun () ->
              ignore

@@ -15,7 +15,6 @@ module E = Uas_core.Experiments
 module P = Uas_core.Planner
 module Cu = Uas_pass.Cu
 module Diag = Uas_pass.Diag
-module Rewrite = Uas_transform.Rewrite
 module Session = Uas_cli.Session
 
 let prog = "nimblec"
@@ -27,15 +26,23 @@ let find_benchmark name =
     Fmt.epr "unknown benchmark %s; try `nimblec list'@." name;
     exit 2
 
-(* A transformation rejected at the requested factor exits with its
+(* A pass that rejects the unit (a transformation illegal at the
+   requested factor, a loop the estimator cannot model) exits with its
    structured diagnostic, not an OCaml backtrace. *)
-let build_or_exit ?after (p : Uas_ir.Stmt.program) ~outer_index ~inner_index
-    version =
-  match N.build_version_result ?after p ~outer_index ~inner_index version with
-  | Ok built -> built
+let run_or_exit ?after cu passes =
+  match Uas_pass.Pass.run ?after cu passes with
+  | Ok cu -> cu
   | Error d ->
     Fmt.epr "nimblec: %a@." Diag.pp d;
     exit 1
+
+(* The transformed program of one version. *)
+let build_or_exit ?after (p : Uas_ir.Stmt.program) ~outer_index ~inner_index
+    version =
+  Cu.program
+    (run_or_exit ?after
+       (Cu.make p ~outer_index ~inner_index)
+       (N.transform_passes version))
 
 (* --dump-after PASS: print the program (or the DFG, for the graph
    stages) as it stands after the named pipeline pass. *)
@@ -60,24 +67,24 @@ let dump_after_arg =
     & info [ "dump-after" ] ~docv:"PASS"
         ~doc:
           "Print the IR after the named pipeline pass (DOT via Graphviz \
-           for the graph stages dfg-build/schedule).  Accepts the stage \
-           passes (loop-nest, legality, dfg-build, schedule, estimate) \
-           and every registered rewrite name (squash, jam, interchange, \
-           ...).")
+           for the graph stages dfg-build/schedule).  The pass must be \
+           one the command runs: loop-nest, the version's rewrites \
+           (squash, jam, flatten), and with $(b,--estimate) or on \
+           $(b,estimate) the quick-synthesis stages dfg-build, schedule \
+           and estimate.")
 
-(* Every name --dump-after accepts: the stage passes plus the rewrite
-   registry. *)
-let dumpable_passes () = Uas_pass.Stages.names @ Rewrite.names ()
-
-(* The validated hook: [None] when not dumping. *)
-let dump_hook_of = function
+(* The validated hook: [None] when not dumping.  [passes] are the
+   names of the passes the command runs; naming any other is a usage
+   error, never a silent no-op. *)
+let dump_hook_of ~passes = function
   | None -> None
-  | Some pass when List.mem pass (dumpable_passes ()) ->
-    Some (dump_hook pass)
+  | Some pass when List.mem pass passes -> Some (dump_hook pass)
   | Some pass ->
-    Fmt.epr "unknown pass %s; passes: %s@." pass
-      (String.concat ", " (dumpable_passes ()));
+    Fmt.epr "nimblec: --dump-after %s: not a pass this command runs; \
+             passes: %s@." pass (String.concat ", " passes);
     exit 1
+
+let pass_names passes = List.map (fun (p : Uas_pass.Pass.t) -> p.name) passes
 
 let parse_version s =
   let fail () =
@@ -185,12 +192,14 @@ let list_cmd =
 let show_cmd =
   let run name version dump_after =
     let b = find_benchmark name in
-    let built =
-      build_or_exit ?after:(dump_hook_of dump_after) b.S.Registry.b_program
-        ~outer_index:b.S.Registry.b_outer_index
-        ~inner_index:b.S.Registry.b_inner_index (parse_version version)
+    let version = parse_version version in
+    let after =
+      dump_hook_of ~passes:(pass_names (N.transform_passes version)) dump_after
     in
-    Fmt.pr "%a@." Uas_ir.Pp.pp_program built.N.bv_program
+    Fmt.pr "%a@." Uas_ir.Pp.pp_program
+      (build_or_exit ?after b.S.Registry.b_program
+         ~outer_index:b.S.Registry.b_outer_index
+         ~inner_index:b.S.Registry.b_inner_index version)
   in
   Cmd.v
     (Cmd.info "show" ~doc:"Print the (transformed) program of a benchmark")
@@ -204,7 +213,15 @@ let estimate_cmd =
     let local () =
       let ctx = Session.open_store ~prog s ctx in
       let b = find_benchmark name in
-      let after = dump_hook_of dump_after in
+      let after =
+        (* every pass of every version the benchmark's row runs *)
+        let passes =
+          List.concat_map
+            (fun v -> pass_names (N.transform_passes v @ N.estimate_passes v))
+            (E.versions_of b)
+        in
+        dump_hook_of ~passes:(List.sort_uniq String.compare passes) dump_after
+      in
       (* dumping from pool domains would interleave: force sequential *)
       let jobs = if Option.is_some after then Some 1 else s.Session.jobs in
       let row =
@@ -246,7 +263,7 @@ let run_cmd =
   let run name version =
     let ctx = Session.start ~prog Session.default in
     let b = find_benchmark name in
-    let built =
+    let program =
       build_or_exit b.S.Registry.b_program
         ~outer_index:b.S.Registry.b_outer_index
         ~inner_index:b.S.Registry.b_inner_index (parse_version version)
@@ -254,7 +271,7 @@ let run_cmd =
     let t0 = Unix.gettimeofday () in
     let result =
       S.Registry.run ctx
-        (Uas_ir.Fast_interp.compile built.N.bv_program)
+        (Uas_ir.Fast_interp.compile program)
         b.S.Registry.b_workload
     in
     let dt = Unix.gettimeofday () -. t0 in
@@ -312,13 +329,13 @@ let dfg_cmd =
 let export_cmd =
   let run name version path =
     let b = find_benchmark name in
-    let built =
+    let program =
       build_or_exit b.S.Registry.b_program
         ~outer_index:b.S.Registry.b_outer_index
         ~inner_index:b.S.Registry.b_inner_index (parse_version version)
     in
     Session.write_output ~prog ~what:"export" path
-      (Uas_ir.C_export.standalone built.N.bv_program
+      (Uas_ir.C_export.standalone program
          ~workload:b.S.Registry.b_workload);
     Fmt.pr "wrote %s (compile with `cc %s && ./a.out`)@." path path
   in
@@ -382,17 +399,23 @@ let compile_cmd =
           Fmt.epr "no loop nest found in %s@." path;
           exit 1)
     in
-    let built =
-      build_or_exit ?after:(dump_hook_of dump_after) p ~outer_index:outer
-        ~inner_index:inner (parse_version version)
+    let version = parse_version version in
+    let transform = N.transform_passes version in
+    let estimate = if estimate_flag then N.estimate_passes version else [] in
+    let after =
+      dump_hook_of ~passes:(pass_names (transform @ estimate)) dump_after
     in
-    Fmt.pr "%a@." Uas_ir.Pp.pp_program built.N.bv_program;
+    (* the program prints before quick synthesis runs, so a kernel the
+       estimator rejects still shows what the rewrites produced *)
+    let cu =
+      run_or_exit ?after (Cu.make p ~outer_index:outer ~inner_index:inner)
+        transform
+    in
+    Fmt.pr "%a@." Uas_ir.Pp.pp_program (Cu.program cu);
     if estimate_flag then
-      match N.estimate_result built with
-      | Ok r -> Fmt.pr "// %a@." Uas_hw.Estimate.pp_report r
-      | Error d ->
-        Fmt.epr "nimblec: %a@." Diag.pp d;
-        exit 1
+      Option.iter
+        (Fmt.pr "// %a@." Uas_hw.Estimate.pp_report)
+        (Cu.report (run_or_exit ?after cu estimate))
   in
   let path =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")

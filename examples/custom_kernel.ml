@@ -79,17 +79,16 @@ let () =
       ("jam(2)+squash(2)", combined.T.Squash.program) ];
 
   (* the §2 arithmetic: jam doubles performance and operators; the
-     squash on top doubles performance again for registers only *)
-  let report name p index pipelined =
-    let r = Uas_hw.Estimate.kernel ~pipelined ~name p ~index in
-    Fmt.pr "%a@." Uas_hw.Estimate.pp_report r;
-    r
-  in
+     squash on top doubles performance again for registers only.  Each
+     estimate runs the version's pass pipeline on the if-converted
+     kernel. *)
   Fmt.pr "@.";
-  let _ = report "original" converted "j" false in
-  let _ = report "jam(2)" jammed.T.Unroll_and_jam.program "j" true in
-  let _ =
-    report "jam(2)+squash(2)" combined.T.Squash.program
-      combined.T.Squash.new_inner_index true
-  in
-  ()
+  List.iter
+    (fun version ->
+      match
+        Uas_core.Nimble.run_version_cu converted ~outer_index:"i"
+          ~inner_index:"j" version
+      with
+      | Ok (_, _, r) -> Fmt.pr "%a@." Uas_hw.Estimate.pp_report r
+      | Error d -> failwith (Uas_pass.Diag.to_string d))
+    Uas_core.Nimble.[ Original; Jammed 2; Combined (2, 2) ]

@@ -61,15 +61,17 @@ let () =
   Fmt.pr "round-trip exact: %b@."
     (String.sub recovered 0 (String.length message) = message);
 
-  (* hardware estimates for both pipelines *)
+  (* hardware estimates for both pipelines, through the squash(4)
+     version's pass pipeline *)
   let report name p =
-    let nest = Uas_analysis.Loop_nest.find_by_outer_index p "i" in
-    let out = Uas_transform.Squash.apply p nest ~ds:4 in
-    let r =
-      Uas_hw.Estimate.kernel ~name out.Uas_transform.Squash.program
-        ~index:out.Uas_transform.Squash.new_inner_index
-    in
-    Fmt.pr "%a@." Uas_hw.Estimate.pp_report r
+    match
+      Uas_core.Nimble.run_version_cu p ~outer_index:"i" ~inner_index:"j"
+        (Uas_core.Nimble.Squashed 4)
+    with
+    | Ok (_, _, r) ->
+      Fmt.pr "%a@." Uas_hw.Estimate.pp_report
+        { r with Uas_hw.Estimate.r_name = name }
+    | Error d -> failwith (Uas_pass.Diag.to_string d)
   in
   report "enc squash(4)" (S.Skipjack.skipjack_hw ~m:blocks ~key);
   report "dec squash(4)" (S.Skipjack.skipjack_hw_decrypt ~m:blocks ~key)

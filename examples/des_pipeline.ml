@@ -27,12 +27,12 @@ let () =
   (* II as a function of the unroll factor: squash stays at the memory
      floor, jam grows with it *)
   let factors = [ 2; 4; 8; 16 ] in
-  let ii version =
-    let built =
-      N.build_version program ~outer_index:"i" ~inner_index:"j" version
-    in
-    (N.estimate built).Uas_hw.Estimate.r_ii
+  let ii_of program version =
+    match N.run_version_cu program ~outer_index:"i" ~inner_index:"j" version with
+    | Ok (_, _, r) -> r.Uas_hw.Estimate.r_ii
+    | Error d -> failwith (Uas_pass.Diag.to_string d)
   in
+  let ii = ii_of program in
   Fmt.pr "%-8s %10s %10s@." "factor" "squash II" "jam II";
   List.iter
     (fun ds ->
@@ -43,12 +43,7 @@ let () =
 
   (* and the same sweep on the ROM-based variant, where jam stays flat *)
   let program_hw = S.Des.des_hw ~m ~key64 in
-  let ii_hw version =
-    let built =
-      N.build_version program_hw ~outer_index:"i" ~inner_index:"j" version
-    in
-    (N.estimate built).Uas_hw.Estimate.r_ii
-  in
+  let ii_hw = ii_of program_hw in
   Fmt.pr "@.DES-hw (S-boxes in ROM): no memory pressure@.";
   Fmt.pr "%-8s %10s %10s@." "factor" "squash II" "jam II";
   List.iter

@@ -50,16 +50,20 @@ let () =
   let r1 = Interp.run squashed.Uas_transform.Squash.program workload in
   Fmt.pr "@.outputs identical: %b@." (Interp.outputs_equal r0 r1);
 
-  (* 4. hardware estimates: the squashed kernel pipelines down to a
-     fraction of the original initiation interval, for only registers *)
-  let original =
-    Uas_hw.Estimate.kernel ~pipelined:false program ~index:"j"
-      ~name:"original"
+  (* 4. hardware estimates, through each version's pass pipeline
+     (transform, DFG build, schedule, estimate): the squashed kernel
+     pipelines down to a fraction of the original initiation interval,
+     for only registers *)
+  let estimate version =
+    match
+      Uas_core.Nimble.run_version_cu program ~outer_index:"i" ~inner_index:"j"
+        version
+    with
+    | Ok (_, _, r) -> r
+    | Error d -> failwith (Uas_pass.Diag.to_string d)
   in
-  let squashed_est =
-    Uas_hw.Estimate.kernel squashed.Uas_transform.Squash.program
-      ~index:squashed.Uas_transform.Squash.new_inner_index ~name:"squash(4)"
-  in
+  let original = estimate Uas_core.Nimble.Original in
+  let squashed_est = estimate (Uas_core.Nimble.Squashed 4) in
   Fmt.pr "@.%a@.%a@." Uas_hw.Estimate.pp_report original
     Uas_hw.Estimate.pp_report squashed_est;
   let speedup =

@@ -134,23 +134,20 @@ let run_rows ?ctx ?(target = Datapath.default) ?(verify = true)
   in
   regroup cells benches
 
+(** The depth-appropriate version set of a benchmark: the Table 6.2
+    versions on a 2-deep kernel, flatten+squash on deeper nests. *)
+let versions_of (b : Registry.benchmark) =
+  Nimble.versions_for
+    ~depth:
+      (Option.value ~default:2
+         (Uas_analysis.Loop_nest.depth_at b.Registry.b_program
+            b.Registry.b_outer_index))
+
 (** Run the full Table 6.2 sweep for one benchmark: the one-benchmark
     case of {!table_6_2}'s fan-out. *)
 let run_benchmark ?ctx ?target ?verify ?validate ?versions ?jobs
     ?timeout_s ?after (b : Registry.benchmark) : bench_row =
-  let versions =
-    match versions with
-    | Some vs -> vs
-    | None ->
-      (* default to the depth-appropriate set: the Table 6.2 versions
-         on a 2-deep kernel, flatten+squash on deeper nests *)
-      let depth =
-        Option.value ~default:2
-          (Uas_analysis.Loop_nest.depth_at b.Registry.b_program
-             b.Registry.b_outer_index)
-      in
-      Nimble.versions_for ~depth
-  in
+  let versions = Option.value versions ~default:(versions_of b) in
   List.hd
     (run_rows ?ctx ?target ?verify ?validate ?jobs ?timeout_s ?after
        [ (b, versions) ])

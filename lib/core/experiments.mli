@@ -44,6 +44,10 @@ type normalized = {
   n_operator_share : float;  (** Fig 6.4: operators / area *)
 }
 
+(** The versions {!run_benchmark} runs by default: {!Nimble.versions_for}
+    at the depth of the benchmark's kernel nest. *)
+val versions_of : Registry.benchmark -> Nimble.version list
+
 (** One benchmark's Table 6.2 sweep: the one-benchmark case of
     {!table_6_2}, versions fanned out over a pool of [jobs] domains
     (default: [UAS_JOBS] or the core count; cells are input-ordered and

@@ -125,30 +125,6 @@ let build_version (p : Stmt.program) ~outer_index ~inner_index
   | Ok b -> b
   | Error d -> Diag.fail d
 
-(** Estimate a built version on [target]. *)
-let estimate ?(target = Datapath.default) (b : built) : Estimate.report =
-  Estimate.kernel ~target ~pipelined:(pipelined b.bv_version)
-    ~name:(version_name b.bv_version)
-    b.bv_program ~index:b.bv_kernel_index
-
-let estimate_result ?target (b : built) : (Estimate.report, Diag.t) result =
-  match estimate ?target b with
-  | r -> Ok r
-  | exception Estimate.Not_a_kernel m ->
-    Error
-      (Diag.errorf ~pass:"estimate" ~loop:b.bv_kernel_index
-         "not a hardware kernel: %s" m)
-
-(** Per-version result of a sweep: the built program with its report;
-    built but degraded (one or more rewrites failed validation and were
-    not applied — the report describes the last-known-good program, the
-    diagnostics say what went wrong); or skipped with the diagnostic
-    explaining why the version was not built at all. *)
-type outcome =
-  | Built of built * Estimate.report
-  | Degraded of built * Estimate.report * Diag.t list
-  | Skipped of Diag.t
-
 (** Transform + quick-synthesis pipeline for one version, keeping the
     final compilation unit (whose memoized artifacts — notably the
     fast-interpreter compilation — downstream verification reuses). *)
@@ -170,53 +146,11 @@ let run_version_cu ?ctx ?(target = Datapath.default) ?after ?validate
     Instrument.incr (Cu.ctx cu).trace "sweep.illegal-versions";
     Error d
 
-let outcome_of_cu_result = function
-  | Ok (cu, b, r) -> (
-    match Cu.incidents cu with [] -> Built (b, r) | ds -> Degraded (b, r, ds))
-  | Error d -> Skipped d
-
-(** Build and estimate every requested version of a benchmark nest,
-    fanning the independent versions out over the domain pool.  Every
-    version gets an outcome: [Built] with its report, [Degraded] when
-    validation rejected a rewrite, or [Skipped] with the diagnostic of
-    the pass that rejected it — a task the pool itself gives up on (an
-    uncaught exception or injected fault, a wall-budget timeout) becomes
-    [Skipped] too, so no single bad cell can abort the sweep. *)
-let sweep ?ctx ?(target = Datapath.default) ?(versions = paper_versions) ?jobs
-    ?validate ?timeout_s (p : Stmt.program) ~outer_index ~inner_index :
-    (version * outcome) list =
-  Pass.fan_out ?ctx ?jobs ?timeout_s ~scope:version_name
-    ~failed:(fun v d -> (v, Skipped d))
-    (fun ctx v ->
-      ( v,
-        outcome_of_cu_result
-          (run_version_cu ~ctx ~target ?validate p ~outer_index ~inner_index v)
-      ))
-    versions
-
-(** The successfully built rows of a sweep (degraded cells included —
-    their reports describe the last-known-good program), in sweep
-    order. *)
-let successes (rows : (version * outcome) list) :
-    (version * built * Estimate.report) list =
-  List.filter_map
-    (function
-      | v, (Built (b, r) | Degraded (b, r, _)) -> Some (v, b, r)
-      | _, Skipped _ -> None)
-    rows
-
-(** The skipped versions of a sweep with their diagnostics. *)
-let skipped (rows : (version * outcome) list) : (version * Diag.t) list =
-  List.filter_map
-    (function
-      | v, Skipped d -> Some (v, d) | _, (Built _ | Degraded _) -> None)
-    rows
-
 (** Kernel selection: the version maximizing speedup per area (the
     efficiency metric of Figure 6.3), given the original's report as
     the baseline. *)
-let select_best (rows : (version * built * Estimate.report) list) :
-    (version * built * Estimate.report) option =
+let select_best (rows : (version * 'a * Estimate.report) list) :
+    (version * 'a * Estimate.report) option =
   let baseline =
     List.find_map
       (fun (v, _, r) -> if v = Original then Some r else None)

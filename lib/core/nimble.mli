@@ -69,25 +69,6 @@ val build_version_result :
 val build_version :
   Stmt.program -> outer_index:string -> inner_index:string -> version -> built
 
-val estimate : ?target:Uas_hw.Datapath.t -> built -> Uas_hw.Estimate.report
-
-(** [estimate], with a program the estimator cannot model (a kernel
-    loop with dynamic bounds) as an [estimate] diagnostic on the kernel
-    loop instead of [Estimate.Not_a_kernel]. *)
-val estimate_result :
-  ?target:Uas_hw.Datapath.t ->
-  built ->
-  (Uas_hw.Estimate.report, Uas_pass.Diag.t) result
-
-(** Per-version sweep result: built with its report; built but
-    [Degraded] (translation validation rejected one or more rewrites —
-    the report describes the last-known-good program, the diagnostics
-    say why); or skipped with the diagnostic of the rejecting pass. *)
-type outcome =
-  | Built of built * Uas_hw.Estimate.report
-  | Degraded of built * Uas_hw.Estimate.report * Uas_pass.Diag.t list
-  | Skipped of Uas_pass.Diag.t
-
 (** Run one version's full pipeline (transform + quick synthesis),
     returning the final compilation unit alongside the built version —
     callers that go on to execute the program can reuse the unit's
@@ -106,39 +87,8 @@ val run_version_cu :
   version ->
   (Uas_pass.Cu.t * built * Uas_hw.Estimate.report, Uas_pass.Diag.t) result
 
-(** Build and estimate every requested version, fanned out over a
-    [Uas_runtime.Parallel] pool of [jobs] domains (default: [UAS_JOBS]
-    or the core count).  Results are input-ordered and identical to a
-    sequential run; every version is reported — illegal factors as
-    [Skipped] with their diagnostic, never silently dropped.
-
-    Fault tolerance: the versions go through {!Uas_pass.Pass.fan_out}
-    under [ctx], each in a fault scope named after it; a task the pool
-    gives up on comes back [Skipped] with its [task] diagnostic.
-    [validate] as in {!transform_passes}. *)
-val sweep :
-  ?ctx:Uas_runtime.Ctx.t ->
-  ?target:Uas_hw.Datapath.t ->
-  ?versions:version list ->
-  ?jobs:int ->
-  ?validate:Uas_ir.Interp.workload ->
-  ?timeout_s:float ->
-  Stmt.program ->
-  outer_index:string ->
-  inner_index:string ->
-  (version * outcome) list
-
-(** The successfully built rows (degraded cells included — their
-    reports describe the last-known-good program), in sweep order. *)
-val successes :
-  (version * outcome) list ->
-  (version * built * Uas_hw.Estimate.report) list
-
-(** The skipped versions with their diagnostics, in sweep order. *)
-val skipped : (version * outcome) list -> (version * Uas_pass.Diag.t) list
-
 (** The version maximizing speedup per area over the [Original]
     baseline; [None] without a baseline. *)
 val select_best :
-  (version * built * Uas_hw.Estimate.report) list ->
-  (version * built * Uas_hw.Estimate.report) option
+  (version * 'a * Uas_hw.Estimate.report) list ->
+  (version * 'a * Uas_hw.Estimate.report) option

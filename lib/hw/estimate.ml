@@ -79,14 +79,12 @@ let kernel_iterations (p : Stmt.program) ~index : int =
   in
   List.fold_left ( * ) own enclosing
 
-(* The three quick-synthesis stages, exposed separately so the pass
-   pipeline (Uas_pass.Stages) can run them as individual passes with
-   their intermediate artifacts cached on the compilation unit.
-   [kernel] below composes exactly these three, so a staged run and a
-   monolithic run produce identical reports. *)
+(* The three quick-synthesis stages; the pass pipeline (Uas_pass.Stages)
+   runs them as individual passes with their intermediate artifacts
+   cached on the compilation unit. *)
 
 (** Stage 1: locate the kernel loop and build its DFG (with per-node
-    semantics).  @raise Not_a_kernel as for {!kernel}. *)
+    semantics). *)
 let kernel_detail ?(target = Datapath.default) (p : Stmt.program) ~index :
     Build.detailed =
   let l, _ = find_kernel p ~index in
@@ -106,10 +104,6 @@ let kernel_schedule_note ?(target = Datapath.default) ?(pipelined = true)
   if pipelined then
     Sched.modulo_schedule_note ~cfg ?exact_effort detail.Build.d_graph
   else (Sched.list_schedule ~cfg detail.Build.d_graph, None)
-
-let kernel_schedule ?target ?pipelined (detail : Build.detailed) :
-    Sched.schedule =
-  fst (kernel_schedule_note ?target ?pipelined detail)
 
 (** Stage 3: derive the report from the DFG and its schedule. *)
 let assemble ?(target = Datapath.default) ?(pipelined = true) ?name
@@ -138,16 +132,6 @@ let assemble ?(target = Datapath.default) ?(pipelined = true) ?name
     r_mem_refs = Graph.memory_op_count g;
     r_kernel_iterations = iterations;
     r_total_cycles = ii * iterations }
-
-(** Estimate the kernel identified by loop [index] in [p].
-
-    [pipelined] selects overlapped (modulo-scheduled) execution; the
-    original designs of Table 6.2 use [pipelined:false]. *)
-let kernel ?(target = Datapath.default) ?(pipelined = true) ?name
-    (p : Stmt.program) ~index : report =
-  let detail = kernel_detail ~target p ~index in
-  let sched = kernel_schedule ~target ~pipelined detail in
-  assemble ~target ~pipelined ?name p ~index detail sched
 
 (** Operator share of the area, the quantity of Figure 6.4. *)
 let operator_area_fraction (r : report) : float =

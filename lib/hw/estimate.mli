@@ -28,26 +28,21 @@ exception Not_a_kernel of string
     bounds or a missing loop. *)
 val kernel_iterations : Stmt.program -> index:string -> int
 
-(** The quick-synthesis flow split into its three stages, so the pass
-    pipeline can run them individually and cache the artifacts.
-    [kernel] composes exactly these three — a staged run produces a
-    bit-identical report. *)
+(** The quick-synthesis flow in its three stages.  The pass pipeline
+    ([Uas_pass.Stages]: dfg-build, schedule, estimate) runs them one by
+    one and caches each artifact on the compilation unit; it is the one
+    way to estimate a kernel. *)
 
 (** Locate the kernel loop and build its DFG with per-node semantics.
-    @raise Not_a_kernel as for {!kernel}. *)
+    @raise Not_a_kernel when the loop is absent, an enclosing loop has
+    dynamic bounds, or its body is not a single basic block. *)
 val kernel_detail :
   ?target:Datapath.t -> Stmt.program -> index:string -> Uas_dfg.Build.detailed
 
 (** Schedule a kernel DFG under the target's memory-port budget
-    ([pipelined] selects modulo vs list scheduling, default true). *)
-val kernel_schedule :
-  ?target:Datapath.t ->
-  ?pipelined:bool ->
-  Uas_dfg.Build.detailed ->
-  Uas_dfg.Sched.schedule
-
-(** [kernel_schedule] plus the schedule's note: [Some message] when a
-    scheduling budget ran out — the greedy one (the non-overlapped
+    ([pipelined] selects modulo vs list scheduling, default true), with
+    the schedule's note: [Some message] when a scheduling budget ran
+    out — the greedy one (the non-overlapped
     fallback was substituted) or the exact one (the II is not proven
     optimal).  [exact_effort] is the exact search's budget. *)
 val kernel_schedule_note :
@@ -57,7 +52,9 @@ val kernel_schedule_note :
   Uas_dfg.Build.detailed ->
   Uas_dfg.Sched.schedule * string option
 
-(** Derive the report from a kernel DFG and its schedule.
+(** Derive the report from a kernel DFG and its schedule.  [pipelined]
+    selects overlapped (modulo-scheduled) execution; the Table 6.2
+    "original" designs use [pipelined:false].
     @raise Not_a_kernel when the trip counts are dynamic. *)
 val assemble :
   ?target:Datapath.t ->
@@ -67,19 +64,6 @@ val assemble :
   index:string ->
   Uas_dfg.Build.detailed ->
   Uas_dfg.Sched.schedule ->
-  report
-
-(** Estimate the kernel identified by the loop index.  [pipelined]
-    selects overlapped (modulo-scheduled) execution; the Table 6.2
-    "original" designs use [pipelined:false].
-    @raise Not_a_kernel when the loop is absent, has dynamic bounds, or
-    is not a single basic block. *)
-val kernel :
-  ?target:Datapath.t ->
-  ?pipelined:bool ->
-  ?name:string ->
-  Stmt.program ->
-  index:string ->
   report
 
 (** Operators as a fraction of total area (Figure 6.4). *)

@@ -49,27 +49,16 @@ let () =
 
 let fail d = raise (Failed d)
 
-(* Layer-local exception families (the transform failures, mostly) are
-   translated through an extensible registry: the module that defines an
-   exception registers its renderer at module-initialization time, so
-   any program able to raise it has necessarily installed the
-   translator.  This keeps the diagnostics layer free of upward
-   dependencies on the transform layer. *)
-
-let translators : (exn -> string option) list ref = ref []
-
-let register_exn_translator f = translators := f :: !translators
-
-let translate exn = List.find_map (fun f -> f exn) !translators
-
+(* The exceptions every layer may raise past a pass: each transform
+   catches its own module's failure exception and returns it as a
+   value, so only these shared ones are left to translate. *)
 let of_exn ~pass ?loop (exn : exn) : t option =
   let err fmt = Fmt.kstr (fun m -> Some (errorf ~pass ?loop "%s" m)) fmt in
   match exn with
   | Failed d -> Some d
   | Uas_runtime.Fault.Injected _ -> err "%s" (Printexc.to_string exn)
-  | Uas_hw.Estimate.Not_a_kernel m -> err "not a hardware kernel: %s" m
   | Uas_ir.Types.Ir_error m -> err "%s" m
   | Not_found -> err "no loop nest with the requested outer index"
   | Failure m -> err "%s" m
   | Invalid_argument m -> err "%s" m
-  | exn -> ( match translate exn with Some m -> err "%s" m | None -> None)
+  | _ -> None

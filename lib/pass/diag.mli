@@ -42,18 +42,9 @@ exception Failed of t
 (** [fail d] raises {!Failed}. *)
 val fail : t -> 'a
 
-(** Register a renderer for a layer-local exception family ([None] for
-    exceptions the renderer does not recognize).  Each transform module
-    registers its own failure exception at module-initialization time —
-    so any program that can raise the exception has necessarily
-    installed its translator — keeping this layer free of upward
-    dependencies on [lib/transform]. *)
-val register_exn_translator : (exn -> string option) -> unit
-
-(** Translate the known layer-local exceptions — the registered
-    transform failures (see {!register_exn_translator}),
-    [Estimate.Not_a_kernel], [Ir_error], [Not_found] (loop-nest
-    lookup), [Failure], [Invalid_argument] — into a diagnostic
+(** Translate the exceptions shared across layers — {!Failed}, an
+    injected fault, [Ir_error], [Not_found] (loop-nest lookup),
+    [Failure], [Invalid_argument] — into a diagnostic
     attributed to [pass]; [None] for anything unrecognized (a genuine
     bug, which should keep its backtrace). *)
 val of_exn : pass:string -> ?loop:string -> exn -> t option

@@ -7,7 +7,6 @@
    standalone — so pipelines stay composable without recomputation. *)
 
 module Loop_nest = Uas_analysis.Loop_nest
-module Legality = Uas_analysis.Legality
 module Estimate = Uas_hw.Estimate
 module Datapath = Uas_hw.Datapath
 module Instrument = Uas_runtime.Instrument
@@ -30,15 +29,6 @@ let analyze =
         ignore (Cu.liveness cu);
         ignore (Cu.induction cu);
         Ok cu)
-
-let legality ~ds =
-  Pass.v "legality" (fun cu ->
-      let verdict = Legality.check (Cu.nest cu) ~ds in
-      if verdict.Legality.ok then Ok cu
-      else
-        Error
-          (Diag.errorf ~pass:"legality" ~loop:(Cu.outer_index cu)
-             "factor %d: %a" ds Legality.pp_verdict verdict))
 
 (* ensure-style artifact accessors; each computation runs under its
    own span ([dfg-build], [schedule]) *)
@@ -161,15 +151,24 @@ let ensure_schedule ?exact_effort ~target ~pipelined cu =
     Cu.set_schedule cu s;
     s)
 
+(* A quick-synthesis stage: a loop the estimator cannot model (dynamic
+   bounds, a body that is not one basic block) is a diagnostic on the
+   kernel loop, whichever stage finds out. *)
+let kernel_stage name f =
+  Pass.v name (fun cu ->
+      match f cu with
+      | () -> Ok cu
+      | exception Estimate.Not_a_kernel m ->
+        Error
+          (Diag.errorf ~pass:name ~loop:(Cu.inner_index cu)
+             "not a hardware kernel: %s" m))
+
 let dfg_build ?(target = Datapath.default) () =
-  Pass.v "dfg-build" (fun cu ->
-      ignore (ensure_dfg ~target cu);
-      Ok cu)
+  kernel_stage "dfg-build" (fun cu -> ignore (ensure_dfg ~target cu))
 
 let schedule ?(target = Datapath.default) ?exact_effort ~pipelined () =
-  Pass.v "schedule" (fun cu ->
-      ignore (ensure_schedule ?exact_effort ~target ~pipelined cu);
-      Ok cu)
+  kernel_stage "schedule" (fun cu ->
+      ignore (ensure_schedule ?exact_effort ~target ~pipelined cu))
 
 (* Kept only for the frozen perf harness: the deleted exact-II pass,
    now a no-op. *)
@@ -177,7 +176,7 @@ let exact_ii ~pipelined:_ ~mode:(_ : Uas_dfg.Sched.exact_mode) () =
   Pass.v "exact-ii" (fun cu -> Ok cu)
 
 let estimate ?(target = Datapath.default) ~pipelined ?name () =
-  Pass.v "estimate" (fun cu ->
+  kernel_stage "estimate" (fun cu ->
       let resolved_name =
         match name with
         | Some n -> n
@@ -212,8 +211,7 @@ let estimate ?(target = Datapath.default) ~pipelined ?name () =
             (Estimate.report_to_string r);
           r
       in
-      Cu.set_report cu report;
-      Ok cu)
+      Cu.set_report cu report)
 
 (* The quick-synthesis tail every driver runs after its rewrites: the
    sweep's versions and the planner's candidates estimate alike. *)
@@ -222,4 +220,4 @@ let quick_synthesis ~target ~pipelined ~name =
     schedule ~target ~pipelined ();
     estimate ~target ~pipelined ~name () ]
 
-let names = [ "loop-nest"; "legality"; "dfg-build"; "schedule"; "estimate" ]
+let names = [ "loop-nest"; "dfg-build"; "schedule"; "estimate" ]

@@ -13,13 +13,9 @@ module Datapath = Uas_hw.Datapath
     outer index heads no nest level. *)
 val analyze : Pass.t
 
-(** ["legality"]: the §4.1/§4.2 check at factor [ds]; fails with the
-    verdict's violations when the nest is not transformable.  Squash
-    and jam re-derive the verdict internally (it also carries their
-    enabling rewrites), so this pass is for early/explicit checking. *)
-val legality : ds:int -> Pass.t
-
-(** ["dfg-build"]: build the kernel DFG artifact. *)
+(** ["dfg-build"]: build the kernel DFG artifact.  This stage and the
+    two below fail with a diagnostic on the kernel loop when the
+    estimator cannot model it ({!Uas_hw.Estimate.Not_a_kernel}). *)
 val dfg_build : ?target:Datapath.t -> unit -> Pass.t
 
 (** ["schedule"]: schedule the kernel DFG
@@ -40,8 +36,7 @@ val exact_ii :
   pipelined:bool -> mode:Uas_dfg.Sched.exact_mode -> unit -> Pass.t
 
 (** ["estimate"]: assemble the hardware report from the cached DFG and
-    schedule artifacts (building them if missing) — bit-identical to
-    [Uas_hw.Estimate.kernel]. *)
+    schedule artifacts (building them if missing). *)
 val estimate : ?target:Datapath.t -> pipelined:bool -> ?name:string -> unit -> Pass.t
 
 (** The quick-synthesis pipeline [dfg-build; schedule; estimate] —
@@ -51,5 +46,6 @@ val quick_synthesis :
   target:Datapath.t -> pipelined:bool -> name:string -> Pass.t list
 
 (** Every stage name above, in canonical pipeline order.  nimblec's
-    [--dump-after] accepts these plus every registered rewrite name. *)
+    [--dump-after] selects a pass by name, so these never collide with
+    a registered rewrite name. *)
 val names : string list

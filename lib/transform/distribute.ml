@@ -35,9 +35,6 @@ exception Distribute_error of failure
 let () =
   Printexc.register_printer (function
     | Distribute_error f -> Some (Fmt.str "Distribute_error: %a" pp_failure f)
-    | _ -> None);
-  Uas_pass.Diag.register_exn_translator (function
-    | Distribute_error f -> Some (Fmt.str "%a" pp_failure f)
     | _ -> None)
 
 (** Why cutting [l.body] after its first [cut] statements would be
@@ -105,3 +102,9 @@ let apply (p : Stmt.program) ~index ~cut : Stmt.program =
   let body = go p.body in
   if not !replaced then Types.ir_error "no loop with index %s" index;
   { p with body }
+
+(* The non-raising entry point the rewrite registry builds on. *)
+let apply_res (p : Stmt.program) ~index ~cut : (Stmt.program, failure) result =
+  match apply p ~index ~cut with
+  | q -> Ok q
+  | exception Distribute_error f -> Error f

@@ -22,3 +22,8 @@ val failures : Stmt.loop -> cut:int -> failure list
     @raise Distribute_error when illegal
     @raise Ir_error when the loop is absent. *)
 val apply : Stmt.program -> index:string -> cut:int -> Stmt.program
+
+(** [apply] with the illegality as data instead of an exception.
+    @raise Ir_error when the loop is absent. *)
+val apply_res :
+  Stmt.program -> index:string -> cut:int -> (Stmt.program, failure) result

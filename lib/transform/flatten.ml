@@ -34,9 +34,6 @@ exception Flatten_error of failure
 let () =
   Printexc.register_printer (function
     | Flatten_error f -> Some (Fmt.str "Flatten_error: %a" pp_failure f)
-    | _ -> None);
-  Uas_pass.Diag.register_exn_translator (function
-    | Flatten_error f -> Some (Fmt.str "%a" pp_failure f)
     | _ -> None)
 
 let static_bounds lo hi step =

@@ -40,9 +40,6 @@ exception Interchange_error of failure
 let () =
   Printexc.register_printer (function
     | Interchange_error f -> Some (Fmt.str "Interchange_error: %a" pp_failure f)
-    | _ -> None);
-  Uas_pass.Diag.register_exn_translator (function
-    | Interchange_error f -> Some (Fmt.str "%a" pp_failure f)
     | _ -> None)
 
 (* Shape requirements shared by both dependence tests. *)

@@ -39,9 +39,6 @@ exception Pipeline_error of failure
 let () =
   Printexc.register_printer (function
     | Pipeline_error f -> Some (Fmt.str "Pipeline_error: %a" pp_failure f)
-    | _ -> None);
-  Uas_pass.Diag.register_exn_translator (function
-    | Pipeline_error f -> Some (Fmt.str "%a" pp_failure f)
     | _ -> None)
 
 let failures (l : Stmt.loop) ~stages : failure list =
@@ -205,3 +202,10 @@ let apply ?(delay_of = Opinfo.default_delay) (p : Stmt.program) ~index ~stages
     let body = go p.body in
     Stmt.add_locals { p with body } decls
   end
+
+(* The non-raising entry point the rewrite registry builds on. *)
+let apply_res ?delay_of (p : Stmt.program) ~index ~stages :
+    (Stmt.program, failure) result =
+  match apply ?delay_of p ~index ~stages with
+  | q -> Ok q
+  | exception Pipeline_error f -> Error f

@@ -29,3 +29,12 @@ val apply :
   index:string ->
   stages:int ->
   Stmt.program
+
+(** [apply] with the illegality as data instead of an exception.
+    @raise Ir_error when the loop is absent. *)
+val apply_res :
+  ?delay_of:(Opinfo.op_kind -> int) ->
+  Stmt.program ->
+  index:string ->
+  stages:int ->
+  (Stmt.program, failure) result

@@ -8,12 +8,14 @@
     unit with the transformed program (analyses invalidated, kernel
     indices re-pointed when the rewrite moved the kernel), failure is a
     structured diagnostic — never an escaping transform exception.
-    [check] answers the legality question alone; [apply] always checks
-    first.
+    Legality and transformation are one step: a rewrite finds out
+    whether it applies by applying.
 
     Names (catalog order): interchange, tiling, peel,
     fusion, distribute, flatten, hoist, ifconv, scalarize, scalar-opts,
-    expand, pipeline-sw, unroll, jam, squash. *)
+    expand, pipeline-sw, unroll, jam, squash.  docs/TRANSFORMS.md is
+    the catalog: the section each reproduces, its legality test, its
+    parameters and its failure modes. *)
 
 module Cu = Uas_pass.Cu
 module Diag = Uas_pass.Diag
@@ -37,30 +39,20 @@ type params = {
     required counts missing. *)
 val default_params : params
 
-(** A named, parameterized loop rewrite.  The descriptive fields drive
-    docs/TRANSFORMS.md and [nimblec] listings; [rw_check]/[rw_apply]
-    are the raw callbacks — use {!check}/{!apply}, which add the
+(** A named, parameterized loop rewrite.  [rw_apply] is the raw
+    callback — use {!apply}, which adds the fault site and the
     exception guard. *)
 type t = {
   rw_name : string;  (** stable registry/pass name *)
-  rw_summary : string;  (** one-line description *)
-  rw_section : string;  (** thesis section reproduced *)
-  rw_legality : string;  (** legality test, prose *)
-  rw_parameters : string;  (** parameter conventions, prose *)
-  rw_failure_modes : string;  (** failure modes, prose *)
-  rw_check : params -> Cu.t -> Diag.t option;
   rw_apply : params -> Cu.t -> (Cu.t, Diag.t) result;
 }
 
 val name : t -> string
 
-(** Would applying the rewrite here succeed?  [None] when legal, the
-    diagnostic otherwise.  Escaping layer-local exceptions are
-    translated like pass failures; unrecognized exceptions (genuine
-    bugs) propagate. *)
-val check : ?params:params -> t -> Cu.t -> Diag.t option
-
-(** Apply the rewrite: {!check} first, then transform.  On success the
+(** Apply the rewrite once: the transformed unit, or the diagnostic
+    saying why the rewrite does not apply here.  Escaping layer-local
+    exceptions are translated like pass failures ({!Diag.of_exn});
+    unrecognized exceptions (genuine bugs) propagate.  On success the
     unit's kernel indices follow the kernel (squash's fresh steady
     index, interchange's swap, flattening's collapse).
 

@@ -51,9 +51,6 @@ exception Squash_error of error
 let () =
   Printexc.register_printer (function
     | Squash_error e -> Some (Fmt.str "Squash_error: %a" pp_error e)
-    | _ -> None);
-  Uas_pass.Diag.register_exn_translator (function
-    | Squash_error e -> Some (Fmt.str "%a" pp_error e)
     | _ -> None)
 
 (** Result of the transformation, with the structural facts the

@@ -25,9 +25,6 @@ exception Jam_error of Legality.verdict
 let () =
   Printexc.register_printer (function
     | Jam_error v -> Some (Fmt.str "Jam_error: %a" Legality.pp_verdict v)
-    | _ -> None);
-  Uas_pass.Diag.register_exn_translator (function
-    | Jam_error v -> Some (Fmt.str "%a" Legality.pp_verdict v)
     | _ -> None)
 
 let apply (p : Stmt.program) (nest : Loop_nest.pair) ~ds : outcome =

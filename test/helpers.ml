@@ -108,6 +108,34 @@ let random_workload ?(seed = 42) (p : Stmt.program) : Interp.workload =
   in
   Interp.workload ~scalars ~arrays ()
 
+(** [p] as a benchmark, so a sweep can run and verify it: the reference
+    outputs are the original program's, interpreted on
+    [random_workload ~seed p]. *)
+let benchmark ?seed ?(name = "random") (p : Stmt.program) ~outer_index
+    ~inner_index : Uas_bench_suite.Registry.benchmark =
+  let w = random_workload ?seed p in
+  { Uas_bench_suite.Registry.b_name = name;
+    b_description = "test nest";
+    b_program = p;
+    b_outer_index = outer_index;
+    b_inner_index = inner_index;
+    b_workload = w;
+    b_reference = (Interp.run p w).Interp.outputs }
+
+(** The quick-synthesis report of one version of a benchmark's nest on
+    [target], through the version's pass pipeline. *)
+let report ?target (b : Uas_bench_suite.Registry.benchmark) v =
+  let module R = Uas_bench_suite.Registry in
+  match
+    Uas_core.Nimble.run_version_cu ?target b.R.b_program
+      ~outer_index:b.R.b_outer_index ~inner_index:b.R.b_inner_index v
+  with
+  | Ok (_, _, r) -> r
+  | Error d ->
+    Alcotest.failf "%s %s: %s" b.R.b_name
+      (Uas_core.Nimble.version_name v)
+      (Uas_pass.Diag.to_string d)
+
 (* --- assertions --- *)
 
 (** Check that [q] computes the same outputs as [p] on several random

@@ -6,6 +6,7 @@
 open Uas_ir
 module S = Uas_bench_suite
 module N = Uas_core.Nimble
+module E = Uas_core.Experiments
 
 (* --- host known-answer tests --- *)
 
@@ -68,108 +69,48 @@ let test_benchmarks_validate () =
 
 (* --- every paper version of every benchmark stays correct --- *)
 
+(* Every cell of a verified sweep: interpreted against the host
+   reference, and with no incident — the schedule stage re-checks every
+   schedule behind a reported II with [Sched.check_schedule] and logs a
+   violation as an incident. *)
+let check_row_verified ?versions ~expected (b : S.Registry.benchmark) =
+  let row = E.run_benchmark ~verify:true ?versions b in
+  Alcotest.(check int)
+    (b.S.Registry.b_name ^ " all versions built")
+    expected
+    (List.length row.E.br_cells);
+  List.iter
+    (fun (c : E.cell) ->
+      let cell = b.S.Registry.b_name ^ " " ^ N.version_name c.E.c_version in
+      List.iter
+        (fun d -> Alcotest.failf "%s: %s" cell (Uas_pass.Diag.to_string d))
+        c.E.c_incidents;
+      Alcotest.(check bool) (cell ^ " verified") true c.E.c_verified)
+    row.E.br_cells
+
 let test_all_versions_verified () =
   (* smaller instances keep the interpreter fast; factors up to 16 need
      m >= 16 *)
-  let benches =
+  List.iter
+    (check_row_verified ~expected:(List.length N.paper_versions))
     [ S.Registry.skipjack_mem ~m:16 ();
       S.Registry.skipjack_hw ~m:16 ();
       S.Registry.des_mem ~m:16 ();
       S.Registry.des_hw ~m:16 ();
       S.Registry.iir ~channels:16 () ]
-  in
-  List.iter
-    (fun (b : S.Registry.benchmark) ->
-      let rows =
-        N.sweep b.S.Registry.b_program
-          ~outer_index:b.S.Registry.b_outer_index
-          ~inner_index:b.S.Registry.b_inner_index
-        |> N.successes
-      in
-      Alcotest.(check int)
-        (b.S.Registry.b_name ^ " all versions built")
-        (List.length N.paper_versions)
-        (List.length rows);
-      List.iter
-        (fun (version, built, _report) ->
-          (match
-             S.Registry.check_against_reference b built.N.bv_program
-           with
-          | Ok () -> ()
-          | Error m ->
-            Alcotest.failf "%s %s: %s" b.S.Registry.b_name
-              (N.version_name version) m);
-          (* and the kernel schedule behind the reported II passes the
-             shared validity checker *)
-          let detail =
-            Uas_hw.Estimate.kernel_detail built.N.bv_program
-              ~index:built.N.bv_kernel_index
-          in
-          let s =
-            Uas_hw.Estimate.kernel_schedule
-              ~pipelined:(N.pipelined version) detail
-          in
-          match
-            Uas_dfg.Sched.check_schedule detail.Uas_dfg.Build.d_graph s
-          with
-          | Ok () -> ()
-          | Error msgs ->
-            Alcotest.failf "%s %s: invalid schedule: %s"
-              b.S.Registry.b_name (N.version_name version)
-              (String.concat "; " msgs))
-        rows)
-    benches
 
 let test_versions_with_peeling () =
   (* block counts that are not multiples of the factors *)
-  let b = S.Registry.skipjack_mem ~m:19 () in
-  let rows =
-    N.sweep b.S.Registry.b_program ~outer_index:"i" ~inner_index:"j"
-      ~versions:[ N.Squashed 4; N.Jammed 4; N.Squashed 16 ]
-    |> N.successes
-  in
-  Alcotest.(check int) "all built" 3 (List.length rows);
-  List.iter
-    (fun (version, built, _) ->
-      match S.Registry.check_against_reference b built.N.bv_program with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "%s: %s" (N.version_name version) m)
-    rows
+  check_row_verified ~expected:3
+    ~versions:[ N.Squashed 4; N.Jammed 4; N.Squashed 16 ]
+    (S.Registry.skipjack_mem ~m:19 ())
 
 (* --- the 3-deep extra: every deep-nest version stays correct --- *)
 
 let test_wavelet3_versions_verified () =
-  let b = S.Registry.wavelet3 () in
-  let rows =
-    N.sweep b.S.Registry.b_program
-      ~versions:(N.versions_for ~depth:3)
-      ~outer_index:b.S.Registry.b_outer_index
-      ~inner_index:b.S.Registry.b_inner_index
-    |> N.successes
-  in
-  Alcotest.(check int)
-    "all deep-nest versions built"
-    (List.length (N.versions_for ~depth:3))
-    (List.length rows);
-  List.iter
-    (fun (version, built, _report) ->
-      (match S.Registry.check_against_reference b built.N.bv_program with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "wavelet3 %s: %s" (N.version_name version) m);
-      let detail =
-        Uas_hw.Estimate.kernel_detail built.N.bv_program
-          ~index:built.N.bv_kernel_index
-      in
-      let s =
-        Uas_hw.Estimate.kernel_schedule ~pipelined:(N.pipelined version) detail
-      in
-      match Uas_dfg.Sched.check_schedule detail.Uas_dfg.Build.d_graph s with
-      | Ok () -> ()
-      | Error msgs ->
-        Alcotest.failf "wavelet3 %s: invalid schedule: %s"
-          (N.version_name version)
-          (String.concat "; " msgs))
-    rows
+  let versions = N.versions_for ~depth:3 in
+  check_row_verified ~versions ~expected:(List.length versions)
+    (S.Registry.wavelet3 ())
 
 (* the raw squash on the deep pair must be rejected with the inner-loop
    diagnostic, not mis-applied: the whole reason the flatten route

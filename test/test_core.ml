@@ -39,11 +39,7 @@ let test_combined_version_verified () =
 let test_combined_beats_jam_alone () =
   (* §2: jam(2)+squash(2) reaches ~4x speedup for ~2x operators *)
   let b = Lazy.force bench in
-  let est v =
-    N.estimate
-      (N.build_version b.S.Registry.b_program ~outer_index:"i"
-         ~inner_index:"j" v)
-  in
+  let est = Helpers.report b in
   let base = est N.Original in
   let jam2 = est (N.Jammed 2) in
   let combo = est (N.Combined (2, 2)) in
@@ -94,18 +90,16 @@ let test_sweep_reports_illegal () =
           [ for_ "j" ~hi:(int 4) [ "s" <-- v "s" + load "a" (v "i") ];
             store "o" (v "i") (v "s") ] ]
   in
-  let outcomes = N.sweep p ~outer_index:"i" ~inner_index:"j" in
-  Alcotest.(check int)
-    "every requested version has an outcome"
-    (List.length N.paper_versions)
-    (List.length outcomes);
-  let names = List.map (fun (v, _, _) -> N.version_name v) (N.successes outcomes) in
+  let row =
+    E.run_benchmark ~verify:false
+      (Helpers.benchmark p ~outer_index:"i" ~inner_index:"j")
+  in
+  let names = List.map (fun c -> N.version_name c.E.c_version) row.E.br_cells in
   Alcotest.(check (list string)) "only original and pipelined"
     [ "original"; "pipelined" ] names;
-  let skips = N.skipped outcomes in
-  Alcotest.(check int) "eight versions skipped" 8 (List.length skips);
+  Alcotest.(check int) "eight versions skipped" 8 (List.length row.E.br_skipped);
   List.iter
-    (fun (v, (d : Uas_pass.Diag.t)) ->
+    (fun { E.s_version = v; s_diag = (d : Uas_pass.Diag.t) } ->
       Alcotest.(check bool)
         (N.version_name v ^ " diag severity is Error")
         true
@@ -122,7 +116,7 @@ let test_sweep_reports_illegal () =
         (N.version_name v ^ " diag message is non-empty")
         true
         (String.length d.Uas_pass.Diag.d_message > 0))
-    skips
+    row.E.br_skipped
 
 let test_skipped_footer_rendered () =
   (* a rejected version lands in the table footer, not silently gone *)
@@ -142,7 +136,8 @@ let test_skipped_footer_rendered () =
 
 (* A kernel loop whose bounds depend on the outer index builds, but
    the estimator cannot model it: that is an [estimate] diagnostic on
-   the kernel loop, not an escaping exception. *)
+   the kernel loop from the quick-synthesis pipeline, not an escaping
+   exception. *)
 let test_dynamic_kernel_bound_diagnostic () =
   let p =
     Uas_ir.Parser.program_of_string
@@ -157,10 +152,7 @@ let test_dynamic_kernel_bound_diagnostic () =
   }
 }|}
   in
-  let built =
-    N.build_version p ~outer_index:"i" ~inner_index:"j" N.Pipelined
-  in
-  match N.estimate_result built with
+  match N.run_version_cu p ~outer_index:"i" ~inner_index:"j" N.Pipelined with
   | Ok _ -> Alcotest.fail "expected an estimate diagnostic"
   | Error d ->
     Alcotest.(check string) "pass" "estimate" d.Uas_pass.Diag.d_pass;

@@ -47,28 +47,23 @@ let test_qcheck_versions_bit_identical =
         diff_versions;
       true)
 
+(* One verified sweep of a random nest on a pool of [jobs] domains:
+   every cell is replayed against the original program's outputs. *)
+let sweep ~versions ~inner_index ~jobs p =
+  E.run_benchmark ~verify:true ~versions ~jobs
+    (Helpers.benchmark p ~outer_index:"i" ~inner_index)
+
+(* cell for cell: version, report, verification and incidents; skip
+   for skip: version and diagnostic *)
+let rows_equal (r1 : E.bench_row) (r2 : E.bench_row) =
+  r1.E.br_cells = r2.E.br_cells && r1.E.br_skipped = r2.E.br_skipped
+
 let test_qcheck_parallel_sweep_equals_sequential =
   QCheck.Test.make ~name:"parallel sweep = sequential sweep (cell-for-cell)"
     ~count:40 Helpers.arbitrary_diff_nest_program
     (fun p ->
-      let sweep jobs =
-        N.sweep ~versions:diff_versions ~jobs p ~outer_index:"i"
-          ~inner_index:"j"
-      in
-      let seq = sweep 1 and par = sweep 4 in
-      let outcome_equal o1 o2 =
-        match (o1, o2) with
-        | N.Built (b1, r1), N.Built (b2, r2) ->
-          b1.N.bv_program = b2.N.bv_program
-          && b1.N.bv_kernel_index = b2.N.bv_kernel_index
-          && r1 = r2
-        | N.Skipped d1, N.Skipped d2 -> d1 = d2
-        | _ -> false
-      in
-      List.length seq = List.length par
-      && List.for_all2
-           (fun (v1, o1) (v2, o2) -> v1 = v2 && outcome_equal o1 o2)
-           seq par)
+      let sweep = sweep ~versions:diff_versions ~inner_index:"j" p in
+      rows_equal (sweep ~jobs:1) (sweep ~jobs:4))
 
 (* the real hot path: a full paper-version benchmark row, verified,
    must come out cell-for-cell identical from a 1-domain and a 4-domain
@@ -92,17 +87,16 @@ let test_run_benchmark_parallel_equals_sequential () =
     seq par
 
 (* failures inside pool workers must surface as diagnostics, not
-   vanish into a domain: an unknown outer index comes back as a
-   [Skipped] outcome from a parallel sweep just as it does
-   sequentially *)
+   vanish into a domain: an unknown outer index comes back as a skipped
+   cell from a parallel sweep just as it does sequentially *)
 let test_sweep_failure_surfaces () =
-  let p = Helpers.fg_loop ~m:4 ~n:4 in
+  let b =
+    Helpers.benchmark (Helpers.fg_loop ~m:4 ~n:4) ~outer_index:"nope"
+      ~inner_index:"j"
+  in
   let attempt jobs =
-    match
-      N.sweep ~versions:[ N.Squashed 2 ] ~jobs p ~outer_index:"nope"
-        ~inner_index:"j"
-    with
-    | [ (N.Squashed 2, N.Skipped d) ] ->
+    match E.run_benchmark ~versions:[ N.Squashed 2 ] ~jobs b with
+    | { E.br_cells = []; br_skipped = [ { E.s_version = N.Squashed 2; s_diag = d } ]; _ } ->
       d.Uas_pass.Diag.d_pass = "loop-nest"
       && d.Uas_pass.Diag.d_severity = Uas_pass.Diag.Error
     | _ -> false
@@ -176,24 +170,8 @@ let test_qcheck_nest3_parallel_sweep_equals_sequential =
     ~name:"3-deep parallel sweep = sequential sweep (cell-for-cell)"
     ~count:20 Helpers.arbitrary_nest3_program
     (fun p ->
-      let sweep jobs =
-        N.sweep ~versions:diff_versions3 ~jobs p ~outer_index:"i"
-          ~inner_index:"k"
-      in
-      let seq = sweep 1 and par = sweep 4 in
-      let outcome_equal o1 o2 =
-        match (o1, o2) with
-        | N.Built (b1, r1), N.Built (b2, r2) ->
-          b1.N.bv_program = b2.N.bv_program
-          && b1.N.bv_kernel_index = b2.N.bv_kernel_index
-          && r1 = r2
-        | N.Skipped d1, N.Skipped d2 -> d1 = d2
-        | _ -> false
-      in
-      List.length seq = List.length par
-      && List.for_all2
-           (fun (v1, o1) (v2, o2) -> v1 = v2 && outcome_equal o1 o2)
-           seq par)
+      let sweep = sweep ~versions:diff_versions3 ~inner_index:"k" p in
+      rows_equal (sweep ~jobs:1) (sweep ~jobs:4))
 
 let suite =
   [ QCheck_alcotest.to_alcotest test_qcheck_versions_bit_identical;

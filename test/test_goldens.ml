@@ -61,10 +61,7 @@ let test_plans () =
 (* spot checks of the structural counts that drive the area story *)
 let test_golden_structure () =
   let check name ~mem ~ops (b : S.Registry.benchmark) =
-    let r =
-      Uas_hw.Estimate.kernel ~pipelined:false b.S.Registry.b_program
-        ~index:b.S.Registry.b_inner_index
-    in
+    let r = Helpers.report b Uas_core.Nimble.Original in
     Alcotest.(check int) (name ^ " memory refs") mem
       r.Uas_hw.Estimate.r_mem_refs;
     Alcotest.(check int) (name ^ " operators") ops

@@ -18,28 +18,23 @@ let small_suite () =
 
 (* the sweep is expensive (10 transforms + schedules per benchmark):
    compute it lazily once per benchmark name *)
-let sweep_cache : (string, (N.version * N.built * Estimate.report) list) Hashtbl.t =
-  Hashtbl.create 8
+let sweep_cache : (string, E.cell list) Hashtbl.t = Hashtbl.create 8
 
 let sweep b =
   match Hashtbl.find_opt sweep_cache b.S.Registry.b_name with
-  | Some rows -> rows
+  | Some cells -> cells
   | None ->
-    let rows =
-      N.sweep b.S.Registry.b_program ~outer_index:b.S.Registry.b_outer_index
-        ~inner_index:b.S.Registry.b_inner_index
-      |> N.successes
-    in
-    Hashtbl.replace sweep_cache b.S.Registry.b_name rows;
-    rows
+    let cells = (E.run_benchmark ~verify:false b).E.br_cells in
+    Hashtbl.replace sweep_cache b.S.Registry.b_name cells;
+    cells
 
 let small_suite =
   let cached = lazy (small_suite ()) in
   fun () -> Lazy.force cached
 
-let report_of rows version =
-  match List.find_opt (fun (v, _, _) -> v = version) rows with
-  | Some (_, _, r) -> r
+let report_of cells version =
+  match List.find_opt (fun c -> c.E.c_version = version) cells with
+  | Some c -> c.E.c_report
   | None -> Alcotest.failf "missing version %s" (N.version_name version)
 
 let test_pipelined_not_slower_than_original () =
@@ -152,7 +147,8 @@ let test_area_decomposition () =
   List.iter
     (fun b ->
       List.iter
-        (fun (_, _, (r : Estimate.report)) ->
+        (fun c ->
+          let r = c.E.c_report in
           Alcotest.(check int)
             (r.Estimate.r_name ^ " area = operators + registers")
             (r.Estimate.r_operator_rows + r.Estimate.r_registers)
@@ -163,12 +159,10 @@ let test_area_decomposition () =
 let test_register_packing_target () =
   (* the packed-register target shrinks area but touches nothing else *)
   let b = S.Registry.skipjack_hw ~m:16 () in
-  let built =
-    N.build_version b.S.Registry.b_program ~outer_index:"i" ~inner_index:"j"
-      (N.Squashed 8)
+  let dflt = Helpers.report b (N.Squashed 8) in
+  let packed =
+    Helpers.report ~target:Hw.Datapath.packed_registers b (N.Squashed 8)
   in
-  let dflt = N.estimate built in
-  let packed = N.estimate ~target:Hw.Datapath.packed_registers built in
   Alcotest.(check int) "same II" dflt.Estimate.r_ii packed.Estimate.r_ii;
   Alcotest.(check bool) "smaller area" true
     (packed.Estimate.r_area_rows < dflt.Estimate.r_area_rows)
@@ -177,12 +171,8 @@ let test_width_sized_target () =
   (* §5.4 back-end sizing: smaller operator rows for the byte-oriented
      Skipjack kernel, same II and registers *)
   let b = S.Registry.skipjack_hw ~m:16 () in
-  let built =
-    N.build_version b.S.Registry.b_program ~outer_index:"i" ~inner_index:"j"
-      N.Pipelined
-  in
-  let dflt = N.estimate built in
-  let sized = N.estimate ~target:Hw.Datapath.width_sized built in
+  let dflt = Helpers.report b N.Pipelined in
+  let sized = Helpers.report ~target:Hw.Datapath.width_sized b N.Pipelined in
   Alcotest.(check int) "same II" dflt.Estimate.r_ii sized.Estimate.r_ii;
   Alcotest.(check int) "same registers" dflt.Estimate.r_registers
     sized.Estimate.r_registers;
@@ -192,21 +182,16 @@ let test_width_sized_target () =
 let test_port_count_ablation () =
   (* fewer memory ports raise (or keep) the II of memory-bound kernels *)
   let b = S.Registry.des_mem ~m:16 () in
-  let built =
-    N.build_version b.S.Registry.b_program ~outer_index:"i" ~inner_index:"j"
-      (N.Squashed 8)
-  in
-  let one = N.estimate ~target:Hw.Datapath.single_port built in
-  let two = N.estimate built in
-  let four = N.estimate ~target:Hw.Datapath.quad_port built in
-  Alcotest.(check bool) "1 port slowest" true
-    (one.Estimate.r_ii >= two.Estimate.r_ii);
-  Alcotest.(check bool) "4 ports fastest" true
-    (four.Estimate.r_ii <= two.Estimate.r_ii)
+  let ii target = (Helpers.report ~target b (N.Squashed 8)).Estimate.r_ii in
+  let one = ii Hw.Datapath.single_port in
+  let two = ii Hw.Datapath.default in
+  let four = ii Hw.Datapath.quad_port in
+  Alcotest.(check bool) "1 port slowest" true (one >= two);
+  Alcotest.(check bool) "4 ports fastest" true (four <= two)
 
 let test_select_best_prefers_efficiency () =
   let b = S.Registry.skipjack_hw ~m:16 () in
-  let rows = sweep b in
+  let rows = List.map (fun c -> (c.E.c_version, (), c.E.c_report)) (sweep b) in
   match N.select_best rows with
   | None -> Alcotest.fail "no selection"
   | Some (v, _, _) ->

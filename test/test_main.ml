@@ -2,6 +2,7 @@ let () =
   Alcotest.run "unroll_and_squash"
     [ ("ir", Test_ir.suite);
       ("parser", Test_parser.suite);
+      ("surface", Test_surface.suite);
       ("analysis", Test_analysis.suite);
       ("dfg", Test_dfg.suite);
       ("sched-exact", Test_sched_exact.suite);

@@ -222,15 +222,7 @@ let test_report_serialization_roundtrip () =
   let b = iir () in
   List.iter
     (fun version ->
-      let built =
-        match
-          N.build_version_result b.R.b_program ~outer_index:b.R.b_outer_index
-            ~inner_index:b.R.b_inner_index version
-        with
-        | Ok built -> built
-        | Error d -> Alcotest.failf "build: %s" (Uas_pass.Diag.to_string d)
-      in
-      let r = N.estimate built in
+      let r = Helpers.report b version in
       match Uas_hw.Estimate.report_of_string (Uas_hw.Estimate.report_to_string r) with
       | Some r' ->
         if r' <> r then Alcotest.fail "report round-trip differs"
@@ -239,16 +231,7 @@ let test_report_serialization_roundtrip () =
 
 (* names pass through verbatim, even with spaces and '=' in them *)
 let test_report_name_verbatim () =
-  let b = iir () in
-  let built =
-    match
-      N.build_version_result b.R.b_program ~outer_index:b.R.b_outer_index
-        ~inner_index:b.R.b_inner_index N.Original
-    with
-    | Ok built -> built
-    | Error d -> Alcotest.failf "build: %s" (Uas_pass.Diag.to_string d)
-  in
-  let r = N.estimate built in
+  let r = Helpers.report (iir ()) N.Original in
   let r = { r with Uas_hw.Estimate.r_name = "odd name= with spaces" } in
   match Uas_hw.Estimate.report_of_string (Uas_hw.Estimate.report_to_string r) with
   | Some r' ->
