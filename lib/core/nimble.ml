@@ -108,23 +108,6 @@ let built_of_cu version cu =
     bv_program = Cu.program cu;
     bv_kernel_index = Cu.inner_index cu }
 
-(** Apply [version] to the nest identified by [outer_index] in [p],
-    running the transformation pipeline.  [after] is called with the
-    compilation unit after every pass (nimblec's [--dump-after]). *)
-let build_version_result ?after (p : Stmt.program) ~outer_index ~inner_index
-    (version : version) : (built, Diag.t) result =
-  let cu = Cu.make p ~outer_index ~inner_index in
-  Result.map (built_of_cu version) (Pass.run ?after cu (transform_passes version))
-
-(** [build_version_result], raising the diagnostic.
-    @raise Uas_pass.Diag.Failed when the transformation is illegal at
-    the requested factor (or the nest is missing). *)
-let build_version (p : Stmt.program) ~outer_index ~inner_index
-    (version : version) : built =
-  match build_version_result p ~outer_index ~inner_index version with
-  | Ok b -> b
-  | Error d -> Diag.fail d
-
 (** Transform + quick-synthesis pipeline for one version, keeping the
     final compilation unit (whose memoized artifacts — notably the
     fast-interpreter compilation — downstream verification reuses). *)

@@ -52,23 +52,6 @@ val transform_passes :
 val estimate_passes :
   ?target:Uas_hw.Datapath.t -> version -> Uas_pass.Pass.t list
 
-(** Apply one version to the nest identified by [outer_index] by
-    running its transformation pipeline.  [after] observes the
-    compilation unit after each pass. *)
-val build_version_result :
-  ?after:Uas_pass.Pass.hook ->
-  Stmt.program ->
-  outer_index:string ->
-  inner_index:string ->
-  version ->
-  (built, Uas_pass.Diag.t) result
-
-(** [build_version_result], raising on failure.
-    @raise Uas_pass.Diag.Failed when the transformation is illegal at
-    that factor. *)
-val build_version :
-  Stmt.program -> outer_index:string -> inner_index:string -> version -> built
-
 (** Run one version's full pipeline (transform + quick synthesis),
     returning the final compilation unit alongside the built version —
     callers that go on to execute the program can reuse the unit's

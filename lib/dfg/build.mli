@@ -7,26 +7,6 @@
 open Uas_ir
 module Ssa = Uas_analysis.Ssa
 
-(** Smallest cross-iteration distance d >= 1 at which access [ia] (at
-    iteration j) and [ib] (at j+d) may touch the same element; [None]
-    when provably never.  Exposed for reuse by fusion / distribution /
-    pipelining legality. *)
-val cross_distance :
-  inner_index:string option ->
-  inner_step:int ->
-  body_defs:Stmt.Sset.t ->
-  Expr.t ->
-  Expr.t ->
-  int option
-
-(** May the two accesses touch the same element in one iteration? *)
-val may_alias_intra :
-  inner_index:string option ->
-  body_defs:Stmt.Sset.t ->
-  Expr.t ->
-  Expr.t ->
-  bool
-
 (** Executable meaning of each node, with ordered operands (the edge
     list does not preserve operand order).  Consumed by the
     cycle-accurate pipeline simulator. *)

@@ -43,7 +43,8 @@ type liveness = {
 type t
 
 (** A fresh unit with an empty cache.  [outer_index]/[inner_index]
-    locate the kernel nest (as in {!Uas_core.Nimble.build_version});
+    locate the kernel nest: its outer loop and the inner loop the
+    hardware kernel runs;
     [ctx] defaults to {!Uas_runtime.Ctx.default}. *)
 val make :
   ?ctx:Uas_runtime.Ctx.t -> Stmt.program -> outer_index:string ->

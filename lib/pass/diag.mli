@@ -35,8 +35,8 @@ val errorf :
   ('a, Format.formatter, unit, t) format4 ->
   'a
 
-(** The carrier used by the raising convenience APIs ([Nimble.build_version],
-    the nimblec command bodies): a structured diagnostic as an exception. *)
+(** A structured diagnostic as an exception, for callers that raise
+    (bench/main.exe's report helper). *)
 exception Failed of t
 
 (** [fail d] raises {!Failed}. *)

@@ -9,7 +9,7 @@
      v@pre<d>   staging copy written by data set d's unrolled pre code
      v@post<d>  staging copy read by data set d's unrolled post code
      v@rot      rotation temporary
-     v@u<d>     unroll copy for unroll-and-jam / plain unrolling *)
+     v@u<d>     unroll copy for unroll-and-jam *)
 
 open Uas_ir
 module Sset = Stmt.Sset

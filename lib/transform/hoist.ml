@@ -6,7 +6,8 @@
    - [e] reads nothing written in the body (including [v] itself) nor
      the loop index, and contains no memory loads from arrays the body
      stores to;
-   - [v] has no other definition in the body;
+   - [v] has no other definition in the body, and no earlier
+     statement of the body reads it;
    - hoisting preserves the "executed at least once" semantics: the
      loop must have a statically positive trip count, because the
      hoisted assignment will now execute even for zero-trip loops. *)
@@ -33,26 +34,36 @@ let hoistable (l : Stmt.loop) : (Stmt.t list * Stmt.t list) option =
             (1 + Option.value ~default:0 (Hashtbl.find_opt def_counts x))
         | _ -> ())
       l.body;
-    (* scan front-to-back; a statement is hoistable if its inputs are
-       invariant AND no earlier non-hoisted statement could change them
-       — achieved by only hoisting a prefix-closed set: once a
-       statement stays, later statements reading its target stay too,
-       which the [defs]-based check already guarantees *)
     let invariant_expr e =
       Sset.is_empty (Sset.inter (Expr.var_set e) (Sset.add l.index defs))
       && List.for_all
            (fun a -> not (Sset.mem a stored))
            (Expr.arrays_loaded e)
     in
-    let hoisted, kept =
-      List.partition
-        (fun s ->
-          match s with
-          | Stmt.Assign (x, e) ->
-            Hashtbl.find_opt def_counts x = Some 1 && invariant_expr e
-          | Stmt.Store _ | Stmt.If _ | Stmt.For _ -> false)
-        l.body
+    (* scan front-to-back; a statement is hoistable if its inputs are
+       invariant AND no earlier non-hoisted statement could change them
+       — achieved by only hoisting a prefix-closed set: once a
+       statement stays, later statements reading its target stay too,
+       which the [defs]-based check already guarantees.  A target read
+       earlier in the body stays as well: on the first iteration that
+       read must see the value from before the loop. *)
+    let _, hoisted, kept =
+      List.fold_left
+        (fun (read, hoisted, kept) s ->
+          let hoist =
+            match s with
+            | Stmt.Assign (x, e) ->
+              Hashtbl.find_opt def_counts x = Some 1
+              && invariant_expr e
+              && not (Sset.mem x read)
+            | Stmt.Store _ | Stmt.If _ | Stmt.For _ -> false
+          in
+          let read = Sset.union read (Stmt.uses [ s ]) in
+          if hoist then (read, s :: hoisted, kept)
+          else (read, hoisted, s :: kept))
+        (Sset.empty, [], []) l.body
     in
+    let hoisted = List.rev hoisted and kept = List.rev kept in
     if hoisted = [] then None else Some (hoisted, kept)
   end
 

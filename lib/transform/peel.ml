@@ -51,29 +51,3 @@ let peel_back (p : Stmt.program) (nest : Loop_nest.pair) ~iterations :
       in
       let p = Loop_nest.replace p ~outer_index:nest.outer_index replacement in
       (p, nest')
-
-(** [peel_back] with the [Ir_error] message surfaced as data — the
-    entry point the {!Rewrite} registry builds on. *)
-let peel_back_res (p : Stmt.program) (nest : Loop_nest.pair) ~iterations :
-    (Stmt.program * Loop_nest.pair, string) result =
-  match peel_back p nest ~iterations with
-  | r -> Ok r
-  | exception Types.Ir_error m -> Error m
-
-(** Peel the first [iterations] iterations of a plain loop, for use by
-    transformations on single loops.  Static bounds required. *)
-let peel_front_loop (l : Stmt.loop) ~iterations : Stmt.t list * Stmt.loop =
-  if iterations < 0 then Types.ir_error "cannot peel %d iterations" iterations;
-  match (Expr.simplify l.Stmt.lo, Expr.simplify l.Stmt.hi) with
-  | Expr.Int lo, Expr.Int hi ->
-    let trips = if hi <= lo then 0 else (hi - lo + l.step - 1) / l.step in
-    if iterations > trips then
-      Types.ir_error "cannot peel %d of %d iterations" iterations trips;
-    let copies =
-      List.concat
-        (List.init iterations (fun k ->
-             Stmt.Assign (l.index, Expr.Int (lo + (k * l.step))) :: l.body))
-    in
-    let l' = { l with Stmt.lo = Expr.Int (lo + (iterations * l.step)) } in
-    (copies, l')
-  | _ -> Types.ir_error "peeling requires static bounds"

@@ -10,15 +10,3 @@ module Loop_nest = Uas_analysis.Loop_nest
     @raise Ir_error on bad counts or dynamic bounds. *)
 val peel_back :
   Stmt.program -> Loop_nest.pair -> iterations:int -> Stmt.program * Loop_nest.pair
-
-(** [peel_back] with the failure message as data — the entry point the
-    {!Rewrite} registry builds on. *)
-val peel_back_res :
-  Stmt.program ->
-  Loop_nest.pair ->
-  iterations:int ->
-  (Stmt.program * Loop_nest.pair, string) result
-
-(** Peel the first [iterations] of a plain loop; returns the peeled
-    copies and the shrunken loop. *)
-val peel_front_loop : Stmt.loop -> iterations:int -> Stmt.t list * Stmt.loop

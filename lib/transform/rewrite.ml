@@ -1,7 +1,8 @@
-(* The first-class rewrite interface: every loop transformation of the
-   library — the paper's unroll-and-squash and all its §3/§4 relatives
-   and enabling rewrites — behind one uniform, named, parameterized
-   signature on the pass pipeline's compilation units.
+(* The first-class rewrite interface: the loop transformations the
+   Nimble flow runs — the paper's unroll-and-squash, unroll-and-jam and
+   the enabling rewrites the planner tries before squashing (§4.2) —
+   behind one uniform, named, parameterized signature on the pass
+   pipeline's compilation units.
 
    Each rewrite is one function: it decides legality and transforms in
    the same step, and reports a failure as a structured [Diag.t] value.
@@ -23,15 +24,13 @@ module Fault = Uas_runtime.Fault
 module Instrument = Uas_runtime.Instrument
 module Loop_nest = Uas_analysis.Loop_nest
 module Legality = Uas_analysis.Legality
-module Sset = Stmt.Sset
 
 type params = {
   target : string option;
   factor : int option;
-  cut : int option;
 }
 
-let default_params = { target = None; factor = None; cut = None }
+let default_params = { target = None; factor = None }
 
 type t = {
   rw_name : string;
@@ -61,11 +60,6 @@ let require_factor rw_name cu p =
   match p.factor with
   | Some f -> Ok f
   | None -> Error (errf rw_name cu "missing required parameter: factor")
-
-let require_cut rw_name cu p =
-  match p.cut with
-  | Some c -> Ok c
-  | None -> Error (errf rw_name cu "missing required parameter: cut")
 
 (* The kernel nest when the target is the unit's own outer index (the
    memoized path), any other nest by explicit lookup. *)
@@ -98,43 +92,6 @@ let interchange =
       Ok (Cu.with_program cu q ~outer_index:outer' ~inner_index:inner')
   in
   { rw_name = "interchange"; rw_apply = apply }
-
-let tiling =
-  let apply p cu =
-    let* tile = require_factor "tiling" cu p in
-    match Tiling.apply_res (Cu.program cu) ~index:(inner_target cu p) ~tile with
-    | Ok q -> Ok (Cu.with_program cu q)
-    | Error m -> Error (errf "tiling" cu "%s" m)
-  in
-  { rw_name = "tiling"; rw_apply = apply }
-
-let peel =
-  let apply p cu =
-    let* iterations = require_factor "peel" cu p in
-    let t = outer_target cu p in
-    match Peel.peel_back_res (Cu.program cu) (nest_of cu ~outer_index:t) ~iterations with
-    | Ok (q, _nest) -> Ok (Cu.with_program cu q)
-    | Error m -> Error (errf "peel" cu "%s" m)
-  in
-  { rw_name = "peel"; rw_apply = apply }
-
-let fusion =
-  let apply _p cu =
-    match Fusion.apply_res (Cu.program cu) with
-    | Ok q -> Ok (Cu.with_program cu q)
-    | Error f -> Error (errf "fusion" cu "%a" Fusion.pp_failure f)
-  in
-  { rw_name = "fusion"; rw_apply = apply }
-
-let distribute =
-  let apply p cu =
-    let* cut = require_cut "distribute" cu p in
-    let index = inner_target cu p in
-    match Distribute.apply_res (Cu.program cu) ~index ~cut with
-    | Ok q -> Ok (Cu.with_program cu q)
-    | Error f -> Error (errf "distribute" cu "%a" Distribute.pp_failure f)
-  in
-  { rw_name = "distribute"; rw_apply = apply }
 
 let flatten =
   let apply p cu =
@@ -180,45 +137,6 @@ let scalar_opts =
   in
   { rw_name = "scalar-opts"; rw_apply = apply }
 
-let expand =
-  let apply p cu =
-    let d = Option.value p.factor ~default:0 in
-    let nest = nest_of cu ~outer_index:(outer_target cu p) in
-    let prog = Cu.program cu in
-    let locals = Sset.of_list (List.map fst prog.Stmt.locals) in
-    let vs = Sset.inter (Expand.versioned_scalars nest) locals in
-    let rename v = if Sset.mem v vs then Expand.unroll_copy v d else v in
-    let decls = Expand.copy_decls prog vs (fun v -> [ Expand.unroll_copy v d ]) in
-    let q =
-      Stmt.add_locals
-        { prog with Stmt.body = Stmt.rename_vars_list rename prog.Stmt.body }
-        decls
-    in
-    Ok
-      (Cu.with_program cu q
-         ~outer_index:(rename (Cu.outer_index cu))
-         ~inner_index:(rename (Cu.inner_index cu)))
-  in
-  { rw_name = "expand"; rw_apply = apply }
-
-let pipeline_sw =
-  let apply p cu =
-    let* stages = require_factor "pipeline-sw" cu p in
-    let index = inner_target cu p in
-    match Pipeline_sw.apply_res (Cu.program cu) ~index ~stages with
-    | Ok q -> Ok (Cu.with_program cu q)
-    | Error f -> Error (errf "pipeline-sw" cu "%a" Pipeline_sw.pp_failure f)
-  in
-  { rw_name = "pipeline-sw"; rw_apply = apply }
-
-let unroll =
-  let apply p cu =
-    let* factor = require_factor "unroll" cu p in
-    let index = inner_target cu p in
-    Ok (Cu.with_program cu (Unroll.apply (Cu.program cu) ~index ~factor))
-  in
-  { rw_name = "unroll"; rw_apply = apply }
-
 (* Squash and jam read the same parameters and fail alike: the factor
    is checked before the nest is looked up, and an illegal nest reports
    the §4.1/§4.2 verdict as "factor DS: ..." — the sweep's skip footers
@@ -254,8 +172,7 @@ let squash =
 (* ---- the registry ---- *)
 
 let registry =
-  [ interchange; tiling; peel; fusion; distribute; flatten; hoist; ifconv;
-    scalarize; scalar_opts; expand; pipeline_sw; unroll; jam; squash ]
+  [ interchange; flatten; hoist; ifconv; scalarize; scalar_opts; jam; squash ]
 
 let all () = registry
 let names () = List.map (fun r -> r.rw_name) registry
@@ -406,5 +323,5 @@ let to_pass ?(params = default_params) ?validate t =
   | None -> Pass.v t.rw_name (fun cu -> apply ~params t cu)
   | Some probe -> Pass.v t.rw_name (fun cu -> validated_apply ~params ~probe t cu)
 
-let pass ?target ?factor ?cut ?validate n =
-  to_pass ~params:{ target; factor; cut } ?validate (get n)
+let pass ?target ?factor ?validate n =
+  to_pass ~params:{ target; factor } ?validate (get n)

@@ -1,4 +1,4 @@
-(** First-class loop rewrites: every transformation of the library
+(** First-class loop rewrites: the transformations the Nimble flow runs
     behind one named, parameterized interface on the pass pipeline's
     compilation units, plus the registry that maps stable names to
     rewrites.
@@ -11,9 +11,8 @@
     Legality and transformation are one step: a rewrite finds out
     whether it applies by applying.
 
-    Names (catalog order): interchange, tiling, peel,
-    fusion, distribute, flatten, hoist, ifconv, scalarize, scalar-opts,
-    expand, pipeline-sw, unroll, jam, squash.  docs/TRANSFORMS.md is
+    Names (catalog order): interchange, flatten, hoist, ifconv,
+    scalarize, scalar-opts, jam, squash.  docs/TRANSFORMS.md is
     the catalog: the section each reproduces, its legality test, its
     parameters and its failure modes. *)
 
@@ -25,18 +24,16 @@ module Pass = Uas_pass.Pass
     rewrite acts on — the nest's outer index for nest rewrites, the
     loop's own index for single-loop rewrites — and defaults to the
     unit's kernel ([Cu.outer_index] / [Cu.inner_index] respectively).
-    [factor] is the rewrite's count (unroll/squash factor DS, tile
-    size, peel iterations, stage count, expansion data-set number);
-    [cut] is distribution's statement position.  A rewrite that needs a
-    missing parameter fails with a diagnostic, not an exception. *)
+    [factor] is the unroll factor DS of squash and jam.  A rewrite that
+    needs a missing parameter fails with a diagnostic, not an
+    exception. *)
 type params = {
   target : string option;
   factor : int option;
-  cut : int option;
 }
 
-(** All fields [None]: every rewrite acts on the kernel nest with its
-    required counts missing. *)
+(** All fields [None]: every rewrite acts on the kernel nest, and squash
+    and jam miss their factor. *)
 val default_params : params
 
 (** A named, parameterized loop rewrite.  [rw_apply] is the raw
@@ -104,13 +101,12 @@ val get : string -> t
     the pass use {!validated_apply} with the given probe workload. *)
 val to_pass : ?params:params -> ?validate:Uas_ir.Interp.workload -> t -> Pass.t
 
-(** [pass ?target ?factor ?cut ?validate name] looks the rewrite up and
+(** [pass ?target ?factor ?validate name] looks the rewrite up and
     converts it: [pass ~factor:4 "squash"] is the historical squash
     pipeline pass.  @raise Invalid_argument on unknown names. *)
 val pass :
   ?target:string ->
   ?factor:int ->
-  ?cut:int ->
   ?validate:Uas_ir.Interp.workload ->
   string ->
   Pass.t

@@ -122,6 +122,15 @@ let benchmark ?seed ?(name = "random") (p : Stmt.program) ~outer_index
     b_workload = w;
     b_reference = (Interp.run p w).Interp.outputs }
 
+(** One version of [p]'s nest, built by the version's transformation
+    pipeline: the transformed program, or the diagnostic of the pass
+    that rejected it.  [after] observes the unit after each pass. *)
+let build ?after (p : Stmt.program) ~outer_index ~inner_index v =
+  Result.map Uas_pass.Cu.program
+    (Uas_pass.Pass.run ?after
+       (Uas_pass.Cu.make p ~outer_index ~inner_index)
+       (Uas_core.Nimble.transform_passes v))
+
 (** The quick-synthesis report of one version of a benchmark's nest on
     [target], through the version's pass pipeline. *)
 let report ?target (b : Uas_bench_suite.Registry.benchmark) v =
@@ -247,8 +256,8 @@ let gen_diff_nest_program = gen_nest_program_sized ~m_max:6 ~n_max:12
 let arbitrary_diff_nest_program =
   QCheck.make gen_diff_nest_program ~print:Pp.program_to_string
 
-(* Perfect-nest variant for the nest rewrites (interchange, flatten,
-   tiling): the whole body lives in the inner loop, every scalar read
+(* Perfect-nest variant for the nest rewrites (interchange, flatten):
+   the whole body lives in the inner loop, every scalar read
    is preceded by a definition there, all loads are read-only, and each
    (i, j) iteration writes its own dst cell — so the loops are legally
    reorderable by construction. *)

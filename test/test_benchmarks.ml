@@ -118,7 +118,7 @@ let test_wavelet3_versions_verified () =
 let test_wavelet3_raw_squash_rejected () =
   let b = S.Registry.wavelet3 () in
   match
-    N.build_version_result b.S.Registry.b_program
+    Helpers.build b.S.Registry.b_program
       ~outer_index:b.S.Registry.b_outer_index
       ~inner_index:b.S.Registry.b_inner_index (N.Squashed 4)
   with

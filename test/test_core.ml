@@ -26,14 +26,17 @@ let test_combined_version_verified () =
   let b = Lazy.force bench in
   List.iter
     (fun (j, s) ->
-      let built =
-        N.build_version b.S.Registry.b_program ~outer_index:"i"
+      match
+        Helpers.build b.S.Registry.b_program ~outer_index:"i"
           ~inner_index:"j" (N.Combined (j, s))
-      in
-      match S.Registry.check_against_reference b built.N.bv_program with
-      | Ok () -> ()
-      | Error m ->
-        Alcotest.failf "combined jam(%d)+squash(%d): %s" j s m)
+      with
+      | Error d ->
+        Alcotest.failf "combined jam(%d)+squash(%d): %s" j s
+          (Uas_pass.Diag.to_string d)
+      | Ok q -> (
+        match S.Registry.check_against_reference b q with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "combined jam(%d)+squash(%d): %s" j s m))
     [ (2, 2); (2, 4); (4, 2) ]
 
 let test_combined_beats_jam_alone () =

@@ -21,11 +21,6 @@ module R = Uas_bench_suite.Registry
    rotation and jam duplication *)
 let diff_versions = [ N.Original; N.Squashed 2; N.Squashed 4; N.Jammed 2 ]
 
-let build_opt p v =
-  match N.build_version_result p ~outer_index:"i" ~inner_index:"j" v with
-  | Ok b -> Some b
-  | Error _ -> None
-
 let test_qcheck_versions_bit_identical =
   QCheck.Test.make
     ~name:"interp outputs bit-identical across original/squash/jam" ~count:40
@@ -35,15 +30,15 @@ let test_qcheck_versions_bit_identical =
       let reference = Interp.run p w in
       List.iter
         (fun v ->
-          match build_opt p v with
-          | None -> ()  (* illegal at this factor: dropped, as in sweep *)
-          | Some b -> (
-            let r = Interp.run b.N.bv_program w in
+          match Helpers.build p ~outer_index:"i" ~inner_index:"j" v with
+          | Error _ -> ()  (* illegal at this factor: dropped, as in sweep *)
+          | Ok q -> (
+            let r = Interp.run q w in
             match Interp.diff_outputs reference r with
             | None -> ()
             | Some d ->
               QCheck.Test.fail_reportf "%s diverges: %s@\n%a"
-                (N.version_name v) d Pp.pp_program b.N.bv_program))
+                (N.version_name v) d Pp.pp_program q))
         diff_versions;
       true)
 
@@ -112,11 +107,6 @@ let test_sweep_failure_surfaces () =
    (a dropped version, like an illegal factor) — never diverge. *)
 let diff_versions3 = [ N.Original; N.Flat_squashed 2; N.Flat_squashed 4 ]
 
-let build_opt3 p v =
-  match N.build_version_result p ~outer_index:"i" ~inner_index:"k" v with
-  | Ok b -> Some b
-  | Error _ -> None
-
 let test_qcheck_nest3_versions_bit_identical =
   QCheck.Test.make
     ~name:"interp outputs bit-identical across original/flatten+squash"
@@ -126,15 +116,15 @@ let test_qcheck_nest3_versions_bit_identical =
       let reference = Interp.run p w in
       List.iter
         (fun v ->
-          match build_opt3 p v with
-          | None -> ()
-          | Some b -> (
-            let r = Interp.run b.N.bv_program w in
+          match Helpers.build p ~outer_index:"i" ~inner_index:"k" v with
+          | Error _ -> ()
+          | Ok q -> (
+            let r = Interp.run q w in
             match Interp.diff_outputs reference r with
             | None -> ()
             | Some d ->
               QCheck.Test.fail_reportf "%s diverges: %s@\n%a"
-                (N.version_name v) d Pp.pp_program b.N.bv_program))
+                (N.version_name v) d Pp.pp_program q))
         diff_versions3;
       true)
 

@@ -1,6 +1,6 @@
 (* The enabling/auxiliary transformations added beyond the core set:
-   loop interchange, distribution, invariant code motion and
-   scalarization — equivalence plus the structural facts each one
+   loop interchange, invariant code motion, scalarization and
+   flattening — equivalence plus the structural facts each one
    promises. *)
 
 open Uas_ir
@@ -55,75 +55,6 @@ let test_interchange_rejects_carried () =
     -> ()
   | _ -> Alcotest.fail "expected Carried_dependence"
 
-(* --- distribution --- *)
-
-let test_distribute_equivalence () =
-  let m = 8 in
-  let p =
-    B.program "dist"
-      ~locals:[ ("j", Types.Tint); ("x", Types.Tint) ]
-      ~arrays:[ B.input "a" m; B.output "b" m; B.output "c" m ]
-      [ B.for_ "j" ~hi:(B.int m)
-          [ B.store "b" (B.v "j") B.(load "a" (v "j") + int 1);
-            B.store "c" (B.v "j") B.(load "a" (v "j") * int 3) ] ]
-  in
-  let q = T.Distribute.apply p ~index:"j" ~cut:1 in
-  Helpers.assert_equivalent ~msg:"distribute" p q;
-  let loops =
-    Stmt.fold_list
-      (fun k s -> match s with Stmt.For _ -> k + 1 | _ -> k)
-      0 q.Stmt.body
-  in
-  Alcotest.(check int) "two loops" 2 loops
-
-let test_distribute_then_fuse_roundtrip () =
-  let m = 8 in
-  let p =
-    B.program "rt"
-      ~locals:[ ("j", Types.Tint) ]
-      ~arrays:[ B.input "a" m; B.output "b" m; B.output "c" m ]
-      [ B.for_ "j" ~hi:(B.int m)
-          [ B.store "b" (B.v "j") (B.load "a" (B.v "j"));
-            B.store "c" (B.v "j") (B.load "a" (B.v "j")) ] ]
-  in
-  let q = T.Distribute.apply p ~index:"j" ~cut:1 in
-  match T.Fusion.apply_first q with
-  | None -> Alcotest.fail "fusion should re-merge"
-  | Some r ->
-    Helpers.assert_equivalent ~msg:"distribute+fuse" p r;
-    Alcotest.(check bool) "same program" true
-      (Stmt.equal_list p.Stmt.body r.Stmt.body)
-
-let test_distribute_rejects_scalar_flow () =
-  let p =
-    B.program "flow"
-      ~locals:[ ("j", Types.Tint); ("x", Types.Tint) ]
-      ~arrays:[ B.input "a" 8; B.output "b" 8 ]
-      [ B.for_ "j" ~hi:(B.int 8)
-          [ B.("x" <-- load "a" (v "j"));
-            B.store "b" (B.v "j") (B.v "x") ] ]
-  in
-  match T.Distribute.apply p ~index:"j" ~cut:1 with
-  | exception T.Distribute.Distribute_error (T.Distribute.Scalar_flow "x") -> ()
-  | exception T.Distribute.Distribute_error _ -> ()
-  | _ -> Alcotest.fail "expected Scalar_flow"
-
-let test_distribute_rejects_backward_array_flow () =
-  (* the second statement's write at iteration j feeds the first
-     statement's read at iteration j+1: distribution would run all the
-     reads before any write and observe stale values *)
-  let p =
-    B.program "backflow"
-      ~locals:[ ("j", Types.Tint) ]
-      ~arrays:[ B.local_array "a" 10; B.output "b" 10 ]
-      [ B.for_ "j" ~hi:(B.int 8)
-          [ B.store "b" (B.v "j") (B.load "a" (B.v "j"));
-            B.store "a" B.(v "j" + int 1) (B.v "j") ] ]
-  in
-  match T.Distribute.apply p ~index:"j" ~cut:1 with
-  | exception T.Distribute.Distribute_error (T.Distribute.Array_flow _) -> ()
-  | _ -> Alcotest.fail "expected Array_flow"
-
 (* --- hoisting --- *)
 
 let test_hoist_equivalence_and_motion () =
@@ -167,6 +98,25 @@ let test_hoist_keeps_variant () =
             B.store "b" (B.v "j") (B.v "x") ] ]
   in
   let q = T.Hoist.apply p in
+  Alcotest.(check bool) "unchanged" true
+    (Stmt.equal_list p.Stmt.body q.Stmt.body)
+
+(* [b = 0] is invariant and [b]'s only definition, but the body reads
+   [b] before it: the first iteration must see the value loaded before
+   the loop, so the assignment stays *)
+let test_hoist_keeps_read_before_def () =
+  let p =
+    B.program "readfirst"
+      ~locals:[ ("j", Types.Tint); ("acc", Types.Tint); ("b", Types.Tint) ]
+      ~arrays:[ B.input "a" 1; B.output "o" 1 ]
+      [ B.("b" <-- load "a" (int 0));
+        B.("acc" <-- int 0);
+        B.for_ "j" ~hi:(B.int 4)
+          [ B.("acc" <-- v "acc" + v "b"); B.("b" <-- int 0) ];
+        B.store "o" (B.int 0) (B.v "acc") ]
+  in
+  let q = T.Hoist.apply p in
+  Helpers.assert_equivalent ~msg:"hoist read-before-def" p q;
   Alcotest.(check bool) "unchanged" true
     (Stmt.equal_list p.Stmt.body q.Stmt.body)
 
@@ -242,17 +192,11 @@ let base_suite =
       test_interchange_rejects_imperfect;
     Alcotest.test_case "interchange rejects carried" `Quick
       test_interchange_rejects_carried;
-    Alcotest.test_case "distribute equivalence" `Quick
-      test_distribute_equivalence;
-    Alcotest.test_case "distribute+fuse roundtrip" `Quick
-      test_distribute_then_fuse_roundtrip;
-    Alcotest.test_case "distribute rejects scalar flow" `Quick
-      test_distribute_rejects_scalar_flow;
-    Alcotest.test_case "distribute rejects array backflow" `Quick
-      test_distribute_rejects_backward_array_flow;
     Alcotest.test_case "hoist equivalence" `Quick
       test_hoist_equivalence_and_motion;
     Alcotest.test_case "hoist keeps variant" `Quick test_hoist_keeps_variant;
+    Alcotest.test_case "hoist keeps read-before-def" `Quick
+      test_hoist_keeps_read_before_def;
     Alcotest.test_case "scalarize equivalence" `Quick
       test_scalarize_equivalence;
     Alcotest.test_case "scalarize skips stored arrays" `Quick

@@ -30,18 +30,16 @@ let test_qcheck_fast_tier_bit_identical =
       let w = Helpers.random_workload ~seed:23 p in
       List.iter
         (fun v ->
-          match
-            N.build_version_result p ~outer_index:"i" ~inner_index:"j" v
-          with
+          match Helpers.build p ~outer_index:"i" ~inner_index:"j" v with
           | Error _ -> ()  (* illegal at this factor: dropped, as in sweep *)
-          | Ok b -> (
-            let reference = Interp.run b.N.bv_program w in
-            let fast = Fast_interp.run_program b.N.bv_program w in
+          | Ok q -> (
+            let reference = Interp.run q w in
+            let fast = Fast_interp.run_program q w in
             match Interp.diff_results reference fast with
             | None -> ()
             | Some d ->
               QCheck.Test.fail_reportf "%s: fast tier diverges: %s@\n%a"
-                (N.version_name v) d Pp.pp_program b.N.bv_program))
+                (N.version_name v) d Pp.pp_program q))
         fast_versions;
       true)
 
@@ -68,12 +66,9 @@ let test_compiled_reuse =
 
 module Rw = Uas_transform.Rewrite
 module Cu = Uas_pass.Cu
+module Pass = Uas_pass.Pass
 
-let rw_params ?target ?factor ?cut () = { Rw.target; factor; cut }
-
-let apply_rewrite name params p =
-  Rw.apply ~params (Rw.get name)
-    (Cu.make p ~outer_index:"i" ~inner_index:"j")
+let cu_of p = Cu.make p ~outer_index:"i" ~inner_index:"j"
 
 (* a legal rewrite must (1) preserve the reference outputs and (2) keep
    the two tiers bit-identical on the rewritten program *)
@@ -88,80 +83,62 @@ let check_rewritten_parity ~msg p q w =
   | Some d ->
     Alcotest.failf "%s: fast tier diverges: %s@\n%a" msg d Pp.pp_program q
 
-(* the enabling rewrites on random nests: tiling always applies;
-   distribution (and fusion re-merging its output) whenever the cut is
-   legal on the generated body *)
+(* every non-empty enabling prefix of the planner, its rewrites run in
+   order as the planner runs them before squashing; a prefix the nest
+   refuses (interchange on an imperfect nest) is dropped, as the
+   planner drops the candidate *)
+let check_enabling_prefixes ~msg cu w =
+  let p = Cu.program cu in
+  List.iter
+    (fun prefix ->
+      match Pass.run cu (List.map (fun name -> Rw.pass name) prefix) with
+      | Error _ -> ()
+      | Ok cu' ->
+        check_rewritten_parity
+          ~msg:(msg ^ "/" ^ String.concat "+" prefix)
+          p (Cu.program cu') w)
+    (List.filter (fun prefix -> prefix <> [])
+       Uas_core.Planner.enabling_prefixes)
+
 let test_qcheck_enabling_rewrites_parity =
   QCheck.Test.make
-    ~name:"tiling/distribute/fusion keep tiers bit-identical (random nests)"
+    ~name:"enabling prefixes keep tiers bit-identical (random nests)"
     ~count:40 Helpers.arbitrary_diff_nest_program
     (fun p ->
-      let w = Helpers.random_workload ~seed:31 p in
-      (match apply_rewrite "tiling" (rw_params ~factor:3 ()) p with
-      | Error d ->
-        Alcotest.failf "tiling refused: %s" (Uas_pass.Diag.to_string d)
-      | Ok cu -> check_rewritten_parity ~msg:"tiling" p (Cu.program cu) w);
-      (match apply_rewrite "distribute" (rw_params ~cut:1 ()) p with
-      | Error _ -> () (* a value crosses the cut: legitimately refused *)
-      | Ok cu -> (
-        let q = Cu.program cu in
-        check_rewritten_parity ~msg:"distribute" p q w;
-        match apply_rewrite "fusion" Rw.default_params q with
-        | Error _ -> ()
-        | Ok cu2 ->
-          check_rewritten_parity ~msg:"distribute+fusion" p (Cu.program cu2) w));
+      check_enabling_prefixes ~msg:"random" (cu_of p)
+        (Helpers.random_workload ~seed:31 p);
       true)
 
 (* perfect static nests are interchange/flatten-legal by construction:
    assert the rewrites apply, then check both tiers on the result *)
 let test_qcheck_perfect_nest_rewrites_parity =
   QCheck.Test.make
-    ~name:"interchange/flatten/tiling keep tiers bit-identical (perfect nests)"
+    ~name:"interchange/flatten keep tiers bit-identical (perfect nests)"
     ~count:40 Helpers.arbitrary_perfect_nest_program
     (fun p ->
       let w = Helpers.random_workload ~seed:47 p in
       List.iter
-        (fun (msg, name, ps) ->
-          match apply_rewrite name ps p with
+        (fun name ->
+          match Rw.apply (Rw.get name) (cu_of p) with
           | Error d ->
-            Alcotest.failf "%s refused on a perfect nest: %s" msg
+            Alcotest.failf "%s refused on a perfect nest: %s" name
               (Uas_pass.Diag.to_string d)
-          | Ok cu -> check_rewritten_parity ~msg p (Cu.program cu) w)
-        [ ("interchange", "interchange", Rw.default_params);
-          ("tiling(2)", "tiling", rw_params ~factor:2 ());
-          ("flatten", "flatten", Rw.default_params) ];
+          | Ok cu -> check_rewritten_parity ~msg:name p (Cu.program cu) w)
+        [ "interchange"; "flatten" ];
       true)
 
-(* distribution then fusion on a two-stream nest, both legal by
-   construction — the guaranteed-coverage counterpart of the
-   opportunistic random-nest case above *)
-let test_distribute_fusion_parity () =
-  let m = 4 and n = 6 in
-  let module B = Builder in
-  let at = B.((v "i" * int n) + v "j") in
-  let p =
-    B.program "streams"
-      ~locals:[ ("i", Types.Tint); ("j", Types.Tint) ]
-      ~arrays:
-        [ B.input "s1" (m * n); B.input "s2" (m * n); B.output "d1" (m * n);
-          B.output "d2" (m * n) ]
-      [ B.for_ "i" ~hi:(B.int m)
-          [ B.for_ "j" ~hi:(B.int n)
-              [ B.store "d1" at (B.load "s1" at);
-                B.store "d2" at (B.load "s2" at) ] ]
-      ]
-  in
-  let w = Helpers.random_workload p in
-  match apply_rewrite "distribute" (rw_params ~cut:1 ()) p with
-  | Error d -> Alcotest.failf "distribute refused: %s" (Uas_pass.Diag.to_string d)
-  | Ok cu -> (
-    let q = Cu.program cu in
-    check_rewritten_parity ~msg:"distribute" p q w;
-    match apply_rewrite "fusion" Rw.default_params q with
-    | Error d -> Alcotest.failf "fusion refused: %s" (Uas_pass.Diag.to_string d)
-    | Ok cu2 -> check_rewritten_parity ~msg:"fusion" p (Cu.program cu2) w)
-
 (* --- the whole Table 6.1 suite ------------------------------------ *)
+
+(* the guaranteed-coverage counterpart of the random-nest property: the
+   kernels the planner actually prefixes *)
+let test_registry_enabling_prefixes_parity () =
+  List.iter
+    (fun (b : R.benchmark) ->
+      check_enabling_prefixes ~msg:b.R.b_name
+        (Cu.make b.R.b_program ~outer_index:b.R.b_outer_index
+           ~inner_index:b.R.b_inner_index)
+        b.R.b_workload)
+    (R.all () @ R.extras ())
 
 let test_registry_benchmarks_identical () =
   List.iter
@@ -319,15 +296,18 @@ let test_run_benchmark_tiers_agree () =
   List.iter
     (fun (c : E.cell) ->
       let msg = N.version_name c.E.c_version in
-      let built =
-        N.build_version b.R.b_program ~outer_index:b.R.b_outer_index
+      match
+        Helpers.build b.R.b_program ~outer_index:b.R.b_outer_index
           ~inner_index:b.R.b_inner_index c.E.c_version
-      in
-      let reference = Interp.run built.N.bv_program b.R.b_workload in
-      Alcotest.(check bool) (msg ^ " verified on the fast tier") true
-        c.E.c_verified;
-      Alcotest.(check bool) (msg ^ " verified on the reference tier") true
-        (R.check_result b reference = Ok ()))
+      with
+      | Error d ->
+        Alcotest.failf "%s did not build: %s" msg (Uas_pass.Diag.to_string d)
+      | Ok q ->
+        let reference = Interp.run q b.R.b_workload in
+        Alcotest.(check bool) (msg ^ " verified on the fast tier") true
+          c.E.c_verified;
+        Alcotest.(check bool) (msg ^ " verified on the reference tier") true
+          (R.check_result b reference = Ok ()))
     cells
 
 (* every Table 6.2 cell: the 50 programs verification replays, on the
@@ -340,10 +320,10 @@ let test_table_6_2_cells_parity () =
           (fun v ->
             let msg = b.R.b_name ^ "/" ^ N.version_name v in
             match
-              N.build_version_result b.R.b_program
-                ~outer_index:b.R.b_outer_index ~inner_index:b.R.b_inner_index v
+              Helpers.build b.R.b_program ~outer_index:b.R.b_outer_index
+                ~inner_index:b.R.b_inner_index v
             with
-            | Ok built -> check_parity ~msg built.N.bv_program b.R.b_workload
+            | Ok q -> check_parity ~msg q b.R.b_workload
             | Error d ->
               Alcotest.failf "%s did not build: %s" msg
                 (Uas_pass.Diag.to_string d))
@@ -357,8 +337,8 @@ let suite =
     QCheck_alcotest.to_alcotest test_compiled_reuse;
     QCheck_alcotest.to_alcotest test_qcheck_enabling_rewrites_parity;
     QCheck_alcotest.to_alcotest test_qcheck_perfect_nest_rewrites_parity;
-    Alcotest.test_case "distribute+fusion parity (two streams)" `Quick
-      test_distribute_fusion_parity;
+    Alcotest.test_case "enabling prefixes on registry kernels" `Slow
+      test_registry_enabling_prefixes_parity;
     Alcotest.test_case "registry benchmarks bit-identical" `Slow
       test_registry_benchmarks_identical;
     Alcotest.test_case "registry check passes on fast tier" `Slow

@@ -42,7 +42,7 @@ let test_injection_never_escapes =
       Fault.set_stall_cap 0.01;
       let ctx = faulty (Printf.sprintf "%s=%s:%s:1" site name kind) in
       let p = Helpers.fg_loop ~m:4 ~n:4 in
-      let passes = [ Stages.analyze; Rw.pass ~factor:2 ~cut:1 name ] in
+      let passes = [ Stages.analyze; Rw.pass ~factor:2 name ] in
       let outcome =
         try Ok (Pass.run (cu_of ~ctx p) passes) with e -> Error e
       in

@@ -1,5 +1,5 @@
 (* Coverage for the smaller helpers: expansion naming, exit values,
-   front peeling, scheduling details, datapath accounting, float
+   scheduling details, datapath accounting, float
    operators through the interpreter, and the DOT export. *)
 
 open Uas_ir
@@ -59,24 +59,6 @@ let test_index_exit_value () =
   check 2 11 3 11;
   check 5 5 1 5;
   check 7 3 2 7
-
-(* --- Peel (front) --- *)
-
-let test_peel_front_loop () =
-  let p =
-    B.program "pf"
-      ~locals:[ ("j", Types.Tint); ("x", Types.Tint) ]
-      ~arrays:[ B.input "a" 8; B.output "b" 8 ]
-      [ B.for_ "j" ~hi:(B.int 8)
-          [ B.("x" <-- load "a" (v "j") + int 1);
-            B.store "b" (B.v "j") (B.v "x") ] ]
-  in
-  let l =
-    match p.Stmt.body with [ Stmt.For l ] -> l | _ -> assert false
-  in
-  let copies, rest = T.Peel.peel_front_loop l ~iterations:3 in
-  let q = { p with Stmt.body = copies @ [ Stmt.For rest ] } in
-  Helpers.assert_equivalent ~msg:"peel front" p q
 
 (* --- scheduling odds and ends --- *)
 
@@ -183,7 +165,6 @@ let suite =
     Alcotest.test_case "expand collisions" `Quick
       test_expand_collision_rejected;
     Alcotest.test_case "index exit values" `Quick test_index_exit_value;
-    Alcotest.test_case "peel front loop" `Quick test_peel_front_loop;
     Alcotest.test_case "list schedule ports" `Quick
       test_list_schedule_respects_ports;
     Alcotest.test_case "empty graph schedule" `Quick

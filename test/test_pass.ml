@@ -81,7 +81,7 @@ let test_cu_artifacts_always_invalidated () =
 
 let test_illegal_squash_diag () =
   match
-    N.build_version_result (outer_carried ()) ~outer_index:"i"
+    Helpers.build (outer_carried ()) ~outer_index:"i"
       ~inner_index:"j" (N.Squashed 4)
   with
   | Ok _ -> Alcotest.fail "outer-carried scalar must not squash"
@@ -99,7 +99,7 @@ let test_illegal_squash_diag () =
 
 let test_illegal_jam_diag () =
   match
-    N.build_version_result (outer_carried ()) ~outer_index:"i"
+    Helpers.build (outer_carried ()) ~outer_index:"i"
       ~inner_index:"j" (N.Jammed 2)
   with
   | Ok _ -> Alcotest.fail "outer-carried scalar must not jam"
@@ -113,7 +113,7 @@ let test_illegal_jam_diag () =
 
 let test_unknown_nest_diag () =
   match
-    N.build_version_result (simple ()) ~outer_index:"nope" ~inner_index:"j"
+    Helpers.build (simple ()) ~outer_index:"nope" ~inner_index:"j"
       (N.Squashed 2)
   with
   | Ok _ -> Alcotest.fail "unknown outer index must fail"
@@ -133,7 +133,7 @@ let test_dump_after_squash_golden () =
     if pass = "squash" then captured := Some (Cu.program cu)
   in
   (match
-     N.build_version_result ~after p ~outer_index:"i" ~inner_index:"j"
+     Helpers.build ~after p ~outer_index:"i" ~inner_index:"j"
        (N.Squashed 4)
    with
   | Ok _ -> ()

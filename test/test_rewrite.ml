@@ -16,18 +16,17 @@ module P = Uas_core.Planner
 module R = Uas_bench_suite.Registry
 
 let expected_names =
-  [ "interchange"; "tiling"; "peel"; "fusion"; "distribute"; "flatten";
-    "hoist"; "ifconv"; "scalarize"; "scalar-opts"; "expand"; "pipeline-sw";
-    "unroll"; "jam"; "squash" ]
+  [ "interchange"; "flatten"; "hoist"; "ifconv"; "scalarize"; "scalar-opts";
+    "jam"; "squash" ]
 
 let cu_of p = Cu.make p ~outer_index:"i" ~inner_index:"j"
-let params ?target ?factor ?cut () = { Rw.target; factor; cut }
+let params ?target ?factor () = { Rw.target; factor }
 
 (* --- the registry --------------------------------------------------- *)
 
 let test_registry_names () =
   Alcotest.(check (list string))
-    "all 15 transforms registered, in order" expected_names (Rw.names ())
+    "all 8 rewrites registered, in order" expected_names (Rw.names ())
 
 let test_registry_lookup () =
   Alcotest.(check bool) "find squash" true (Rw.find "squash" <> None);
@@ -83,7 +82,7 @@ let uniform_on ~msg p ~factor =
     (fun (rw : Rw.t) ->
       let name = Rw.name rw in
       let case = Printf.sprintf "%s/%s" msg name in
-      match Rw.apply ~params:(params ~factor ~cut:1 ()) rw (cu_of p) with
+      match Rw.apply ~params:(params ~factor ()) rw (cu_of p) with
       | Ok cu' -> Helpers.assert_equivalent ~msg:case p (Cu.program cu')
       | Error d ->
         Alcotest.(check string)
@@ -109,14 +108,7 @@ let test_missing_parameter_diagnostics () =
           (Helpers.contains ~sub:"missing required parameter: factor"
              (Diag.to_string d))
       | Ok _ -> Alcotest.failf "%s: must fail without a factor" n)
-    [ "tiling"; "peel"; "pipeline-sw"; "unroll"; "jam"; "squash" ];
-  match Rw.apply (Rw.get "distribute") (cu_of p) with
-  | Error d ->
-    Alcotest.(check bool)
-      "distribute: missing cut reported" true
-      (Helpers.contains ~sub:"missing required parameter: cut"
-         (Diag.to_string d))
-  | Ok _ -> Alcotest.fail "distribute: must fail without a cut"
+    [ "jam"; "squash" ]
 
 (* a perfect static nest, every (i, j) iteration writing its own cell:
    interchange and flattening are legal here *)
@@ -154,8 +146,8 @@ let test_pinned_diagnostics () =
   let param_sets =
     [ ("none", params ());
       ("factor0", params ~factor:0 ());
-      ("factor2-cut1", params ~factor:2 ~cut:1 ());
-      ("ghost", params ~factor:3 ~cut:99 ~target:"ghost" ()) ]
+      ("factor2-cut1", params ~factor:2 ());
+      ("ghost", params ~factor:3 ~target:"ghost" ()) ]
   in
   let rendered =
     List.concat_map
@@ -185,8 +177,8 @@ let test_no_exception_escapes_pass_run () =
   let p = Helpers.fg_loop ~m:4 ~n:4 in
   let param_sets =
     [ Rw.default_params; params ~factor:0 ();
-      params ~factor:(-3) ~cut:(-1) ();
-      params ~factor:2 ~cut:1 ~target:"ghost" (); params ~factor:7 ~cut:42 () ]
+      params ~factor:(-3) ();
+      params ~factor:2 ~target:"ghost" (); params ~factor:7 () ]
   in
   List.iter
     (fun ps ->

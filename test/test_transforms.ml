@@ -1,57 +1,13 @@
-(* Correctness of the classic transformations (Chapter 3): unrolling,
-   fusion, tiling, peeling, unroll-and-jam, software pipelining and
-   if-conversion — all checked by interpreter equivalence, plus the
-   structural facts the paper states (e.g. jam multiplies the operator
-   count by the unroll factor; jam = tile + fully-unroll). *)
+(* Correctness of the classic transformations (Chapter 3): peeling,
+   unroll-and-jam, if-conversion and the scalar optimizations — all
+   checked by interpreter equivalence, plus the structural facts the
+   paper states (e.g. jam multiplies the operator count by the unroll
+   factor). *)
 
 open Uas_ir
 module T = Uas_transform
 module Loop_nest = Uas_analysis.Loop_nest
 
-
-(* --- plain unrolling --- *)
-
-let test_unroll_equivalence () =
-  List.iter
-    (fun (m, n, factor) ->
-      let p = Helpers.fg_loop ~m ~n in
-      let q = T.Unroll.apply p ~index:"j" ~factor in
-      Helpers.assert_equivalent
-        ~msg:(Printf.sprintf "unroll inner m=%d n=%d u=%d" m n factor)
-        p q;
-      let q2 = T.Unroll.apply p ~index:"i" ~factor in
-      Helpers.assert_equivalent
-        ~msg:(Printf.sprintf "unroll outer m=%d n=%d u=%d" m n factor)
-        p q2)
-    [ (4, 4, 2); (6, 3, 3); (5, 7, 2); (8, 4, 4); (7, 5, 3); (3, 2, 5) ]
-
-let test_full_unroll () =
-  let p = Helpers.fg_loop ~m:4 ~n:3 in
-  let nest = Helpers.nest_of p "i" in
-  let inner =
-    Stmt.For
-      { index = "j"; lo = nest.Loop_nest.inner_lo; hi = nest.inner_hi;
-        step = nest.inner_step; body = nest.inner_body }
-  in
-  (match inner with
-  | Stmt.For l ->
-    let flat = T.Unroll.fully_unroll l in
-    Alcotest.(check bool) "straight line" true (Stmt.is_straight_line flat)
-  | _ -> assert false);
-  (* and the program still computes the same after replacing the loop *)
-  let q =
-    Loop_nest.replace p ~outer_index:"i"
-      [ Stmt.For
-          { index = "i"; lo = nest.outer_lo; hi = nest.outer_hi;
-            step = nest.outer_step;
-            body =
-              (nest.pre
-              @ (match inner with
-                | Stmt.For l -> T.Unroll.fully_unroll l
-                | _ -> assert false)
-              @ nest.post) } ]
-  in
-  Helpers.assert_equivalent ~msg:"full unroll" p q
 
 (* --- unroll-and-jam --- *)
 
@@ -82,29 +38,6 @@ let test_jam_multiplies_operators () =
         (Stmt.operator_count out.T.Unroll_and_jam.new_inner_body))
     [ 1; 2; 4; 8 ]
 
-let test_jam_equals_tile_plus_unroll () =
-  (* §3.4: unroll-and-jam = tiling the outer loop with the unroll
-     factor and fully unrolling the tile loop.  Behavioural equality of
-     the two decompositions. *)
-  let p = Helpers.fg_loop ~m:8 ~n:3 in
-  let nest = Helpers.nest_of p "i" in
-  let jam = (T.Unroll_and_jam.apply p nest ~ds:4).T.Unroll_and_jam.program in
-  let tiled = T.Tiling.apply p ~index:"i" ~tile:4 in
-  Helpers.assert_equivalent ~msg:"tile decomposition" p tiled;
-  Helpers.assert_equivalent ~msg:"jam vs tiled" jam tiled
-
-(* --- tiling --- *)
-
-let test_tiling_equivalence () =
-  List.iter
-    (fun (m, n, tile) ->
-      let p = Helpers.fg_loop ~m ~n in
-      let q = T.Tiling.apply p ~index:"i" ~tile in
-      Helpers.assert_equivalent
-        ~msg:(Printf.sprintf "tile m=%d n=%d t=%d" m n tile)
-        p q)
-    [ (8, 3, 2); (9, 2, 3); (7, 4, 2); (16, 2, 4); (5, 5, 8) ]
-
 (* --- peeling --- *)
 
 let test_peel_equivalence () =
@@ -124,70 +57,6 @@ let test_peel_too_many () =
   match T.Peel.peel_back p nest ~iterations:5 with
   | exception Types.Ir_error _ -> ()
   | _ -> Alcotest.fail "expected Ir_error"
-
-(* --- fusion --- *)
-
-let fusable_program m =
-  let open Builder in
-  program "fusable"
-    ~locals:[ ("j", Types.Tint); ("x", Types.Tint) ]
-    ~arrays:[ input "a" m; output "b" m; output "c" m ]
-    [ for_ "j" ~hi:(int m) [ store "b" (v "j") (load "a" (v "j") + int 1) ];
-      for_ "j" ~hi:(int m) [ store "c" (v "j") (load "a" (v "j") * int 2) ] ]
-
-let test_fusion_legal () =
-  let p = fusable_program 8 in
-  match T.Fusion.apply_first p with
-  | None -> Alcotest.fail "expected fusion to apply"
-  | Some q ->
-    Helpers.assert_equivalent ~msg:"fusion" p q;
-    let loops =
-      Stmt.fold_list
-        (fun k s -> match s with Stmt.For _ -> k + 1 | _ -> k)
-        0 q.Stmt.body
-    in
-    Alcotest.(check int) "single loop remains" 1 loops
-
-let test_fusion_rejects_flow () =
-  (* second loop reads what the first writes at a later iteration *)
-  let open Builder in
-  let p =
-    program "antifuse"
-      ~locals:[ ("j", Types.Tint) ]
-      ~arrays:[ input "a" 9; output "b" 9; output "c" 9 ]
-      [ for_ "j" ~hi:(int 8) [ store "b" (v "j") (load "a" (v "j")) ];
-        for_ "j" ~hi:(int 8) [ store "c" (v "j") (load "b" (v "j" + int 1)) ] ]
-  in
-  Alcotest.(check bool) "fusion refused" true (T.Fusion.apply_first p = None)
-
-(* --- software pipelining --- *)
-
-let independent_loop ~m =
-  let open Builder in
-  program "indep"
-    ~locals:[ ("j", Types.Tint); ("x", Types.Tint); ("y", Types.Tint) ]
-    ~arrays:[ input "a" m; output "b" m ]
-    [ for_ "j" ~hi:(int m)
-        [ ("x" <-- load "a" (v "j"));
-          ("y" <-- band (v "x" * v "x" + int 7) (int 1023));
-          store "b" (v "j") (bxor (v "y") (v "j")) ] ]
-
-let test_pipeline_sw_equivalence () =
-  List.iter
-    (fun (m, stages) ->
-      let p = independent_loop ~m in
-      let q = T.Pipeline_sw.apply p ~index:"j" ~stages in
-      Helpers.assert_equivalent
-        ~msg:(Printf.sprintf "swp m=%d k=%d" m stages)
-        p q)
-    [ (8, 2); (8, 3); (9, 2); (12, 3); (6, 2) ]
-
-let test_pipeline_sw_rejects_recurrence () =
-  let p = Helpers.fg_loop ~m:4 ~n:8 in
-  (* the fg inner loop has the a->b->a recurrence *)
-  match T.Pipeline_sw.apply p ~index:"j" ~stages:2 with
-  | exception T.Pipeline_sw.Pipeline_error (T.Pipeline_sw.Carried_scalar _) -> ()
-  | _ -> Alcotest.fail "expected Carried_scalar"
 
 (* --- if-conversion --- *)
 
@@ -325,35 +194,12 @@ let test_qcheck_jam =
       Interp.outputs_equal (Interp.run p w)
         (Interp.run out.T.Unroll_and_jam.program w))
 
-let test_qcheck_tile_unroll =
-  QCheck.Test.make ~name:"tiling/unrolling equivalence (random)" ~count:50
-    QCheck.(quad (int_range 1 12) (int_range 1 5) (int_range 1 5) bool)
-    (fun (m, n, k, use_tile) ->
-      let p = Helpers.fg_loop ~m ~n in
-      let q =
-        if use_tile then T.Tiling.apply p ~index:"i" ~tile:k
-        else T.Unroll.apply p ~index:"i" ~factor:k
-      in
-      let w = Helpers.random_workload ~seed:(m + n + k) p in
-      Interp.outputs_equal (Interp.run p w) (Interp.run q w))
-
 let suite =
-  [ Alcotest.test_case "unroll equivalence" `Quick test_unroll_equivalence;
-    Alcotest.test_case "full unroll" `Quick test_full_unroll;
-    Alcotest.test_case "jam equivalence" `Quick test_jam_equivalence;
+  [ Alcotest.test_case "jam equivalence" `Quick test_jam_equivalence;
     Alcotest.test_case "jam multiplies operators" `Quick
       test_jam_multiplies_operators;
-    Alcotest.test_case "jam = tile + unroll" `Quick
-      test_jam_equals_tile_plus_unroll;
-    Alcotest.test_case "tiling equivalence" `Quick test_tiling_equivalence;
     Alcotest.test_case "peel equivalence" `Quick test_peel_equivalence;
     Alcotest.test_case "peel too many" `Quick test_peel_too_many;
-    Alcotest.test_case "fusion legal" `Quick test_fusion_legal;
-    Alcotest.test_case "fusion rejects flow" `Quick test_fusion_rejects_flow;
-    Alcotest.test_case "software pipelining" `Quick
-      test_pipeline_sw_equivalence;
-    Alcotest.test_case "swp rejects recurrence" `Quick
-      test_pipeline_sw_rejects_recurrence;
     Alcotest.test_case "if-conversion" `Quick test_ifconv_equivalence;
     Alcotest.test_case "ifconv enables squash" `Quick
       test_ifconv_enables_squash;
@@ -362,5 +208,4 @@ let suite =
     Alcotest.test_case "dead code elimination" `Quick test_dce;
     Alcotest.test_case "combined jam+squash" `Quick
       test_combined_jam_then_squash;
-    QCheck_alcotest.to_alcotest test_qcheck_jam;
-    QCheck_alcotest.to_alcotest test_qcheck_tile_unroll ]
+    QCheck_alcotest.to_alcotest test_qcheck_jam ]
