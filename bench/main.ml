@@ -15,11 +15,14 @@ module Session = Uas_cli.Session
 let header title = Fmt.pr "@.==== %s ====@." title
 
 (* The quick-synthesis report of one version of a nest on [target]:
-   the version's pass pipeline, as every sweep cell runs it. *)
+   the version's pass pipeline, as every sweep cell runs it.  A version
+   that fails its pipeline ends the run like nimblec does. *)
 let report ?target p ~outer_index ~inner_index v =
   match N.run_version_cu ?target p ~outer_index ~inner_index v with
   | Ok (_, _, r) -> r
-  | Error d -> Uas_pass.Diag.fail d
+  | Error d ->
+    Fmt.epr "bench: %a@." Uas_pass.Diag.pp d;
+    exit 1
 
 let benchmark_report ?target (b : S.Registry.benchmark) v =
   report ?target b.S.Registry.b_program ~outer_index:b.S.Registry.b_outer_index

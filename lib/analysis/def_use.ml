@@ -1,5 +1,5 @@
-(* Scalar def/use and liveness facts for straight-line statement lists
-   (the shape of inner-loop bodies after if-conversion).
+(* Scalar def/use facts for straight-line statement lists (the shape of
+   inner-loop bodies after if-conversion).
 
    The facts the squash/jam transformations need:
    - [upward_exposed]: scalars read before any write in the block — when
@@ -8,8 +8,8 @@
    - [defined]: scalars written by the block;
    - [loop_carried]: upward-exposed AND defined — scalar recurrences of
      the loop (they become DFG backedges);
-   - [live_out_of_nest]: scalars whose value may be observed after the
-     nest (used by variable expansion to decide what must be restored). *)
+   - [used_outside_nest]: scalars whose value may be observed after the
+     nest (squash and jam read it). *)
 
 open Uas_ir
 module Sset = Stmt.Sset
@@ -64,34 +64,6 @@ let defined (stmts : Stmt.t list) : Sset.t = Stmt.defs stmts
 let loop_carried (stmts : Stmt.t list) : Sset.t =
   Sset.inter (upward_exposed stmts) (defined stmts)
 
-(** Scalars whose last write in the block reaches the end (i.e. all
-    defined scalars — blocks are straight-line, so every def reaches the
-    exit unless overwritten, and the final value is still the block's). *)
-let live_out_candidates (stmts : Stmt.t list) : Sset.t = defined stmts
-
-(** Backward liveness over a straight-line block: given the set live at
-    the block's exit, the set live at its entry. *)
-let live_in_of_block ~(live_out : Sset.t) (stmts : Stmt.t list) : Sset.t =
-  List.fold_right
-    (fun s live ->
-      let du = of_stmt s in
-      Sset.union du.du_uses (Sset.diff live du.du_defs))
-    stmts live_out
-
-(** Per-statement live-after sets for a straight-line block, front to
-    back, given liveness at the exit. *)
-let live_after_each ~(live_out : Sset.t) (stmts : Stmt.t list) :
-    (Stmt.t * Sset.t) list =
-  let rec go = function
-    | [] -> ([], live_out)
-    | s :: rest ->
-      let annotated, live_after = go rest in
-      let du = of_stmt s in
-      let live_before = Sset.union du.du_uses (Sset.diff live_after du.du_defs) in
-      ((s, live_after) :: annotated, live_before)
-  in
-  fst (go stmts)
-
 (** Scalars of the nest that are read by the rest of the program after
     the nest completes.  Conservative: any scalar used anywhere outside
     the given outer loop (we do not track control flow past the nest). *)
@@ -109,13 +81,3 @@ let used_outside_nest (p : Stmt.program) (nest : Loop_nest.pair) : Sset.t =
       stmts
   in
   Stmt.uses (strip p.body)
-
-(** Maximum number of scalars simultaneously live inside a straight-line
-    loop body (an estimate of the register pressure of the original
-    loop).  [live_out] should include the loop-carried scalars. *)
-let max_live ~(live_out : Sset.t) (stmts : Stmt.t list) : int =
-  let annotated = live_after_each ~live_out stmts in
-  let entry = live_in_of_block ~live_out stmts in
-  List.fold_left
-    (fun m (_, live) -> max m (Sset.cardinal live))
-    (Sset.cardinal entry) annotated

@@ -1,4 +1,4 @@
-(** Scalar def/use and liveness facts over statement blocks, composing
+(** Scalar def/use facts over statement blocks, composing
     correctly through nested control flow (a [For]'s use summary is its
     body's upward-exposed reads, minus its own index). *)
 
@@ -14,24 +14,9 @@ val of_stmt : Uas_ir.Stmt.t -> stmt_du
     previous iteration. *)
 val upward_exposed : Uas_ir.Stmt.t list -> Sset.t
 
-val defined : Uas_ir.Stmt.t list -> Sset.t
-
 (** Scalar recurrences of a loop body: upward-exposed and defined. *)
 val loop_carried : Uas_ir.Stmt.t list -> Sset.t
-
-val live_out_candidates : Uas_ir.Stmt.t list -> Sset.t
-
-(** Backward liveness over a straight-line block. *)
-val live_in_of_block : live_out:Sset.t -> Uas_ir.Stmt.t list -> Sset.t
-
-(** Per-statement live-after sets, front to back. *)
-val live_after_each :
-  live_out:Sset.t -> Uas_ir.Stmt.t list -> (Uas_ir.Stmt.t * Sset.t) list
 
 (** Scalars read by the program after the nest completes
     (conservative). *)
 val used_outside_nest : Uas_ir.Stmt.program -> Loop_nest.pair -> Sset.t
-
-(** Maximum number of simultaneously live scalars in a straight-line
-    loop body. *)
-val max_live : live_out:Sset.t -> Uas_ir.Stmt.t list -> int

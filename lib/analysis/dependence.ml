@@ -13,8 +13,9 @@
    For a full depth-d nest, the same abstraction generalizes to one
    coefficient per level ({!level_affine}); solving the resulting
    diophantine equation over the per-level iteration ranges yields the
-   classic *distance vectors*, which {!interchange_safe} consumes to
-   decide loop-order legality at any adjacent level pair. *)
+   classic *distance vectors*, which interchange's deep check consumes
+   to decide loop-order legality at an adjacent level pair buried in a
+   deeper nest. *)
 
 open Uas_ir
 module Smap = Map.Make (String)
@@ -414,38 +415,3 @@ let distance_vectors (n : Loop_nest.t) (x : access) (y : access) :
               |> List.sort_uniq compare
               |> List.map Array.of_list))
     | _ -> None
-
-(** Is swapping levels [level] and [level + 1] of the nest
-    dependence-safe?  [Some true] when every distance vector of every
-    dependent access pair stays lexicographically positive after the
-    swap — the classic (<, >) direction test; [Some false] on a proven
-    violation; [None] when some pair defeats the analysis. *)
-let interchange_safe (n : Loop_nest.t) ~level : bool option =
-  let accs = nest_accesses n in
-  let rec pairs = function
-    | [] -> []
-    | x :: rest -> List.map (fun y -> (x, y)) (x :: rest) @ pairs rest
-  in
-  let verdicts =
-    List.map
-      (fun (x, y) ->
-        match distance_vectors n x y with
-        | None -> None
-        | Some vs ->
-          Some
-            (List.for_all
-               (fun v ->
-                 let lead = ref (-1) in
-                 Array.iteri
-                   (fun i d -> if d <> 0 && !lead < 0 then lead := i)
-                   v;
-                 not
-                   (!lead = level
-                   && level + 1 < Array.length v
-                   && v.(level + 1) < 0))
-               vs))
-      (pairs accs)
-  in
-  if List.exists (fun v -> v = Some false) verdicts then Some false
-  else if List.exists Option.is_none verdicts then None
-  else Some true

@@ -74,9 +74,3 @@ val nest_accesses : Loop_nest.t -> access list
     [None] = unknown. *)
 val distance_vectors :
   Loop_nest.t -> access -> access -> int array list option
-
-(** Is swapping levels [level] and [level + 1] dependence-safe?
-    [Some true] when every distance vector of every dependent pair
-    stays lexicographically positive after the swap; [Some false] on a
-    proven violation; [None] when the analysis is defeated. *)
-val interchange_safe : Loop_nest.t -> level:int -> bool option

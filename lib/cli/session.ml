@@ -66,9 +66,9 @@ let cache_arg =
     & info [ "cache" ] ~docv:"DIR"
         ~env:(Cmd.Env.info Store.env_var)
         ~doc:
-          "Persistent content-addressed artifact store: schedules, \
-           hardware estimates and planner rows are looked up here before \
-           being recomputed (see docs/CACHING.md)")
+          "Persistent content-addressed artifact store: kernel schedules \
+           and planner rows are looked up here before being recomputed \
+           (see docs/CACHING.md)")
 
 let cache_verify_arg =
   Arg.(

@@ -104,57 +104,38 @@ type plan = {
    form, so a warm [plan] run replays every footnote byte-identically
    without running a single pass pipeline. *)
 
-let severity_name = function
-  | Diag.Error -> "error"
-  | Diag.Warning -> "warning"
-  | Diag.Note -> "note"
-
-let severity_of_name = function
-  | "error" -> Some Diag.Error
-  | "warning" -> Some Diag.Warning
-  | "note" -> Some Diag.Note
-  | _ -> None
-
 (* one diagnostic as a single tab-separated line: String.escaped
-   removes embedded tabs/newlines, and optional fields carry a -/+
+   removes embedded tabs/newlines, and the optional loop carries a -/+
    marker so [None] and [Some ""] stay distinct *)
 let diag_atom (d : Diag.t) =
-  let opt = function None -> "-" | Some s -> "+" ^ String.escaped s in
+  let loop =
+    match d.Diag.d_loop with None -> "-" | Some l -> "+" ^ String.escaped l
+  in
   String.concat "\t"
-    [ severity_name d.Diag.d_severity;
-      String.escaped d.Diag.d_pass;
-      opt d.Diag.d_loc.Diag.loc_loop;
-      opt d.Diag.d_loc.Diag.loc_stmt;
-      String.escaped d.Diag.d_message ]
+    [ String.escaped d.Diag.d_pass; loop; String.escaped d.Diag.d_message ]
 
 let diag_of_atom s : Diag.t option =
   let ( let* ) = Option.bind in
   let unesc x =
     match Scanf.unescaped x with v -> Some v | exception _ -> None
   in
-  let opt = function
-    | "-" -> Some None
-    | x when String.length x >= 1 && Char.equal x.[0] '+' ->
-      Option.map Option.some (unesc (String.sub x 1 (String.length x - 1)))
-    | _ -> None
-  in
   match String.split_on_char '\t' s with
-  | [ sev_s; pass_s; loop_s; stmt_s; msg_s ] ->
-    let* sev = severity_of_name sev_s in
+  | [ pass_s; loop_s; msg_s ] ->
     let* pass = unesc pass_s in
-    let* loop = opt loop_s in
-    let* stmt = opt stmt_s in
+    let* loop =
+      if String.equal loop_s "-" then Some None
+      else if String.length loop_s >= 1 && Char.equal loop_s.[0] '+' then
+        Option.map Option.some
+          (unesc (String.sub loop_s 1 (String.length loop_s - 1)))
+      else None
+    in
     let* msg = unesc msg_s in
-    Some
-      { Diag.d_severity = sev;
-        d_pass = pass;
-        d_loc = { Diag.loc_loop = loop; loc_stmt = stmt };
-        d_message = msg }
+    Some { Diag.d_pass = pass; d_loop = loop; d_message = msg }
   | _ -> None
 
 let row_payload (row : row) =
   let b = Buffer.create 256 in
-  Buffer.add_string b "plan-row 2\n";
+  Buffer.add_string b "plan-row 3\n";
   (match row.r_outcome with
   | Ok r ->
     Buffer.add_string b ("outcome ok " ^ Estimate.report_to_string r ^ "\n")
@@ -173,7 +154,7 @@ let row_of_payload (c : candidate) payload : row option =
     else None
   in
   match String.split_on_char '\n' payload with
-  | "plan-row 2" :: outcome_l :: rest ->
+  | "plan-row 3" :: outcome_l :: rest ->
     let* outcome =
       match strip ~prefix:"outcome ok " outcome_l with
       | Some r_s -> Option.map Result.ok (Estimate.report_of_string r_s)

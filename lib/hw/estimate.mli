@@ -85,14 +85,15 @@ val efficiency : base:report -> report -> float
 
 (** {2 Serialization (artifact store)} *)
 
-(** Version of the area/delay cost model; hashed into every estimate
-    and planner-row cache key, so cost-model changes invalidate cached
-    reports.  Bump it whenever {!Datapath} tables, the register
+(** Version of the area/delay cost model; hashed into every planner-row
+    cache key, so cost-model changes invalidate the reports cached in
+    planner rows.  Bump it whenever {!Datapath} tables, the register
     estimator or the report derivation change meaning. *)
 val cost_model_version : int
 
-(** Versioned single-line form; [report_of_string] returns [None] on
-    malformed or version-mismatched input. *)
+(** Versioned single-line form (a planner row embeds one);
+    [report_of_string] returns [None] on malformed or version-mismatched
+    input. *)
 val report_to_string : report -> string
 
 val report_of_string : string -> report option

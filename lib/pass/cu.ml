@@ -1,34 +1,12 @@
-(* The compilation unit: program + memoized analyses + artifacts.
-   Memoization is a per-field [option ref]-style mutable cache; the
-   unit is confined to one domain (one sweep task), so no locking. *)
+(* The compilation unit: program + memoized kernel nest + artifacts.
+   Memoization is a per-field mutable cache; the unit is confined to
+   one domain (one sweep task), so no locking. *)
 
 open Uas_ir
 module Loop_nest = Uas_analysis.Loop_nest
-module Def_use_a = Uas_analysis.Def_use
-module Dependence = Uas_analysis.Dependence
-module Induction = Uas_analysis.Induction
 module Ctx = Uas_runtime.Ctx
 module Instrument = Uas_runtime.Instrument
 module Store = Uas_runtime.Store
-
-type analysis = Nest | Def_use | Liveness | Induction | Dependence
-
-let analysis_name = function
-  | Nest -> "loop-nest"
-  | Def_use -> "def-use"
-  | Liveness -> "liveness"
-  | Induction -> "induction"
-  | Dependence -> "dependence"
-
-let all_analyses = [ Nest; Def_use; Liveness; Induction; Dependence ]
-
-type def_use = {
-  du_upward_exposed : Stmt.Sset.t;
-  du_defined : Stmt.Sset.t;
-  du_loop_carried : Stmt.Sset.t;
-}
-
-type liveness = { lv_live_out : Stmt.Sset.t; lv_max_live : int }
 
 type t = {
   cu_ctx : Ctx.t;
@@ -36,12 +14,6 @@ type t = {
   cu_outer : string;
   cu_inner : string;
   mutable c_nest : Loop_nest.pair option;
-  mutable c_def_use : def_use option;
-  mutable c_liveness : liveness option;
-  mutable c_induction : Induction.t list option;
-  mutable c_dependence :
-    (Dependence.access * Dependence.access * Dependence.outer_distance) list
-    option;
   mutable c_dfg : Uas_dfg.Build.detailed option;
   mutable c_schedule : Uas_dfg.Sched.schedule option;
   mutable c_report : Uas_hw.Estimate.report option;
@@ -53,7 +25,7 @@ type t = {
   mutable c_text : string option;
   (* non-fatal trouble logged while building this unit (validation
      mismatches, recovered faults); survives [with_program] because it
-     is the unit's history, not an analysis of its program *)
+     is the unit's history, not a fact about its program *)
   mutable c_incidents : Diag.t list;
 }
 
@@ -63,10 +35,6 @@ let make ?(ctx = Ctx.default ()) p ~outer_index ~inner_index =
     cu_outer = outer_index;
     cu_inner = inner_index;
     c_nest = None;
-    c_def_use = None;
-    c_liveness = None;
-    c_induction = None;
-    c_dependence = None;
     c_dfg = None;
     c_schedule = None;
     c_report = None;
@@ -81,76 +49,45 @@ let program cu = cu.cu_program
 let outer_index cu = cu.cu_outer
 let inner_index cu = cu.cu_inner
 
-let with_program ?(preserves = []) ?outer_index ?inner_index cu p =
-  let keep a v = if List.mem a preserves then v else None in
+let with_program ?outer_index ?inner_index cu p =
   { cu with
     cu_program = p;
     cu_outer = (match outer_index with Some i -> i | None -> cu.cu_outer);
     cu_inner = (match inner_index with Some i -> i | None -> cu.cu_inner);
-    c_nest = keep Nest cu.c_nest;
-    c_def_use = keep Def_use cu.c_def_use;
-    c_liveness = keep Liveness cu.c_liveness;
-    c_induction = keep Induction cu.c_induction;
-    c_dependence = keep Dependence cu.c_dependence;
-    (* downstream artifacts never survive a program change *)
+    (* nothing computed from the old program survives a change *)
+    c_nest = None;
     c_dfg = None;
     c_schedule = None;
     c_report = None;
     c_compiled = None;
     c_text = None }
 
-(* One memoized lookup: serve the cache or compute-and-fill, keeping
-   the per-unit and global counters honest. *)
-let memo cu get set compute =
-  match get cu with
+(* One memoized lookup ([nest], [compiled]): serve the cache or
+   compute-and-fill, keeping the per-unit and global counters honest. *)
+let memo cu ~hit ~miss cached fill compute =
+  match cached with
   | Some v ->
     cu.c_hits <- cu.c_hits + 1;
-    Instrument.incr cu.cu_ctx.trace "cu.analysis-hit";
+    Instrument.incr cu.cu_ctx.trace hit;
     v
   | None ->
     cu.c_misses <- cu.c_misses + 1;
-    Instrument.incr cu.cu_ctx.trace "cu.analysis-miss";
-    let v = compute cu in
-    set cu (Some v);
+    Instrument.incr cu.cu_ctx.trace miss;
+    let v = compute () in
+    fill v;
     v
 
 let nest cu =
-  memo cu
-    (fun c -> c.c_nest)
-    (fun c v -> c.c_nest <- v)
-    (fun c -> Loop_nest.find_by_outer_index c.cu_program c.cu_outer)
+  memo cu ~hit:"cu.analysis-hit" ~miss:"cu.analysis-miss" cu.c_nest
+    (fun n -> cu.c_nest <- Some n)
+    (fun () -> Loop_nest.find_by_outer_index cu.cu_program cu.cu_outer)
 
-let def_use cu =
-  memo cu
-    (fun c -> c.c_def_use)
-    (fun c v -> c.c_def_use <- v)
-    (fun c ->
-      let body = (nest c).Loop_nest.inner_body in
-      { du_upward_exposed = Def_use_a.upward_exposed body;
-        du_defined = Def_use_a.defined body;
-        du_loop_carried = Def_use_a.loop_carried body })
-
-let liveness cu =
-  memo cu
-    (fun c -> c.c_liveness)
-    (fun c v -> c.c_liveness <- v)
-    (fun c ->
-      let body = (nest c).Loop_nest.inner_body in
-      let live_out = Def_use_a.live_out_candidates body in
-      { lv_live_out = live_out;
-        lv_max_live = Def_use_a.max_live ~live_out body })
-
-let induction cu =
-  memo cu
-    (fun c -> c.c_induction)
-    (fun c v -> c.c_induction <- v)
-    (fun c -> Induction.find (nest c))
-
-let dependence cu =
-  memo cu
-    (fun c -> c.c_dependence)
-    (fun c v -> c.c_dependence <- v)
-    (fun c -> Dependence.all_pairs (nest c))
+let compiled cu =
+  memo cu ~hit:"cu.compiled-hit" ~miss:"cu.compiled-miss" cu.c_compiled
+    (fun c -> cu.c_compiled <- Some c)
+    (fun () ->
+      Instrument.span cu.cu_ctx.trace "interp.compile" (fun () ->
+          Fast_interp.compile cu.cu_program))
 
 let dfg cu = cu.c_dfg
 let set_dfg cu d = cu.c_dfg <- Some d
@@ -158,29 +95,6 @@ let schedule cu = cu.c_schedule
 let set_schedule cu s = cu.c_schedule <- Some s
 let report cu = cu.c_report
 let set_report cu r = cu.c_report <- Some r
-
-let compiled cu =
-  match cu.c_compiled with
-  | Some c ->
-    cu.c_hits <- cu.c_hits + 1;
-    Instrument.incr cu.cu_ctx.trace "cu.compiled-hit";
-    c
-  | None ->
-    cu.c_misses <- cu.c_misses + 1;
-    Instrument.incr cu.cu_ctx.trace "cu.compiled-miss";
-    let c =
-      Instrument.span cu.cu_ctx.trace "interp.compile" (fun () ->
-          Fast_interp.compile cu.cu_program)
-    in
-    cu.c_compiled <- Some c;
-    c
-
-let cached cu = function
-  | Nest -> Option.is_some cu.c_nest
-  | Def_use -> Option.is_some cu.c_def_use
-  | Liveness -> Option.is_some cu.c_liveness
-  | Induction -> Option.is_some cu.c_induction
-  | Dependence -> Option.is_some cu.c_dependence
 
 let hits cu = cu.c_hits
 let misses cu = cu.c_misses

@@ -1,44 +1,22 @@
 (** The typed compilation unit the pass pipeline threads: a program, the
-    kernel nest location, memoized analyses (loop nest, def/use,
-    liveness, induction variables, array dependences), and the optional
+    kernel nest location, the memoized kernel nest, and the optional
     downstream artifacts (kernel DFG, schedule, hardware estimate).
+    Every other analysis is computed by the step that needs it.
 
-    Analyses are computed on first demand and cached; a transform pass
-    replaces the program through {!with_program}, which starts a fresh
-    cache (minus anything the pass declares it [preserves]) — the
-    invalidation story that keeps memoization sound.
+    The nest is looked up on first demand and cached; a transform pass
+    replaces the program through {!with_program}, which drops the nest
+    and every artifact — the invalidation story that keeps memoization
+    sound.
 
     A unit is confined to one domain: the sweep engine builds a fresh
     unit per (benchmark, version) task, so the mutable caches need no
     locking.  Cache traffic is visible through {!hits}/{!misses} and,
     in the unit's run context ({!ctx}, which every pass, rewrite and
-    store hook reads), the [cu.analysis-hit]/[cu.analysis-miss]
-    counters. *)
+    store hook reads), the [cu.analysis-hit]/[cu.analysis-miss] (nest)
+    and [cu.compiled-hit]/[cu.compiled-miss] counters. *)
 
 open Uas_ir
 module Loop_nest = Uas_analysis.Loop_nest
-module Dependence = Uas_analysis.Dependence
-module Induction = Uas_analysis.Induction
-
-(** The analyses a unit memoizes (the artifacts below are invalidated
-    unconditionally by a program change). *)
-type analysis = Nest | Def_use | Liveness | Induction | Dependence
-
-val analysis_name : analysis -> string
-val all_analyses : analysis list
-
-(** Def/use summary of the kernel nest's inner body. *)
-type def_use = {
-  du_upward_exposed : Stmt.Sset.t;  (** read before any write *)
-  du_defined : Stmt.Sset.t;
-  du_loop_carried : Stmt.Sset.t;  (** upward-exposed and defined *)
-}
-
-(** Liveness summary of the kernel nest's inner body. *)
-type liveness = {
-  lv_live_out : Stmt.Sset.t;  (** candidates observable after the body *)
-  lv_max_live : int;  (** peak simultaneously-live scalars *)
-}
 
 type t
 
@@ -61,36 +39,21 @@ val outer_index : t -> string
 val inner_index : t -> string
 
 (** [with_program cu p] is the unit a transform pass returns: program
-    replaced, analyses dropped except those in [preserves] (default:
-    none), artifacts dropped, cache counters carried over.
+    replaced, nest and artifacts dropped, cache counters carried over.
     [inner_index] re-points the kernel when the transform moved it;
     [outer_index] re-points the nest itself (interchange swaps the two,
     flattening collapses them onto one loop). *)
 val with_program :
-  ?preserves:analysis list ->
   ?outer_index:string ->
   ?inner_index:string ->
   t ->
   Stmt.program ->
   t
 
-(** {2 Memoized analyses} *)
-
 (** The kernel nest, as the adjacent-pair view headed by the unit's
     outer index.  @raise Not_found when the outer index heads no nest
     level. *)
 val nest : t -> Loop_nest.pair
-
-val def_use : t -> def_use
-val liveness : t -> liveness
-
-(** Induction variables of the kernel nest's outer loop. *)
-val induction : t -> Induction.t list
-
-(** All potentially dependent array access pairs of the kernel nest. *)
-val dependence :
-  t ->
-  (Dependence.access * Dependence.access * Dependence.outer_distance) list
 
 (** {2 Artifacts} *)
 
@@ -103,20 +66,18 @@ val set_report : t -> Uas_hw.Estimate.report -> unit
 
 (** The program compiled for {!Fast_interp} (what verification runs),
     built on first demand (under an [interp.compile] instrumentation
-    span) and cached like the analyses: invalidated by
+    span) and cached like the nest: invalidated by
     {!with_program}, counted through {!hits}/{!misses} and the
     [cu.compiled-hit]/[cu.compiled-miss] counters. *)
 val compiled : t -> Fast_interp.compiled
 
 (** {2 Cache introspection (tests, counters)} *)
 
-(** Is this analysis currently cached? *)
-val cached : t -> analysis -> bool
-
-(** Memoized lookups served from the cache since [make]. *)
+(** {!nest} and {!compiled} lookups served from the cache since
+    [make]. *)
 val hits : t -> int
 
-(** Analyses actually computed since [make]. *)
+(** {!nest} and {!compiled} lookups that computed since [make]. *)
 val misses : t -> int
 
 (** {2 Incidents}
@@ -125,8 +86,8 @@ val misses : t -> int
     around, a fault it recovered from — logged on the unit so the
     sweep/planner can footnote the cell and the trajectory can record
     it.  The log survives {!with_program} (it is the unit's history,
-    not an analysis), is returned in chronological order, and counts as
-    [cu.incident]. *)
+    not a fact about its program), is returned in chronological order,
+    and counts as [cu.incident]. *)
 
 val add_incident : t -> Diag.t -> unit
 val incidents : t -> Diag.t list
@@ -134,8 +95,8 @@ val incidents : t -> Diag.t list
 (** {2 The persistent artifact store}
 
     Load/save hooks over {!Uas_runtime.Store}: every expensive artifact
-    (kernel schedule, hardware estimate, planner row) is keyed by a
-    content hash of what it is computed from — the
+    (kernel schedule, planner row) is keyed by a content hash of what
+    it is computed from — the
     canonical program text (the {!Uas_ir.Pp} round-trip form), the
     caller's [context] parts (datapath fingerprint, kernel index,
     effort budgets, cost-model version) and the store format version,

@@ -11,15 +11,6 @@ type t = {
 
 let v name run = { name; run }
 
-let analysis name f =
-  { name;
-    run =
-      (fun cu ->
-        f cu;
-        Ok cu) }
-
-let transform name f = { name; run = (fun cu -> Ok (f cu)) }
-
 type hook = pass:string -> Cu.t -> unit
 
 let run_one ?after cu (p : t) =

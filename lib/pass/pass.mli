@@ -16,14 +16,6 @@ type t = {
 
 val v : string -> (Cu.t -> (Cu.t, Diag.t) result) -> t
 
-(** An analysis pass: populates caches on the unit, never fails on its
-    own (exceptions still become diagnostics in the runner). *)
-val analysis : string -> (Cu.t -> unit) -> t
-
-(** A transform pass from the raw rewrite function; exceptions are
-    handled by the runner. *)
-val transform : string -> (Cu.t -> Cu.t) -> t
-
 (** Called after each successful pass with the unit it produced. *)
 type hook = pass:string -> Cu.t -> unit
 

@@ -1,4 +1,4 @@
-(* The analysis and quick-synthesis passes: each wraps one existing
+(* The nest lookup and quick-synthesis passes: each wraps one existing
    compiler stage in the Pass/Cu/Diag protocol.  (The transform passes
    live in the Uas_transform.Rewrite registry, which builds on this
    layer.)  Artifact-producing stages (dfg-build, schedule, estimate)
@@ -6,7 +6,6 @@
    earlier pass already built it, and build it themselves when run
    standalone — so pipelines stay composable without recomputation. *)
 
-module Loop_nest = Uas_analysis.Loop_nest
 module Estimate = Uas_hw.Estimate
 module Datapath = Uas_hw.Datapath
 module Instrument = Uas_runtime.Instrument
@@ -15,20 +14,12 @@ let trace cu = (Cu.ctx cu).Uas_runtime.Ctx.trace
 
 let analyze =
   Pass.v "loop-nest" (fun cu ->
-      match
-        Loop_nest.find_by_outer_index_opt (Cu.program cu) (Cu.outer_index cu)
-      with
-      | None ->
+      match Cu.nest cu with
+      | _ -> Ok cu
+      | exception Not_found ->
         Error
           (Diag.errorf ~pass:"loop-nest" ~loop:(Cu.outer_index cu)
-             "no loop nest with outer index %s" (Cu.outer_index cu))
-      | Some _ ->
-        (* warm the caches the downstream passes consult *)
-        ignore (Cu.nest cu);
-        ignore (Cu.def_use cu);
-        ignore (Cu.liveness cu);
-        ignore (Cu.induction cu);
-        Ok cu)
+             "no loop nest with outer index %s" (Cu.outer_index cu)))
 
 (* ensure-style artifact accessors; each computation runs under its
    own span ([dfg-build], [schedule]) *)
@@ -50,10 +41,9 @@ let ensure_dfg ~target cu =
    The schedule payload carries the schedule's note alongside the
    schedule itself, so a warm run replays a budget-exhausted incident
    and renders footers byte-identical to the cold run.  The context
-   lists hash everything the computation depends on besides the program
-   text (which Cu.store_key adds): which loop is the kernel, the
-   datapath, the pipelining flag, effort budgets and — for
-   reports — the cost-model version and the report name. *)
+   list hashes everything the computation depends on besides the
+   program text (which Cu.store_key adds): which loop is the kernel,
+   the datapath, the pipelining flag and the effort budgets. *)
 
 let schedule_payload (s, note) =
   (match note with
@@ -177,41 +167,11 @@ let exact_ii ~pipelined:_ ~mode:(_ : Uas_dfg.Sched.exact_mode) () =
 
 let estimate ?(target = Datapath.default) ~pipelined ?name () =
   kernel_stage "estimate" (fun cu ->
-      let resolved_name =
-        match name with
-        | Some n -> n
-        | None -> (Cu.program cu).Uas_ir.Stmt.prog_name
-      in
-      let context =
-        schedule_context ~target ~pipelined cu
-        @ [ "cost-model=" ^ string_of_int Estimate.cost_model_version;
-            "name=" ^ resolved_name ]
-      in
-      let cached =
-        match Cu.store_get cu ~kind:"report" ~context with
-        | None -> None
-        | Some payload -> (
-          match Estimate.report_of_string payload with
-          | Some _ as ok -> ok
-          | None ->
-            Cu.store_undecodable cu ~kind:"report";
-            None)
-      in
-      let report =
-        match cached with
-        | Some r -> r
-        | None ->
-          let detail = ensure_dfg ~target cu in
-          let sched = ensure_schedule ~target ~pipelined cu in
-          let r =
-            Estimate.assemble ~target ~pipelined ?name (Cu.program cu)
-              ~index:(Cu.inner_index cu) detail sched
-          in
-          Cu.store_put cu ~kind:"report" ~context
-            (Estimate.report_to_string r);
-          r
-      in
-      Cu.set_report cu report)
+      let detail = ensure_dfg ~target cu in
+      let sched = ensure_schedule ~target ~pipelined cu in
+      Cu.set_report cu
+        (Estimate.assemble ~target ~pipelined ?name (Cu.program cu)
+           ~index:(Cu.inner_index cu) detail sched))
 
 (* The quick-synthesis tail every driver runs after its rewrites: the
    sweep's versions and the planner's candidates estimate alike. *)

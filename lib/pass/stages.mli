@@ -1,6 +1,7 @@
-(** The analysis and quick-synthesis passes of the Nimble-style flow,
-    each a thin pass wrapper over an existing [lib/analysis] /
-    [lib/dfg] / [lib/hw] stage.  The transform passes (squash, jam,
+(** The nest lookup and quick-synthesis passes of the Nimble-style
+    flow, each a thin pass wrapper over an existing [lib/analysis] /
+    [lib/dfg] / [lib/hw] stage.  Only the kernel schedule goes through
+    the persistent store.  The transform passes (squash, jam,
     interchange, ...) live in the [Uas_transform.Rewrite] registry and
     convert to passes through [Rewrite.pass].  See docs/PIPELINE.md for
     the pass-ordering table and the thesis section each pass
@@ -8,9 +9,9 @@
 
 module Datapath = Uas_hw.Datapath
 
-(** ["loop-nest"]: locate the kernel nest and warm the def/use,
-    liveness, and induction caches.  Fails with a diagnostic when the
-    outer index heads no nest level. *)
+(** ["loop-nest"]: locate the kernel nest (the unit's memoized
+    {!Cu.nest}, which the squash and jam rewrites read).  Fails with a
+    diagnostic when the outer index heads no nest level. *)
 val analyze : Pass.t
 
 (** ["dfg-build"]: build the kernel DFG artifact.  This stage and the
@@ -35,8 +36,9 @@ val schedule :
 val exact_ii :
   pipelined:bool -> mode:Uas_dfg.Sched.exact_mode -> unit -> Pass.t
 
-(** ["estimate"]: assemble the hardware report from the cached DFG and
-    schedule artifacts (building them if missing). *)
+(** ["estimate"]: assemble the hardware report from the unit's DFG and
+    schedule artifacts (building them if missing).  The report is not
+    stored: assembling it is cheaper than a store round-trip. *)
 val estimate : ?target:Datapath.t -> pipelined:bool -> ?name:string -> unit -> Pass.t
 
 (** The quick-synthesis pipeline [dfg-build; schedule; estimate] —

@@ -18,7 +18,7 @@
     index), [pass.run] (label: pass name), [rewrite.apply] (label:
     rewrite name), [interp.run] (no label: pin it with a cell scope),
     [store.read] and [store.write] (label: artifact kind — [schedule],
-    [report], [plan-row]).  The store sites are absorbed
+    [plan-row]).  The store sites are absorbed
     inside {!Uas_runtime.Store}: a read fault classifies the lookup as
     [Bad] (a miss plus a [Cu] incident, then recomputation), a write
     [raise]/[stall] fails the save, and a write [corrupt] poisons the

@@ -42,7 +42,7 @@
 
 let env_var = "UAS_CACHE"
 let max_bytes_env_var = "UAS_CACHE_MAX_BYTES"
-let format_version = 2
+let format_version = 3
 let default_max_bytes = 256 * 1024 * 1024
 
 type t = {

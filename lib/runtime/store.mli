@@ -1,8 +1,7 @@
 (** Persistent content-addressed artifact store.
 
-    Expensive compilation artifacts (kernel schedules, hardware
-    estimates, planner rows) are serialized and
-    keyed by a content hash of what they are computed from: canonical
+    Expensive compilation artifacts (kernel schedules, planner rows)
+    are serialized and keyed by a content hash of what they are computed from: canonical
     program text, tool parameters, cost-model version and the store
     format version.  Same key, same bytes — so a warm cache run
     is byte-identical to a cold one, and a stale or corrupted entry can

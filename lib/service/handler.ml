@@ -243,10 +243,9 @@ let find_benchmark name =
                (Registry.all () @ Registry.extras ()))))
 
 (* [execute] returns the rendered payload with the request's incident
-   count, or a one-line error.  Nothing escapes as an exception: a
-   structured diagnostic, an injected fault or any other exception all
-   land in [Error] — the daemon turns that into one ERR reply and
-   lives on. *)
+   count, or a one-line error.  Nothing escapes as an exception: an
+   injected fault or any other exception lands in [Error] — the daemon
+   turns that into one ERR reply and lives on. *)
 let execute ?ctx ?(limits = no_limits) (w : work) :
     (string * int, string) result =
   let { l_jobs; l_timeout_s } = limits in
@@ -270,7 +269,6 @@ let execute ?ctx ?(limits = no_limits) (w : work) :
       Ok (render_plan plan, plan_incidents plan)
   with
   | result -> result
-  | exception Diag.Failed d -> Error (Diag.to_string d)
   | exception e ->
     (* an injected fault renders through its registered printer *)
     Error (Printexc.to_string e)

@@ -5,7 +5,7 @@
 
     A rewrite is applied uniformly as
     [apply rw ~params cu : (Cu.t, Diag.t) result]: success is a new
-    unit with the transformed program (analyses invalidated, kernel
+    unit with the transformed program (nest and artifacts dropped, kernel
     indices re-pointed when the rewrite moved the kernel), failure is a
     structured diagnostic — never an escaping transform exception.
     Legality and transformation are one step: a rewrite finds out

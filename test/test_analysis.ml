@@ -1,4 +1,4 @@
-(* The analysis substrate: def/use and liveness, loop-nest discovery,
+(* The analysis substrate: def/use, loop-nest discovery,
    induction variables, dependence analysis, legality and SSA. *)
 
 open Uas_ir
@@ -32,13 +32,6 @@ let test_for_summary_hides_index () =
   let du = A.Def_use.of_stmt s in
   Alcotest.check set_testable "uses" (sset [ "k" ]) du.A.Def_use.du_uses;
   Alcotest.check set_testable "defs" (sset [ "j"; "x" ]) du.A.Def_use.du_defs
-
-let test_liveness_block () =
-  let live_out = sset [ "a" ] in
-  let live_in = A.Def_use.live_in_of_block ~live_out fg_body in
-  Alcotest.check set_testable "live in" (sset [ "a" ]) live_in;
-  let ml = A.Def_use.max_live ~live_out fg_body in
-  Alcotest.(check bool) "max live sane" true (ml >= 1 && ml <= 3)
 
 (* --- loop nests --- *)
 
@@ -327,7 +320,6 @@ let base_suite =
   [ Alcotest.test_case "upward exposed" `Quick test_upward_exposed;
     Alcotest.test_case "for summary hides index" `Quick
       test_for_summary_hides_index;
-    Alcotest.test_case "block liveness" `Quick test_liveness_block;
     Alcotest.test_case "find nest" `Quick test_find_nest;
     Alcotest.test_case "nest roundtrip" `Quick test_nest_roundtrip;
     Alcotest.test_case "triple nest" `Quick test_triple_nest_found;

@@ -242,15 +242,17 @@ let test_store_read_fault_recomputes () =
           Alcotest.(check bool)
             (plan ^ ": incident names the cause") true
             (row_has_incident ~sub:expect warm)))
-    [ ("store.read=report:raise:1", "injected fault at site store.read");
-      ("store.read=report:corrupt:1", "checksum mismatch") ]
+    [ ("store.read=schedule:raise:1", "injected fault at site store.read");
+      ("store.read=schedule:corrupt:1", "checksum mismatch") ]
 
 (* An injected write failure degrades to compute-without-caching: the
    cells are untouched, the failure is on record. *)
 let test_store_write_fault_degrades () =
   let baseline = render_body (run_store_row ()) in
   with_fresh_store (fun store ->
-      let row = run_store_row ~store ~plan:"store.write=report:raise:1" () in
+      let row =
+        run_store_row ~store ~plan:"store.write=schedule:raise:1" ()
+      in
       Alcotest.(check string) "cells byte-identical" baseline (render_body row);
       Alcotest.(check bool) "write failure is an incident" true
         (row_has_incident ~sub:"write failed" row))
@@ -262,7 +264,9 @@ let test_store_write_fault_degrades () =
 let test_store_poisoned_entry_recovers () =
   let baseline = render_body (run_store_row ()) in
   with_fresh_store (fun store ->
-      let cold = run_store_row ~store ~plan:"store.write=report:corrupt:1" () in
+      let cold =
+        run_store_row ~store ~plan:"store.write=schedule:corrupt:1" ()
+      in
       Alcotest.(check string) "poisoning is invisible at write time" baseline
         (render_body cold);
       let warm = run_store_row ~store () in

@@ -30,8 +30,8 @@ let outer_carried () =
 
 let test_cu_memoization () =
   let cu = Cu.make (simple ()) ~outer_index:"i" ~inner_index:"j" in
-  Alcotest.(check bool) "nothing cached initially" false
-    (List.exists (Cu.cached cu) Cu.all_analyses);
+  Alcotest.(check (pair int int)) "nothing looked up initially" (0, 0)
+    (Cu.hits cu, Cu.misses cu);
   let n1 = Cu.nest cu in
   Alcotest.(check int) "first lookup misses" 1 (Cu.misses cu);
   Alcotest.(check int) "first lookup does not hit" 0 (Cu.hits cu);
@@ -39,37 +39,36 @@ let test_cu_memoization () =
   Alcotest.(check int) "second lookup hits" 1 (Cu.hits cu);
   Alcotest.(check int) "second lookup does not recompute" 1 (Cu.misses cu);
   Alcotest.(check bool) "same nest" true (n1 == n2);
-  ignore (Cu.def_use cu);
-  ignore (Cu.liveness cu);
-  ignore (Cu.induction cu);
-  ignore (Cu.dependence cu);
-  List.iter
-    (fun a ->
-      Alcotest.(check bool) (Cu.analysis_name a ^ " cached") true
-        (Cu.cached cu a))
-    Cu.all_analyses
+  let c1 = Cu.compiled cu in
+  let c2 = Cu.compiled cu in
+  Alcotest.(check bool) "same compiled program" true (c1 == c2);
+  Alcotest.(check (pair int int)) "compiled once, then served" (2, 2)
+    (Cu.hits cu, Cu.misses cu)
 
 let test_cu_invalidation () =
   let cu = Cu.make (simple ()) ~outer_index:"i" ~inner_index:"j" in
-  ignore (Cu.nest cu);
-  ignore (Cu.def_use cu);
+  let n = Cu.nest cu in
+  let c = Cu.compiled cu in
   let cu' = Cu.with_program cu (Cu.program cu) in
-  Alcotest.(check bool) "nest dropped" false (Cu.cached cu' Cu.Nest);
-  Alcotest.(check bool) "def/use dropped" false (Cu.cached cu' Cu.Def_use);
-  let cu'' = Cu.with_program ~preserves:[ Cu.Nest ] cu (Cu.program cu) in
-  Alcotest.(check bool) "preserved nest survives" true
-    (Cu.cached cu'' Cu.Nest);
-  Alcotest.(check bool) "unpreserved def/use dropped" false
-    (Cu.cached cu'' Cu.Def_use)
+  Alcotest.(check (pair int int)) "counters carried over" (0, 2)
+    (Cu.hits cu', Cu.misses cu');
+  Alcotest.(check bool) "nest dropped" false (Cu.nest cu' == n);
+  Alcotest.(check bool) "compiled program dropped" false (Cu.compiled cu' == c);
+  Alcotest.(check (pair int int)) "both recomputed" (0, 4)
+    (Cu.hits cu', Cu.misses cu');
+  Alcotest.(check bool) "the original unit keeps its nest" true
+    (Cu.nest cu == n)
 
 let test_cu_artifacts_always_invalidated () =
   let cu = Cu.make (simple ()) ~outer_index:"i" ~inner_index:"j" in
-  (match Pass.run cu (N.estimate_passes N.Pipelined) with
-  | Ok _ -> ()
-  | Error d -> Alcotest.failf "estimate pipeline failed: %a" Diag.pp d);
+  let cu =
+    match Pass.run cu (N.estimate_passes N.Pipelined) with
+    | Ok cu -> cu
+    | Error d -> Alcotest.failf "estimate pipeline failed: %a" Diag.pp d
+  in
   Alcotest.(check bool) "dfg artifact set" true (Cu.dfg cu <> None);
   Alcotest.(check bool) "report artifact set" true (Cu.report cu <> None);
-  let cu' = Cu.with_program ~preserves:Cu.all_analyses cu (Cu.program cu) in
+  let cu' = Cu.with_program cu (Cu.program cu) in
   Alcotest.(check bool) "dfg dropped on program change" true
     (Cu.dfg cu' = None);
   Alcotest.(check bool) "schedule dropped on program change" true
@@ -86,12 +85,13 @@ let test_illegal_squash_diag () =
   with
   | Ok _ -> Alcotest.fail "outer-carried scalar must not squash"
   | Error d ->
-    Alcotest.(check bool) "severity" true (d.Diag.d_severity = Diag.Error);
     Alcotest.(check string) "pass" "squash" d.Diag.d_pass;
     Alcotest.(check (option string)) "loop" (Some "i")
-      d.Diag.d_loc.Diag.loc_loop;
+      d.Diag.d_loop;
     (* the rendered form carries severity, pass and location *)
     let s = Fmt.str "%a" Diag.pp d in
+    Alcotest.(check bool) "rendered as an error" true
+      (String.starts_with ~prefix:"error[" s);
     Alcotest.(check bool) "rendered mentions pass" true
       (Helpers.contains ~sub:"[squash]" s);
     Alcotest.(check bool) "rendered mentions loop" true
@@ -104,12 +104,13 @@ let test_illegal_jam_diag () =
   with
   | Ok _ -> Alcotest.fail "outer-carried scalar must not jam"
   | Error d ->
-    Alcotest.(check bool) "severity" true (d.Diag.d_severity = Diag.Error);
     Alcotest.(check string) "pass" "jam" d.Diag.d_pass;
     Alcotest.(check (option string)) "loop" (Some "i")
-      d.Diag.d_loc.Diag.loc_loop;
+      d.Diag.d_loop;
     Alcotest.(check bool) "message mentions the factor" true
-      (Helpers.contains ~sub:"factor 2" d.Diag.d_message)
+      (Helpers.contains ~sub:"factor 2" d.Diag.d_message);
+    Alcotest.(check bool) "rendered as an error" true
+      (String.starts_with ~prefix:"error[jam]" (Diag.to_string d))
 
 let test_unknown_nest_diag () =
   match

@@ -270,6 +270,46 @@ let test_warm_run_identical_and_served () =
     true
     (hits > 0 && misses = 0)
 
+(* A Table 6.2 row stores exactly one artifact per cell, its kernel
+   schedule: the report is assembled from it on every run.  A warm
+   rerun is served entirely from those entries and publishes nothing. *)
+let test_row_stores_one_schedule_per_cell () =
+  let s = open_fresh () in
+  let run () =
+    let trace = Instrument.create () in
+    let row =
+      E.run_benchmark ~ctx:(Helpers.ctx ~store:s ~trace ()) ~jobs:1 (iir ())
+    in
+    (row, counter trace)
+  in
+  let cold, _ = run () in
+  let cells = List.length cold.E.br_cells in
+  Alcotest.(check bool) "the row has cells" true (cells > 0);
+  let schedules_dir =
+    Filename.concat (Filename.concat (Store.dir s) "objects") "schedule"
+  in
+  let files = object_files s in
+  Alcotest.(check int) "one entry per cell" cells (List.length files);
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) (path ^ " is a schedule") true
+        (Helpers.contains ~sub:schedules_dir path))
+    files;
+  let before = Store.stats s in
+  Alcotest.(check int) "one write per cell" cells before.Store.st_writes;
+  let warm, counter = run () in
+  let after = Store.stats s in
+  Alcotest.(check string) "warm byte-identical to cold" (render cold)
+    (render warm);
+  Alcotest.(check int) "warm: every entry a hit" cells
+    (after.Store.st_hits - before.Store.st_hits);
+  Alcotest.(check int) "warm: no store miss" 0
+    (after.Store.st_misses - before.Store.st_misses);
+  Alcotest.(check int) "warm: nothing written" 0
+    (after.Store.st_writes - before.Store.st_writes);
+  Alcotest.(check (pair int int)) "warm: unit counters agree" (cells, 0)
+    (counter "cu.store-hit", counter "cu.store-miss")
+
 (* One IIR plan on [store] (storeless by default), with the span table
    and counters of a fresh sink. *)
 let plan_iir ?store () =
@@ -354,19 +394,19 @@ let test_verify_mode_clean () =
     (counter "cu.store-verify-ok" > 0);
   Alcotest.(check int) "no mismatches" 0 (counter "cu.store-verify-mismatch")
 
-(* Poison a cached report (valid header, wrong content: the lie a
+(* Poison a cached schedule (valid header, wrong content: the lie a
    checksum cannot catch) — verify mode recomputes, flags the
    mismatch as an incident, and replaces the entry. *)
 let test_verify_mode_catches_poisoned_entry () =
   let s = open_fresh () in
   let cold = render (fst (run_row s)) in
-  let reports_dir =
-    Filename.concat (Filename.concat (Store.dir s) "objects") "report"
+  let schedules_dir =
+    Filename.concat (Filename.concat (Store.dir s) "objects") "schedule"
   in
   let poisoned = ref 0 in
   List.iter
     (fun path ->
-      if Helpers.contains ~sub:reports_dir path then begin
+      if Helpers.contains ~sub:schedules_dir path then begin
         let contents = read_file path in
         (* rewrite the payload under a truthful header *)
         match String.index_opt contents '\n' with
@@ -406,7 +446,7 @@ let test_verify_mode_catches_poisoned_entry () =
             incr poisoned)
       end)
     (object_files s);
-  Alcotest.(check bool) "some reports poisoned" true (!poisoned > 0);
+  Alcotest.(check bool) "some schedules poisoned" true (!poisoned > 0);
   let row, counter = run_row ~cache_verify:true s in
   Alcotest.(check string)
     "cells still computed fresh (byte-identical body)" cold
@@ -535,6 +575,8 @@ let suite =
       test_report_name_verbatim;
     Alcotest.test_case "warm run byte-identical, served from store" `Quick
       test_warm_run_identical_and_served;
+    Alcotest.test_case "row stores one schedule per cell, warm writes none"
+      `Quick test_row_stores_one_schedule_per_cell;
     Alcotest.test_case "warm run replays a not-proven note" `Quick
       test_warm_not_proven_note_replayed;
     Alcotest.test_case "plan shares work, warm plan all hits" `Quick
