@@ -33,6 +33,20 @@ let test_for_summary_hides_index () =
   Alcotest.check set_testable "uses" (sset [ "k" ]) du.A.Def_use.du_uses;
   Alcotest.check set_testable "defs" (sset [ "j"; "x" ]) du.A.Def_use.du_defs
 
+let test_used_outside_nest () =
+  (* only reads outside the nest count: the nest's own reads of a and b
+     do not, a read of a after the nest does *)
+  let nest_of p = A.Loop_nest.find_by_outer_index p "i" in
+  let p = Helpers.fg_loop ~m:4 ~n:2 in
+  Alcotest.check set_testable "nothing after the nest" Sset.empty
+    (A.Def_use.used_outside_nest p (nest_of p));
+  let p' =
+    { p with
+      Stmt.body = p.Stmt.body @ [ B.store "data_out" (B.int 0) (B.v "a") ] }
+  in
+  Alcotest.check set_testable "a read after the nest" (sset [ "a" ])
+    (A.Def_use.used_outside_nest p' (nest_of p'))
+
 (* --- loop nests --- *)
 
 let test_find_nest () =
@@ -320,6 +334,7 @@ let base_suite =
   [ Alcotest.test_case "upward exposed" `Quick test_upward_exposed;
     Alcotest.test_case "for summary hides index" `Quick
       test_for_summary_hides_index;
+    Alcotest.test_case "used outside nest" `Quick test_used_outside_nest;
     Alcotest.test_case "find nest" `Quick test_find_nest;
     Alcotest.test_case "nest roundtrip" `Quick test_nest_roundtrip;
     Alcotest.test_case "triple nest" `Quick test_triple_nest_found;
