@@ -316,7 +316,7 @@ let ablation_width () =
         else None
       in
       let default = Uas_dfg.Graph.total_operator_area detail.Uas_dfg.Build.d_graph in
-      let aware = Uas_hw.Bitwidth.width_aware_operator_area ~entry detail ~roms in
+      let aware = Uas_hw.Bitwidth.operator_area ~entry detail ~roms in
       Fmt.pr "%-14s %12d %12d %8.2f@." b.S.Registry.b_name default aware
         (float_of_int aware /. float_of_int default))
     (S.Registry.all ())

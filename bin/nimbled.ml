@@ -8,7 +8,6 @@
 
 open Cmdliner
 module Store = Uas_runtime.Store
-module Trajectory = Uas_runtime.Trajectory
 module Handler = Uas_service.Handler
 module Server = Uas_service.Server
 module Session = Uas_cli.Session
@@ -62,15 +61,6 @@ let drain_timeout_arg =
           "How long a drain waits for in-flight and queued work before \
            abandoning the remainder")
 
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "On drain, write a trajectory document (schema v7) whose \
-           $(b,daemon) object carries the service counters")
-
 let max_frame_arg =
   Arg.(
     value
@@ -83,7 +73,7 @@ let max_frame_arg =
            sender a typed $(b,ERR) and the connection")
 
 let serve (s : Session.t) socket pidfile queue request_budget drain_timeout
-    json max_frame =
+    max_frame =
   let ctx = Session.open_store ~prog s (Session.start ~prog s) in
   (* reopen and verify the store before admitting anyone: a restart
      after SIGKILL must prove the cache survived *)
@@ -94,16 +84,6 @@ let serve (s : Session.t) socket pidfile queue request_budget drain_timeout
     log
       (Printf.sprintf "store reopened: %d object(s), %d bytes verified"
          objects bytes));
-  let on_drained ~daemon_json =
-    match json with
-    | None -> ()
-    | Some file ->
-      let traj = Trajectory.make ~ctx ~jobs:s.Session.jobs () in
-      Trajectory.set_daemon_json traj daemon_json;
-      Session.write_output ~prog ~what:"--json" file
-        (Trajectory.to_json traj ^ "\n");
-      log (Printf.sprintf "wrote %s" file)
-  in
   let cfg =
     { Server.c_socket = socket;
       c_pidfile = pidfile;
@@ -115,8 +95,7 @@ let serve (s : Session.t) socket pidfile queue request_budget drain_timeout
       c_drain_timeout_s = drain_timeout;
       c_max_frame = max_frame;
       c_handle_signals = true;
-      c_log = log;
-      c_on_drained = on_drained }
+      c_log = log }
   in
   match Server.run ~ctx cfg with
   | Ok () ->
@@ -144,5 +123,5 @@ let () =
        (Cmd.v info
           Term.(
             const serve $ Session.runtime $ socket_arg $ pidfile_arg
-            $ queue_arg $ request_budget_arg $ drain_timeout_arg $ json_arg
+            $ queue_arg $ request_budget_arg $ drain_timeout_arg
             $ max_frame_arg)))

@@ -73,6 +73,10 @@ val find_by_outer_index : Stmt.program -> string -> pair
 (** The maximal nest holding a non-innermost level named [index]. *)
 val find_nest_opt : Stmt.program -> string -> t option
 
+(** The 0-based position of the non-innermost level named [index] in
+    the nest, or [None]. *)
+val level_position : t -> string -> int option
+
 (** Depth of the nest suffix rooted at the level named [index] (the
     middle level of a 3-deep nest has suffix depth 2), or [None] when
     no pair is headed there. *)

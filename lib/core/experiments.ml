@@ -7,7 +7,6 @@
 
 module Registry = Uas_bench_suite.Registry
 module Estimate = Uas_hw.Estimate
-module Datapath = Uas_hw.Datapath
 module Pass = Uas_pass.Pass
 module Stages = Uas_pass.Stages
 module Instrument = Uas_runtime.Instrument
@@ -60,11 +59,11 @@ type normalized = {
    injected interpreter fault, outputs differing from the host
    reference — marks the cell unverified with an incident; it never
    aborts the sweep. *)
-let build_cell ctx ?after ~validate ~target ~verify
+let build_cell ctx ?after ~validate ~verify
     (b : Registry.benchmark) (v : Nimble.version) : (cell, skip) result =
   let probe = if validate then Some b.Registry.b_workload else None in
   match
-    Nimble.run_version_cu ~ctx ~target ?after ?validate:probe
+    Nimble.run_version_cu ~ctx ?after ?validate:probe
       b.Registry.b_program ~outer_index:b.Registry.b_outer_index
       ~inner_index:b.Registry.b_inner_index v
   with
@@ -108,8 +107,8 @@ let build_cell ctx ?after ~validate ~target ~verify
    each in a fault scope named "<benchmark>/<version>"; a task the pool
    gives up on becomes a skipped cell.  The input-ordered results are
    regrouped benchmark-major. *)
-let run_rows ?ctx ?(target = Datapath.default) ?(verify = true)
-    ?(validate = false) ?jobs ?timeout_s ?after
+let run_rows ?ctx ?(verify = true) ?(validate = false) ?jobs ?timeout_s
+    ?after
     (benches : (Registry.benchmark * Nimble.version list) list) :
     bench_row list =
   let cells =
@@ -117,8 +116,7 @@ let run_rows ?ctx ?(target = Datapath.default) ?(verify = true)
       ~scope:(fun ((b : Registry.benchmark), v) ->
         b.Registry.b_name ^ "/" ^ Nimble.version_name v)
       ~failed:(fun (_, v) d -> Error { s_version = v; s_diag = d })
-      (fun ctx (b, v) ->
-        build_cell ctx ?after ~validate ~target ~verify b v)
+      (fun ctx (b, v) -> build_cell ctx ?after ~validate ~verify b v)
       (List.concat_map (fun (b, vs) -> List.map (fun v -> (b, v)) vs) benches)
   in
   let rec regroup cells = function
@@ -145,20 +143,19 @@ let versions_of (b : Registry.benchmark) =
 
 (** Run the full Table 6.2 sweep for one benchmark: the one-benchmark
     case of {!table_6_2}'s fan-out. *)
-let run_benchmark ?ctx ?target ?verify ?validate ?versions ?jobs
-    ?timeout_s ?after (b : Registry.benchmark) : bench_row =
+let run_benchmark ?ctx ?verify ?validate ?versions ?jobs ?timeout_s ?after
+    (b : Registry.benchmark) : bench_row =
   let versions = Option.value versions ~default:(versions_of b) in
   List.hd
-    (run_rows ?ctx ?target ?verify ?validate ?jobs ?timeout_s ?after
+    (run_rows ?ctx ?verify ?validate ?jobs ?timeout_s ?after
        [ (b, versions) ])
 
 (** Table 6.2 over the whole suite.  All (benchmark, version) cells —
     ~50 independent build+estimate+verify tasks — go through one flat
     pool fan-out, so the hot path scales with the core count instead of
     running strictly sequentially. *)
-let table_6_2 ?ctx ?target ?verify ?validate ?jobs ?timeout_s () :
-    bench_row list =
-  run_rows ?ctx ?target ?verify ?validate ?jobs ?timeout_s
+let table_6_2 ?ctx ?verify ?validate ?jobs ?timeout_s () : bench_row list =
+  run_rows ?ctx ?verify ?validate ?jobs ?timeout_s
     (List.map (fun b -> (b, Nimble.paper_versions)) (Registry.all ()))
 
 (** Normalize one benchmark row against its original version

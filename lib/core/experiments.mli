@@ -6,7 +6,6 @@
 
 module Registry = Uas_bench_suite.Registry
 module Estimate = Uas_hw.Estimate
-module Datapath = Uas_hw.Datapath
 
 type cell = {
   c_version : Nimble.version;
@@ -69,7 +68,6 @@ val versions_of : Registry.benchmark -> Nimble.version list
     unverified with an incident — it never aborts the sweep. *)
 val run_benchmark :
   ?ctx:Uas_runtime.Ctx.t ->
-  ?target:Datapath.t ->
   ?verify:bool ->
   ?validate:bool ->
   ?versions:Nimble.version list ->
@@ -84,7 +82,6 @@ val run_benchmark :
     tolerance as in {!run_benchmark}. *)
 val table_6_2 :
   ?ctx:Uas_runtime.Ctx.t ->
-  ?target:Datapath.t ->
   ?verify:bool ->
   ?validate:bool ->
   ?jobs:int ->

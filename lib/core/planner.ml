@@ -13,7 +13,9 @@
    the squash and quick synthesis are shared by every candidate whose
    prefix reaches the same program (see [plan]).  An illegal candidate
    keeps its diagnostic and ranks below every estimated one, so a plan
-   table always accounts for the full search space. *)
+   table always accounts for the full search space.  Each scored row
+   is kept in the persistent store as a Uas_runtime.Record, so a warm
+   plan runs no pass at all. *)
 
 module Estimate = Uas_hw.Estimate
 module Datapath = Uas_hw.Datapath
@@ -21,6 +23,7 @@ module Cu = Uas_pass.Cu
 module Diag = Uas_pass.Diag
 module Pass = Uas_pass.Pass
 module Stages = Uas_pass.Stages
+module Record = Uas_runtime.Record
 module Rewrite = Uas_transform.Rewrite
 
 type objective = Ii | Area | Ratio
@@ -97,95 +100,93 @@ type plan = {
   p_rows : row list;  (** ranked, best first; skipped candidates last *)
 }
 
-(* ---- plan-row serialization (artifact store) ----
+(* ---- the plan-row payload (artifact store) ----
 
-   A whole scored row — outcome (report or diagnostic) and incident
-   list — round-trips through a versioned line-based
-   form, so a warm [plan] run replays every footnote byte-identically
-   without running a single pass pipeline. *)
+   A whole scored row round-trips through the store as a Record, so a
+   warm [plan] run replays every footnote byte-identically without
+   running a single pass pipeline: the report's ten fields, or one
+   [error] field, then one [incident] field per incident, in order.  A
+   diagnostic is one field whose value is its own record: [pass],
+   [loop] only when the diagnostic names one, and [message]. *)
 
-(* one diagnostic as a single tab-separated line: String.escaped
-   removes embedded tabs/newlines, and the optional loop carries a -/+
-   marker so [None] and [Some ""] stay distinct *)
-let diag_atom (d : Diag.t) =
-  let loop =
-    match d.Diag.d_loop with None -> "-" | Some l -> "+" ^ String.escaped l
-  in
-  String.concat "\t"
-    [ String.escaped d.Diag.d_pass; loop; String.escaped d.Diag.d_message ]
+let diag_field (d : Diag.t) =
+  let loop = Option.to_list (Option.map (fun l -> ("loop", l)) d.d_loop) in
+  Record.encode ((("pass", d.d_pass) :: loop) @ [ ("message", d.d_message) ])
 
-let diag_of_atom s : Diag.t option =
-  let ( let* ) = Option.bind in
-  let unesc x =
-    match Scanf.unescaped x with v -> Some v | exception _ -> None
-  in
-  match String.split_on_char '\t' s with
-  | [ pass_s; loop_s; msg_s ] ->
-    let* pass = unesc pass_s in
-    let* loop =
-      if String.equal loop_s "-" then Some None
-      else if String.length loop_s >= 1 && Char.equal loop_s.[0] '+' then
-        Option.map Option.some
-          (unesc (String.sub loop_s 1 (String.length loop_s - 1)))
-      else None
-    in
-    let* msg = unesc msg_s in
-    Some { Diag.d_pass = pass; d_loop = loop; d_message = msg }
-  | _ -> None
+let diag_of_field v : Diag.t option =
+  match Record.decode v with
+  | Error _ -> None
+  | Ok r -> (
+    match (Record.find "pass" r, Record.find "message" r) with
+    | Some d_pass, Some d_message ->
+      Some { Diag.d_pass; d_loop = Record.find "loop" r; d_message }
+    | _ -> None)
 
-let row_payload (row : row) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "plan-row 3\n";
+let row_fields (row : row) =
+  let int = string_of_int in
   (match row.r_outcome with
-  | Ok r ->
-    Buffer.add_string b ("outcome ok " ^ Estimate.report_to_string r ^ "\n")
-  | Error d -> Buffer.add_string b ("outcome err " ^ diag_atom d ^ "\n"));
-  List.iter
-    (fun d -> Buffer.add_string b ("incident " ^ diag_atom d ^ "\n"))
-    row.r_incidents;
-  Buffer.contents b
+  | Ok (r : Estimate.report) ->
+    [ ("name", r.r_name);
+      ("ii", int r.r_ii);
+      ("len", int r.r_sched_len);
+      ("ops", int r.r_operators);
+      ("oprows", int r.r_operator_rows);
+      ("regs", int r.r_registers);
+      ("area", int r.r_area_rows);
+      ("mem", int r.r_mem_refs);
+      ("iters", int r.r_kernel_iterations);
+      ("cycles", int r.r_total_cycles) ]
+  | Error d -> [ ("error", diag_field d) ])
+  @ List.map (fun d -> ("incident", diag_field d)) row.r_incidents
 
-let row_of_payload (c : candidate) payload : row option =
+let report_of_fields r : Estimate.report option =
   let ( let* ) = Option.bind in
-  let strip ~prefix s =
-    let np = String.length prefix in
-    if String.length s >= np && String.equal (String.sub s 0 np) prefix then
-      Some (String.sub s np (String.length s - np))
-    else None
+  let int k = Record.int k r in
+  let* r_name = Record.find "name" r in
+  let* r_ii = int "ii" in
+  let* r_sched_len = int "len" in
+  let* r_operators = int "ops" in
+  let* r_operator_rows = int "oprows" in
+  let* r_registers = int "regs" in
+  let* r_area_rows = int "area" in
+  let* r_mem_refs = int "mem" in
+  let* r_kernel_iterations = int "iters" in
+  let* r_total_cycles = int "cycles" in
+  Some
+    { Estimate.r_name;
+      r_ii;
+      r_sched_len;
+      r_operators;
+      r_operator_rows;
+      r_registers;
+      r_area_rows;
+      r_mem_refs;
+      r_kernel_iterations;
+      r_total_cycles }
+
+let row_of_fields (c : candidate) r : row option =
+  let ( let* ) = Option.bind in
+  let* outcome =
+    match Record.find "error" r with
+    | Some d -> Option.map Result.error (diag_of_field d)
+    | None -> Option.map Result.ok (report_of_fields r)
   in
-  match String.split_on_char '\n' payload with
-  | "plan-row 3" :: outcome_l :: rest ->
-    let* outcome =
-      match strip ~prefix:"outcome ok " outcome_l with
-      | Some r_s -> Option.map Result.ok (Estimate.report_of_string r_s)
-      | None -> (
-        match strip ~prefix:"outcome err " outcome_l with
-        | Some d_s -> Option.map Result.error (diag_of_atom d_s)
-        | None -> None)
-    in
-    let rec incs acc = function
-      | [] | [ "" ] -> Some (List.rev acc)
-      | l :: rest ->
-        let* d_s = strip ~prefix:"incident " l in
-        let* d = diag_of_atom d_s in
-        incs (d :: acc) rest
-    in
-    let* incidents = incs [] rest in
+  let fields = Record.all "incident" r in
+  let incidents = List.filter_map diag_of_field fields in
+  if List.compare_lengths incidents fields <> 0 then None
+  else
     Some
       { r_candidate = c;
         r_outcome = outcome;
         r_gap = None;
         r_incidents = incidents }
-  | _ -> None
 
 (* everything a scored row depends on besides the benchmark program
-   text (which Cu.store_key hashes): the candidate, the kernel
-   location, the datapath, the effort budgets, whether
-   rewrites are translation-validated, and the cost-model version *)
-let row_context ?validate ~target ~outer_index ~inner_index
-    (c : candidate) =
-  [ "target=" ^ Datapath.fingerprint target;
-    "outer=" ^ outer_index;
+   text (which Cu hashes into every key): the candidate, the kernel
+   location, the effort budgets, whether rewrites are
+   translation-validated, and the cost-model version *)
+let row_context ?validate ~outer_index ~inner_index (c : candidate) =
+  [ "outer=" ^ outer_index;
     "inner=" ^ inner_index;
     "label=" ^ c.c_label;
     "seq=" ^ String.concat "+" c.c_sequence;
@@ -221,21 +222,13 @@ type prefixed =
 let error_row c d =
   { r_candidate = c; r_outcome = Error d; r_gap = None; r_incidents = [] }
 
-let prefix_candidate ?validate ~target (p : Uas_ir.Stmt.program) ~outer_index
+let prefix_candidate ?validate (p : Uas_ir.Stmt.program) ~outer_index
     ~inner_index ctx (c : candidate) : prefixed =
   let cu = Cu.make ~ctx p ~outer_index ~inner_index in
-  let context = row_context ?validate ~target ~outer_index ~inner_index c in
-  let cached =
-    match Cu.store_get cu ~kind:"plan-row" ~context with
-    | None -> None
-    | Some payload -> (
-      match row_of_payload c payload with
-      | Some _ as ok -> ok
-      | None ->
-        Cu.store_undecodable cu ~kind:"plan-row";
-        None)
-  in
-  match cached with
+  let context = row_context ?validate ~outer_index ~inner_index c in
+  match
+    Cu.store_get cu ~kind:"plan-row" ~context ~decode:(row_of_fields c)
+  with
   | Some row -> Row row
   | None -> (
     let prefix, _ = split_squash c in
@@ -252,13 +245,13 @@ let prefix_candidate ?validate ~target (p : Uas_ir.Stmt.program) ~outer_index
           p_incidents = Cu.incidents u }
     | Error d ->
       let row = error_row c d in
-      Cu.store_put cu ~kind:"plan-row" ~context (row_payload row);
+      Cu.store_put cu ~kind:"plan-row" ~context (row_fields row);
       Row row)
 
 (* Phase 2 for one group: squash the first member's prefixed unit and
    quick-synthesize it.  The answer is the outcome plus the incidents
    this evaluation added on top of that member's prefix incidents. *)
-let evaluate ?validate ~target ((c : candidate), u) =
+let evaluate ?validate ((c : candidate), u) =
   let squash =
     match split_squash c with
     | _, Some factor -> [ Rewrite.pass ~factor ?validate "squash" ]
@@ -266,7 +259,8 @@ let evaluate ?validate ~target ((c : candidate), u) =
   in
   let passes =
     squash
-    @ Stages.quick_synthesis ~target ~pipelined:c.c_pipelined ~name:c.c_label
+    @ Stages.quick_synthesis ~target:Datapath.default ~pipelined:c.c_pipelined
+        ~name:c.c_label
   in
   (* a rewrite that degrades logs on its input unit, so count first *)
   let before = List.length (Cu.incidents u) in
@@ -318,7 +312,7 @@ let group_key (c : candidate) u =
     in its first member's scope, and every member shares its outcome.
     A task the pool gives up on ranks last with a [task] diagnostic
     instead of aborting the plan. *)
-let plan ?ctx ?(target = Datapath.default) ?jobs ?(objective = Ratio)
+let plan ?ctx ?jobs ?(objective = Ratio)
     ?(factors = default_factors) ?validate ?timeout_s
     (p : Uas_ir.Stmt.program) ~outer_index ~inner_index ~benchmark : plan =
   let cands =
@@ -332,7 +326,7 @@ let plan ?ctx ?(target = Datapath.default) ?jobs ?(objective = Ratio)
   let prefixed =
     Pass.fan_out ?ctx ?jobs ?timeout_s ~scope
       ~failed:(fun c d -> Row (error_row c d))
-      (prefix_candidate ?validate ~target p ~outer_index ~inner_index)
+      (prefix_candidate ?validate p ~outer_index ~inner_index)
       cands
   in
   let groups =
@@ -350,7 +344,7 @@ let plan ?ctx ?(target = Datapath.default) ?jobs ?(objective = Ratio)
     Pass.fan_out ?ctx ?jobs ?timeout_s
       ~scope:(fun (_, (c, _)) -> scope c)
       ~failed:(fun _ d -> Error d)
-      (fun _ (_, first) -> Ok (evaluate ?validate ~target first))
+      (fun _ (_, first) -> Ok (evaluate ?validate first))
       groups
     |> List.map2 (fun (key, _) o -> (key, o)) groups
   in
@@ -372,7 +366,7 @@ let plan ?ctx ?(target = Datapath.default) ?jobs ?(objective = Ratio)
               | Error d -> error_row c d
             in
             Cu.store_put p_row_unit ~kind:"plan-row" ~context:p_context
-              (row_payload row);
+              (row_fields row);
             row))
       cands prefixed
   in

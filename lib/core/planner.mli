@@ -8,7 +8,6 @@
     rank last, so the table accounts for the whole search space. *)
 
 module Estimate = Uas_hw.Estimate
-module Datapath = Uas_hw.Datapath
 module Diag = Uas_pass.Diag
 
 (** What the ranking optimizes: kernel initiation interval, area rows,
@@ -89,7 +88,6 @@ type plan = {
     group. *)
 val plan :
   ?ctx:Uas_runtime.Ctx.t ->
-  ?target:Datapath.t ->
   ?jobs:int ->
   ?objective:objective ->
   ?factors:int list ->

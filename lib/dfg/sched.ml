@@ -900,50 +900,3 @@ let register_estimate (g : Graph.t) (s : schedule) : int =
       if g.Graph.succs.(i) <> [] then regs := !regs + windows)
   done;
   !regs
-
-(* ---- serialization (the artifact store's stable forms) ----
-
-   Hand-rolled, versioned, all-integer formats: the leading tag pins
-   the schema (bump it on any field change — the store then treats old
-   entries as undecodable, which is a miss, never a wrong answer), and
-   parsing returns [None] on any malformed input. *)
-
-let ( let* ) = Option.bind
-
-(* a schedule as one space-free token *)
-let sched_atom s =
-  Printf.sprintf "ii:%d;len:%d;times:%s" s.s_ii s.s_length
-    (String.concat "," (List.map string_of_int (Array.to_list s.s_times)))
-
-let sched_of_atom str =
-  let sub ~name s =
-    let prefix = name ^ ":" in
-    let np = String.length prefix in
-    if String.length s >= np && String.equal (String.sub s 0 np) prefix then
-      Some (String.sub s np (String.length s - np))
-    else None
-  in
-  match String.split_on_char ';' str with
-  | [ ii_f; len_f; times_f ] ->
-    let* ii = Option.bind (sub ~name:"ii" ii_f) int_of_string_opt in
-    let* len = Option.bind (sub ~name:"len" len_f) int_of_string_opt in
-    let* times_s = sub ~name:"times" times_f in
-    let parts =
-      if String.equal times_s "" then []
-      else String.split_on_char ',' times_s
-    in
-    let times = List.map int_of_string_opt parts in
-    if List.exists Option.is_none times then None
-    else
-      Some
-        { s_ii = ii;
-          s_length = len;
-          s_times = Array.of_list (List.map Option.get times) }
-  | _ -> None
-
-let schedule_to_string s = "sched 1 " ^ sched_atom s
-
-let schedule_of_string str =
-  match String.split_on_char ' ' str with
-  | [ "sched"; "1"; atom ] -> sched_of_atom atom
-  | _ -> None

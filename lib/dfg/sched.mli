@@ -115,12 +115,3 @@ type exact_mode = Exact_off
     one per II-window each computed value stays live (modulo variable
     expansion). *)
 val register_estimate : Graph.t -> schedule -> int
-
-(** {2 Serialization (artifact store)}
-
-    A versioned, all-integer, single-line textual form.  [*_of_string]
-    returns [None] on any malformed or version-mismatched input — the
-    store treats an undecodable payload as a miss. *)
-
-val schedule_to_string : schedule -> string
-val schedule_of_string : string -> schedule option

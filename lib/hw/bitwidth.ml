@@ -151,15 +151,14 @@ let scale_area ~area ~width : int =
 
 (** Width-aware operator area of a kernel DFG: every operator's default
     area scaled by its result width. *)
-let width_aware_operator_area ?(area_of = Opinfo.default_area)
-    ?entry (detail : Build.detailed) ~(roms : (string * int array) list) :
-    int =
+let operator_area ?entry (detail : Build.detailed)
+    ~(roms : (string * int array) list) : int =
   let g = detail.Build.d_graph in
   let ranges = node_ranges ?entry detail roms in
   let total = ref 0 in
   Array.iter
     (fun (nd : Graph.node) ->
-      let a = area_of nd.Graph.kind in
+      let a = Opinfo.default_area nd.Graph.kind in
       if a > 0 then
         total :=
           !total + scale_area ~area:a ~width:(width_bits ranges.(nd.Graph.id)))

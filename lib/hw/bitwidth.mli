@@ -33,8 +33,7 @@ val width_bits : range -> int
 val scale_area : area:int -> width:int -> int
 
 (** Operator area with every operator scaled to its result width. *)
-val width_aware_operator_area :
-  ?area_of:(Opinfo.op_kind -> int) ->
+val operator_area :
   ?entry:(string -> range option) ->
   Build.detailed ->
   roms:(string * int array) list ->

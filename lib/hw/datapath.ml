@@ -18,9 +18,6 @@ type t = {
   registers_per_row : int;
       (** how many registers share one row: 1 for the conservative
           prototype convention; more for packed shift registers *)
-  width_aware : bool;
-      (** size each operator to its inferred bit width (the back-end
-          sizing of §5.4) instead of full 32-bit rows *)
 }
 
 (** The ACEV-like default target used throughout the evaluation. *)
@@ -29,8 +26,7 @@ let default : t =
     mem_ports = 2;
     delay_of = Opinfo.default_delay;
     area_of = Opinfo.default_area;
-    registers_per_row = 1;
-    width_aware = false }
+    registers_per_row = 1 }
 
 (** A single-ported memory variant, for ablation benches. *)
 let single_port : t = { default with name = "acev-1port"; mem_ports = 1 }
@@ -44,9 +40,6 @@ let quad_port : t = { default with name = "acev-4port"; mem_ports = 4 }
 let packed_registers : t =
   { default with name = "acev-packedregs"; registers_per_row = 4 }
 
-(** Width-aware operator sizing (§5.4 back-end behaviour). *)
-let width_sized : t = { default with name = "acev-width"; width_aware = true }
-
 (** Rows occupied by [n] registers on this target. *)
 let register_area (t : t) n =
   (n + t.registers_per_row - 1) / t.registers_per_row
@@ -59,5 +52,5 @@ let sched_config (t : t) : Uas_dfg.Sched.config =
    identify the model; Estimate.cost_model_version covers changes to
    the tables behind a name. *)
 let fingerprint t =
-  Printf.sprintf "%s/ports=%d/regrow=%d/width=%b" t.name t.mem_ports
-    t.registers_per_row t.width_aware
+  Printf.sprintf "%s/ports=%d/regrow=%d" t.name t.mem_ports
+    t.registers_per_row

@@ -12,8 +12,6 @@ type t = {
   registers_per_row : int;
       (** 1 for the conservative prototype convention; more for packed
           shift registers (§6.3) *)
-  width_aware : bool;
-      (** size operators to inferred bit widths (§5.4) *)
 }
 
 (** The ACEV-like default target used throughout the evaluation. *)
@@ -27,9 +25,6 @@ val quad_port : t
 
 (** Shift registers packed four to a row. *)
 val packed_registers : t
-
-(** Operators sized to inferred bit widths. *)
-val width_sized : t
 
 (** Rows occupied by [n] registers. *)
 val register_area : t -> int -> int

@@ -112,15 +112,7 @@ let assemble ?(target = Datapath.default) ?(pipelined = true) ?name
   let g = detail.Build.d_graph in
   let ii = if pipelined then sched.Sched.s_ii else sched.Sched.s_length in
   let registers = Sched.register_estimate g { sched with Sched.s_ii = ii } in
-  let operator_rows =
-    if target.Datapath.width_aware then
-      Bitwidth.width_aware_operator_area ~area_of:target.area_of detail
-        ~roms:
-          (List.map
-             (fun (r : Stmt.rom_decl) -> (r.Stmt.r_name, r.Stmt.r_data))
-             p.Stmt.roms)
-    else Graph.total_operator_area ~area_of:target.area_of g
-  in
+  let operator_rows = Graph.total_operator_area ~area_of:target.area_of g in
   let iterations = kernel_iterations p ~index in
   { r_name = (match name with Some n -> n | None -> p.prog_name);
     r_ii = ii;
@@ -146,66 +138,5 @@ let area_factor ~(base : report) (r : report) =
 
 let efficiency ~base r = speedup ~base r /. area_factor ~base r
 
-(* ---- serialization (artifact store) ---- *)
-
+(* hashed into every planner-row key (see the .mli) *)
 let cost_model_version = 1
-
-(* [name] goes last, after a fixed field count, so the (arbitrary)
-   report name needs no escaping: everything after " name=" is it *)
-let report_to_string (r : report) =
-  Printf.sprintf
-    "report 1 ii=%d len=%d ops=%d oprows=%d regs=%d area=%d mem=%d iters=%d \
-     cycles=%d name=%s"
-    r.r_ii r.r_sched_len r.r_operators r.r_operator_rows r.r_registers
-    r.r_area_rows r.r_mem_refs r.r_kernel_iterations r.r_total_cycles r.r_name
-
-let report_of_string str : report option =
-  let ( let* ) = Option.bind in
-  let name_marker = " name=" in
-  let* name_pos =
-    (* the first occurrence: every field before it is integer-valued *)
-    let rec find i =
-      if i + String.length name_marker > String.length str then None
-      else if String.equal (String.sub str i (String.length name_marker)) name_marker
-      then Some i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let r_name =
-    String.sub str
-      (name_pos + String.length name_marker)
-      (String.length str - name_pos - String.length name_marker)
-  in
-  let prefix = String.sub str 0 name_pos in
-  let int_field ~name s =
-    let p = name ^ "=" in
-    let np = String.length p in
-    if String.length s >= np && String.equal (String.sub s 0 np) p then
-      int_of_string_opt (String.sub s np (String.length s - np))
-    else None
-  in
-  match String.split_on_char ' ' prefix with
-  | [ "report"; "1"; ii_f; len_f; ops_f; oprows_f; regs_f; area_f; mem_f;
-      iters_f; cycles_f ] ->
-    let* r_ii = int_field ~name:"ii" ii_f in
-    let* r_sched_len = int_field ~name:"len" len_f in
-    let* r_operators = int_field ~name:"ops" ops_f in
-    let* r_operator_rows = int_field ~name:"oprows" oprows_f in
-    let* r_registers = int_field ~name:"regs" regs_f in
-    let* r_area_rows = int_field ~name:"area" area_f in
-    let* r_mem_refs = int_field ~name:"mem" mem_f in
-    let* r_kernel_iterations = int_field ~name:"iters" iters_f in
-    let* r_total_cycles = int_field ~name:"cycles" cycles_f in
-    Some
-      { r_name;
-        r_ii;
-        r_sched_len;
-        r_operators;
-        r_operator_rows;
-        r_registers;
-        r_area_rows;
-        r_mem_refs;
-        r_kernel_iterations;
-        r_total_cycles }
-  | _ -> None

@@ -83,17 +83,8 @@ val area_factor : base:report -> report -> float
 (** [speedup /. area_factor] — the Figure 6.3 efficiency metric. *)
 val efficiency : base:report -> report -> float
 
-(** {2 Serialization (artifact store)} *)
-
 (** Version of the area/delay cost model; hashed into every planner-row
     cache key, so cost-model changes invalidate the reports cached in
     planner rows.  Bump it whenever {!Datapath} tables, the register
     estimator or the report derivation change meaning. *)
 val cost_model_version : int
-
-(** Versioned single-line form (a planner row embeds one);
-    [report_of_string] returns [None] on malformed or version-mismatched
-    input. *)
-val report_to_string : report -> string
-
-val report_of_string : string -> report option

@@ -7,6 +7,7 @@ module Loop_nest = Uas_analysis.Loop_nest
 module Ctx = Uas_runtime.Ctx
 module Instrument = Uas_runtime.Instrument
 module Store = Uas_runtime.Store
+module Record = Uas_runtime.Record
 
 type t = {
   cu_ctx : Ctx.t;
@@ -153,15 +154,12 @@ let store_incident cu ~kind msg =
   add_incident cu
     (Diag.errorf ~pass:"store" "cached %s artifact: %s" kind msg)
 
-(* A payload that decodes to garbage (checksum OK but the serialized
-   form's own version tag is off — next to impossible, since serializer
-   versions are hashed into the key) degrades like a bad entry: the
-   caller recomputes, with the incident on record.  The lookup was
-   already counted by [store_get]. *)
-let store_undecodable cu ~kind =
-  store_incident cu ~kind "undecodable payload; recomputing"
-
-let store_get cu ~kind ~context : string option =
+(* A payload that does not decode — the checksum matched, so the
+   entry is intact, but its fields are not what the caller reads (a
+   field change shipped without a [Store.format_version] bump) — is a
+   miss like a bad entry: the caller recomputes, with the incident on
+   record.  The lookup still counts as a hit. *)
+let store_get cu ~kind ~context ~decode =
   let { Ctx.store; cache_verify; faults; trace; scope } = cu.cu_ctx in
   match store with
   | None -> None
@@ -171,9 +169,13 @@ let store_get cu ~kind ~context : string option =
   | Some s -> (
     let key = store_key cu ~kind ~context in
     match Store.read ~faults ~scope s ~kind ~key with
-    | Store.Hit payload ->
+    | Store.Hit payload -> (
       Instrument.incr trace "cu.store-hit";
-      Some payload
+      match Result.map decode (Record.decode payload) with
+      | Ok (Some _ as v) -> v
+      | Ok None | Error _ ->
+        store_incident cu ~kind "undecodable payload; recomputing";
+        None)
     | Store.Miss ->
       Instrument.incr trace "cu.store-miss";
       None
@@ -182,11 +184,12 @@ let store_get cu ~kind ~context : string option =
       store_incident cu ~kind (msg ^ "; recomputing");
       None)
 
-let store_put cu ~kind ~context payload =
+let store_put cu ~kind ~context fields =
   let { Ctx.store; cache_verify; faults; trace; scope } = cu.cu_ctx in
   match store with
   | None -> ()
   | Some s -> (
+    let payload = Record.encode fields in
     let key = store_key cu ~kind ~context in
     if cache_verify then (
       match Store.read ~faults ~scope s ~kind ~key with

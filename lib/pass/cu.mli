@@ -95,34 +95,36 @@ val incidents : t -> Diag.t list
 (** {2 The persistent artifact store}
 
     Load/save hooks over {!Uas_runtime.Store}: every expensive artifact
-    (kernel schedule, planner row) is keyed by a content hash of what
-    it is computed from — the
+    (kernel schedule, planner row) is a {!Uas_runtime.Record} field
+    list, keyed by a content hash of what it is computed from — the
     canonical program text (the {!Uas_ir.Pp} round-trip form), the
     caller's [context] parts (datapath fingerprint, kernel index,
-    effort budgets, cost-model version) and the store format version,
-    but not the rewrites that produced the program.  All hooks are
-    no-ops when the unit's context has no store; lookups count as
-    [cu.store-hit]/[cu.store-miss], and a bad or undecodable entry is a
-    miss plus an incident (pass ["store"]) — never a wrong answer. *)
+    effort budgets, cost-model version) and
+    {!Uas_runtime.Store.format_version}, the one version any payload
+    carries — but not the rewrites that produced the program.  All
+    hooks are no-ops when the unit's context has no store; lookups
+    count as [cu.store-hit]/[cu.store-miss], and a bad or undecodable
+    entry is a miss plus an incident (pass ["store"]) — never a wrong
+    answer. *)
 
 (** The program's canonical text ({!Uas_ir.Pp.program_to_string}),
     memoized; reset by {!with_program}. *)
 val canonical_text : t -> string
 
-(** The full cache key an artifact of [kind] would be stored under
-    (exposed for tests and external poisoning). *)
-val store_key : t -> kind:string -> context:string list -> string
+(** Look the artifact up in the context's store and [decode] its
+    fields ({!Uas_runtime.Record}).  [None] on a miss, a bad entry or
+    a payload that does not decode (incident logged either way),
+    verify mode, or no store. *)
+val store_get :
+  t ->
+  kind:string ->
+  context:string list ->
+  decode:(Uas_runtime.Record.t -> 'a option) ->
+  'a option
 
-(** Look the artifact up in the context's store.  [None] on a miss, a
-    bad entry (incident logged), verify mode, or no store. *)
-val store_get : t -> kind:string -> context:string list -> string option
-
-(** Publish the artifact.  In verify mode ([cache_verify]) the fresh
-    payload is first compared against the cached bytes: a mismatch
-    logs an incident and counts [cu.store-verify-mismatch], then the
-    recomputed value replaces the entry. *)
-val store_put : t -> kind:string -> context:string list -> string -> unit
-
-(** Record that a payload under this kind decoded to nothing usable:
-    logs the incident (callers then recompute). *)
-val store_undecodable : t -> kind:string -> unit
+(** Publish the artifact's fields.  In verify mode ([cache_verify]) the
+    fresh payload is first compared against the cached bytes: a
+    mismatch logs an incident and counts [cu.store-verify-mismatch],
+    then the recomputed value replaces the entry. *)
+val store_put :
+  t -> kind:string -> context:string list -> Uas_runtime.Record.t -> unit

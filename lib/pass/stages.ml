@@ -4,11 +4,15 @@
    layer.)  Artifact-producing stages (dfg-build, schedule, estimate)
    are written ensure-style — they reuse a cached artifact when an
    earlier pass already built it, and build it themselves when run
-   standalone — so pipelines stay composable without recomputation. *)
+   standalone — so pipelines stay composable without recomputation.
+   The kernel schedule is the one artifact they keep in the persistent
+   store, as a Uas_runtime.Record; the report is assembled afresh on
+   every run. *)
 
 module Estimate = Uas_hw.Estimate
 module Datapath = Uas_hw.Datapath
 module Instrument = Uas_runtime.Instrument
+module Record = Uas_runtime.Record
 
 let trace cu = (Cu.ctx cu).Uas_runtime.Ctx.trace
 
@@ -38,39 +42,35 @@ let ensure_dfg ~target cu =
 
 (* ---- persistent-store payloads and contexts ----
 
-   The schedule payload carries the schedule's note alongside the
-   schedule itself, so a warm run replays a budget-exhausted incident
+   The schedule payload is a Record: [ii], [len], [times]
+   (comma-separated issue cycles) and, when there is one, the
+   schedule's [note], so a warm run replays a budget-exhausted incident
    and renders footers byte-identical to the cold run.  The context
    list hashes everything the computation depends on besides the
-   program text (which Cu.store_key adds): which loop is the kernel,
+   program text (which Cu adds to every key): which loop is the kernel,
    the datapath, the pipelining flag and the effort budgets. *)
 
-let schedule_payload (s, note) =
-  (match note with
-  | None -> "note -"
-  | Some m -> "note " ^ String.escaped m)
-  ^ "\n"
-  ^ Uas_dfg.Sched.schedule_to_string s
+let schedule_fields ((s : Uas_dfg.Sched.schedule), note) =
+  [ ("ii", string_of_int s.s_ii);
+    ("len", string_of_int s.s_length);
+    ( "times",
+      String.concat "," (List.map string_of_int (Array.to_list s.s_times)) ) ]
+  @ Option.to_list (Option.map (fun m -> ("note", m)) note)
 
-let schedule_of_payload payload =
-  match String.index_opt payload '\n' with
-  | None -> None
-  | Some i -> (
-    let first = String.sub payload 0 i in
-    let rest = String.sub payload (i + 1) (String.length payload - i - 1) in
-    let note =
-      if String.equal first "note -" then Some None
-      else if
-        String.length first > 5 && String.equal (String.sub first 0 5) "note "
-      then
-        match Scanf.unescaped (String.sub first 5 (String.length first - 5)) with
-        | m -> Some (Some m)
-        | exception _ -> None
-      else None
-    in
-    match (note, Uas_dfg.Sched.schedule_of_string rest) with
-    | Some note, Some s -> Some (s, note)
-    | _ -> None)
+let schedule_of_fields r =
+  let ( let* ) = Option.bind in
+  let* s_ii = Record.int "ii" r in
+  let* s_length = Record.int "len" r in
+  let* times = Record.find "times" r in
+  let parts =
+    if String.equal times "" then [] else String.split_on_char ',' times
+  in
+  let s_times = List.filter_map int_of_string_opt parts in
+  if List.compare_lengths s_times parts <> 0 then None
+  else
+    Some
+      ( { Uas_dfg.Sched.s_ii; s_length; s_times = Array.of_list s_times },
+        Record.find "note" r )
 
 let schedule_context ?(exact_effort = Uas_dfg.Sched.default_exact_effort)
     ~target ~pipelined cu =
@@ -102,14 +102,7 @@ let ensure_schedule ?exact_effort ~target ~pipelined cu =
   | None -> (
     let context = schedule_context ?exact_effort ~target ~pipelined cu in
     let cached =
-      match Cu.store_get cu ~kind:"schedule" ~context with
-      | None -> None
-      | Some payload -> (
-        match schedule_of_payload payload with
-        | Some _ as ok -> ok
-        | None ->
-          Cu.store_undecodable cu ~kind:"schedule";
-          None)
+      Cu.store_get cu ~kind:"schedule" ~context ~decode:schedule_of_fields
     in
     let detail = ensure_dfg ~target cu in
     let s =
@@ -134,7 +127,7 @@ let ensure_schedule ?exact_effort ~target ~pipelined cu =
           Instrument.incr (trace cu) "sched.effort-degraded";
           Cu.add_incident cu (Diag.errorf ~pass:"schedule" "%s" m)
         | None -> ());
-        Cu.store_put cu ~kind:"schedule" ~context (schedule_payload (s, note));
+        Cu.store_put cu ~kind:"schedule" ~context (schedule_fields (s, note));
         s
     in
     check_schedule ~target cu detail s;

@@ -7,10 +7,9 @@
       re-validates all of it; anything off — torn write, flipped bits,
       a different format version, an injected fault — classifies as
       [Bad], which callers must treat as a miss plus an incident.  The
-      payload itself is additionally schema-versioned by the caller
-      (the serialized form's own tag) and version-keyed (the key hashes
-      the format version and the cost-model version), so stale entries
-      can't even be looked up.
+      payload (a Record field list) carries no version of its own:
+      callers hash the format version and the cost-model version into
+      the key, so stale entries can't even be looked up.
 
    2. Never a torn entry.  Writes stage into <dir>/tmp/ under a name
       unique per (pid, domain, counter) and publish with Sys.rename —
@@ -42,7 +41,7 @@
 
 let env_var = "UAS_CACHE"
 let max_bytes_env_var = "UAS_CACHE_MAX_BYTES"
-let format_version = 3
+let format_version = 4
 let default_max_bytes = 256 * 1024 * 1024
 
 type t = {

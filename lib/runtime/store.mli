@@ -1,12 +1,12 @@
 (** Persistent content-addressed artifact store.
 
     Expensive compilation artifacts (kernel schedules, planner rows)
-    are serialized and keyed by a content hash of what they are computed from: canonical
-    program text, tool parameters, cost-model version and the store
-    format version.  Same key, same bytes — so a warm cache run
-    is byte-identical to a cold one, and a stale or corrupted entry can
-    only ever be a {e miss} (plus a [Cu] incident), never a wrong
-    answer.
+    are stored as {!Record} field lists, keyed by a content hash of
+    what they are computed from: canonical program text, tool
+    parameters, cost-model version and the store format version.  Same
+    key, same bytes — so a warm cache run is byte-identical to a cold
+    one, and a stale or corrupted entry can only ever be a {e miss}
+    (plus a [Cu] incident), never a wrong answer.
 
     On-disk layout under the store directory:
 
@@ -44,8 +44,10 @@ val env_var : string
     ["UAS_CACHE_MAX_BYTES"]. *)
 val max_bytes_env_var : string
 
-(** On-disk entry format version; part of every cache key, so a format
-    bump invalidates the whole store without deleting it. *)
+(** The one format version of the store: of its entry header and of
+    every payload's {!Record} fields.  Part of every cache key and
+    every header, so a bump invalidates the whole store without
+    deleting it: old entries become clean misses. *)
 val format_version : int
 
 type t

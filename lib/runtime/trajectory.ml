@@ -29,8 +29,10 @@ let schema = "uas-bench-trajectory"
    search that certifies it, so there is no second scheduler to
    compare against.
    v9: the interpreter-tier key is gone — verification always runs
-   the compiled interpreter, so there is no tier to record. *)
-let version = 9
+   the compiled interpreter, so there is no tier to record.
+   v10: the "daemon" key is gone — the daemon's counters are read
+   through its STATS request and its drain log line. *)
+let version = 10
 
 type target = { t_name : string; t_wall_s : float }
 type metric = { m_name : string; m_value : float; m_unit : string }
@@ -62,9 +64,6 @@ type plan = {
 type t = {
   ctx : Ctx.t;  (** source of the fault plan, store and instrumentation *)
   jobs : int option;
-  mutable daemon_json : string option;
-      (** pre-rendered daemon counter object (the [Store.stats_json]
-          precedent); [None] renders as [null] *)
   mutable rev_targets : target list;
   mutable rev_metrics : metric list;
   mutable rev_plans : plan list;
@@ -74,13 +73,10 @@ type t = {
 let make ~ctx ~jobs () =
   { ctx;
     jobs;
-    daemon_json = None;
     rev_targets = [];
     rev_metrics = [];
     rev_plans = [];
     rev_incidents = [] }
-
-let set_daemon_json t json = t.daemon_json <- Some json
 
 let add_target t ~name ~wall_s =
   t.rev_targets <- { t_name = name; t_wall_s = wall_s } :: t.rev_targets
@@ -152,13 +148,10 @@ let to_json t =
     | None -> "null"
     | Some s -> Store.stats_json s
   in
-  let daemon_json =
-    match t.daemon_json with None -> "null" | Some j -> j
-  in
   Printf.sprintf
-    "{\"schema\":\"%s\",\"version\":%d,\"jobs\":%s,\"fault_plan\":%s,\"store\":%s,\"daemon\":%s,\"targets\":[%s],\"metrics\":[%s],\"plans\":[%s],\"incidents\":[%s],\"instrumentation\":%s}"
+    "{\"schema\":\"%s\",\"version\":%d,\"jobs\":%s,\"fault_plan\":%s,\"store\":%s,\"targets\":[%s],\"metrics\":[%s],\"plans\":[%s],\"incidents\":[%s],\"instrumentation\":%s}"
     (esc schema) version jobs_json fault_plan_json
-    store_json daemon_json
+    store_json
     (String.concat "," (List.map target_json (targets t)))
     (String.concat "," (List.map metric_json (metrics t)))
     (String.concat "," (List.map plan_json (plans t)))

@@ -4,20 +4,15 @@
     planner tables, the pool size, and the
     {!Instrument} span/counter breakdown.
 
-    Schema (version 9; no timestamps, so snapshots diff cleanly):
+    Schema (version 10; no timestamps, so snapshots diff cleanly):
     {v
     { "schema": "uas-bench-trajectory",
-      "version": 9,
+      "version": 10,
       "jobs": null | N,
       "fault_plan": null | "site:kind:nth,...",
       "store": null | {"hits": n, "misses": n, "bad": n, "writes": n,
                        "evicted": n, "evict_skipped": n, "hit_rate": x,
                        "read_s": s, "write_s": s},
-      "daemon": null | {"admitted": n, "shed": n, "timed_out": n,
-                        "degraded": n, "drained": n,
-                        "protocol_errors": n, "disconnects": n,
-                        "requests": n, "request_s": s,
-                        "queue_depth": n, "inflight": n},
       "targets": [ {"name": "...", "wall_s": s}, ... ],
       "metrics": [ {"name": "...", "value": x, "unit": "..."}, ... ],
       "plans": [ { "benchmark": "...", "objective": "...",
@@ -36,11 +31,10 @@
     so clean snapshots are unchanged by-key from v2 apart from the
     version bump and the empty [incidents] array).  [store] echoes the
     context's {!Store} counters — null when no artifact cache is
-    configured, and never the cache directory path.  [daemon] (v7)
-    echoes the [nimbled] service counters when the document comes from
-    a daemon run — null from the plain CLIs.  Incidents record
+    configured, and never the cache directory path.  Incidents record
     every cell the run degraded or skipped non-fatally.  (v8 dropped
-    the v4 ["gaps"] array; v9 dropped the interpreter-tier key.) *)
+    the v4 ["gaps"] array; v9 dropped the interpreter-tier key; v10
+    dropped the v7 ["daemon"] key.) *)
 
 val schema : string
 val version : int
@@ -50,11 +44,6 @@ type t
 (** A document of the run with context [ctx]: its fault plan, store and
     instrumentation sink are echoed by {!to_json}. *)
 val make : ctx:Ctx.t -> jobs:int option -> unit -> t
-
-(** Attach the daemon counter object (a pre-rendered JSON object, the
-    [Store.stats_json] convention) to the document's ["daemon"] key.
-    Never called by the plain CLIs — their documents render [null]. *)
-val set_daemon_json : t -> string -> unit
 
 (** Record a completed harness target and its wall-clock seconds. *)
 val add_target : t -> name:string -> wall_s:float -> unit

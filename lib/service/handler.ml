@@ -8,20 +8,22 @@
    - the fallback and the differential tests render the same requests
      locally through the same [execute]/[render_*] functions.
 
-   A work body is line-oriented and order-insensitive after the first
-   line:
+   A work body is the benchmark name on the first line, then a
+   Uas_runtime.Record (order-insensitive):
 
      <benchmark>\n
      key=value\n ...        verify|validate|objective|budget
 
-   Unknown keys and malformed values are parse errors (a one-line
-   message the daemon sends back as ERR), never exceptions. *)
+   Unknown keys, malformed lines and malformed values are parse errors
+   (a one-line message the daemon sends back as ERR), never
+   exceptions. *)
 
 module E = Uas_core.Experiments
 module P = Uas_core.Planner
 module Registry = Uas_bench_suite.Registry
 module Diag = Uas_pass.Diag
 module Budget = Uas_runtime.Budget
+module Record = Uas_runtime.Record
 
 type estimate_opts = {
   e_bench : string;
@@ -57,22 +59,20 @@ let budget_s = function
 
 (* ---- body rendering (client side) ---- *)
 
-let opt_line key = function None -> [] | Some v -> [ key ^ "=" ^ v ]
-
 let work_body w =
-  let bench = bench_name w in
-  let kvs =
+  let fields =
     match w with
     | W_estimate o ->
-      [ Printf.sprintf "verify=%b" o.e_verify;
-        Printf.sprintf "validate=%b" o.e_validate ]
-      @ opt_line "budget" (Option.map string_of_float o.e_budget_s)
+      [ ("verify", string_of_bool o.e_verify);
+        ("validate", string_of_bool o.e_validate) ]
     | W_plan o ->
-      [ Printf.sprintf "objective=%s" (P.objective_name o.p_objective);
-        Printf.sprintf "validate=%b" o.p_validate ]
-      @ opt_line "budget" (Option.map string_of_float o.p_budget_s)
+      [ ("objective", P.objective_name o.p_objective);
+        ("validate", string_of_bool o.p_validate) ]
   in
-  String.concat "\n" (bench :: kvs)
+  let budget =
+    Option.map (fun b -> ("budget", string_of_float b)) (budget_s w)
+  in
+  bench_name w ^ "\n" ^ Record.encode (fields @ Option.to_list budget)
 
 let to_frame : request -> Protocol.frame = function
   | Hello client -> { Protocol.tag = Protocol.Hello; body = client }
@@ -91,20 +91,6 @@ let to_frame : request -> Protocol.frame = function
 
 let ( let* ) = Result.bind
 
-let parse_kvs lines =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | "" :: rest -> go acc rest
-    | line :: rest -> (
-      match String.index_opt line '=' with
-      | None -> Error (Printf.sprintf "malformed request line %S" line)
-      | Some i ->
-        let k = String.sub line 0 i in
-        let v = String.sub line (i + 1) (String.length line - i - 1) in
-        go ((k, v) :: acc) rest)
-  in
-  go [] lines
-
 let parse_bool ~key v =
   match bool_of_string_opt v with
   | Some b -> Ok b
@@ -120,14 +106,21 @@ let parse_budget v =
   Ok (Some b)
 
 let split_body body =
-  match String.split_on_char '\n' body with
-  | [] | [ "" ] -> Error "empty request body (expected a benchmark name)"
-  | bench :: rest ->
-    if String.equal bench "" then
-      Error "empty benchmark name in request body"
-    else
-      let* kvs = parse_kvs rest in
-      Ok (bench, kvs)
+  let bench, fields =
+    match String.index_opt body '\n' with
+    | None -> (body, "")
+    | Some i ->
+      let rest = String.length body - i - 1 in
+      (String.sub body 0 i, String.sub body (i + 1) rest)
+  in
+  if String.equal body "" then
+    Error "empty request body (expected a benchmark name)"
+  else if String.equal bench "" then
+    Error "empty benchmark name in request body"
+  else
+    match Record.decode fields with
+    | Ok kvs -> Ok (bench, kvs)
+    | Error line -> Error (Printf.sprintf "malformed request line %S" line)
 
 let fold_kvs ~on_kv init kvs =
   List.fold_left

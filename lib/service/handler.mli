@@ -3,7 +3,8 @@
     and its local fallback, so daemon-served output is byte-identical
     to in-process output by construction.
 
-    A work body is line-oriented:
+    A work body is the benchmark name on the first line, then a
+    {!Uas_runtime.Record}:
     {v
     <benchmark>
     key=value ...     verify|validate|objective|budget

@@ -1,6 +1,6 @@
-(* The daemon counters exported via STATS and the trajectory schema v7
-   "daemon" object.  Plain atomics — always on, shared across the
-   accept loop, reader threads and the dispatcher. *)
+(* The daemon counters exported as the STATS reply's "daemon" object
+   and in the drain log line.  Plain atomics — always on, shared
+   across the accept loop, reader threads and the dispatcher. *)
 
 type t = {
   admitted : int Atomic.t;  (* work requests accepted into the queue *)
@@ -28,8 +28,7 @@ let create () =
 let add_latency t ~wall_s =
   ignore (Atomic.fetch_and_add t.request_us (int_of_float (wall_s *. 1e6)))
 
-(* Key order is part of the schema: see Trajectory's v7 comment and
-   docs/INTERP.md. *)
+(* Key order is part of the STATS reply: see docs/SERVICE.md. *)
 let to_json t ~queue_depth ~inflight =
   Printf.sprintf
     "{\"admitted\":%d,\"shed\":%d,\"timed_out\":%d,\"degraded\":%d,\"drained\":%d,\"protocol_errors\":%d,\"disconnects\":%d,\"requests\":%d,\"request_s\":%.6f,\"queue_depth\":%d,\"inflight\":%d}"

@@ -1,5 +1,5 @@
-(** nimbled service counters: exported via [STATS] and as the
-    trajectory schema v7 ["daemon"] object.  All fields are atomics —
+(** nimbled service counters: exported as the ["daemon"] object of the
+    [STATS] reply and in the drain log line.  All fields are atomics —
     the accept loop, reader threads and the dispatcher update them
     concurrently. *)
 
@@ -18,8 +18,8 @@ type t = {
 val create : unit -> t
 val add_latency : t -> wall_s:float -> unit
 
-(** The v7 ["daemon"] JSON object; the two gauges are sampled by the
-    caller at render time. *)
+(** The [STATS] reply's ["daemon"] JSON object; the two gauges are
+    sampled by the caller at render time. *)
 val to_json : t -> queue_depth:int -> inflight:int -> string
 
 (** One human line for stderr. *)

@@ -43,9 +43,6 @@ type config = {
   c_max_frame : int;
   c_handle_signals : bool;  (** install SIGTERM/SIGINT drain handlers *)
   c_log : string -> unit;
-  c_on_drained : daemon_json:string -> unit;
-      (** called once after drain with the final v7 ["daemon"] object
-          (nimbled threads it into the trajectory --json file) *)
 }
 
 let default_config ~socket =
@@ -57,8 +54,7 @@ let default_config ~socket =
     c_drain_timeout_s = 30.0;
     c_max_frame = Protocol.default_max_frame;
     c_handle_signals = false;
-    c_log = ignore;
-    c_on_drained = (fun ~daemon_json:_ -> ()) }
+    c_log = ignore }
 
 type peer = {
   p_fd : Unix.file_descr;
@@ -605,8 +601,4 @@ let run ?(ctx = Ctx.default ()) (cfg : config) : (unit, string) result =
       (match cfg.c_pidfile with
       | None -> ()
       | Some pf -> ( try Sys.remove pf with Sys_error _ -> ()));
-      cfg.c_on_drained
-        ~daemon_json:
-          (Metrics.to_json st.metrics ~queue_depth:(queue_depth st)
-             ~inflight:(Atomic.get st.inflight));
       Ok ())

@@ -22,9 +22,6 @@ type config = {
       (** install SIGTERM/SIGINT drain handlers (the nimbled binary
           does; in-process tests do not) *)
   c_log : string -> unit;  (** one line per event, e.g. [prerr_endline] *)
-  c_on_drained : daemon_json:string -> unit;
-      (** called once, after a clean drain, with the final trajectory
-          v7 ["daemon"] JSON object *)
 }
 
 (** Queue 16, no limits or budget, 30 s drain timeout, no pidfile, no

@@ -3,18 +3,12 @@
    permutable — conservatively, when no dependence is carried with a
    direction that interchange would reverse.
 
-   For a pair whose inner body is loop-free we accept the common safe
-   cases:
-   - no statement of the body writes memory, or
-   - every dependent access pair is independent across both loops
-     (checked with the affine machinery of [Dependence] applied twice,
-     once per loop orientation).
-
-   For a pair buried in a deeper nest, the affine pair forms cannot see
-   the deeper indices; there the classic direction-vector test decides:
-   swapping levels (k, k+1) is illegal exactly when some dependence has
-   a distance vector whose leading nonzero entry sits at level k and
-   whose level-(k+1) entry is negative.
+   One rule decides at every depth, the classic direction-vector test
+   over the pair's maximal nest: swapping levels (k, k+1) is illegal
+   exactly when some dependence has a distance vector whose leading
+   nonzero entry sits at level k and whose level-(k+1) entry is
+   negative, or when the dependence analysis cannot bound the
+   distances.
 
    Interchange requires a *perfect* pair: the outer body is exactly the
    inner loop, and the bounds of each loop do not use the other's
@@ -42,7 +36,7 @@ let () =
     | Interchange_error f -> Some (Fmt.str "Interchange_error: %a" pp_failure f)
     | _ -> None)
 
-(* Shape requirements shared by both dependence tests. *)
+(* The shape requirements of a pair. *)
 let structural (nest : Loop_nest.pair) : failure option =
   if nest.Loop_nest.pre <> [] || nest.post <> [] then Some Not_perfect
   else if
@@ -53,41 +47,8 @@ let structural (nest : Loop_nest.pair) : failure option =
   then Some Bounds_use_index
   else None
 
-let check (nest : Loop_nest.pair) : failure option =
-  match structural nest with
-  | Some f -> Some f
-  | None ->
-    (* conservative dependence test: every pair that may conflict must
-       conflict only at distance (0, 0) — independence in both the outer
-       direction and, by symmetry of the swapped nest, the inner one *)
-    let swapped =
-      { nest with
-        Loop_nest.outer_index = nest.inner_index;
-        outer_lo = nest.inner_lo;
-        outer_hi = nest.inner_hi;
-        outer_step = nest.inner_step;
-        inner_index = nest.outer_index;
-        inner_lo = nest.outer_lo;
-        inner_hi = nest.outer_hi;
-        inner_step = nest.outer_step }
-    in
-    let offending n =
-      List.find_map
-        (fun ((x : Dependence.access), _, d) ->
-          match d with
-          | Dependence.No_dependence | Dependence.Exact 0 -> None
-          | Dependence.Within (0, 0) -> None
-          | _ -> Some x.Dependence.acc_array)
-        (Dependence.all_pairs n)
-    in
-    (match offending nest with
-    | Some a -> Some (Carried_dependence a)
-    | None -> (
-      match offending swapped with
-      | Some a -> Some (Carried_dependence a)
-      | None -> None))
-
-(* Direction-vector test for a pair at level [k] of a deeper nest. *)
+(* Direction-vector test for the pair at levels [level]/[level+1] of a
+   nest. *)
 let deep_check (n : Uas_analysis.Loop_nest.t) ~level : failure option =
   let accs = Dependence.nest_accesses n in
   let rec pairs = function
@@ -119,32 +80,19 @@ let deep_check (n : Uas_analysis.Loop_nest.t) ~level : failure option =
           else None)
     (pairs accs)
 
-(** Depth-aware legality at the pair headed by [outer_index]: the
-    affine pair test when its inner body is loop-free, the
-    direction-vector test when it is buried in a deeper nest.
-    @raise Not_found when absent. *)
+(** Legality at the pair headed by [outer_index]: the shape
+    requirements, then the direction-vector test at the pair's level of
+    its maximal nest.  @raise Not_found when absent. *)
 let check_at (p : Stmt.program) ~outer_index : failure option =
-  let nest = Loop_nest.find_by_outer_index p outer_index in
-  match Loop_nest.depth_at p outer_index with
-  | Some d when d > 2 -> (
-    match structural nest with
-    | Some f -> Some f
-    | None -> (
-      match Loop_nest.find_nest_opt p outer_index with
+  match structural (Loop_nest.find_by_outer_index p outer_index) with
+  | Some f -> Some f
+  | None -> (
+    match Loop_nest.find_nest_opt p outer_index with
+    | None -> Some Not_perfect
+    | Some n -> (
+      match Loop_nest.level_position n outer_index with
       | None -> Some Not_perfect
-      | Some n ->
-        let level =
-          let rec pos k = function
-            | [] -> 0
-            | lv :: rest ->
-              if String.equal lv.Uas_analysis.Loop_nest.l_index outer_index
-              then k
-              else pos (k + 1) rest
-          in
-          pos 0 n.Uas_analysis.Loop_nest.levels
-        in
-        deep_check n ~level))
-  | _ -> check nest
+      | Some level -> deep_check n ~level))
 
 (** Interchange the pair identified by its outer index inside [p], the
     failure modes as data. *)

@@ -1,8 +1,6 @@
 (** Loop interchange (§3.3/§3.4): swap two adjacent loops of a
     perfectly nested pair, at any level of a nest.  Conservative
-    legality via the affine dependence tests on both orientations for a
-    loop-free pair, and via the direction-vector test for a pair buried
-    in a deeper nest. *)
+    legality via the direction-vector test at every depth. *)
 
 open Uas_ir
 module Loop_nest = Uas_analysis.Loop_nest
@@ -16,11 +14,9 @@ val pp_failure : failure Fmt.t
 
 exception Interchange_error of failure
 
-(** Legality for a pair whose inner body is loop-free; {!apply_res}
-    picks the direction-vector test instead for deeper pairs. *)
-val check : Loop_nest.pair -> failure option
-
-(** Depth-aware legality at the pair headed by [outer_index].
+(** Legality at the pair headed by [outer_index]: a perfect pair whose
+    bounds do not use each other's index, and no dependence whose
+    distance vector interchange would make lexicographically negative.
     @raise Not_found when absent. *)
 val check_at : Stmt.program -> outer_index:string -> failure option
 

@@ -103,7 +103,7 @@ let test_skipjack_narrower_than_des () =
     let default =
       Uas_dfg.Graph.total_operator_area detail.Build.d_graph
     in
-    let aware = BW.width_aware_operator_area ~entry detail ~roms in
+    let aware = BW.operator_area ~entry detail ~roms in
     float_of_int aware /. float_of_int default
   in
   let key = S.Skipjack.random_key ~seed:31 in

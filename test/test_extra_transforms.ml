@@ -34,26 +34,31 @@ let test_interchange_rejects_imperfect () =
   | exception T.Interchange.Interchange_error T.Interchange.Not_perfect -> ()
   | _ -> Alcotest.fail "expected Not_perfect"
 
-let test_interchange_rejects_carried () =
-  (* b[i][j] = b[i-1][j] + 1 carries along i: interchange would be
-     illegal if a dependence were also carried along j; our checker is
-     conservative and rejects any carried dependence *)
+(* b[i][j] = b[i-1][j+dj] + 1 over the output array b *)
+let carried ~dj =
   let n = 5 in
-  let p =
-    B.program "carried"
-      ~locals:[ ("i", Types.Tint); ("j", Types.Tint) ]
-      ~arrays:[ B.local_array "b" (n * n); B.output "o" (n * n) ]
-      [ B.for_ "i" ~lo:(B.int 1) ~hi:(B.int n)
-          [ B.for_ "j" ~hi:(B.int n)
-              [ B.store "b"
-                  B.((v "i" * int n) + v "j")
-                  B.(load "b" (((v "i" - int 1) * int n) + v "j") + int 1) ] ]
-      ]
-  in
-  match T.Interchange.apply p ~outer_index:"i" with
-  | exception T.Interchange.Interchange_error (T.Interchange.Carried_dependence _)
-    -> ()
-  | _ -> Alcotest.fail "expected Carried_dependence"
+  B.program "carried"
+    ~locals:[ ("i", Types.Tint); ("j", Types.Tint) ]
+    ~arrays:[ B.output "b" (n * n) ]
+    [ B.for_ "i" ~lo:(B.int 1) ~hi:(B.int n)
+        [ B.for_ "j" ~hi:(B.int n)
+            [ B.store "b"
+                B.((v "i" * int n) + v "j")
+                B.(load "b" (((v "i" - int 1) * int n) + v "j" + int dj)
+                   + int 1) ] ] ]
+
+let test_interchange_rejects_carried () =
+  (* distance (1,-1): interchange would run the read before the write
+     it depends on *)
+  (match T.Interchange.apply (carried ~dj:1) ~outer_index:"i" with
+  | exception
+      T.Interchange.Interchange_error (T.Interchange.Carried_dependence _) ->
+    ()
+  | _ -> Alcotest.fail "expected Carried_dependence");
+  (* distance (1,0) keeps its direction once the loops swap *)
+  let p = carried ~dj:0 in
+  Helpers.assert_equivalent ~msg:"interchange over a (1,0) dependence" p
+    (T.Interchange.apply p ~outer_index:"i")
 
 (* --- hoisting --- *)
 

@@ -167,18 +167,6 @@ let test_register_packing_target () =
   Alcotest.(check bool) "smaller area" true
     (packed.Estimate.r_area_rows < dflt.Estimate.r_area_rows)
 
-let test_width_sized_target () =
-  (* §5.4 back-end sizing: smaller operator rows for the byte-oriented
-     Skipjack kernel, same II and registers *)
-  let b = S.Registry.skipjack_hw ~m:16 () in
-  let dflt = Helpers.report b N.Pipelined in
-  let sized = Helpers.report ~target:Hw.Datapath.width_sized b N.Pipelined in
-  Alcotest.(check int) "same II" dflt.Estimate.r_ii sized.Estimate.r_ii;
-  Alcotest.(check int) "same registers" dflt.Estimate.r_registers
-    sized.Estimate.r_registers;
-  Alcotest.(check bool) "smaller operator rows" true
-    (sized.Estimate.r_operator_rows < dflt.Estimate.r_operator_rows)
-
 let test_port_count_ablation () =
   (* fewer memory ports raise (or keep) the II of memory-bound kernels *)
   let b = S.Registry.des_mem ~m:16 () in
@@ -253,7 +241,6 @@ let suite =
     Alcotest.test_case "area decomposition" `Slow test_area_decomposition;
     Alcotest.test_case "register packing target" `Quick
       test_register_packing_target;
-    Alcotest.test_case "width-sized target" `Quick test_width_sized_target;
     Alcotest.test_case "memory port ablation" `Quick test_port_count_ablation;
     Alcotest.test_case "kernel selection" `Quick
       test_select_best_prefers_efficiency;

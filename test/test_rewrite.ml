@@ -313,12 +313,15 @@ let oracle_row ~ctx ?validate (b : R.benchmark) (c : P.candidate) =
   | Ok cu -> (Ok (Option.get (Cu.report cu)), Cu.incidents cu)
   | Error d -> (Error d, [])
 
-let render_outcome (outcome, incidents) =
-  String.concat "\n"
-    ((match outcome with
-     | Ok r -> "ok " ^ Uas_hw.Estimate.report_to_string r
-     | Error d -> "error " ^ Diag.to_string d)
-    :: List.map (fun d -> "incident " ^ Diag.to_string d) incidents)
+(* an outcome and its incidents, compared structurally *)
+let outcome =
+  let pp ppf (outcome, incidents) =
+    (match outcome with
+    | Ok r -> Fmt.pf ppf "ok %a" Uas_hw.Estimate.pp_report r
+    | Error d -> Fmt.pf ppf "error %a" Diag.pp d);
+    List.iter (fun d -> Fmt.pf ppf "@\nincident %a" Diag.pp d) incidents
+  in
+  Alcotest.testable pp ( = )
 
 (* the search space [P.plan] explores on the benchmark's nest *)
 let candidates_of (b : R.benchmark) =
@@ -336,7 +339,7 @@ let check_plan_against_oracle ?plan:fault_plan ~validate (b : R.benchmark) =
     let ctx = Helpers.ctx ?plan:fault_plan () in
     List.map
       (fun c ->
-        (c.P.c_label, render_outcome (oracle_row ~ctx ?validate:probe b c)))
+        (c.P.c_label, oracle_row ~ctx ?validate:probe b c))
       (candidates_of b)
   in
   List.iter
@@ -354,11 +357,11 @@ let check_plan_against_oracle ?plan:fault_plan ~validate (b : R.benchmark) =
       List.iter
         (fun (r : P.row) ->
           let label = r.P.r_candidate.P.c_label in
-          Alcotest.(check string)
+          Alcotest.check outcome
             (Printf.sprintf "%s/%s (jobs %d, validate %b)" b.R.b_name label
                jobs validate)
             (List.assoc label oracle)
-            (render_outcome (r.P.r_outcome, r.P.r_incidents)))
+            (r.P.r_outcome, r.P.r_incidents))
         planned.P.p_rows)
     [ 1; 2 ]
 

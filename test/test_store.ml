@@ -1,15 +1,12 @@
 (* The persistent artifact store: entry round-trips, corruption
    classified as Bad (never a wrong payload), size-bounded eviction,
-   the artifact serializers, and the end-to-end contract — a warm
-   cache run is byte-identical to the cold one with the artifacts
-   served from the store, and verify mode flags a poisoned entry as an
-   incident instead of believing it. *)
+   the Record codec every payload is written in, and the end-to-end
+   contract — a warm cache run is byte-identical to the cold one with
+   the artifacts served from the store, and verify mode flags a
+   poisoned entry as an incident instead of believing it. *)
 
-open Uas_ir
-module B = Builder
-module D = Uas_dfg
-module Sd = D.Sched
 module Store = Uas_runtime.Store
+module Record = Uas_runtime.Record
 module Instrument = Uas_runtime.Instrument
 module E = Uas_core.Experiments
 module P = Uas_core.Planner
@@ -187,57 +184,145 @@ let test_eviction_bounds_size () =
        max_bytes)
     true (on_disk <= max_bytes)
 
-(* --- artifact serializers --- *)
-
-let fg_body =
-  [ B.("b" <-- band (v "a" + int 3) (int 255));
-    B.("a" <-- bxor (v "b" + v "b") (int 21)) ]
-
-let mem_body =
-  [ B.("t" <-- load "src" (v "j"));
-    B.("acc" <-- v "acc" + load "tab" (band (v "t") (int 255)));
-    B.store "dst" (B.v "j") (B.v "acc") ]
-
-let graph_of body = fst (D.Build.build ~inner_index:"j" body)
-
-let test_schedule_serialization_roundtrip () =
-  List.iter
-    (fun (name, body) ->
-      let g = graph_of body in
-      let s = Sd.modulo_schedule g in
-      match Sd.schedule_of_string (Sd.schedule_to_string s) with
-      | Some s' ->
-        if s' <> s then Alcotest.failf "%s: schedule round-trip differs" name
-      | None -> Alcotest.failf "%s: schedule failed to parse back" name)
-    [ ("fg", fg_body); ("mem", mem_body) ];
-  Alcotest.(check (option reject)) "junk rejected" None
-    (Option.map ignore (Sd.schedule_of_string "sched 1 nonsense"))
+(* --- the Record codec --- *)
 
 let iir () =
   match R.find "iir" with
   | Some b -> b
   | None -> Alcotest.fail "IIR benchmark missing"
 
-let test_report_serialization_roundtrip () =
-  let b = iir () in
-  List.iter
-    (fun version ->
-      let r = Helpers.report b version in
-      match Uas_hw.Estimate.report_of_string (Uas_hw.Estimate.report_to_string r) with
-      | Some r' ->
-        if r' <> r then Alcotest.fail "report round-trip differs"
-      | None -> Alcotest.fail "report failed to parse back")
-    [ N.Original; N.Pipelined; N.Squashed 2 ]
+let fields = Alcotest.(list (pair string string))
+let decoded = Alcotest.(result fields string)
 
-(* names pass through verbatim, even with spaces and '=' in them *)
-let test_report_name_verbatim () =
-  let r = Helpers.report (iir ()) N.Original in
-  let r = { r with Uas_hw.Estimate.r_name = "odd name= with spaces" } in
-  match Uas_hw.Estimate.report_of_string (Uas_hw.Estimate.report_to_string r) with
-  | Some r' ->
-    Alcotest.(check string) "name survives" r.Uas_hw.Estimate.r_name
-      r'.Uas_hw.Estimate.r_name
-  | None -> Alcotest.fail "report failed to parse back"
+(* keys: non-empty, no '=' or newline; values: arbitrary bytes *)
+let gen_fields =
+  let open QCheck.Gen in
+  let key_char = map (fun c -> if c = '=' || c = '\n' then 'k' else c) char in
+  small_list
+    (pair
+       (string_size ~gen:key_char (int_range 1 8))
+       (string_size (int_bound 24)))
+
+let test_record_roundtrip =
+  QCheck.Test.make ~name:"record round-trip property" ~count:500
+    (QCheck.make gen_fields
+       ~print:QCheck.Print.(list (pair string string)))
+    (fun r -> Record.decode (Record.encode r) = Ok r)
+
+(* Values a report name, a diagnostic or a note may carry — spaces,
+   '=', newlines, tabs, backslashes, quotes, high bytes — and records
+   nested as values, all survive; only a line without '=' or with a
+   bad escape is an error, and it is named. *)
+let test_record_values_verbatim () =
+  let inner = Record.encode [ ("pass", "squash"); ("message", "a\tb\nc") ] in
+  let r =
+    [ ("name", "odd name= with spaces");
+      ("note", "two\nlines \\ \"quoted\" \255\000");
+      ("empty", "");
+      ("incident", inner);
+      ("incident", "") ]
+  in
+  let text = Record.encode r in
+  Alcotest.(check int) "one line per field" (List.length r)
+    (List.length (String.split_on_char '\n' text) - 1);
+  Alcotest.check decoded "round-trip" (Ok r) (Record.decode text);
+  Alcotest.(check (option string)) "find" (Some "odd name= with spaces")
+    (Record.find "name" r);
+  Alcotest.(check (list string)) "all, in order" [ inner; "" ]
+    (Record.all "incident" r);
+  let back = Result.get_ok (Record.decode text) in
+  Alcotest.check decoded "nested record"
+    (Ok [ ("pass", "squash"); ("message", "a\tb\nc") ])
+    (Record.decode (Option.get (Record.find "incident" back)));
+  Alcotest.check decoded "blank lines skipped"
+    (Ok [ ("ii", "4"); ("len", "9") ])
+    (Record.decode "\nii=4\n\nlen=9\n\n");
+  Alcotest.(check (option int)) "int" (Some 4)
+    (Record.int "ii" [ ("ii", "4") ]);
+  Alcotest.(check (option int)) "int rejects text" None
+    (Record.int "ii" [ ("ii", "four") ]);
+  Alcotest.check decoded "line without '='" (Error "no field here")
+    (Record.decode "ii=4\nno field here\nlen=9");
+  Alcotest.check decoded "bad escape" (Error "note=\\q")
+    (Record.decode "ii=4\nnote=\\q")
+
+(* Every payload a cold IIR row and a cold IIR plan leave in a store,
+   with its kind. *)
+let stored_payloads =
+  lazy
+    (let s = open_fresh () in
+     ignore (E.run_benchmark ~ctx:(Helpers.ctx ~store:s ()) ~jobs:1 (iir ()));
+     let b = iir () in
+     ignore
+       (P.plan ~ctx:(Helpers.ctx ~store:s ()) ~jobs:1 b.R.b_program
+          ~outer_index:b.R.b_outer_index ~inner_index:b.R.b_inner_index
+          ~benchmark:b.R.b_name);
+     List.sort compare (object_files s)
+     |> List.map (fun path ->
+            (* objects/<kind>/<k0k1>/<key> *)
+            let key = Filename.basename path in
+            let kind =
+              Filename.basename (Filename.dirname (Filename.dirname path))
+            in
+            match Store.read s ~kind ~key with
+            | Store.Hit payload -> (kind, payload)
+            | Store.Miss | Store.Bad _ -> Alcotest.failf "%s unreadable" path))
+
+(* The stored schedules and plan rows are records with the documented
+   fields, and re-encode to their own bytes. *)
+let test_stored_payloads_are_records () =
+  let payloads = Lazy.force stored_payloads in
+  let kinds = List.sort_uniq compare (List.map fst payloads) in
+  Alcotest.(check (list string)) "kinds" [ "plan-row"; "schedule" ] kinds;
+  let report_keys =
+    [ "name"; "ii"; "len"; "ops"; "oprows"; "regs"; "area"; "mem"; "iters";
+      "cycles" ]
+  in
+  List.iter
+    (fun (kind, payload) ->
+      match Record.decode payload with
+      | Error line -> Alcotest.failf "%s payload: bad line %S" kind line
+      | Ok r ->
+        Alcotest.(check string) (kind ^ " re-encodes") payload
+          (Record.encode r);
+        let keys =
+          List.filter (fun k -> k <> "incident" && k <> "note") (List.map fst r)
+        in
+        if kind = "schedule" then
+          Alcotest.(check (list string)) "schedule fields"
+            [ "ii"; "len"; "times" ] keys
+        else if keys <> [ "error" ] then
+          Alcotest.(check (list string)) "plan-row fields" report_keys keys)
+    payloads
+
+let mutate rng payload =
+  let n = String.length payload in
+  let at = Random.State.int rng (n + 1) in
+  let byte () = String.make 1 (Char.chr (Random.State.int rng 256)) in
+  let pick = [| "="; "\n"; "\\"; "\\0"; "\\x"; "\""; "" |] in
+  let ins () =
+    match Random.State.int rng 3 with
+    | 0 -> byte ()
+    | _ -> pick.(Random.State.int rng (Array.length pick))
+  in
+  let cut = min (n - at) (Random.State.int rng 4) in
+  String.sub payload 0 at ^ ins ()
+  ^ String.sub payload (at + cut) (n - at - cut)
+
+(* Byte mutants of real payloads decode to a value or an [Error]:
+   decode never raises, whatever a store file holds. *)
+let test_record_decode_mutants =
+  QCheck.Test.make ~name:"record decode on mutants" ~count:2000
+    QCheck.(pair small_nat int)
+    (fun (which, seed) ->
+      let payloads = Array.of_list (Lazy.force stored_payloads) in
+      let _, payload = payloads.(which mod Array.length payloads) in
+      let rng = Random.State.make [| seed |] in
+      let mutant = ref payload in
+      for _ = 1 to 1 + Random.State.int rng 4 do
+        mutant := mutate rng !mutant
+      done;
+      match Record.decode !mutant with Ok _ | Error _ -> true)
 
 (* --- end to end: cold vs warm --- *)
 
@@ -567,12 +652,12 @@ let suite =
       test_entry_under_wrong_key_is_bad;
     Alcotest.test_case "eviction bounds the store size" `Quick
       test_eviction_bounds_size;
-    Alcotest.test_case "schedule serialization round-trip" `Quick
-      test_schedule_serialization_roundtrip;
-    Alcotest.test_case "estimate report round-trip" `Quick
-      test_report_serialization_roundtrip;
-    Alcotest.test_case "report names pass verbatim" `Quick
-      test_report_name_verbatim;
+    QCheck_alcotest.to_alcotest test_record_roundtrip;
+    Alcotest.test_case "record values pass verbatim" `Quick
+      test_record_values_verbatim;
+    Alcotest.test_case "stored payloads are records" `Quick
+      test_stored_payloads_are_records;
+    QCheck_alcotest.to_alcotest test_record_decode_mutants;
     Alcotest.test_case "warm run byte-identical, served from store" `Quick
       test_warm_run_identical_and_served;
     Alcotest.test_case "row stores one schedule per cell, warm writes none"
