@@ -3,12 +3,22 @@
    [compile] translates a program once into a tree of OCaml closures
    over a slot-indexed runtime environment (Slots): scalars live in a
    [value array], arrays in a [value array array], ROM contents are
-   baked into the lookup closures as pre-boxed values.  Name
-   resolution, operator dispatch and loop-path construction all happen
-   at compile time, so the hot path does no string hashing and no AST
-   matching.  The compiled program is immutable and reusable: each
-   [run] builds a fresh mutable state, so one compilation serves every
-   workload of a sweep (and may be shared across domains).
+   boxed once per compilation and shared by every lookup closure of
+   that ROM.  Name resolution, operator dispatch and loop-path
+   construction all happen at compile time, so the hot path does no
+   string hashing and no AST matching.  The compiled program is
+   immutable and reusable: each [run] builds a fresh mutable state, so
+   one compilation serves every workload of a sweep (and may be shared
+   across domains).
+
+   Profiling is accounted, not traced.  Expression closures only
+   compute values: every assignment and store knows its cycles and
+   memory references at compile time, and each maximal straight-line
+   run of them takes its fuel and adds its profile once.  A loop's
+   inclusive cycles are the difference of [total_cycles] across its
+   iterations, so charging a cost is one add, whatever the nesting
+   depth.  A run that raises returns no profile, so nothing is undone
+   on the exception path.
 
    It is observationally identical to the reference interpreter
    (Interp, which stays the oracle) — outputs, final scalars, the full
@@ -27,16 +37,14 @@ type rt = {
   arrs : value array array;  (* array slots *)
   prof : Interp.profile;
   mutable fuel : int;
-  mutable loop_stack : Interp.loop_stats list;
 }
 
 let stuck fmt = Fmt.kstr (fun s -> raise (Interp.Stuck s)) fmt
 
-let charge rt cycles =
-  rt.prof.Interp.total_cycles <- rt.prof.Interp.total_cycles + cycles;
-  List.iter
-    (fun (ls : Interp.loop_stats) -> ls.cycles <- ls.cycles + cycles)
-    rt.loop_stack
+let account rt ~cycles ~mem_refs =
+  let prof = rt.prof in
+  prof.Interp.total_cycles <- prof.Interp.total_cycles + cycles;
+  prof.Interp.mem_refs <- prof.Interp.mem_refs + mem_refs
 
 let burn rt =
   if rt.fuel <= 0 then raise Interp.Out_of_fuel;
@@ -44,6 +52,21 @@ let burn rt =
   rt.prof.Interp.stmts_executed <- rt.prof.Interp.stmts_executed + 1
 
 let op_cost (k : Opinfo.op_kind) = max 1 (Opinfo.default_delay k)
+
+(* the cycles the reference charges for evaluating [e]: each operator's
+   cost once (both arms of a select evaluate); variables and literals
+   are free *)
+let expr_cycles (e : Expr.t) =
+  Expr.fold
+    (fun n (e : Expr.t) ->
+      match e with
+      | Int _ | Float _ | Var _ -> n
+      | Load _ -> n + op_cost Opinfo.Op_load
+      | Rom _ -> n + op_cost Opinfo.Op_rom
+      | Unop (o, _) -> n + op_cost (Opinfo.Op_unop o)
+      | Binop (o, _, _) -> n + op_cost (Opinfo.Op_binop o)
+      | Select _ -> n + op_cost Opinfo.Op_select)
+    0 e
 
 (* --- compile-time operator specialization ---
 
@@ -132,10 +155,23 @@ let unop_fn (o : unop) : value -> value =
 
 (* --- expression compilation ---
 
-   The compile-time context: the slot resolver plus the program (for
-   ROM contents, which are baked into the lookup closures). *)
+   The compile-time context: the slot resolver and the program's ROMs.
+   ROM contents are program constants, boxed once per compilation so a
+   hit allocates nothing and every lookup site of a ROM shares one
+   array; the last declaration of a name wins, as in the reference
+   interpreter's rom table.  Expression closures compute values only:
+   the statement that evaluates them charges their cycles and memory
+   references (see [expr_cycles]). *)
 
-type ctx = { sl : Slots.t; prog : Stmt.program }
+type ctx = { sl : Slots.t; roms : (rom_id, value array) Hashtbl.t }
+
+let context (p : Stmt.program) : ctx =
+  let roms = Hashtbl.create 4 in
+  List.iter
+    (fun (d : Stmt.rom_decl) ->
+      Hashtbl.replace roms d.r_name (Array.map (fun n -> VInt n) d.r_data))
+    p.roms;
+  { sl = Slots.of_program p; roms }
 
 let rec compile_expr ({ sl; _ } as ctx : ctx) (e : Expr.t) : rt -> value =
   match e with
@@ -157,80 +193,53 @@ let rec compile_expr ({ sl; _ } as ctx : ctx) (e : Expr.t) : rt -> value =
           else stuck "read of undeclared scalar %s" x)
   | Load (a, i) -> (
     let ci = compile_int ctx i in
-    let cost = op_cost Opinfo.Op_load in
     match Slots.array_slot sl a with
     | None ->
       fun rt ->
         let _ = ci rt in
-        rt.prof.Interp.mem_refs <- rt.prof.Interp.mem_refs + 1;
-        charge rt cost;
         stuck "load from undeclared array %s" a
     | Some s ->
       fun rt ->
         let idx = ci rt in
-        rt.prof.Interp.mem_refs <- rt.prof.Interp.mem_refs + 1;
-        charge rt cost;
         let data = Array.unsafe_get rt.arrs s in
         if idx < 0 || idx >= Array.length data then
           stuck "load %s[%d] out of bounds (size %d)" a idx (Array.length data)
         else Array.unsafe_get data idx)
   | Rom (r, i) -> (
     let ci = compile_int ctx i in
-    let cost = op_cost Opinfo.Op_rom in
-    (* the last declaration of a name wins, as in the reference
-       interpreter's rom table *)
-    let decl =
-      List.fold_left
-        (fun acc (d : Stmt.rom_decl) ->
-          if String.equal d.r_name r then Some d else acc)
-        None ctx.prog.Stmt.roms
-    in
-    match decl with
+    match Hashtbl.find_opt ctx.roms r with
     | None ->
       fun rt ->
         let _ = ci rt in
-        charge rt cost;
         stuck "lookup in undeclared rom %s" r
-    | Some d ->
-      (* ROM contents are program constants: pre-box every element at
-         compile time so a hit allocates nothing *)
-      let values = Array.map (fun n -> VInt n) d.Stmt.r_data in
+    | Some values ->
       let size = Array.length values in
       fun rt ->
         let idx = ci rt in
-        charge rt cost;
         if idx < 0 || idx >= size then
           stuck "rom lookup %s(%d) out of bounds (size %d)" r idx size
         else Array.unsafe_get values idx)
   | Unop (o, x) ->
     let cx = compile_expr ctx x in
-    let cost = op_cost (Opinfo.Op_unop o) in
     let f = unop_fn o in
-    fun rt ->
-      let vx = cx rt in
-      charge rt cost;
-      f vx
+    fun rt -> f (cx rt)
   | Binop (o, l, r) ->
     let cl = compile_expr ctx l in
     let cr = compile_expr ctx r in
-    let cost = op_cost (Opinfo.Op_binop o) in
     let f = binop_fn o in
     fun rt ->
       let vl = cl rt in
       let vr = cr rt in
-      charge rt cost;
       f vl vr
   | Select (c, t, f) ->
     let cc = compile_int ctx c in
     let ct = compile_expr ctx t in
     let cf = compile_expr ctx f in
-    let cost = op_cost Opinfo.Op_select in
     fun rt ->
       (* both arms evaluate, as in the reference (hardware mux) *)
       let vc = cc rt in
       let vt = ct rt in
       let vf = cf rt in
-      charge rt cost;
       if vc <> 0 then vt else vf
 
 and compile_int ctx (e : Expr.t) : rt -> int =
@@ -256,68 +265,96 @@ let loop_stats_for rt path : Interp.loop_stats =
 let move_cost = op_cost Opinfo.Op_move
 let store_cost = op_cost Opinfo.Op_store
 
-let rec compile_stmt ({ sl; _ } as ctx : ctx) path (s : Stmt.t) : rt -> unit =
+(* An assignment or a store compiles to its body (no fuel, no profile)
+   and the cycles and memory references it charges when it completes;
+   an [If] or a [For] compiles to a closure that does its own
+   accounting. *)
+type step =
+  | Simple of { body : rt -> unit; cycles : int; mem_refs : int }
+  | Control of (rt -> unit)
+
+(* A maximal straight-line run of simple statements.  When the fuel
+   covers the run, it is taken and the profile added once for all of
+   them.  Otherwise the fuel runs out inside the run: burning before
+   each statement raises [Out_of_fuel] at the reference's statement, or
+   the [Stuck] of an earlier one first, so this branch never returns. *)
+let straight_line bodies ~cycles ~mem_refs : rt -> unit =
+  let n = Array.length bodies in
+  fun rt ->
+    if rt.fuel >= n then begin
+      rt.fuel <- rt.fuel - n;
+      rt.prof.Interp.stmts_executed <- rt.prof.Interp.stmts_executed + n;
+      for k = 0 to n - 1 do
+        (Array.unsafe_get bodies k) rt
+      done;
+      account rt ~cycles ~mem_refs
+    end
+    else Array.iter (fun f -> burn rt; f rt) bodies
+
+let rec compile_stmt ({ sl; _ } as ctx : ctx) path (s : Stmt.t) : step =
   match s with
-  | Assign (x, e) -> (
+  | Assign (x, e) ->
     let ce = compile_expr ctx e in
-    match Slots.scalar_slot sl x with
-    | None ->
-      fun rt ->
-        burn rt;
-        let _ = ce rt in
-        stuck "assignment to undeclared scalar %s" x
-    | Some slot ->
-      if Slots.scalar_is_declared sl slot then
+    let body =
+      match Slots.scalar_slot sl x with
+      | None ->
         fun rt ->
-          burn rt;
-          let v = ce rt in
-          charge rt move_cost;
-          Array.unsafe_set rt.scal slot v
-      else
-        (* assignable only once its loop introduced it, as in the
-           reference interpreter's dynamic environment *)
-        fun rt ->
-          burn rt;
-          let v = ce rt in
-          if not rt.defined.(slot) then
-            stuck "assignment to undeclared scalar %s" x;
-          charge rt move_cost;
-          rt.scal.(slot) <- v)
-  | Store (a, i, e) -> (
+          let _ = ce rt in
+          stuck "assignment to undeclared scalar %s" x
+      | Some slot ->
+        if Slots.scalar_is_declared sl slot then
+          fun rt -> Array.unsafe_set rt.scal slot (ce rt)
+        else
+          (* assignable only once its loop introduced it, as in the
+             reference interpreter's dynamic environment *)
+          fun rt ->
+            let v = ce rt in
+            if not rt.defined.(slot) then
+              stuck "assignment to undeclared scalar %s" x;
+            rt.scal.(slot) <- v
+    in
+    Simple
+      { body; cycles = expr_cycles e + move_cost; mem_refs = Expr.load_count e }
+  | Store (a, i, e) ->
     let ci = compile_int ctx i in
     let ce = compile_expr ctx e in
-    match Slots.array_slot sl a with
-    | None ->
-      fun rt ->
-        burn rt;
-        let _ = ci rt in
-        let _ = ce rt in
-        rt.prof.Interp.mem_refs <- rt.prof.Interp.mem_refs + 1;
-        charge rt store_cost;
-        stuck "store to undeclared array %s" a
-    | Some slot ->
-      fun rt ->
-        burn rt;
-        let idx = ci rt in
-        let v = ce rt in
-        rt.prof.Interp.mem_refs <- rt.prof.Interp.mem_refs + 1;
-        charge rt store_cost;
-        let data = Array.unsafe_get rt.arrs slot in
-        if idx < 0 || idx >= Array.length data then
-          stuck "store %s[%d] out of bounds (size %d)" a idx (Array.length data)
-        else Array.unsafe_set data idx v)
+    let body =
+      match Slots.array_slot sl a with
+      | None ->
+        fun rt ->
+          let _ = ci rt in
+          let _ = ce rt in
+          stuck "store to undeclared array %s" a
+      | Some slot ->
+        fun rt ->
+          let idx = ci rt in
+          let v = ce rt in
+          let data = Array.unsafe_get rt.arrs slot in
+          if idx < 0 || idx >= Array.length data then
+            stuck "store %s[%d] out of bounds (size %d)" a idx
+              (Array.length data)
+          else Array.unsafe_set data idx v
+    in
+    Simple
+      { body;
+        cycles = expr_cycles i + expr_cycles e + store_cost;
+        mem_refs = Expr.load_count i + Expr.load_count e + 1 }
   | If (c, t, e) ->
     let cc = compile_int ctx c in
+    let cycles = expr_cycles c + 1 and mem_refs = Expr.load_count c in
     let ct = compile_block ctx path t in
     let ce = compile_block ctx path e in
-    fun rt ->
-      burn rt;
-      let vc = cc rt in
-      charge rt 1;
-      if vc <> 0 then ct rt else ce rt
+    Control
+      (fun rt ->
+        burn rt;
+        let vc = cc rt in
+        account rt ~cycles ~mem_refs;
+        if vc <> 0 then ct rt else ce rt)
   | For l ->
     let clo = compile_int ctx l.lo in
     let chi = compile_int ctx l.hi in
+    let cycles = expr_cycles l.lo + expr_cycles l.hi in
+    let mem_refs = Expr.load_count l.lo + Expr.load_count l.hi in
     let lpath = path ^ "/" ^ l.index in
     let body = compile_block ctx lpath l.body in
     let step = l.step in
@@ -327,41 +364,62 @@ let rec compile_stmt ({ sl; _ } as ctx : ctx) path (s : Stmt.t) : rt -> unit =
       | None -> assert false (* slots cover every loop index *)
     in
     let declared = Slots.scalar_is_declared sl slot in
-    fun rt ->
-      burn rt;
-      let lo = clo rt in
-      let hi = chi rt in
-      let ls = loop_stats_for rt lpath in
-      rt.loop_stack <- ls :: rt.loop_stack;
-      if not declared then rt.defined.(slot) <- true;
-      let rec iterate i =
-        if i < hi then begin
-          rt.scal.(slot) <- VInt i;
-          ls.trips <- ls.trips + 1;
-          body rt;
-          iterate (i + step)
-        end
-      in
-      let finish () =
-        rt.loop_stack <-
-          (match rt.loop_stack with [] -> [] | _ :: rest -> rest)
-      in
-      (try iterate lo with e -> finish (); raise e);
-      finish ();
-      (* the index keeps its exit value, like a C loop variable *)
-      let exit_value =
-        if hi <= lo then lo else lo + ((hi - lo + step - 1) / step) * step
-      in
-      rt.scal.(slot) <- VInt exit_value
+    Control
+      (fun rt ->
+        burn rt;
+        let lo = clo rt in
+        let hi = chi rt in
+        account rt ~cycles ~mem_refs;
+        let ls = loop_stats_for rt lpath in
+        if not declared then rt.defined.(slot) <- true;
+        (* the loop's inclusive cycles: everything charged while it runs *)
+        let start = rt.prof.Interp.total_cycles in
+        let rec iterate i =
+          if i < hi then begin
+            rt.scal.(slot) <- VInt i;
+            ls.trips <- ls.trips + 1;
+            body rt;
+            iterate (i + step)
+          end
+        in
+        iterate lo;
+        ls.cycles <- ls.cycles + (rt.prof.Interp.total_cycles - start);
+        (* the index keeps its exit value, like a C loop variable *)
+        let exit_value =
+          if hi <= lo then lo else lo + ((hi - lo + step - 1) / step) * step
+        in
+        rt.scal.(slot) <- VInt exit_value)
 
+(* consecutive simple statements become one [straight_line] run *)
 and compile_block ctx path (stmts : Stmt.t list) : rt -> unit =
-  match List.map (compile_stmt ctx path) stmts with
+  let close run ~cycles ~mem_refs blocks =
+    match run with
+    | [] -> blocks
+    | _ ->
+      straight_line (Array.of_list (List.rev run)) ~cycles ~mem_refs :: blocks
+  in
+  (* [run] holds the bodies of the open straight-line run, last first *)
+  let rec group blocks run cycles mem_refs = function
+    | [] -> List.rev (close run ~cycles ~mem_refs blocks)
+    | s :: rest -> (
+      match compile_stmt ctx path s with
+      | Simple s ->
+        group blocks (s.body :: run) (cycles + s.cycles)
+          (mem_refs + s.mem_refs) rest
+      | Control f ->
+        group (f :: close run ~cycles ~mem_refs blocks) [] 0 0 rest)
+  in
+  match group [] [] 0 0 stmts with
   | [] -> fun _ -> ()
   | [ f ] -> f
   | [ f; g ] -> fun rt -> f rt; g rt
   | fs ->
     let fs = Array.of_list fs in
-    fun rt -> Array.iter (fun f -> f rt) fs
+    let n = Array.length fs in
+    fun rt ->
+      for k = 0 to n - 1 do
+        (Array.unsafe_get fs k) rt
+      done
 
 (* --- whole-program compilation --- *)
 
@@ -372,10 +430,8 @@ type compiled = {
 }
 
 let compile (p : Stmt.program) : compiled =
-  let sl = Slots.of_program p in
-  { c_program = p;
-    c_slots = sl;
-    c_body = compile_block { sl; prog = p } "" p.body }
+  let ctx = context p in
+  { c_program = p; c_slots = ctx.sl; c_body = compile_block ctx "" p.body }
 
 let program c = c.c_program
 let slots c = c.c_slots
@@ -436,8 +492,7 @@ let init (c : compiled) (w : Interp.workload) ~fuel : rt =
         stmts_executed = 0;
         mem_refs = 0;
         loops = Hashtbl.create 16 };
-    fuel;
-    loop_stack = [] }
+    fuel }
 
 (** Run a compiled program on a workload.  The compiled value is not
     mutated: each call builds a fresh state, so one compilation can be

@@ -79,7 +79,7 @@ let memo cu ~hit ~miss cached fill compute =
     v
 
 let nest cu =
-  memo cu ~hit:"cu.analysis-hit" ~miss:"cu.analysis-miss" cu.c_nest
+  memo cu ~hit:"cu.nest-hit" ~miss:"cu.nest-miss" cu.c_nest
     (fun n -> cu.c_nest <- Some n)
     (fun () -> Loop_nest.find_by_outer_index cu.cu_program cu.cu_outer)
 

@@ -12,8 +12,8 @@
     unit per (benchmark, version) task, so the mutable caches need no
     locking.  Cache traffic is visible through {!hits}/{!misses} and,
     in the unit's run context ({!ctx}, which every pass, rewrite and
-    store hook reads), the [cu.analysis-hit]/[cu.analysis-miss] (nest)
-    and [cu.compiled-hit]/[cu.compiled-miss] counters. *)
+    store hook reads), the [cu.nest-hit]/[cu.nest-miss] and
+    [cu.compiled-hit]/[cu.compiled-miss] counters. *)
 
 open Uas_ir
 module Loop_nest = Uas_analysis.Loop_nest

@@ -14,7 +14,7 @@
     [pass.verify] around interpreter replay).  The quick-synthesis
     stages' inner [dfg-build]/[schedule] spans remain for
     finer-grained attribution, and the compilation unit publishes
-    [cu.analysis-hit]/[cu.analysis-miss] counters. *)
+    [cu.nest-hit]/[cu.nest-miss] counters. *)
 
 type t
 

@@ -8,6 +8,16 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* Remove a file, or a directory and everything under it. *)
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter
+      (fun name -> remove_tree (Filename.concat path name))
+      (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 (* --- run contexts --- *)
 
 (* A run context with no store, fault plan or sink unless given. *)

@@ -262,6 +262,62 @@ let test_fuel_parity () =
         (runs_with fuel (fun fuel -> Fast_interp.run_program ~fuel p w)))
     [ 1; 2; full - 1; full; full + 1 ]
 
+(* how a run ends, as a printable verdict *)
+let outcome f =
+  match f () with
+  | (_ : Interp.result) -> "completed"
+  | exception Interp.Out_of_fuel -> "Out_of_fuel"
+  | exception Interp.Stuck m -> "Stuck: " ^ m
+
+(* both tiers end every run from fuel 0 to [upto] the same way *)
+let check_every_fuel ~msg ~upto p w =
+  for fuel = 0 to upto do
+    Alcotest.(check string)
+      (Printf.sprintf "%s, fuel %d" msg fuel)
+      (outcome (fun () -> Interp.run ~fuel p w))
+      (outcome (fun () -> Fast_interp.run_program ~fuel p w))
+  done
+
+(* the fast tier takes a straight-line run's fuel at once when it
+   covers the run: the cutoff must still land on the reference's
+   statement, for every fuel value and every statement shape *)
+let test_fuel_cutoff_every_value () =
+  let p = Helpers.fg_loop ~m:4 ~n:4 in
+  let w = Helpers.random_workload p in
+  List.iter
+    (fun v ->
+      match Helpers.build p ~outer_index:"i" ~inner_index:"j" v with
+      | Error d ->
+        Alcotest.failf "%s did not build: %s" (N.version_name v)
+          (Uas_pass.Diag.to_string d)
+      | Ok q ->
+        let full = (Interp.run q w).Interp.profile.Interp.stmts_executed in
+        check_every_fuel ~msg:(N.version_name v) ~upto:(full + 1) q w)
+    [ N.Original; N.Squashed 2; N.Jammed 2 ]
+
+(* a Stuck store in the middle of a straight-line run, on the second
+   trip: fuel that runs out before it, at it and after it *)
+let test_fuel_cutoff_around_stuck () =
+  let p =
+    B.program "stuck_run" ~locals:[ ("i", Types.Tint); ("a", Types.Tint) ]
+      ~arrays:[ B.output "dst" 4 ]
+      [ B.for_ "i" ~hi:(B.int 2)
+          [ B.("a" <-- v "i" + int 1);
+            B.("a" <-- v "a" + v "a");
+            B.store "dst" B.(v "a") (B.v "i");
+            B.("a" <-- v "a" - int 1) ] ]
+  in
+  (* the loop and the four statements of the first trip take fuel 5;
+     the store is the third statement of the second trip, so fuel 7
+     runs out just before it and fuel 8 reaches it.  From fuel 9 on
+     the fuel covers the whole second trip. *)
+  check_every_fuel ~msg:"stuck store" ~upto:10 p w0;
+  Alcotest.(check string) "fuel 7 runs out before the store" "Out_of_fuel"
+    (outcome (fun () -> Fast_interp.run_program ~fuel:7 p w0));
+  Alcotest.(check string) "fuel 8 reaches the store"
+    "Stuck: store dst[4] out of bounds (size 4)"
+    (outcome (fun () -> Fast_interp.run_program ~fuel:8 p w0))
+
 (* the satellite fix: a missing output array must be reported with the
    benchmark name and the outputs the run actually produced *)
 let test_registry_missing_output_message () =
@@ -353,4 +409,8 @@ let suite =
     Alcotest.test_case "run_benchmark: ref and fast tiers agree" `Slow
       test_run_benchmark_tiers_agree;
     Alcotest.test_case "tier parity: all 50 Table 6.2 cells" `Slow
-      test_table_6_2_cells_parity ]
+      test_table_6_2_cells_parity;
+    Alcotest.test_case "Out_of_fuel cutoff at every fuel value" `Quick
+      test_fuel_cutoff_every_value;
+    Alcotest.test_case "Out_of_fuel cutoff around a Stuck statement" `Quick
+      test_fuel_cutoff_around_stuck ]

@@ -191,7 +191,8 @@ let with_fresh_store f =
          !store_dir_counter)
   in
   match Store.open_dir dir with
-  | Ok s -> f s
+  | Ok s ->
+    Fun.protect ~finally:(fun () -> Helpers.remove_tree dir) (fun () -> f s)
   | Error m -> Alcotest.failf "open_dir %s: %s" dir m
 
 let store_versions = [ N.Original; N.Squashed 2 ]

@@ -200,8 +200,8 @@ let test_runner_spans () =
     [ "pass.loop-nest"; "pass.squash"; "pass.dfg-build"; "pass.schedule";
       "pass.estimate" ];
   let counters = Instrument.counters trace in
-  Alcotest.(check bool) "analysis cache counters recorded" true
-    (List.mem_assoc "cu.analysis-miss" counters)
+  Alcotest.(check bool) "nest cache counters recorded" true
+    (List.mem_assoc "cu.nest-miss" counters)
 
 let suite =
   [ Alcotest.test_case "cu memoization" `Quick test_cu_memoization;

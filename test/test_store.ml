@@ -17,6 +17,10 @@ module R = Uas_bench_suite.Registry
 
 let dir_counter = ref 0
 
+(* the stores opened since the last cleanup: [removing_stores] removes
+   them when its test ends *)
+let opened = ref []
+
 (* a fresh store rooted in the system temp dir; open_dir creates it *)
 let open_fresh ?max_bytes () =
   incr dir_counter;
@@ -25,9 +29,17 @@ let open_fresh ?max_bytes () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "uas-store-test-%d-%d" (Unix.getpid ()) !dir_counter)
   in
+  opened := dir :: !opened;
   match Store.open_dir ?max_bytes dir with
   | Ok s -> s
   | Error m -> Alcotest.failf "open_dir %s: %s" dir m
+
+let removing_stores f () =
+  Fun.protect f ~finally:(fun () ->
+      List.iter
+        (fun dir -> if Sys.file_exists dir then Helpers.remove_tree dir)
+        !opened;
+      opened := [])
 
 let object_files s =
   let rec walk dir acc =
@@ -639,40 +651,40 @@ let test_scan_reports_contents () =
 
 let suite =
   [ Alcotest.test_case "write/read round-trip" `Quick
-      test_write_read_roundtrip;
+      (removing_stores test_write_read_roundtrip);
     Alcotest.test_case "unknown key is a miss" `Quick
-      test_unknown_key_is_miss;
+      (removing_stores test_unknown_key_is_miss);
     Alcotest.test_case "key hashes part boundaries" `Quick
-      test_key_separates_parts;
+      (removing_stores test_key_separates_parts);
     Alcotest.test_case "flipped bit classifies as Bad" `Quick
-      test_flipped_bit_is_bad;
+      (removing_stores test_flipped_bit_is_bad);
     Alcotest.test_case "truncated entry classifies as Bad" `Quick
-      test_truncated_entry_is_bad;
+      (removing_stores test_truncated_entry_is_bad);
     Alcotest.test_case "entry under the wrong key is Bad" `Quick
-      test_entry_under_wrong_key_is_bad;
+      (removing_stores test_entry_under_wrong_key_is_bad);
     Alcotest.test_case "eviction bounds the store size" `Quick
-      test_eviction_bounds_size;
+      (removing_stores test_eviction_bounds_size);
     QCheck_alcotest.to_alcotest test_record_roundtrip;
     Alcotest.test_case "record values pass verbatim" `Quick
-      test_record_values_verbatim;
+      (removing_stores test_record_values_verbatim);
     Alcotest.test_case "stored payloads are records" `Quick
-      test_stored_payloads_are_records;
+      (removing_stores test_stored_payloads_are_records);
     QCheck_alcotest.to_alcotest test_record_decode_mutants;
     Alcotest.test_case "warm run byte-identical, served from store" `Quick
-      test_warm_run_identical_and_served;
+      (removing_stores test_warm_run_identical_and_served);
     Alcotest.test_case "row stores one schedule per cell, warm writes none"
-      `Quick test_row_stores_one_schedule_per_cell;
+      `Quick (removing_stores test_row_stores_one_schedule_per_cell);
     Alcotest.test_case "warm run replays a not-proven note" `Quick
-      test_warm_not_proven_note_replayed;
+      (removing_stores test_warm_not_proven_note_replayed);
     Alcotest.test_case "plan shares work, warm plan all hits" `Quick
-      test_plan_shares_work_and_warm_hits;
+      (removing_stores test_plan_shares_work_and_warm_hits);
     Alcotest.test_case "verify mode: clean cache, no incidents" `Quick
-      test_verify_mode_clean;
+      (removing_stores test_verify_mode_clean);
     Alcotest.test_case "verify mode: poisoned entry flagged" `Quick
-      test_verify_mode_catches_poisoned_entry;
+      (removing_stores test_verify_mode_catches_poisoned_entry);
     Alcotest.test_case "eviction skips under a foreign lock" `Quick
-      test_evict_skips_under_foreign_lock;
+      (removing_stores test_evict_skips_under_foreign_lock);
     Alcotest.test_case "publish waits for a foreign lock" `Quick
-      test_write_waits_for_foreign_lock;
+      (removing_stores test_write_waits_for_foreign_lock);
     Alcotest.test_case "scan reports the store contents" `Quick
-      test_scan_reports_contents ]
+      (removing_stores test_scan_reports_contents) ]
