@@ -12,19 +12,11 @@ type t = {
   iv_in_pre : bool;  (** the update sits in [pre] (else in [post]) *)
 }
 
-(** Occurrences of [v = v + c] patterns; exported for reuse by other
-    analyses. *)
-val as_increment : Types.var -> Expr.t -> int option
-
 (** Number of definitions of [v] in the statement list. *)
 val count_defs : Types.var -> Stmt.t list -> int
 
 (** Induction variables of the nest's outer loop. *)
 val find : Loop_nest.pair -> t list
-
-(** Closed forms of the IV (before-update, after-update) at the current
-    outer iteration, in terms of [base] (its value at loop entry). *)
-val closed_forms : Loop_nest.pair -> t -> base:string -> Expr.t * Expr.t
 
 (** Rewrite only the nest: substitute every use by its closed form and
     drop the update. *)

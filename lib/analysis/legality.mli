@@ -16,8 +16,6 @@ type violation =
   | Outer_index_written
   | Non_unit_trip_unknown
 
-val pp_violation : violation Fmt.t
-
 type verdict = {
   ok : bool;
   violations : violation list;

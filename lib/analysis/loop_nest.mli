@@ -53,11 +53,6 @@ val pair_at : t -> int -> pair
 (** Rebuild a pair view as a statement. *)
 val pair_to_stmt : pair -> Stmt.t
 
-(** View an outer loop as a maximal nest (depth >= 2), if every body on
-    its spine is [pre; FOR; post] with loop-free bands and a loop-free
-    innermost body. *)
-val of_loop : Stmt.loop -> t option
-
 (** All maximal nests of the program, outermost first.  Loops whose
     bodies break the nest shape are skipped, but nests inside them are
     still found. *)

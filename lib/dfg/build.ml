@@ -8,102 +8,69 @@
    - loop-invariant live-ins: register-source nodes ([Op_move]), the
      "registers at the top of the graph";
    - memory ordering: edges between accesses to the same array,
-     disambiguated with a small affine-in-the-inner-index analysis so
-     that accesses to provably different elements are independent. *)
+     disambiguated by each access's affine subscript form over the
+     inner index (Dependence.form_of, computed once per access) so that
+     accesses to provably different elements are independent. *)
 
 open Uas_ir
 module Ssa = Uas_analysis.Ssa
+module Dependence = Uas_analysis.Dependence
 module Smap = Ssa.Smap
 
 type access_info = {
   acc_node : int;
   acc_write : bool;
-  acc_idx : Expr.t;
+  acc_form : Dependence.form option;
+      (* the subscript over the inner index; [None] when unknown *)
 }
 
-(* --- affine-in-j memory disambiguation --- *)
+(* --- memory disambiguation --- *)
 
-type jaffine = { cj : int; k0 : int; syms : string list }
-
-let jaffine_of ~inner_index ~body_defs (e : Expr.t) : jaffine option =
-  let rec go depth e =
-    if depth > 12 then None
-    else
-      match Expr.simplify e with
-      | Expr.Int n -> Some { cj = 0; k0 = n; syms = [] }
-      | Expr.Var v ->
-        (* the expressions may be SSA-renamed (j -> j#0): compare and
-           classify by base name, so the loop index stays recognizable
-           and body-defined values stay conservative *)
-        let base = Ssa.base_name v in
-        if Some base = inner_index then Some { cj = 1; k0 = 0; syms = [] }
-        else if Stmt.Sset.mem base body_defs || Stmt.Sset.mem v body_defs then
-          None
-        else Some { cj = 0; k0 = 0; syms = [ base ] }
-      | Expr.Binop (Types.Add, a, b) -> (
-        match (go (depth + 1) a, go (depth + 1) b) with
-        | Some x, Some y ->
-          Some
-            { cj = x.cj + y.cj;
-              k0 = x.k0 + y.k0;
-              syms = List.sort String.compare (x.syms @ y.syms) }
-        | _ -> None)
-      | Expr.Binop (Types.Sub, a, b) -> (
-        match (go (depth + 1) a, go (depth + 1) b) with
-        | Some x, Some y when y.syms = [] ->
-          Some { cj = x.cj - y.cj; k0 = x.k0 - y.k0; syms = x.syms }
-        | _ -> None)
-      | Expr.Binop (Types.Mul, Expr.Int k, a)
-      | Expr.Binop (Types.Mul, a, Expr.Int k) -> (
-        match go (depth + 1) a with
-        | Some x when x.syms = [] ->
-          Some { cj = k * x.cj; k0 = k * x.k0; syms = [] }
-        | _ -> None)
-      | Expr.Binop (Types.Shl, a, Expr.Int k) when k >= 0 && k < 31 -> (
-        match go (depth + 1) a with
-        | Some x when x.syms = [] ->
-          Some { cj = x.cj lsl k; k0 = x.k0 lsl k; syms = [] }
-        | _ -> None)
-      | _ -> None
+(* The subscript's form over the inner index.  The expressions may be
+   SSA-renamed (j -> j#0): names are classified and compared by base
+   name, so the loop index stays recognizable and body-defined values
+   stay iteration-variant.  A symbol whose coefficient is not 1 makes
+   the form unknown — the DFG's conservative rule, which the goldens
+   pin (docs/COST_MODEL.md). *)
+let subscript_form ~inner_index ~body_defs e =
+  let classify v =
+    let base = Ssa.base_name v in
+    if Some base = inner_index then Dependence.Index 0
+    else if Stmt.Sset.mem base body_defs || Stmt.Sset.mem v body_defs then
+      Dependence.Variant
+    else Dependence.Sym base
   in
-  go 0 e
+  match Dependence.form_of ~levels:1 ~classify e with
+  | Some f when List.for_all (fun (_, c) -> c = 1) f.Dependence.syms -> Some f
+  | _ -> None
 
-(* May accesses [a] (earlier) and [b] (later) touch the same element in
-   the same iteration? *)
-let may_alias_intra ~inner_index ~body_defs ia ib =
-  match
-    ( jaffine_of ~inner_index ~body_defs ia,
-      jaffine_of ~inner_index ~body_defs ib )
-  with
-  | Some x, Some y
-    when List.length x.syms = List.length y.syms
-         && List.for_all2 String.equal x.syms y.syms ->
+(* May accesses with forms [x] (earlier) and [y] (later) touch the same
+   element in the same iteration? *)
+let may_alias_intra (x : Dependence.form option) (y : Dependence.form option) =
+  match (x, y) with
+  | Some x, Some y when x.syms = y.syms ->
     (* c_x*j + k_x = c_y*j + k_y for the same j *)
-    if x.cj = y.cj then x.k0 = y.k0
-    else (y.k0 - x.k0) mod (x.cj - y.cj) = 0  (* some j may match: conservative *)
+    let cx = x.coeffs.(0) and cy = y.coeffs.(0) in
+    if cx = cy then x.const = y.const
+    else
+      (* some j may match: conservative *)
+      (y.const - x.const) mod (cx - cy) = 0
   | _ -> true
 
-(* Smallest cross-iteration distance d >= 1 at which [a] (iteration j)
-   and [b] (iteration j+d) may touch the same element; [None] when they
-   never can. *)
-let cross_distance ~inner_index ~inner_step ~body_defs ia ib : int option =
-  match
-    ( jaffine_of ~inner_index ~body_defs ia,
-      jaffine_of ~inner_index ~body_defs ib )
-  with
-  | Some x, Some y
-    when List.length x.syms = List.length y.syms
-         && List.for_all2 String.equal x.syms y.syms ->
-    (* c_x*j + k_x = c_y*(j + d*step) + k_y *)
-    if x.cj = y.cj then
-      if x.cj = 0 then if x.k0 = y.k0 then Some 1 else None
-      else begin
-        let num = x.k0 - y.k0 in
-        let den = y.cj * inner_step in
-        if den <> 0 && num mod den = 0 && num / den >= 1 then Some (num / den)
-        else None
-      end
-    else Some 1 (* different strides: conservative *)
+(* Smallest cross-iteration distance d >= 1 at which accesses with
+   forms [x] (iteration j) and [y] (iteration j+d) may touch the same
+   element; [None] when they never can. *)
+let cross_distance (x : Dependence.form option) (y : Dependence.form option)
+    : int option =
+  match (x, y) with
+  | Some x, Some y when x.syms = y.syms ->
+    (* c_x*j + k_x = c_y*(j + d) + k_y *)
+    let cx = x.coeffs.(0) and cy = y.coeffs.(0) in
+    if cx <> cy then Some 1 (* different strides: conservative *)
+    else if cx = 0 then if x.const = y.const then Some 1 else None
+    else
+      let num = x.const - y.const in
+      if num mod cy = 0 && num / cy >= 1 then Some (num / cy) else None
   | _ -> Some 1
 
 (* Executable meaning of a node, recorded for the cycle-accurate
@@ -174,7 +141,7 @@ let build_detailed ?(delay_of = Opinfo.default_delay) ?inner_index
       ssa.Ssa.live_in Stmt.Sset.empty
   in
   let body_defs = Stmt.defs body in
-  let inner_step = 1 in
+  let form = subscript_form ~inner_index ~body_defs in
   let b =
     { nodes = []; sems = []; edges = []; next_id = 0; defs = Smap.empty;
       reg_sources = Smap.empty; pending_carried = []; accesses = [] }
@@ -216,7 +183,7 @@ let build_detailed ?(delay_of = Opinfo.default_delay) ?inner_index
       let ni = node_of i in
       let id = add_node b Opinfo.Op_load (Printf.sprintf "%s[]" a) (Sload (a, ni)) in
       add_edge b ni id 0;
-      add_mem_edges a { acc_node = id; acc_write = false; acc_idx = i };
+      add_mem_edges a { acc_node = id; acc_write = false; acc_form = form i };
       id
     | Expr.Rom (r, i) ->
       let ni = node_of i in
@@ -254,30 +221,19 @@ let build_detailed ?(delay_of = Opinfo.default_delay) ?inner_index
       (fun (a, earlier) ->
         if String.equal a array_id && (earlier.acc_write || acc.acc_write)
         then begin
-          if
-            may_alias_intra ~inner_index ~body_defs earlier.acc_idx
-              acc.acc_idx
-          then add_edge b earlier.acc_node acc.acc_node 0;
-          (match
-             cross_distance ~inner_index ~inner_step ~body_defs acc.acc_idx
-               earlier.acc_idx
-           with
+          if may_alias_intra earlier.acc_form acc.acc_form then
+            add_edge b earlier.acc_node acc.acc_node 0;
+          (match cross_distance acc.acc_form earlier.acc_form with
           | Some d -> add_edge b acc.acc_node earlier.acc_node d
           | None -> ());
-          match
-            cross_distance ~inner_index ~inner_step ~body_defs
-              earlier.acc_idx acc.acc_idx
-          with
+          match cross_distance earlier.acc_form acc.acc_form with
           | Some d -> add_edge b earlier.acc_node acc.acc_node d
           | None -> ()
         end)
       b.accesses;
     (* cross-iteration self-conflict of a store *)
     if acc.acc_write then begin
-      match
-        cross_distance ~inner_index ~inner_step ~body_defs acc.acc_idx
-          acc.acc_idx
-      with
+      match cross_distance acc.acc_form acc.acc_form with
       | Some d -> add_edge b acc.acc_node acc.acc_node d
       | None -> ()
     end;
@@ -309,7 +265,7 @@ let build_detailed ?(delay_of = Opinfo.default_delay) ?inner_index
         in
         add_edge b ni id 0;
         add_edge b nv id 0;
-        add_mem_edges a { acc_node = id; acc_write = true; acc_idx = i }
+        add_mem_edges a { acc_node = id; acc_write = true; acc_form = form i }
       | Stmt.If _ | Stmt.For _ ->
         Types.ir_error "DFG build requires a straight-line body")
     ssa.Ssa.ssa_body;

@@ -32,9 +32,6 @@ val delay : t -> int -> int
 val create :
   ?delay_of:(Opinfo.op_kind -> int) -> node list -> edge list -> t
 
-(** Real datapath operators (moves/constants excluded). *)
-val operator_nodes : t -> node list
-
 val operator_count : t -> int
 val memory_op_count : t -> int
 val total_operator_area : ?area_of:(Opinfo.op_kind -> int) -> t -> int

@@ -5,10 +5,6 @@
 
 open Uas_ir
 
-(** Critical-path delay of one statement's expression tree.
-    @raise Ir_error on loops. *)
-val stmt_delay : ?delay_of:(Opinfo.op_kind -> int) -> Stmt.t -> int
-
 (** Cut into exactly [stages] slices (possibly empty); concatenating
     the result yields the input.  @raise Ir_error when [stages <= 0]. *)
 val partition :

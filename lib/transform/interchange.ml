@@ -5,8 +5,9 @@
 
    One rule decides at every depth, the classic direction-vector test
    over the pair's maximal nest: swapping levels (k, k+1) is illegal
-   exactly when some dependence has a distance vector whose leading
-   nonzero entry sits at level k and whose level-(k+1) entry is
+   exactly when some dependent access pair (Dependence.dependent_pairs,
+   the listing squash legality uses too) has a distance vector whose
+   leading nonzero entry sits at level k and whose level-(k+1) entry is
    negative, or when the dependence analysis cannot bound the
    distances.
 
@@ -48,37 +49,20 @@ let structural (nest : Loop_nest.pair) : failure option =
   else None
 
 (* Direction-vector test for the pair at levels [level]/[level+1] of a
-   nest. *)
-let deep_check (n : Uas_analysis.Loop_nest.t) ~level : failure option =
-  let accs = Dependence.nest_accesses n in
-  let rec pairs = function
-    | [] -> []
-    | x :: rest -> List.map (fun y -> (x, y)) (x :: rest) @ pairs rest
+   nest, over the nest's dependent access pairs. *)
+let deep_check (n : Loop_nest.t) ~level : failure option =
+  let reversed v =
+    let rec lead k =
+      if k < Array.length v && v.(k) = 0 then lead (k + 1) else k
+    in
+    lead 0 = level && level + 1 < Array.length v && v.(level + 1) < 0
   in
   List.find_map
-    (fun ((x : Dependence.access), (y : Dependence.access)) ->
-      if
-        (not (String.equal x.Dependence.acc_array y.Dependence.acc_array))
-        || not (x.Dependence.acc_is_write || y.Dependence.acc_is_write)
-      then None
-      else
-        match Dependence.distance_vectors n x y with
-        | None -> Some (Carried_dependence x.Dependence.acc_array)
-        | Some vs ->
-          if
-            List.exists
-              (fun v ->
-                let lead = ref (-1) in
-                Array.iteri
-                  (fun i d -> if d <> 0 && !lead < 0 then lead := i)
-                  v;
-                !lead = level
-                && level + 1 < Array.length v
-                && v.(level + 1) < 0)
-              vs
-          then Some (Carried_dependence x.Dependence.acc_array)
-          else None)
-    (pairs accs)
+    (fun ((x : Dependence.access), y) ->
+      match Dependence.distance_vectors n x y with
+      | Some vs when not (List.exists reversed vs) -> None
+      | Some _ | None -> Some (Carried_dependence x.Dependence.acc_array))
+    (Dependence.dependent_pairs (Dependence.nest_accesses n))
 
 (** Legality at the pair headed by [outer_index]: the shape
     requirements, then the direction-vector test at the pair's level of

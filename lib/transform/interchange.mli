@@ -14,12 +14,6 @@ val pp_failure : failure Fmt.t
 
 exception Interchange_error of failure
 
-(** Legality at the pair headed by [outer_index]: a perfect pair whose
-    bounds do not use each other's index, and no dependence whose
-    distance vector interchange would make lexicographically negative.
-    @raise Not_found when absent. *)
-val check_at : Stmt.program -> outer_index:string -> failure option
-
 (** Interchange the nest with this outer index, the failure as data —
     the entry point the {!Rewrite} registry builds on.
     @raise Not_found when the nest is absent. *)

@@ -231,14 +231,31 @@ let test_dependence_strided () =
     (A.Legality.transformable nest ~ds:8)
 
 let test_affine_extraction () =
-  let p = Helpers.ch4_loop ~m:4 ~n:3 in
-  let nest = A.Loop_nest.find_by_outer_index p "i" in
-  match A.Dependence.affine_of nest B.(v "i" * int 4 + v "j" + int 3) with
-  | Some a ->
-    Alcotest.(check int) "ci" 4 a.A.Dependence.ci;
-    Alcotest.(check int) "cj" 1 a.A.Dependence.cj;
-    Alcotest.(check int) "c0" 3 a.A.Dependence.c0
-  | None -> Alcotest.fail "expected affine form"
+  let classify = function
+    | "i" -> A.Dependence.Index 0
+    | "j" -> A.Dependence.Index 1
+    | "b" -> A.Dependence.Subst B.(v "i" * int 8)
+    | "x" -> A.Dependence.Variant
+    | v -> A.Dependence.Sym v
+  in
+  let form e =
+    Option.map
+      (fun (f : A.Dependence.form) ->
+        (Array.to_list f.A.Dependence.coeffs, f.A.Dependence.const,
+         f.A.Dependence.syms))
+      (A.Dependence.form_of ~levels:2 ~classify e)
+  in
+  let check msg expected e =
+    Alcotest.(check (option (triple (list int) int (list (pair string int)))))
+      msg expected (form e)
+  in
+  check "i*4 + j + 3" (Some ([ 4; 1 ], 3, [])) B.(v "i" * int 4 + v "j" + int 3);
+  check "substituted b, shifted j, negated n"
+    (Some ([ 8; 4 ], 0, [ ("n", -1) ]))
+    B.(v "b" + shl (v "j") (int 2) - v "n");
+  check "symbols cancel" (Some ([ 0; 1 ], 0, [])) B.(v "s" + v "j" - v "s");
+  check "iteration-variant" None B.(v "x" + int 1);
+  check "not affine" None B.(v "i" * v "j")
 
 (* --- legality shape checks --- *)
 
@@ -462,12 +479,189 @@ let test_legality_within_case2 () =
   Alcotest.(check bool) "illegal at 8 (distance 4 inside [-7,7])" false
     (A.Legality.transformable nest2 ~ds:8)
 
+(* --- characterization: one subscript form for every consumer --- *)
+
+(* Each row is a 2-level nest over [a] (params n and s, an optional
+   pre-header definition b = i*8) whose inner body makes the listed
+   accesses in order: a load is [x = x + a[e]], a store [a[e] = x].
+   The row pins the pair's outer distances, the nest's distance vectors
+   and the memory edges of the inner body's DFG.  The DFG treats a
+   symbol whose coefficient is not 1 as unknown: [s + s + j] is as
+   unknown as [2*s + j], and the cancelled [s] of [(s + j) - s] leaves
+   a plain [j]. *)
+let characterization_rows =
+  let l e = (false, e) and s e = (true, e) in
+  B.
+    [ ("j vs j+1", false, [ l (v "j" + int 1); s (v "j") ]);
+      ("2*j vs 2*j+1", false,
+        [ l ((int 2 * v "j") + int 1); s (int 2 * v "j") ]);
+      ("j<<1", false, [ l (shl (v "j") (int 1) + int 2); s (shl (v "j") (int 1)) ]);
+      ("n - j", false, [ l (v "n" - v "j"); s (v "n" - v "j" + int 1) ]);
+      ("store self-pair i*64 + j", false, [ s ((v "i" * int 64) + v "j") ]);
+      ("pre-header base b = i*8", true,
+        [ l (v "b" + v "j" + int 1); s (v "b" + v "j") ]);
+      ("(1,-1) pair", false,
+        [ l (((v "i" - int 1) * int 8) + v "j" + int 1);
+          s ((v "i" * int 8) + v "j") ]);
+      ("2*s + j", false,
+        [ l ((int 2 * v "s") + v "j" + int 1); s ((int 2 * v "s") + v "j") ]);
+      ("s + s + j", false,
+        [ l (v "s" + v "s" + v "j" + int 1); s (v "s" + v "s" + v "j") ]);
+      ("(s + j) - s", false, [ l (v "s" + v "j" - v "s"); s (v "j" + int 1) ])
+    ]
+
+let characterize (name, pre_base, accs) =
+  let body =
+    List.map
+      (fun (w, e) ->
+        if w then B.store "a" e (B.v "x") else B.("x" <-- v "x" + load "a" e))
+      accs
+  in
+  let p =
+    B.program "charz"
+      ~params:[ ("n", Types.Tint); ("s", Types.Tint) ]
+      ~locals:
+        [ ("i", Types.Tint); ("j", Types.Tint); ("x", Types.Tint);
+          ("b", Types.Tint) ]
+      ~arrays:[ B.local_array "a" 4096 ]
+      [ B.for_ "i" ~lo:(B.int 1) ~hi:(B.int 5)
+          ((if pre_base then [ B.("b" <-- v "i" * int 8) ] else [])
+          @ [ B.for_ "j" ~hi:(B.int 8) body ]) ]
+  in
+  let acc (x : A.Dependence.access) =
+    (if x.A.Dependence.acc_is_write then "w[" else "r[")
+    ^ Pp.expr_to_string x.A.Dependence.acc_index
+    ^ "]"
+  in
+  let pair =
+    List.map
+      (fun (x, y, d) ->
+        Fmt.str "%s~%s %a" (acc x) (acc y) A.Dependence.pp_outer_distance d)
+      (A.Dependence.all_pairs (A.Loop_nest.find_by_outer_index p "i"))
+  in
+  let nest = Option.get (A.Loop_nest.find_nest_opt p "i") in
+  let vectors =
+    List.map
+      (fun (x, y) ->
+        Fmt.str "%s~%s %s" (acc x) (acc y)
+          (match A.Dependence.distance_vectors nest x y with
+          | None -> "unknown"
+          | Some vs ->
+            "{"
+            ^ String.concat " "
+                (List.map
+                   (fun v ->
+                     "("
+                     ^ String.concat ","
+                         (List.map string_of_int (Array.to_list v))
+                     ^ ")")
+                   vs)
+            ^ "}"))
+      (A.Dependence.dependent_pairs (A.Dependence.nest_accesses nest))
+  in
+  let g, _ = Uas_dfg.Build.build ~inner_index:"j" body in
+  let mem id =
+    match (Uas_dfg.Graph.node g id).Uas_dfg.Graph.kind with
+    | Opinfo.Op_load | Opinfo.Op_store -> true
+    | _ -> false
+  in
+  let edges =
+    List.filter_map
+      (fun (e : Uas_dfg.Graph.edge) ->
+        if mem e.Uas_dfg.Graph.e_src && mem e.e_dst then
+          Some (Fmt.str "%d->%d@%d" e.e_src e.e_dst e.e_distance)
+        else None)
+      g.Uas_dfg.Graph.edges
+    |> List.sort_uniq compare
+  in
+  Fmt.str "%s | pair: %s | nest: %s | dfg: %s" name
+    (String.concat "; " pair) (String.concat "; " vectors)
+    (String.concat " " edges)
+
+let characterization_expected =
+  [ "j vs j+1 | pair: r[j + 1]~w[j] unknown; w[j]~w[j] unknown | nest: r[j + 1]~w[j] {(0,1) (1,-1) (1,1) (2,-1) (2,1) (3,-1) (3,1)}; w[j]~w[j] {(1,0) (2,0) (3,0)} | dfg: 4->6@1";
+    "2*j vs 2*j+1 | pair: r[2 * j + 1]~w[2 * j] independent; w[2 * j]~w[2 * j] unknown | nest: r[2 * j + 1]~w[2 * j] {}; w[2 * j]~w[2 * j] {(1,0) (2,0) (3,0)} | dfg: ";
+    "j<<1 | pair: r[(j << 1) + 2]~w[j << 1] unknown; w[j << 1]~w[j << 1] unknown | nest: r[(j << 1) + 2]~w[j << 1] {(0,1) (1,-1) (1,1) (2,-1) (2,1) (3,-1) (3,1)}; w[j << 1]~w[j << 1] {(1,0) (2,0) (3,0)} | dfg: 6->10@1";
+    "n - j | pair: r[n - j]~w[n - j + 1] unknown; w[n - j + 1]~w[n - j + 1] unknown | nest: r[n - j]~w[n - j + 1] {(0,1) (1,-1) (1,1) (2,-1) (2,1) (3,-1) (3,1)}; w[n - j + 1]~w[n - j + 1] {(1,0) (2,0) (3,0)} | dfg: 4->9@1";
+    "store self-pair i*64 + j | pair: w[i * 64 + j]~w[i * 64 + j] distance 0 | nest: w[i * 64 + j]~w[i * 64 + j] {} | dfg: 6->6@1";
+    "pre-header base b = i*8 | pair: r[b + j + 1]~w[b + j] distance in [-1, 0]; w[b + j]~w[b + j] distance 0 | nest: r[b + j + 1]~w[b + j] unknown; w[b + j]~w[b + j] unknown | dfg: 6->9@1";
+    "(1,-1) pair | pair: r[(i - 1) * 8 + j + 1]~w[i * 8 + j] distance in [0, 1]; w[i * 8 + j]~w[i * 8 + j] distance 0 | nest: r[(i - 1) * 8 + j + 1]~w[i * 8 + j] {(0,7) (1,-1)}; w[i * 8 + j]~w[i * 8 + j] {} | dfg: 10->15@0 10->15@1 15->10@1 15->15@1";
+    "2*s + j | pair: r[2 * s + j + 1]~w[2 * s + j] unknown; w[2 * s + j]~w[2 * s + j] unknown | nest: r[2 * s + j + 1]~w[2 * s + j] {(0,1) (1,-1) (1,1) (2,-1) (2,1) (3,-1) (3,1)}; w[2 * s + j]~w[2 * s + j] {(1,0) (2,0) (3,0)} | dfg: 13->13@1 13->8@1 8->13@0 8->13@1";
+    "s + s + j | pair: r[s + s + j + 1]~w[s + s + j] unknown; w[s + s + j]~w[s + s + j] unknown | nest: r[s + s + j + 1]~w[s + s + j] {(0,1) (1,-1) (1,1) (2,-1) (2,1) (3,-1) (3,1)}; w[s + s + j]~w[s + s + j] {(1,0) (2,0) (3,0)} | dfg: 11->11@1 11->7@1 7->11@0 7->11@1";
+    "(s + j) - s | pair: r[s + j - s]~w[j + 1] unknown; w[j + 1]~w[j + 1] unknown | nest: r[s + j - s]~w[j + 1] {(0,1) (1,-1) (1,1) (2,-1) (2,1) (3,-1) (3,1)}; w[j + 1]~w[j + 1] {(1,0) (2,0) (3,0)} | dfg: 9->5@1" ]
+
+let test_subscript_characterization () =
+  let got = List.map characterize characterization_rows in
+  Alcotest.(check (list string)) "rows" characterization_expected got
+
+(* The loop [solve_distance] replaced, kept as its oracle: every inner
+   offset t in [-(n-1), n-1] is tried. *)
+let solve_distance_by_loop ~inner_trips ~inner_step ~outer_trips a b delta =
+  let module D = A.Dependence in
+  let rec gcd a b = if b = 0 then abs a else gcd b (a mod b) in
+  let di_possible di =
+    match outer_trips with None -> true | Some m -> abs di <= m - 1
+  in
+  if a = 0 && b = 0 then if delta = 0 then D.Exact 0 else D.No_dependence
+  else if b = 0 then
+    if delta mod a = 0 && di_possible (delta / a) then D.Exact (delta / a)
+    else D.No_dependence
+  else if a = 0 then
+    if delta mod b <> 0 || delta / b mod inner_step <> 0 then D.No_dependence
+    else (
+      match inner_trips with
+      | Some n when abs (delta / b / inner_step) > n - 1 -> D.No_dependence
+      | Some _ | None -> D.Any)
+  else if delta mod gcd a b <> 0 then D.No_dependence
+  else
+    match inner_trips with
+    | None -> D.Any
+    | Some n ->
+      let candidates = ref [] in
+      for t = -(n - 1) to n - 1 do
+        let num = delta - (b * t * inner_step) in
+        if num mod a = 0 && di_possible (num / a) then
+          candidates := (num / a) :: !candidates
+      done;
+      (match !candidates with
+      | [] -> D.No_dependence
+      | ds ->
+        let lo = List.fold_left min max_int ds in
+        let hi = List.fold_left max min_int ds in
+        if lo = hi then D.Exact lo else D.Within (lo, hi))
+
+let test_solve_distance_closed_form =
+  let open QCheck in
+  let trips = Gen.(opt (int_range 0 12)) in
+  let gen =
+    Gen.(
+      map
+        (fun ((a, b, delta), (inner_trips, inner_step, outer_trips)) ->
+          (a, b, delta, inner_trips, inner_step, outer_trips))
+        (pair
+           (triple (int_range (-8) 8) (int_range (-8) 8) (int_range (-60) 60))
+           (triple trips (oneofl [ -3; -2; -1; 1; 2; 3 ]) trips)))
+  in
+  let print (a, b, delta, n, s, m) =
+    Fmt.str "a=%d b=%d delta=%d inner_trips=%a inner_step=%d outer_trips=%a"
+      a b delta Fmt.(option int) n s Fmt.(option int) m
+  in
+  Test.make ~name:"solve_distance closed form = per-offset loop" ~count:3000
+    (make gen ~print)
+    (fun (a, b, delta, inner_trips, inner_step, outer_trips) ->
+      A.Dependence.solve_distance ~inner_trips ~inner_step ~outer_trips a b
+        delta
+      = solve_distance_by_loop ~inner_trips ~inner_step ~outer_trips a b delta)
+
 let extra_suite =
   [ Alcotest.test_case "dependence outer-bounded" `Quick
       test_dependence_outer_bounded;
     Alcotest.test_case "dependence symbolic bases" `Quick
       test_dependence_symbolic_bases;
     Alcotest.test_case "legality case 2 windows" `Quick
-      test_legality_within_case2 ]
+      test_legality_within_case2;
+    Alcotest.test_case "subscript characterization" `Quick
+      test_subscript_characterization;
+    QCheck_alcotest.to_alcotest test_solve_distance_closed_form ]
 
 let suite = base_suite @ extra_suite

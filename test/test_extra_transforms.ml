@@ -60,6 +60,27 @@ let test_interchange_rejects_carried () =
   Helpers.assert_equivalent ~msg:"interchange over a (1,0) dependence" p
     (T.Interchange.apply p ~outer_index:"i")
 
+let test_interchange_huge_nest () =
+  (* 3 levels of 2,000,000 trips: the distance-vector cross product is
+     far over budget (and would wrap a 63-bit product), so the analysis
+     answers unknown at once instead of enumerating *)
+  let n = 2_000_000 in
+  let ijk = B.(v "i" + v "j" + v "k") in
+  let p =
+    B.program "huge"
+      ~locals:[ ("i", Types.Tint); ("j", Types.Tint); ("k", Types.Tint) ]
+      ~arrays:[ B.output "b" 16 ]
+      [ B.for_ "i" ~hi:(B.int n)
+          [ B.for_ "j" ~hi:(B.int n)
+              [ B.for_ "k" ~hi:(B.int n)
+                  [ B.store "b" ijk B.(load "b" (ijk + int 1) + int 1) ] ] ] ]
+  in
+  match T.Interchange.apply_res p ~outer_index:"i" with
+  | Error (T.Interchange.Carried_dependence "b") -> ()
+  | Error f ->
+    Alcotest.failf "unexpected failure: %a" T.Interchange.pp_failure f
+  | Ok _ -> Alcotest.fail "expected Carried_dependence"
+
 (* --- hoisting --- *)
 
 let test_hoist_equivalence_and_motion () =
@@ -250,6 +271,8 @@ let extra_suite_flatten =
     Alcotest.test_case "flatten rejects imperfect" `Quick
       test_flatten_rejects_imperfect;
     Alcotest.test_case "flatten concentrates time" `Quick
-      test_flatten_concentrates_time ]
+      test_flatten_concentrates_time;
+    Alcotest.test_case "interchange huge nest" `Quick
+      test_interchange_huge_nest ]
 
 let suite = base_suite @ extra_suite_flatten
