@@ -425,6 +425,19 @@ let micro run =
                   nest.Uas_analysis.Loop_nest.inner_body)));
       Test.make ~name:"legality check (ds=8)"
         (Staged.stage (fun () -> ignore (Uas_analysis.Legality.check nest ~ds:8)));
+      (* Table 6.2's largest II search: 1,105 nodes, 128 memory ops; the
+         greedy placement spends its whole bump budget at the lower
+         bound before the exact search certifies that II *)
+      (let jammed =
+         (Uas_transform.Unroll_and_jam.apply p nest ~ds:16).program
+       in
+       let g =
+         (Uas_hw.Estimate.kernel_detail jammed ~index:"j").Uas_dfg.Build.d_graph
+       in
+       let cfg = Uas_hw.Datapath.(sched_config default) in
+       Test.make ~name:"schedule skipjack jam(16)"
+         (Staged.stage (fun () ->
+              ignore (Uas_dfg.Sched.modulo_schedule_note ~cfg g))));
       (* the compiled interpreter against its reference oracle, on an
          integer kernel (Skipjack) and a float one (IIR); the ref/fast
          ns-per-run pairs land in the --json trajectory as the recorded

@@ -87,6 +87,8 @@ let outer_carried_scalars (nest : Loop_nest.pair) : Sset.t =
   in
   Def_use.loop_carried body
 
+(* One violation per distinct (array, distance): several dependent
+   pairs can share both, and would repeat the same text. *)
 let check_arrays (nest : Loop_nest.pair) ~ds : violation list =
   List.filter_map
     (fun (x, _y, d) ->
@@ -104,6 +106,10 @@ let check_arrays (nest : Loop_nest.pair) ~ds : violation list =
       | Dependence.Any ->
         Some (Outer_carried_array (x.Dependence.acc_array, d)))
     (Dependence.all_pairs nest)
+  |> List.fold_left
+       (fun seen v -> if List.mem v seen then seen else v :: seen)
+       []
+  |> List.rev
 
 (** Check the §4.1/§4.2 requirements for unrolling the outer loop of
     [nest] by [ds] with parallel data sets (shared by squash and jam). *)

@@ -151,16 +151,28 @@ exception Blocked
 (* The work queue of {!relax_up}, allocated once per placement and
    reused by every re-solve: a FIFO ring over node ids and the
    in-queue flags.  Each node is queued at most once, so [n] cells plus
-   one for the round sentinel suffice. *)
+   one for the round sentinel suffice.  The queue also logs the
+   [watched] nodes it takes in on [moved], each once until the caller
+   drains the log and watches it again: a greedy placement watches its
+   memory ops, the exact search none. *)
 type relax_queue = {
   ring : int array;
   inq : bool array;
   mutable head : int;
   mutable len : int;
+  watched : bool array;
+  moved : int array;
+  mutable n_moved : int;
 }
 
 let relax_queue n =
-  { ring = Array.make (n + 1) 0; inq = Array.make n false; head = 0; len = 0 }
+  { ring = Array.make (n + 1) 0;
+    inq = Array.make n false;
+    head = 0;
+    len = 0;
+    watched = Array.make n false;
+    moved = Array.make n 0;
+    n_moved = 0 }
 
 let push q i =
   let k = q.head + q.len in
@@ -173,11 +185,19 @@ let pop q =
   q.len <- q.len - 1;
   i
 
-(* Queue a seed of the next {!relax_up}. *)
+(* Queue a seed of the next {!relax_up}.  Every node a re-solve raises
+   passes through here (a raised node already in the queue was seeded
+   earlier in the same re-solve), so the [moved] log holds every
+   watched node whose time went up. *)
 let seed q i =
   if not q.inq.(i) then begin
     push q i;
-    q.inq.(i) <- true
+    q.inq.(i) <- true;
+    if q.watched.(i) then begin
+      q.watched.(i) <- false;
+      q.moved.(q.n_moved) <- i;
+      q.n_moved <- q.n_moved + 1
+    end
   end
 
 (* The out-edges of one dequeued node, whose time is [ti]. *)
@@ -259,38 +279,85 @@ let mem_nodes_of (g : Graph.t) : int list =
    incrementally (the re-solved fixpoint is identical to a from-scratch
    solve, because the old fixpoint dominates every lower bound except
    the bumped one), so dependences stay satisfied.  A bounded number
-   of bumps keeps it total.  A bump allocates nothing: the row counts,
-   the queue and its flags are made once per placement. *)
+   of bumps keeps it total.
+
+   A bump costs what it moves.  The modulo reservation table is kept
+   up to date rather than rebuilt: times start at 0 and only rise, so
+   a memory op's row is [t mod ii], cached per op, and each row keeps
+   its count and a doubly linked list of its members.  The queue logs
+   the memory ops a re-solve raised, and only those change rows.  The
+   lowest oversubscribed row is found from a cursor below which no row
+   is oversubscribed, and its latest op from that row's members alone.
+   A bump allocates nothing: all of this is made once per placement. *)
 let try_modulo (cfg : config) (g : Graph.t) ~effort ~ii : int array option =
   let n = Graph.node_count g in
   let mem = Array.of_list (mem_nodes_of g) in
+  let m = Array.length mem in
+  let mem_idx = Array.make n (-1) in
+  Array.iteri (fun a i -> mem_idx.(i) <- a) mem;
   let adj = succ_adj g ~ii in
   let t = Array.make n 0 in
   let q = relax_queue n in
   let max_rounds = n + 1 in
-  let budget = ref (64 + (Array.length mem * ii * 4)) in
-  let rows = Array.make ii 0 in
-  let row i = ((t.(i) mod ii) + ii) mod ii in
+  let budget = ref (64 + (m * ii * 4)) in
+  (* per row: its count and first member; per memory index: its row
+     and its row neighbours (-1 ends a list) *)
+  let rows = Array.make ii 0 and first = Array.make ii (-1) in
+  let row_of = Array.make m 0 and prev = Array.make m (-1)
+  and next = Array.make m (-1) in
+  (* no row below [lowest] is oversubscribed *)
+  let lowest = ref 0 in
+  let enter a r =
+    row_of.(a) <- r;
+    rows.(r) <- rows.(r) + 1;
+    prev.(a) <- -1;
+    next.(a) <- first.(r);
+    if first.(r) >= 0 then prev.(first.(r)) <- a;
+    first.(r) <- a;
+    if rows.(r) > cfg.mem_ports && r < !lowest then lowest := r
+  in
+  let leave a =
+    let r = row_of.(a) in
+    rows.(r) <- rows.(r) - 1;
+    if prev.(a) >= 0 then next.(prev.(a)) <- next.(a)
+    else first.(r) <- next.(a);
+    if next.(a) >= 0 then prev.(next.(a)) <- prev.(a)
+  in
+  (* move the memory ops the last re-solve raised to their new rows,
+     and watch them again *)
+  let drain () =
+    for k = 0 to q.n_moved - 1 do
+      let i = q.moved.(k) in
+      q.watched.(i) <- true;
+      let a = mem_idx.(i) and r = t.(i) mod ii in
+      if r <> row_of.(a) then begin
+        leave a;
+        enter a r
+      end
+    done;
+    q.n_moved <- 0
+  in
   (* the op to bump: in the lowest oversubscribed modulo row, the
      latest-issued memory op — it has the most slack left before
      wrapping all the way around — ties to the highest node id; -1 when
      every row fits the ports *)
   let offender () =
-    Array.fill rows 0 ii 0;
-    for a = 0 to Array.length mem - 1 do
-      let r = row mem.(a) in
-      rows.(r) <- rows.(r) + 1
-    done;
-    let r = ref 0 in
-    while !r < ii && rows.(!r) <= cfg.mem_ports do
-      incr r
+    while !lowest < ii && rows.(!lowest) <= cfg.mem_ports do
+      incr lowest
     done;
     let latest = ref (-1) in
-    if !r < ii then
-      for a = 0 to Array.length mem - 1 do
-        let i = mem.(a) in
-        if row i = !r && (!latest < 0 || t.(i) >= t.(!latest)) then latest := i
-      done;
+    if !lowest < ii then begin
+      let a = ref first.(!lowest) in
+      while !a >= 0 do
+        let i = mem.(!a) in
+        if
+          !latest < 0
+          || t.(i) > t.(!latest)
+          || (t.(i) = t.(!latest) && i > !latest)
+        then latest := i;
+        a := next.(!a)
+      done
+    end;
     !latest
   in
   let rec solve () =
@@ -302,12 +369,24 @@ let try_modulo (cfg : config) (g : Graph.t) ~effort ~ii : int array option =
       && begin
         t.(i) <- t.(i) + 1;
         seed q i;
-        relax_up ~effort ~max_rounds q adj t && solve ()
+        relax_up ~effort ~max_rounds q adj t
+        && begin
+          drain ();
+          solve ()
+        end
       end
     end
   in
-  if relax_all ~effort ~max_rounds q adj t && solve () && feasible g ~ii t then
-    Some t
+  let placed () =
+    Array.iteri
+      (fun a i ->
+        enter a (t.(i) mod ii);
+        q.watched.(i) <- true)
+      mem;
+    solve ()
+  in
+  if relax_all ~effort ~max_rounds q adj t && placed () && feasible g ~ii t
+  then Some t
   else None
 
 (* ---- the exact backend ---- *)

@@ -101,8 +101,11 @@ exception Out_of_effort
     modulo row holds more memory ops than the ports, bump the latest op
     of the lowest such row (ties to the highest node id) one cycle and
     re-solve incrementally.  [None] when the II has a positive cycle or
-    the [64 + 4 · memory ops · ii] bumps run out.  Every edge
-    relaxation takes one unit from [effort].
+    the [64 + 4 · memory ops · ii] bumps run out.  A bump costs the
+    re-solve plus the memory ops it moved: the modulo rows, their
+    member lists and the lowest oversubscribed row are kept up to date
+    rather than rebuilt.  Every edge relaxation takes one unit from
+    [effort].
     @raise Out_of_effort when [effort] runs out. *)
 val try_modulo :
   config -> Graph.t -> effort:int ref -> ii:int -> int array option

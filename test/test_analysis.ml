@@ -299,6 +299,20 @@ let test_legality_peel_count () =
   Alcotest.(check bool) "legal" true v.A.Legality.ok;
   Alcotest.(check int) "peel 2" 2 v.A.Legality.needs_peel
 
+(* Two dependent pairs of [a] share the distance [-3, 3]: the verdict
+   names it once. *)
+let test_legality_distinct_array_violations () =
+  let p =
+    Parser.program_of_string
+      "program dup { out int a[64]; int i; int j; for (i = 0; i < 4; i++) { \
+       for (j = 0; j < 8; j++) { a[i + j] = a[i + j + 1] + 1; } } }"
+  in
+  let nest = A.Loop_nest.find_by_outer_index p "i" in
+  let v = A.Legality.check nest ~ds:2 in
+  Alcotest.(check string) "one violation per distinct pair"
+    "illegal: array a carries an outer dependence (distance in [-3, 3])"
+    (Fmt.str "%a" A.Legality.pp_verdict v)
+
 (* --- SSA --- *)
 
 let test_ssa_single_assignment () =
@@ -662,6 +676,8 @@ let extra_suite =
       test_legality_within_case2;
     Alcotest.test_case "subscript characterization" `Quick
       test_subscript_characterization;
-    QCheck_alcotest.to_alcotest test_solve_distance_closed_form ]
+    QCheck_alcotest.to_alcotest test_solve_distance_closed_form;
+    Alcotest.test_case "legality distinct array violations" `Quick
+      test_legality_distinct_array_violations ]
 
 let suite = base_suite @ extra_suite

@@ -538,19 +538,21 @@ let old_try_modulo (cfg : Sd.config) (g : D.Graph.t) ~effort ~ii :
     | Some _ | None -> None
   end
 
+(* One placement at [ii]: its issue times ([None] when it gives up,
+   and no result when the effort runs out) and the effort left over. *)
+let placement place cfg g ~ii =
+  let effort = ref 5_000_000 in
+  let r =
+    match place cfg g ~effort ~ii with
+    | r -> Some r
+    | exception Sd.Out_of_effort -> None
+  in
+  (r, !effort)
+
 (* Both placements at [ii] with the same effort: the issue times (or
    [None]) and the effort left over must match. *)
 let placements_agree cfg g ~ii =
-  let run place =
-    let effort = ref 5_000_000 in
-    let r =
-      match place cfg g ~effort ~ii with
-      | r -> Some r
-      | exception Sd.Out_of_effort -> None
-    in
-    (r, !effort)
-  in
-  run Sd.try_modulo = run old_try_modulo
+  placement Sd.try_modulo cfg g ~ii = placement old_try_modulo cfg g ~ii
 
 (* Random DFGs from small parts.  A part has 1–8 nodes of mixed delays
    (loads 2, stores 1, adds 1, multiplies 2, divides 8, moves and
@@ -650,6 +652,91 @@ let test_qcheck_try_modulo_oracle =
       D.Graph.node_count g = 0
       || placements_agree cfg g ~ii:(Sd.min_ii cfg g + above))
 
+(* Many-bump placements: unroll-and-jam bodies of 8–16 disjoint copies
+   of a memory-heavy part, on one or two ports.  A part is a ring of
+   2–6 nodes, mostly loads and stores: a distance-0 chain closed by a
+   distance-1 edge, plus a few more edges.  The copy count is picked
+   so that the memory ops fill the ports at the part's recurrence bound
+   where the 8–16 range allows it: the rigid copies then make the
+   greedy spend its whole bump budget on many of them, so the row lists
+   and the re-solve's log of moved memory ops do real work.  At
+   [min_ii] and above there is no positive cycle, so a placement that
+   returns [None] with effort left has run out of bumps. *)
+let gen_mem_part =
+  let open QCheck.Gen in
+  let* n = int_range 2 6 in
+  let* kinds =
+    list_repeat n
+      (frequency
+         [ (4, return Opinfo.Op_load);
+           (3, return Opinfo.Op_store);
+           (2, return (Opinfo.Op_binop Types.Add));
+           (1, return (Opinfo.Op_binop Types.Mul));
+           (1, return (Opinfo.Op_binop Types.Div)) ])
+  in
+  let* extra =
+    list_size (int_range 0 2)
+      (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_range 0 2))
+  in
+  let ring =
+    List.init n (fun a -> if a + 1 < n then (a, a + 1, 0) else (a, 0, 1))
+  in
+  (* an extra edge of distance 0 only runs forward *)
+  let extra = List.filter (fun (a, b, d) -> d > 0 || a < b) extra in
+  return (kinds, ring @ extra)
+
+let jam_graph kinds edges copies =
+  let n = List.length kinds in
+  let nodes =
+    List.concat (List.init copies (fun _ -> kinds))
+    |> List.mapi (fun id kind ->
+           { D.Graph.id; kind; label = Printf.sprintf "n%d" id })
+  in
+  let edges =
+    List.concat
+      (List.init copies (fun c ->
+           List.map (fun (a, b, d) -> ((c * n) + a, (c * n) + b, d)) edges))
+    |> List.sort_uniq compare
+    |> List.map (fun (e_src, e_dst, e_distance) ->
+           { D.Graph.e_src; e_dst; e_distance })
+  in
+  D.Graph.create nodes edges
+
+let gen_jam =
+  let open QCheck.Gen in
+  let* kinds, edges = gen_mem_part in
+  let* mem_ports = int_range 1 2 in
+  let part = jam_graph kinds edges 1 in
+  let rec_mii = D.Graph.recurrence_mii part in
+  let mems = D.Graph.memory_op_count part in
+  (* the copy counts whose ResMII comes nearest the recurrence bound *)
+  let gap c = abs ((((c * mems) + mem_ports - 1) / mem_ports) - rec_mii) in
+  let counts = List.init 9 (( + ) 8) in
+  let best = List.fold_left (fun b c -> min b (gap c)) max_int counts in
+  let* copies = oneofl (List.filter (fun c -> gap c = best) counts) in
+  let* above = frequency [ (3, return 0); (1, int_range 1 2) ] in
+  return (jam_graph kinds edges copies, mem_ports, above)
+
+let test_many_bump_oracle () =
+  let exhausted = ref 0 in
+  let prop (g, mem_ports, above) =
+    let cfg = { Sd.mem_ports } in
+    let ii = Sd.min_ii cfg g + above in
+    let ((r, left) as placed) = placement Sd.try_modulo cfg g ~ii in
+    if r = Some None && left > 0 then incr exhausted;
+    placed = placement old_try_modulo cfg g ~ii
+  in
+  let print (g, mem_ports, above) =
+    Fmt.str "ports %d, min_ii + %d@.%a" mem_ports above D.Graph.pp g
+  in
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| 421 |])
+    (QCheck.Test.make ~name:"many-bump placements" ~count:300
+       (QCheck.make ~print gen_jam) prop);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d placements ran out of bumps (need 1)" !exhausted)
+    true (!exhausted > 0)
+
 (* Every DFG of Table 6.2 (the 50 Registry.all x paper_versions
    cells): the same RecMII, and the same placement at every II from
    [min_ii] up to the one the scheduler settles on. *)
@@ -708,4 +795,6 @@ let suite =
     QCheck_alcotest.to_alcotest test_qcheck_recurrence_mii_oracle;
     QCheck_alcotest.to_alcotest test_qcheck_try_modulo_oracle;
     Alcotest.test_case "Table 6.2 DFGs: RecMII and placements match" `Slow
-      test_table_6_2_oracles ]
+      test_table_6_2_oracles;
+    Alcotest.test_case "many-bump placements = list-based placement" `Quick
+      test_many_bump_oracle ]
