@@ -51,13 +51,19 @@ let () =
     (Uas_analysis.Legality.check nest1 ~ds:2);
 
   (* step 3: jam(2) to double the datapath, then squash(2) on top *)
-  let jammed = T.Unroll_and_jam.apply converted nest1 ~ds:2 in
+  let jammed =
+    match T.Unroll_and_jam.apply converted nest1 ~ds:2 with
+    | Ok out -> out
+    | Error v -> Fmt.failwith "jam: %a" Uas_analysis.Legality.pp_verdict v
+  in
   let nest2 =
     Uas_analysis.Loop_nest.find_by_outer_index
       jammed.T.Unroll_and_jam.program "i"
   in
   let combined =
-    T.Squash.apply jammed.T.Unroll_and_jam.program nest2 ~ds:2
+    match T.Squash.apply jammed.T.Unroll_and_jam.program nest2 ~ds:2 with
+    | Ok out -> out
+    | Error e -> Fmt.failwith "squash: %a" T.Squash.pp_error e
   in
 
   (* every stage still computes the same checksums *)

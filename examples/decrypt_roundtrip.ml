@@ -33,7 +33,9 @@ let out_words r =
 
 let squash_by p ds =
   let nest = Uas_analysis.Loop_nest.find_by_outer_index p "i" in
-  (Uas_transform.Squash.apply p nest ~ds).Uas_transform.Squash.program
+  match Uas_transform.Squash.apply p nest ~ds with
+  | Ok out -> out.Uas_transform.Squash.program
+  | Error e -> Fmt.failwith "squash: %a" Uas_transform.Squash.pp_error e
 
 let () =
   let key = [| 0x31; 0x41; 0x59; 0x26; 0x53; 0x58; 0x97; 0x93; 0x23; 0x84 |] in

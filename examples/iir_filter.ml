@@ -29,7 +29,11 @@ let () =
      bit-for-bit because the transformation only reorders independent
      channels *)
   let nest = Uas_analysis.Loop_nest.find_by_outer_index program "i" in
-  let squashed = Uas_transform.Squash.apply program nest ~ds:8 in
+  let squashed =
+    match Uas_transform.Squash.apply program nest ~ds:8 with
+    | Ok out -> out
+    | Error e -> Fmt.failwith "squash: %a" Uas_transform.Squash.pp_error e
+  in
   let r0 = Uas_ir.Interp.run program workload in
   let r1 = Uas_ir.Interp.run squashed.Uas_transform.Squash.program workload in
   Fmt.pr "squash(8) output identical: %b@."

@@ -34,7 +34,11 @@ let () =
   Fmt.pr "legality at DS=4: %a@." Uas_analysis.Legality.pp_verdict verdict;
 
   (* 2. apply unroll-and-squash by 4 *)
-  let squashed = Uas_transform.Squash.apply program nest ~ds:4 in
+  let squashed =
+    match Uas_transform.Squash.apply program nest ~ds:4 with
+    | Ok out -> out
+    | Error e -> Fmt.failwith "squash: %a" Uas_transform.Squash.pp_error e
+  in
   Fmt.pr "@.--- unroll-and-squash by 4 ---@.%a@." Pp.pp_program
     squashed.Uas_transform.Squash.program;
 

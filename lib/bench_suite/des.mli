@@ -6,11 +6,7 @@
 
 open Uas_ir
 
-val sbox : int array array
 val p_table : int array
-val e_table : int array
-val ip_table : int array
-val fp_table : int array
 
 (** Bit-select [x] per [table] (bit 1 = MSB of [in_width] bits). *)
 val permute : in_width:int -> int array -> int -> int
@@ -32,9 +28,6 @@ val decrypt_schedule : int64 -> int array
 (** The 16-round core on 32-bit halves; returns the preoutput
     (r16, l16). *)
 val encrypt_core : subkeys:int array -> int * int -> int * int
-
-(** Inverse core: takes (r16, l16), returns (l0, r0). *)
-val decrypt_core : subkeys:int array -> int * int -> int * int
 
 (** Full FIPS DES on a 64-bit block (IP + core + FP). *)
 val encrypt_block : key64:int64 -> int64 -> int64

@@ -12,10 +12,6 @@ val cascade : coeffs array
 
 val points_per_channel : int
 
-(** One channel through the cascade; operation order matches the IR
-    exactly (bit-identical doubles). *)
-val filter_channel : float array -> float array
-
 (** Channel-major multi-channel filtering. *)
 val filter_bank : channels:int -> float array -> float array
 

@@ -14,11 +14,6 @@ type app = {
 }
 
 val wavelet : size:int -> app
-val epic : unit -> app
-val unepic : unit -> app
-val adpcm : samples:int -> app
-val mpeg2 : unit -> app
-val skipjack_app : blocks:int -> app
 
 (** The six applications with the paper's workload sizes. *)
 val all : unit -> app list
@@ -30,12 +25,6 @@ type row = {
   hot_percent : float;  (** time covered by the outermost hot loops *)
   paper : int * int * int;
 }
-
-val static_loop_count : Stmt.program -> int
-
-(** Profile one app on the compiled interpreter (its profile is
-    bit-identical to {!Interp.run}'s). *)
-val profile_app : ?ctx:Uas_runtime.Ctx.t -> app -> row
 
 (** The full Table 1.1. *)
 val table : ?ctx:Uas_runtime.Ctx.t -> unit -> row list

@@ -13,9 +13,6 @@ type benchmark = {
   b_reference : (Types.array_id * Types.value array) list;
 }
 
-val default_blocks : int
-val default_channels : int
-
 val skipjack_mem : ?m:int -> unit -> benchmark
 val skipjack_hw : ?m:int -> unit -> benchmark
 val des_mem : ?m:int -> unit -> benchmark
@@ -32,15 +29,6 @@ val extras : unit -> benchmark list
 
 (** Case-insensitive lookup by name, over {!all} and {!extras}. *)
 val find : string -> benchmark option
-
-(** Deterministically perturb the first output value of a result (the
-    [corrupt] fault kind at the [interp.run] site; exposed for
-    tests). *)
-val corrupt_result : Interp.result -> Interp.result
-
-(** The tiny fuel budget a [stall] fault at the [interp.run] site runs
-    under (so the run deterministically raises [Interp.Out_of_fuel]). *)
-val stall_fuel : int
 
 (** Run compiled code on a workload under an [interp.run] span of the
     context's sink.

@@ -9,16 +9,11 @@ open Uas_ir
 (** The declassified F permutation (a 256-byte bijection). *)
 val f_table : int array
 
-(** The G permutation on a 16-bit word, round counter index [k]
-    (0-based). *)
-val g_permute : key:int array -> k:int -> int -> int
-
 val encrypt_block : key:int array -> int * int * int * int -> int * int * int * int
 
 (** Encrypt blocks stored as 4 consecutive 16-bit words each. *)
 val encrypt_stream : key:int array -> int array -> int array
 
-val g_unpermute : key:int array -> k:int -> int -> int
 val decrypt_block : key:int array -> int * int * int * int -> int * int * int * int
 
 (** Skipjack-mem: F-table and key schedule in memory (inner-loop

@@ -8,14 +8,10 @@
 open Uas_ir
 
 val bands : int
-val rows_per_band : int
 val taps : int
 
-(** [bands * rows_per_band], the number of row signatures produced. *)
+(** The number of row signatures produced: 8 rows per band. *)
 val rows : int
-
-(** [rows * taps], the image length. *)
-val img_len : int
 
 (** Host reference, mirroring the IR operation-for-operation. *)
 val transform : int array -> int array -> int array

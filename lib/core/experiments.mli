@@ -118,10 +118,6 @@ type usage_cell = {
 (** Figure 2.4: jam vs squash operator occupancy on the f/g example. *)
 val figure_2_4 : cycles:int -> (string * usage_cell list) list
 
-(** The [degraded: <version> — <diagnostic>] footer lines of a row's
-    cells (one per incident; silent on clean cells). *)
-val pp_degraded : cell list Fmt.t
-
 val pp_table_6_2 : bench_row list Fmt.t
 val pp_table_6_3 : bench_row list Fmt.t
 val pp_series : unit_label:string -> series Fmt.t

@@ -64,7 +64,7 @@ let label_of sequence ds =
     Deeper nests prepend one flatten per extra level to every prefix:
     squash needs an adjacent pair with a loop-free inner body, and each
     flatten collapses the top pair, so depth d takes d-2 of them. *)
-let candidates ?(factors = default_factors) ?(depth = 2) () : candidate list =
+let candidates ?(depth = 2) () : candidate list =
   let flatten_prefix = List.init (max 0 (depth - 2)) (fun _ -> "flatten") in
   { c_label = "original"; c_sequence = []; c_ds = 1; c_pipelined = false }
   :: { c_label = "pipelined"; c_sequence = []; c_ds = 1; c_pipelined = true }
@@ -77,7 +77,7 @@ let candidates ?(factors = default_factors) ?(depth = 2) () : candidate list =
                c_sequence = prefix @ [ "squash" ];
                c_ds = ds;
                c_pipelined = true })
-           factors)
+           default_factors)
        enabling_prefixes
 
 (** One scored candidate: the estimate report, or the diagnostic of the
@@ -312,15 +312,14 @@ let group_key (c : candidate) u =
     in its first member's scope, and every member shares its outcome.
     A task the pool gives up on ranks last with a [task] diagnostic
     instead of aborting the plan. *)
-let plan ?ctx ?jobs ?(objective = Ratio)
-    ?(factors = default_factors) ?validate ?timeout_s
+let plan ?ctx ?jobs ?(objective = Ratio) ?validate ?timeout_s
     (p : Uas_ir.Stmt.program) ~outer_index ~inner_index ~benchmark : plan =
   let cands =
     let depth =
       Option.value ~default:2
         (Uas_analysis.Loop_nest.depth_at p outer_index)
     in
-    candidates ~factors ~depth ()
+    candidates ~depth ()
   in
   let scope c = benchmark ^ "/" ^ c.c_label in
   let prefixed =

@@ -31,7 +31,7 @@ type candidate = {
 (** The enabling prefixes explored, each a registry-name sequence. *)
 val enabling_prefixes : string list list
 
-(** The squash factors explored by default: [2; 4; 8]. *)
+(** The squash factors explored: [2; 4; 8]. *)
 val default_factors : int list
 
 (** The full search space: the [original]/[pipelined] baselines plus
@@ -39,7 +39,7 @@ val default_factors : int list
     [depth] > 2 (default 2), every prefix is preceded by [depth - 2]
     flattens, which collapse the nest to the adjacent-pair shape squash
     requires. *)
-val candidates : ?factors:int list -> ?depth:int -> unit -> candidate list
+val candidates : ?depth:int -> unit -> candidate list
 
 type row = {
   r_candidate : candidate;
@@ -90,7 +90,6 @@ val plan :
   ?ctx:Uas_runtime.Ctx.t ->
   ?jobs:int ->
   ?objective:objective ->
-  ?factors:int list ->
   ?validate:Uas_ir.Interp.workload ->
   ?timeout_s:float ->
   Uas_ir.Stmt.program ->

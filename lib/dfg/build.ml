@@ -126,7 +126,7 @@ let add_edge b src dst distance =
 
     Returns the graph together with the SSA conversion (so callers can
     relate nodes, labeled by SSA names, back to source variables). *)
-let build_detailed ?(delay_of = Opinfo.default_delay) ?inner_index
+let build_detailed ?inner_index
     (body : Stmt.t list) : detailed =
   let ssa = Ssa.convert body in
   let carried_bases =
@@ -280,7 +280,7 @@ let build_detailed ?(delay_of = Opinfo.default_delay) ?inner_index
         | None -> ())
       | None -> ())
     b.pending_carried;
-  let g = Graph.create ~delay_of (List.rev b.nodes) b.edges in
+  let g = Graph.create (List.rev b.nodes) b.edges in
   let live_out_nodes =
     Smap.fold
       (fun base outv acc ->
@@ -295,6 +295,6 @@ let build_detailed ?(delay_of = Opinfo.default_delay) ?inner_index
     d_live_out_nodes = live_out_nodes }
 
 (** Build the DFG of a straight-line loop body (graph + SSA only). *)
-let build ?delay_of ?inner_index (body : Stmt.t list) : Graph.t * Ssa.t =
-  let d = build_detailed ?delay_of ?inner_index body in
+let build ?inner_index (body : Stmt.t list) : Graph.t * Ssa.t =
+  let d = build_detailed ?inner_index body in
   (d.d_graph, d.d_ssa)

@@ -33,18 +33,10 @@ type detailed = {
 
 (** Build the DFG with full per-node semantics.
     @raise Ir_error when the body is not straight-line. *)
-val build_detailed :
-  ?delay_of:(Opinfo.op_kind -> int) ->
-  ?inner_index:string ->
-  Stmt.t list ->
-  detailed
+val build_detailed : ?inner_index:string -> Stmt.t list -> detailed
 
 (** Build the DFG of a straight-line body.  [inner_index] enables
     memory disambiguation across iterations.  Returns the graph and the
     SSA conversion relating node labels to source names.
     @raise Ir_error when the body is not straight-line. *)
-val build :
-  ?delay_of:(Opinfo.op_kind -> int) ->
-  ?inner_index:string ->
-  Stmt.t list ->
-  Graph.t * Ssa.t
+val build : ?inner_index:string -> Stmt.t list -> Graph.t * Ssa.t

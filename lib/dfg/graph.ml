@@ -23,15 +23,13 @@ type t = {
   edges : edge list;
   succs : (int * int) list array;  (** per node: (dst, distance) *)
   preds : (int * int) list array;  (** per node: (src, distance) *)
-  delay_of : Opinfo.op_kind -> int;
 }
 
 let node_count g = Array.length g.nodes
 let node g i = g.nodes.(i)
-let delay g i = g.delay_of g.nodes.(i).kind
+let delay g i = Opinfo.default_delay g.nodes.(i).kind
 
-let create ?(delay_of = Opinfo.default_delay) (nodes : node list)
-    (edges : edge list) : t =
+let create (nodes : node list) (edges : edge list) : t =
   let nodes = Array.of_list nodes in
   Array.iteri
     (fun i n ->
@@ -48,7 +46,7 @@ let create ?(delay_of = Opinfo.default_delay) (nodes : node list)
       succs.(e.e_src) <- (e.e_dst, e.e_distance) :: succs.(e.e_src);
       preds.(e.e_dst) <- (e.e_src, e.e_distance) :: preds.(e.e_dst))
     edges;
-  { nodes; edges; succs; preds; delay_of }
+  { nodes; edges; succs; preds }
 
 (** Real datapath operators (excludes moves/constants). *)
 let operator_nodes g =
@@ -61,8 +59,8 @@ let memory_op_count g =
   |> List.filter (fun n -> Opinfo.uses_memory_port n.kind)
   |> List.length
 
-let total_operator_area ?(area_of = Opinfo.default_area) g =
-  List.fold_left (fun a n -> a + area_of n.kind) 0 (Array.to_list g.nodes)
+let total_operator_area g =
+  Array.fold_left (fun a n -> a + Opinfo.default_area n.kind) 0 g.nodes
 
 (** Topological order of the distance-0 subgraph.
     @raise Ir_error if the intra-iteration subgraph has a cycle (a
@@ -190,7 +188,7 @@ let recurrence_mii (g : t) : int =
   Array.iter
     (fun nd ->
       let c = comp.(nd.id) in
-      bound.(c) <- bound.(c) + max 1 (g.delay_of nd.kind))
+      bound.(c) <- bound.(c) + Opinfo.cycle_cost nd.kind)
     g.nodes;
   (* no II is feasible (a positive cycle of distance 0, which a
      well-formed DFG never has): the whole graph's search bound *)

@@ -21,20 +21,22 @@ type t = {
   edges : edge list;
   succs : (int * int) list array;  (** per node: (dst, distance) *)
   preds : (int * int) list array;  (** per node: (src, distance) *)
-  delay_of : Opinfo.op_kind -> int;
 }
 
 val node_count : t -> int
 val node : t -> int -> node
+
+(** The node's {!Opinfo.default_delay}. *)
 val delay : t -> int -> int
 
 (** @raise Ir_error on malformed ids/edges. *)
-val create :
-  ?delay_of:(Opinfo.op_kind -> int) -> node list -> edge list -> t
+val create : node list -> edge list -> t
 
 val operator_count : t -> int
 val memory_op_count : t -> int
-val total_operator_area : ?area_of:(Opinfo.op_kind -> int) -> t -> int
+
+(** Sum of the nodes' {!Opinfo.default_area}. *)
+val total_operator_area : t -> int
 
 (** Topological order of the distance-0 subgraph.
     @raise Ir_error when it has a cycle (malformed: SSA bodies are

@@ -14,37 +14,37 @@ open Uas_ir
 
 (** Estimated delay of one statement: the critical path of its
     expression tree (operators chain sequentially within a statement). *)
-let rec stmt_delay ?(delay_of = Opinfo.default_delay) (s : Stmt.t) : int =
+let rec stmt_delay (s : Stmt.t) : int =
+  let delay = Opinfo.default_delay in
   let rec expr_delay (e : Expr.t) : int =
     match e with
     | Expr.Int _ | Expr.Float _ | Expr.Var _ -> 0
-    | Expr.Load (_, i) -> expr_delay i + delay_of Opinfo.Op_load
-    | Expr.Rom (_, i) -> expr_delay i + delay_of Opinfo.Op_rom
-    | Expr.Unop (o, x) -> expr_delay x + delay_of (Opinfo.Op_unop o)
+    | Expr.Load (_, i) -> expr_delay i + delay Opinfo.Op_load
+    | Expr.Rom (_, i) -> expr_delay i + delay Opinfo.Op_rom
+    | Expr.Unop (o, x) -> expr_delay x + delay (Opinfo.Op_unop o)
     | Expr.Binop (o, l, r) ->
-      max (expr_delay l) (expr_delay r) + delay_of (Opinfo.Op_binop o)
+      max (expr_delay l) (expr_delay r) + delay (Opinfo.Op_binop o)
     | Expr.Select (c, t, f) ->
       max (expr_delay c) (max (expr_delay t) (expr_delay f))
-      + delay_of Opinfo.Op_select
+      + delay Opinfo.Op_select
   in
   match s with
   | Stmt.Assign (_, e) -> max 1 (expr_delay e)
   | Stmt.Store (_, i, e) ->
-    max 1 (max (expr_delay i) (expr_delay e) + delay_of Opinfo.Op_store)
+    max 1 (max (expr_delay i) (expr_delay e) + delay Opinfo.Op_store)
   | Stmt.If (c, t, f) ->
     max 1 (expr_delay c)
-    + List.fold_left (fun a s -> a + stmt_delay ~delay_of s) 0 (t @ f)
+    + List.fold_left (fun a s -> a + stmt_delay s) 0 (t @ f)
   | Stmt.For _ -> Types.ir_error "stage assignment requires straight-line code"
 
 (** Cut [stmts] into exactly [stages] contiguous slices (possibly empty
     at the tail) minimizing the maximum slice cost.  Returns the slices
     in order; their concatenation is [stmts]. *)
-let partition ?(delay_of = Opinfo.default_delay) ~stages (stmts : Stmt.t list)
-    : Stmt.t list list =
+let partition ~stages (stmts : Stmt.t list) : Stmt.t list list =
   if stages <= 0 then Types.ir_error "stage count must be positive";
   let arr = Array.of_list stmts in
   let n = Array.length arr in
-  let cost = Array.map (stmt_delay ~delay_of) arr in
+  let cost = Array.map stmt_delay arr in
   (* prefix.(i) = cost of the first i statements *)
   let prefix = Array.make (n + 1) 0 in
   for i = 1 to n do
@@ -82,8 +82,6 @@ let partition ?(delay_of = Opinfo.default_delay) ~stages (stmts : Stmt.t list)
       Array.to_list (Array.sub arr lo (hi - lo)))
 
 (** Sum-of-delays per slice, for reporting. *)
-let stage_costs ?(delay_of = Opinfo.default_delay) (slices : Stmt.t list list)
-    : int list =
-  List.map
-    (fun slice -> List.fold_left (fun a s -> a + stmt_delay ~delay_of s) 0 slice)
+let stage_costs (slices : Stmt.t list list) : int list =
+  List.map (fun slice -> List.fold_left (fun a s -> a + stmt_delay s) 0 slice)
     slices

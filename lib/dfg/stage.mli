@@ -7,11 +7,7 @@ open Uas_ir
 
 (** Cut into exactly [stages] slices (possibly empty); concatenating
     the result yields the input.  @raise Ir_error when [stages <= 0]. *)
-val partition :
-  ?delay_of:(Opinfo.op_kind -> int) ->
-  stages:int ->
-  Stmt.t list ->
-  Stmt.t list list
+val partition : stages:int -> Stmt.t list -> Stmt.t list list
 
 (** Sum of statement delays per slice. *)
-val stage_costs : ?delay_of:(Opinfo.op_kind -> int) -> Stmt.t list list -> int list
+val stage_costs : Stmt.t list list -> int list

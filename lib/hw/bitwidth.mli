@@ -4,7 +4,6 @@
     body establishes — masks, byte extracts, ROM contents,
     comparisons — since live-ins and loads are unknown. *)
 
-open Uas_ir
 module Build = Uas_dfg.Build
 
 type range = { lo : int; hi : int }
@@ -12,8 +11,6 @@ type range = { lo : int; hi : int }
 val full : range
 val const : int -> range
 val join : range -> range -> range
-val binop_range : Types.binop -> range -> range -> range
-val unop_range : Types.unop -> range -> range
 
 (** Per-node ranges, given ROM contents; [entry] supplies known entry
     ranges for live-in registers (loop-index bounds, bus widths).
@@ -29,8 +26,6 @@ val node_ranges :
 (** Bits needed (signed when the range is), capped at the 32-bit row
     model. *)
 val width_bits : range -> int
-
-val scale_area : area:int -> width:int -> int
 
 (** Operator area with every operator scaled to its result width. *)
 val operator_area :

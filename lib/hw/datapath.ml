@@ -3,18 +3,17 @@
 
    Configuration bundles the assumptions Table 6.2 was collected under:
    - at most two memory references per clock cycle, no cache misses;
-   - per-operator delays (cycles) and areas (rows);
    - every register occupies one row (the prototype's conservative
      convention, discussed with Figure 6.4);
-   - operators are internally pipelined (one new input per cycle). *)
+   - operators are internally pipelined (one new input per cycle).
 
-open Uas_ir
+   The per-operator delays (cycles) and areas (rows) are one fixed
+   table, Opinfo's, for every target: the evaluation varies only the
+   memory ports and the register packing (§6.3). *)
 
 type t = {
   name : string;
   mem_ports : int;
-  delay_of : Opinfo.op_kind -> int;
-  area_of : Opinfo.op_kind -> int;
   registers_per_row : int;
       (** how many registers share one row: 1 for the conservative
           prototype convention; more for packed shift registers *)
@@ -24,8 +23,6 @@ type t = {
 let default : t =
   { name = "acev";
     mem_ports = 2;
-    delay_of = Opinfo.default_delay;
-    area_of = Opinfo.default_area;
     registers_per_row = 1 }
 
 (** A single-ported memory variant, for ablation benches. *)
@@ -47,10 +44,7 @@ let register_area (t : t) n =
 let sched_config (t : t) : Uas_dfg.Sched.config =
   { Uas_dfg.Sched.mem_ports = t.mem_ports }
 
-(* The functional fields (delay_of/area_of) are determined by the
-   target name for every built-in target, so name + scalar fields
-   identify the model; Estimate.cost_model_version covers changes to
-   the tables behind a name. *)
+(* Every field of the target: the operator tables are no part of it. *)
 let fingerprint t =
   Printf.sprintf "%s/ports=%d/regrow=%d" t.name t.mem_ports
     t.registers_per_row

@@ -85,15 +85,14 @@ let kernel_iterations (p : Stmt.program) ~index : int =
 
 (** Stage 1: locate the kernel loop and build its DFG (with per-node
     semantics). *)
-let kernel_detail ?(target = Datapath.default) (p : Stmt.program) ~index :
+let kernel_detail (p : Stmt.program) ~index :
     Build.detailed =
   let l, _ = find_kernel p ~index in
   if not (Stmt.is_straight_line l.body) then
     raise
       (Not_a_kernel
          (Printf.sprintf "kernel %s body is not a single basic block" index));
-  Build.build_detailed ~delay_of:target.Datapath.delay_of ~inner_index:l.index
-    l.body
+  Build.build_detailed ~inner_index:l.index l.body
 
 (** Stage 2: schedule the kernel DFG under the target's port budget.
     The returned note, when present, says a scheduling budget ran out
@@ -112,7 +111,7 @@ let assemble ?(target = Datapath.default) ?(pipelined = true) ?name
   let g = detail.Build.d_graph in
   let ii = if pipelined then sched.Sched.s_ii else sched.Sched.s_length in
   let registers = Sched.register_estimate g { sched with Sched.s_ii = ii } in
-  let operator_rows = Graph.total_operator_area ~area_of:target.area_of g in
+  let operator_rows = Graph.total_operator_area g in
   let iterations = kernel_iterations p ~index in
   { r_name = (match name with Some n -> n | None -> p.prog_name);
     r_ii = ii;

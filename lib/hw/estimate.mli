@@ -23,11 +23,6 @@ val pp_report : report Fmt.t
 
 exception Not_a_kernel of string
 
-(** Total kernel-body executions: the loop's static trip count times
-    those of every enclosing loop.  @raise Not_a_kernel on dynamic
-    bounds or a missing loop. *)
-val kernel_iterations : Stmt.program -> index:string -> int
-
 (** The quick-synthesis flow in its three stages.  The pass pipeline
     ([Uas_pass.Stages]: dfg-build, schedule, estimate) runs them one by
     one and caches each artifact on the compilation unit; it is the one
@@ -36,8 +31,7 @@ val kernel_iterations : Stmt.program -> index:string -> int
 (** Locate the kernel loop and build its DFG with per-node semantics.
     @raise Not_a_kernel when the loop is absent, an enclosing loop has
     dynamic bounds, or its body is not a single basic block. *)
-val kernel_detail :
-  ?target:Datapath.t -> Stmt.program -> index:string -> Uas_dfg.Build.detailed
+val kernel_detail : Stmt.program -> index:string -> Uas_dfg.Build.detailed
 
 (** Schedule a kernel DFG under the target's memory-port budget
     ([pipelined] selects modulo vs list scheduling, default true), with
@@ -85,6 +79,6 @@ val efficiency : base:report -> report -> float
 
 (** Version of the area/delay cost model; hashed into every planner-row
     cache key, so cost-model changes invalidate the reports cached in
-    planner rows.  Bump it whenever {!Datapath} tables, the register
+    planner rows.  Bump it whenever the {!Uas_ir.Opinfo} tables, the register
     estimator or the report derivation change meaning. *)
 val cost_model_version : int

@@ -8,10 +8,5 @@
     kernels that keep values masked are bit-identical; overflow past 62
     bits may differ. *)
 
-(** C-safe rendering of an IR name ('@'/'#' of generated copies are
-    escaped). *)
-val c_name : string -> string
-
-val program_to_c : Stmt.program -> string
 val standalone : Stmt.program -> workload:Interp.workload -> string
 val write_standalone : Stmt.program -> workload:Interp.workload -> path:string -> unit

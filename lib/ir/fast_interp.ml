@@ -51,8 +51,6 @@ let burn rt =
   rt.fuel <- rt.fuel - 1;
   rt.prof.Interp.stmts_executed <- rt.prof.Interp.stmts_executed + 1
 
-let op_cost (k : Opinfo.op_kind) = max 1 (Opinfo.default_delay k)
-
 (* the cycles the reference charges for evaluating [e]: each operator's
    cost once (both arms of a select evaluate); variables and literals
    are free *)
@@ -61,11 +59,11 @@ let expr_cycles (e : Expr.t) =
     (fun n (e : Expr.t) ->
       match e with
       | Int _ | Float _ | Var _ -> n
-      | Load _ -> n + op_cost Opinfo.Op_load
-      | Rom _ -> n + op_cost Opinfo.Op_rom
-      | Unop (o, _) -> n + op_cost (Opinfo.Op_unop o)
-      | Binop (o, _, _) -> n + op_cost (Opinfo.Op_binop o)
-      | Select _ -> n + op_cost Opinfo.Op_select)
+      | Load _ -> n + Opinfo.cycle_cost Opinfo.Op_load
+      | Rom _ -> n + Opinfo.cycle_cost Opinfo.Op_rom
+      | Unop (o, _) -> n + Opinfo.cycle_cost (Opinfo.Op_unop o)
+      | Binop (o, _, _) -> n + Opinfo.cycle_cost (Opinfo.Op_binop o)
+      | Select _ -> n + Opinfo.cycle_cost Opinfo.Op_select)
     0 e
 
 (* --- compile-time operator specialization ---
@@ -262,8 +260,8 @@ let loop_stats_for rt path : Interp.loop_stats =
     Hashtbl.replace rt.prof.Interp.loops path ls;
     ls
 
-let move_cost = op_cost Opinfo.Op_move
-let store_cost = op_cost Opinfo.Op_store
+let move_cost = Opinfo.cycle_cost Opinfo.Op_move
+let store_cost = Opinfo.cycle_cost Opinfo.Op_store
 
 (* An assignment or a store compiles to its body (no fuel, no profile)
    and the cycles and memory references it charges when it completes;

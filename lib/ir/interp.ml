@@ -99,8 +99,6 @@ let charge st cycles =
   st.prof.total_cycles <- st.prof.total_cycles + cycles;
   List.iter (fun ls -> ls.cycles <- ls.cycles + cycles) st.loop_stack
 
-let op_cost (k : Opinfo.op_kind) = max 1 (Opinfo.default_delay k)
-
 let rec eval st (e : Expr.t) : value =
   match e with
   | Int n -> VInt n
@@ -112,7 +110,7 @@ let rec eval st (e : Expr.t) : value =
   | Load (a, i) -> (
     let idx = eval_int st i in
     st.prof.mem_refs <- st.prof.mem_refs + 1;
-    charge st (op_cost Opinfo.Op_load);
+    charge st (Opinfo.cycle_cost Opinfo.Op_load);
     match Hashtbl.find_opt st.arrays a with
     | None -> stuck "load from undeclared array %s" a
     | Some data ->
@@ -121,7 +119,7 @@ let rec eval st (e : Expr.t) : value =
       else data.(idx))
   | Rom (r, i) -> (
     let idx = eval_int st i in
-    charge st (op_cost Opinfo.Op_rom);
+    charge st (Opinfo.cycle_cost Opinfo.Op_rom);
     match Hashtbl.find_opt st.roms r with
     | None -> stuck "lookup in undeclared rom %s" r
     | Some data ->
@@ -131,19 +129,19 @@ let rec eval st (e : Expr.t) : value =
       else VInt data.(idx))
   | Unop (o, x) -> (
     let vx = eval st x in
-    charge st (op_cost (Opinfo.Op_unop o));
+    charge st (Opinfo.cycle_cost (Opinfo.Op_unop o));
     try Expr.eval_unop o vx with Ir_error m -> stuck "%s" m)
   | Binop (o, l, r) -> (
     let vl = eval st l in
     let vr = eval st r in
-    charge st (op_cost (Opinfo.Op_binop o));
+    charge st (Opinfo.cycle_cost (Opinfo.Op_binop o));
     try Expr.eval_binop o vl vr with Ir_error m -> stuck "%s" m)
   | Select (c, t, f) ->
     (* both arms evaluate, as in the hardware realization of a mux *)
     let vc = eval_int st c in
     let vt = eval st t in
     let vf = eval st f in
-    charge st (op_cost Opinfo.Op_select);
+    charge st (Opinfo.cycle_cost Opinfo.Op_select);
     if vc <> 0 then vt else vf
 
 and eval_int st e =
@@ -171,13 +169,13 @@ let rec exec st path (s : Stmt.t) : unit =
     let value = eval st e in
     if not (Hashtbl.mem st.scalars x) then
       stuck "assignment to undeclared scalar %s" x;
-    charge st (op_cost Opinfo.Op_move);
+    charge st (Opinfo.cycle_cost Opinfo.Op_move);
     Hashtbl.replace st.scalars x value
   | Store (a, i, e) -> (
     let idx = eval_int st i in
     let value = eval st e in
     st.prof.mem_refs <- st.prof.mem_refs + 1;
-    charge st (op_cost Opinfo.Op_store);
+    charge st (Opinfo.cycle_cost Opinfo.Op_store);
     match Hashtbl.find_opt st.arrays a with
     | None -> stuck "store to undeclared array %s" a
     | Some data ->

@@ -55,9 +55,6 @@ val outputs_equal : result -> result -> bool
 (** Human-readable description of the first output difference. *)
 val diff_outputs : result -> result -> string option
 
-(** Human-readable description of the first profile difference. *)
-val diff_profiles : profile -> profile -> string option
-
 (** First difference between two complete results — outputs, final
     scalars, then profile.  [None] means bit-for-bit identical (the
     contract {!Fast_interp} is held to). *)

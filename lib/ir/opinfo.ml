@@ -2,10 +2,10 @@
 
    The numbers model the ACEV-style row-based datapath used by the
    Nimble Compiler back end: each operator occupies some number of FPGA
-   *rows* and has a latency in clock cycles.  The hardware estimator
-   (`Uas_hw`) consumes these through a configuration record and can
-   override them; the transformation passes use the same defaults to
-   balance pipeline stages.
+   *rows* and has a latency in clock cycles.  These tables are the only
+   ones: the hardware estimator (`Uas_hw`), the DFG, the stage balancer
+   of unroll-and-squash and both interpreters' cycle counts read them
+   directly, and Estimate.cost_model_version versions them.
 
    Operators are assumed internally pipelinable (a new input can be
    issued every cycle), matching §5.4 of the paper where floating-point
@@ -54,6 +54,10 @@ let default_delay = function
   | Op_select -> 1
   | Op_move -> 0
   | Op_const -> 0
+
+(** Cycles the interpreters charge for one operation: its latency, at
+    least one. *)
+let cycle_cost k = max 1 (default_delay k)
 
 (** Area in datapath rows. *)
 let default_area = function

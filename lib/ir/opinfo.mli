@@ -1,7 +1,6 @@
-(** Default hardware characteristics of the IR operators: latency in
-    cycles and area in datapath rows (the ACEV-style model of §5.1 and
-    §6.1).  The hardware estimator can override these through its
-    target configuration; operators are assumed internally pipelined
+(** Hardware characteristics of the IR operators: latency in cycles and
+    area in datapath rows (the ACEV-style model of §5.1 and §6.1), one
+    table for every target; operators are assumed internally pipelined
     (one new input per cycle). *)
 
 open Types
@@ -20,6 +19,10 @@ val op_kind_name : op_kind -> string
 
 (** Latency in clock cycles (0 for moves and constants). *)
 val default_delay : op_kind -> int
+
+(** Cycles an interpreter charges for the operation:
+    [max 1 (default_delay k)]. *)
+val cycle_cost : op_kind -> int
 
 (** Area in datapath rows (0 for moves — registers are costed
     separately — and constants). *)

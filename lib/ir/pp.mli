@@ -8,10 +8,6 @@
 val prec_of_binop : Types.binop -> int
 
 val pp_expr : Expr.t Fmt.t
-val pp_stmt : indent:int -> Stmt.t Fmt.t
-val pp_block : indent:int -> Stmt.t list Fmt.t
-val pp_array_decl : Stmt.array_decl Fmt.t
-val pp_rom_decl : Stmt.rom_decl Fmt.t
 val pp_program : Stmt.program Fmt.t
 val expr_to_string : Expr.t -> string
 val stmt_to_string : Stmt.t -> string

@@ -7,7 +7,7 @@
    plain arrays indexed by slot.
 
    Scalar slots cover the declared scalars (params then locals, in
-   declaration order — the first [declared_count] slots) plus every
+   declaration order — the first [declared] slots) plus every
    loop index that appears in the body without a declaration.  The
    reference interpreter admits such indices into its environment the
    first time their loop executes; keeping a slot (and a definedness
@@ -49,7 +49,6 @@ let of_program (p : Stmt.program) : t =
   { scalar_names; declared; scalar_index; array_index }
 
 let scalar_count t = Array.length t.scalar_names
-let declared_count t = t.declared
 let scalar_slot t v = Hashtbl.find_opt t.scalar_index v
 
 (** Is the slot a declared scalar (always present in the environment),

@@ -20,9 +20,6 @@ val of_program : Stmt.program -> t
 
 val scalar_count : t -> int
 
-(** Number of declared scalars; they occupy slots [0, declared_count). *)
-val declared_count : t -> int
-
 val scalar_slot : t -> var -> int option
 
 (** [true] for declared scalars; [false] for undeclared loop indices,

@@ -63,8 +63,6 @@ val rewrite : (t -> t list) -> t -> t list
 val rewrite_list : (t -> t list) -> t list -> t list
 
 (** Rewrite every expression in place (loop bounds included). *)
-val map_exprs : (Expr.t -> Expr.t) -> t -> t
-
 val map_exprs_list : (Expr.t -> Expr.t) -> t list -> t list
 
 module Sset = Expr.Sset
@@ -90,8 +88,6 @@ val operator_count : t list -> int
 val is_straight_line : t list -> bool
 
 (** Rename every scalar occurrence, defs and uses. *)
-val rename_vars : (var -> var) -> t -> t
-
 val rename_vars_list : (var -> var) -> t list -> t list
 
 (** Structural statement count. *)

@@ -28,14 +28,13 @@ let analyze =
 (* ensure-style artifact accessors; each computation runs under its
    own span ([dfg-build], [schedule]) *)
 
-let ensure_dfg ~target cu =
+let ensure_dfg cu =
   match Cu.dfg cu with
   | Some d -> d
   | None ->
     let d =
       Instrument.span (trace cu) "dfg-build" (fun () ->
-          Estimate.kernel_detail ~target (Cu.program cu)
-            ~index:(Cu.inner_index cu))
+          Estimate.kernel_detail (Cu.program cu) ~index:(Cu.inner_index cu))
     in
     Cu.set_dfg cu d;
     d
@@ -104,7 +103,7 @@ let ensure_schedule ?exact_effort ~target ~pipelined cu =
     let cached =
       Cu.store_get cu ~kind:"schedule" ~context ~decode:schedule_of_fields
     in
-    let detail = ensure_dfg ~target cu in
+    let detail = ensure_dfg cu in
     let s =
       match cached with
       | Some (s, note) ->
@@ -146,8 +145,8 @@ let kernel_stage name f =
           (Diag.errorf ~pass:name ~loop:(Cu.inner_index cu)
              "not a hardware kernel: %s" m))
 
-let dfg_build ?(target = Datapath.default) () =
-  kernel_stage "dfg-build" (fun cu -> ignore (ensure_dfg ~target cu))
+let dfg_build () =
+  kernel_stage "dfg-build" (fun cu -> ignore (ensure_dfg cu))
 
 let schedule ?(target = Datapath.default) ?exact_effort ~pipelined () =
   kernel_stage "schedule" (fun cu ->
@@ -160,7 +159,7 @@ let exact_ii ~pipelined:_ ~mode:(_ : Uas_dfg.Sched.exact_mode) () =
 
 let estimate ?(target = Datapath.default) ~pipelined ?name () =
   kernel_stage "estimate" (fun cu ->
-      let detail = ensure_dfg ~target cu in
+      let detail = ensure_dfg cu in
       let sched = ensure_schedule ~target ~pipelined cu in
       Cu.set_report cu
         (Estimate.assemble ~target ~pipelined ?name (Cu.program cu)
@@ -169,7 +168,7 @@ let estimate ?(target = Datapath.default) ~pipelined ?name () =
 (* The quick-synthesis tail every driver runs after its rewrites: the
    sweep's versions and the planner's candidates estimate alike. *)
 let quick_synthesis ~target ~pipelined ~name =
-  [ dfg_build ~target ();
+  [ dfg_build ();
     schedule ~target ~pipelined ();
     estimate ~target ~pipelined ~name () ]
 

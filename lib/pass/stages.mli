@@ -17,7 +17,7 @@ val analyze : Pass.t
 (** ["dfg-build"]: build the kernel DFG artifact.  This stage and the
     two below fail with a diagnostic on the kernel loop when the
     estimator cannot model it ({!Uas_hw.Estimate.Not_a_kernel}). *)
-val dfg_build : ?target:Datapath.t -> unit -> Pass.t
+val dfg_build : unit -> Pass.t
 
 (** ["schedule"]: schedule the kernel DFG
     ({!Uas_dfg.Sched.modulo_schedule} when [pipelined], list

@@ -13,9 +13,6 @@
     message points at the exact spelling the user typed
     ([--task-timeout] vs [--request-budget] vs [budget]). *)
 
-(** Upper bound accepted for any wall budget: one day, in seconds. *)
-val timeout_max_s : float
-
 (** Human rendering of the valid range (for help strings). *)
 val timeout_range : string
 

@@ -40,10 +40,6 @@
     CLIs consult it when no [--cache] flag is given. *)
 val env_var : string
 
-(** The environment variable overriding the byte budget:
-    ["UAS_CACHE_MAX_BYTES"]. *)
-val max_bytes_env_var : string
-
 (** The one format version of the store: of its entry header and of
     every payload's {!Record} fields.  Part of every cache key and
     every header, so a bump invalidates the whole store without

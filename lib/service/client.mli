@@ -8,9 +8,6 @@
     means the daemon is alive and failed this request deterministically
     — retrying would not help, so the caller falls back immediately. *)
 
-val default_attempts : int
-val default_base_s : float
-
 (** The full delay schedule ([attempts - 1] waits): delay k is
     [base_s * 2^k * (1 + j)] with jitter [j] in [0, 0.5) a pure
     function of [(seed, k)] — pin the seed and the schedule is

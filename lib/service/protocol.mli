@@ -37,7 +37,6 @@ type tag =
   | Reply_busy
 
 val tag_name : tag -> string
-val tag_of_string : string -> tag option
 
 type frame = { tag : tag; body : string }
 

@@ -29,13 +29,6 @@ let pp_failure ppf = function
   | Not_perfect -> Fmt.string ppf "the nest is not perfectly nested"
   | Non_static_bounds -> Fmt.string ppf "bounds are not static"
 
-exception Flatten_error of failure
-
-let () =
-  Printexc.register_printer (function
-    | Flatten_error f -> Some (Fmt.str "Flatten_error: %a" pp_failure f)
-    | _ -> None)
-
 let static_bounds lo hi step =
   match (Expr.simplify lo, Expr.simplify hi) with
   | Expr.Int l, Expr.Int h ->
@@ -48,7 +41,7 @@ let static_bounds lo hi step =
     declared; the original indices become plain scalars recomputed at
     the top of the body.
     @raise Not_found when absent. *)
-let apply_res (p : Stmt.program) ~outer_index :
+let apply (p : Stmt.program) ~outer_index :
     (Stmt.program * string, failure) result =
   let nest = Loop_nest.find_by_outer_index p outer_index in
   match
@@ -105,11 +98,3 @@ let apply_res (p : Stmt.program) ~outer_index :
     Loop_nest.replace p ~outer_index ((flattened :: exit_fixes))
   in
   Ok (Stmt.add_locals p [ (t, Types.Tint) ], t)
-
-(** [apply_res], raising and dropping the fresh index.
-    @raise Flatten_error when the nest is imperfect or dynamic
-    @raise Not_found when absent. *)
-let apply (p : Stmt.program) ~outer_index : Stmt.program =
-  match apply_res p ~outer_index with
-  | Ok (q, _) -> q
-  | Error f -> raise (Flatten_error f)

@@ -12,16 +12,9 @@ type failure = Not_perfect | Non_static_bounds
 
 val pp_failure : failure Fmt.t
 
-exception Flatten_error of failure
-
 (** Flatten the nest with this outer index, also returning the fresh
-    flattened index — the entry point the {!Rewrite} registry builds
-    on.
+    flattened index (callers maintaining a current-kernel pointer need
+    it); [Error] on imperfect or dynamic nests.
     @raise Not_found when absent. *)
-val apply_res :
+val apply :
   Stmt.program -> outer_index:string -> (Stmt.program * string, failure) result
-
-(** [apply_res], raising and dropping the fresh index.
-    @raise Flatten_error on imperfect/dynamic nests
-    @raise Not_found when absent. *)
-val apply : Stmt.program -> outer_index:string -> Stmt.program

@@ -30,13 +30,6 @@ let pp_failure ppf = function
   | Carried_dependence a ->
     Fmt.pf ppf "array %s carries a dependence that interchange would reverse" a
 
-exception Interchange_error of failure
-
-let () =
-  Printexc.register_printer (function
-    | Interchange_error f -> Some (Fmt.str "Interchange_error: %a" pp_failure f)
-    | _ -> None)
-
 (* The shape requirements of a pair. *)
 let structural (nest : Loop_nest.pair) : failure option =
   if nest.Loop_nest.pre <> [] || nest.post <> [] then Some Not_perfect
@@ -80,7 +73,7 @@ let check_at (p : Stmt.program) ~outer_index : failure option =
 
 (** Interchange the pair identified by its outer index inside [p], the
     failure modes as data. *)
-let apply_res (p : Stmt.program) ~outer_index :
+let apply (p : Stmt.program) ~outer_index :
     (Stmt.program, failure) result =
   let nest = Loop_nest.find_by_outer_index p outer_index in
   match check_at p ~outer_index with
@@ -101,9 +94,3 @@ let apply_res (p : Stmt.program) ~outer_index :
                   body = nest.inner_body } ] }
     in
     Ok (Loop_nest.replace p ~outer_index [ swapped ])
-
-(** [apply_res], raising the failure. *)
-let apply (p : Stmt.program) ~outer_index : Stmt.program =
-  match apply_res p ~outer_index with
-  | Ok q -> q
-  | Error f -> raise (Interchange_error f)

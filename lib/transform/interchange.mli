@@ -12,15 +12,6 @@ type failure =
 
 val pp_failure : failure Fmt.t
 
-exception Interchange_error of failure
-
-(** Interchange the nest with this outer index, the failure as data —
-    the entry point the {!Rewrite} registry builds on.
+(** Interchange the nest with this outer index, the failure as data.
     @raise Not_found when the nest is absent. *)
-val apply_res : Stmt.program -> outer_index:string -> (Stmt.program, failure) result
-
-(** [apply_res], raising.  Prefer {!apply_res} (or the registry) in new
-    code.
-    @raise Interchange_error when illegal
-    @raise Not_found when absent. *)
-val apply : Stmt.program -> outer_index:string -> Stmt.program
+val apply : Stmt.program -> outer_index:string -> (Stmt.program, failure) result

@@ -8,6 +8,8 @@
 
 open Uas_ir
 module Loop_nest = Uas_analysis.Loop_nest
+module Legality = Uas_analysis.Legality
+module Induction = Uas_analysis.Induction
 
 (** Peel the last [iterations] outer iterations of [nest] inside [p].
     Returns the updated program and the shrunken nest. *)
@@ -51,3 +53,19 @@ let peel_back (p : Stmt.program) (nest : Loop_nest.pair) ~iterations :
       in
       let p = Loop_nest.replace p ~outer_index:nest.outer_index replacement in
       (p, nest')
+
+(* Legality first; the rewrites it calls for run only on a legal nest,
+   induction variables before the peel (the peel copies the rewritten
+   body). *)
+let enable (p : Stmt.program) (nest : Loop_nest.pair) ~ds :
+    (Stmt.program * Loop_nest.pair, Legality.verdict) result =
+  if ds <= 0 then Types.ir_error "unroll factor must be positive";
+  let verdict = Legality.check nest ~ds in
+  if not verdict.Legality.ok then Error verdict
+  else
+    let p, nest =
+      List.fold_left
+        (fun (p, nest) iv -> Induction.rewrite p nest iv)
+        (p, nest) verdict.Legality.induction_rewrites
+    in
+    Ok (peel_back p nest ~iterations:verdict.Legality.needs_peel)

@@ -75,7 +75,7 @@ let interchange =
   let apply p cu =
     let t = outer_target cu p in
     let pr = nest_of cu ~outer_index:t in
-    match Interchange.apply_res (Cu.program cu) ~outer_index:t with
+    match Interchange.apply (Cu.program cu) ~outer_index:t with
     | Error f -> Error (errf "interchange" cu "%a" Interchange.pp_failure f)
     | Ok q ->
       (* the pair's loops swapped: re-point whichever kernel index
@@ -97,7 +97,7 @@ let flatten =
   let apply p cu =
     let t = outer_target cu p in
     let pr = nest_of cu ~outer_index:t in
-    match Flatten.apply_res (Cu.program cu) ~outer_index:t with
+    match Flatten.apply (Cu.program cu) ~outer_index:t with
     | Error f -> Error (errf "flatten" cu "%a" Flatten.pp_failure f)
     | Ok (q, flat_index) ->
       (* the pair's two loops collapsed onto the fresh flat loop: any
@@ -149,7 +149,7 @@ let nest_and_factor rw_name p cu =
 let jam =
   let apply p cu =
     let* nest, ds = nest_and_factor "jam" p cu in
-    match Unroll_and_jam.apply_res (Cu.program cu) nest ~ds with
+    match Unroll_and_jam.apply (Cu.program cu) nest ~ds with
     | Ok out -> Ok (Cu.with_program cu out.Unroll_and_jam.program)
     | Error verdict ->
       Error (errf "jam" cu "factor %d: %a" ds Legality.pp_verdict verdict)
@@ -159,7 +159,7 @@ let jam =
 let squash =
   let apply p cu =
     let* nest, ds = nest_and_factor "squash" p cu in
-    match Squash.apply_res (Cu.program cu) nest ~ds with
+    match Squash.apply (Cu.program cu) nest ~ds with
     | Ok out ->
       Ok
         (Cu.with_program cu out.Squash.program

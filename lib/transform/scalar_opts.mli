@@ -6,7 +6,6 @@
 open Uas_ir
 module Sset = Stmt.Sset
 
-val const_fold : Stmt.program -> Stmt.program
 val propagate : Stmt.program -> Stmt.program
 
 (** Remove assignments never observed; [live_out] defaults to every

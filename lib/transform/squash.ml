@@ -31,7 +31,6 @@
 open Uas_ir
 module Loop_nest = Uas_analysis.Loop_nest
 module Legality = Uas_analysis.Legality
-module Induction = Uas_analysis.Induction
 module Stage = Uas_dfg.Stage
 module Sset = Stmt.Sset
 
@@ -45,13 +44,6 @@ let pp_error ppf = function
   | Needs_static_trip_counts ->
     Fmt.string ppf "unroll-and-squash requires static loop bounds"
   | Inner_loop_empty -> Fmt.string ppf "inner loop runs zero iterations"
-
-exception Squash_error of error
-
-let () =
-  Printexc.register_printer (function
-    | Squash_error e -> Some (Fmt.str "Squash_error: %a" pp_error e)
-    | _ -> None)
 
 (** Result of the transformation, with the structural facts the
     hardware estimator and the tests consume. *)
@@ -70,34 +62,9 @@ let assign x e = Stmt.Assign (x, e)
 let on_copy (w : Sset.t) (s : int) (stmts : Stmt.t list) : Stmt.t list =
   Expand.rename_in w (fun v -> Expand.stage_copy v s) stmts
 
-let apply ?(delay_of = Opinfo.default_delay) (p : Stmt.program)
-    (nest : Loop_nest.pair) ~ds : outcome =
-  if ds <= 0 then Types.ir_error "unroll factor must be positive";
-  (* 1. legality, after automatic enabling rewrites *)
-  let verdict = Legality.check nest ~ds in
-  if not verdict.Legality.ok then raise (Squash_error (Illegal verdict));
-  let p, nest =
-    List.fold_left
-      (fun (p, nest) iv -> Induction.rewrite p nest iv)
-      (p, nest) verdict.Legality.induction_rewrites
-  in
-  let p, nest =
-    if verdict.Legality.needs_peel > 0 then
-      Peel.peel_back p nest ~iterations:verdict.Legality.needs_peel
-    else (p, nest)
-  in
-  let n_inner =
-    match Loop_nest.inner_trip_count nest with
-    | Some n -> n
-    | None -> raise (Squash_error Needs_static_trip_counts)
-  in
-  if n_inner <= 0 then raise (Squash_error Inner_loop_empty);
-  let m_outer =
-    match Loop_nest.outer_trip_count nest with
-    | Some m -> m
-    | None -> raise (Squash_error Needs_static_trip_counts)
-  in
-  ignore m_outer;
+(* The transformation proper, on a nest the §4.2 prologue has made
+   legal and whose inner loop runs [n_inner >= 1] times. *)
+let squash (p : Stmt.program) (nest : Loop_nest.pair) ~ds ~n_inner : outcome =
   (* 2. classify scalars *)
   let i = nest.Loop_nest.outer_index and j = nest.inner_index in
   let versioned = Expand.versioned_scalars nest in
@@ -115,7 +82,7 @@ let apply ?(delay_of = Opinfo.default_delay) (p : Stmt.program)
     Sset.union restore_set (Sset.inter (Stmt.uses nest.post) versioned)
   in
   (* 3. stage slices *)
-  let stages = Stage.partition ~delay_of ~stages:ds nest.inner_body in
+  let stages = Stage.partition ~stages:ds nest.inner_body in
   (* 4. generated code pieces *)
   let int_e n = Expr.Int n in
   let pre_d d =
@@ -256,11 +223,18 @@ let apply ?(delay_of = Opinfo.default_delay) (p : Stmt.program)
     rotated = Sset.elements rotated;
     ds }
 
-(* The non-raising entry point the pass pipeline builds on: same
-   transformation, with the §4.1/§4.2 failure modes surfaced as data
-   instead of an exception. *)
-let apply_res ?delay_of (p : Stmt.program) (nest : Loop_nest.pair) ~ds :
+(* 1. legality and its enabling rewrites (the §4.2 prologue shared
+   with unroll-and-jam), then the static trip counts; steps 2-6 are
+   [squash] above *)
+let apply (p : Stmt.program) (nest : Loop_nest.pair) ~ds :
     (outcome, error) result =
-  match apply ?delay_of p nest ~ds with
-  | out -> Ok out
-  | exception Squash_error e -> Error e
+  match Peel.enable p nest ~ds with
+  | Error verdict -> Error (Illegal verdict)
+  | Ok (p, nest) -> (
+    match
+      (Loop_nest.inner_trip_count nest, Loop_nest.outer_trip_count nest)
+    with
+    | None, _ -> Error Needs_static_trip_counts
+    | Some n, _ when n <= 0 -> Error Inner_loop_empty
+    | Some _, None -> Error Needs_static_trip_counts
+    | Some n_inner, Some _ -> Ok (squash p nest ~ds ~n_inner))

@@ -26,8 +26,6 @@ type error =
 
 val pp_error : error Fmt.t
 
-exception Squash_error of error
-
 type outcome = {
   program : Stmt.program;  (** the full transformed program *)
   new_inner_index : string;  (** index of the squashed steady loop *)
@@ -39,21 +37,9 @@ type outcome = {
 
 (** Apply unroll-and-squash by [ds] to [nest] inside [p].  Enabling
     rewrites (induction variables, peeling of [M mod DS] iterations)
-    are applied automatically when the legality check calls for them.
-    @raise Squash_error when the nest does not meet the §4.1/§4.2
-    requirements. *)
+    are applied automatically when the legality check calls for them
+    ({!Peel.enable}).  [Error] when the nest does not meet the
+    §4.1/§4.2 requirements.
+    @raise Ir_error when [ds <= 0]. *)
 val apply :
-  ?delay_of:(Opinfo.op_kind -> int) ->
-  Stmt.program ->
-  Loop_nest.pair ->
-  ds:int ->
-  outcome
-
-(** [apply] with the failure modes as data instead of an exception —
-    the entry point the pass pipeline ({!Uas_pass}) builds on. *)
-val apply_res :
-  ?delay_of:(Opinfo.op_kind -> int) ->
-  Stmt.program ->
-  Loop_nest.pair ->
-  ds:int ->
-  (outcome, error) result
+  Stmt.program -> Loop_nest.pair -> ds:int -> (outcome, error) result

@@ -11,7 +11,6 @@
 open Uas_ir
 module Loop_nest = Uas_analysis.Loop_nest
 module Legality = Uas_analysis.Legality
-module Induction = Uas_analysis.Induction
 module Sset = Stmt.Sset
 
 type outcome = {
@@ -20,27 +19,9 @@ type outcome = {
   ds : int;
 }
 
-exception Jam_error of Legality.verdict
-
-let () =
-  Printexc.register_printer (function
-    | Jam_error v -> Some (Fmt.str "Jam_error: %a" Legality.pp_verdict v)
-    | _ -> None)
-
-let apply (p : Stmt.program) (nest : Loop_nest.pair) ~ds : outcome =
-  if ds <= 0 then Types.ir_error "unroll factor must be positive";
-  let verdict = Legality.check nest ~ds in
-  if not verdict.Legality.ok then raise (Jam_error verdict);
-  let p, nest =
-    List.fold_left
-      (fun (p, nest) iv -> Induction.rewrite p nest iv)
-      (p, nest) verdict.Legality.induction_rewrites
-  in
-  let p, nest =
-    if verdict.Legality.needs_peel > 0 then
-      Peel.peel_back p nest ~iterations:verdict.Legality.needs_peel
-    else (p, nest)
-  in
+(* The transformation proper, on a nest the §4.2 prologue has made
+   legal. *)
+let jam (p : Stmt.program) (nest : Loop_nest.pair) ~ds : outcome =
   let i = nest.Loop_nest.outer_index and j = nest.inner_index in
   let versioned = Sset.remove j (Expand.versioned_scalars nest) in
   let restore_set =
@@ -96,10 +77,6 @@ let apply (p : Stmt.program) (nest : Loop_nest.pair) ~ds : outcome =
   let p = Stmt.add_locals p decls in
   { program = p; new_inner_body = new_body; ds }
 
-(* Non-raising entry point for the pass pipeline, as for
-   {!Squash.apply_res}. *)
-let apply_res (p : Stmt.program) (nest : Loop_nest.pair) ~ds :
+let apply (p : Stmt.program) (nest : Loop_nest.pair) ~ds :
     (outcome, Legality.verdict) result =
-  match apply p nest ~ds with
-  | out -> Ok out
-  | exception Jam_error v -> Error v
+  Result.map (fun (p, nest) -> jam p nest ~ds) (Peel.enable p nest ~ds)

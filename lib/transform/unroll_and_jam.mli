@@ -13,13 +13,8 @@ type outcome = {
   ds : int;
 }
 
-exception Jam_error of Legality.verdict
-
 (** Apply unroll-and-jam by [ds]; enabling rewrites are automatic, as
-    for {!Squash.apply}.  @raise Jam_error when illegal. *)
-val apply : Stmt.program -> Loop_nest.pair -> ds:int -> outcome
-
-(** [apply] with the illegality verdict as data instead of an
-    exception, as for {!Squash.apply_res}. *)
-val apply_res :
+    for {!Squash.apply}.  [Error] carries the illegality verdict.
+    @raise Ir_error when [ds <= 0]. *)
+val apply :
   Stmt.program -> Loop_nest.pair -> ds:int -> (outcome, Legality.verdict) result

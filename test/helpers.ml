@@ -31,6 +31,31 @@ let ctx ?store ?(cache_verify = false) ?plan ?trace () =
   { (Uas_runtime.Ctx.default ()) with store; cache_verify; faults;
     trace = Option.value trace ~default:Uas_runtime.Instrument.off }
 
+(* --- transforms a case expects to apply --- *)
+
+let squash p nest ~ds =
+  match Uas_transform.Squash.apply p nest ~ds with
+  | Ok out -> out
+  | Error e ->
+    Alcotest.failf "squash(%d): %a" ds Uas_transform.Squash.pp_error e
+
+let jam p nest ~ds =
+  match Uas_transform.Unroll_and_jam.apply p nest ~ds with
+  | Ok out -> out
+  | Error v ->
+    Alcotest.failf "jam(%d): %a" ds Uas_analysis.Legality.pp_verdict v
+
+let interchange p ~outer_index =
+  match Uas_transform.Interchange.apply p ~outer_index with
+  | Ok q -> q
+  | Error f ->
+    Alcotest.failf "interchange: %a" Uas_transform.Interchange.pp_failure f
+
+let flatten p ~outer_index =
+  match Uas_transform.Flatten.apply p ~outer_index with
+  | Ok (q, _) -> q
+  | Error f -> Alcotest.failf "flatten: %a" Uas_transform.Flatten.pp_failure f
+
 (* --- reference programs --- *)
 
 (* Figure 2.1: the f/g nested loop.  f and g are modeled as 1-cycle

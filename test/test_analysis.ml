@@ -157,7 +157,7 @@ let test_induction_enables_squash () =
   Alcotest.(check bool) "legal via IV rewrite" true verdict.A.Legality.ok;
   Alcotest.(check int) "one rewrite needed" 1
     (List.length verdict.A.Legality.induction_rewrites);
-  let out = Uas_transform.Squash.apply p nest ~ds:2 in
+  let out = Helpers.squash p nest ~ds:2 in
   Helpers.assert_equivalent ~msg:"squash with IV" p
     out.Uas_transform.Squash.program
 

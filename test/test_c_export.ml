@@ -90,9 +90,9 @@ let test_squashed_and_jammed () =
   let p = S.Simple.fg_loop ~m:8 ~n:5 in
   let nest = Uas_analysis.Loop_nest.find_by_outer_index p "i" in
   let w = Helpers.random_workload p in
-  let sq = Uas_transform.Squash.apply p nest ~ds:4 in
+  let sq = Helpers.squash p nest ~ds:4 in
   check_program "squashed fg" sq.Uas_transform.Squash.program w;
-  let jam = Uas_transform.Unroll_and_jam.apply p nest ~ds:2 in
+  let jam = Helpers.jam p nest ~ds:2 in
   check_program "jammed fg" jam.Uas_transform.Unroll_and_jam.program w
 
 let test_branchy () =

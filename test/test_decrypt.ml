@@ -98,7 +98,7 @@ let test_squashed_decrypt () =
   let cipher = S.Skipjack.encrypt_stream ~key words in
   let p = S.Skipjack.skipjack_hw_decrypt ~m ~key in
   let nest = Uas_analysis.Loop_nest.find_by_outer_index p "i" in
-  let out = Uas_transform.Squash.apply p nest ~ds:4 in
+  let out = Helpers.squash p nest ~ds:4 in
   let r =
     Interp.run out.Uas_transform.Squash.program (S.Skipjack.workload_hw cipher)
   in

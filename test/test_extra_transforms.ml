@@ -21,7 +21,7 @@ let matrix_copy ~m ~n =
 
 let test_interchange_equivalence () =
   let p = matrix_copy ~m:4 ~n:6 in
-  let q = T.Interchange.apply p ~outer_index:"i" in
+  let q = Helpers.interchange p ~outer_index:"i" in
   Helpers.assert_equivalent ~msg:"interchange" p q;
   (* the loops really did swap *)
   (match q.Stmt.body with
@@ -31,7 +31,7 @@ let test_interchange_equivalence () =
 let test_interchange_rejects_imperfect () =
   let p = Helpers.fg_loop ~m:4 ~n:4 in
   match T.Interchange.apply p ~outer_index:"i" with
-  | exception T.Interchange.Interchange_error T.Interchange.Not_perfect -> ()
+  | Error T.Interchange.Not_perfect -> ()
   | _ -> Alcotest.fail "expected Not_perfect"
 
 (* b[i][j] = b[i-1][j+dj] + 1 over the output array b *)
@@ -51,14 +51,12 @@ let test_interchange_rejects_carried () =
   (* distance (1,-1): interchange would run the read before the write
      it depends on *)
   (match T.Interchange.apply (carried ~dj:1) ~outer_index:"i" with
-  | exception
-      T.Interchange.Interchange_error (T.Interchange.Carried_dependence _) ->
-    ()
+  | Error (T.Interchange.Carried_dependence _) -> ()
   | _ -> Alcotest.fail "expected Carried_dependence");
   (* distance (1,0) keeps its direction once the loops swap *)
   let p = carried ~dj:0 in
   Helpers.assert_equivalent ~msg:"interchange over a (1,0) dependence" p
-    (T.Interchange.apply p ~outer_index:"i")
+    (Helpers.interchange p ~outer_index:"i")
 
 let test_interchange_huge_nest () =
   (* 3 levels of 2,000,000 trips: the distance-vector cross product is
@@ -75,7 +73,7 @@ let test_interchange_huge_nest () =
               [ B.for_ "k" ~hi:(B.int n)
                   [ B.store "b" ijk B.(load "b" (ijk + int 1) + int 1) ] ] ] ]
   in
-  match T.Interchange.apply_res p ~outer_index:"i" with
+  match T.Interchange.apply p ~outer_index:"i" with
   | Error (T.Interchange.Carried_dependence "b") -> ()
   | Error f ->
     Alcotest.failf "unexpected failure: %a" T.Interchange.pp_failure f
@@ -236,7 +234,7 @@ let test_flatten_equivalence () =
   List.iter
     (fun (m, n) ->
       let p = matrix_copy ~m ~n in
-      let q = T.Flatten.apply p ~outer_index:"i" in
+      let q = Helpers.flatten p ~outer_index:"i" in
       Helpers.assert_equivalent
         ~msg:(Printf.sprintf "flatten m=%d n=%d" m n)
         p q;
@@ -252,14 +250,14 @@ let test_flatten_equivalence () =
 let test_flatten_rejects_imperfect () =
   let p = Helpers.fg_loop ~m:4 ~n:4 in
   match T.Flatten.apply p ~outer_index:"i" with
-  | exception T.Flatten.Flatten_error T.Flatten.Not_perfect -> ()
+  | Error T.Flatten.Not_perfect -> ()
   | _ -> Alcotest.fail "expected Not_perfect"
 
 let test_flatten_concentrates_time () =
   (* the flattening motivation in §5.2: all execution time lands in one
      loop *)
   let p = matrix_copy ~m:6 ~n:8 in
-  let q = T.Flatten.apply p ~outer_index:"i" in
+  let q = Helpers.flatten p ~outer_index:"i" in
   let r = Interp.run q (Helpers.random_workload q) in
   let reports = Interp.loop_reports r in
   Alcotest.(check int) "one profiled loop" 1 (List.length reports);

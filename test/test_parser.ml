@@ -107,7 +107,7 @@ let test_transformed_roundtrips () =
   (* squashed output (with its generated '@' names) also round-trips *)
   let p = S.Simple.fg_loop ~m:8 ~n:4 in
   let nest = Uas_analysis.Loop_nest.find_by_outer_index p "i" in
-  let out = Uas_transform.Squash.apply p nest ~ds:4 in
+  let out = Helpers.squash p nest ~ds:4 in
   let text = Pp.program_to_string out.Uas_transform.Squash.program in
   let q = Parser.program_of_string text in
   Alcotest.(check bool) "squashed roundtrip" true

@@ -140,7 +140,7 @@ let test_dump_after_squash_golden () =
   | Ok _ -> ()
   | Error d -> Alcotest.failf "squash(4) on simple failed: %a" Diag.pp d);
   let nest = Uas_analysis.Loop_nest.find_by_outer_index p "i" in
-  let direct = (Uas_transform.Squash.apply p nest ~ds:4).Uas_transform.Squash.program in
+  let direct = (Helpers.squash p nest ~ds:4).Uas_transform.Squash.program in
   match !captured with
   | None -> Alcotest.fail "hook never saw the squash pass"
   | Some dumped ->

@@ -136,7 +136,7 @@ let test_squashed_kernel () =
      same body the same number of times *)
   let p = Helpers.fg_loop ~m:4 ~n:8 in
   let nest = Helpers.nest_of p "i" in
-  let out = Uas_transform.Squash.apply p nest ~ds:4 in
+  let out = Helpers.squash p nest ~ds:4 in
   let body = out.Uas_transform.Squash.new_inner_body in
   let idx = out.Uas_transform.Squash.new_inner_index in
   let detail = Build.build_detailed ~inner_index:idx body in
@@ -329,8 +329,7 @@ let test_hazard_register_overwritten () =
     { Graph.nodes;
       edges = [ { Graph.e_src = 0; e_dst = 1; e_distance = 2 } ];
       succs = [| []; [] |];
-      preds = [| []; [] |];
-      delay_of = (fun _ -> 0) }
+      preds = [| []; [] |] }
   in
   let detail =
     { Build.d_graph = g;

@@ -196,7 +196,7 @@ let test_no_exception_escapes_pass_run () =
 
 let test_squash_registry_matches_direct () =
   let p = Helpers.fg_loop ~m:8 ~n:4 in
-  let direct = Sq.apply p (Helpers.nest_of p "i") ~ds:4 in
+  let direct = Helpers.squash p (Helpers.nest_of p "i") ~ds:4 in
   match Rw.apply ~params:(params ~factor:4 ()) (Rw.get "squash") (cu_of p) with
   | Error d -> Alcotest.failf "squash via registry failed: %s" (Diag.to_string d)
   | Ok cu' ->

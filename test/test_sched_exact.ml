@@ -418,7 +418,7 @@ let old_recurrence_mii (g : D.Graph.t) : int =
     in
     let max_ii =
       Array.fold_left
-        (fun a (nd : D.Graph.node) -> a + max 1 (g.D.Graph.delay_of nd.kind))
+        (fun a (nd : D.Graph.node) -> a + max 1 (D.Graph.delay g nd.id))
         1 g.D.Graph.nodes
     in
     if not (has_positive_cycle 0) then 0

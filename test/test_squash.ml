@@ -9,7 +9,7 @@ module Loop_nest = Uas_analysis.Loop_nest
 let squash_fg ~m ~n ~ds =
   let p = Helpers.fg_loop ~m ~n in
   let nest = Helpers.nest_of p "i" in
-  (p, Squash.apply p nest ~ds)
+  (p, Helpers.squash p nest ~ds)
 
 let test_fg_equivalence () =
   List.iter
@@ -36,7 +36,7 @@ let test_ch4_equivalence () =
     (fun (m, n, ds) ->
       let p = Helpers.ch4_loop ~m ~n in
       let nest = Helpers.nest_of p "i" in
-      let out = Uas_transform.Squash.apply p nest ~ds in
+      let out = Helpers.squash p nest ~ds in
       Helpers.assert_equivalent
         ~msg:(Printf.sprintf "ch4 m=%d n=%d ds=%d" m n ds)
         p out.Squash.program)
@@ -47,7 +47,7 @@ let test_memory_equivalence () =
     (fun (m, n, ds) ->
       let p = Helpers.memory_loop ~m ~n in
       let nest = Helpers.nest_of p "i" in
-      let out = Uas_transform.Squash.apply p nest ~ds in
+      let out = Helpers.squash p nest ~ds in
       Helpers.assert_equivalent
         ~msg:(Printf.sprintf "memory m=%d n=%d ds=%d" m n ds)
         p out.Squash.program)
@@ -60,7 +60,7 @@ let test_operator_count_preserved () =
       let p = Helpers.fg_loop ~m:16 ~n:4 in
       let nest = Helpers.nest_of p "i" in
       let before = Stmt.operator_count nest.Loop_nest.inner_body in
-      let out = Squash.apply p nest ~ds in
+      let out = Helpers.squash p nest ~ds in
       let after =
         Stmt.operator_count out.Squash.new_inner_body
       in
@@ -75,7 +75,7 @@ let test_steady_trip_count () =
     (fun (n, ds) ->
       let p = Helpers.fg_loop ~m:(2 * ds) ~n in
       let nest = Helpers.nest_of p "i" in
-      let out = Squash.apply p nest ~ds in
+      let out = Helpers.squash p nest ~ds in
       let steady =
         match Loop_nest.find_by_outer_index_opt out.Squash.program "i" with
         | Some nst
@@ -93,7 +93,7 @@ let test_steady_trip_count () =
 let test_stage_count () =
   let p = Helpers.fg_loop ~m:8 ~n:4 in
   let nest = Helpers.nest_of p "i" in
-  let out = Squash.apply p nest ~ds:4 in
+  let out = Helpers.squash p nest ~ds:4 in
   Alcotest.(check int) "stage count" 4 (List.length out.Squash.stages);
   Alcotest.(check (list string)) "rotated scalars" [ "a"; "b" ]
     (List.sort String.compare out.Squash.rotated)
@@ -107,7 +107,7 @@ let test_squashed_schedules_valid () =
       List.iter
         (fun (name, p) ->
           let nest = Helpers.nest_of p "i" in
-          let out = Squash.apply p nest ~ds in
+          let out = Helpers.squash p nest ~ds in
           let g, _ =
             D.Build.build ~inner_index:out.Squash.new_inner_index
               out.Squash.new_inner_body
@@ -139,7 +139,7 @@ let test_rejects_outer_carried () =
   in
   let nest = Helpers.nest_of p "i" in
   match Squash.apply p nest ~ds:2 with
-  | exception Squash.Squash_error (Squash.Illegal _) -> ()
+  | Error (Squash.Illegal _) -> ()
   | _ -> Alcotest.fail "expected Illegal"
 
 let test_rejects_overlapping_arrays () =
@@ -157,8 +157,53 @@ let test_rejects_overlapping_arrays () =
   in
   let nest = Helpers.nest_of p "i" in
   match Squash.apply p nest ~ds:2 with
-  | exception Squash.Squash_error (Squash.Illegal _) -> ()
+  | Error (Squash.Illegal _) -> ()
   | _ -> Alcotest.fail "expected Illegal (array distance 1)"
+
+(* The §4.2 prologue squash and jam share, both halves at once: [ptr]
+   is an outer-loop induction variable (rewritten to a closed form) and
+   the outer trip count 7 is a multiple of no factor below (so the last
+   [7 mod DS] iterations are peeled).  The final [ptr] is stored too, so
+   the rewrite's exit value is checked with the arrays. *)
+let iv_nest_m7 =
+  let open Builder in
+  program "iv_peel"
+    ~locals:
+      [ ("i", Types.Tint); ("j", Types.Tint); ("ptr", Types.Tint);
+        ("x", Types.Tint) ]
+    ~arrays:[ input "a" 16; output "o" 16 ]
+    [ ("ptr" <-- int 1);
+      for_ "i" ~hi:(int 7)
+        [ ("x" <-- load "a" (v "ptr"));
+          for_ "j" ~hi:(int 3)
+            [ "x" <-- band ((v "x" * int 3) + v "j") (int 1023) ];
+          store "o" (v "ptr") (v "x");
+          ("ptr" <-- v "ptr" + int 2) ];
+      store "o" (int 0) (v "ptr") ]
+
+let test_prologue_iv_and_peel () =
+  let p = iv_nest_m7 in
+  let nest = Helpers.nest_of p "i" in
+  let transforms =
+    [ ("squash", fun ds -> (Helpers.squash p nest ~ds).Squash.program);
+      ( "jam",
+        fun ds -> (Helpers.jam p nest ~ds).Uas_transform.Unroll_and_jam.program
+      ) ]
+  in
+  List.iter
+    (fun ds ->
+      let v = Uas_analysis.Legality.check nest ~ds in
+      Alcotest.(check int) "one induction rewrite" 1
+        (List.length v.Uas_analysis.Legality.induction_rewrites);
+      Alcotest.(check int) "peeled iterations" (7 mod ds)
+        v.Uas_analysis.Legality.needs_peel;
+      List.iter
+        (fun (name, transform) ->
+          Helpers.assert_equivalent
+            ~msg:(Printf.sprintf "%s(%d)" name ds)
+            p (transform ds))
+        transforms)
+    [ 2; 3; 4 ]
 
 let test_qcheck_equivalence =
   QCheck.Test.make ~name:"squash fg equivalence (random sizes/factors)"
@@ -168,12 +213,13 @@ let test_qcheck_equivalence =
       let p = Helpers.fg_loop ~m ~n in
       let nest = Helpers.nest_of p "i" in
       match Squash.apply p nest ~ds with
-      | out ->
+      | Ok out ->
         let w = Helpers.random_workload ~seed:(m + (13 * n) + (101 * ds)) p in
         let r1 = Interp.run p w in
         let r2 = Interp.run out.Squash.program w in
         Interp.outputs_equal r1 r2
-      | exception Squash.Squash_error Squash.Inner_loop_empty -> n = 0)
+      | Error Squash.Inner_loop_empty -> n = 0
+      | Error _ -> false)
 
 let test_qcheck_random_nests =
   (* structurally random (but legal-by-construction) nests: squash at a
@@ -183,17 +229,18 @@ let test_qcheck_random_nests =
     (fun (p, ds) ->
       let nest = Helpers.nest_of p "i" in
       match Squash.apply p nest ~ds with
-      | out ->
+      | Ok out ->
         Uas_ir.Validate.is_valid out.Squash.program
         &&
         let w = Helpers.random_workload ~seed:ds p in
         Interp.outputs_equal (Interp.run p w)
           (Interp.run out.Squash.program w)
-      | exception Squash.Squash_error (Squash.Illegal _) ->
+      | Error (Squash.Illegal _) ->
         (* the generator can produce bodies whose table index is not
            provably in-bounds affine; legality may then reject — that
            is allowed, silently skipping the case *)
-        true)
+        true
+      | Error _ -> false)
 
 let test_qcheck_random_nests_jam =
   QCheck.Test.make ~name:"jam equivalence (random nests)" ~count:80
@@ -201,11 +248,11 @@ let test_qcheck_random_nests_jam =
     (fun (p, ds) ->
       let nest = Helpers.nest_of p "i" in
       match Uas_transform.Unroll_and_jam.apply p nest ~ds with
-      | out ->
+      | Ok out ->
         let w = Helpers.random_workload ~seed:(ds + 7) p in
         Interp.outputs_equal (Interp.run p w)
           (Interp.run out.Uas_transform.Unroll_and_jam.program w)
-      | exception Uas_transform.Unroll_and_jam.Jam_error _ -> true)
+      | Error _ -> true)
 
 let suite =
   [ Alcotest.test_case "fg equivalence" `Quick test_fg_equivalence;
@@ -222,6 +269,8 @@ let suite =
       test_rejects_outer_carried;
     Alcotest.test_case "rejects overlapping arrays" `Quick
       test_rejects_overlapping_arrays;
+    Alcotest.test_case "prologue: IV rewrite and peel" `Quick
+      test_prologue_iv_and_peel;
     QCheck_alcotest.to_alcotest test_qcheck_equivalence;
     QCheck_alcotest.to_alcotest test_qcheck_random_nests;
     QCheck_alcotest.to_alcotest test_qcheck_random_nests_jam ]

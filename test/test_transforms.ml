@@ -18,7 +18,7 @@ let test_jam_equivalence () =
         (fun (m, n, ds) ->
           let p : Stmt.program = mk ~m ~n in
           let nest = Helpers.nest_of p "i" in
-          let out = T.Unroll_and_jam.apply p nest ~ds in
+          let out = Helpers.jam p nest ~ds in
           Helpers.assert_equivalent
             ~msg:(Printf.sprintf "jam %s m=%d n=%d ds=%d" name m n ds)
             p out.T.Unroll_and_jam.program)
@@ -31,7 +31,7 @@ let test_jam_multiplies_operators () =
       let p = Helpers.fg_loop ~m:16 ~n:4 in
       let nest = Helpers.nest_of p "i" in
       let before = Stmt.operator_count nest.Loop_nest.inner_body in
-      let out = T.Unroll_and_jam.apply p nest ~ds in
+      let out = Helpers.jam p nest ~ds in
       Alcotest.(check int)
         (Printf.sprintf "jam(%d) operators" ds)
         (ds * before)
@@ -110,7 +110,7 @@ let test_ifconv_enables_squash () =
     (Uas_analysis.Legality.check nest0 ~ds:2).Uas_analysis.Legality.ok;
   let q = T.Ifconv.apply p in
   let nest = Helpers.nest_of q "i" in
-  let out = T.Squash.apply q nest ~ds:2 in
+  let out = Helpers.squash q nest ~ds:2 in
   Helpers.assert_equivalent ~msg:"ifconv+squash" p out.T.Squash.program
 
 (* --- scalar optimizations --- *)
@@ -175,9 +175,9 @@ let test_combined_jam_then_squash () =
     (fun (m, n, jam_ds, squash_ds) ->
       let p = Helpers.fg_loop ~m ~n in
       let nest = Helpers.nest_of p "i" in
-      let jammed = (T.Unroll_and_jam.apply p nest ~ds:jam_ds).T.Unroll_and_jam.program in
+      let jammed = (Helpers.jam p nest ~ds:jam_ds).T.Unroll_and_jam.program in
       let nest2 = Helpers.nest_of jammed "i" in
-      let out = T.Squash.apply jammed nest2 ~ds:squash_ds in
+      let out = Helpers.squash jammed nest2 ~ds:squash_ds in
       Helpers.assert_equivalent
         ~msg:(Printf.sprintf "jam(%d)+squash(%d) m=%d n=%d" jam_ds squash_ds m n)
         p out.T.Squash.program)
@@ -189,7 +189,7 @@ let test_qcheck_jam =
     (fun (m, n, ds) ->
       let p = Helpers.fg_loop ~m ~n in
       let nest = Helpers.nest_of p "i" in
-      let out = T.Unroll_and_jam.apply p nest ~ds in
+      let out = Helpers.jam p nest ~ds in
       let w = Helpers.random_workload ~seed:(m + (7 * n) + (31 * ds)) p in
       Interp.outputs_equal (Interp.run p w)
         (Interp.run out.T.Unroll_and_jam.program w))
