@@ -182,7 +182,7 @@ let row_of_fields (c : candidate) r : row option =
         r_incidents = incidents }
 
 (* everything a scored row depends on besides the benchmark program
-   text (which Cu hashes into every key): the candidate, the kernel
+   (whose digest Cu hashes into every key): the candidate, the kernel
    location, the effort budgets, whether rewrites are
    translation-validated, and the cost-model version *)
 let row_context ?validate ~outer_index ~inner_index (c : candidate) =
@@ -299,7 +299,7 @@ let rank_key objective ~base (row : row) =
 (* What squash and quick synthesis compute from: the prefixed program,
    its kernel nest, the squash factor and the scheduling mode. *)
 let group_key (c : candidate) u =
-  ( Cu.canonical_text u,
+  ( Cu.digest u,
     Cu.outer_index u,
     Cu.inner_index u,
     snd (split_squash c),

@@ -69,9 +69,9 @@ type plan = {
     candidate, in the fault scope ["<benchmark>/<label>"]: the
     plan-row store lookup, analysis and the enabling prefix (every
     rewrite but the final squash).  Phase 2 has one task per distinct
-    (canonical program text, outer index, inner index, squash factor,
-    pipelined) key: squash and quick synthesis on the first member's
-    unit, in its scope.  Every member's row gets the group's outcome,
+    (program digest ({!Uas_pass.Cu.digest}), outer index, inner index,
+    squash factor, pipelined) key: squash and quick synthesis on the
+    first member's unit, in its scope.  Every member's row gets the group's outcome,
     with the report named after the member's own label, and its own
     prefix incidents followed by the group's.  Plan rows are stored
     under the unprefixed program, so a warm plan runs neither phase's

@@ -19,7 +19,7 @@ let rec pp_expr_prec prec ppf (e : Expr.t) =
   | Int n -> Fmt.int ppf n
   (* +. 0. normalizes IEEE negative zero: "%g" would print it "-0",
      which reparses as the integer 0 and reprints as "0" — breaking
-     the canonical-text fixpoint the artifact-store keys rely on *)
+     the print/parse/print fixpoint ([Encode] merges the two alike) *)
   | Float f -> Fmt.pf ppf "%g" (f +. 0.)
   | Var v -> Fmt.string ppf v
   | Load (a, i) -> Fmt.pf ppf "%s[%a]" a (pp_expr_prec 0) i

@@ -21,9 +21,10 @@ type t = {
   mutable c_compiled : Fast_interp.compiled option;
   mutable c_hits : int;
   mutable c_misses : int;
-  (* canonical program text (the Pp round-trip form), memoized because
-     every store key hashes it; reset by [with_program] *)
-  mutable c_text : string option;
+  (* the program's structural digest ([Encode.digest]), memoized
+     because every store key and planner group key reads it; reset by
+     [with_program] *)
+  mutable c_digest : Digest.t option;
   (* non-fatal trouble logged while building this unit (validation
      mismatches, recovered faults); survives [with_program] because it
      is the unit's history, not a fact about its program *)
@@ -42,7 +43,7 @@ let make ?(ctx = Ctx.default ()) p ~outer_index ~inner_index =
     c_compiled = None;
     c_hits = 0;
     c_misses = 0;
-    c_text = None;
+    c_digest = None;
     c_incidents = [] }
 
 let ctx cu = cu.cu_ctx
@@ -61,7 +62,7 @@ let with_program ?outer_index ?inner_index cu p =
     c_schedule = None;
     c_report = None;
     c_compiled = None;
-    c_text = None }
+    c_digest = None }
 
 (* One memoized lookup ([nest], [compiled]): serve the cache or
    compute-and-fill, keeping the per-unit and global counters honest. *)
@@ -108,13 +109,15 @@ let incidents cu = List.rev cu.c_incidents
 
 (* ---- the persistent artifact store (load/save hooks) ---- *)
 
-let canonical_text cu =
-  match cu.c_text with
-  | Some t -> t
+let digest cu =
+  match cu.c_digest with
+  | Some d -> d
   | None ->
-    let t = Pp.program_to_string cu.cu_program in
-    cu.c_text <- Some t;
-    t
+    let d = Encode.digest cu.cu_program in
+    cu.c_digest <- Some d;
+    d
+
+let canonical_text cu = Pp.program_to_string cu.cu_program
 
 (* Fault specs at non-store sites change what a cell computes (an
    injected raise skips it, an injected corruption rewrites it), so
@@ -138,7 +141,7 @@ let content_fault_plan cu =
 (* The one key-construction point: everything an artifact is computed
    from — store format version, artifact kind, the content fault plan,
    caller context (datapath fingerprint, kernel index, effort budgets,
-   cost-model version, ...) and the canonical program text — goes
+   cost-model version, ...) and the program digest — goes
    through the same hash.  How the program was reached is not part of
    it, so two rewrite sequences that produce the same program share its
    artifacts. *)
@@ -148,7 +151,7 @@ let store_key cu ~kind ~context =
      :: ("kind=" ^ kind)
      :: ("fault=" ^ content_fault_plan cu)
      :: context
-    @ [ canonical_text cu ])
+    @ [ "program=" ^ Digest.to_hex (digest cu) ])
 
 let store_incident cu ~kind msg =
   add_incident cu

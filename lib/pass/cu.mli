@@ -97,9 +97,8 @@ val incidents : t -> Diag.t list
     Load/save hooks over {!Uas_runtime.Store}: every expensive artifact
     (kernel schedule, planner row) is a {!Uas_runtime.Record} field
     list, keyed by a content hash of what it is computed from — the
-    canonical program text (the {!Uas_ir.Pp} round-trip form), the
-    caller's [context] parts (datapath fingerprint, kernel index,
-    effort budgets, cost-model version) and
+    program's {!digest}, the caller's [context] parts (datapath
+    fingerprint, kernel index, effort budgets, cost-model version) and
     {!Uas_runtime.Store.format_version}, the one version any payload
     carries — but not the rewrites that produced the program.  All
     hooks are no-ops when the unit's context has no store; lookups
@@ -107,8 +106,15 @@ val incidents : t -> Diag.t list
     entry is a miss plus an incident (pass ["store"]) — never a wrong
     answer. *)
 
+(** The program's identity: {!Uas_ir.Encode.digest} of its structure,
+    memoized; reset by {!with_program}.  Equal digests imply equal
+    {!canonical_text}s.  Store keys and the planner's group key read
+    it. *)
+val digest : t -> Digest.t
+
 (** The program's canonical text ({!Uas_ir.Pp.program_to_string}),
-    memoized; reset by {!with_program}. *)
+    printed on every call.  No key reads it; kept only so the frozen
+    perf harness ([bench/perf]) compiles. *)
 val canonical_text : t -> string
 
 (** Look the artifact up in the context's store and [decode] its

@@ -74,6 +74,7 @@ let schedule_of_fields r =
 let schedule_context ?(exact_effort = Uas_dfg.Sched.default_exact_effort)
     ~target ~pipelined cu =
   [ "target=" ^ Datapath.fingerprint target;
+    "cost-model=" ^ string_of_int Estimate.cost_model_version;
     "kernel=" ^ Cu.inner_index cu;
     "pipelined=" ^ string_of_bool pipelined;
     "effort=" ^ string_of_int Uas_dfg.Sched.default_effort;

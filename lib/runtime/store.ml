@@ -41,7 +41,7 @@
 
 let env_var = "UAS_CACHE"
 let max_bytes_env_var = "UAS_CACHE_MAX_BYTES"
-let format_version = 4
+let format_version = 5
 let default_max_bytes = 256 * 1024 * 1024
 
 type t = {

@@ -2,7 +2,7 @@
 
     Expensive compilation artifacts (kernel schedules, planner rows)
     are stored as {!Record} field lists, keyed by a content hash of
-    what they are computed from: canonical program text, tool
+    what they are computed from: the program's structural digest, tool
     parameters, cost-model version and the store format version.  Same
     key, same bytes — so a warm cache run is byte-identical to a cold
     one, and a stale or corrupted entry can only ever be a {e miss}

@@ -649,6 +649,87 @@ let test_scan_reports_contents () =
   Alcotest.(check int) "one object per write" 3 count;
   Alcotest.(check bool) "bytes accounted" true (bytes > 0)
 
+(* A schedule's key names the cost model (the operator delays every II
+   depends on): an entry stored under this cost-model version is
+   served, one stored under any other is a miss.  The context below is
+   the schedule key's exact parts, in order. *)
+let test_schedule_key_names_cost_model () =
+  let b = iir () in
+  let unit ?trace s =
+    Uas_pass.Cu.make
+      ~ctx:(Helpers.ctx ~store:s ?trace ())
+      b.R.b_program ~outer_index:b.R.b_outer_index
+      ~inner_index:b.R.b_inner_index
+  in
+  let passes =
+    [ Uas_pass.Stages.dfg_build ();
+      Uas_pass.Stages.schedule ~pipelined:true () ]
+  in
+  let scheduled cu =
+    match Uas_pass.Pass.run cu passes with
+    | Ok cu -> Option.get (Uas_pass.Cu.schedule cu)
+    | Error d -> Alcotest.failf "schedule: %s" (Uas_pass.Diag.to_string d)
+  in
+  let sched = scheduled (unit (open_fresh ())) in
+  let hits_under version =
+    let s = open_fresh () in
+    Uas_pass.Cu.store_put (unit s) ~kind:"schedule"
+      ~context:
+        [ "target=" ^ Uas_hw.Datapath.fingerprint Uas_hw.Datapath.default;
+          "cost-model=" ^ string_of_int version;
+          "kernel=" ^ b.R.b_inner_index;
+          "pipelined=true";
+          "effort=" ^ string_of_int Uas_dfg.Sched.default_effort;
+          "exact-effort=" ^ string_of_int Uas_dfg.Sched.default_exact_effort ]
+      [ ("ii", string_of_int sched.Uas_dfg.Sched.s_ii);
+        ("len", string_of_int sched.Uas_dfg.Sched.s_length);
+        ( "times",
+          String.concat ","
+            (Array.to_list (Array.map string_of_int sched.Uas_dfg.Sched.s_times))
+        ) ];
+    let trace = Instrument.create () in
+    ignore (scheduled (unit ~trace s));
+    counter trace "cu.store-hit"
+  in
+  let v = Uas_hw.Estimate.cost_model_version in
+  Alcotest.(check int) "this cost model's entry is served" 1 (hits_under v);
+  Alcotest.(check int) "another cost model's entry is a miss" 0
+    (hits_under (v + 1))
+
+(* [test/store_v4] holds the four schedules of [run_row] as the build
+   before the digest keys wrote them: format version 4, keyed by the
+   program text.  Read now, that store gives clean misses — the key
+   names the format version, so no old entry is read, none is Bad,
+   none raises an incident and none is deleted. *)
+let test_v4_store_clean_misses () =
+  let s = open_fresh () in
+  let rec copy src dst =
+    if Sys.is_directory src then (
+      if not (Sys.file_exists dst) then Sys.mkdir dst 0o755;
+      Array.iter
+        (fun n -> copy (Filename.concat src n) (Filename.concat dst n))
+        (Sys.readdir src))
+    else write_file dst (read_file src)
+  in
+  copy "store_v4" (Store.dir s);
+  let old = List.length (object_files s) in
+  Alcotest.(check int) "fixture entries" 4 old;
+  let row, counter = run_row s in
+  let st = Store.stats s in
+  Alcotest.(check (list int)) "hits, misses, bad, writes" [ 0; 4; 0; 4 ]
+    [ st.Store.st_hits; st.Store.st_misses; st.Store.st_bad;
+      st.Store.st_writes ];
+  Alcotest.(check int) "no incident" 0 (counter "cu.incident");
+  List.iter
+    (fun (c : E.cell) ->
+      Alcotest.(check int) "no cell incident" 0 (List.length c.E.c_incidents))
+    row.E.br_cells;
+  Alcotest.(check string) "same row as on an empty store"
+    (render (fst (run_row (open_fresh ()))))
+    (render row);
+  Alcotest.(check int) "old entries kept" (old + 4)
+    (List.length (object_files s))
+
 let suite =
   [ Alcotest.test_case "write/read round-trip" `Quick
       (removing_stores test_write_read_roundtrip);
@@ -687,4 +768,8 @@ let suite =
     Alcotest.test_case "publish waits for a foreign lock" `Quick
       (removing_stores test_write_waits_for_foreign_lock);
     Alcotest.test_case "scan reports the store contents" `Quick
-      (removing_stores test_scan_reports_contents) ]
+      (removing_stores test_scan_reports_contents);
+    Alcotest.test_case "schedule key names the cost model" `Quick
+      (removing_stores test_schedule_key_names_cost_model);
+    Alcotest.test_case "format-4 store gives clean misses" `Quick
+      (removing_stores test_v4_store_clean_misses) ]
